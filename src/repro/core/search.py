@@ -285,7 +285,12 @@ class PerformanceConsultantSearch:
         self, nodes: List[SHGNode], min_interval: float, force: bool = False
     ) -> None:
         for node in nodes:
+            # The handle is looked up every tick, so a lost sample shows
+            # on the tick it is lost; the value (a walk over in-progress
+            # activity) is only computed once a conclusion can be due.
             try:
+                if self.instr.elapsed(node.handle) < min_interval:
+                    continue
                 frac, elapsed = self.instr.normalized_read(node.handle)
             except KeyError:
                 # The sample vanished (lost instrumentation data).
@@ -307,8 +312,6 @@ class PerformanceConsultantSearch:
                     # searching the surviving foci instead of aborting
                     # the whole diagnosis.
                     self._mark_unknown(node, "lost instrumentation sample")
-                continue
-            if elapsed < min_interval:
                 continue
             node.value = frac
             threshold = self.threshold(node.hypothesis)

@@ -10,20 +10,24 @@ computation per the cost model.
 
 Hot-path design.  ``record()`` runs once per emitted
 :class:`~repro.simulator.records.TimeSegment` — the single most executed
-piece of the online search.  Instead of scanning every active probe per
-segment (O(segments × probes)), probes are bucketed in a **routing
-index** keyed by ``(activity, Code selection parts, Process selection
-parts)``; a segment looks up only the buckets reachable from the
-prefixes of its own Code and Process attribution (at most
-``len(code parts) × len(process parts)`` dict hits), so untouched
-probes cost nothing.  Residual constraints (Machine, SyncObject) are
-checked by :meth:`Focus.matches_parts` through a bounded identity memo —
-sound because segment ``parts`` dicts are interned
-(:func:`~repro.simulator.records.intern_parts`) and the memo pins its
-keys, so an id can never be reused while its entry is live.  The legacy
-full scan is kept as a reference path (``routing_enabled = False``) and
-the benchmark/property tests assert both paths accumulate byte-identical
-values.
+piece of the online search — and a run's segments are drawn from a
+handful of attributions (interned ``parts`` dicts, see
+:func:`~repro.simulator.records.intern_parts`).  Probes are bucketed in
+a **routing index** keyed by ``(activity, Code selection parts, Process
+selection parts)``, and each ``(parts, activity)`` seen gets one
+**attribution cell**: the probes reachable from the prefixes of its Code
+and Process attribution that also pass the residual Machine/SyncObject
+check, and how many candidates that bucket walk examines.  The walk
+happens once, when the cell is built; ``request()`` and ``delete()``
+keep every cell under the probe's routing keys current, so ``record()``
+is one cell lookup plus one overlap fold per *matching* probe.  Cells
+are keyed by identity and pin their ``parts``, so an id can never be
+reused while its cell is live; nothing a run does invalidates a cell
+(matching is tuple-prefix comparison on immutable values), and the cell
+table is dropped wholesale at a cap and rebuilt from the index on
+demand.  The full scan (:meth:`InstrumentationManager.record_scan`,
+``routing_enabled = False``) is kept as the reference the benchmark and
+property tests hold routed delivery byte-identical to.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ from .metric import METRICS, Metric
 
 __all__ = ["ActiveInstrumentation", "InstrumentationManager", "matched_processes"]
 
-#: Cap on the identity-keyed match/prefix memos; cleared wholesale when
-#: full.  Big enough that a realistic search never evicts (entries are
-#: bounded by distinct (focus, attribution) pairs), small enough that an
+#: Cap on the identity-keyed match memo and on the attribution cell
+#: table; each is cleared wholesale when full.  Big enough that a
+#: realistic search never evicts (entries are bounded by distinct
+#: (focus, attribution) pairs resp. attributions), small enough that an
 #: adversarial stream cannot grow memory without bound.
 _MEMO_MAX = 1 << 16
 
@@ -106,6 +111,29 @@ class ActiveInstrumentation:
         return max(hi - lo, 0.0)
 
 
+class _Cell:
+    """What the routing index holds for one (parts, activity) attribution
+    (see module docstring); ``parts`` and ``activity`` pin the cell's
+    identity key."""
+
+    __slots__ = ("parts", "activity", "examined", "probes")
+
+    def __init__(self, parts: dict, activity: Activity) -> None:
+        self.parts = parts
+        self.activity = activity
+        #: Candidates the bucket walk examines for a segment of this
+        #: attribution: every probe in a reachable bucket.
+        self.examined = 0
+        #: Of those, the probes whose focus matches: handle -> probe.
+        self.probes: Dict[int, ActiveInstrumentation] = {}
+
+
+#: (activity value, Code selection parts, Process selection parts).  The
+#: activity goes in by value: ``Enum.__hash__`` is Python-level, and a
+#: cell build hashes a dozen of these keys.
+_RouteKey = Tuple[str, Tuple[str, ...], Tuple[str, ...]]
+
+
 class InstrumentationManager:
     """Insert/read/delete dynamic instrumentation against a live engine."""
 
@@ -136,29 +164,32 @@ class InstrumentationManager:
         self._cost_integral = 0.0
         self._cost_t0 = engine.now
         self._cost_last = engine.now
-        #: When False, ``record()`` falls back to the legacy full scan of
-        #: every active probe — the reference path routing is checked
-        #: against.
+        #: When False, ``record()`` falls back to the full scan of every
+        #: active probe — the reference path routing is checked against.
         self.routing_enabled = routing_enabled
         #: Segments dispatched through the routing index vs the scan path,
-        #: and candidate probes actually examined — the observability
-        #: counters behind the routed/scanned trace and run metrics.
+        #: and candidate probes examined (routed: the size of every
+        #: bucket reachable from the segment's attribution) — the
+        #: observability counters behind the routed/scanned trace and run
+        #: metrics.
         self.segments_routed = 0
         self.segments_scanned = 0
         self.probes_examined = 0
-        # routing index: (activity, code key, process key) -> {handle: probe}
-        self._route: Dict[
-            Tuple[Activity, Tuple[str, ...], Tuple[str, ...]],
-            Dict[int, ActiveInstrumentation],
-        ] = {}
-        # identity memos (see module docstring); values pin their keys
+        # routing index: (activity value, code key, process key) -> {handle: probe}
+        self._route: Dict[_RouteKey, Dict[int, ActiveInstrumentation]] = {}
+        # attribution cells by (id(parts), id(activity)), and the same
+        # cells under each routing key whose bucket they draw from
+        self._cells: Dict[Tuple[int, int], _Cell] = {}
+        self._cell_index: Dict[_RouteKey, List[_Cell]] = {}
+        # identity memo for reads and the scan path; values pin their keys
         self._match_memo: Dict[Tuple[int, int], Tuple[Focus, dict, bool]] = {}
-        self._prefix_memo: Dict[int, Tuple[dict, tuple, tuple]] = {}
         # matched-process sets cached per focus, invalidated when the
         # engine's process table grows
         self._focus_procs: Dict[Focus, Tuple[str, ...]] = {}
         self._proc_version = engine.proc_table_version
-        # one in-progress snapshot shared across a batched read pass
+        # inside batched_reads(): the in-progress snapshot every read of
+        # the pass shares, taken by the first read that needs it
+        self._batching = False
         self._in_progress_snapshot: Optional[Tuple[TimeSegment, ...]] = None
         engine.add_sink(self)
         engine.add_perturbation_source(self._overhead_for)
@@ -225,6 +256,10 @@ class InstrumentationManager:
         self._active[handle] = instr
         for key in self._probe_keys(instr):
             self._route.setdefault(key, {})[handle] = instr
+            for cell in self._cell_index.get(key, ()):
+                cell.examined += 1
+                if focus.matches_parts(cell.parts):
+                    cell.probes[handle] = instr
         self.gate.add(cost)
         for p in procs:
             self._per_proc_cost[p] = self._per_proc_cost.get(p, 0.0) + cost
@@ -247,6 +282,9 @@ class InstrumentationManager:
                 bucket.pop(handle, None)
                 if not bucket:
                     del self._route[key]
+            for cell in self._cell_index.get(key, ()):
+                cell.examined -= 1
+                cell.probes.pop(handle, None)
         instr.deleted_at = self.engine.now
         self._accrue_cost()
         self._release_cost(instr)
@@ -288,9 +326,7 @@ class InstrumentationManager:
     # segment routing
     # ------------------------------------------------------------------
     @staticmethod
-    def _probe_keys(
-        instr: ActiveInstrumentation,
-    ) -> List[Tuple[Activity, Tuple[str, ...], Tuple[str, ...]]]:
+    def _probe_keys(instr: ActiveInstrumentation) -> List[_RouteKey]:
         """Routing-index keys for one probe: its focus's Code and Process
         selection parts, one key per activity class its metric counts."""
         focus = instr.focus
@@ -302,30 +338,36 @@ class InstrumentationManager:
             focus.selection_parts("Process")
             if "Process" in focus.hierarchies else _PROC_ROOT
         )
-        return [(act, code, proc) for act in sorted(instr.metric.activities, key=lambda a: a.value)]
+        return [(act, code, proc) for act in sorted(a.value for a in instr.metric.activities)]
 
-    def _segment_prefixes(self, parts: dict) -> Tuple[tuple, tuple]:
-        """All Code and Process prefixes of one (interned) attribution —
-        the candidate bucket coordinates for a segment."""
-        memo = self._prefix_memo
-        key = id(parts)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1], hit[2]
-        code = parts.get("Code")
-        proc = parts.get("Process")
-        # A segment without an attribution in a hierarchy can only match
-        # probes unconstrained there — exactly the root bucket.
-        code_keys = (
-            tuple(code[:i] for i in range(1, len(code) + 1)) if code else (_CODE_ROOT,)
-        )
-        proc_keys = (
-            tuple(proc[:i] for i in range(1, len(proc) + 1)) if proc else (_PROC_ROOT,)
-        )
-        if len(memo) >= _MEMO_MAX:
-            memo.clear()
-        memo[key] = (parts, code_keys, proc_keys)  # pin: id stays valid while cached
-        return code_keys, proc_keys
+    def _build_cell(self, parts: dict, activity: Activity) -> _Cell:
+        """Walk the buckets reachable from one attribution, once.
+
+        The candidate buckets sit at every (Code prefix, Process prefix)
+        of the attribution; a segment without an attribution in a
+        hierarchy can only match probes unconstrained there — exactly
+        the root bucket.  The cell is registered under each of those
+        keys so ``request()``/``delete()`` find it.
+        """
+        if len(self._cells) >= _MEMO_MAX:
+            self._cells.clear()
+            self._cell_index.clear()
+        code = parts.get("Code") or _CODE_ROOT
+        proc = parts.get("Process") or _PROC_ROOT
+        cell = _Cell(parts, activity)
+        act = activity.value
+        for i in range(1, len(code) + 1):
+            for j in range(1, len(proc) + 1):
+                key = (act, code[:i], proc[:j])
+                self._cell_index.setdefault(key, []).append(cell)
+                bucket = self._route.get(key)
+                if bucket:
+                    cell.examined += len(bucket)
+                    for handle, instr in bucket.items():
+                        if instr.focus.matches_parts(parts):
+                            cell.probes[handle] = instr
+        self._cells[(id(parts), id(activity))] = cell
+        return cell
 
     def _matches(self, focus: Focus, parts: dict) -> bool:
         """Memoized ``focus.matches_parts(parts)`` keyed by identity."""
@@ -341,9 +383,10 @@ class InstrumentationManager:
         return result
 
     def _accumulate(self, instr: ActiveInstrumentation, segment: TimeSegment) -> None:
-        """Fold one matching-activity segment into one probe (shared by
-        the routed and scan paths — equivalence is per-probe identical
-        fold order over the same segment stream)."""
+        """Fold one matching-activity segment into one probe on the scan
+        path (the routed path folds pre-matched probes in ``record()``;
+        equivalence is per-probe identical fold order over the same
+        segment stream)."""
         if instr.metric.kind == "count":
             # one completed operation per segment, counted when it
             # finishes inside the active window
@@ -368,22 +411,35 @@ class InstrumentationManager:
             self.record_scan(segment)
             return
         self.segments_routed += 1
+        parts = segment.parts
         activity = segment.activity
-        route = self._route
-        code_keys, proc_keys = self._segment_prefixes(segment.parts)
-        examined = 0
-        for ck in code_keys:
-            for pk in proc_keys:
-                bucket = route.get((activity, ck, pk))
-                if bucket:
-                    examined += len(bucket)
-                    for instr in bucket.values():
-                        self._accumulate(instr, segment)
-        self.probes_examined += examined
+        cell = self._cells.get((id(parts), id(activity)))
+        if cell is None:
+            cell = self._build_cell(parts, activity)
+        self.probes_examined += cell.examined
+        if not cell.probes:
+            return
+        # _accumulate's fold for probes known to match and to be live
+        # (delete() takes a probe out of its cells before it stamps
+        # deleted_at, so the window here is open-ended)
+        start = segment.start
+        end = start + segment.duration
+        for instr in cell.probes.values():
+            lo = instr.active_from
+            if instr.metric.kind == "count":
+                if lo <= end:
+                    instr.accumulated += 1.0
+                continue
+            if start > lo:
+                lo = start
+            dt = end - lo
+            if dt > 0.0:
+                instr.accumulated += dt
 
     def record_scan(self, segment: TimeSegment) -> None:
         """Reference path: examine every active probe (the pre-index cost
-        shape; kept for debugging and equivalence checks)."""
+        shape; kept for debugging and as the oracle routed delivery is
+        held byte-identical to)."""
         self.segments_scanned += 1
         self.probes_examined += len(self._active)
         for instr in self._active.values():
@@ -411,14 +467,21 @@ class InstrumentationManager:
         re-walking the per-process in-progress table for each handle is
         pure waste.  Virtual time cannot advance inside the block (reads
         do not step the engine), so one snapshot is exact for all of
-        them.
+        them.  The first read that needs it takes it: a pass in which no
+        conclusion is due never walks the table at all.
         """
-        prev = self._in_progress_snapshot
-        self._in_progress_snapshot = tuple(self.engine.in_progress())
+        prev = self._batching, self._in_progress_snapshot
+        self._batching, self._in_progress_snapshot = True, None
         try:
             yield
         finally:
-            self._in_progress_snapshot = prev
+            self._batching, self._in_progress_snapshot = prev
+
+    def elapsed(self, handle: int) -> float:
+        """Seconds of data *handle* has observed so far (``KeyError`` for
+        an unknown or deleted handle) — the cheap half of :meth:`read`,
+        for callers that only want a value once enough has been seen."""
+        return max(self.engine.now - self._lookup(handle).active_from, 0.0)
 
     def read(self, handle: int) -> Tuple[float, float]:
         """Return (accumulated seconds, observed elapsed seconds).
@@ -438,6 +501,8 @@ class InstrumentationManager:
             segs = self._in_progress_snapshot
             if segs is None:
                 segs = tuple(self.engine.in_progress())
+                if self._batching:
+                    self._in_progress_snapshot = segs
             for seg in segs:
                 if not instr.metric.counts(seg.activity):
                     continue

@@ -23,6 +23,11 @@ __all__ = ["FlatProfile", "ProfileCollector"]
 
 _ACT_KEYS = {Activity.COMPUTE: "compute", Activity.SYNC: "sync", Activity.IO: "io"}
 
+#: Cap on the attribution memo of :meth:`FlatProfile.add`; cleared
+#: wholesale when full.  Entries are bounded by the distinct attributions
+#: of a run (tens), so a realistic run never evicts.
+_MEMO_MAX = 1 << 16
+
 
 class FlatProfile:
     """Aggregated per-resource activity totals for one execution.
@@ -52,25 +57,67 @@ class FlatProfile:
         )
         self.totals: Dict[str, float] = defaultdict(float)
         self.elapsed: float = 0.0
+        # (id(parts), stack, id(activity)) -> (parts, activity key, inner
+        # dicts to bump); see _resolve
+        self._memo: Dict[tuple, tuple] = {}
 
     # -- accumulation -------------------------------------------------------
     def add(self, seg: TimeSegment) -> None:
+        """Charge one segment to every table.
+
+        A run's segments are drawn from a handful of attributions, so the
+        names and the inner dicts a segment bumps are resolved once per
+        attribution (:meth:`_resolve`); after that a segment is one memo
+        hit and one ``+=`` per table, in the same table order and segment
+        order as an unmemoized fold, so every sum is bit-identical.
+        """
+        memo_key = (id(seg.parts), seg.stack, id(seg.activity))
+        hit = self._memo.get(memo_key)
+        if hit is None:
+            hit = self._resolve(seg, memo_key)
+        key = hit[1]
+        duration = seg.duration
+        for cell in hit[2]:
+            cell[key] += duration
+        end = seg.start + duration
+        if end > self.elapsed:
+            self.elapsed = end
+
+    def _resolve(self, seg: TimeSegment, memo_key: tuple) -> tuple:
+        """Name one attribution in every table and memoize the result.
+
+        The attribution is the segment's ``parts`` dict (interned per
+        (process, node, module, function, tag), see
+        :func:`~repro.simulator.records.intern_parts`), its stack and its
+        activity.  ``parts`` is keyed by identity and pinned in the memo
+        value, so its id cannot be reused while the entry lives; the
+        stack is keyed by value, because the engine's legacy loop and a
+        trace-file replay build a fresh tuple per segment.  Like probe
+        matching, the memo trusts ``parts`` to describe the segment's
+        own fields (true of every segment built by
+        :meth:`TimeSegment.make` or the engine; a hand-built segment
+        gets a private ``parts`` dict and so a private entry).  Resolving
+        creates each outer table entry exactly where the first segment
+        of the attribution would have, so key order is unchanged.
+        """
         key = _ACT_KEYS[seg.activity]
         code = join_path(("Code", seg.module, seg.function))
         proc = join_path(("Process", seg.process))
         node = join_path(("Machine", seg.node))
         tag = ""
-        self.by_code[code][key] += seg.duration
-        self.by_process[proc][key] += seg.duration
-        self.by_node[node][key] += seg.duration
+        cells = [self.by_code[code], self.by_process[proc], self.by_node[node]]
         if seg.tag is not None and "SyncObject" in seg.parts:
             tag = join_path(seg.parts["SyncObject"])
-            self.by_tag[tag][key] += seg.duration
-        self.by_combo[(code, proc, node, tag)][key] += seg.duration
+            cells.append(self.by_tag[tag])
+        cells.append(self.by_combo[(code, proc, node, tag)])
         for frame in dict.fromkeys(seg.stack or ((seg.module, seg.function),)):
-            self.by_code_inclusive[join_path(("Code",) + frame)][key] += seg.duration
-        self.totals[key] += seg.duration
-        self.elapsed = max(self.elapsed, seg.end)
+            cells.append(self.by_code_inclusive[join_path(("Code",) + frame)])
+        cells.append(self.totals)
+        if len(self._memo) >= _MEMO_MAX:
+            self._memo.clear()
+        hit = (seg.parts, key, tuple(cells))
+        self._memo[memo_key] = hit
+        return hit
 
     # -- ground-truth evaluation -----------------------------------------------
     def focus_value(self, focus, activity_keys) -> float:

@@ -1,0 +1,114 @@
+"""Golden records: the output of one diagnosis, frozen.
+
+``tests/golden/poisson_a_1000.json`` pins what Poisson version A at the
+paper-default 1000 iterations diagnoses to — undirected, and directed by
+the harvest of that same undirected run — as a digest of the whole
+:class:`RunRecord` plus a readable subset (delivery counters, pairs, the
+true set, when the search was done, and the profile's table key order
+and per-key sums).  Only the wall-clock metrics and ``emit_batches`` are
+masked.  It was written at the parent of the change that moved delivery
+to attribution cells and due-gated the evaluation pass, so it holds any
+later change of the measurement path to the same bytes: when it fails,
+the readable subset says what moved before the digest says that
+something did.
+
+A change that moves the output on purpose regenerates the fixture:
+``PYTHONPATH=src python tests/test_golden_records.py``.
+"""
+
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.apps.catalog import build_catalog_app
+from repro.core import DiagnosisSession, SearchConfig
+from repro.obs import deterministic_metrics
+
+GOLDEN = Path(__file__).parent / "golden" / "poisson_a_1000.json"
+
+
+def diagnose(directives=None):
+    return DiagnosisSession(
+        app=build_catalog_app("poisson", "A", 1000),
+        directives=directives,
+        config=SearchConfig(stop_engine_when_done=True),
+        run_id="golden",
+    ).run()
+
+
+def view(record):
+    """The pinned view of one record: digest first, then the readable
+    subset a failure is diagnosed from."""
+    data = json.loads(json.dumps(record.to_dict()))
+    data["metrics"] = deterministic_metrics(data["metrics"])
+    del data["metrics"]["emit_batches"]  # slicing-dependent, not output
+    profile = data["profile"]
+    return {
+        # key order is part of the bytes: no sort_keys
+        "sha256": hashlib.sha256(json.dumps(data).encode()).hexdigest(),
+        "probes_examined": data["metrics"]["probes_examined"],
+        "segments_routed": data["metrics"]["segments_routed"],
+        "pairs_instrumented": data["metrics"]["pairs_instrumented"],
+        "pairs_concluded": data["metrics"]["pairs_concluded"],
+        "search_done_time": data["search_done_time"],
+        # one string per row, so the fixture diffs line by line
+        "true_pairs": [
+            f"{n['hypothesis']} : {n['focus']} @ {n['t_concluded']!r}"
+            for n in data["shg_nodes"]
+            if n["state"] == "true" and n["id"] != 0
+        ],
+        "profile": {
+            # fsum: the same bits whatever the interpreter's sum() does
+            table: [f"{key} = {math.fsum(entry.values())!r}"
+                    for key, entry in rows.items()]
+            for table, rows in profile.items()
+            if table not in ("totals", "elapsed")
+        } | {"totals": profile["totals"], "elapsed": profile["elapsed"]},
+    }
+
+
+def views():
+    base = diagnose()
+    return {
+        "undirected": view(base),
+        "directed": view(diagnose(repro.harvest(base))),
+    }
+
+
+@pytest.fixture(scope="module")
+def got():
+    return json.loads(json.dumps(views()))
+
+
+@pytest.fixture(scope="module")
+def want():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("kind", ["undirected", "directed"])
+class TestGoldenRecord:
+    def test_readable_subset(self, got, want, kind):
+        for key, value in want[kind].items():
+            if key != "sha256":
+                assert got[kind][key] == value, key
+
+    def test_whole_record_digest(self, got, want, kind):
+        assert got[kind]["sha256"] == want[kind]["sha256"]
+
+
+def test_golden_binds_a_real_search(want):
+    """The fixture is not vacuous: history shrinks the search it pins."""
+    assert want["directed"]["pairs_instrumented"] \
+        < want["undirected"]["pairs_instrumented"]
+    assert want["undirected"]["true_pairs"] and want["directed"]["true_pairs"]
+    assert len(want["undirected"]["profile"]["by_combo"]) > 8
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(views(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

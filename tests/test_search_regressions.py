@@ -68,12 +68,20 @@ def persistent_node(search, state, handle=999):
     return node
 
 
+def stub_read(search, read):
+    """Stub the manager at the seam the evaluation pass reads through:
+    ``elapsed`` is asked every tick, ``normalized_read`` only once a
+    conclusion is due.  *read* maps a handle to (fraction, elapsed)."""
+    search.instr.normalized_read = read
+    search.instr.elapsed = lambda handle: read(handle)[1]
+
+
 class TestPersistentFlip:
     def test_true_flips_back_to_false(self):
         eng, search = build_search()
         node = persistent_node(search, NodeState.TRUE)
         threshold = search.threshold(SYNC)
-        search.instr.normalized_read = lambda h: (threshold - NOISE - 0.05, 100.0)
+        stub_read(search, lambda h: (threshold - NOISE - 0.05, 100.0))
         search._evaluate_active(min_interval=5.0)
         assert node.state is NodeState.FALSE
         assert node.t_concluded == eng.now
@@ -86,7 +94,7 @@ class TestPersistentFlip:
         _, search = build_search()
         node = persistent_node(search, NodeState.FALSE)
         threshold = search.threshold(SYNC)
-        search.instr.normalized_read = lambda h: (threshold + NOISE + 0.05, 100.0)
+        stub_read(search, lambda h: (threshold + NOISE + 0.05, 100.0))
         search._evaluate_active(min_interval=5.0)
         assert node.state is NodeState.TRUE
 
@@ -95,7 +103,7 @@ class TestPersistentFlip:
         _, search = build_search()
         node = persistent_node(search, NodeState.TRUE)
         threshold = search.threshold(SYNC)
-        search.instr.normalized_read = lambda h: (threshold - NOISE / 2, 100.0)
+        stub_read(search, lambda h: (threshold - NOISE / 2, 100.0))
         search._evaluate_active(min_interval=5.0)
         assert node.state is NodeState.TRUE
         assert not search.tracer.events("node-flip")
@@ -104,7 +112,7 @@ class TestPersistentFlip:
         _, search = build_search()
         node = persistent_node(search, NodeState.FALSE)
         threshold = search.threshold(SYNC)
-        search.instr.normalized_read = lambda h: (threshold + NOISE / 2, 100.0)
+        stub_read(search, lambda h: (threshold + NOISE / 2, 100.0))
         search._evaluate_active(min_interval=5.0)
         assert node.state is NodeState.FALSE
 
@@ -114,7 +122,7 @@ class TestPersistentFlip:
         node = persistent_node(search, NodeState.FALSE)
         threshold = search.threshold(SYNC)
         before = len(list(search.shg))
-        search.instr.normalized_read = lambda h: (threshold + NOISE + 0.05, 100.0)
+        stub_read(search, lambda h: (threshold + NOISE + 0.05, 100.0))
         search._evaluate_active(min_interval=5.0)
         assert node.state is NodeState.TRUE
         assert len(list(search.shg)) > before  # children queued
@@ -127,7 +135,7 @@ class TestLostSample:
     def test_concluded_pair_keeps_conclusion(self):
         _, search = build_search()
         node = persistent_node(search, NodeState.TRUE)
-        search.instr.normalized_read = self.raising_read
+        stub_read(search, self.raising_read)
         search._evaluate_active(min_interval=5.0)
         assert node.state is NodeState.TRUE  # conclusion survives
         assert node.quality == "lost instrumentation sample"
@@ -139,7 +147,7 @@ class TestLostSample:
     def test_concluded_false_pair_also_kept(self):
         _, search = build_search()
         node = persistent_node(search, NodeState.FALSE)
-        search.instr.normalized_read = self.raising_read
+        stub_read(search, self.raising_read)
         search._evaluate_active(min_interval=5.0)
         assert node.state is NodeState.FALSE
 
@@ -149,7 +157,7 @@ class TestLostSample:
         node.state = NodeState.ACTIVE
         node.handle = 999
         search._watch(node)
-        search.instr.normalized_read = self.raising_read
+        stub_read(search, self.raising_read)
         search._evaluate_active(min_interval=5.0)
         assert node.state is NodeState.UNKNOWN
         assert node.quality == "lost instrumentation sample"
@@ -167,7 +175,7 @@ class TestLostSample:
             "node-concluded", node=node.node_id, state="true",
             value=0.5, threshold=search.threshold(SYNC),
         )
-        search.instr.normalized_read = self.raising_read
+        stub_read(search, self.raising_read)
         search._evaluate_active(min_interval=5.0)
         states = replay_conclusions(search.tracer.events())
         assert states[(SYNC, str(whole_program(search.space)))] == "true"

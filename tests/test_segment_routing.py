@@ -1,17 +1,19 @@
-"""Property and unit tests for the ``record()`` routing index.
+"""Property and unit tests for routed segment delivery.
 
-The online hot path delivers each simulated time segment through a
-(activity, Code selection, Process selection) bucket index instead of
-scanning every active probe.  The legacy scan survives as a reference
-path (``routing_enabled=False``); the property tests here drive both
-paths with identical random probe sets, segment streams, and mid-stream
-request/delete churn, and require *byte-identical* accumulated values —
-the same guarantee the benchmark asserts before timing.
+The online hot path delivers each simulated time segment through
+attribution cells built from an (activity, Code selection, Process
+selection) bucket index instead of scanning every active probe.  The
+full scan survives as the reference path (``routing_enabled=False``);
+the property tests here drive both paths with identical random probe
+sets, segment streams, and mid-stream request/delete/decimate churn, and
+require *byte-identical* accumulated values — the same guarantee the
+benchmark asserts before timing.
 
-Also covered: routing-index maintenance on delete, the bounded identity
-memos, segment-parts interning, matched-process recounts after late
-process discovery, the descriptive lost-handle error, batched
-``in_progress`` snapshots, and the ``progress_every`` trace knob.
+Also covered: routing-index and cell maintenance on delete, the bounded
+match memo and cell table, segment-parts interning, matched-process
+recounts after late process discovery, the descriptive lost-handle
+error, batched ``in_progress`` snapshots, and the ``progress_every``
+trace knob.
 """
 
 import random
@@ -123,15 +125,36 @@ def random_segment(rng, world, start):
     )
 
 
+def bucket_walk(mgr, seg):
+    """What a per-segment walk of the routing index examines: every probe
+    in a bucket at a (Code prefix, Process prefix) of the attribution."""
+    code, proc = seg.parts["Code"], seg.parts["Process"]
+    return sum(
+        len(mgr._route.get((seg.activity.value, code[:i], proc[:j]), ()))
+        for i in range(1, len(code) + 1)
+        for j in range(1, len(proc) + 1)
+    )
+
+
 class TestRoutedScanEquivalence:
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_streams_accumulate_byte_identical(self, seed):
+    def test_random_streams_accumulate_byte_identical(self, seed, monkeypatch):
         """Random probes, random segments, random mid-stream churn: the
-        routed and scan paths must agree bit-for-bit on every probe."""
+        routed and scan paths must agree bit-for-bit on every probe.
+
+        Probes are requested, deleted and decimated while the attribution
+        cells they belong to already exist, and the parts interning cache
+        is dropped mid-run, so live cells and fresh ones (same
+        attribution, new ``parts`` identity) are maintained side by
+        side.  ``probes_examined`` must stay what a per-segment bucket
+        walk would have counted."""
+        monkeypatch.setattr(records_mod, "_PARTS_CACHE", {})
         rng = random.Random(seed)
         world = build_world(rng)
         routed, scan = world["routed"], world["scan"]
         probes = {}  # handle -> (routed instr, scan instr)
+        churned_with_cells = {"request": 0, "delete": 0, "decimate": 0}
+        walked = 0
 
         def request():
             focus = random_focus(rng, world)
@@ -142,6 +165,9 @@ class TestRoutedScanEquivalence:
             assert h1 == h2
             probes[h1] = (routed.instrumentation(h1), scan.instrumentation(h1))
 
+        def live():
+            return sorted(h for h in probes if h in routed._active)
+
         for _ in range(rng.randint(5, 25)):
             request()
         start = 0.0
@@ -149,25 +175,42 @@ class TestRoutedScanEquivalence:
             roll = rng.random()
             if roll < 0.02:
                 request()
+                churned_with_cells["request"] += bool(routed._cells)
             elif roll < 0.04 and routed.active_count:
-                handle = rng.choice(sorted(
-                    h for h in probes if h in routed._active))
+                handle = rng.choice(live())
                 routed.delete(handle)
                 scan.delete(handle)
+                churned_with_cells["delete"] += bool(routed._cells)
+            elif roll < 0.05 and routed.active_count:
+                handle = rng.choice(live())
+                routed.decimate(handle)
+                scan.decimate(handle)
+                churned_with_cells["decimate"] += bool(routed._cells)
+            elif roll < 0.055:
+                records_mod._PARTS_CACHE.clear()
             else:
                 seg = random_segment(rng, world, start)
                 start += rng.random() * 0.05
+                walked += bucket_walk(routed, seg)
                 routed.record(seg)
                 scan.record(seg)
 
         assert probes
+        assert all(churned_with_cells.values()), churned_with_cells
         for handle, (fast, legacy) in probes.items():
             assert fast.accumulated == legacy.accumulated, handle
             assert fast.processes == legacy.processes, handle
+            assert fast.cost == legacy.cost, handle
         # the routed path must actually have routed (and examined fewer
         # probes than the full scan did)
         assert routed.segments_routed == scan.segments_scanned > 0
-        assert routed.probes_examined <= scan.probes_examined
+        assert routed.probes_examined == walked <= scan.probes_examined
+        # interning was dropped mid-run: some attribution has two cells
+        attributions = {
+            (tuple(sorted(c.parts.items())), c.activity)
+            for c in routed._cells.values()
+        }
+        assert len(attributions) < len(routed._cells)
 
     def test_full_diagnosis_records_identical(self):
         """End to end: a real diagnosis reaches identical conclusions,
@@ -200,9 +243,14 @@ class TestRoutingIndexMaintenance:
             for i in range(10)
         ]
         assert mgr._route
+        rng = random.Random(5)
+        for i in range(50):
+            mgr.record(random_segment(rng, world, float(i)))
+        assert any(c.probes for c in mgr._cells.values())
         for h in handles:
             mgr.delete(h)
         assert mgr._route == {}
+        assert all(not c.probes and c.examined == 0 for c in mgr._cells.values())
 
     def test_deleted_probe_stops_accumulating(self):
         world, mgr = self.build()
@@ -224,18 +272,32 @@ class TestRoutingIndexMaintenance:
         assert instr.accumulated == before
 
     def test_match_memo_stays_bounded(self, monkeypatch):
+        """The scan path's match memo and the routed path's cell table
+        are both capped, and delivery survives a wholesale drop."""
         monkeypatch.setattr(instr_mod, "_MEMO_MAX", 16)
         rng = random.Random(7)
         world = build_world(rng)
         routed, scan = world["routed"], world["scan"]
-        handle = routed.request("exec_time", random_focus(rng, world))
-        scan.request("exec_time", random_focus(random.Random(7), world))
+        handles = []
+        for _ in range(4):
+            focus = random_focus(rng, world)
+            handles.append(routed.request("exec_time", focus))
+            assert scan.request("exec_time", focus) == handles[-1]
         for i in range(200):
             seg = random_segment(rng, world, float(i))
             routed.record(seg)
-            assert len(routed._match_memo) <= 16
-            assert len(routed._prefix_memo) <= 16
-        assert routed.instrumentation(handle).accumulated >= 0.0
+            scan.record(seg)
+            assert len(scan._match_memo) <= 16
+            assert len(routed._cells) <= 16
+            # the index holds live cells only: it is dropped with the table
+            live = {id(c) for c in routed._cells.values()}
+            assert all(id(c) in live
+                       for cells in routed._cell_index.values() for c in cells)
+        assert any(routed.instrumentation(h).accumulated > 0.0 for h in handles)
+        for h in handles:
+            assert (routed.instrumentation(h).accumulated
+                    == scan.instrumentation(h).accumulated)
+        assert routed.probes_examined > 0
 
     def test_intern_parts_shares_and_bounds(self, monkeypatch):
         a = intern_parts("p:1", "n0", "m.c", "f", None)
@@ -316,6 +378,11 @@ class TestBatchedReads:
             return original()
 
         engine.in_progress = counting
+        # the snapshot is taken by the first read that needs it: a pass
+        # that only asks how much data a handle has seen takes none
+        with mgr.batched_reads():
+            assert all(mgr.elapsed(h) > 0.0 for h in handles)
+        assert calls["n"] == 0
         with mgr.batched_reads():
             for h in handles:
                 mgr.read(h)

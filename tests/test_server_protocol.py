@@ -155,29 +155,46 @@ class TestTenantOverWire:
         assert record["config"]["cost_limit"] == 2.0
 
     def test_rejection_over_wire(self):
-        # queue_limit=1 with one slot busy: the second queued submission
-        # must be rejected with a ServerBusy the client shim re-raises.
+        # queue_limit=1 with the one slot busy and one session waiting:
+        # the next submission must be rejected with a ServerBusy the
+        # client shim re-raises.  No race: a long session holds the slot,
+        # and the request that must be shed is only sent once the
+        # server's own metrics show the queue full.
+        import threading
+        import time
+
         with ServerThread(max_concurrent=1, queue_limit=1,
-                          slice_events=10) as srv:
-            clients = [ServerClient(srv.host, srv.port) for _ in range(8)]
-            try:
-                import threading
+                          slice_events=10) as srv, \
+                ServerClient(srv.host, srv.port) as probe:
+            def wait_for(**want):
+                deadline = time.monotonic() + 30.0
+                while time.monotonic() < deadline:
+                    metrics = probe.metrics()["metrics"]
+                    if all(metrics[k] == v for k, v in want.items()):
+                        return metrics
+                    time.sleep(0.002)
+                raise AssertionError(f"server never reached {want}: {metrics}")
 
-                busy = []
+            records = {}
 
-                def spin(c):
-                    try:
-                        c.diagnose("tester", iterations=60)
-                    except ServerBusy:
-                        busy.append(True)
+            def session(name, iterations):
+                with ServerClient(srv.host, srv.port) as client:
+                    records[name] = client.diagnose(
+                        "tester", iterations=iterations, run_id=name)
 
-                threads = [threading.Thread(target=spin, args=(c,))
-                           for c in clients]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=120)
-                assert busy  # at least one submission hit backpressure
-            finally:
-                for c in clients:
-                    c.close()
+            holder = threading.Thread(target=session, args=("holder", 6000))
+            waiter = threading.Thread(target=session, args=("waiter", 20))
+            holder.start()
+            wait_for(active_sessions=1, queue_depth=0)
+            waiter.start()
+            wait_for(active_sessions=1, queue_depth=1)  # the queue is full
+            with pytest.raises(ServerBusy, match="queue full"):
+                probe.diagnose("tester", iterations=20)
+            holder.join(timeout=120)
+            waiter.join(timeout=120)
+            # shedding one request cost the admitted ones nothing
+            assert {n: r["status"] for n, r in records.items()} == {
+                "holder": "complete", "waiter": "complete"}
+            metrics = probe.metrics()["metrics"]
+            assert metrics["sessions_rejected"] == 1
+            assert metrics["sessions_completed"] == 2
