@@ -18,7 +18,7 @@ the Performance Consultant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..resources.focus import Focus
 from ..resources.names import join_path, split_path
@@ -78,10 +78,6 @@ class ResourceMapper:
         return hypothesis, self.map_focus(focus)
 
 
-def _focus_valid(focus: Focus, space: ResourceSpace) -> bool:
-    return all(focus.selection(h) in space for h in focus.hierarchies)
-
-
 def apply_mappings(
     directives: DirectiveSet,
     space: Optional[ResourceSpace] = None,
@@ -94,41 +90,64 @@ def apply_mappings(
     unknown resources after mapping are dropped and listed in the report —
     the paper's "increased efficiency" step of filtering before the
     directives are read into the Performance Consultant.
+
+    A set names few resources many times over, so each distinct name is
+    mapped and looked up in *space* once per call, and a directive no map
+    rewrote is passed through as the same object (directives are frozen,
+    foci immutable); only a rewritten one is rebuilt.
     """
     mapper = ResourceMapper([*directives.maps, *extra_maps])
     report = MappingReport()
+    # name -> (mapped name, known to the space)
+    verdicts: Dict[str, Tuple[str, bool]] = {}
 
-    def keep_path(path: str) -> Optional[str]:
-        mapped = mapper.map_path(path)
-        if space is not None and mapped not in space:
-            report.dropped.append(mapped)
-            return None
-        report.mapped += 1
-        return mapped
+    def verdict(path: str) -> Tuple[str, bool]:
+        hit = verdicts.get(path)
+        if hit is None:
+            mapped = mapper.map_path(path) if len(mapper) else path
+            hit = verdicts[path] = (mapped, space is None or mapped in space)
+        return hit
 
     def keep_focus(focus: Focus) -> Optional[Focus]:
-        mapped = mapper.map_focus(focus)
-        if space is not None and not _focus_valid(mapped, space):
-            report.dropped.append(str(mapped))
+        before = focus.selections()
+        after = {}
+        known = True
+        for h, path in before.items():
+            after[h], ok = verdict(path)
+            known = known and ok
+        if after != before:
+            # The validating constructor: a map that moved a selection
+            # into another hierarchy is rejected here.
+            focus = Focus(after)
+        if not known:
+            report.dropped.append(str(focus))
             return None
         report.mapped += 1
-        return mapped
+        return focus
 
     prunes = []
     for p in directives.prunes:
-        path = keep_path(p.resource)
-        if path is not None:
-            prunes.append(PruneDirective(p.hypothesis, path))
+        path, known = verdict(p.resource)
+        if not known:
+            report.dropped.append(path)
+            continue
+        report.mapped += 1
+        prunes.append(p if path == p.resource else PruneDirective(p.hypothesis, path))
     pair_prunes = []
     for pp in directives.pair_prunes:
         focus = keep_focus(pp.focus)
         if focus is not None:
-            pair_prunes.append(PairPruneDirective(pp.hypothesis, focus))
+            pair_prunes.append(
+                pp if focus is pp.focus else PairPruneDirective(pp.hypothesis, focus)
+            )
     priorities = []
     for pr in directives.priorities:
         focus = keep_focus(pr.focus)
         if focus is not None:
-            priorities.append(PriorityDirective(pr.hypothesis, focus, pr.level))
+            priorities.append(
+                pr if focus is pr.focus
+                else PriorityDirective(pr.hypothesis, focus, pr.level)
+            )
     out = DirectiveSet(
         prunes=prunes,
         pair_prunes=pair_prunes,

@@ -26,9 +26,17 @@ class Focus:
 
     Instances hash and compare by value so they can key dictionaries (the
     Search History Graph deduplicates nodes by ``(hypothesis, focus)``).
+    Nothing mutates one after construction, so a focus may be shared
+    freely: :func:`parse_focus` hands the same object to every caller
+    that parses the same text, and directive mapping passes untouched
+    foci through as they are.
+
+    ``Focus(mapping)`` is the validating constructor for selections that
+    arrive from outside; refinement derives children from an already
+    valid parent without re-parsing it (:meth:`with_selection`).
     """
 
-    __slots__ = ("_sel", "_parts", "_hash")
+    __slots__ = ("_sel", "_parts", "_hash", "_str")
 
     def __init__(self, selections: Mapping[str, str]):
         sel: Dict[str, str] = {}
@@ -41,9 +49,31 @@ class Focus:
                 )
             sel[hierarchy] = path
             parts[hierarchy] = p
+        # Both dicts in hierarchy order: the printed order, and the one
+        # a derived child inherits.
         self._sel = dict(sorted(sel.items()))
-        self._parts = parts
+        self._parts = {h: parts[h] for h in self._sel}
+        self._seal()
+
+    def _seal(self) -> None:
+        """Fix hash and printed form once ``_sel`` is final."""
         self._hash = hash(tuple(self._sel.items()))
+        self._str = "< " + ", ".join(self._sel.values()) + " >"
+
+    def _derive(self, hierarchy: str, path: str, parts: Tuple[str, ...]) -> "Focus":
+        """This focus with one selection replaced by the already split
+        *path*.  Replacing a value keeps both dicts' key order, so the
+        result is field for field what ``Focus(dict)`` would build.
+        *hierarchy* must be one this focus has."""
+        if parts[0] != hierarchy:
+            raise ResourceNameError(
+                f"selection {path!r} is not in hierarchy {hierarchy!r}"
+            )
+        out = Focus.__new__(Focus)
+        out._sel = {**self._sel, hierarchy: path}
+        out._parts = {**self._parts, hierarchy: parts}
+        out._seal()
+        return out
 
     # -- basic protocol ----------------------------------------------------
     def __hash__(self) -> int:
@@ -56,7 +86,7 @@ class Focus:
         return f"Focus({str(self)!r})"
 
     def __str__(self) -> str:
-        return "< " + ", ".join(self._sel[h] for h in self._sel) + " >"
+        return self._str
 
     # -- accessors ----------------------------------------------------------
     @property
@@ -81,11 +111,9 @@ class Focus:
 
     # -- algebra -------------------------------------------------------------
     def with_selection(self, hierarchy: str, path: str) -> "Focus":
-        sel = dict(self._sel)
-        if hierarchy not in sel:
+        if hierarchy not in self._sel:
             raise ResourceNameError(f"focus has no hierarchy {hierarchy!r}")
-        sel[hierarchy] = path
-        return Focus(sel)
+        return self._derive(hierarchy, path, split_path(path))
 
     def constrains(self, hierarchy: str) -> bool:
         """True when the selection in *hierarchy* is below the root."""
@@ -128,7 +156,7 @@ class Focus:
         node = space.hierarchy(hierarchy).find(sel)
         if node is None:
             return []
-        return [self.with_selection(hierarchy, c.name) for c in node.children.values()]
+        return [self._derive(hierarchy, c.name, c.parts) for c in node.children.values()]
 
     def children(self, space: ResourceSpace) -> List["Focus"]:
         """All child foci across every hierarchy (paper: refinement moves
@@ -146,8 +174,18 @@ def whole_program(space: ResourceSpace | None = None) -> Focus:
     return Focus(space.root_paths())
 
 
-def parse_focus(text: str) -> Focus:
-    """Parse the printed form ``< /Code/x, /Machine, ... >``."""
+#: Foci already parsed, by their text.  History names the same foci over
+#: and over (every harvest finalize, every directive file, every record
+#: loaded), so each distinct text is parsed once per process and every
+#: caller shares the one immutable object.  Only texts that parsed enter
+#: the table; cleared wholesale at the cap; no lock, as for
+#: ``names._SPLIT_TABLE``.
+_FOCUS_TABLE: Dict[str, Focus] = {}
+_FOCUS_TABLE_MAX = 1 << 14
+
+
+def _parse_focus(text: str) -> Focus:
+    """The uncached parse behind :func:`parse_focus`."""
     body = text.strip()
     if body.startswith("<"):
         body = body[1:]
@@ -165,3 +203,19 @@ def parse_focus(text: str) -> Focus:
     if not sels:
         raise ResourceNameError(f"empty focus: {text!r}")
     return Focus(sels)
+
+
+def parse_focus(text: str) -> Focus:
+    """Parse the printed form ``< /Code/x, /Machine, ... >``.
+
+    Equal texts return the same (immutable) object.
+    """
+    if type(text) is not str:
+        return _parse_focus(text)  # not a table key; fails as it always did
+    focus = _FOCUS_TABLE.get(text)
+    if focus is None:
+        focus = _parse_focus(text)
+        if len(_FOCUS_TABLE) >= _FOCUS_TABLE_MAX:
+            _FOCUS_TABLE.clear()
+        _FOCUS_TABLE[text] = focus
+    return focus

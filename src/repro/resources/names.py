@@ -14,7 +14,7 @@ path of instrumentation matching).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 __all__ = [
     "ResourceNameError",
@@ -34,12 +34,21 @@ class ResourceNameError(ValueError):
     """Raised for malformed resource names."""
 
 
-def split_path(path: str) -> PathTuple:
-    """Split ``/Code/a.c/f`` into ``("Code", "a.c", "f")``.
+#: Names already validated and split, ``str`` -> parts.  One run names a
+#: few hundred resources and repeats each some hundred times (every
+#: directive, every focus, every space lookup), so the table turns the
+#: parse into a dict hit.  Only well-formed names enter it; cleared
+#: wholesale at the cap, so an adversarial stream of distinct names
+#: cannot grow memory without bound.  Values are immutable and a lost
+#: race between threads stores an equal tuple, so there is no lock.
+_SPLIT_TABLE: Dict[str, PathTuple] = {}
+_SPLIT_TABLE_MAX = 1 << 16
 
-    Raises :class:`ResourceNameError` for names that do not start with a
-    slash or contain empty components.
-    """
+
+def _parse_path(path: str) -> PathTuple:
+    """The uncached parse behind :func:`split_path`: every check lives
+    here, so a rejected name raises the same error however often it is
+    asked for."""
     if not isinstance(path, str) or not path.startswith("/"):
         raise ResourceNameError(f"resource name must start with '/': {path!r}")
     body = path[1:]
@@ -48,6 +57,25 @@ def split_path(path: str) -> PathTuple:
     parts = tuple(body.split("/"))
     if any(p == "" for p in parts):
         raise ResourceNameError(f"resource name has empty component: {path!r}")
+    return parts
+
+
+def split_path(path: str) -> PathTuple:
+    """Split ``/Code/a.c/f`` into ``("Code", "a.c", "f")``.
+
+    Raises :class:`ResourceNameError` for names that do not start with a
+    slash or contain empty components.
+    """
+    if type(path) is not str:
+        # Not a table key: a non-str (possibly unhashable) is rejected
+        # by the parse, a str subclass is parsed every time.
+        return _parse_path(path)
+    parts = _SPLIT_TABLE.get(path)
+    if parts is None:
+        parts = _parse_path(path)
+        if len(_SPLIT_TABLE) >= _SPLIT_TABLE_MAX:
+            _SPLIT_TABLE.clear()
+        _SPLIT_TABLE[path] = parts
     return parts
 
 

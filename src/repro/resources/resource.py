@@ -11,7 +11,7 @@ finer-grained description of the program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .names import ResourceNameError, join_path, split_path
 
@@ -28,7 +28,9 @@ class Resource:
     ``name`` is the full canonical resource name (e.g.
     ``/Code/testutil.C/verifyA``); ``label`` is the final path component.
     ``tags`` carries optional execution identifiers used when rendering
-    combined hierarchies from several runs (paper, Figure 3).
+    combined hierarchies from several runs (paper, Figure 3).  ``parts``
+    is ``name`` split once at creation: refinement builds child foci from
+    it instead of re-parsing the name.
     """
 
     name: str
@@ -36,6 +38,10 @@ class Resource:
     parent: Optional["Resource"] = None
     children: Dict[str, "Resource"] = field(default_factory=dict)
     tags: set = field(default_factory=set)
+    parts: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.parts = split_path(self.name)
 
     @property
     def is_leaf(self) -> bool:
@@ -43,7 +49,7 @@ class Resource:
 
     @property
     def depth(self) -> int:
-        return len(split_path(self.name))
+        return len(self.parts)
 
     def child(self, label: str) -> "Resource":
         return self.children[label]

@@ -9,12 +9,14 @@ them per call.  The pool keeps both warm:
 * an LRU of opened stores keyed by ``(resolved path, backend,
   resilience)`` — eviction and :meth:`close` call the store's
   ``close()``, so pooling never leaks SQLite connections;
-* a bounded harvest cache keyed by the owning store, the extraction
-  options, and the backend's **index state token**
-  (:meth:`~repro.storage.store.ExperimentStore.index_token`).  Any
-  writer — this process or another — changes the token, so invalidation
-  needs no coordination, exactly like the record cache's per-record
-  tokens;
+* a bounded harvest cache: one entry per owning store, application and
+  extraction options, valid for the backend's **index state token**
+  (:meth:`~repro.storage.store.ExperimentStore.index_token`) it was
+  computed at.  Any writer — this process or another — changes the
+  token, so invalidation needs no coordination, exactly like the record
+  cache's per-record tokens; and a token never recurs once the store
+  has been written, so the entry for a newer token replaces the older
+  one instead of sitting beside it;
 * a bounded cache of :class:`~repro.core.extraction.HarvestAggregate`
   evidence per (store, app).  A harvest whose token no longer matches
   the cached aggregate asks the backend for the **delta** of runs
@@ -51,9 +53,10 @@ __all__ = ["StorePool"]
 
 StoreLike = Union[ExperimentStore, str, Path]
 
-#: Harvest-cache entries kept before FIFO eviction.  Harvests are small
-#: (a directive set) but keyed per (store, options, index state), so a
-#: busy multi-tenant server could otherwise accumulate one per write.
+#: Harvest-cache entries kept before LRU eviction: one per (store, app,
+#: options) asked for.  An entry is a whole directive set (1 400
+#: directives for one Poisson run's history), so the bound is on
+#: distinct askers, never on writes.
 _HARVEST_CACHE_SIZE = 32
 
 
@@ -83,7 +86,8 @@ class StorePool:
         self._lock = threading.RLock()
         self._stores: "OrderedDict[Tuple[str, str, str], ExperimentStore]" = \
             OrderedDict()
-        self._harvests: "OrderedDict[tuple, Tuple[ExperimentStore, DirectiveSet]]" = \
+        # (id(store), app, options) -> (store, index token, directives)
+        self._harvests: "OrderedDict[tuple, Tuple[ExperimentStore, object, DirectiveSet]]" = \
             OrderedDict()
         # (id(store), app) -> (store, index token, folded evidence); the
         # seed each post-write delta fold grows from.
@@ -164,16 +168,16 @@ class StorePool:
         """
         opened = self.get(store, backend=backend, resilience=resilience)
         token = opened.index_token()
-        key = (id(opened), app, tuple(sorted(options.items())), token)
+        key = (id(opened), app, tuple(sorted(options.items())))
         agg_key = (id(opened), app)
         with self._lock:
             entry = self._harvests.get(key)
             # Identity-check the owning store: id() alone could collide
             # after an evicted store is garbage collected.
-            if entry is not None and entry[0] is opened:
+            if entry is not None and entry[0] is opened and entry[1] == token:
                 self._harvests.move_to_end(key)
                 self.harvest_hits += 1
-                return entry[1]
+                return entry[2]
             self.harvest_misses += 1
             cached = self._aggregates.get(agg_key)
             if cached is not None and cached[0] is not opened:
@@ -206,7 +210,8 @@ class StorePool:
                 self._aggregates.move_to_end(agg_key)
                 while len(self._aggregates) > _HARVEST_CACHE_SIZE:
                     self._aggregates.popitem(last=False)
-                self._harvests[key] = (opened, directives)
+                self._harvests[key] = (opened, token, directives)
+                self._harvests.move_to_end(key)
                 while len(self._harvests) > _HARVEST_CACHE_SIZE:
                     self._harvests.popitem(last=False)
         return directives
@@ -239,7 +244,7 @@ class StorePool:
         return folded
 
     def _drop_harvests_for(self, store: ExperimentStore) -> None:
-        stale = [k for k, (owner, _d) in self._harvests.items() if owner is store]
+        stale = [k for k, entry in self._harvests.items() if entry[0] is store]
         for k in stale:
             del self._harvests[k]
         stale_aggs = [k for k, entry in self._aggregates.items()

@@ -12,6 +12,16 @@ later change of the measurement path to the same bytes: when it fails,
 the readable subset says what moved before the digest says that
 something did.
 
+The third kind, ``mapped``, is the paper's cross-version case and the
+only one that takes the mapping step's rewriting and dropping branches:
+Poisson **B** directed by that same A harvest plus the A→B code ``map``
+directives.  The machine pairings are left out, as for a run placed on
+other nodes, so every directive naming one of A's nodes is dropped.  The
+:class:`MappingReport` is pinned beside the record the same way: how
+many directives survived, how many were dropped, the first of them, and
+a digest of the whole list in order.  It was written at the parent of
+the change that made mapping decide once per distinct name.
+
 A change that moves the output on purpose regenerates the fixture:
 ``PYTHONPATH=src python tests/test_golden_records.py``.
 """
@@ -25,15 +35,17 @@ import pytest
 
 import repro
 from repro.apps.catalog import build_catalog_app
-from repro.core import DiagnosisSession, SearchConfig
+from repro.apps.poisson import version_maps
+from repro.core import DiagnosisSession, DirectiveSet, SearchConfig, apply_mappings
 from repro.obs import deterministic_metrics
 
 GOLDEN = Path(__file__).parent / "golden" / "poisson_a_1000.json"
+KINDS = ["undirected", "directed", "mapped"]
 
 
-def diagnose(directives=None):
+def diagnose(directives=None, version="A"):
     return DiagnosisSession(
-        app=build_catalog_app("poisson", "A", 1000),
+        app=build_catalog_app("poisson", version, 1000),
         directives=directives,
         config=SearchConfig(stop_engine_when_done=True),
         run_id="golden",
@@ -71,11 +83,28 @@ def view(record):
     }
 
 
+def mapping_view(report):
+    return {
+        "mapped": report.mapped,
+        "dropped": len(report.dropped),
+        "dropped_distinct": len(set(report.dropped)),
+        "dropped_head": report.dropped[:12],
+        "dropped_sha256": hashlib.sha256(
+            "\n".join(report.dropped).encode()).hexdigest(),
+    }
+
+
 def views():
     base = diagnose()
+    history = repro.harvest(base)
+    a_to_b = history.merged_with(DirectiveSet(maps=version_maps("A", "B")))
+    _mapped, report = apply_mappings(
+        a_to_b, build_catalog_app("poisson", "B", 1000).make_space())
     return {
         "undirected": view(base),
-        "directed": view(diagnose(repro.harvest(base))),
+        "directed": view(diagnose(history)),
+        "mapped": view(diagnose(a_to_b, version="B"))
+        | {"mapping": mapping_view(report)},
     }
 
 
@@ -89,7 +118,7 @@ def want():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("kind", ["undirected", "directed"])
+@pytest.mark.parametrize("kind", KINDS)
 class TestGoldenRecord:
     def test_readable_subset(self, got, want, kind):
         for key, value in want[kind].items():
@@ -106,6 +135,11 @@ def test_golden_binds_a_real_search(want):
         < want["undirected"]["pairs_instrumented"]
     assert want["undirected"]["true_pairs"] and want["directed"]["true_pairs"]
     assert len(want["undirected"]["profile"]["by_combo"]) > 8
+    # ... and the mapped kind rewrites, keeps and drops directives
+    assert want["mapped"]["true_pairs"]
+    assert any("/Code/onednb.f" in pair for pair in want["mapped"]["true_pairs"])
+    assert want["mapped"]["mapping"]["mapped"] > 100
+    assert want["mapped"]["mapping"]["dropped"] > 100
 
 
 if __name__ == "__main__":

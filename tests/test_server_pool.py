@@ -79,6 +79,29 @@ class TestStorePool:
         assert other_app is not base
         assert len(other_app) < len(base)
 
+    def test_writes_leave_no_dead_harvest_entries(self, tmp_path):
+        # A write-through server harvests after every save.  An index
+        # token never recurs, so an entry for an older token can never be
+        # asked for again: the newer one must replace it, not join it.
+        record = _seed(tmp_path / "runs")
+        pool = StorePool()
+        store = pool.get(tmp_path / "runs")
+        for round_ in range(40):
+            record.run_id = f"round-{round_:04d}"
+            store.save(record)
+            latest = pool.harvest(tmp_path / "runs")
+        assert pool.stats()["harvest_entries"] == 1
+        assert pool.stats()["harvest_misses"] == 40
+        # every round after the first folded only the run just saved
+        assert pool.stats()["harvest_incremental"] == 39
+        assert pool.harvest(tmp_path / "runs") is latest  # same token: a hit
+        assert pool.stats()["harvest_hits"] == 1
+        # two option sets are two askers, each with its own entry
+        with_thresholds = pool.harvest(tmp_path / "runs", include_thresholds=True)
+        assert pool.stats()["harvest_entries"] == 2
+        assert pool.harvest(tmp_path / "runs") is latest
+        assert pool.harvest(tmp_path / "runs", include_thresholds=True) is with_thresholds
+
     def test_closed_pool_rejects(self, tmp_path):
         pool = StorePool()
         pool.close()

@@ -157,14 +157,29 @@ class TestTenantOverWire:
     def test_rejection_over_wire(self):
         # queue_limit=1 with the one slot busy and one session waiting:
         # the next submission must be rejected with a ServerBusy the
-        # client shim re-raises.  No race: a long session holds the slot,
-        # and the request that must be shed is only sent once the
-        # server's own metrics show the queue full.
+        # client shim re-raises.  No race and no dependence on how long a
+        # session runs: the holder's session sits inside the server (on
+        # the service's executor seam, off the serving loop) until the
+        # test releases it, which it does only after the rejection; and
+        # the request that must be shed is only sent once the server's
+        # own metrics show the queue full.
         import threading
         import time
 
-        with ServerThread(max_concurrent=1, queue_limit=1,
-                          slice_events=10) as srv, \
+        release = threading.Event()
+
+        class HeldExecutor:
+            """The campaign executors' ``run`` contract, with the holder's
+            session parked on an event the test owns."""
+
+            def run(self, fn, payloads):
+                for index, payload in enumerate(payloads):
+                    if payload["run_id"] == "holder":
+                        assert release.wait(timeout=120), "holder never released"
+                    yield index, fn(payload)
+
+        with ServerThread(max_concurrent=1, queue_limit=1, slice_events=10,
+                          executor=HeldExecutor()) as srv, \
                 ServerClient(srv.host, srv.port) as probe:
             def wait_for(**want):
                 deadline = time.monotonic() + 30.0
@@ -177,21 +192,27 @@ class TestTenantOverWire:
 
             records = {}
 
-            def session(name, iterations):
+            def session(name):
                 with ServerClient(srv.host, srv.port) as client:
                     records[name] = client.diagnose(
-                        "tester", iterations=iterations, run_id=name)
+                        "tester", iterations=20, run_id=name)
 
-            holder = threading.Thread(target=session, args=("holder", 6000))
-            waiter = threading.Thread(target=session, args=("waiter", 20))
-            holder.start()
-            wait_for(active_sessions=1, queue_depth=0)
-            waiter.start()
-            wait_for(active_sessions=1, queue_depth=1)  # the queue is full
-            with pytest.raises(ServerBusy, match="queue full"):
-                probe.diagnose("tester", iterations=20)
+            holder = threading.Thread(target=session, args=("holder",))
+            waiter = threading.Thread(target=session, args=("waiter",))
+            try:
+                holder.start()
+                wait_for(active_sessions=1, queue_depth=0)
+                waiter.start()
+                wait_for(active_sessions=1, queue_depth=1)  # the queue is full
+                with pytest.raises(ServerBusy, match="queue full"):
+                    probe.diagnose("tester", iterations=20)
+                # still held: nothing finished while the request was shed
+                assert probe.metrics()["metrics"]["sessions_completed"] == 0
+            finally:
+                release.set()
             holder.join(timeout=120)
             waiter.join(timeout=120)
+            assert not holder.is_alive() and not waiter.is_alive()
             # shedding one request cost the admitted ones nothing
             assert {n: r["status"] for n, r in records.items()} == {
                 "holder": "complete", "waiter": "complete"}
