@@ -88,11 +88,6 @@ class DiagnosisSession:
     #: :class:`~repro.metrics.instrumentation.InstrumentationManager`).
     #: Conclusions are identical either way; only the cost shape differs.
     segment_routing: bool = True
-    #: Which engine event loop to run under: ``"auto"`` (the engine's
-    #: default, currently the fast loop), ``"fast"``, or ``"legacy"``
-    #: (the reference per-event discipline).  Traces, conclusions, and
-    #: deterministic metrics are identical across loops.
-    engine_loop: str = "auto"
 
     def begin(self) -> "ActiveDiagnosis":
         """Set up the run — engine, instrumentation, search — and start
@@ -106,8 +101,6 @@ class DiagnosisSession:
         """
         if self.on_failure not in ("raise", "degrade"):
             raise ValueError(f"unknown on_failure policy {self.on_failure!r}")
-        if self.engine_loop not in ("auto", "fast", "legacy"):
-            raise ValueError(f"unknown engine_loop {self.engine_loop!r}")
         wall_start = time.perf_counter()
         config = self.config or SearchConfig()
         space = self.app.make_space()
@@ -259,11 +252,7 @@ class ActiveDiagnosis:
         if max_events is not None:
             budget = max_events if remaining is None else min(max_events, remaining)
         try:
-            finish = self.engine.run(
-                max_time=self._max_time,
-                max_events=budget,
-                loop=self.session.engine_loop,
-            )
+            finish = self.engine.run(max_time=self._max_time, max_events=budget)
         except SimTimeout as exc:
             budget_keys = getattr(exc, "budget", None) or {}
             slice_limited = (

@@ -81,7 +81,6 @@ _SESSION_FIELDS = {
     "on_failure",
     "max_events",
     "max_virtual_time",
-    "engine_loop",
 }
 
 HistoryLike = Union[

@@ -91,8 +91,9 @@ class FlatProfile:
         :func:`~repro.simulator.records.intern_parts`), its stack and its
         activity.  ``parts`` is keyed by identity and pinned in the memo
         value, so its id cannot be reused while the entry lives; the
-        stack is keyed by value, because the engine's legacy loop and a
-        trace-file replay build a fresh tuple per segment.  Like probe
+        stack is keyed by value, because a trace-file replay builds a
+        fresh tuple per segment where the engine hands over one interned
+        snapshot per distinct stack.  Like probe
         matching, the memo trusts ``parts`` to describe the segment's
         own fields (true of every segment built by
         :meth:`TimeSegment.make` or the engine; a hand-built segment

@@ -39,7 +39,7 @@ __all__ = ["start_server", "serve_forever", "ServerClient", "ServerThread"]
 _REQUEST_FIELDS = (
     "version", "iterations", "history", "store", "run_id", "overwrite",
     "tenant", "search", "harvest_options", "on_failure", "max_events",
-    "max_virtual_time", "engine_loop",
+    "max_virtual_time",
 )
 
 

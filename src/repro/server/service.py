@@ -100,7 +100,6 @@ class SessionRequest:
     on_failure: str = "degrade"
     max_events: Optional[int] = None
     max_virtual_time: Optional[float] = None
-    engine_loop: str = "auto"
     progress: Optional[Progress] = None
 
 
@@ -126,7 +125,6 @@ def _worker_run(payload: dict) -> RunRecord:
         on_failure=payload["on_failure"],
         max_events=payload["max_events"],
         max_virtual_time=payload["max_virtual_time"],
-        engine_loop=payload["engine_loop"],
     ).run()
 
 
@@ -320,7 +318,6 @@ class DiagnosisService:
             on_failure=request.on_failure,
             max_events=request.max_events,
             max_virtual_time=request.max_virtual_time,
-            engine_loop=request.engine_loop,
         )
 
     async def _execute(self, job: _Job) -> RunRecord:
@@ -381,7 +378,6 @@ class DiagnosisService:
             "on_failure": request.on_failure,
             "max_events": request.max_events,
             "max_virtual_time": request.max_virtual_time,
-            "engine_loop": request.engine_loop,
         }
 
         def call() -> RunRecord:

@@ -16,32 +16,29 @@ Two properties matter for reproducing the paper's dynamics:
   cost model) stretch computation, so reducing unhelpful instrumentation
   genuinely shortens execution, the paper's goal 2.
 
-Two event loops
----------------
+The event loop
+--------------
 
-:meth:`Engine.run` executes one of two loops over the same syscall
-semantics (``loop="fast"``, the default, or ``loop="legacy"``):
+:meth:`Engine.run` dispatches the heap directly with hoisted locals.
+Engine-internal continuations are small tuples ``(opcode, ...operands)``
+rather than closures; anything else on the heap is a user callback.  The
+clock advances once per distinct timestamp.  Segments are *batched*: an
+interval that ends becomes a ``(prototype, start, duration)`` triple —
+the prototype being the attribute dict every segment of one attribution
+shares, cached on the process's interned stack snapshot — and triples
+turn into :class:`TimeSegment` objects only when an outside observer can
+look: before a user callback runs, before ``on_finish`` hooks, when the
+loop exits, before a diagnostic is raised, and before
+:meth:`Engine.crash_process` returns to whoever injected the fault.
+Engine-internal continuations never read sinks, so every flush precedes
+every possible observation and each sink sees the stream a per-event
+emitter would have handed it.
 
-* The **legacy loop** is the original discipline, kept as the executable
-  reference: one closure per scheduled continuation, one
-  :class:`TimeSegment` built and delivered to every sink at the instant
-  of emission, and per-event watchdog checks through
-  ``EventQueue.pop()``.
-* The **fast loop** dispatches the heap directly with hoisted locals,
-  schedules continuations as small tuples instead of closures, advances
-  the clock once per distinct timestamp (same-timestamp events dispatch
-  as a batch), checks the virtual-time budget only when time advances —
-  so an unbudgeted run pays no per-event watchdog branch — and *batches
-  segment emission*: segments accumulate as ``(prototype, start,
-  duration)`` triples and materialise only when an outside observer can
-  look (a user-scheduled callback, an ``on_finish`` hook, loop exit, or
-  a raised diagnostic).  Engine-internal continuations never read sinks,
-  so every flush point precedes every possible observation and the
-  per-sink segment streams are byte-identical to the legacy loop's.
+Both watchdog budgets are non-destructive: the popped entry that would
+exceed ``max_time`` or ``max_events`` goes back on the heap unchanged.
 
-Both loops interoperate: a run that times out under one loop can resume
-under the other, because each executes whatever payload kind (closure or
-continuation tuple) it pops.
+The per-event discipline this loop is held to lives in
+``tests/reference_engine.py``.
 """
 
 from __future__ import annotations
@@ -73,9 +70,8 @@ __all__ = ["Engine"]
 
 _EPS = 1e-12
 
-# Continuation opcodes used by the fast loop's heap payloads: a tuple
-# ``(op, ...operands)`` replaces the closure the legacy loop would have
-# allocated.  Kept as small ints so the dispatch switch is two compares.
+# Continuation opcodes of the heap payloads ``(op, ...operands)``.  Kept
+# as small ints so the dispatch switch is two compares.
 # The EMIT_STEP operand ``proto`` is the segment prototype resolved at
 # dispatch time — legal because the process generator is suspended
 # between dispatch and continuation, so the attribution (stack, frame,
@@ -147,21 +143,17 @@ class Engine:
         #: caching anything derived from ``procs`` (matched-process sets,
         #: normalisation denominators) can invalidate without rescanning.
         self.proc_table_version = 0
-        #: Which loop :meth:`run` uses when its ``loop`` argument is left
-        #: as ``None``/``"auto"``: ``"fast"`` (default) or ``"legacy"``.
-        self.default_loop = "fast"
         #: Segments emitted (post de-minimis and crash filtering) and
-        #: fast-path flush batches, for the obs metrics.  The legacy loop
-        #: emits unbatched, so ``emit_batches`` stays 0 there.
+        #: flush batches, for the obs metrics.
         self.segments_emitted = 0
         self.emit_batches = 0
         # live (not DONE/CRASHED) process count, maintained incrementally
         # so barrier checks are O(1) instead of a process-table scan
         self._live = 0
-        # fast-loop state: True while _run_fast is on the stack; pending
+        # True while run() is on the stack (re-entrancy guard); pending
         # (prototype, start, duration) triples awaiting flush; prototype
         # cache keyed by (activity, process, frame, tag, stack)
-        self._fast_active = False
+        self._running = False
         self._pending_segments: List[Tuple[dict, float, float]] = []
         self._seg_protos: Dict[tuple, dict] = {}
         # per-process in-progress activity: (activity, start, module, fn, tag)
@@ -237,9 +229,9 @@ class Engine:
         self._stopped = True
 
     def _push_op(self, time: float, payload: tuple) -> None:
-        """Fast-loop internal scheduling: same past-guard and clamp as
+        """Engine-internal scheduling: same past-guard and clamp as
         :meth:`schedule`, but the payload is a continuation tuple and no
-        closure or cancel token is created."""
+        cancel token is handed out."""
         now = self.now
         if time < now:
             if time < now - _EPS:
@@ -325,6 +317,10 @@ class Engine:
         for waiting in self._rdv_waiting.values():
             waiting[:] = [(s, c) for s, c in waiting if s.name != name]
         self._maybe_finish()
+        # the caller — between two run() calls or inside a user callback —
+        # may look at the sinks next: hand over the waits of a barrier
+        # this released
+        self._flush_segments()
 
     def hang_process(self, name: str) -> None:
         """Freeze a process from the outside (fault injection): it keeps
@@ -367,12 +363,7 @@ class Engine:
     # ------------------------------------------------------------------
     # run loop
     # ------------------------------------------------------------------
-    def run(
-        self,
-        max_time: float = 1e9,
-        max_events: Optional[int] = None,
-        loop: Optional[str] = None,
-    ) -> float:
+    def run(self, max_time: float = 1e9, max_events: Optional[int] = None) -> float:
         """Execute until every process finishes (or :meth:`stop`).
 
         ``max_time`` and ``max_events`` are the watchdog budgets: a run
@@ -385,27 +376,27 @@ class Engine:
         timeout and resume with a larger budget without losing events.
         ``max_events`` counts only events actually dispatched.
 
-        ``loop`` selects the event loop: ``"fast"`` (batched dispatch and
-        emission), ``"legacy"`` (the original per-event reference
-        discipline), or ``None``/``"auto"`` for :attr:`default_loop`.
-        Both produce byte-identical per-sink segment streams and
-        diagnostics.
-
         Returns the finish time (or the stop time)."""
-        mode = self.default_loop if loop in (None, "auto") else loop
-        if mode == "legacy":
-            return self._run_legacy(max_time, max_events)
-        if mode != "fast":
-            raise SimulationError(f"unknown loop {loop!r}")
-        return self._run_fast(max_time, max_events)
-
-    def _start_procs(self) -> None:
+        if self._running:
+            raise SimulationError("Engine.run() is not reentrant")
         for proc in self.procs.values():
             if proc.gen is None:
                 proc.start()
                 self.queue.push(self.now, (_OP_STEP, proc, None))
+        self._running = True
+        try:
+            self._loop(max_time, max_events)
+        finally:
+            self._flush_segments()
+            self._running = False
+        if self.finished_at is None:
+            self.finished_at = self.now
+        return self.finished_at
 
+    # Both diagnostics make the sinks current first: the caller may
+    # inspect them, and after a timeout resume.
     def _deadlock(self) -> SimDeadlock:
+        self._flush_segments()
         blocked = [p.name for p in self.procs.values() if p.state is ProcState.BLOCKED]
         crashed = [p.name for p in self.crashed()]
         detail = f"; crashed processes: {crashed}" if crashed else ""
@@ -415,68 +406,19 @@ class Engine:
             crashed=crashed,
         )
 
-    def _timeout(self, message: str, budget: Dict) -> SimTimeout:
+    def _timeout(self, which: str, value: float) -> SimTimeout:
+        self._flush_segments()
         return SimTimeout(
-            message,
+            f"simulation exceeded {which}={value}",
             blocked=self.blocked_report(),
             crashed=[p.name for p in self.crashed()],
-            budget=budget,
+            budget={which: value},
         )
 
-    def _run_legacy(self, max_time: float, max_events: Optional[int]) -> float:
-        """The original per-event loop, kept as the reference discipline."""
-        events = 0
-        self._start_procs()
-        while not self._stopped:
-            t_next = self.queue.peek_time()
-            if t_next is None:
-                if self.all_done():
-                    break
-                raise self._deadlock()
-            if t_next > max_time:
-                raise self._timeout(
-                    f"simulation exceeded max_time={max_time}",
-                    {"max_time": max_time},
-                )
-            if max_events is not None and events >= max_events:
-                raise self._timeout(
-                    f"simulation exceeded max_events={max_events}",
-                    {"max_events": max_events},
-                )
-            t, fn = self.queue.pop()
-            events += 1
-            self.events_processed += 1
-            self.now = max(self.now, t)
-            if type(fn) is tuple:
-                self._exec_op(fn)
-            else:
-                fn()
-        if self.finished_at is None:
-            self.finished_at = self.now
-        return self.finished_at
-
-    def _run_fast(self, max_time: float, max_events: Optional[int]) -> float:
-        if self._fast_active:
-            raise SimulationError("Engine.run() is not reentrant")
-        self._start_procs()
-        self._fast_active = True
-        try:
-            if max_events is None:
-                self._fast_loop(max_time)
-            else:
-                self._fast_loop_budgeted(max_time, max_events)
-        finally:
-            self._flush_segments()
-            self._fast_active = False
-        if self.finished_at is None:
-            self.finished_at = self.now
-        return self.finished_at
-
-    def _fast_loop(self, max_time: float) -> None:
-        """Hot dispatch loop with no event budget armed: the virtual-time
-        budget is checked only when the clock advances, so a batch of
-        same-timestamp events — and, for the default ``max_time``, the
-        whole run — pays no per-event watchdog branch."""
+    def _loop(self, max_time: float, max_events: Optional[int]) -> None:
+        """The dispatch loop.  The virtual-time budget is tested only
+        when the clock is about to advance, the event budget is a
+        countdown that never reaches zero when none is set."""
         queue = self.queue
         heap = queue._heap
         seq = queue._seq
@@ -495,16 +437,11 @@ class Engine:
         current = self._current
         unknown_frame = ("<unknown>", "<toplevel>")
         now = self.now
-        if now > max_time and heap:
+        events_left = -1 if max_events is None else max(max_events, 0)
+        if now > max_time and queue.peek_time() is not None:
             # resumed with a budget the clock already exceeds: every
             # pending event is over budget (heap times are >= now)
-            while heap and cancelled and heap[0][1] in cancelled:
-                cancelled.discard(heappop(heap)[1])
-            if heap:
-                self._flush_segments()
-                raise self._timeout(
-                    f"simulation exceeded max_time={max_time}", {"max_time": max_time}
-                )
+            raise self._timeout("max_time", max_time)
         while heap:
             if self._stopped:
                 break
@@ -514,14 +451,15 @@ class Engine:
                 cancelled.discard(tok)
                 continue
             t = entry[0]
-            if t > now:
-                if t > max_time:
-                    heappush(heap, entry)  # watchdog fires; queue stays intact
-                    self._flush_segments()
-                    raise self._timeout(
-                        f"simulation exceeded max_time={max_time}",
-                        {"max_time": max_time},
-                    )
+            advances = t > now
+            if advances and t > max_time:
+                heappush(heap, entry)  # watchdog fires; queue stays intact
+                raise self._timeout("max_time", max_time)
+            if not events_left:
+                heappush(heap, entry)
+                raise self._timeout("max_events", max_events)
+            events_left -= 1
+            if advances:
                 now = t
                 self.now = t
             self.events_processed += 1
@@ -538,11 +476,13 @@ class Engine:
                 else:  # _OP_DELIVER
                     deliver(payload[1])
                     continue
-                # ---- _step(proc, value), inlined (the legacy method is
-                # the reference; every branch below mirrors it) ----
+                # ---- resume proc's generator with value and dispatch
+                # its next syscall ----
                 if proc.state is crashed_state:
                     continue  # an injected crash beat a scheduled resume
                 if proc.hung:
+                    # an injected hang: the process never advances again;
+                    # it sits blocked so peers and the watchdog see the stall
                     proc.state = _BLOCKED
                     proc.block_start = now
                     proc.block_tag = "<hang>"
@@ -573,6 +513,8 @@ class Engine:
                     self._maybe_finish()
                     continue
                 if call.__class__ is Compute:
+                    # the hottest syscall, inlined (_do_compute is the
+                    # same thing for subclasses of Compute)
                     seconds = call.seconds
                     if seconds < 0:
                         current[proc.name] = None
@@ -598,9 +540,8 @@ class Engine:
                         proto = None
                     heappush(heap, (now + dur, next(seq), (0, proc, now, dur, proto, None)))
                 else:
-                    # inlined _dispatch switch for the in-tree syscalls
-                    # (exact types only; anything else — subclasses, bad
-                    # yields — takes the full reference dispatcher)
+                    # exact types only; anything else — subclasses, bad
+                    # yields — goes through _dispatch
                     current[proc.name] = None
                     stack = proc._stack
                     frame = stack[-1] if stack else unknown_frame
@@ -618,7 +559,7 @@ class Engine:
                     elif cls is IoOp:
                         do_io(proc, call, frame)
                     else:
-                        dispatch(proc, call)
+                        dispatch(proc, call, frame)
             else:
                 # user-scheduled callback: it may observe sinks, the
                 # clock, or counters — materialise everything first
@@ -627,153 +568,14 @@ class Engine:
                 payload()
         else:
             if not self._stopped and not self.all_done():
-                self._flush_segments()
                 raise self._deadlock()
-
-    def _fast_loop_budgeted(self, max_time: float, max_events: int) -> None:
-        """Fast loop with an event budget armed: peek-before-pop so the
-        event that would exceed a budget stays queued."""
-        queue = self.queue
-        heap = queue._heap
-        cancelled = queue._cancelled
-        pending = self._pending_segments
-        pend_append = pending.append
-        step = self._step
-        deliver = self._deliver
-        crashed_state = _CRASHED
-        now = self.now
-        events = 0
-        while True:
-            if self._stopped:
-                break
-            while heap:
-                entry = heap[0]
-                if cancelled and entry[1] in cancelled:
-                    cancelled.discard(heappop(heap)[1])
-                    continue
-                break
-            if not heap:
-                if self.all_done():
-                    break
-                self._flush_segments()
-                raise self._deadlock()
-            t = entry[0]
-            if t > max_time:
-                self._flush_segments()
-                raise self._timeout(
-                    f"simulation exceeded max_time={max_time}", {"max_time": max_time}
-                )
-            if events >= max_events:
-                self._flush_segments()
-                raise self._timeout(
-                    f"simulation exceeded max_events={max_events}",
-                    {"max_events": max_events},
-                )
-            heappop(heap)
-            if t > now:
-                now = t
-                self.now = t
-            events += 1
-            self.events_processed += 1
-            payload = entry[2]
-            if type(payload) is tuple:
-                op = payload[0]
-                if op == 0:  # _OP_EMIT_STEP
-                    _, proc, start, dur, proto, value = payload
-                    if proto is not None and proc.state is not crashed_state:
-                        pend_append((proto, start, dur))
-                    step(proc, value)
-                elif op == 1:  # _OP_STEP
-                    step(payload[1], payload[2])
-                else:  # _OP_DELIVER
-                    deliver(payload[1])
-            else:
-                if pending:
-                    self._flush_segments()
-                payload()
-
-    def _exec_op(self, payload: tuple) -> None:
-        """Execute a fast-loop continuation tuple under the legacy
-        discipline (a run resumed in legacy mode after a fast-mode stop,
-        or the seed steps pushed by :meth:`_start_procs`).  EMIT_STEP
-        segments materialise and reach the sinks immediately, matching
-        legacy per-event emission."""
-        op = payload[0]
-        if op == _OP_EMIT_STEP:
-            _, proc, start, dur, proto, value = payload
-            if proto is not None and proc.state is not _CRASHED:
-                self.segments_emitted += 1
-                seg = object.__new__(TimeSegment)
-                d = seg.__dict__
-                d.update(proto)
-                d["start"] = start
-                d["duration"] = dur
-                for sink in self._sinks:
-                    sink.record(seg)
-            self._step(proc, value)
-        elif op == _OP_STEP:
-            self._step(payload[1], payload[2])
-        else:
-            self._deliver(payload[1])
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _emit(
-        self,
-        start: float,
-        duration: float,
-        activity: Activity,
-        proc: SimProcess,
-        frame: Tuple[str, str],
-        tag: Optional[str] = None,
-    ) -> None:
-        if duration <= _EPS:
-            return
-        if proc.state is ProcState.CRASHED:
-            # An injected crash loses the in-flight interval: nothing is
-            # recorded past the instant of death.
-            return
-        if self._fast_active:
-            if activity is _ACT_SYNC:
-                # SYNC protos ride on the snapshot keyed by tag (the
-                # blocked process's stack is frozen, so the snapshot +
-                # tag pin the attribution exactly)
-                snap = proc._stack_tuple
-                if snap is None:
-                    snap = proc.stack_snapshot()
-                d = snap.protos[1]
-                proto = d.get(tag) if d is not None else None
-                if proto is None:
-                    proto = self._proto_for(_CODE_SYNC, activity, proc, frame, tag)
-            else:
-                code = _CODE_COMPUTE if activity is _ACT_COMPUTE else _CODE_IO
-                proto = self._proto_for(code, activity, proc, frame, tag)
-            self._pending_segments.append((proto, start, duration))
-            return
-        self.segments_emitted += 1
-        # The generator is suspended between dispatch and emission, so the
-        # process's current stack is exactly the stack during the interval.
-        stack = tuple(proc._stack)
-        if not stack or stack[-1] != frame:
-            stack = stack + (frame,)
-        seg = TimeSegment.make(
-            start=start,
-            duration=duration,
-            activity=activity,
-            process=proc.name,
-            node=proc.node,
-            module=frame[0],
-            function=frame[1],
-            tag=tag,
-            stack=stack,
-        )
-        for sink in self._sinks:
-            sink.record(seg)
-
     def _flush_segments(self) -> None:
-        """Materialise pending fast-path segments and deliver them, in
-        emission order, to every sink (see module docstring for when)."""
+        """Materialise pending segments and deliver them, in emission
+        order, to every sink (see module docstring for when)."""
         pending = self._pending_segments
         if not pending:
             return
@@ -857,116 +659,25 @@ class Engine:
     def _clear_current(self, proc: SimProcess) -> None:
         self._current[proc.name] = None
 
-    def _step(self, proc: SimProcess, value) -> None:
-        """Resume *proc*'s generator and dispatch its next syscall."""
-        if proc.state is ProcState.CRASHED:
-            return  # an injected crash beat a previously scheduled resume
-        if proc.hung:
-            # An injected hang: the process never advances again; it sits
-            # blocked so peers and the watchdog can observe the stall.
-            proc.state = ProcState.BLOCKED
-            proc.block_start = self.now
-            proc.block_tag = "<hang>"
-            proc.block_frame = proc.current_frame
-            self._clear_current(proc)
-            return
-        self._current[proc.name] = None
-        proc.state = ProcState.RUNNING
-        try:
-            call = proc.gen.send(value)
-        except StopIteration:
-            proc.state = ProcState.DONE
-            proc.finish_time = self.now
-            self._live -= 1
-            self._maybe_finish()
-            return
-        except ProgramError:
-            raise
-        except Exception as exc:
-            if self.crash_policy == "raise":
-                raise
-            proc.state = ProcState.CRASHED
-            proc.crash = exc
-            proc.finish_time = self.now
-            self._live -= 1
-            self._maybe_finish()
-            return
-        # Fast path: the hottest syscall (Compute) fully inlined — this
-        # block IS the per-event dispatch cost.  The legacy path keeps
-        # the reference call chain through _dispatch/_do_compute.
-        if self._fast_active and call.__class__ is Compute:
-            seconds = call.seconds
-            if seconds < 0:
-                raise ProgramError("negative compute time")
-            if self._perturbation_sources:
-                dur = seconds * (1.0 + max(self.perturbation(proc.name), 0.0))
-            else:
-                dur = seconds
-            stack = proc._stack
-            frame = stack[-1] if stack else ("<unknown>", "<toplevel>")
-            start = self.now
-            self._current[proc.name] = (_ACT_COMPUTE, start, frame[0], frame[1], None)
-            # dur >= 0, so start + dur >= now: no past-guard needed
-            if dur > _EPS:
-                snap = proc._stack_tuple
-                if snap is None:
-                    snap = proc.stack_snapshot()
-                proto = snap.protos[0]
-                if proto is None:
-                    proto = self._proto_for(_CODE_COMPUTE, _ACT_COMPUTE, proc, frame, None)
-            else:
-                proto = None
-            queue = self.queue
-            heappush(
-                queue._heap,
-                (
-                    start + dur,
-                    next(queue._seq),
-                    (_OP_EMIT_STEP, proc, start, dur, proto, None),
-                ),
-            )
-            return
-        self._dispatch(proc, call)
-
     def _maybe_finish(self) -> None:
         # a process leaving (done or crashed) may satisfy a pending barrier
         self._check_barrier()
         if self._live == 0:
             self.finished_at = self.now
-            if self._fast_active and self._pending_segments:
-                # on_finish hooks (the search's final pass) read sinks
-                self._flush_segments()
+            # on_finish hooks (the search's final pass) read sinks
+            self._flush_segments()
             for fn in self._on_finish:
                 fn(self)
 
     def _resume_at(self, time: float, proc: SimProcess, value=None) -> None:
         # every caller passes time == self.now, so no past-guard is needed
-        if self._fast_active:
-            queue = self.queue
-            heappush(queue._heap, (time, next(queue._seq), (_OP_STEP, proc, value)))
-        else:
-            self.schedule(time, lambda: self._step(proc, value))
+        queue = self.queue
+        heappush(queue._heap, (time, next(queue._seq), (_OP_STEP, proc, value)))
 
-    def _dispatch(self, proc: SimProcess, call) -> None:
-        frame = proc.current_frame
-        # exact-type switch first (every in-tree syscall is final);
-        # isinstance fallback below keeps subclassed syscalls working
-        ctype = call.__class__
-        if ctype is Compute:
-            self._do_compute(proc, call, frame)
-        elif ctype is IoOp:
-            self._do_io(proc, call, frame)
-        elif ctype is Send or ctype is Isend:
-            self._do_send(proc, call, frame)
-        elif ctype is Recv:
-            self._do_recv(proc, call, frame)
-        elif ctype is Irecv:
-            self._do_irecv(proc, call)
-        elif ctype is WaitReq:
-            self._do_wait(proc, call, frame)
-        elif ctype is Barrier:
-            self._do_barrier(proc, frame)
-        elif isinstance(call, Compute):
+    def _dispatch(self, proc: SimProcess, call, frame) -> None:
+        """Syscalls the loop's exact-type switch did not take: subclasses
+        of the in-tree syscalls, and yields that are no syscall at all."""
+        if isinstance(call, Compute):
             self._do_compute(proc, call, frame)
         elif isinstance(call, IoOp):
             self._do_io(proc, call, frame)
@@ -992,55 +703,40 @@ class Engine:
             dur = seconds * (1.0 + max(self.perturbation(proc.name), 0.0))
         else:
             dur = seconds
+        self._busy(proc, frame, dur, None)
+
+    def _busy(self, proc: SimProcess, frame, dur: float, value) -> None:
+        """Charge *dur* seconds of CPU to *proc* from now, then resume it
+        with *value*."""
         start = self.now
         self._current[proc.name] = (_ACT_COMPUTE, start, frame[0], frame[1], None)
-        if self._fast_active:
-            # dur >= 0, so start + dur >= now: push without the past-guard
-            if dur > _EPS:
-                snap = proc._stack_tuple
-                if snap is None:
-                    snap = proc.stack_snapshot()
-                proto = snap.protos[0]
-                if proto is None:
-                    proto = self._proto_for(_CODE_COMPUTE, _ACT_COMPUTE, proc, frame, None)
-            else:
-                proto = None
-            queue = self.queue
-            heappush(
-                queue._heap,
-                (start + dur, next(queue._seq), (_OP_EMIT_STEP, proc, start, dur, proto, None)),
-            )
-            return
-
-        def finish_compute(p=proc, s=start, d=dur, f=frame) -> None:
-            self._emit(s, d, Activity.COMPUTE, p, f)
-            self._step(p, None)
-
-        self.schedule(start + dur, finish_compute)
+        if dur > _EPS:
+            snap = proc._stack_tuple
+            if snap is None:
+                snap = proc.stack_snapshot()
+            proto = snap.protos[0]
+            if proto is None:
+                proto = self._proto_for(_CODE_COMPUTE, _ACT_COMPUTE, proc, frame, None)
+        else:
+            proto = None
+        self._push_op(start + dur, (_OP_EMIT_STEP, proc, start, dur, proto, value))
 
     def _do_io(self, proc: SimProcess, call, frame) -> None:
         start = self.now
         dur = call.seconds
+        if dur < 0:
+            raise ProgramError("negative I/O time")
         self._current[proc.name] = (_ACT_IO, start, frame[0], frame[1], None)
-        if self._fast_active:
-            # negative I/O time must raise exactly like legacy schedule()
-            if dur > _EPS:
-                snap = proc._stack_tuple
-                if snap is None:
-                    snap = proc.stack_snapshot()
-                proto = snap.protos[2]
-                if proto is None:
-                    proto = self._proto_for(_CODE_IO, _ACT_IO, proc, frame, None)
-            else:
-                proto = None
-            self._push_op(start + dur, (_OP_EMIT_STEP, proc, start, dur, proto, None))
-            return
-
-        def finish_io(p=proc, s=start, d=dur, f=frame) -> None:
-            self._emit(s, d, Activity.IO, p, f)
-            self._step(p, None)
-
-        self.schedule(start + dur, finish_io)
+        if dur > _EPS:
+            snap = proc._stack_tuple
+            if snap is None:
+                snap = proc.stack_snapshot()
+            proto = snap.protos[2]
+            if proto is None:
+                proto = self._proto_for(_CODE_IO, _ACT_IO, proc, frame, None)
+        else:
+            proto = None
+        self._push_op(start + dur, (_OP_EMIT_STEP, proc, start, dur, proto, None))
 
     # -- sends ---------------------------------------------------------------
     def _do_send(self, proc: SimProcess, call, frame) -> None:
@@ -1065,57 +761,20 @@ class Engine:
             self._rdv_waiting.setdefault(dest, []).append((proc, call))
             return
         overhead = lat.send_overhead
-        if self._fast_active:
-            # bespoke eager-send path: latency model inlined (the
-            # expression is transfer_time()'s verbatim, so arrival times
-            # are bit-identical to the legacy computation)
-            start = self.now
-            arrival = start + overhead + (lat.alpha + lat.beta * max(size, 0.0))
-            msg = make_message(proc.name, dest, call.tag, size, start, arrival)
-            if self._message_filters:
-                self._schedule_delivery(msg)
-            else:
-                self._push_op(arrival, (_OP_DELIVER, msg))
-            self._current[proc.name] = (_ACT_COMPUTE, start, frame[0], frame[1], None)
-            if ctype is Isend or (ctype is not Send and isinstance(call, Isend)):
-                result = Request(proc.name, call.tag)
-                result.complete = True
-            else:
-                result = None
-            if overhead > _EPS:
-                snap = proc._stack_tuple
-                if snap is None:
-                    snap = proc.stack_snapshot()
-                proto = snap.protos[0]
-                if proto is None:
-                    proto = self._proto_for(_CODE_COMPUTE, _ACT_COMPUTE, proc, frame, None)
-            else:
-                proto = None
-            self._push_op(
-                start + overhead, (_OP_EMIT_STEP, proc, start, overhead, proto, result)
-            )
-            return
-        arrival = self.now + overhead + self.latency.transfer_time(call.size)
-        msg = Message(
-            src=proc.name,
-            dest=call.dest,
-            tag=call.tag,
-            size=call.size,
-            send_time=self.now,
-            arrival_time=arrival,
-        )
-        self._schedule_delivery(msg)
         start = self.now
-        self._current[proc.name] = (_ACT_COMPUTE, start, frame[0], frame[1], None)
-        result = Request(proc.name, call.tag) if isinstance(call, Isend) else None
-        if result is not None:
+        # the latency model inlined: transfer_time()'s expression verbatim
+        arrival = start + overhead + (lat.alpha + lat.beta * max(size, 0.0))
+        msg = make_message(proc.name, dest, call.tag, size, start, arrival)
+        if self._message_filters:
+            self._schedule_delivery(msg)
+        else:
+            self._push_op(arrival, (_OP_DELIVER, msg))
+        if ctype is Isend or (ctype is not Send and isinstance(call, Isend)):
+            result = Request(proc.name, call.tag)
             result.complete = True
-
-        def finish_send(p=proc, s=start, d=overhead, f=frame, r=result) -> None:
-            self._emit(s, d, Activity.COMPUTE, p, f)
-            self._step(p, r)
-
-        self.schedule(start + overhead, finish_send)
+        else:
+            result = None
+        self._busy(proc, frame, overhead, result)
 
     def _schedule_delivery(self, msg: Message) -> None:
         """Schedule the arrival of *msg*, applying message filters (fault
@@ -1133,12 +792,8 @@ class Engine:
                 deliveries = passed
         else:
             deliveries = (msg,)
-        if self._fast_active:
-            for m in deliveries:
-                self._push_op(m.arrival_time, (_OP_DELIVER, m))
-        else:
-            for m in deliveries:
-                self.schedule(m.arrival_time, lambda mm=m: self._deliver(mm))
+        for m in deliveries:
+            self._push_op(m.arrival_time, (_OP_DELIVER, m))
 
     def _deliver(self, msg: Message) -> None:
         dest = self.procs[msg.dest]
@@ -1199,19 +854,9 @@ class Engine:
                 continue
             waiting.pop(i)
             arrival = self.now + self.latency.transfer_time(call.size)
-            if self._fast_active:
-                msg = make_message(
-                    sender.name, dest, call.tag, call.size, sender.block_start, arrival
-                )
-            else:
-                msg = Message(
-                    src=sender.name,
-                    dest=dest,
-                    tag=call.tag,
-                    size=call.size,
-                    send_time=sender.block_start,
-                    arrival_time=arrival,
-                )
+            msg = make_message(
+                sender.name, dest, call.tag, call.size, sender.block_start, arrival
+            )
             self._schedule_delivery(msg)
             self._unblock_sync(sender, call.tag)
             return
@@ -1220,76 +865,29 @@ class Engine:
         """End a synchronisation wait and resume the process."""
         start = self.now
         frame = proc.block_frame
-        if self._fast_active:
-            # inlined _emit of the SYNC wait (same guards, same order)
-            wait = start - proc.block_start
-            if wait > _EPS and proc.state is not _CRASHED:
-                snap = proc._stack_tuple
-                if snap is None:
-                    snap = proc.stack_snapshot()
-                d = snap.protos[1]
-                proto = d.get(tag) if d is not None else None
-                if proto is None:
-                    proto = self._proto_for(_CODE_SYNC, _ACT_SYNC, proc, frame, tag)
-                self._pending_segments.append((proto, proc.block_start, wait))
-            proc.block_tag = None
-            proc._wait_req = None
-            overhead = self.latency.recv_overhead
-            self._current[proc.name] = (_ACT_COMPUTE, start, frame[0], frame[1], None)
-            if overhead > _EPS:
-                snap = proc._stack_tuple
-                if snap is None:
-                    snap = proc.stack_snapshot()
-                proto = snap.protos[0]
-                if proto is None:
-                    proto = self._proto_for(_CODE_COMPUTE, _ACT_COMPUTE, proc, frame, None)
-            else:
-                proto = None
-            self._push_op(
-                start + overhead, (_OP_EMIT_STEP, proc, start, overhead, proto, value)
-            )
-            return
-        wait = self.now - proc.block_start
-        self._clear_current(proc)
-        self._emit(proc.block_start, wait, _ACT_SYNC, proc, proc.block_frame, tag=tag)
+        # the SYNC wait; an injected crash loses the in-flight interval
+        wait = start - proc.block_start
+        if wait > _EPS and proc.state is not _CRASHED:
+            snap = proc._stack_tuple
+            if snap is None:
+                snap = proc.stack_snapshot()
+            # SYNC protos ride on the snapshot keyed by tag (the blocked
+            # process's stack is frozen, so snapshot + tag pin the
+            # attribution exactly)
+            d = snap.protos[1]
+            proto = d.get(tag) if d is not None else None
+            if proto is None:
+                proto = self._proto_for(_CODE_SYNC, _ACT_SYNC, proc, frame, tag)
+            self._pending_segments.append((proto, proc.block_start, wait))
         proc.block_tag = None
         proc._wait_req = None
-        overhead = self.latency.recv_overhead
-        self._current[proc.name] = (_ACT_COMPUTE, start, frame[0], frame[1], None)
-
-        def finish(p=proc, s=start, d=overhead, f=frame, v=value) -> None:
-            self._emit(s, d, Activity.COMPUTE, p, f)
-            self._step(p, v)
-
-        self.schedule(start + overhead, finish)
+        self._busy(proc, frame, self.latency.recv_overhead, value)
 
     # -- receives --------------------------------------------------------------
     def _do_recv(self, proc: SimProcess, call: Recv, frame) -> None:
         msg = self._mailboxes[proc.name].match(call.src, call.tag)
         if msg is not None:
-            overhead = self.latency.recv_overhead
-            start = self.now
-            self._current[proc.name] = (_ACT_COMPUTE, start, frame[0], frame[1], None)
-            if self._fast_active:
-                if overhead > _EPS:
-                    snap = proc._stack_tuple
-                    if snap is None:
-                        snap = proc.stack_snapshot()
-                    proto = snap.protos[0]
-                    if proto is None:
-                        proto = self._proto_for(_CODE_COMPUTE, _ACT_COMPUTE, proc, frame, None)
-                else:
-                    proto = None
-                self._push_op(
-                    start + overhead, (_OP_EMIT_STEP, proc, start, overhead, proto, msg)
-                )
-                return
-
-            def finish(p=proc, s=start, d=overhead, f=frame, m=msg) -> None:
-                self._emit(s, d, Activity.COMPUTE, p, f)
-                self._step(p, m)
-
-            self.schedule(start + overhead, finish)
+            self._busy(proc, frame, self.latency.recv_overhead, msg)
             return
         proc.state = ProcState.BLOCKED
         proc.block_start = self.now
@@ -1344,34 +942,25 @@ class Engine:
             return
         waiting, self._barrier_waiting = self._barrier_waiting, []
         now = self.now
-        if self._fast_active:
-            # inlined per-waiter release (same guards, same order as the
-            # legacy loop below: clear, emit the SYNC wait, resume)
-            current = self._current
-            pend_append = self._pending_segments.append
-            queue = self.queue
-            heap = queue._heap
-            seq = queue._seq
-            for p in waiting:
-                wait = now - p.block_start
-                current[p.name] = None
-                if wait > _EPS and p.state is not _CRASHED:
-                    snap = p._stack_tuple
-                    if snap is None:
-                        snap = p.stack_snapshot()
-                    d = snap.protos[1]
-                    proto = d.get("Barrier") if d is not None else None
-                    if proto is None:
-                        proto = self._proto_for(
-                            _CODE_SYNC, _ACT_SYNC, p, p.block_frame, "Barrier"
-                        )
-                    pend_append((proto, p.block_start, wait))
-                p.block_tag = None
-                heappush(heap, (now, next(seq), (_OP_STEP, p, None)))
-            return
+        current = self._current
+        pend_append = self._pending_segments.append
+        queue = self.queue
+        heap = queue._heap
+        seq = queue._seq
         for p in waiting:
+            # per waiter: clear, emit the SYNC wait, resume
             wait = now - p.block_start
-            self._clear_current(p)
-            self._emit(p.block_start, wait, _ACT_SYNC, p, p.block_frame, tag="Barrier")
+            current[p.name] = None
+            if wait > _EPS and p.state is not _CRASHED:
+                snap = p._stack_tuple
+                if snap is None:
+                    snap = p.stack_snapshot()
+                d = snap.protos[1]
+                proto = d.get("Barrier") if d is not None else None
+                if proto is None:
+                    proto = self._proto_for(
+                        _CODE_SYNC, _ACT_SYNC, p, p.block_frame, "Barrier"
+                    )
+                pend_append((proto, p.block_start, wait))
             p.block_tag = None
-            self._resume_at(now, p, None)
+            heappush(heap, (now, next(seq), (_OP_STEP, p, None)))

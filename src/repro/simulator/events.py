@@ -4,11 +4,10 @@ A minimal deterministic discrete-event core: events are ``(time, seq,
 payload)`` triples ordered by time with FIFO tie-breaking, so repeated
 runs of the same program produce byte-identical traces.
 
-The payload is opaque to the queue.  The engine's legacy loop schedules
-plain callables; the fast loop schedules small *continuation tuples*
+The payload is opaque to the queue.  User code schedules plain
+callables; the engine schedules its own continuations as small tuples
 (an opcode plus its operands) so the hot path never allocates a closure
-per event.  Both loops interoperate: a run resumed in the other mode
-executes whatever payload kind it pops.
+per event, and tells the two apart by type when it pops.
 
 Cancellation is lazy (a cancelled token is skipped when it reaches the
 front) but *bounded*: whenever the cancelled set outgrows the heap —
@@ -17,8 +16,8 @@ which proves at least one cancelled token no longer has a pending entry
 bound, tokens cancelled after their event already fired would accumulate
 for the life of the queue (one leaked set entry per late cancel, which
 long campaigns turn into unbounded growth).  Compaction mutates
-``_heap`` in place (never rebinds it) so the engine's fast loop can hold
-a direct reference across calls.
+``_heap`` in place (never rebinds it) so the engine's loop can hold a
+direct reference across calls.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class EventQueue:
         """Drop every cancelled entry eagerly and clear the token set.
 
         In-place (``_heap[:] =``) so external references to the heap
-        list — the engine's fast loop hoists one — stay valid.
+        list — the engine's loop hoists one — stay valid.
         """
         cancelled = self._cancelled
         if cancelled:

@@ -142,14 +142,15 @@ class _StackSnap(tuple):
 
     One instance exists per distinct stack per process (see
     :meth:`SimProcess.stack_snapshot`), so identity comparison suffices
-    to detect "same stack".  The engine's fast path hangs its segment
-    prototypes directly off the snapshot in :attr:`protos` (one cell per
-    activity code) — the snapshot *is* the cache key, so a hit is one
-    attribute load and one index, with no validation.  Equality, hashing
-    and repr are inherited from ``tuple``: a ``TimeSegment.stack``
-    holding a snapshot is indistinguishable from one holding the plain
-    tuple the legacy path builds.  (No ``__slots__``: variable-length
-    bases forbid them; snapshots are few, the instance dict is cheap.)
+    to detect "same stack".  The engine hangs its segment prototypes
+    directly off the snapshot in :attr:`protos` (one cell per activity
+    code) — the snapshot *is* the cache key, so a hit is one attribute
+    load and one index, with no validation.  Equality, hashing and repr
+    are inherited from ``tuple``: a ``TimeSegment.stack`` holding a
+    snapshot is indistinguishable from one holding a plain tuple of the
+    same frames, as a trace-file replay builds.  (No ``__slots__``:
+    variable-length bases forbid them; snapshots are few, the instance
+    dict is cheap.)
     """
 
     def __reduce__(self):  # pickle as a plain tuple

@@ -159,12 +159,12 @@ def segment_prototype(
 ) -> Dict[str, object]:
     """Attribute dict for every segment sharing one attribution.
 
-    The engine's fast emission path batches segments as ``(prototype,
-    start, duration)`` triples and materialises real :class:`TimeSegment`
-    objects only at flush time, by copying the prototype into a fresh
-    instance ``__dict__`` and overwriting ``start``/``duration`` — the
+    The engine batches segments as ``(prototype, start, duration)``
+    triples and materialises real :class:`TimeSegment` objects only at
+    flush time, by copying the prototype into a fresh instance
+    ``__dict__`` and overwriting ``start``/``duration`` — the
     frozen-dataclass ``__init__`` (ten guarded ``object.__setattr__``
-    calls) is by far the most expensive step of classic emission.  The
+    calls) is by far the most expensive step of per-event emission.  The
     keys here MUST stay in sync with :class:`TimeSegment`'s fields; a
     segment built from a prototype compares equal to (and interns the
     same ``parts`` as) one built through :meth:`TimeSegment.make`.

@@ -88,6 +88,20 @@ class TestComputeAndIo:
         with pytest.raises(ProgramError):
             eng.run()
 
+    def test_negative_io_rejected(self):
+        eng = make_engine()
+
+        def prog(proc):
+            with proc.function("m.c", "f"):
+                yield Compute(1.0)
+                yield IoOp(-1.0)
+
+        eng.add_process("p", "n0", prog)
+        # a program bug, not a scheduler one ("cannot schedule in the past")
+        with pytest.raises(ProgramError, match="negative I/O time"):
+            eng.run()
+        assert list(eng.in_progress()) == []  # nothing left in progress
+
     def test_non_syscall_yield_rejected(self):
         eng = make_engine()
 

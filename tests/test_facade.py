@@ -42,6 +42,15 @@ class TestDiagnose:
         with pytest.raises(TypeError, match="wibble"):
             diagnose(_app(), wibble=3)
 
+    def test_engine_loop_is_an_unknown_kwarg(self):
+        # the engine has one loop; the retired selector gets no shim
+        from repro.core import DiagnosisSession
+
+        with pytest.raises(TypeError, match="engine_loop"):
+            diagnose(_app(), engine_loop="legacy")
+        with pytest.raises(TypeError, match="engine_loop"):
+            DiagnosisSession(app=_app(), engine_loop="legacy")
+
     def test_config_and_fields_conflict(self):
         with pytest.raises(TypeError):
             diagnose(_app(), config=SearchConfig(), min_interval=5.0)

@@ -31,7 +31,9 @@ from repro.simulator import (
     TraceCollector,
 )
 from repro.simulator import records as records_mod
+from repro.simulator import tracefile
 from repro.simulator.records import Activity, TimeSegment
+from tests.reference_engine import ReferenceEngine
 
 _ACT_KEYS = {Activity.COMPUTE: "compute", Activity.SYNC: "sync", Activity.IO: "io"}
 _TABLES = ("by_code", "by_process", "by_node", "by_tag", "by_code_inclusive",
@@ -85,7 +87,7 @@ def profile_bytes(profile):
     return json.dumps(profile.to_dict())
 
 
-def random_engine(seed, n=4, iters=10):
+def random_engine(seed, n=4, iters=10, engine_cls=Engine):
     """A seeded ring program whose processes reach the same leaf
     functions along different call paths and recurse to random depths,
     exchange messages under several tags, meet at barriers and do I/O."""
@@ -101,7 +103,7 @@ def random_engine(seed, n=4, iters=10):
         }
         for _ in range(iters)
     ]
-    eng = Engine(Machine.named("node", n), LatencyModel())
+    eng = engine_cls(Machine.named("node", n), LatencyModel())
 
     def prog(rank):
         def kernel(proc, seconds):
@@ -141,19 +143,53 @@ def random_engine(seed, n=4, iters=10):
     return eng
 
 
-class TestOracle:
-    @pytest.mark.parametrize("loop", ["fast", "legacy"])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_programs_serialise_identically(self, seed, loop):
-        """The fast loop hands the sink interned stacks, the legacy loop
-        a fresh tuple per segment: both must hit the same memo entries
-        and both must equal the naive fold."""
-        eng = random_engine(seed)
-        collector, sink = TraceCollector(), ProfileCollector()
+def engine_segments(engine_cls):
+    def produce(seed, sink, tmp_path):
+        eng = random_engine(seed, engine_cls=engine_cls)
+        collector = TraceCollector()
         eng.add_sink(collector)
         eng.add_sink(sink)
-        eng.run(loop=loop)
-        segments = collector.segments
+        eng.run()
+        return collector.segments
+    return produce
+
+
+def replayed_segments(seed, sink, tmp_path):
+    """Through a trace file and back, as ``repro.simulator.tracefile``
+    consumers feed a profile."""
+    live = engine_segments(Engine)(seed, TraceCollector(), tmp_path)
+    path = tmp_path / "trace.jsonl"
+    assert tracefile.write_trace(path, live) == len(live)
+    segments = list(tracefile.read_trace(path))
+    for seg in segments:
+        sink.record(seg)
+    return segments
+
+
+#: Who hands the sink its segments.  The engine hands over one interned
+#: stack object per distinct stack; the per-event reference engine and a
+#: trace-file replay build a fresh tuple for every segment, which the
+#: memo must key by value or it would miss, and pin an entry, each time.
+#: ("legacy" is the reference engine's id from when it was a loop of
+#: ``Engine``.)
+PRODUCERS = {
+    "fast": engine_segments(Engine),
+    "legacy": engine_segments(ReferenceEngine),
+    "replay": replayed_segments,
+}
+
+
+class TestOracle:
+    @pytest.mark.parametrize("producer", list(PRODUCERS))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_programs_serialise_identically(self, seed, producer, tmp_path):
+        """Interned stacks or a fresh tuple per segment: every producer
+        must hit the same memo entries and equal the naive fold."""
+        sink = ProfileCollector()
+        segments = PRODUCERS[producer](seed, sink, tmp_path)
+        if producer != "fast":
+            stacks = [s.stack for s in segments if len(s.stack) > 1]
+            assert len({id(s) for s in stacks}) > len(set(stacks))
         assert {s.activity for s in segments} == set(Activity)
         assert any(s.tag == "Barrier" for s in segments)
         assert any(len(s.stack) > len(set(s.stack)) for s in segments)  # recursion

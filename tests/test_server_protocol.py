@@ -56,6 +56,20 @@ class TestProtocol:
         loaded = ExperimentStore(tmp_path / "runs").load("stored")
         assert loaded.to_dict() == record
 
+    def test_retired_engine_loop_field_is_ignored(self, server):
+        """Clients written when the engine had a selectable loop still
+        send the field; it is dropped like any unknown request field."""
+        from repro.obs import deterministic_metrics
+
+        with ServerClient(server.host, server.port) as client:
+            old = client.diagnose("tester", iterations=20, run_id="wire-loop",
+                                  engine_loop="legacy")
+            new = client.diagnose("tester", iterations=20, run_id="wire-loop")
+        for record in (old, new):
+            record["metrics"] = deterministic_metrics(record["metrics"])
+        assert old == new
+        assert old["status"] == "complete"
+
     def test_unknown_app_is_error(self, server):
         with ServerClient(server.host, server.port) as client:
             with pytest.raises(RuntimeError, match="unknown application"):
