@@ -14,7 +14,7 @@ fast.  It builds synthetic stores of 100 and 500 runs and times:
   cost shape) vs the summary-based extraction;
 * **archive scale** (``--scale-entries``, default 10^5): a preloaded
   10^5-entry index measures the aggregate-backed harvest paths — cold
-  harvest from the persisted per-segment aggregates vs the full summary
+  harvest from the persisted rolling aggregate vs the full summary
   rescan, and the pool's O(Δ) incremental re-harvest after one write vs
   re-scanning the whole history (the pre-aggregate pool behavior).
 

@@ -10,7 +10,9 @@ mix of saves/overwrites/deletes/compactions — or a cross-backend
 migration, or a federated harvest — and then reopens the store with
 faults disarmed.  The reopened view must equal one of the states a
 fault-free execution passes through: every schedule is pre-op or
-post-op, never in between.
+post-op, never in between; every surviving payload must verify; and the
+backend's persisted harvest aggregate must be absent or equal to a fold
+over the summary scan.
 
 Emits ``results/TORTURE_store.json``.  ``--check`` exits nonzero when
 any schedule diverged (the report names the exact ``run_schedule(

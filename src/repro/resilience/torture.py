@@ -19,8 +19,9 @@ module turns that claim into an executable check:
    unrecovered failure (a :class:`SimulatedCrash` abandons the store
    object exactly as a killed process would);
 5. re-open the stressed clone with a fresh store — the restarted
-   process — and assert its view is *in the chain* and all its
-   payloads verify.
+   process — and assert its view is *in the chain*, all its payloads
+   verify, and the backend's persisted harvest aggregate is absent or
+   equal to a fold over the summary scan (never wrong).
 
 Views are compared without ``seq`` values (a retried save legitimately
 burns sequence numbers; ordering still must match) and a divergence
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.extraction import HarvestAggregate
 from ..faults import io as io_faults
 from ..faults.io import IOFaultPlan, SimulatedCrash
 from ..storage.records import RunRecord
@@ -199,7 +201,9 @@ def run_schedule(backend: str, seed: int,
         result = runner(backend, seed, rng, workdir, tag, base, initial)
         result.update({"backend": backend, "seed": seed, "scenario": scenario})
         result["divergent"] = (
-            not result.pop("view_in_chain") or result["payload_error"] is not None
+            not result.pop("view_in_chain")
+            or result["payload_error"] is not None
+            or result["aggregate_error"] is not None
         )
         return result
     finally:
@@ -234,13 +238,28 @@ def _stress(roots: Dict[str, Tuple[Path, str]], seed: int, body) -> Tuple[str, l
     return outcome, list(injector.injected)
 
 
-def _check(root: Path, backend: str, chain: List[str]) -> Tuple[bool, Optional[str]]:
-    """Re-open *root* as a fresh process would and judge its state."""
+def _verify_aggregate(store: ExperimentStore) -> Optional[str]:
+    """The persisted harvest aggregate is ``None`` (rescan) or exact."""
+    try:
+        persisted = store.backend.harvest_aggregate()
+        if persisted is not None and persisted != HarvestAggregate.of_summaries(
+                meta["summary"] for meta in store.summaries().values()):
+            return "persisted harvest aggregate differs from the summary scan"
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _check(root: Path, backend: str,
+           chain: List[str]) -> Tuple[bool, Optional[str], Optional[str]]:
+    """Re-open *root* as a fresh process would and judge its state:
+    ``(view in chain, payload error, aggregate error)``."""
     reopened = _open(root, backend)
     in_chain = store_view(reopened) in chain
     payload_error = _verify_payloads(reopened)
+    aggregate_error = _verify_aggregate(reopened)
     _close(reopened)
-    return in_chain, payload_error
+    return in_chain, payload_error, aggregate_error
 
 
 def _schedule_ops(backend: str, seed: int, rng: random.Random, workdir: Path,
@@ -264,7 +283,7 @@ def _schedule_ops(backend: str, seed: int, rng: random.Random, workdir: Path,
             _apply(stores["store"], op)
 
     outcome, fired = _stress({"store": (fault, backend)}, seed, body)
-    in_chain, payload_error = _check(fault, backend, chain)
+    in_chain, payload_error, aggregate_error = _check(fault, backend, chain)
     return {
         "ops": [op[0] for op in ops],
         "outcome": outcome,
@@ -272,6 +291,7 @@ def _schedule_ops(backend: str, seed: int, rng: random.Random, workdir: Path,
         "chain_len": len(chain),
         "view_in_chain": in_chain,
         "payload_error": payload_error,
+        "aggregate_error": aggregate_error,
     }
 
 
@@ -303,7 +323,8 @@ def _schedule_migrate(backend: str, seed: int, rng: random.Random,
         {"src": (fault_src, backend), "dest": (fault_dest, dest_backend)},
         seed, body,
     )
-    in_chain, payload_error = _check(fault_dest, dest_backend, chain)
+    in_chain, payload_error, aggregate_error = _check(
+        fault_dest, dest_backend, chain)
     src_probe = _open(fault_src, backend)
     src_payload_error = _verify_payloads(src_probe)
     _close(src_probe)
@@ -314,6 +335,7 @@ def _schedule_migrate(backend: str, seed: int, rng: random.Random,
         "chain_len": len(chain),
         "view_in_chain": in_chain,
         "payload_error": payload_error or src_payload_error,
+        "aggregate_error": aggregate_error,
     }
 
 
@@ -347,8 +369,9 @@ def _schedule_harvest(backend: str, seed: int, rng: random.Random,
         {"store": (fault, backend), "peer": (fault_peer, peer_backend)},
         seed, body,
     )
-    in_chain, payload_error = _check(fault, backend, chains["store"])
-    peer_in_chain, peer_payload_error = _check(
+    in_chain, payload_error, aggregate_error = _check(
+        fault, backend, chains["store"])
+    peer_in_chain, peer_payload_error, peer_aggregate_error = _check(
         fault_peer, peer_backend, chains["peer"])
     return {
         "ops": [f"harvest+{peer_backend}"],
@@ -357,6 +380,7 @@ def _schedule_harvest(backend: str, seed: int, rng: random.Random,
         "chain_len": 1,
         "view_in_chain": in_chain and peer_in_chain,
         "payload_error": payload_error or peer_payload_error,
+        "aggregate_error": aggregate_error or peer_aggregate_error,
     }
 
 
@@ -399,7 +423,8 @@ class TortureReport:
             lines.append(
                 f"  DIVERGENCE backend={bad['backend']} seed={bad['seed']} "
                 f"scenario={bad['scenario']} outcome={bad['outcome']} "
-                f"payload_error={bad['payload_error']} — reproduce with "
+                f"payload_error={bad['payload_error']} "
+                f"aggregate_error={bad['aggregate_error']} — reproduce with "
                 f"run_schedule({bad['backend']!r}, {bad['seed']})"
             )
         return "\n".join(lines)

@@ -24,7 +24,7 @@ them per call.  The pool keeps both warm:
   re-harvest after a write instead of O(history).  Whenever the backend
   cannot prove the changes were pure appends, the pool falls back to
   :meth:`~repro.storage.store.ExperimentStore.harvest_evidence` (itself
-  served from persisted per-segment aggregates when possible).
+  served from the backend's persisted aggregate when possible).
 
 Every compute path re-reads the index token after extraction and only
 caches when it still matches the token the computation started from —

@@ -135,9 +135,10 @@ class StoreInfo:
     #: Runs covered by a currently-valid persisted harvest aggregate
     #: (0 when the backend keeps none, or the persisted one went stale).
     aggregated_runs: int = 0
-    #: Index segments carrying an embedded harvest aggregate (file
-    #: backend only; sealed segments with deletes or unsummarized puts
-    #: cannot embed one and force the per-op fold).
+    #: Index segments the persisted harvest aggregate covers (file
+    #: backend only: the rolling sidecar stops at the first seal it
+    #: cannot prove — a delete, overwrite or unsummarized put — and the
+    #: uncovered tail is folded per op, or forces the rescan).
     aggregated_segments: int = 0
 
 
@@ -261,7 +262,7 @@ class StorageBackend(ABC):
     # -- harvest aggregates ---------------------------------------------
     # Optional fast path (default: not supported).  Backends that persist
     # :class:`~repro.core.extraction.HarvestAggregate` sufficient
-    # statistics can answer a harvest in O(#segments) instead of O(runs);
+    # statistics can answer a harvest in one read instead of O(runs);
     # any condition they cannot prove consistent must degrade to ``None``
     # — the frontend then falls back to the full summary scan, so a
     # missing or stale aggregate can never produce wrong directives.

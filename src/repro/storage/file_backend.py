@@ -21,6 +21,14 @@ instead of O(store):
 * ``segments/_state.json`` — a tiny atomically-replaced claim file
   (``next_seq``/``counter``/``generation``) so writers assign ``seq``
   and segment names without reading the merged index.
+* ``index.aggregate`` — the *rolling* harvest aggregate: the
+  :class:`~repro.core.extraction.HarvestAggregate` (``by_app``, plus
+  ``all`` unless one app owns every run and it would be the same thing
+  twice) over the base **and every segment named** ``<= through``,
+  stamped with the base's stat signature and the highest ``seq`` folded.
+  Every seal extends it; compaction and ``rebuild`` rewrite it with
+  ``through`` empty.  Segments carry ops only, so a cold harvest is this
+  one read, and a seal costs one aggregate rewrite on top of its segment.
 
 Readers merge base + segments into one view.  Sealed segments are
 immutable, so they are parsed once and cached by name; the base is
@@ -36,6 +44,17 @@ base via atomic rename, then delete the folded segments, then bump the
 state generation.  A writer killed at *any* point leaves the store
 readable — replaying a folded segment over the new base is idempotent —
 and ``rebuild()`` recovers from anything worse.
+
+The sidecar is never the commit point and never trusted alone: a
+reader rejects it unless its stamp names the live base (any base rewrite
+orphans it: rescan), skips the segments it covers, and folds the rest op
+by op under the ``seq`` watermark.  A seal renames the segment first and
+the sidecar second, so a writer killed in between — or a reader racing
+it — sees one uncovered segment and folds it; a reader holding a
+pre-compaction listing against the new sidecar meets ``seq <= max_seq``
+and rescans.  A seal that cannot prove its ops are new summarized puts
+(delete, overwrite, backfill) writes no sidecar; coverage stops there
+until the next compaction.  Absent or short, never wrong or double-counted.
 
 ``segmented=False`` (the ``"file-legacy"`` backend) keeps the historical
 whole-index read-modify-write on every save, preserved as the
@@ -92,15 +111,24 @@ _RECORD_FORMAT = 2
 #: transparently.
 _INDEX_FORMAT = 3
 _SEGMENT_FORMAT = 1
-#: On-disk format of the ``index.aggregate`` sidecar.
-_AGGREGATE_FORMAT = 1
+#: On-disk format of the ``index.aggregate`` sidecar (1: no ``through``,
+#: ``all`` always spelled out — still read).
+_AGGREGATE_FORMAT = 2
 _SEGMENT_CACHE_SIZE = 4096
+
+
+def _canonical(payload: dict) -> str:
+    """The canonical JSON encoding of a record dict (what is hashed)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _checksum(payload: dict) -> str:
     """SHA-256 over the canonical JSON encoding of a record dict."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256(_canonical(payload))
 
 
 def _stat_sig(path: Path) -> Tuple[int, int, int]:
@@ -184,7 +212,7 @@ def _replace(src: Path, dst: Path) -> None:
     os.replace(src, dst)
 
 
-def _atomic_write_json(path: Path, data: dict, *, indent: Optional[int] = None) -> None:
+def _atomic_write_text(path: Path, text: str) -> None:
     """Write-to-temp, fsync, rename — the only way bytes reach the store.
 
     The fsync before the rename is what makes the rename a commit point
@@ -196,7 +224,6 @@ def _atomic_write_json(path: Path, data: dict, *, indent: Optional[int] = None) 
     a torn temp file is invisible to every reader.
     """
     tmp = path.with_suffix(".tmp")
-    text = json.dumps(data, indent=indent, sort_keys=indent is not None)
     with open(tmp, "w", encoding="utf-8") as fh:
         action = io_faults.check("write", tmp)
         if action is not None and action[0] == "short":
@@ -210,6 +237,11 @@ def _atomic_write_json(path: Path, data: dict, *, indent: Optional[int] = None) 
         if io_faults.check("fsync", tmp) is None:  # "lost" skips the sync
             os.fsync(fh.fileno())
     _replace(tmp, path)
+
+
+def _atomic_write_json(path: Path, data: dict, *, indent: Optional[int] = None) -> None:
+    _atomic_write_text(
+        path, json.dumps(data, indent=indent, sort_keys=indent is not None))
 
 
 class FileBackend(StorageBackend):
@@ -228,9 +260,9 @@ class FileBackend(StorageBackend):
         self._state_path = self._segments_dir / _STATE_NAME
         #: Parsed base index keyed by the file's stat signature.
         self._base_cache: Optional[Tuple[Tuple[int, int, int], int, Dict[str, dict]]] = None
-        #: Parsed sealed segment envelopes keyed by file name (immutable
-        #: once written) — ops plus the optional embedded aggregate.
-        self._segment_cache: "OrderedDict[str, dict]" = OrderedDict()
+        #: Parsed sealed segment ops keyed by file name (immutable once
+        #: written).
+        self._segment_cache: "OrderedDict[str, List[dict]]" = OrderedDict()
         #: Parsed aggregate sidecar keyed by its stat signature (``None``
         #: payload caches an unreadable/unusable sidecar).
         self._sidecar_cache: Optional[Tuple[Tuple[int, int, int], Optional[dict]]] = None
@@ -307,20 +339,19 @@ class FileBackend(StorageBackend):
         return sorted(n for n in names
                       if n.endswith(".json") and n != _STATE_NAME)
 
-    def _read_segment_data(self, name: str) -> Optional[dict]:
-        """One sealed segment's parsed envelope (cached — segments are
-        immutable): ``{"ops": [...]}`` plus, when the sealing writer could
-        prove the segment is pure appended summarized puts, an
-        ``"aggregate"`` with its pre-folded harvest statistics.
+    def _read_segment(self, name: str) -> Optional[List[dict]]:
+        """The ops of one sealed segment (cached — segments are
+        immutable; they carry ops only, the harvest aggregate over them
+        lives in the rolling sidecar).
 
         ``None`` when the file vanished: a concurrent compaction folded
         it, and the base we read *afterwards* already contains its ops.
         """
         with self._cache_lock:
-            data = self._segment_cache.get(name)
-            if data is not None:
+            ops = self._segment_cache.get(name)
+            if ops is not None:
                 self._segment_cache.move_to_end(name)
-                return data
+                return ops
             path = self._segments_dir / name
             try:
                 io_faults.check("read", path)
@@ -332,19 +363,11 @@ class FileBackend(StorageBackend):
             # "vanished" would silently drop this segment's ops from the
             # merged view — a third state neither pre- nor post-op.  The
             # resilience layer retries it instead.
-            if not isinstance(data, dict):
-                data = {"ops": []}
-            self._segment_cache[name] = data
+            ops = data.get("ops", []) if isinstance(data, dict) else []
+            self._segment_cache[name] = ops
             while len(self._segment_cache) > _SEGMENT_CACHE_SIZE:
                 self._segment_cache.popitem(last=False)
-            return data
-
-    def _read_segment(self, name: str) -> Optional[List[dict]]:
-        """The ops of one sealed segment (``None`` when it vanished)."""
-        data = self._read_segment_data(name)
-        if data is None:
-            return None
-        return data.get("ops", [])
+            return ops
 
     def _drop_segment_cache(self, name: str) -> None:
         """Forget a folded segment's parsed ops (used after unlink)."""
@@ -419,57 +442,62 @@ class FileBackend(StorageBackend):
         self._seal_segment(counter, ops)
 
     def _seal_segment(self, counter: int, ops: List[dict]) -> None:
-        """Write one sealed, never-again-modified segment file.  The
-        counter must already be claimed in the state file, so a crash
-        here skips a name instead of colliding with a later writer."""
+        """Write one sealed, never-again-modified segment file and roll
+        the aggregate sidecar over it.  The counter must already be
+        claimed in the state file, so a crash here skips a name instead
+        of colliding with a later writer.
+
+        The sidecar is extended only when the pre-seal aggregate proves
+        out and *ops* are pure new summarized puts; otherwise coverage
+        stops at the old ``through`` until the next compact/rebuild.
+        """
         self._segments_dir.mkdir(exist_ok=True)
-        payload: dict = {"format": _SEGMENT_FORMAT, "ops": ops}
-        aggregate = self._segment_aggregate(ops)
-        if aggregate is not None:
-            payload["aggregate"] = aggregate
+        name = f"{counter:012d}.json"
+        current = self._current_aggregates()  # pre-seal: we hold the lock
         _atomic_write_json(
-            self._segments_dir / f"{counter:012d}.json", payload
+            self._segments_dir / name, {"format": _SEGMENT_FORMAT, "ops": ops}
         )
+        rolled = self._fold_ops(current, [ops]) if current is not None else None
+        if rolled is not None:
+            try:
+                self._write_aggregate_sidecar(rolled, through=name)
+            except OSError:
+                # The segment rename was the commit point: a sidecar that
+                # cannot be written leaves coverage one segment short
+                # (the next seal folds it), never a failed save.
+                pass
 
     # ------------------------------------------------------------------
     # harvest aggregates
     # ------------------------------------------------------------------
     @staticmethod
-    def _segment_aggregate(ops: List[dict]) -> Optional[dict]:
-        """Pre-folded harvest statistics embedded into a sealed segment.
-
-        Only pure append segments qualify: every op a ``put`` with a dict
-        summary and strictly increasing ``seq`` (a delete, a backfill of
-        an old run, or an unsummarized meta yields ``None`` and the
-        segment is folded per-op — or forces a rescan — at harvest time).
-        """
-        all_agg = HarvestAggregate()
-        by_app: Dict[str, HarvestAggregate] = {}
-        min_seq: Optional[int] = None
-        prev = -1
-        for op in ops:
-            if op.get("op") != "put":
+    def _fold_ops(aggs: dict, segments: List[object]) -> Optional[dict]:
+        """*aggs* extended by each segment's ops, as private copies (the
+        cached aggregates are shared with every reader), or ``None``
+        unless every op is a *new, summarized* put: a delete, an
+        overwrite or backfill (``seq`` at or below the watermark), a
+        missing summary or anything misshapen is unprovable."""
+        all_agg = aggs["all"].copy()
+        by_app = {app: agg.copy() for app, agg in aggs["by_app"].items()}
+        max_seq = aggs["max_seq"]
+        for ops in segments:
+            if not isinstance(ops, list):
                 return None
-            meta = op.get("meta") or {}
-            summary = meta.get("summary")
-            seq = meta.get("seq", -1)
-            if not isinstance(summary, dict) or seq <= prev:
-                return None
-            if min_seq is None:
-                min_seq = seq
-            prev = seq
-            all_agg.fold_summary(summary)
-            app = meta.get("app_name")
-            if isinstance(app, str):
-                by_app.setdefault(app, HarvestAggregate()).fold_summary(summary)
-        if min_seq is None:
-            return None
-        return {
-            "min_seq": min_seq,
-            "max_seq": prev,
-            "all": all_agg.to_dict(),
-            "by_app": {app: by_app[app].to_dict() for app in sorted(by_app)},
-        }
+            for op in ops:
+                meta = op.get("meta") if isinstance(op, dict) else None
+                if not isinstance(meta, dict) or op.get("op") != "put":
+                    return None
+                summary = meta.get("summary")
+                seq = meta.get("seq", -1)
+                if not isinstance(summary, dict) or seq <= max_seq:
+                    return None
+                max_seq = seq
+                all_agg.fold_summary(summary)
+                app = meta.get("app_name")
+                if isinstance(app, str):
+                    by_app.setdefault(
+                        app, HarvestAggregate()).fold_summary(summary)
+        return {"all": all_agg, "by_app": by_app, "max_seq": max_seq}
 
     def _build_aggregates(self, merged: Dict[str, dict]) -> Optional[dict]:
         """Full-scan aggregates over a merged view, in ``seq`` order.
@@ -489,14 +517,17 @@ class FileBackend(StorageBackend):
             max_seq = max(max_seq, meta.get("seq", -1))
         return {"all": all_agg, "by_app": by_app, "max_seq": max_seq}
 
-    def _write_aggregate_sidecar(self, aggs: Optional[dict]) -> None:
-        """Persist (or retire) the base generation's aggregate sidecar.
+    def _write_aggregate_sidecar(self, aggs: Optional[dict],
+                                 through: str = "") -> None:
+        """Persist (or retire) the aggregate sidecar: *aggs* covers the
+        live base plus every segment named ``<= through``.
 
-        Must run under the store lock, immediately after ``_write_base``:
-        the sidecar records the just-written base's stat signature, and a
-        reader only trusts it while that signature still matches — so a
-        crash landing between the base write and this one merely leaves
-        the *old* sidecar stale, which degrades to a rescan.
+        Must run under the store lock, after the base (and the segment
+        named *through*) it describes landed: the sidecar records the
+        live base's stat signature, and a reader only trusts it while
+        that signature still matches — so a crash landing before this
+        write merely leaves the *old* sidecar stale (after a base write:
+        a rescan) or short (after a seal: the tail is folded per op).
         """
         path = self.root / _AGGREGATE_NAME
         if aggs is None:
@@ -507,35 +538,32 @@ class FileBackend(StorageBackend):
             with self._cache_lock:
                 self._sidecar_cache = None
             return
-        assert self._base_cache is not None  # _write_base just ran
-        base_sig = self._base_cache[0]
-        payload = {
+        all_agg, by_app = aggs["all"], aggs["by_app"]
+        parsed = {"base_sig": _stat_sig(self._index_path), "through": through,
+                  "max_seq": aggs["max_seq"], "all": all_agg, "by_app": by_app}
+        # When every run carries the one app name, ``all`` *is* that
+        # app's aggregate: store it once.
+        solo = len(by_app) == 1 and all(
+            agg.n_runs == all_agg.n_runs for agg in by_app.values())
+        _atomic_write_json(path, {
             "format": _AGGREGATE_FORMAT,
-            "base_sig": list(base_sig),
+            "base_sig": list(parsed["base_sig"]),
+            "through": through,
             "max_seq": aggs["max_seq"],
-            "all": aggs["all"].to_dict(),
-            "by_app": {app: aggs["by_app"][app].to_dict()
-                       for app in sorted(aggs["by_app"])},
-        }
-        _atomic_write_json(path, payload)
+            "all": None if solo else all_agg.to_dict(),
+            "by_app": {app: by_app[app].to_dict() for app in sorted(by_app)},
+        })
         with self._cache_lock:
-            self._sidecar_cache = (
-                _stat_sig(path),
-                {
-                    "base_sig": base_sig,
-                    "max_seq": aggs["max_seq"],
-                    "all": aggs["all"],
-                    "by_app": dict(aggs["by_app"]),
-                },
-            )
+            self._sidecar_cache = (_stat_sig(path), parsed)
 
     def _read_sidecar(self) -> Optional[dict]:
         """The parsed sidecar, *validated against the current base*.
 
-        ``None`` for a missing/unparseable sidecar or one whose recorded
-        base signature no longer matches — any base rewrite (compaction,
-        rebuild, a legacy-mode fold) invalidates it without coordination,
-        exactly like the other stat-signature caches.
+        ``None`` for a missing/unparseable/misshapen sidecar or one whose
+        recorded base signature no longer matches — any base rewrite
+        (compaction, rebuild, a legacy-mode fold) invalidates it without
+        coordination, exactly like the other stat-signature caches.
+        Format-1 sidecars (no ``through``: the base alone) still load.
         """
         path = self.root / _AGGREGATE_NAME
         with self._cache_lock:
@@ -549,18 +577,27 @@ class FileBackend(StorageBackend):
                     io_faults.check("read", path)
                     with open(path, "r", encoding="utf-8") as fh:
                         data = json.load(fh)
-                    if data.get("format") == _AGGREGATE_FORMAT:
+                    if data["format"] in (1, _AGGREGATE_FORMAT) \
+                            and isinstance(data.get("through", ""), str):
+                        by_app = {
+                            app: HarvestAggregate.from_dict(d)
+                            for app, d in data["by_app"].items()
+                        }
+                        if data["all"] is None:
+                            (all_agg,) = by_app.values()
+                        else:
+                            all_agg = HarvestAggregate.from_dict(data["all"])
                         parsed = {
                             "base_sig": tuple(data["base_sig"]),
+                            "through": data.get("through", ""),
                             "max_seq": int(data["max_seq"]),
-                            "all": HarvestAggregate.from_dict(data["all"]),
-                            "by_app": {
-                                app: HarvestAggregate.from_dict(d)
-                                for app, d in data["by_app"].items()
-                            },
+                            "all": all_agg,
+                            "by_app": by_app,
                         }
                 except (OSError, json.JSONDecodeError, KeyError, ValueError,
-                        TypeError):
+                        TypeError, AttributeError):
+                    # valid JSON of the wrong shape (``[]``, ``null``, a
+                    # ``by_app`` that is no mapping) is absent, not an error
                     parsed = None
                 self._sidecar_cache = (sig, parsed)
             parsed = self._sidecar_cache[1]
@@ -577,70 +614,27 @@ class FileBackend(StorageBackend):
     def _current_aggregates(self) -> Optional[dict]:
         """Aggregates covering exactly the current merged view, or ``None``.
 
-        Starts from the base sidecar (or the empty aggregate when the
-        base has no runs — a store that has never compacted still gets
-        the fast path) and folds each unfolded segment on top: wholesale
-        via its embedded aggregate when the seq watermark proves it is
-        pure new appends, per-op otherwise.  Any op it cannot prove to be
-        a *new, summarized* run — a delete, an overwrite or backfill
-        (``seq`` at or below the watermark), a missing summary, a segment
-        vanishing mid-read — yields ``None``: the caller rescans, so a
-        stale or torn aggregate can never produce wrong directives.
+        Starts from the sidecar (or the empty aggregate when the base
+        has no runs — a store that lost its sidecar before its first
+        compaction still gets the fast path), skips every listed segment
+        it covers (named ``<= through``) without opening it, and folds
+        the uncovered tail per op.  Anything it cannot prove — see
+        :meth:`_fold_ops`; a segment vanishing mid-read — yields
+        ``None``: the caller rescans, so a stale or torn aggregate can
+        never produce wrong directives.
         """
         with self._cache_lock:
             names = self._segment_names()
             side = self._read_sidecar()
-            if side is not None:
-                all_agg = side["all"]
-                by_app = side["by_app"]
-                max_seq = side["max_seq"]
-            else:
+            if side is None:
                 base, _generation = self._read_base()
                 if base:
                     return None
-                all_agg = HarvestAggregate()
-                by_app = {}
-                max_seq = -1
-            if names:
-                # Fold into private copies: the sidecar cache's aggregates
-                # are shared with every other reader.
-                all_agg = all_agg.copy()
-                by_app = {app: agg.copy() for app, agg in by_app.items()}
-            for name in names:
-                data = self._read_segment_data(name)
-                if data is None:
-                    return None
-                embedded = data.get("aggregate")
-                if isinstance(embedded, dict) \
-                        and embedded.get("min_seq", -1) > max_seq:
-                    try:
-                        all_agg.update(HarvestAggregate.from_dict(embedded["all"]))
-                        for app, d in embedded.get("by_app", {}).items():
-                            seg_agg = HarvestAggregate.from_dict(d)
-                            if app in by_app:
-                                by_app[app].update(seg_agg)
-                            else:
-                                by_app[app] = seg_agg
-                        max_seq = int(embedded["max_seq"])
-                        continue
-                    except (KeyError, ValueError, TypeError):
-                        return None
-                for op in data.get("ops", []):
-                    if op.get("op") != "put":
-                        return None
-                    meta = op.get("meta") or {}
-                    summary = meta.get("summary")
-                    seq = meta.get("seq", -1)
-                    if not isinstance(summary, dict) or seq <= max_seq:
-                        return None
-                    max_seq = seq
-                    all_agg.fold_summary(summary)
-                    app = meta.get("app_name")
-                    if isinstance(app, str):
-                        by_app.setdefault(
-                            app, HarvestAggregate()
-                        ).fold_summary(summary)
-            return {"all": all_agg, "by_app": by_app, "max_seq": max_seq}
+                side = {"all": HarvestAggregate(), "by_app": {},
+                        "max_seq": -1, "through": ""}
+            tail = [self._read_segment(name)
+                    for name in names if name > side["through"]]
+            return self._fold_ops(side, tail) if tail else side
 
     def harvest_aggregate(self, app_name: Optional[str] = None):
         current = self._current_aggregates()
@@ -715,12 +709,14 @@ class FileBackend(StorageBackend):
         return self.root / f"{run_id}.json"
 
     def _write_record(self, path: Path, payload: dict) -> None:
-        envelope = {
-            "format": _RECORD_FORMAT,
-            "sha256": _checksum(payload),
-            "record": payload,
-        }
-        _atomic_write_json(path, envelope)
+        # One serialisation: the canonical text that is hashed is the
+        # text that is stored (readers re-derive it from the parsed payload).
+        canonical = _canonical(payload)
+        _atomic_write_text(
+            path,
+            '{"format": %d, "sha256": "%s", "record": %s}'
+            % (_RECORD_FORMAT, _sha256(canonical), canonical),
+        )
 
     def _quarantine(self, path: Path) -> Path:
         """Move a corrupt file out of the store (index entry included).
@@ -976,10 +972,10 @@ class FileBackend(StorageBackend):
         with self.lock():
             names = self._segment_names()
             merged = self.read_merged()
-            # Aggregates for the new base: incrementally (old sidecar +
-            # embedded segment aggregates) when the old state still
-            # proves out, by full fold otherwise.  Computed before the
-            # base rename invalidates the old sidecar.
+            # Aggregates for the new base: the rolled sidecar (plus any
+            # uncovered tail) when the old state still proves out, by
+            # full fold otherwise.  Computed before the base rename
+            # invalidates the old sidecar.
             aggregates = self._current_aggregates()
             _base, generation = self._read_base()
             generation += 1
@@ -1028,11 +1024,7 @@ class FileBackend(StorageBackend):
             except OSError:
                 pass
         _base, generation = self._read_base()
-        aggregated_segments = 0
-        for name in names:
-            data = self._read_segment_data(name)
-            if data is not None and isinstance(data.get("aggregate"), dict):
-                aggregated_segments += 1
+        side = self._read_sidecar()
         # aggregated_runs counts runs the aggregate fast path covers *right
         # now*: 0 means the next harvest rescans (the staleness signal
         # ``repro store stats`` surfaces; ``repro store rebuild`` or
@@ -1047,5 +1039,6 @@ class FileBackend(StorageBackend):
             segments=len(names),
             index_bytes=index_bytes,
             aggregated_runs=current["all"].n_runs if current is not None else 0,
-            aggregated_segments=aggregated_segments,
+            aggregated_segments=sum(
+                1 for name in names if side and name <= side["through"]),
         )

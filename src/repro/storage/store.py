@@ -523,9 +523,10 @@ class ExperimentStore:
         store's current runs (restricted to *app_name* when given).
 
         Served from the backend's persisted aggregate when it can prove
-        one covers exactly the current index — O(#segments) instead of
-        O(runs) — and otherwise computed by the full summary scan, so
-        the result is the same either way.  Treat the returned aggregate
+        one covers exactly the current index — one sidecar read (one row
+        on sqlite) plus a per-op fold of any segments sealed since it was
+        last extended, instead of O(runs) — and otherwise computed by the
+        full summary scan, so the result is the same either way.  Treat the returned aggregate
         as immutable: :meth:`HarvestAggregate.copy` before folding more
         runs into it.
         """

@@ -134,6 +134,13 @@ def _scan_text(store: ExperimentStore, **options) -> str:
     ).to_text()
 
 
+def _scan_aggregate(store: ExperimentStore, app=None) -> HarvestAggregate:
+    """The oracle: a fold over the summary scan (``==`` includes
+    ``n_runs``, so a double-folded or skipped segment fails it)."""
+    return HarvestAggregate.of_summaries(
+        meta["summary"] for meta in store.summaries(app_name=app).values())
+
+
 # ---------------------------------------------------------------------------
 # the monoid
 # ---------------------------------------------------------------------------
@@ -308,14 +315,14 @@ def _reopen(root) -> ExperimentStore:
                            cache_size=0)
 
 
-@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("at", [0, 2, 3])
 def test_crash_during_seal_degrades_never_wrong(tmp_path, at):
     """Kill the writer at each atomic-rename boundary inside a save's
     index-segment seal (``at`` counts the save's replace calls: 0 = the
-    state-file claim, 2 = the segment seal itself; 1 is the record
-    payload, excluded by ``path_part``): whatever prefix survived, the
-    reopened store's aggregate-served harvest must equal its scan-route
-    harvest."""
+    state-file claim, 2 = the segment seal itself, 3 = the aggregate
+    sidecar rolled over it; 1 is the record payload, excluded by
+    ``path_part``): whatever prefix survived, the reopened store's
+    aggregate-served harvest must equal its scan-route harvest."""
     seed = 8101 + at
     root = tmp_path / f"seal-{at}"
     store = ExperimentStore(root, auto_compact=0, resilience=False)
@@ -323,7 +330,7 @@ def test_crash_during_seal_degrades_never_wrong(tmp_path, at):
         store.save(make_run(i))
     plan = IOFaultPlan(seed=seed, faults=(
         IOFault(op="replace", at=at, kind="crash", times=99,
-                path_part="segments"),
+                path_part="index.aggregate" if at == 3 else "segments"),
     ))
     with io_faults.injected(plan) as injector:
         with pytest.raises(SimulatedCrash):
@@ -333,6 +340,18 @@ def test_crash_during_seal_degrades_never_wrong(tmp_path, at):
     context = f"seed={seed} at={at}: aggregate route diverged after crash"
     assert reopened.harvest_evidence().finalize().to_text() == \
         _scan_text(reopened), context
+    if at == 3:
+        # the segment landed, its sidecar did not: the aggregate is still
+        # served, by folding the one uncovered segment — and the next
+        # save rolls the sidecar over both
+        info = reopened.info()
+        assert (info.runs, info.segments) == (3, 3), context
+        assert info.aggregated_segments == info.segments - 1, context
+        assert reopened.backend.harvest_aggregate() == _scan_aggregate(reopened)
+        reopened.save(make_run(3))
+        info = _reopen(root).info()
+        assert info.aggregated_segments == info.segments == 4, context
+        assert info.aggregated_runs == info.runs == 4, context
     # recovery: rebuild backfills a full aggregate over what survived
     reopened.rebuild_index()
     rebuilt = _reopen(root)
@@ -377,40 +396,214 @@ def test_crash_before_sidecar_write_goes_stale_then_rescans(tmp_path):
         _scan_text(rebuilt)
 
 
+def _save_without_sidecar(store: ExperimentStore, record: RunRecord) -> None:
+    """A save killed at its last write: record and segment land, the
+    sidecar rolled over them does not — the segment stays uncovered."""
+    plan = IOFaultPlan(seed=8301, faults=(
+        IOFault(op="replace", at=0, kind="crash", times=99,
+                path_part="index.aggregate"),
+    ))
+    with io_faults.injected(plan) as injector:
+        with pytest.raises(SimulatedCrash):
+            store.save(record)
+    assert injector.injected, "plan never fired"
+
+
+def test_sidecar_write_error_never_fails_the_save(tmp_path):
+    """The segment rename commits a save; an EIO on the sidecar rolled
+    over it afterwards must not surface (a retry would find the run
+    "already stored") — coverage is one segment short until the next."""
+    root = tmp_path / "eio"
+    store = ExperimentStore(root, auto_compact=0, resilience=False)
+    store.save(make_run(0))
+    plan = IOFaultPlan(seed=8401, faults=(
+        IOFault(op="replace", at=0, kind="eio", times=99,
+                path_part="index.aggregate"),
+    ))
+    with io_faults.injected(plan) as injector:
+        store.save(make_run(1))
+    assert injector.injected, "plan never fired"
+    for view in (store, _reopen(root)):
+        info = view.info()
+        assert (info.runs, info.segments, info.aggregated_segments) == (2, 2, 1)
+        assert view.backend.harvest_aggregate() == _scan_aggregate(view)
+    store.save(make_run(2))
+    info = _reopen(root).info()
+    assert info.aggregated_segments == info.segments == 3
+
+
 def test_pre_aggregate_segment_folds_per_op(tmp_path):
-    """A sealed segment written without an embedded aggregate (an older
-    writer) still harvests exactly: the fast path folds its ops one by
-    one instead of bailing out."""
-    root = tmp_path / "old-seg"
-    store = _store(root, n=3)
-    seg_dir = root / "segments"
-    seg = sorted(p for p in seg_dir.iterdir() if p.suffix == ".json")[1]
-    data = json.loads(seg.read_text())
-    assert "aggregate" in data, "new segments should embed an aggregate"
-    del data["aggregate"]
-    seg.write_text(json.dumps(data))
+    """Sealed segments the sidecar does not cover (two writers in a row
+    died before extending it) still harvest exactly: the fast path folds
+    their ops one by one on top of the sidecar instead of bailing out."""
+    root = tmp_path / "uncovered"
+    _store(root, n=3)
+    for i in (3, 4):
+        _save_without_sidecar(
+            ExperimentStore(root, auto_compact=0, resilience=False),
+            make_run(i))
+    for seg in (root / "segments").glob("0*.json"):
+        assert "aggregate" not in json.loads(seg.read_text()), \
+            "segments carry ops only"
     reopened = _reopen(root)
     info = reopened.info()
-    assert info.aggregated_segments == info.segments - 1
-    assert reopened.backend.harvest_aggregate() is not None
+    assert (info.runs, info.segments) == (5, 5)
+    assert info.aggregated_segments == info.segments - 2
+    assert reopened.backend.harvest_aggregate() == _scan_aggregate(reopened)
     assert reopened.harvest_evidence().finalize().to_text() == \
         _scan_text(reopened)
 
 
 def test_unparseable_segment_forces_rescan_not_wrong(tmp_path):
-    """Garbage where a segment's ops should be degrades the aggregate
-    to ``None`` — the harvest rescans (and the scan itself sees the
-    merged view the backend serves), never inventing directives."""
+    """Garbage where an uncovered segment's ops should be degrades the
+    aggregate to ``None`` — the harvest rescans (and the scan itself sees
+    the merged view the backend serves), never inventing directives."""
     root = tmp_path / "garbage"
     store = _store(root, n=3)
-    seg_dir = root / "segments"
-    seg = sorted(p for p in seg_dir.iterdir() if p.suffix == ".json")[1]
+    _save_without_sidecar(store, make_run(3))
+    seg = sorted((root / "segments").glob("0*.json"))[-1]
     data = json.loads(seg.read_text())
-    del data["aggregate"]
     for op in data["ops"]:
         op["meta"].pop("summary", None)  # unsummarized put: unprovable
     seg.write_text(json.dumps(data))
     reopened = _reopen(root)
     assert reopened.backend.harvest_aggregate() is None
+    assert reopened.info().aggregated_runs == 0
     assert reopened.harvest_evidence().finalize().to_text() == \
         _scan_text(reopened)
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "null", "3", "{}", '{"format": 2}',
+    '{"format": 2, "base_sig": [1, 2, 3], "max_seq": 2, "through": "",'
+    ' "all": null, "by_app": []}',
+    '{"format": 2, "base_sig": [1, 2, 3], "max_seq": 2, "through": "",'
+    ' "all": null, "by_app": {}}',
+    '{"format": 2, "base_sig": [1, 2, 3], "max_seq": 2, "through": 7,'
+    ' "all": null, "by_app": {"aggtest": 3}}',
+], ids=["list", "null", "int", "empty", "no-fields", "by_app-list",
+        "all-null-without-one-app", "through-int"])
+def test_misshapen_sidecar_degrades_never_raises(tmp_path, text):
+    """A sidecar that is valid JSON but not the expected shape is
+    *absent*: harvest and ``info()`` rescan instead of raising."""
+    root = tmp_path / "shape"
+    _store(root, n=3).compact()
+    (root / "index.aggregate").write_text(text)
+    reopened = _reopen(root)
+    assert reopened.backend.harvest_aggregate() is None
+    assert reopened.info().aggregated_runs == 0
+    assert reopened.harvest_evidence().finalize().to_text() == \
+        _scan_text(reopened)
+    # the same rule for the ops of an uncovered segment
+    empty = {"all": HarvestAggregate(), "by_app": {}, "max_seq": -1}
+    for ops in (None, [3], [{"op": "put", "meta": []}]):
+        assert reopened.backend._fold_ops(empty, [ops]) is None
+
+
+# ---------------------------------------------------------------------------
+# the rolling sidecar: one read cold, old layouts, mixed apps
+# ---------------------------------------------------------------------------
+def test_cold_harvest_reads_one_file_not_the_segments(tmp_path, monkeypatch):
+    """Count guard: on 1 generation + 32 segments a fresh store harvests
+    from the sidecar alone — at most two file reads, none under
+    ``segments/`` — and still does after another writer's save."""
+    root = tmp_path / "rolled"
+    store = _store(root, n=4)
+    store.compact()
+    for i in range(4, 36):
+        store.save(make_run(i))
+    info = store.info()
+    assert (info.generation, info.segments) == (1, 32)
+    assert info.aggregated_segments == 32
+
+    reads = []
+    real_check = io_faults.check
+
+    def counting(op, path=None):
+        if op == "read":
+            reads.append(str(path))
+        return real_check(op, path)
+
+    monkeypatch.setattr(io_faults, "check", counting)
+    for expect_runs in (36, 37):
+        del reads[:]
+        agg = _reopen(root).harvest_evidence("aggtest")
+        assert len(reads) <= 2 and not any("segments" in r for r in reads), \
+            reads
+        assert agg.n_runs == expect_runs
+        if expect_runs == 36:  # a different store object extends it
+            ExperimentStore(root, auto_compact=0).save(make_run(36))
+    monkeypatch.undo()
+    assert agg == _scan_aggregate(_reopen(root), "aggtest")
+
+
+def test_old_layout_store_reads_and_upgrades_on_first_save(tmp_path):
+    """A store as the previous release wrote it — format-1 sidecar for
+    the base alone (no ``through``, ``all`` spelled out), segments
+    carrying an ``"aggregate"`` — harvests by folding the segments' ops
+    (the embedded key is ignored: here it is poisoned), and its first
+    save rolls a format-2 sidecar over everything."""
+    root = tmp_path / "old-layout"
+    store = _store(root, n=2)
+    store.compact()
+    base = _scan_aggregate(store)
+    for i in range(2, 5):
+        store.save(make_run(i))
+    (root / "index.aggregate").write_text(json.dumps({
+        "format": 1,
+        "base_sig": list(store.backend._read_sidecar()["base_sig"]),
+        "max_seq": 1,
+        "all": base.to_dict(),
+        "by_app": {"aggtest": base.to_dict()},
+    }))
+    poison = HarvestAggregate.of_summaries(
+        [random_summary(random.Random(5))]).to_dict()
+    for seg in (root / "segments").glob("0*.json"):
+        data = json.loads(seg.read_text())
+        seq = data["ops"][0]["meta"]["seq"]
+        data["aggregate"] = {"min_seq": seq, "max_seq": seq, "all": poison,
+                             "by_app": {"aggtest": poison}}
+        seg.write_text(json.dumps(data))
+    reopened = _reopen(root)
+    info = reopened.info()
+    assert (info.aggregated_runs, info.aggregated_segments) == (5, 0)
+    assert reopened.backend.harvest_aggregate() == _scan_aggregate(reopened)
+    assert reopened.harvest_evidence().finalize().to_text() == \
+        _scan_text(reopened)
+    reopened.save(make_run(5))
+    upgraded = _reopen(root)
+    info = upgraded.info()
+    assert info.aggregated_segments == info.segments == 4
+    assert json.loads((root / "index.aggregate").read_text())["format"] == 2
+    assert upgraded.backend.harvest_aggregate() == _scan_aggregate(upgraded)
+
+
+def test_mixed_apps_keep_every_scope_exact(tmp_path):
+    """``"all": null`` (one app: stored once) must switch itself off the
+    moment a second app — or a run without an app name — is folded."""
+    root = tmp_path / "apps"
+    store = ExperimentStore(root, auto_compact=0)
+    solo = []
+    for i, app in enumerate(("alpha", "alpha", "beta", None, "alpha", "beta")):
+        store.save(make_run(i, app=app))
+        solo.append(json.loads(
+            (root / "index.aggregate").read_text())["all"] is None)
+        if i == 3:
+            store.compact()  # the base-generation sidecar obeys it too
+        fresh = _reopen(root)
+        assert fresh.info().aggregated_runs == i + 1
+        assert fresh.backend.harvest_aggregate() == _scan_aggregate(fresh)
+        for scope in ("alpha", "beta", "nosuch"):
+            assert fresh.backend.harvest_aggregate(scope) == \
+                _scan_aggregate(fresh, scope), (i, scope)
+    assert solo == [True, True, False, False, False, False]
+    # one app plus an unnamed run: one by_app entry, but not all of `all`
+    other = ExperimentStore(tmp_path / "unnamed", auto_compact=0)
+    other.save(make_run(0, app="alpha"))
+    other.save(make_run(1, app=None))
+    assert json.loads((tmp_path / "unnamed" / "index.aggregate")
+                      .read_text())["all"] is not None
+    fresh = _reopen(tmp_path / "unnamed")
+    assert fresh.backend.harvest_aggregate() == _scan_aggregate(fresh)
+    assert fresh.backend.harvest_aggregate("alpha") == \
+        _scan_aggregate(fresh, "alpha")

@@ -4,12 +4,15 @@ middle of compaction and migration.  Every assertion message cites the
 seed (and the ``run_schedule`` call for matrix failures), so a CI red
 replays locally bit-for-bit."""
 
+import json
+
 import pytest
 
 from repro.faults import IOFault, IOFaultPlan, SimulatedCrash
 from repro.faults import io as io_faults
 from repro.resilience.torture import (
     TORTURE_BACKENDS,
+    _check,
     run_schedule,
     run_torture,
     store_view,
@@ -70,6 +73,24 @@ def test_seeded_matrix_never_diverges(tmp_path):
             f"faults={bad['faults_fired']} — reproduce with "
             f"run_schedule({bad['backend']!r}, {bad['seed']})"
         )
+
+
+def test_check_reports_a_wrong_persisted_aggregate(tmp_path):
+    """The third verdict has force: a sidecar that passes every stamp
+    but double-counts a run is reported, an absent one is not."""
+    store = _build(tmp_path / "file", "file")
+    chain = [store_view(store)]
+    assert _check(tmp_path / "file", "file", chain) == (True, None, None)
+    sidecar = tmp_path / "file" / "index.aggregate"
+    data = json.loads(sidecar.read_text())
+    data["by_app"]["torture"]["n_runs"] += 1
+    sidecar.write_text(json.dumps(data))
+    in_chain, payload_error, aggregate_error = _check(
+        tmp_path / "file", "file", chain)
+    assert (in_chain, payload_error) == (True, None)
+    assert aggregate_error is not None
+    sidecar.unlink()  # absent: the harvest rescans, nothing to report
+    assert _check(tmp_path / "file", "file", chain) == (True, None, None)
 
 
 def _stable(result):
