@@ -11,7 +11,7 @@ fast.  It builds synthetic stores of 100 and 500 runs and times:
   (instance reused);
 * directive harvest (``repro.harvest``) — legacy (per-run parse plus a
   profile rebuild per candidate function per record, the pre-memoization
-  cost shape) vs the summary-based extraction;
+  cost shape) vs the store's aggregate-served harvest;
 * **archive scale** (``--scale-entries``, default 10^5): a preloaded
   10^5-entry index measures the aggregate-backed harvest paths — cold
   harvest from the persisted rolling aggregate vs the full summary
@@ -45,7 +45,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.directives import ANY_HYPOTHESIS, DirectiveSet, PruneDirective  # noqa: E402
 from repro.core.extraction import (  # noqa: E402
-    extract_directives_from_summaries,
+    HarvestAggregate,
     extract_general_prunes,
     extract_pair_prunes,
     extract_priorities,
@@ -345,10 +345,11 @@ def bench_scale_harvest(workdir: Path, n_entries: int, reps: int,
     store.compact()  # folds the base and persists the harvest aggregate
 
     def full_rescan(opened: ExperimentStore) -> DirectiveSet:
-        # the pre-aggregate pool fallback: extract over every summary
-        return extract_directives_from_summaries(
-            [meta["summary"] for meta in opened.summaries().values()]
-        )
+        # the degraded path ``harvest_evidence`` takes when no persisted
+        # aggregate covers the index: fold every summary, then finalize
+        return HarvestAggregate.of_summaries(
+            meta["summary"] for meta in opened.summaries().values()
+        ).finalize()
 
     # correctness before timing: the aggregate route must match the
     # rescan route byte for byte

@@ -40,7 +40,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_history import make_record, preload_store  # noqa: E402
-from repro.core.extraction import extract_directives_from_summaries  # noqa: E402
+from repro.core.extraction import HarvestAggregate  # noqa: E402
 from repro.facade import harvest  # noqa: E402
 from repro.storage import ExperimentStore, RunRecord  # noqa: E402
 
@@ -175,9 +175,9 @@ def bench_scale(workdir: Path, n_entries: int, appends: dict) -> dict:
         # timing it
         if backend == "file":
             store.compact()
-        reference = extract_directives_from_summaries(
-            [meta["summary"] for meta in store.summaries().values()]
-        )
+        reference = HarvestAggregate.of_summaries(
+            meta["summary"] for meta in store.summaries().values()
+        ).finalize()
         if store.harvest_evidence().finalize().to_text() != reference.to_text():
             raise AssertionError(
                 f"{backend}: aggregate-route harvest diverged from the "

@@ -1,7 +1,6 @@
 """Harvesting search directives from historical performance data.
 
-Implements Section 3's three extraction mechanisms over stored
-:class:`~repro.storage.records.RunRecord` objects:
+Implements Section 3's three extraction mechanisms:
 
 * **priorities** — High for pairs that tested true in at least one
   previous execution, Low for pairs that tested false in all of them
@@ -16,21 +15,23 @@ Implements Section 3's three extraction mechanisms over stored
   by largest-gap separation, the automated version of the paper's
   "keep the number of bottlenecks reported in a practically useful range".
 
-Every mechanism also has a ``*_from_summaries`` form that reads the
-store's denormalized index summaries
-(:func:`repro.storage.store.summarize_record`) instead of full records —
-the fast path :func:`repro.harvest` takes over an
-:class:`~repro.storage.store.ExperimentStore`.  Both forms produce
-identical directives for the same runs.
+There is one route from history to a directive.  A run is reduced to
+its index summary (:func:`repro.storage.summary.summarize_record` — at
+save time for a store, on the spot for a record handed over in memory),
+summaries fold into a :class:`HarvestAggregate`, and the aggregate's
+mechanism methods — composed by :meth:`HarvestAggregate.finalize` —
+state each rule once.  Every ``extract_*`` function below is that
+pipeline over the records it is given.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..resources.focus import parse_focus
 from ..storage.records import RunRecord
+from ..storage.summary import summarize_record
 from .directives import (
     ANY_HYPOTHESIS,
     DirectiveSet,
@@ -40,82 +41,33 @@ from .directives import (
     ThresholdDirective,
 )
 from .hypotheses import HypothesisTree, standard_tree
-from .shg import NodeState, Priority
+from .shg import Priority
 
 __all__ = [
     "HarvestAggregate",
     "extract_priorities",
-    "extract_priorities_from_summaries",
     "extract_general_prunes",
-    "extract_general_prunes_from_summary",
     "extract_historic_prunes",
-    "extract_historic_prunes_from_summaries",
     "extract_pair_prunes",
-    "extract_pair_prunes_from_summaries",
     "suggest_threshold",
     "extract_thresholds",
-    "extract_thresholds_from_summaries",
     "extract_directives",
-    "extract_directives_from_summaries",
 ]
 
 _Pair = Tuple[str, str]
 
 
-def _collect_pairs(records: Sequence[RunRecord]) -> Tuple[Set[_Pair], Set[_Pair]]:
-    ever_true: Set[_Pair] = set()
-    ever_false: Set[_Pair] = set()
-    for rec in records:
-        ever_true.update(rec.true_pairs())
-        ever_false.update(rec.false_pairs())
-    return ever_true, ever_false
-
-
-def _collect_summary_pairs(
-    summaries: Sequence[dict],
-) -> Tuple[Set[_Pair], Set[_Pair]]:
-    ever_true: Set[_Pair] = set()
-    ever_false: Set[_Pair] = set()
-    for summary in summaries:
-        ever_true.update(tuple(p) for p in summary["true_pairs"])
-        ever_false.update(tuple(p) for p in summary["false_pairs"])
-    return ever_true, ever_false
-
-
-# --------------------------------------------------------------------------
-# priorities
-# --------------------------------------------------------------------------
-def _priority_directives(
-    ever_true: Set[_Pair], ever_false: Set[_Pair]
-) -> List[PriorityDirective]:
-    out: List[PriorityDirective] = []
-    for hyp, focus_text in sorted(ever_true):
-        out.append(PriorityDirective(hyp, parse_focus(focus_text), Priority.HIGH))
-    for hyp, focus_text in sorted(ever_false - ever_true):
-        out.append(PriorityDirective(hyp, parse_focus(focus_text), Priority.LOW))
-    return out
-
-
-def extract_priorities(records: Sequence[RunRecord]) -> List[PriorityDirective]:
-    """High for ever-true pairs, Low for always-false pairs (Section 3.1)."""
-    return _priority_directives(*_collect_pairs(records))
-
-
-def extract_priorities_from_summaries(
-    summaries: Sequence[dict],
-) -> List[PriorityDirective]:
-    """Summary-table form of :func:`extract_priorities`."""
-    return _priority_directives(*_collect_summary_pairs(summaries))
-
-
-# --------------------------------------------------------------------------
-# prunes
-# --------------------------------------------------------------------------
-def _general_prunes(
+def general_prune_directives(
     machine_nodes: Optional[int],
     n_processes: Optional[int],
-    hypotheses: Optional[HypothesisTree],
+    hypotheses: Optional[HypothesisTree] = None,
 ) -> List[PruneDirective]:
+    """Environment-rule prunes, not specific to any application's history.
+
+    Always prunes ``/SyncObject`` from non-sync hypotheses; additionally
+    prunes ``/Machine`` entirely when the environment shows a one-to-one
+    process/node correspondence (paper, Section 3.1).
+    """
     tree = hypotheses or standard_tree()
     out = [
         PruneDirective(h.name, "/SyncObject")
@@ -127,135 +79,6 @@ def _general_prunes(
     return out
 
 
-def extract_general_prunes(
-    record: Optional[RunRecord] = None,
-    hypotheses: Optional[HypothesisTree] = None,
-) -> List[PruneDirective]:
-    """Environment-rule prunes, not specific to any application's history.
-
-    Always prunes ``/SyncObject`` from non-sync hypotheses; additionally
-    prunes ``/Machine`` entirely when the record shows a one-to-one
-    process/node correspondence (paper, Section 3.1).
-    """
-    machine_nodes = n_processes = None
-    if record is not None:
-        machine_nodes = len(
-            [n for n in record.hierarchies.get("Machine", []) if n != "/Machine"]
-        )
-        n_processes = record.n_processes
-    return _general_prunes(machine_nodes, n_processes, hypotheses)
-
-
-def extract_general_prunes_from_summary(
-    summary: Optional[dict] = None,
-    hypotheses: Optional[HypothesisTree] = None,
-) -> List[PruneDirective]:
-    """Summary-table form of :func:`extract_general_prunes`."""
-    machine_nodes = summary["machine_nodes"] if summary is not None else None
-    n_processes = summary["n_processes"] if summary is not None else None
-    return _general_prunes(machine_nodes, n_processes, hypotheses)
-
-
-def _fold_tiny(candidates: Set[str], tiny: Set[str]) -> List[PruneDirective]:
-    """Fold complete modules; emit remaining tiny functions individually."""
-    by_module: Dict[str, List[str]] = defaultdict(list)
-    for name in candidates:
-        by_module["/".join(name.split("/")[:3])].append(name)
-    out: List[PruneDirective] = []
-    folded: Set[str] = set()
-    for module, functions in sorted(by_module.items()):
-        if all(f in tiny for f in functions):
-            out.append(PruneDirective(ANY_HYPOTHESIS, module))
-            folded.update(functions)
-    for name in sorted(tiny - folded):
-        out.append(PruneDirective(ANY_HYPOTHESIS, name))
-    return out
-
-
-def extract_historic_prunes(
-    records: Sequence[RunRecord],
-    min_exec_fraction: float = 0.005,
-) -> List[PruneDirective]:
-    """Prune code resources that history shows are insignificant.
-
-    A function is pruned when its execution-time fraction (any activity
-    class) stays below ``min_exec_fraction`` in *every* previous run; a
-    module is pruned as a unit when all of its functions are.
-
-    Single pass per record: the surviving-candidate set shrinks as runs
-    disqualify functions, and the scan stops early once it is empty —
-    instead of rebuilding each record's profile once per candidate
-    (O(functions × records) reconstructions, the old shape).
-    """
-    if not records:
-        return []
-    # candidate leaves: every /Code function in any record's hierarchy
-    candidates: Set[str] = set()
-    for rec in records:
-        for name in rec.hierarchies.get("Code", []):
-            if name.count("/") == 3:  # /Code/module/function
-                candidates.add(name)
-    tiny: Set[str] = set(candidates)
-    for rec in records:
-        if not tiny:
-            break
-        profile = rec.flat_profile()
-        total = profile.total_time()
-        tiny = {
-            name
-            for name in tiny
-            if (profile.code_exec_fraction(name) if total > 0 else 0.0)
-            < min_exec_fraction
-        }
-    return _fold_tiny(candidates, tiny)
-
-
-def extract_historic_prunes_from_summaries(
-    summaries: Sequence[dict],
-    min_exec_fraction: float = 0.005,
-) -> List[PruneDirective]:
-    """Summary-table form of :func:`extract_historic_prunes`."""
-    if not summaries:
-        return []
-    candidates: Set[str] = set()
-    for summary in summaries:
-        candidates.update(summary["code_leaves"])
-    tiny: Set[str] = set(candidates)
-    for summary in summaries:
-        if not tiny:
-            break
-        fractions = summary["code_exec_fractions"]
-        tiny = {
-            name for name in tiny if fractions.get(name, 0.0) < min_exec_fraction
-        }
-    return _fold_tiny(candidates, tiny)
-
-
-def _pair_prune_directives(
-    ever_true: Set[_Pair], ever_false: Set[_Pair]
-) -> List[PairPruneDirective]:
-    return [
-        PairPruneDirective(hyp, parse_focus(focus_text))
-        for hyp, focus_text in sorted(ever_false - ever_true)
-    ]
-
-
-def extract_pair_prunes(records: Sequence[RunRecord]) -> List[PairPruneDirective]:
-    """Previously-false pairs, prunable outright (with the robustness
-    caveat the paper raises: pruning can miss new behaviour)."""
-    return _pair_prune_directives(*_collect_pairs(records))
-
-
-def extract_pair_prunes_from_summaries(
-    summaries: Sequence[dict],
-) -> List[PairPruneDirective]:
-    """Summary-table form of :func:`extract_pair_prunes`."""
-    return _pair_prune_directives(*_collect_summary_pairs(summaries))
-
-
-# --------------------------------------------------------------------------
-# thresholds
-# --------------------------------------------------------------------------
 def suggest_threshold(
     values: Iterable[float],
     noise_floor: float = 0.03,
@@ -288,49 +111,20 @@ def suggest_threshold(
     return default if best_mid is None else round(best_mid, 3)
 
 
-def _threshold_directives(
-    values_by_hyp: Dict[str, List[float]],
-    hypotheses: Optional[HypothesisTree],
-    **kwargs,
+def threshold_directives(
+    values_by_hyp: Dict[str, Collection[float]],
+    hypotheses: Optional[HypothesisTree] = None,
 ) -> List[ThresholdDirective]:
+    """One :func:`suggest_threshold` per testable hypothesis with values."""
     tree = hypotheses or standard_tree()
     out: List[ThresholdDirective] = []
     for h in tree.testable():
         vals = values_by_hyp.get(h.name)
         if not vals:
             continue
-        value = suggest_threshold(vals, default=h.default_threshold, **kwargs)
+        value = suggest_threshold(vals, default=h.default_threshold)
         out.append(ThresholdDirective(h.name, value))
     return out
-
-
-def extract_thresholds(
-    records: Sequence[RunRecord],
-    hypotheses: Optional[HypothesisTree] = None,
-    **kwargs,
-) -> List[ThresholdDirective]:
-    """Per-hypothesis thresholds from the historical value distribution."""
-    values_by_hyp: Dict[str, List[float]] = defaultdict(list)
-    for rec in records:
-        for node in rec.shg_nodes:
-            if node.get("value") is None:
-                continue
-            if node["state"] in (NodeState.TRUE.value, NodeState.FALSE.value):
-                values_by_hyp[node["hypothesis"]].append(node["value"])
-    return _threshold_directives(values_by_hyp, hypotheses, **kwargs)
-
-
-def extract_thresholds_from_summaries(
-    summaries: Sequence[dict],
-    hypotheses: Optional[HypothesisTree] = None,
-    **kwargs,
-) -> List[ThresholdDirective]:
-    """Summary-table form of :func:`extract_thresholds`."""
-    values_by_hyp: Dict[str, List[float]] = defaultdict(list)
-    for summary in summaries:
-        for hyp, vals in summary["hyp_values"].items():
-            values_by_hyp[hyp].extend(vals)
-    return _threshold_directives(values_by_hyp, hypotheses, **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -345,12 +139,12 @@ AGGREGATE_VERSION = 1
 class HarvestAggregate:
     """Parameter-free sufficient statistics for directive extraction.
 
-    Everything the ``extract_*_from_summaries`` family reads from a run's
-    summary, reduced to a commutative-enough form: set unions for pair
-    outcomes and code candidates, a per-function *max* execution fraction
-    (the historic-prune test "below threshold in every run" is exactly
-    "max over runs below threshold"), per-hypothesis value evidence, and
-    the first run's machine/process environment for the general prunes.
+    Everything the Section 3 rules read from a run's summary, reduced
+    to a commutative-enough form: set unions for pair outcomes and code
+    candidates, a per-function *max* execution fraction (the
+    historic-prune test "below threshold in every run" is exactly "max
+    over runs below threshold"), per-hypothesis value evidence, and the
+    first run's machine/process environment for the general prunes.
 
     Hypothesis values are kept as ``{round(v, 4): max raw v}`` buckets —
     ``suggest_threshold`` filters raw values against the noise floor and
@@ -391,10 +185,6 @@ class HarvestAggregate:
         self.hyp_values: Dict[str, Dict[float, float]] = {}
 
     # -- construction ------------------------------------------------------
-    @classmethod
-    def of_summary(cls, summary: dict) -> "HarvestAggregate":
-        return cls().fold_summary(summary)
-
     @classmethod
     def of_summaries(cls, summaries: Iterable[dict]) -> "HarvestAggregate":
         agg = cls()
@@ -468,7 +258,77 @@ class HarvestAggregate:
         """
         return self.copy().update(other)
 
-    # -- finalize ----------------------------------------------------------
+    # -- the Section 3 rules, each stated once ------------------------------
+    def priorities(self) -> List[PriorityDirective]:
+        """High for ever-true pairs, Low for always-false pairs (Section 3.1)."""
+        out = [
+            PriorityDirective(hyp, parse_focus(focus_text), Priority.HIGH)
+            for hyp, focus_text in sorted(self.true_pairs)
+        ]
+        out.extend(
+            PriorityDirective(hyp, parse_focus(focus_text), Priority.LOW)
+            for hyp, focus_text in sorted(self.false_pairs - self.true_pairs)
+        )
+        return out
+
+    def general_prunes(
+        self, hypotheses: Optional[HypothesisTree] = None
+    ) -> List[PruneDirective]:
+        """:func:`general_prune_directives` for the first run's environment."""
+        machine_nodes, n_processes = self.first_env or (None, None)
+        return general_prune_directives(machine_nodes, n_processes, hypotheses)
+
+    def historic_prunes(
+        self, min_exec_fraction: float = 0.005
+    ) -> List[PruneDirective]:
+        """Prune code resources that history shows are insignificant.
+
+        A function is pruned when its execution-time fraction (any
+        activity class) stays below ``min_exec_fraction`` in *every*
+        previous run; a module is pruned as a unit when all of its
+        functions are, and the remaining tiny functions one by one.
+        """
+        code_max = self.code_max_fraction
+        tiny = {
+            name
+            for name in self.code_candidates
+            if code_max.get(name, 0.0) < min_exec_fraction
+        }
+        by_module: Dict[str, List[str]] = defaultdict(list)
+        for name in self.code_candidates:
+            by_module["/".join(name.split("/")[:3])].append(name)
+        out: List[PruneDirective] = []
+        folded: Set[str] = set()
+        for module, functions in sorted(by_module.items()):
+            if all(f in tiny for f in functions):
+                out.append(PruneDirective(ANY_HYPOTHESIS, module))
+                folded.update(functions)
+        for name in sorted(tiny - folded):
+            out.append(PruneDirective(ANY_HYPOTHESIS, name))
+        return out
+
+    def pair_prunes(self) -> List[PairPruneDirective]:
+        """Previously-false pairs, prunable outright (with the robustness
+        caveat the paper raises: pruning can miss new behaviour)."""
+        return [
+            PairPruneDirective(hyp, parse_focus(focus_text))
+            for hyp, focus_text in sorted(self.false_pairs - self.true_pairs)
+        ]
+
+    def thresholds(
+        self, hypotheses: Optional[HypothesisTree] = None
+    ) -> List[ThresholdDirective]:
+        """Per-hypothesis thresholds from the historical value distribution.
+
+        Per-bucket raw maxima stand in for the observed values:
+        ``round(max, 4)`` recovers each bucket, and a bucket passes the
+        noise floor iff its max does — exact for any floor.
+        """
+        return threshold_directives(
+            {h: buckets.values() for h, buckets in self.hyp_values.items()},
+            hypotheses,
+        )
+
     def finalize(
         self,
         include_priorities: bool = True,
@@ -481,41 +341,27 @@ class HarvestAggregate:
     ) -> DirectiveSet:
         """Apply the extraction knobs and build the directive set.
 
-        Byte-identical (``DirectiveSet.to_text()``) to
-        :func:`extract_directives_from_summaries` over the same run
-        sequence, for every option combination — asserted by the history
-        benchmarks before any timing counts.
+        The only place a harvested :class:`DirectiveSet` is assembled:
+        stores, the pool and :func:`extract_directives` all end here.
+        ``tests/reference_extraction.py`` restates the rules naively over
+        per-run facts, and ``DirectiveSet.to_text()`` must match it byte
+        for byte for every option combination.
+
+        Thresholds default off because the paper's Table 1/3 experiments
+        hold thresholds identical across runs and study prunes/priorities
+        in isolation; pass ``include_thresholds=True`` for Table 2's
+        workflow.
         """
         prunes: List[PruneDirective] = []
         if include_general_prunes:
-            machine_nodes, n_processes = self.first_env or (None, None)
-            prunes.extend(_general_prunes(machine_nodes, n_processes, hypotheses))
-        if include_historic_prunes and self.n_runs:
-            code_max = self.code_max_fraction
-            tiny = {
-                name
-                for name in self.code_candidates
-                if code_max.get(name, 0.0) < min_exec_fraction
-            }
-            prunes.extend(_fold_tiny(self.code_candidates, tiny))
+            prunes.extend(self.general_prunes(hypotheses))
+        if include_historic_prunes:
+            prunes.extend(self.historic_prunes(min_exec_fraction))
         return DirectiveSet(
             prunes=prunes,
-            pair_prunes=_pair_prune_directives(self.true_pairs, self.false_pairs)
-            if include_pair_prunes
-            else (),
-            priorities=_priority_directives(self.true_pairs, self.false_pairs)
-            if include_priorities
-            else (),
-            # Per-bucket raw maxima stand in for the observed values:
-            # round(max, 4) recovers each bucket, and a bucket passes the
-            # noise floor iff its max does — exact for any floor.
-            thresholds=_threshold_directives(
-                {h: list(buckets.values())
-                 for h, buckets in self.hyp_values.items()},
-                hypotheses,
-            )
-            if include_thresholds
-            else (),
+            pair_prunes=self.pair_prunes() if include_pair_prunes else (),
+            priorities=self.priorities() if include_priorities else (),
+            thresholds=self.thresholds(hypotheses) if include_thresholds else (),
         )
 
     # -- serialization -----------------------------------------------------
@@ -588,77 +434,54 @@ class HarvestAggregate:
 
 
 # --------------------------------------------------------------------------
-# everything together
+# records in, directives out
 # --------------------------------------------------------------------------
+def _aggregate(records: Iterable[RunRecord] | RunRecord) -> HarvestAggregate:
+    if isinstance(records, RunRecord):
+        records = (records,)
+    return HarvestAggregate.of_summaries(summarize_record(r) for r in records)
+
+
+def extract_priorities(records: Sequence[RunRecord]) -> List[PriorityDirective]:
+    """:meth:`HarvestAggregate.priorities` over *records*."""
+    return _aggregate(records).priorities()
+
+
+def extract_general_prunes(
+    record: Optional[RunRecord] = None,
+    hypotheses: Optional[HypothesisTree] = None,
+) -> List[PruneDirective]:
+    """:meth:`HarvestAggregate.general_prunes` for one record's environment
+    (``None``: the environment-independent prunes alone)."""
+    return _aggregate(() if record is None else record).general_prunes(hypotheses)
+
+
+def extract_historic_prunes(
+    records: Sequence[RunRecord],
+    min_exec_fraction: float = 0.005,
+) -> List[PruneDirective]:
+    """:meth:`HarvestAggregate.historic_prunes` over *records*."""
+    return _aggregate(records).historic_prunes(min_exec_fraction)
+
+
+def extract_pair_prunes(records: Sequence[RunRecord]) -> List[PairPruneDirective]:
+    """:meth:`HarvestAggregate.pair_prunes` over *records*."""
+    return _aggregate(records).pair_prunes()
+
+
+def extract_thresholds(
+    records: Sequence[RunRecord],
+    hypotheses: Optional[HypothesisTree] = None,
+) -> List[ThresholdDirective]:
+    """:meth:`HarvestAggregate.thresholds` over *records*."""
+    return _aggregate(records).thresholds(hypotheses)
+
+
 def extract_directives(
     records: Sequence[RunRecord] | RunRecord,
-    include_priorities: bool = True,
-    include_general_prunes: bool = True,
-    include_historic_prunes: bool = True,
-    include_pair_prunes: bool = True,
-    include_thresholds: bool = False,
-    hypotheses: Optional[HypothesisTree] = None,
-    min_exec_fraction: float = 0.005,
+    **options,
 ) -> DirectiveSet:
-    """Build a full directive set from one or more stored runs.
-
-    Thresholds default off because the paper's Table 1/3 experiments hold
-    thresholds identical across runs and study prunes/priorities in
-    isolation; pass ``include_thresholds=True`` for Table 2's workflow.
-    """
-    if isinstance(records, RunRecord):
-        records = [records]
-    records = list(records)
-    prunes: List[PruneDirective] = []
-    if include_general_prunes:
-        prunes.extend(extract_general_prunes(records[0] if records else None, hypotheses))
-    if include_historic_prunes:
-        prunes.extend(extract_historic_prunes(records, min_exec_fraction))
-    return DirectiveSet(
-        prunes=prunes,
-        pair_prunes=extract_pair_prunes(records) if include_pair_prunes else (),
-        priorities=extract_priorities(records) if include_priorities else (),
-        thresholds=extract_thresholds(records, hypotheses) if include_thresholds else (),
-    )
-
-
-def extract_directives_from_summaries(
-    summaries: Sequence[dict],
-    include_priorities: bool = True,
-    include_general_prunes: bool = True,
-    include_historic_prunes: bool = True,
-    include_pair_prunes: bool = True,
-    include_thresholds: bool = False,
-    hypotheses: Optional[HypothesisTree] = None,
-    min_exec_fraction: float = 0.005,
-) -> DirectiveSet:
-    """Build a full directive set from store index summaries.
-
-    Produces exactly the directives :func:`extract_directives` would
-    for the same runs, without deserializing any record — the fast path
-    behind ``repro.harvest`` on a store.
-    """
-    summaries = list(summaries)
-    prunes: List[PruneDirective] = []
-    if include_general_prunes:
-        prunes.extend(
-            extract_general_prunes_from_summary(
-                summaries[0] if summaries else None, hypotheses
-            )
-        )
-    if include_historic_prunes:
-        prunes.extend(
-            extract_historic_prunes_from_summaries(summaries, min_exec_fraction)
-        )
-    return DirectiveSet(
-        prunes=prunes,
-        pair_prunes=extract_pair_prunes_from_summaries(summaries)
-        if include_pair_prunes
-        else (),
-        priorities=extract_priorities_from_summaries(summaries)
-        if include_priorities
-        else (),
-        thresholds=extract_thresholds_from_summaries(summaries, hypotheses)
-        if include_thresholds
-        else (),
-    )
+    """Build a full directive set from one or more stored runs:
+    :meth:`HarvestAggregate.finalize` (which documents *options*) over
+    their summaries."""
+    return _aggregate(records).finalize(**options)

@@ -74,9 +74,6 @@ class ResourceMapper:
     def map_focus(self, focus: Focus) -> Focus:
         return Focus({h: self.map_path(focus.selection(h)) for h in focus.hierarchies})
 
-    def map_pair(self, hypothesis: str, focus: Focus) -> Tuple[str, Focus]:
-        return hypothesis, self.map_focus(focus)
-
 
 def apply_mappings(
     directives: DirectiveSet,

@@ -31,9 +31,8 @@ from .directives import (
     PairPruneDirective,
     PriorityDirective,
     PruneDirective,
-    ThresholdDirective,
 )
-from .extraction import suggest_threshold
+from .extraction import general_prune_directives, threshold_directives
 from .hypotheses import TOP_LEVEL, HypothesisTree, standard_tree
 from .shg import Priority
 
@@ -119,18 +118,13 @@ def extract_directives_postmortem(
     min_exec_fraction: float = 0.005,
 ) -> DirectiveSet:
     """Directives from raw performance data alone (no SHG required)."""
-    tree = hypotheses or standard_tree()
     general: List[PruneDirective] = []
     if include_general_prunes:
-        general = [
-            PruneDirective(h.name, "/SyncObject")
-            for h in tree.testable()
-            if not h.sync_related
-        ]
-        nodes = set(placement.values())
-        if placement and len(nodes) == len(placement):
-            # one process per node: the Machine hierarchy is redundant
-            general.append(PruneDirective(ANY_HYPOTHESIS, "/Machine"))
+        # the placement stands in for the first run's environment: as many
+        # distinct nodes as processes makes the Machine hierarchy redundant
+        general = general_prune_directives(
+            len(set(placement.values())), len(placement), hypotheses
+        )
     conclusions = evaluate_postmortem(
         profile, space, placement, hypotheses=hypotheses, thresholds=thresholds
     )
@@ -153,22 +147,13 @@ def extract_directives_postmortem(
         for leaf in code.leaves():
             if leaf.depth == 3 and profile.code_exec_fraction(leaf.name) < min_exec_fraction:
                 prunes.append(PruneDirective(ANY_HYPOTHESIS, leaf.name))
-    threshold_directives: List[ThresholdDirective] = []
+    by_hyp: Dict[str, List[float]] = {}
     if include_thresholds:
-        by_hyp: Dict[str, List[float]] = {}
         for c in conclusions:
             by_hyp.setdefault(c.hypothesis, []).append(c.value)
-        for h in tree.testable():
-            vals = by_hyp.get(h.name)
-            if vals:
-                threshold_directives.append(
-                    ThresholdDirective(
-                        h.name, suggest_threshold(vals, default=h.default_threshold)
-                    )
-                )
     return DirectiveSet(
         prunes=[*general, *prunes],
         pair_prunes=pair_prunes,
         priorities=priorities,
-        thresholds=threshold_directives,
+        thresholds=threshold_directives(by_hyp, hypotheses),
     )

@@ -49,7 +49,6 @@ __all__ = [
     "HarvestWarning",
     "default_pool",
     "resolve_store",
-    "as_store",
     "load_directives",
     "resolve_history",
 ]
@@ -162,16 +161,6 @@ def resolve_store(
     )
 
 
-def as_store(store: StoreLike) -> ExperimentStore:
-    """Deprecated alias: use :func:`resolve_store` (``.store``) instead."""
-    warnings.warn(
-        "as_store() is deprecated; use resolve_store(store).store",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resolve_store(store).store
-
-
 def load_directives(path: Union[str, Path]) -> DirectiveSet:
     """Parse a directive file (the ``prune``/``priority``/... text format)."""
     return DirectiveSet.from_text(Path(path).read_text())
@@ -240,15 +229,11 @@ def resolve_history(
 
 
 def _history_records(
-    source: Union[ExperimentStore, str, Path, RunRecord, Iterable[RunRecord]],
+    source: Union[RunRecord, Iterable[RunRecord]],
     app_name: Optional[str],
 ) -> List[RunRecord]:
     if isinstance(source, RunRecord):
         return [source]
-    if isinstance(source, (str, Path)):
-        source = ExperimentStore(source)
-    if isinstance(source, ExperimentStore):
-        return source.load_many(source.list(app_name=app_name))
     records = list(source)
     for record in records:
         if not isinstance(record, RunRecord):
@@ -374,9 +359,12 @@ def harvest(
     >>> directives = harvest("runs/", app="poisson", include_thresholds=True)
     >>> directives = harvest(["runs-a/", "runs-b/"], app="poisson")
 
-    Store (and store path) arguments take the summary fast path: the
-    extraction reads the index's denormalized per-run summaries and
-    deserializes no records.  Record arguments extract directly.
+    Every source takes the same route
+    (:meth:`~repro.core.extraction.HarvestAggregate.finalize` over per-run
+    summaries); what differs is where the summaries come from.  A store
+    (or store path) already holds them, folded into its persisted
+    aggregate, and deserializes no records; record arguments are
+    summarized on the spot.
 
     ``pool`` (default: the process-wide :func:`default_pool`) keeps the
     opened store *and* the extracted directives hot across calls,
@@ -402,11 +390,6 @@ def harvest(
         parts = []
         for member in source:
             try:
-                # A path member must already be a store on disk: opening a
-                # missing path would silently create an empty store and
-                # mask a dead mount or a typo.
-                if isinstance(member, (str, Path)) and not Path(member).is_dir():
-                    raise StoreError(f"member store {str(member)!r} does not exist")
                 parts.append(
                     harvest(member, app=app, strict=strict, pool=pool, **options)
                 )
@@ -421,16 +404,21 @@ def harvest(
             )
         return union_directives(*parts) if len(parts) > 1 else parts[0]
     pool_obj = _resolve_pool(pool)
-    if isinstance(source, (str, Path)) and Path(source).is_dir():
+    if isinstance(source, (str, Path)):
+        # A path must already be a store on disk: opening a missing path
+        # would silently create an empty store there and mask a dead
+        # mount or a typo.
+        if not Path(source).is_dir():
+            raise StoreError(f"store directory {str(source)!r} does not exist")
         if pool_obj is not None:
             return pool_obj.harvest(source, app=_app_name(app), **options)
         source = resolve_store(source).store
     if isinstance(source, ExperimentStore):
         if pool_obj is not None:
             return pool_obj.harvest(source, app=_app_name(app), **options)
-        # Same summary fast path, served from the backend's persisted
-        # aggregate when one provably covers the current index (and from
-        # the full summary scan when not) — identical output either way.
+        # Served from the backend's persisted aggregate when one provably
+        # covers the current index, and from a fold over the index's
+        # summaries when not — identical output either way.
         return source.harvest_evidence(_app_name(app)).finalize(**options)
     records = _history_records(source, _app_name(app))
     return extract_directives(records, **options)

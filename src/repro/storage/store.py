@@ -188,21 +188,13 @@ class ExperimentStore:
     def __init__(
         self,
         root: Union[str, Path, None] = None,
-        *args,
+        *,
         backend: BackendLike = None,
         cache_size: int = _DEFAULT_CACHE_SIZE,
         auto_compact: Optional[int] = _DEFAULT_AUTO_COMPACT,
         background_compaction: bool = False,
         resilience: Union[None, bool, ResiliencePolicy] = None,
     ):
-        if args:  # pre-redesign positional cache_size
-            warnings.warn(
-                "positional ExperimentStore arguments beyond root are "
-                "deprecated; pass cache_size= (and friends) by keyword",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            cache_size = args[0]
         inner = _resolve_backend(root, backend)
         if isinstance(inner, ResilientBackend):  # caller pre-wrapped it
             self._backend: StorageBackend = inner

@@ -4,9 +4,12 @@ A summary is everything the cross-run queries (:mod:`repro.storage.query`)
 and directive extraction need from a record without deserializing it:
 duration/status/coverage, true/false conclusion pairs, per-hierarchy
 fraction tables, per-hypothesis observed values, code leaves.  Backends
-store one per index entry; the extraction twins
-(``extract_*_from_summaries``) are asserted byte-identical to the
-record-based route by tests and benchmarks.
+store one per index entry.  It is also the first step of the one
+extraction route: :class:`~repro.core.extraction.HarvestAggregate` folds
+summaries and nothing else, so a record handed over in memory is
+summarized here before it is harvested
+(``tests/reference_extraction.py`` checks the step against facts read
+straight off the record).
 """
 
 from __future__ import annotations

@@ -146,8 +146,9 @@ class TestExtractDirectives:
 
 
 class TestSummaryEquivalence:
-    """Summary-based extraction must match record-based extraction
-    directive-for-directive on real diagnosed runs."""
+    """Extraction must match the naive reference directive-for-directive
+    on real diagnosed runs, whether it is handed the records or the
+    summaries a store would hold for them."""
 
     @pytest.fixture(scope="class")
     def records(self, pingpong_record):
@@ -159,15 +160,22 @@ class TestSummaryEquivalence:
         return [pingpong_record, io_record]
 
     def test_extract_directives_matches(self, records):
-        from repro.core.extraction import extract_directives_from_summaries
+        from repro.core.extraction import HarvestAggregate
         from repro.storage.store import summarize_record
-
-        summaries = [summarize_record(r) for r in records]
-        from_records = extract_directives(records, include_thresholds=True)
-        from_summaries = extract_directives_from_summaries(
-            summaries, include_thresholds=True
+        from tests.reference_extraction import (
+            facts_of_record,
+            reference_directives,
         )
-        assert from_summaries.to_text() == from_records.to_text()
+
+        expected = reference_directives(
+            [facts_of_record(r) for r in records], include_thresholds=True
+        )
+        from_records = extract_directives(records, include_thresholds=True)
+        from_summaries = HarvestAggregate.of_summaries(
+            summarize_record(r) for r in records
+        ).finalize(include_thresholds=True)
+        assert from_records.to_text() == expected.to_text()
+        assert from_summaries.to_text() == expected.to_text()
 
     def test_harvest_store_matches_harvest_records(self, records, tmp_path):
         from repro.facade import harvest

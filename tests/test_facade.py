@@ -109,6 +109,20 @@ class TestHarvest:
         with pytest.raises(TypeError):
             harvest([42])
 
+    @pytest.mark.parametrize("pool", [None, "default"])
+    def test_missing_store_path_raises_and_creates_nothing(
+        self, tmp_path, monkeypatch, pool
+    ):
+        # A single source always raises: a typo must not come back as the
+        # two general prunes of an empty store it just created.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a-file").write_text("priority ...")
+        before = sorted(tmp_path.iterdir())
+        for source in ("typo-runs", tmp_path / "typo-runs", tmp_path / "a-file"):
+            with pytest.raises(StoreError, match="does not exist"):
+                harvest(source, pool=pool)
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_list_of_strings_is_federated(self, tmp_path):
         # Strings in a list are member store *paths* now; a path that is
         # not a store on disk is a failed member, not record history.

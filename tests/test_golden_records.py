@@ -94,18 +94,26 @@ def mapping_view(report):
     }
 
 
-def views():
+def runs():
+    """The three golden records by kind, and the directive set (A's
+    harvest plus the A→B maps) the third one ran under."""
     base = diagnose()
     history = repro.harvest(base)
     a_to_b = history.merged_with(DirectiveSet(maps=version_maps("A", "B")))
+    return {
+        "undirected": base,
+        "directed": diagnose(history),
+        "mapped": diagnose(a_to_b, version="B"),
+    }, a_to_b
+
+
+def views():
+    records, a_to_b = runs()
     _mapped, report = apply_mappings(
         a_to_b, build_catalog_app("poisson", "B", 1000).make_space())
-    return {
-        "undirected": view(base),
-        "directed": view(diagnose(history)),
-        "mapped": view(diagnose(a_to_b, version="B"))
-        | {"mapping": mapping_view(report)},
-    }
+    out = {kind: view(record) for kind, record in records.items()}
+    out["mapped"]["mapping"] = mapping_view(report)
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
-"""The harvest-aggregate fast path: monoid laws, byte-identity with the
-summary-scan route, cross-backend equivalence, the pool's O(Δ) fold, and
-the degrade-to-rescan guarantees under crashes and missing aggregates.
+"""The harvest aggregate: monoid laws, byte-identity with the naive
+reference extraction, cross-backend equivalence, the pool's O(Δ) fold,
+and the degrade-to-rescan guarantees under crashes and missing aggregates.
 
-The contract under test everywhere: an aggregate-served harvest may be
-*absent* (forcing the full summary rescan) but never *wrong* — every
-fast answer is compared against the scan route's text."""
+The contract under test everywhere: a persisted aggregate may be
+*absent* (forcing a fold over the full summary scan) but never *wrong* —
+every answer is compared against the text the reference
+(``tests/reference_extraction.py``: each rule a plain scan over the
+store's summaries) gives for the same runs."""
 
 import json
 import random
@@ -12,15 +14,13 @@ import random
 import pytest
 
 from repro.core.combination import union_directives
-from repro.core.extraction import (
-    HarvestAggregate,
-    extract_directives_from_summaries,
-)
+from repro.core.extraction import HarvestAggregate
 from repro.facade import harvest
 from repro.faults import IOFault, IOFaultPlan, SimulatedCrash
 from repro.faults import io as io_faults
 from repro.server.pool import StorePool
 from repro.storage import ExperimentStore, RunRecord
+from tests.reference_extraction import reference_directives
 
 BACKENDS = ("file", "file-legacy", "sqlite")
 
@@ -129,7 +129,7 @@ def _store(root, backend="file", n=3, app="aggtest") -> ExperimentStore:
 
 def _scan_text(store: ExperimentStore, **options) -> str:
     metas = store.summaries()
-    return extract_directives_from_summaries(
+    return reference_directives(
         [meta["summary"] for meta in metas.values()], **options
     ).to_text()
 
@@ -183,7 +183,7 @@ def test_finalize_matches_scan_route_property():
         summaries = [random_summary(rng) for _ in range(rng.randint(0, 6))]
         agg = HarvestAggregate.of_summaries(summaries)
         for options in OPTION_COMBOS:
-            expected = extract_directives_from_summaries(
+            expected = reference_directives(
                 summaries, **options).to_text()
             assert agg.finalize(**options).to_text() == expected, \
                 f"trial={trial} options={options}"
@@ -233,7 +233,7 @@ def test_app_scoped_aggregate_matches_scan(tmp_path):
     store.compact()
     for app in ("alpha", "beta", "nosuch"):
         metas = store.summaries(app_name=app)
-        expected = extract_directives_from_summaries(
+        expected = reference_directives(
             [m["summary"] for m in metas.values()]).to_text()
         assert store.harvest_evidence(app).finalize().to_text() == expected, app
 

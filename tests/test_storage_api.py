@@ -1,13 +1,12 @@
 """The redesigned public storage surface: repro.storage.api, the
-keyword-only ExperimentStore constructor, resolve_store, and the
-deprecation shims kept for pre-redesign callers."""
+keyword-only ExperimentStore constructor and resolve_store."""
 
 import multiprocessing
 import warnings
 
 import pytest
 
-from repro.facade import as_store, resolve_store
+from repro.facade import resolve_store
 from repro.storage import (
     ExperimentStore,
     FileBackend,
@@ -73,10 +72,10 @@ class TestApiSurface:
 
 
 class TestKeywordOnlyConstructor:
-    def test_positional_cache_size_warns_but_works(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            store = ExperimentStore(tmp_path / "runs", 8)
-        assert store.cache_info()["maxsize"] == 8
+    def test_positional_cache_size_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            ExperimentStore(tmp_path / "runs", 8)
+        assert not (tmp_path / "runs").exists()
 
     def test_keyword_args_do_not_warn(self, tmp_path):
         with warnings.catch_warnings():
@@ -130,11 +129,6 @@ class TestResolveStore:
         handle = resolve_store(tmp_path / "runs")
         assert handle.backend == "sqlite"
         assert handle.store.list() == ["r0"]
-
-    def test_as_store_is_a_deprecated_alias(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="resolve_store"):
-            store = as_store(tmp_path / "runs")
-        assert isinstance(store, ExperimentStore)
 
 
 class TestLoadManyFallbacks:
