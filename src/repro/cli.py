@@ -587,8 +587,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_store_stats(args: argparse.Namespace) -> int:
-    handle = resolve_store(args.store, backend=args.backend,
-                           resilience=_resilience_setting(args))
+    handle = resolve_store(args.store, resilience=_resilience_setting(args))
     info = handle.info()
     table = Table(f"Store {args.store}", ["property", "value"])
     table.add_row(["backend", info.backend])
@@ -609,16 +608,14 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_store_compact(args: argparse.Namespace) -> int:
-    handle = resolve_store(args.store, backend=args.backend,
-                           resilience=_resilience_setting(args))
+    handle = resolve_store(args.store, resilience=_resilience_setting(args))
     stats = handle.store.compact()
     print(stats)
     return 0
 
 
 def cmd_store_rebuild(args: argparse.Namespace) -> int:
-    handle = resolve_store(args.store, backend=args.backend,
-                           resilience=_resilience_setting(args))
+    handle = resolve_store(args.store, resilience=_resilience_setting(args))
     report = handle.store.rebuild_index()
     print(report)
     return 0
@@ -628,8 +625,7 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
     """Scrub the store: read back every indexed record, recompute its
     summary, and look for orphans.  Exit 0 when clean, 3 (corruption)
     otherwise, so cron jobs and CI can alert on a sick archive."""
-    handle = resolve_store(args.store, backend=args.backend,
-                           resilience=_resilience_setting(args))
+    handle = resolve_store(args.store, resilience=_resilience_setting(args))
     report = handle.store.verify()
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -640,8 +636,7 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
 
 def cmd_store_migrate(args: argparse.Namespace) -> int:
     resilience = _resilience_setting(args)
-    source = resolve_store(args.store, backend=args.backend,
-                           resilience=resilience)
+    source = resolve_store(args.store, resilience=resilience)
     dest = resolve_store(
         args.dest, backend=args.to_backend or "file", resilience=resilience
     )
@@ -853,14 +848,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print session progress events as JSONL")
     p.set_defaults(func=cmd_serve)
 
-    backends = ("auto", "file", "file-legacy", "sqlite")
     p = sub.add_parser("store", help="inspect and maintain an experiment store")
     ssub = p.add_subparsers(dest="store_command", required=True)
 
     sp = ssub.add_parser("stats", help="show a store's backend, size, and index shape")
     sp.add_argument("--store", required=True)
-    sp.add_argument("--backend", choices=backends, default=None,
-                    help="pin the backend instead of auto-detecting")
     _add_retry_flags(sp)
     sp.set_defaults(func=cmd_store_stats)
 
@@ -868,7 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compact",
         help="fold accumulated index segments into a new base generation")
     sp.add_argument("--store", required=True)
-    sp.add_argument("--backend", choices=backends, default=None)
     _add_retry_flags(sp)
     sp.set_defaults(func=cmd_store_compact)
 
@@ -876,7 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rebuild",
         help="reconstruct the index from record files, quarantining corrupt ones")
     sp.add_argument("--store", required=True)
-    sp.add_argument("--backend", choices=backends, default=None)
     _add_retry_flags(sp)
     sp.set_defaults(func=cmd_store_rebuild)
 
@@ -885,7 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scrub every stored record and report corruption, divergent "
              "summaries, and orphans (exit 3 when not clean)")
     sp.add_argument("--store", required=True)
-    sp.add_argument("--backend", choices=backends, default=None)
     sp.add_argument("--json", action="store_true",
                     help="machine-readable scrub report on stdout")
     _add_retry_flags(sp)
@@ -896,9 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="copy every record into a new store (e.g. file -> sqlite)")
     sp.add_argument("--store", required=True, help="source store directory")
     sp.add_argument("--dest", required=True, help="destination store directory")
-    sp.add_argument("--backend", choices=backends, default=None,
-                    help="pin the source backend")
-    sp.add_argument("--to-backend", choices=("file", "file-legacy", "sqlite"),
+    sp.add_argument("--to-backend", choices=("file", "sqlite"),
                     default=None, help="destination backend (default file)")
     sp.add_argument("--overwrite", action="store_true",
                     help="replace run ids already present in the destination")

@@ -83,11 +83,6 @@ class DiagnosisSession:
     #: structured events into it.  ``None`` (the default) adds zero
     #: overhead — no callback is ever consulted.
     tracer: Optional[Tracer] = None
-    #: Debug/reference: ``False`` delivers trace segments through the
-    #: legacy full probe scan instead of the routing index (see
-    #: :class:`~repro.metrics.instrumentation.InstrumentationManager`).
-    #: Conclusions are identical either way; only the cost shape differs.
-    segment_routing: bool = True
 
     def begin(self) -> "ActiveDiagnosis":
         """Set up the run — engine, instrumentation, search — and start
@@ -131,7 +126,6 @@ class DiagnosisSession:
             cost_model=self.cost_model or CostModel(),
             cost_limit=config.cost_limit,
             insertion_latency=config.insertion_latency,
-            routing_enabled=self.segment_routing,
         )
         profiler = ProfileCollector()
         engine.add_sink(profiler)
@@ -314,7 +308,6 @@ class ActiveDiagnosis:
             instr_deletes=instr.total_deletes,
             instr_decimates=instr.total_decimates,
             segments_routed=instr.segments_routed,
-            segments_scanned=instr.segments_scanned,
             probes_examined=instr.probes_examined,
             engine_segments=engine.segments_emitted,
             emit_batches=engine.emit_batches,

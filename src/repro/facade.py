@@ -135,7 +135,7 @@ def resolve_store(
     ``store=`` keyword: an already-open :class:`ExperimentStore` passes
     through unchanged (``opened=False``); a path opens a store there,
     auto-detecting the backend unless *backend* pins one (``"file"``,
-    ``"file-legacy"``, ``"sqlite"``, or ``"auto"``).  *resilience*
+    ``"sqlite"``, or ``"auto"``).  *resilience*
     configures the retry/breaker layer when a path is opened (a
     :class:`~repro.resilience.backend.ResiliencePolicy`, ``False`` to
     disable, ``None`` for the armed defaults — the CLI's ``--retry-*``

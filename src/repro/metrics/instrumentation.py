@@ -25,9 +25,9 @@ are keyed by identity and pin their ``parts``, so an id can never be
 reused while its cell is live; nothing a run does invalidates a cell
 (matching is tuple-prefix comparison on immutable values), and the cell
 table is dropped wholesale at a cap and rebuilt from the index on
-demand.  The full scan (:meth:`InstrumentationManager.record_scan`,
-``routing_enabled = False``) is kept as the reference the benchmark and
-property tests hold routed delivery byte-identical to.
+demand.  The naive statement of delivery — every live probe examined
+for every segment — is ``tests/reference_delivery.py``, which the
+property tests hold ``record()`` byte-identical to.
 """
 
 from __future__ import annotations
@@ -144,7 +144,6 @@ class InstrumentationManager:
         cost_model: Optional[CostModel] = None,
         cost_limit: float = 20.0,
         insertion_latency: float = 2.0,
-        routing_enabled: bool = True,
     ) -> None:
         self.engine = engine
         self.space = space
@@ -164,16 +163,11 @@ class InstrumentationManager:
         self._cost_integral = 0.0
         self._cost_t0 = engine.now
         self._cost_last = engine.now
-        #: When False, ``record()`` falls back to the full scan of every
-        #: active probe — the reference path routing is checked against.
-        self.routing_enabled = routing_enabled
-        #: Segments dispatched through the routing index vs the scan path,
-        #: and candidate probes examined (routed: the size of every
-        #: bucket reachable from the segment's attribution) — the
-        #: observability counters behind the routed/scanned trace and run
-        #: metrics.
+        #: Segments delivered, and candidate probes examined for them (the
+        #: size of every bucket reachable from each segment's
+        #: attribution) — the counters behind the ``progress`` trace
+        #: event and the run metrics.
         self.segments_routed = 0
-        self.segments_scanned = 0
         self.probes_examined = 0
         # routing index: (activity value, code key, process key) -> {handle: probe}
         self._route: Dict[_RouteKey, Dict[int, ActiveInstrumentation]] = {}
@@ -181,7 +175,7 @@ class InstrumentationManager:
         # cells under each routing key whose bucket they draw from
         self._cells: Dict[Tuple[int, int], _Cell] = {}
         self._cell_index: Dict[_RouteKey, List[_Cell]] = {}
-        # identity memo for reads and the scan path; values pin their keys
+        # identity memo for reads of in-progress segments; values pin their keys
         self._match_memo: Dict[Tuple[int, int], Tuple[Focus, dict, bool]] = {}
         # matched-process sets cached per focus, invalidated when the
         # engine's process table grows
@@ -382,34 +376,10 @@ class InstrumentationManager:
         memo[key] = (focus, parts, result)  # pin both: ids stay valid while cached
         return result
 
-    def _accumulate(self, instr: ActiveInstrumentation, segment: TimeSegment) -> None:
-        """Fold one matching-activity segment into one probe on the scan
-        path (the routed path folds pre-matched probes in ``record()``;
-        equivalence is per-probe identical fold order over the same
-        segment stream)."""
-        if instr.metric.kind == "count":
-            # one completed operation per segment, counted when it
-            # finishes inside the active window
-            if (
-                instr.active_from <= segment.end
-                and (instr.deleted_at is None or segment.end <= instr.deleted_at)
-                and self._matches(instr.focus, segment.parts)
-            ):
-                instr.accumulated += 1.0
-            return
-        dt = instr.overlap(segment.start, segment.end)
-        if dt <= 0.0:
-            return
-        if self._matches(instr.focus, segment.parts):
-            instr.accumulated += dt
-
     # ------------------------------------------------------------------
     # trace sink + perturbation source
     # ------------------------------------------------------------------
     def record(self, segment: TimeSegment) -> None:
-        if not self.routing_enabled:
-            self.record_scan(segment)
-            return
         self.segments_routed += 1
         parts = segment.parts
         activity = segment.activity
@@ -419,9 +389,10 @@ class InstrumentationManager:
         self.probes_examined += cell.examined
         if not cell.probes:
             return
-        # _accumulate's fold for probes known to match and to be live
-        # (delete() takes a probe out of its cells before it stamps
-        # deleted_at, so the window here is open-ended)
+        # every probe here matches and is live (delete() takes a probe
+        # out of its cells before it stamps deleted_at, so the window is
+        # open-ended): time metrics add the overlap with the active
+        # window, count metrics one per segment that finishes inside it
         start = segment.start
         end = start + segment.duration
         for instr in cell.probes.values():
@@ -435,16 +406,6 @@ class InstrumentationManager:
             dt = end - lo
             if dt > 0.0:
                 instr.accumulated += dt
-
-    def record_scan(self, segment: TimeSegment) -> None:
-        """Reference path: examine every active probe (the pre-index cost
-        shape; kept for debugging and as the oracle routed delivery is
-        held byte-identical to)."""
-        self.segments_scanned += 1
-        self.probes_examined += len(self._active)
-        for instr in self._active.values():
-            if instr.metric.counts(segment.activity):
-                self._accumulate(instr, segment)
 
     def _overhead_for(self, proc_name: str) -> float:
         return self.cost_model.overhead_fraction(self._per_proc_cost.get(proc_name, 0.0))

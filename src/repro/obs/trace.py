@@ -28,7 +28,7 @@ kind                 payload
 ``gate-admit``       node, cost, total
 ``gate-halt``        total, limit
 ``gate-resume``      total, resume_level
-``progress``         events, cost, active, pending, routed, scanned
+``progress``         events, cost, active, pending, routed
 ``run-end``          reason (optional)
 ===================  =======================================================
 

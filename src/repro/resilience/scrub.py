@@ -143,7 +143,7 @@ def verify_store(store) -> ScrubReport:
         report.ok += 1
 
     root = getattr(store, "root", None)
-    if root is not None and backend.name in ("file", "file-legacy"):
+    if root is not None and backend.name == "file":
         root = Path(root)
         for path in sorted(root.glob("*.json")):
             if path.name == _INDEX_NAME:

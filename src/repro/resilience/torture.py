@@ -52,7 +52,7 @@ from .backend import ResiliencePolicy
 
 __all__ = ["TortureReport", "run_schedule", "run_torture", "TORTURE_BACKENDS"]
 
-TORTURE_BACKENDS = ("file", "file-legacy", "sqlite")
+TORTURE_BACKENDS = ("file", "sqlite")
 
 
 def _no_sleep(_delay: float) -> None:

@@ -3,7 +3,7 @@
 The public storage surface lives in :mod:`repro.storage.api`
 (:class:`StorageBackend`, :class:`StoreInfo`, the exception taxonomy);
 :class:`ExperimentStore` is the backend-agnostic frontend, with file
-(segmented index), file-legacy (monolithic index), and SQLite backends.
+(segmented index) and SQLite backends.
 """
 
 from .api import (

@@ -120,7 +120,7 @@ class StoreInfo:
 
     #: Store directory (``None`` for purely in-memory backends).
     root: Optional[Path]
-    #: Backend name: ``"file"``, ``"file-legacy"``, ``"sqlite"``, ...
+    #: Backend name: ``"file"``, ``"sqlite"``, ...
     backend: str
     #: Number of indexed runs.
     runs: int

@@ -56,10 +56,12 @@ and rescans.  A seal that cannot prove its ops are new summarized puts
 (delete, overwrite, backfill) writes no sidecar; coverage stops there
 until the next compaction.  Absent or short, never wrong or double-counted.
 
-``segmented=False`` (the ``"file-legacy"`` backend) keeps the historical
-whole-index read-modify-write on every save, preserved as the
-equivalence reference and benchmark baseline; its writes fold any
-existing segments so the two modes can be mixed on one store.
+A directory written before segments existed — record files beside an
+``index.json`` (format 3, or the bare format-2 mapping), with no
+``segments/`` and no sidecar — is this layout with zero segments: it
+opens as is, the claim file is derived from the base on the first write,
+and harvests rescan until a ``compact()`` or ``rebuild()`` writes the
+sidecar.
 """
 
 from __future__ import annotations
@@ -245,14 +247,13 @@ def _atomic_write_json(path: Path, data: dict, *, indent: Optional[int] = None) 
 
 
 class FileBackend(StorageBackend):
-    """File-per-record storage with a segmented (or legacy monolithic)
-    index.  See the module docstring for the on-disk layout and the
-    crash-safety argument."""
+    """File-per-record storage with a segmented index.  See the module
+    docstring for the on-disk layout and the crash-safety argument."""
 
-    def __init__(self, root: str | Path, *, segmented: bool = True):
+    name = "file"
+
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.segmented = segmented
-        self.name = "file" if segmented else "file-legacy"
         self.root.mkdir(parents=True, exist_ok=True)
         self._index_path = self.root / _INDEX_NAME
         self._lock_path = self.root / _LOCK_NAME
@@ -408,7 +409,7 @@ class FileBackend(StorageBackend):
     # -- writer state ---------------------------------------------------
     def _read_state(self) -> dict:
         """The writer claim file — derived from the store when missing
-        (legacy store, first segmented write, or post-crash)."""
+        (a store written before segments existed, or post-crash)."""
         try:
             with open(self._state_path, "r", encoding="utf-8") as fh:
                 state = json.load(fh)
@@ -561,8 +562,8 @@ class FileBackend(StorageBackend):
 
         ``None`` for a missing/unparseable/misshapen sidecar or one whose
         recorded base signature no longer matches — any base rewrite
-        (compaction, rebuild, a legacy-mode fold) invalidates it without
-        coordination, exactly like the other stat-signature caches.
+        (compaction, rebuild) invalidates it without coordination,
+        exactly like the other stat-signature caches.
         Format-1 sidecars (no ``through``: the base alone) still load.
         """
         path = self.root / _AGGREGATE_NAME
@@ -671,7 +672,7 @@ class FileBackend(StorageBackend):
             names = self._segment_names()
             try:
                 if _stat_sig(self._index_path) != tuple(base_sig0):
-                    return None  # base rewritten: compaction/rebuild/legacy
+                    return None  # base rewritten: compaction/rebuild
             except OSError:
                 return None
             known = set(names0)
@@ -739,37 +740,7 @@ class FileBackend(StorageBackend):
     def _drop_index_entry(self, run_id: str) -> None:
         if self.read_merged().get(run_id) is None:
             return
-        if self.segmented:
-            self._append_segment([{"op": "del", "run_id": run_id}])
-        else:
-            merged = self.read_merged()
-            merged.pop(run_id, None)
-            self._fold_to_base(merged)
-
-    def _fold_to_base(self, index: Dict[str, dict]) -> List[str]:
-        """Legacy-mode write: the whole merged view becomes the base and
-        any segments are consumed.  Must run under the lock."""
-        names = self._segment_names()
-        _base, generation = self._read_base()
-        self._write_base(index, generation)
-        # The rewritten base orphans any aggregate sidecar (its recorded
-        # base signature no longer matches — readers already ignore it);
-        # retire the file rather than leave it to accumulate staleness.
-        self._write_aggregate_sidecar(None)
-        for name in names:
-            try:
-                os.unlink(self._segments_dir / name)
-            except OSError:
-                pass
-            self._drop_segment_cache(name)
-        # Legacy writes bypass the claim file, so a stale one must not
-        # survive to hand out already-used seq values later; it is
-        # re-derived from the merged view on the next segmented write.
-        try:
-            self._state_path.unlink()
-        except OSError:
-            pass
-        return names
+        self._append_segment([{"op": "del", "run_id": run_id}])
 
     # ------------------------------------------------------------------
     # StorageBackend: records
@@ -788,32 +759,21 @@ class FileBackend(StorageBackend):
                 raise StoreError(f"run {run_id!r} already stored")
             meta = dict(meta)
             seq = prior["seq"] if prior and "seq" in prior else None
-            if self.segmented:
-                # Claim seq + segment name in one state write *before*
-                # touching anything else: a crash in between skips
-                # values instead of reusing them.
-                state = self._read_state()
-                if seq is None:
-                    seq = state["next_seq"]
-                    state["next_seq"] = seq + 1
-                counter = state["counter"]
-                state["counter"] = counter + 1
-                self._write_state(state)
-                meta["seq"] = seq
-                self._write_record(path, payload)
-                self._seal_segment(
-                    counter, [{"op": "put", "run_id": run_id, "meta": meta}]
-                )
-            else:
-                merged = self.read_merged()
-                if seq is None:
-                    seq = 1 + max(
-                        (m.get("seq", -1) for m in merged.values()), default=-1
-                    )
-                meta["seq"] = seq
-                self._write_record(path, payload)
-                merged[run_id] = meta
-                self._fold_to_base(merged)
+            # Claim seq + segment name in one state write *before*
+            # touching anything else: a crash in between skips values
+            # instead of reusing them.
+            state = self._read_state()
+            if seq is None:
+                seq = state["next_seq"]
+                state["next_seq"] = seq + 1
+            counter = state["counter"]
+            state["counter"] = counter + 1
+            self._write_state(state)
+            meta["seq"] = seq
+            self._write_record(path, payload)
+            self._seal_segment(
+                counter, [{"op": "put", "run_id": run_id, "meta": meta}]
+            )
             token = _stat_sig(path)
         return seq, token
 
@@ -889,14 +849,9 @@ class FileBackend(StorageBackend):
                 if meta is not None and not isinstance(meta.get("summary"), dict):
                     meta = dict(meta)
                     meta["summary"] = summary
-                    merged[run_id] = meta
                     ops.append({"op": "put", "run_id": run_id, "meta": meta})
-            if not ops:
-                return
-            if self.segmented:
+            if ops:
                 self._append_segment(ops)
-            else:
-                self._fold_to_base(merged)
 
     # ------------------------------------------------------------------
     # StorageBackend: maintenance
@@ -952,16 +907,15 @@ class FileBackend(StorageBackend):
                 except OSError:
                     pass
                 self._drop_segment_cache(name)
-            if self.segmented:
-                self._write_state({
-                    "next_seq": next_seq,
-                    "counter": 1 + max(
-                        (int(Path(n).stem) for n in removed
-                         if Path(n).stem.isdigit()),
-                        default=-1,
-                    ),
-                    "generation": generation + 1,
-                })
+            self._write_state({
+                "next_seq": next_seq,
+                "counter": 1 + max(
+                    (int(Path(n).stem) for n in removed
+                     if Path(n).stem.isdigit()),
+                    default=-1,
+                ),
+                "generation": generation + 1,
+            })
             # Quarantine after the index write: dropping the entry re-reads
             # the index, so the rebuilt index must be the one on disk.
             for path in quarantined:

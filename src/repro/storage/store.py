@@ -12,8 +12,6 @@ actual persistence lives behind the
   **sharded index** of append-only segments with compaction
   (:mod:`repro.storage.file_backend`), so a save is O(1) instead of
   O(store);
-* ``backend="file-legacy"``: the historical monolithic-index layout,
-  kept as the equivalence reference and benchmark baseline;
 * ``backend="sqlite"``: everything in one SQLite database, optimized
   for summary queries (:mod:`repro.storage.sqlite_backend`).
 
@@ -52,7 +50,7 @@ from .api import (
 from .file_backend import FileBackend, read_record_payload
 from .records import RunRecord
 from .sqlite_backend import SQLITE_STORE_NAME, SQLiteBackend
-from .summary import SUMMARY_VERSION, meta_for_record, summarize_record
+from .summary import meta_for_record, summarize_record
 
 __all__ = [
     "ExperimentStore",
@@ -63,10 +61,6 @@ __all__ = [
     "summarize_record",
     "migrate_store",
 ]
-
-#: Backwards-compatible alias; the version now lives in
-#: :mod:`repro.storage.summary`.
-_SUMMARY_VERSION = SUMMARY_VERSION
 
 _DEFAULT_CACHE_SIZE = 64
 #: Segments a save may leave unfolded before it triggers a compaction.
@@ -148,13 +142,11 @@ def _resolve_backend(root: Union[str, Path, None],
         raise StoreError(f"backend {backend!r} needs a root directory")
     if backend == "file":
         return FileBackend(root)
-    if backend == "file-legacy":
-        return FileBackend(root, segmented=False)
     if backend == "sqlite":
         return SQLiteBackend(root)
     raise StoreError(
         f"unknown storage backend {backend!r} "
-        "(expected 'file', 'file-legacy', 'sqlite', or a StorageBackend)"
+        "(expected 'file', 'sqlite', or a StorageBackend)"
     )
 
 
@@ -162,12 +154,12 @@ class ExperimentStore:
     """A store of :class:`RunRecord` objects over a pluggable backend.
 
     Safe for concurrent use from multiple processes: every backend
-    serialises its writers (flock for the file layouts, SQLite's own
+    serialises its writers (flock for the file layout, SQLite's own
     locking for the database), so simultaneous writers never lose each
     other's updates.
 
     All configuration is keyword-only: ``backend`` selects the
-    persistence layer (``"file"``, ``"file-legacy"``, ``"sqlite"``, a
+    persistence layer (``"file"``, ``"sqlite"``, a
     :class:`~repro.storage.api.StorageBackend` instance, or ``None`` to
     auto-detect from the directory), ``cache_size`` bounds the parsed
     record LRU, and ``auto_compact`` is the segment count past which a
@@ -228,7 +220,7 @@ class ExperimentStore:
 
         Drops the parsed-record LRU, waits for an in-flight background
         compaction, and closes the backend (the SQLite connection for
-        that backend; a no-op for the file layouts).  The object must
+        that backend; a no-op for the file layout).  The object must
         not be used afterwards.  Idempotent — a pooled store may be
         evicted and closed more than once.
         """
@@ -560,14 +552,6 @@ class ExperimentStore:
             target=self._backend.compact, name="store-compaction", daemon=True
         )
         self._compaction_thread.start()
-
-    # ------------------------------------------------------------------
-    # compatibility
-    # ------------------------------------------------------------------
-    def _read_index(self) -> Dict[str, dict]:
-        """Pre-redesign internal: the merged run→meta mapping.  Kept for
-        callers (and tests) that inspected the index directly."""
-        return dict(self._backend.iter_summaries())
 
 
 def migrate_store(

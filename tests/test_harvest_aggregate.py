@@ -21,8 +21,9 @@ from repro.faults import io as io_faults
 from repro.server.pool import StorePool
 from repro.storage import ExperimentStore, RunRecord
 from tests.reference_extraction import reference_directives
+from tests.test_store_segments import lay_down_old_store
 
-BACKENDS = ("file", "file-legacy", "sqlite")
+BACKENDS = ("file", "sqlite")
 
 HYPS = ("CPUbound", "ExcessiveSyncWaitingTime", "ExcessiveIOBlockingTime")
 
@@ -215,12 +216,9 @@ def test_cross_backend_aggregate_equivalence(tmp_path):
         assert fast == _scan_text(store, include_thresholds=True), backend
         texts[backend] = fast
         info = store.info()
-        if backend == "file-legacy":
-            assert info.aggregated_runs == 0, "legacy keeps no aggregate"
-        else:
-            # file: compaction persisted it; sqlite: the first harvest
-            # self-healed the aggregate table
-            assert info.aggregated_runs == info.runs, backend
+        # file: compaction persisted it; sqlite: the first harvest
+        # self-healed the aggregate table
+        assert info.aggregated_runs == info.runs, backend
     assert len(set(texts.values())) == 1, sorted(texts)
 
 
@@ -247,7 +245,10 @@ def test_federated_mixed_members(tmp_path):
     a = _store(tmp_path / "a", backend="file", n=3)
     a.compact()
     assert a.info().aggregated_runs == 3
-    b = _store(tmp_path / "b", backend="file-legacy", n=2, app="other")
+    # a store from before the index had segments: no aggregate to read
+    lay_down_old_store(
+        tmp_path / "b", [make_run(i, app="other") for i in range(2)], (0, 1))
+    b = ExperimentStore(tmp_path / "b", auto_compact=0)
     assert b.info().aggregated_runs == 0
     federated = harvest([a, b], pool=None)
     expected = union_directives(harvest(a, pool=None), harvest(b, pool=None))

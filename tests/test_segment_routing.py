@@ -3,11 +3,11 @@
 The online hot path delivers each simulated time segment through
 attribution cells built from an (activity, Code selection, Process
 selection) bucket index instead of scanning every active probe.  The
-full scan survives as the reference path (``routing_enabled=False``);
-the property tests here drive both paths with identical random probe
-sets, segment streams, and mid-stream request/delete/decimate churn, and
-require *byte-identical* accumulated values — the same guarantee the
-benchmark asserts before timing.
+full scan is ``tests/reference_delivery.py``; the property tests here
+drive one manager with random probe sets, segment streams, and
+mid-stream request/delete/decimate churn, fold the same segments through
+the reference into a shadow, and require *byte-identical* accumulated
+values.
 
 Also covered: routing-index and cell maintenance on delete, the bounded
 match memo and cell table, segment-parts interning, matched-process
@@ -24,11 +24,12 @@ from repro.apps.synthetic import make_pingpong
 from repro.core import SearchConfig, run_diagnosis
 from repro.metrics import CostModel, InstrumentationManager
 from repro.metrics import instrumentation as instr_mod
-from repro.obs import Tracer, deterministic_metrics
+from repro.obs import Tracer
 from repro.resources import ResourceSpace, whole_program
 from repro.simulator import Engine, LatencyModel, Machine
 from repro.simulator import records as records_mod
 from repro.simulator.records import Activity, TimeSegment, intern_parts
+from tests.reference_delivery import deliver
 
 LAT = LatencyModel(alpha=0.0, beta=0.0, send_overhead=0.0, recv_overhead=0.0)
 METRIC_NAMES = (
@@ -43,7 +44,7 @@ def idle(proc):
 
 
 def build_world(rng):
-    """One engine + resource space + twin managers (routed and scan)."""
+    """One engine + resource space + instrumentation manager."""
     n_procs = rng.randint(2, 8)
     n_nodes = rng.randint(1, n_procs)
     n_modules = rng.randint(1, 4)
@@ -68,25 +69,18 @@ def build_world(rng):
     for tag in TAGS:
         parts = records_mod.sync_tag_parts(tag)
         space.add("/" + "/".join(parts))
-    latency = rng.choice([0.0, 0.5])
-
-    def manager(routed):
-        return InstrumentationManager(
-            engine, space,
-            cost_model=CostModel(perturb_per_unit=0.0),
-            cost_limit=1e9,
-            insertion_latency=latency,
-            routing_enabled=routed,
-        )
-
     return {
         "engine": engine,
         "space": space,
         "procs": procs,
         "nodes": nodes,
         "leaves": leaves,
-        "routed": manager(True),
-        "scan": manager(False),
+        "manager": InstrumentationManager(
+            engine, space,
+            cost_model=CostModel(perturb_per_unit=0.0),
+            cost_limit=1e9,
+            insertion_latency=rng.choice([0.0, 0.5]),
+        ),
     }
 
 
@@ -139,8 +133,9 @@ def bucket_walk(mgr, seg):
 class TestRoutedScanEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_streams_accumulate_byte_identical(self, seed, monkeypatch):
-        """Random probes, random segments, random mid-stream churn: the
-        routed and scan paths must agree bit-for-bit on every probe.
+        """Random probes, random segments, random mid-stream churn: every
+        probe's ``accumulated`` must agree bit-for-bit with the reference
+        scan's shadow.
 
         Probes are requested, deleted and decimated while the attribution
         cells they belong to already exist, and the parts interning cache
@@ -151,22 +146,21 @@ class TestRoutedScanEquivalence:
         monkeypatch.setattr(records_mod, "_PARTS_CACHE", {})
         rng = random.Random(seed)
         world = build_world(rng)
-        routed, scan = world["routed"], world["scan"]
-        probes = {}  # handle -> (routed instr, scan instr)
+        mgr = world["manager"]
+        probes = {}  # handle -> instr, kept past its delete
+        shadow = {}  # handle -> what the reference scan accumulated
         churned_with_cells = {"request": 0, "delete": 0, "decimate": 0}
-        walked = 0
+        walked = scanned = segments = 0
 
         def request():
-            focus = random_focus(rng, world)
-            metric = rng.choice(METRIC_NAMES)
-            persistent = rng.random() < 0.2
-            h1 = routed.request(metric, focus, persistent=persistent)
-            h2 = scan.request(metric, focus, persistent=persistent)
-            assert h1 == h2
-            probes[h1] = (routed.instrumentation(h1), scan.instrumentation(h1))
+            handle = mgr.request(
+                rng.choice(METRIC_NAMES), random_focus(rng, world),
+                persistent=rng.random() < 0.2,
+            )
+            probes[handle] = mgr.instrumentation(handle)
 
         def live():
-            return sorted(h for h in probes if h in routed._active)
+            return sorted(h for h in probes if h in mgr._active)
 
         for _ in range(rng.randint(5, 25)):
             request()
@@ -175,66 +169,45 @@ class TestRoutedScanEquivalence:
             roll = rng.random()
             if roll < 0.02:
                 request()
-                churned_with_cells["request"] += bool(routed._cells)
-            elif roll < 0.04 and routed.active_count:
-                handle = rng.choice(live())
-                routed.delete(handle)
-                scan.delete(handle)
-                churned_with_cells["delete"] += bool(routed._cells)
-            elif roll < 0.05 and routed.active_count:
-                handle = rng.choice(live())
-                routed.decimate(handle)
-                scan.decimate(handle)
-                churned_with_cells["decimate"] += bool(routed._cells)
+                churned_with_cells["request"] += bool(mgr._cells)
+            elif roll < 0.04 and mgr.active_count:
+                mgr.delete(rng.choice(live()))
+                churned_with_cells["delete"] += bool(mgr._cells)
+            elif roll < 0.05 and mgr.active_count:
+                mgr.decimate(rng.choice(live()))
+                churned_with_cells["decimate"] += bool(mgr._cells)
             elif roll < 0.055:
                 records_mod._PARTS_CACHE.clear()
             else:
                 seg = random_segment(rng, world, start)
                 start += rng.random() * 0.05
-                walked += bucket_walk(routed, seg)
-                routed.record(seg)
-                scan.record(seg)
+                walked += bucket_walk(mgr, seg)
+                scanned += deliver(mgr, seg, shadow)
+                mgr.record(seg)
+                segments += 1
 
         assert probes
         assert all(churned_with_cells.values()), churned_with_cells
-        for handle, (fast, legacy) in probes.items():
-            assert fast.accumulated == legacy.accumulated, handle
-            assert fast.processes == legacy.processes, handle
-            assert fast.cost == legacy.cost, handle
-        # the routed path must actually have routed (and examined fewer
-        # probes than the full scan did)
-        assert routed.segments_routed == scan.segments_scanned > 0
-        assert routed.probes_examined == walked <= scan.probes_examined
+        for handle, instr in probes.items():
+            assert instr.accumulated == shadow.get(handle, 0.0), handle
+        assert any(shadow.values())
+        # every segment went through a cell, and examined what a bucket
+        # walk would have (fewer probes than the full scan)
+        assert mgr.segments_routed == segments > 0
+        assert mgr.probes_examined == walked <= scanned
         # interning was dropped mid-run: some attribution has two cells
         attributions = {
             (tuple(sorted(c.parts.items())), c.activity)
-            for c in routed._cells.values()
+            for c in mgr._cells.values()
         }
-        assert len(attributions) < len(routed._cells)
-
-    def test_full_diagnosis_records_identical(self):
-        """End to end: a real diagnosis reaches identical conclusions,
-        profile, and SHG whichever delivery path runs."""
-        def run(routing):
-            rec = run_diagnosis(
-                make_pingpong(iterations=40), run_id="x",
-                segment_routing=routing,
-            ).to_dict()
-            metrics = deterministic_metrics(rec["metrics"])
-            # delivery-cost accounting legitimately differs by path
-            for key in ("segments_routed", "segments_scanned", "probes_examined"):
-                metrics.pop(key)
-            rec["metrics"] = metrics
-            return rec
-
-        assert run(True) == run(False)
+        assert len(attributions) < len(mgr._cells)
 
 
 class TestRoutingIndexMaintenance:
     def build(self):
         rng = random.Random(99)
         world = build_world(rng)
-        return world, world["routed"]
+        return world, world["manager"]
 
     def test_delete_clears_buckets(self):
         world, mgr = self.build()
@@ -272,32 +245,32 @@ class TestRoutingIndexMaintenance:
         assert instr.accumulated == before
 
     def test_match_memo_stays_bounded(self, monkeypatch):
-        """The scan path's match memo and the routed path's cell table
-        are both capped, and delivery survives a wholesale drop."""
+        """The read path's match memo and the cell table are both
+        capped, and delivery survives a wholesale drop."""
         monkeypatch.setattr(instr_mod, "_MEMO_MAX", 16)
         rng = random.Random(7)
         world = build_world(rng)
-        routed, scan = world["routed"], world["scan"]
-        handles = []
-        for _ in range(4):
-            focus = random_focus(rng, world)
-            handles.append(routed.request("exec_time", focus))
-            assert scan.request("exec_time", focus) == handles[-1]
+        mgr = world["manager"]
+        foci = [random_focus(rng, world) for _ in range(4)]
+        handles = [mgr.request("exec_time", focus) for focus in foci]
+        shadow = {}
         for i in range(200):
             seg = random_segment(rng, world, float(i))
-            routed.record(seg)
-            scan.record(seg)
-            assert len(scan._match_memo) <= 16
-            assert len(routed._cells) <= 16
+            deliver(mgr, seg, shadow)
+            mgr.record(seg)
+            for focus in foci:
+                assert mgr._matches(focus, seg.parts) \
+                    == focus.matches_parts(seg.parts)
+            assert len(mgr._match_memo) <= 16
+            assert len(mgr._cells) <= 16
             # the index holds live cells only: it is dropped with the table
-            live = {id(c) for c in routed._cells.values()}
+            live = {id(c) for c in mgr._cells.values()}
             assert all(id(c) in live
-                       for cells in routed._cell_index.values() for c in cells)
-        assert any(routed.instrumentation(h).accumulated > 0.0 for h in handles)
+                       for cells in mgr._cell_index.values() for c in cells)
+        assert any(mgr.instrumentation(h).accumulated > 0.0 for h in handles)
         for h in handles:
-            assert (routed.instrumentation(h).accumulated
-                    == scan.instrumentation(h).accumulated)
-        assert routed.probes_examined > 0
+            assert mgr.instrumentation(h).accumulated == shadow.get(h, 0.0)
+        assert mgr.probes_examined > 0
 
     def test_intern_parts_shares_and_bounds(self, monkeypatch):
         a = intern_parts("p:1", "n0", "m.c", "f", None)

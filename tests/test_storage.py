@@ -126,7 +126,7 @@ class TestSequenceNumbers:
         return out
 
     def _seqs(self, store):
-        return {rid: meta["seq"] for rid, meta in store._read_index().items()}
+        return {rid: meta["seq"] for rid, meta in store.backend.iter_summaries()}
 
     def test_overwrite_preserves_seq(self, tmp_path, record):
         store = ExperimentStore(tmp_path / "runs")

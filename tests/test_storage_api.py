@@ -60,7 +60,6 @@ class TestApiSurface:
     def test_backends_implement_the_contract(self, tmp_path):
         for backend in (
             FileBackend(tmp_path / "f"),
-            FileBackend(tmp_path / "l", segmented=False),
             SQLiteBackend(tmp_path / "s"),
         ):
             assert isinstance(backend, StorageBackend)

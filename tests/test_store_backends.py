@@ -1,4 +1,4 @@
-"""Backend equivalence: file, file-legacy, and SQLite stores must answer
+"""Backend equivalence: file and SQLite stores must answer
 queries byte-identically, and records must migrate between them without
 changing what history-directed search harvests."""
 
@@ -18,7 +18,7 @@ from repro.storage import (
 FAST = dict(min_interval=5.0, check_period=0.5, insertion_latency=0.2,
             cost_limit=50.0)
 
-BACKENDS = ("file", "file-legacy", "sqlite")
+BACKENDS = ("file", "sqlite")
 
 
 def _tiny_record(run_id: str, app_name: str, version: str) -> RunRecord:
@@ -202,4 +202,4 @@ class TestSQLiteIntegrity:
         assert store.load("r0").version == "B"
         assert store.load("r0") is not cached
         # seq preserved across the overwrite
-        assert store._read_index()["r0"]["seq"] == 0
+        assert dict(store.backend.iter_summaries())["r0"]["seq"] == 0

@@ -59,7 +59,7 @@ def test_concurrent_writers_lose_nothing(tmp_path):
     expected = {f"w{w}-r{i}" for w in range(N_PROCS) for i in range(RECORDS_EACH)}
     assert len(store) == len(expected)
     assert set(store.list()) == expected
-    index = store._read_index()
+    index = dict(store.backend.iter_summaries())
     seqs = sorted(meta["seq"] for meta in index.values())
     assert seqs == list(range(len(expected)))  # unique, gapless, monotonic
     for run_id in expected:
@@ -91,7 +91,7 @@ def test_rebuild_index_recovers_lost_entries(tmp_path):
     assert sorted(report.kept) == ["r0", "r1", "r2"]
     assert report.quarantined == []
     assert set(store.list()) == {"r0", "r1", "r2"}
-    seqs = sorted(m["seq"] for m in store._read_index().values())
+    seqs = sorted(m["seq"] for _rid, m in store.backend.iter_summaries())
     assert seqs == [0, 1, 2]
 
 
@@ -99,9 +99,9 @@ def test_rebuild_preserves_existing_seq(tmp_path):
     store = ExperimentStore(tmp_path / "runs")
     for i in range(3):
         store.save(_tiny_record(f"r{i}"))
-    before = {rid: m["seq"] for rid, m in store._read_index().items()}
+    before = {rid: m["seq"] for rid, m in store.backend.iter_summaries()}
     store.rebuild_index()
-    after = {rid: m["seq"] for rid, m in store._read_index().items()}
+    after = {rid: m["seq"] for rid, m in store.backend.iter_summaries()}
     assert after == before
 
 

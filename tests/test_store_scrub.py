@@ -8,7 +8,7 @@ import pytest
 
 from repro.storage import ExperimentStore, RunRecord
 
-BACKENDS = ("file", "file-legacy", "sqlite")
+BACKENDS = ("file", "sqlite")
 
 
 def _record(run_id: str, tag: int = 0) -> RunRecord:

@@ -7,6 +7,7 @@ policy, every intermediate crash state of the compaction protocol, and
 survival of a real SIGKILL landing mid-write/mid-compaction.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -15,8 +16,13 @@ import time
 
 import pytest
 
-from repro.storage import ExperimentStore, RunRecord
+from repro.apps.synthetic import make_pingpong
+from repro.cli import main as cli_main
+from repro.core import SearchConfig, run_diagnosis
+from repro.storage import ExperimentStore, RunRecord, StoreError
 from repro.storage.file_backend import FileBackend
+from repro.storage.summary import meta_for_record
+from tests.reference_extraction import facts_of_record, reference_directives
 
 
 def _tiny_record(run_id: str, version: str = "1") -> RunRecord:
@@ -147,7 +153,7 @@ class TestCompactionCrashStates:
         after = ExperimentStore(tmp_path / "runs")
         assert after.summaries() == view
         after.save(_tiny_record("r4"))
-        seqs = sorted(m["seq"] for m in after._read_index().values())
+        seqs = sorted(m["seq"] for _rid, m in after.backend.iter_summaries())
         assert seqs == [0, 1, 2, 3, 4]
 
     def test_rebuild_recovers_from_arbitrary_wreckage(self, tmp_path):
@@ -203,7 +209,7 @@ class TestSigkillMidCompaction:
         assert report.quarantined == []
         fresh = ExperimentStore(root)
         assert set(fresh.list()) == on_disk
-        seqs = sorted(m["seq"] for m in fresh._read_index().values())
+        seqs = sorted(m["seq"] for _rid, m in fresh.backend.iter_summaries())
         assert seqs == list(range(len(on_disk)))
 
 
@@ -250,7 +256,92 @@ class TestConcurrentSegmentWriters:
             for i in range(self.RECORDS_EACH)
         }
         assert set(store.list()) == expected
-        seqs = sorted(m["seq"] for m in store._read_index().values())
+        seqs = sorted(m["seq"] for _rid, m in store.backend.iter_summaries())
         assert seqs == list(range(len(expected)))
         for run_id in expected:
             assert store.load(run_id).run_id == run_id
+
+
+# ---------------------------------------------------------------------------
+# stores written before the index had segments
+# ---------------------------------------------------------------------------
+def lay_down_old_store(root, records, seqs, *, index_format=3):
+    """Write by hand what the monolithic-index releases left on disk:
+    one checksummed file per record beside a single ``index.json`` — the
+    format-3 envelope, or the bare format-2 mapping that predates index
+    summaries — and no ``segments/``, claim file or aggregate sidecar."""
+    root.mkdir(parents=True)
+    runs = {}
+    for record, seq in zip(records, seqs):
+        payload = record.to_dict()
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        (root / f"{record.run_id}.json").write_text(json.dumps({
+            "format": 2,
+            "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+            "record": payload,
+        }))
+        meta = dict(meta_for_record(record), seq=seq)
+        if index_format == 2:
+            del meta["summary"]
+        runs[record.run_id] = meta
+    index = {"format": 3, "runs": runs} if index_format == 3 else runs
+    (root / "index.json").write_text(json.dumps(index, indent=1, sort_keys=True))
+    return runs
+
+
+class TestStoreWrittenBeforeSegments:
+    FAST = SearchConfig(min_interval=5.0, check_period=0.5,
+                        insertion_latency=0.2, cost_limit=50.0)
+
+    def diagnosed(self, run_id, iterations):
+        return run_diagnosis(make_pingpong(iterations=iterations),
+                             run_id=run_id, config=self.FAST)
+
+    @pytest.mark.parametrize("index_format", (3, 2))
+    def test_opens_extends_harvests_and_compacts(self, tmp_path, index_format):
+        root = tmp_path / "old"
+        records = [self.diagnosed(f"old-{i}", 40 + 20 * i) for i in range(3)]
+        # written out of seq order, with the gaps deletes left behind
+        runs = lay_down_old_store(root, records, (5, 0, 2),
+                                  index_format=index_format)
+
+        store = ExperimentStore(root, auto_compact=0)
+        assert store.info().backend == "file"
+        assert list(store.backend.iter_summaries()) == [
+            (rid, runs[rid]) for rid in ("old-1", "old-2", "old-0")]
+        assert store.load("old-2").to_dict() == records[2].to_dict()
+        assert not (root / "segments").exists()
+
+        new = self.diagnosed("new-0", 50)
+        store.save(new)
+        assert dict(store.backend.iter_summaries())["new-0"]["seq"] == 6
+        assert sorted(os.listdir(root / "segments")) == [
+            "000000000000.json", "_state.json"]
+        assert store.list() == ["old-1", "old-2", "old-0", "new-0"]
+
+        # no sidecar vouches for the old base: the harvest is the rescan
+        assert store.backend.harvest_aggregate() is None
+        assert store.info().aggregated_runs == 0
+        expected = reference_directives(
+            [facts_of_record(r) for r in (records[1], records[2], records[0], new)],
+            include_thresholds=True,
+        ).to_text()
+        assert store.harvest_evidence().finalize(
+            include_thresholds=True).to_text() == expected
+
+        store.compact()
+        fresh = ExperimentStore(root)
+        assert fresh.info().aggregated_runs == fresh.info().runs == 4
+        assert fresh.backend.harvest_aggregate() is not None
+        assert fresh.harvest_evidence().finalize(
+            include_thresholds=True).to_text() == expected
+
+    def test_monolithic_backend_name_is_gone(self, tmp_path, capsys):
+        with pytest.raises(StoreError, match="'file', 'sqlite'"):
+            ExperimentStore(tmp_path / "runs", backend="file-legacy")
+        ExperimentStore(tmp_path / "runs").save(_tiny_record("r0"))
+        with pytest.raises(SystemExit) as usage:
+            cli_main(["store", "stats", "--store", str(tmp_path / "runs"),
+                      "--backend", "file"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from repro.resilience.torture import (
 )
 from repro.storage import ExperimentStore, RunRecord, migrate_store
 
-FILE_BACKENDS = ("file", "file-legacy")
+FILE_BACKENDS = ("file",)
 
 
 def _record(run_id: str, tag: int = 0) -> RunRecord:
@@ -65,7 +65,7 @@ def _assert_payloads_load(store, context):
 # ---------------------------------------------------------------------------
 def test_seeded_matrix_never_diverges(tmp_path):
     report = run_torture(TORTURE_BACKENDS, seeds=range(15), workdir=tmp_path)
-    assert len(report.schedules) == 45
+    assert len(report.schedules) == 15 * len(TORTURE_BACKENDS)
     for bad in report.divergences:
         pytest.fail(
             f"store diverged: backend={bad['backend']} seed={bad['seed']} "
@@ -169,7 +169,6 @@ def test_enospc_mid_migration(tmp_path, backend):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("backend,op", [
     ("file", "replace"),
-    ("file-legacy", "replace"),
     ("sqlite", "sqlite"),
 ])
 def test_kill_mid_compaction(tmp_path, backend, op):
