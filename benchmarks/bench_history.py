@@ -15,8 +15,9 @@ fast.  It builds synthetic stores of 100 and 500 runs and times:
 * **archive scale** (``--scale-entries``, default 10^5): a preloaded
   10^5-entry index measures the aggregate-backed harvest paths — cold
   harvest from the persisted rolling aggregate vs the full summary
-  rescan, and the pool's O(Δ) incremental re-harvest after one write vs
-  re-scanning the whole history (the pre-aggregate pool behavior).
+  rescan, and the pool's re-harvest after one write — served from the
+  aggregate that write's seal extended — vs re-scanning the whole
+  history.
 
 Every fast-path result is asserted equal to its legacy counterpart
 before any timing is reported — a fast wrong answer is no answer.
@@ -339,7 +340,7 @@ def bench_store(root: Path, n_runs: int, reps: int, legacy_reps: int) -> dict:
 def bench_scale_harvest(workdir: Path, n_entries: int, reps: int,
                         rescan_reps: int) -> dict:
     """Aggregate-backed harvest vs the full summary rescan at archive
-    scale, plus the pool's O(Δ) re-harvest after a write."""
+    scale, plus the pool's re-harvest after a write."""
     root = workdir / f"scale-{n_entries}"
     store = preload_store(root, "file", n_entries)
     store.compact()  # folds the base and persists the harvest aggregate
@@ -371,7 +372,8 @@ def bench_scale_harvest(workdir: Path, n_entries: int, reps: int,
     cold_harvest_s = timed(
         lambda: ExperimentStore(root).harvest_evidence().finalize(), reps)
 
-    # incremental: warm pool, append one run, re-harvest folds only it
+    # incremental: warm pool, append one run (its seal extends the
+    # rolling aggregate), re-harvest reads that aggregate
     pool = StorePool()
     pool.harvest(store)
     incremental_walls = []
@@ -381,10 +383,11 @@ def bench_scale_harvest(workdir: Path, n_entries: int, reps: int,
         start = time.perf_counter()
         directives = pool.harvest(store)
         incremental_walls.append(time.perf_counter() - start)
-    folds = pool.stats()["harvest_incremental"]
-    if folds != reps:
+    info = store.info()
+    if info.aggregated_runs != info.runs:
         raise AssertionError(
-            f"pool took the incremental path {folds}/{reps} times"
+            f"aggregate covers {info.aggregated_runs}/{info.runs} runs "
+            f"after {reps} saves"
         )
     if directives.to_text() != full_rescan(store).to_text():
         raise AssertionError(

@@ -155,7 +155,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     store = resolve_store(args.store).store
-    records = store.load_all(args.runs)
+    records = store.load_many(args.runs)
     if args.postmortem:
         rec = records[0]
         directives = extract_directives_postmortem(

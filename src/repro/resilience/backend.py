@@ -33,7 +33,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple, TypeVar
 
 from ..storage.api import (
@@ -183,10 +182,6 @@ class ResilientBackend(StorageBackend):
         return self._guard("record_token",
                            lambda: self.inner.record_token(run_id))
 
-    def record_path(self, run_id: str) -> Optional[Path]:
-        # pure path computation on every backend — nothing to retry
-        return self.inner.record_path(run_id)
-
     def iter_summaries(self) -> Iterator[Tuple[str, dict]]:
         # materialize under the guard: a generator cannot be retried
         # once partially consumed
@@ -206,7 +201,7 @@ class ResilientBackend(StorageBackend):
         return self._guard("set_summaries",
                            lambda: self.inner.set_summaries(summaries))
 
-    # The three aggregate methods have non-abstract defaults on the ABC,
+    # The two aggregate methods have non-abstract defaults on the ABC,
     # which this subclass would silently inherit (shadowing __getattr__
     # delegation) — so they must be wrapped explicitly like the rest.
     def harvest_aggregate(self, app_name: Optional[str] = None):
@@ -215,10 +210,6 @@ class ResilientBackend(StorageBackend):
 
     def index_token(self) -> Hashable:
         return self._guard("index_token", lambda: self.inner.index_token())
-
-    def summaries_delta(self, cursor: Hashable):
-        return self._guard("summaries_delta",
-                           lambda: self.inner.summaries_delta(cursor))
 
     def rebuild(self) -> RecoveryReport:
         return self._guard("rebuild", lambda: self.inner.rebuild())

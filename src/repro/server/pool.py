@@ -16,20 +16,17 @@ them per call.  The pool keeps both warm:
   token, so invalidation needs no coordination, exactly like the record
   cache's per-record tokens; and a token never recurs once the store
   has been written, so the entry for a newer token replaces the older
-  one instead of sitting beside it;
-* a bounded cache of :class:`~repro.core.extraction.HarvestAggregate`
-  evidence per (store, app).  A harvest whose token no longer matches
-  the cached aggregate asks the backend for the **delta** of runs
-  appended since, folds only those into a copy, and finalizes — O(Δ)
-  re-harvest after a write instead of O(history).  Whenever the backend
-  cannot prove the changes were pure appends, the pool falls back to
-  :meth:`~repro.storage.store.ExperimentStore.harvest_evidence` (itself
-  served from the backend's persisted aggregate when possible).
+  one instead of sitting beside it.
 
-Every compute path re-reads the index token after extraction and only
-caches when it still matches the token the computation started from —
-a concurrent writer mid-extraction would otherwise poison the cache
-with directives for an index state the token no longer names.
+A miss asks :meth:`~repro.storage.store.ExperimentStore.harvest_evidence`
+for the evidence and finalizes it.  The pool keeps no evidence of its
+own: the backend's rolling aggregate, extended inside every save, is
+the one incremental path, so the first harvest after a write is one
+aggregate read, not a fold over the history.  The pool re-reads the
+index token after extraction and only caches when it still matches the
+token the computation started from — a concurrent writer mid-extraction
+would otherwise poison the cache with directives for an index state the
+token no longer names.
 
 Thread-safe: the server's worker threads and any direct callers share
 one pool under a single lock; the cached values themselves (stores,
@@ -45,7 +42,6 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from ..core.directives import DirectiveSet
-from ..core.extraction import HarvestAggregate
 from ..resilience.backend import ResiliencePolicy
 from ..storage.store import ExperimentStore
 
@@ -89,17 +85,12 @@ class StorePool:
         # (id(store), app, options) -> (store, index token, directives)
         self._harvests: "OrderedDict[tuple, Tuple[ExperimentStore, object, DirectiveSet]]" = \
             OrderedDict()
-        # (id(store), app) -> (store, index token, folded evidence); the
-        # seed each post-write delta fold grows from.
-        self._aggregates: "OrderedDict[tuple, Tuple[ExperimentStore, object, HarvestAggregate]]" = \
-            OrderedDict()
         self._closed = False
         self.store_hits = 0
         self.store_misses = 0
         self.evictions = 0
         self.harvest_hits = 0
         self.harvest_misses = 0
-        self.harvest_incremental = 0
 
     # ------------------------------------------------------------------
     # stores
@@ -160,16 +151,13 @@ class StorePool:
         Semantically identical to the facade's summary fast path
         (directives extracted from every summary in the store's index),
         but the result is cached against the store's index state token:
-        the first diagnosis after a write pays the extraction, every one
-        until the next write reuses it.  And that first diagnosis is
-        usually O(Δ) itself — when evidence for an earlier token is
-        cached and the backend proves the only changes since were
-        appends, just the new runs are folded in before finalizing.
+        the first diagnosis after a write pays the extraction (one read
+        of the backend's rolling aggregate), every one until the next
+        write reuses it.
         """
         opened = self.get(store, backend=backend, resilience=resilience)
         token = opened.index_token()
         key = (id(opened), app, tuple(sorted(options.items())))
-        agg_key = (id(opened), app)
         with self._lock:
             entry = self._harvests.get(key)
             # Identity-check the owning store: id() alone could collide
@@ -179,78 +167,24 @@ class StorePool:
                 self.harvest_hits += 1
                 return entry[2]
             self.harvest_misses += 1
-            cached = self._aggregates.get(agg_key)
-            if cached is not None and cached[0] is not opened:
-                cached = None
 
-        agg: Optional[HarvestAggregate] = None
-        incremental = False
-        if cached is not None:
-            _owner, cached_token, cached_agg = cached
-            if cached_token == token:
-                # Same index state, different extraction options: the
-                # evidence is already folded, only finalize differs.
-                agg = cached_agg
-            else:
-                agg = self._fold_delta(opened, app, cached_token,
-                                       cached_agg, token)
-                incremental = agg is not None
-        if agg is None:
-            agg = opened.harvest_evidence(app)
-        directives = agg.finalize(**options)
+        directives = opened.harvest_evidence(app).finalize(**options)
 
         # Cache only when the index still looks exactly as it did when
         # extraction started; a write that landed mid-extraction would
         # otherwise pin these directives to a token they don't describe.
         if opened.index_token() == token:
             with self._lock:
-                if incremental:
-                    self.harvest_incremental += 1
-                self._aggregates[agg_key] = (opened, token, agg)
-                self._aggregates.move_to_end(agg_key)
-                while len(self._aggregates) > _HARVEST_CACHE_SIZE:
-                    self._aggregates.popitem(last=False)
                 self._harvests[key] = (opened, token, directives)
                 self._harvests.move_to_end(key)
                 while len(self._harvests) > _HARVEST_CACHE_SIZE:
                     self._harvests.popitem(last=False)
         return directives
 
-    @staticmethod
-    def _fold_delta(
-        opened: ExperimentStore,
-        app: Optional[str],
-        cached_token: object,
-        cached_agg: HarvestAggregate,
-        token: object,
-    ) -> Optional[HarvestAggregate]:
-        """Cached evidence + the runs appended since its token, or
-        ``None`` when the backend can't prove that fold is exact."""
-        delta = opened.summaries_delta(cached_token)
-        if delta is None:
-            return None
-        folded = cached_agg.copy()
-        for _run_id, meta in delta:
-            summary = meta.get("summary") if isinstance(meta, dict) else None
-            if not isinstance(summary, dict):
-                return None
-            if app is not None and meta.get("app_name") != app:
-                continue
-            folded.fold_summary(summary)
-        # The delta was read after the token: a write between the two
-        # reads means `folded` may cover more than `token` names.
-        if opened.index_token() != token:
-            return None
-        return folded
-
     def _drop_harvests_for(self, store: ExperimentStore) -> None:
         stale = [k for k, entry in self._harvests.items() if entry[0] is store]
         for k in stale:
             del self._harvests[k]
-        stale_aggs = [k for k, entry in self._aggregates.items()
-                      if entry[0] is store]
-        for k in stale_aggs:
-            del self._aggregates[k]
 
     # ------------------------------------------------------------------
     # lifecycle / introspection
@@ -262,7 +196,6 @@ class StorePool:
             stores = list(self._stores.values())
             self._stores.clear()
             self._harvests.clear()
-            self._aggregates.clear()
             self._closed = True
         for store in stores:
             store.close()
@@ -278,7 +211,6 @@ class StorePool:
                 "harvest_entries": len(self._harvests),
                 "harvest_hits": self.harvest_hits,
                 "harvest_misses": self.harvest_misses,
-                "harvest_incremental": self.harvest_incremental,
             }
 
     def __len__(self) -> int:

@@ -13,7 +13,9 @@ exchanges with it, and the exception taxonomy shared by all of them.
 A backend owns durability, integrity, and the *index*: the run → meta
 mapping whose entries carry the denormalized query summaries
 (:func:`~repro.storage.summary.summarize_record`) that let cross-run
-queries answer without touching record payloads.  Everything else —
+queries answer without touching record payloads — and, optionally, a
+rolling harvest aggregate over that index, extended inside every save:
+the one incremental harvest path there is.  Everything else —
 record-object caching, summary backfill policy, batch loading, the
 public query helpers — lives above the seam and is backend-agnostic.
 """
@@ -136,9 +138,9 @@ class StoreInfo:
     #: (0 when the backend keeps none, or the persisted one went stale).
     aggregated_runs: int = 0
     #: Index segments the persisted harvest aggregate covers (file
-    #: backend only: the rolling sidecar stops at the first seal it
-    #: cannot prove — a delete, overwrite or unsummarized put — and the
-    #: uncovered tail is folded per op, or forces the rescan).
+    #: backend only: the rolling sidecar stops at a delete's seal until
+    #: the next put's seal rebuilds it, and an uncovered tail is folded
+    #: per op, or forces the rescan).
     aggregated_segments: int = 0
 
 
@@ -225,15 +227,6 @@ class StorageBackend(ABC):
         Raises :class:`StoreError` for a missing run.
         """
 
-    def record_path(self, run_id: str) -> Optional[Path]:
-        """Filesystem path of the payload, when the backend has one.
-
-        ``None`` (the default) means payloads are not addressable as
-        files — batch loaders then parse serially in-process instead of
-        on a worker pool.
-        """
-        return None
-
     # -- index ----------------------------------------------------------
     @abstractmethod
     def iter_summaries(self) -> Iterator[Tuple[str, dict]]:
@@ -262,7 +255,8 @@ class StorageBackend(ABC):
     # -- harvest aggregates ---------------------------------------------
     # Optional fast path (default: not supported).  Backends that persist
     # :class:`~repro.core.extraction.HarvestAggregate` sufficient
-    # statistics can answer a harvest in one read instead of O(runs);
+    # statistics, extended inside every save, can answer a harvest in
+    # one read instead of O(runs), before and after each write alike;
     # any condition they cannot prove consistent must degrade to ``None``
     # — the frontend then falls back to the full summary scan, so a
     # missing or stale aggregate can never produce wrong directives.
@@ -282,26 +276,14 @@ class StorageBackend(ABC):
         """An identity for the index's *current* contents.
 
         Any write — put, delete, summary backfill, rebuild, compaction,
-        by this process or another — must change the token.  The default
+        by this process or another — must change the token: callers
+        cache what they derive from the index (the serving pool's
+        directive sets) for exactly as long as it holds.  The default
         derives one from :meth:`info`; backends should override with a
         cheaper/preciser form when they can.
         """
         info = self.info()
         return (info.runs, info.generation, info.segments, info.index_bytes)
-
-    def summaries_delta(
-        self, cursor: Hashable
-    ) -> Optional[List[Tuple[str, dict]]]:
-        """``(run_id, meta)`` pairs for runs appended since *cursor* (a
-        previously returned :meth:`index_token`), in ``seq`` order.
-
-        ``None`` (the default) when the backend cannot *prove* that the
-        only changes since *cursor* were appends of new, summarized runs
-        — deletes, overwrites, backfills, compactions, or an
-        unrecognizable cursor all degrade to the caller's full-scan
-        path rather than risk a wrong incremental fold.
-        """
-        return None
 
     # -- maintenance ----------------------------------------------------
     @abstractmethod

@@ -52,16 +52,18 @@ by op under the ``seq`` watermark.  A seal renames the segment first and
 the sidecar second, so a writer killed in between — or a reader racing
 it — sees one uncovered segment and folds it; a reader holding a
 pre-compaction listing against the new sidecar meets ``seq <= max_seq``
-and rescans.  A seal that cannot prove its ops are new summarized puts
-(delete, overwrite, backfill) writes no sidecar; coverage stops there
-until the next compaction.  Absent or short, never wrong or double-counted.
+and rescans.  A delete's seal cannot extend it and writes none; a put
+or backfill seal that cannot roll it (after a delete, on an overwrite,
+over a stale stamp) rebuilds it from the merged view it holds under the
+lock, so coverage is short until the next put, never until the next
+compaction.  Absent or short, never wrong or double-counted.
 
 A directory written before segments existed — record files beside an
 ``index.json`` (format 3, or the bare format-2 mapping), with no
 ``segments/`` and no sidecar — is this layout with zero segments: it
 opens as is, the claim file is derived from the base on the first write,
-and harvests rescan until a ``compact()`` or ``rebuild()`` writes the
-sidecar.
+and harvests rescan until that write's seal builds the sidecar (or, with
+runs still unsummarized, until the backfill that completes them).
 """
 
 from __future__ import annotations
@@ -246,6 +248,15 @@ def _atomic_write_json(path: Path, data: dict, *, indent: Optional[int] = None) 
         path, json.dumps(data, indent=indent, sort_keys=indent is not None))
 
 
+def _apply_ops(view: Dict[str, dict], ops: List[dict]) -> None:
+    """Replay one segment's index ops onto a run→meta view in place."""
+    for op in ops:
+        if op.get("op") == "put":
+            view[op["run_id"]] = op["meta"]
+        elif op.get("op") == "del":
+            view.pop(op["run_id"], None)
+
+
 class FileBackend(StorageBackend):
     """File-per-record storage with a segmented index.  See the module
     docstring for the on-disk layout and the crash-safety argument."""
@@ -398,11 +409,7 @@ class FileBackend(StorageBackend):
             base, _generation = self._read_base()
             merged = base  # _read_base returned a fresh dict
             for _name, ops in segments:
-                for op in ops or ():
-                    if op.get("op") == "put":
-                        merged[op["run_id"]] = op["meta"]
-                    elif op.get("op") == "del":
-                        merged.pop(op["run_id"], None)
+                _apply_ops(merged, ops or ())
             self._merged_cache = (key, merged)
             return dict(merged)
 
@@ -434,23 +441,28 @@ class FileBackend(StorageBackend):
         self._segments_dir.mkdir(exist_ok=True)
         _atomic_write_json(self._state_path, state)
 
-    def _append_segment(self, ops: List[dict]) -> None:
+    def _append_segment(self, ops: List[dict],
+                        merged: Optional[Dict[str, dict]] = None) -> None:
         """Claim a segment name and seal *ops* into it (under the lock)."""
         state = self._read_state()
         counter = state["counter"]
         state["counter"] = counter + 1
         self._write_state(state)
-        self._seal_segment(counter, ops)
+        self._seal_segment(counter, ops, merged)
 
-    def _seal_segment(self, counter: int, ops: List[dict]) -> None:
+    def _seal_segment(self, counter: int, ops: List[dict],
+                      merged: Optional[Dict[str, dict]] = None) -> None:
         """Write one sealed, never-again-modified segment file and roll
         the aggregate sidecar over it.  The counter must already be
         claimed in the state file, so a crash here skips a name instead
         of colliding with a later writer.
 
-        The sidecar is extended only when the pre-seal aggregate proves
-        out and *ops* are pure new summarized puts; otherwise coverage
-        stops at the old ``through`` until the next compact/rebuild.
+        The sidecar is rolled when the pre-seal aggregate proves out and
+        *ops* are pure new summarized puts.  Otherwise a put seal passes
+        *merged*, the pre-seal view it holds under the lock, and the
+        sidecar is rebuilt from it with *ops* applied: one fold, once,
+        and the seals after it roll again.  A delete passes none, so
+        coverage stops at the old ``through`` until the next put.
         """
         self._segments_dir.mkdir(exist_ok=True)
         name = f"{counter:012d}.json"
@@ -458,15 +470,19 @@ class FileBackend(StorageBackend):
         _atomic_write_json(
             self._segments_dir / name, {"format": _SEGMENT_FORMAT, "ops": ops}
         )
-        rolled = self._fold_ops(current, [ops]) if current is not None else None
-        if rolled is not None:
-            try:
+        try:
+            rolled = self._fold_ops(current, [ops]) \
+                if current is not None else None
+            if rolled is None and merged is not None:
+                _apply_ops(merged, ops)
+                rolled = self._build_aggregates(merged)
+            if rolled is not None:
                 self._write_aggregate_sidecar(rolled, through=name)
-            except OSError:
-                # The segment rename was the commit point: a sidecar that
-                # cannot be written leaves coverage one segment short
-                # (the next seal folds it), never a failed save.
-                pass
+        except OSError:
+            # The segment rename was the commit point: a sidecar that
+            # cannot be written leaves coverage one segment short (the
+            # next seal folds or heals it), never a failed save.
+            pass
 
     # ------------------------------------------------------------------
     # harvest aggregates
@@ -647,6 +663,10 @@ class FileBackend(StorageBackend):
         return agg if agg is not None else HarvestAggregate()
 
     def index_token(self) -> Hashable:
+        """``(base stat signature, segment names)``: every write seals a
+        segment under a never-reused name or rewrites the base, so any
+        write changes it, and it costs one ``listdir`` plus one ``stat``.
+        """
         with self._cache_lock:
             # Same read discipline as read_merged: segments before base,
             # so a racing compaction can only produce a token no later
@@ -656,52 +676,7 @@ class FileBackend(StorageBackend):
                 base_sig = _stat_sig(self._index_path)
             except OSError:
                 base_sig = None
-            next_seq = self._read_state()["next_seq"]
-        return (base_sig, names, next_seq)
-
-    def summaries_delta(
-        self, cursor: Hashable
-    ) -> Optional[List[Tuple[str, dict]]]:
-        if not (isinstance(cursor, tuple) and len(cursor) == 3):
-            return None
-        base_sig0, names0, next_seq0 = cursor
-        if base_sig0 is None or not isinstance(names0, tuple) \
-                or not isinstance(next_seq0, int):
-            return None
-        with self._cache_lock:
-            names = self._segment_names()
-            try:
-                if _stat_sig(self._index_path) != tuple(base_sig0):
-                    return None  # base rewritten: compaction/rebuild
-            except OSError:
-                return None
-            known = set(names0)
-            if not known.issubset(names):
-                return None
-            out: List[Tuple[str, dict]] = []
-            # Every op since the cursor must be a *new* summarized run:
-            # seq values are claimed monotonically in the state file, so
-            # anything the cursor's writer could already have seen — an
-            # overwrite or backfill of an existing run — carries a seq
-            # below the watermark and degrades to the full-scan path.
-            watermark = next_seq0 - 1
-            for name in names:
-                if name in known:
-                    continue
-                ops = self._read_segment(name)
-                if ops is None:
-                    return None
-                for op in ops:
-                    if op.get("op") != "put":
-                        return None
-                    meta = op.get("meta") or {}
-                    seq = meta.get("seq", -1)
-                    if seq <= watermark \
-                            or not isinstance(meta.get("summary"), dict):
-                        return None
-                    watermark = seq
-                    out.append((op["run_id"], meta))
-        return out
+        return (base_sig, names)
 
     # ------------------------------------------------------------------
     # record files
@@ -754,7 +729,8 @@ class FileBackend(StorageBackend):
             # may leave an orphaned record file behind, and a retry —
             # or a later legitimate save of the same run id — must be
             # able to reclaim it.
-            prior = self.read_merged().get(run_id)
+            merged = self.read_merged()
+            prior = merged.get(run_id)
             if prior is not None and not overwrite:
                 raise StoreError(f"run {run_id!r} already stored")
             meta = dict(meta)
@@ -772,7 +748,8 @@ class FileBackend(StorageBackend):
             meta["seq"] = seq
             self._write_record(path, payload)
             self._seal_segment(
-                counter, [{"op": "put", "run_id": run_id, "meta": meta}]
+                counter, [{"op": "put", "run_id": run_id, "meta": meta}],
+                merged,
             )
             token = _stat_sig(path)
         return seq, token
@@ -811,9 +788,6 @@ class FileBackend(StorageBackend):
         except OSError:
             raise StoreError(f"no stored run {run_id!r}") from None
 
-    def record_path(self, run_id: str) -> Optional[Path]:
-        return self._record_file(run_id)
-
     # ------------------------------------------------------------------
     # StorageBackend: index
     # ------------------------------------------------------------------
@@ -851,7 +825,7 @@ class FileBackend(StorageBackend):
                     meta["summary"] = summary
                     ops.append({"op": "put", "run_id": run_id, "meta": meta})
             if ops:
-                self._append_segment(ops)
+                self._append_segment(ops, merged)
 
     # ------------------------------------------------------------------
     # StorageBackend: maintenance

@@ -91,24 +91,9 @@ def _lookup(tables: Dict[str, Dict[str, dict]], resource: str) -> Optional[dict]
     return hits[0][1] if hits else None
 
 
-def _fraction(record: RunRecord, resource: str, activity: str) -> float:
-    """Fraction of total execution time *resource* spent in *activity*."""
-    profile = record.flat_profile()
-    total = profile.total_time()
-    if total <= 0:
-        return 0.0
-    tables = {
-        "Code": profile.by_code,
-        "Process": profile.by_process,
-        "Machine": profile.by_node,
-        "SyncObject": profile.by_tag,
-    }
-    entry = _lookup(tables, resource)
-    return (entry or {}).get(activity, 0.0) / total
-
-
 def _summary_fraction(summary: dict, resource: str, activity: str) -> float:
-    """Same as :func:`_fraction`, answered from an index summary.
+    """Fraction of total execution time *resource* spent in *activity*,
+    answered from an index summary.
 
     The summary's fraction tables are already normalized by total time,
     so this is a pure lookup.

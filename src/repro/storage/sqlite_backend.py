@@ -234,8 +234,7 @@ class SQLiteBackend(StorageBackend):
             if row is not None:
                 # Overwrite: the stored aggregates folded the *old*
                 # summary and cannot be un-folded — clear them (the next
-                # harvest rebuilds) and record the mutation so
-                # incremental readers discard their cursors.
+                # harvest rebuilds) and record the mutation in the token.
                 self._bump_mutations()
                 self._execute("DELETE FROM harvest_aggregates")
             else:
@@ -290,7 +289,7 @@ class SQLiteBackend(StorageBackend):
             cur = self._execute("DELETE FROM runs WHERE run_id = ?", (run_id,))
             if cur.rowcount:
                 # Removed runs cannot be subtracted from a fold; clear
-                # the aggregates and invalidate incremental cursors.
+                # the aggregates (the next harvest rebuilds them).
                 self._bump_mutations()
                 self._execute("DELETE FROM harvest_aggregates")
 
@@ -398,9 +397,10 @@ class SQLiteBackend(StorageBackend):
         """Advance the mutation counter (inside a write transaction).
 
         Counts every index change that is *not* an append of a new
-        summarized run — overwrite, delete, backfill, quarantine,
-        rebuild.  :meth:`index_token` folds it in, so incremental
-        readers can prove "only appends happened since my cursor".
+        run — overwrite, delete, backfill, quarantine, rebuild, compact.
+        :meth:`index_token` folds it in: the run count and highest
+        ``seq`` alone cannot tell an overwrite or backfill from no
+        change at all.
         """
         self._execute(
             "INSERT INTO store_meta(key, value) VALUES ('mutations', '1') "
@@ -527,31 +527,6 @@ class SQLiteBackend(StorageBackend):
         mutations = int(row[0]) if row[0] is not None else 0
         return ("sqlite", mutations, row[1], row[2])
 
-    def summaries_delta(
-        self, cursor: Hashable
-    ) -> Optional[List[Tuple[str, dict]]]:
-        if not (isinstance(cursor, tuple) and len(cursor) == 4
-                and cursor[0] == "sqlite"):
-            return None
-        mutations0, count0, max_seq0 = cursor[1], cursor[2], cursor[3]
-        if not all(isinstance(v, int) for v in (mutations0, count0, max_seq0)):
-            return None
-        rows = self._select(
-            "SELECT run_id, meta FROM runs WHERE seq > ? ORDER BY seq",
-            (max_seq0,),
-            describe="summaries_delta",
-        )
-        current = self.index_token()
-        if current[1] != mutations0:
-            return None  # something other than appends happened
-        out: List[Tuple[str, dict]] = []
-        for run_id, meta_json in rows:
-            meta = json.loads(meta_json)
-            if not isinstance(meta.get("summary"), dict):
-                return None
-            out.append((run_id, meta))
-        return out
-
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
@@ -602,6 +577,9 @@ class SQLiteBackend(StorageBackend):
         entries = self._select("SELECT COUNT(*) FROM runs",
                                describe="compact count")[0][0]
         self._call(lambda: self._execute("VACUUM"), "compact")
+        # VACUUM keeps the contents, but a compaction is a write and
+        # must move the index token like every other.
+        self._write_txn(self._bump_mutations, "compact")
         return CompactionStats(segments_folded=0, entries=entries, generation=0)
 
     def info(self) -> StoreInfo:

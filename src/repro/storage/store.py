@@ -21,18 +21,14 @@ else file), so paths keep working everywhere a backend name isn't given.
 What stays above the seam: the bounded in-process LRU of parsed
 :class:`RunRecord` objects (keyed by the backend's per-record token, so
 a cross-process overwrite invalidates entries without coordination),
-lazy summary backfill for pre-format-3 stores, batch loading with an
-optional parse pool, and auto-compaction policy.  Records obtained from
-the cache are shared objects: treat loaded (and saved) records as
-immutable.
+lazy summary backfill for pre-format-3 stores, batch loading, and
+auto-compaction policy.  Records obtained from the cache are shared
+objects: treat loaded (and saved) records as immutable.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -47,7 +43,7 @@ from .api import (
     StoreInfo,
     StoreUnavailable,
 )
-from .file_backend import FileBackend, read_record_payload
+from .file_backend import FileBackend
 from .records import RunRecord
 from .sqlite_backend import SQLITE_STORE_NAME, SQLiteBackend
 from .summary import meta_for_record, summarize_record
@@ -121,11 +117,6 @@ class _RecordCache:
             return len(self._items)
 
 
-def _read_payload_task(path_str: str) -> dict:
-    """Parse one record file in a pool worker (module-level: picklable)."""
-    return read_record_payload(Path(path_str))
-
-
 def _resolve_backend(root: Union[str, Path, None],
                      backend: BackendLike) -> StorageBackend:
     if isinstance(backend, StorageBackend):
@@ -164,8 +155,7 @@ class ExperimentStore:
     auto-detect from the directory), ``cache_size`` bounds the parsed
     record LRU, and ``auto_compact`` is the segment count past which a
     save folds the index into a new base generation (``0``/``None``
-    disables; ``background_compaction=True`` folds on a daemon thread
-    instead of inline).
+    disables).
 
     ``resilience`` controls the availability layer every backend call is
     threaded through (:class:`~repro.resilience.backend.ResilientBackend`
@@ -184,7 +174,6 @@ class ExperimentStore:
         backend: BackendLike = None,
         cache_size: int = _DEFAULT_CACHE_SIZE,
         auto_compact: Optional[int] = _DEFAULT_AUTO_COMPACT,
-        background_compaction: bool = False,
         resilience: Union[None, bool, ResiliencePolicy] = None,
     ):
         inner = _resolve_backend(root, backend)
@@ -205,8 +194,6 @@ class ExperimentStore:
         )
         self._cache = _RecordCache(cache_size)
         self._auto_compact = auto_compact or 0
-        self._background_compaction = background_compaction
-        self._compaction_thread: Optional[threading.Thread] = None
 
     @property
     def backend(self) -> StorageBackend:
@@ -218,15 +205,11 @@ class ExperimentStore:
     def close(self) -> None:
         """Release the store's in-process resources.
 
-        Drops the parsed-record LRU, waits for an in-flight background
-        compaction, and closes the backend (the SQLite connection for
-        that backend; a no-op for the file layout).  The object must
-        not be used afterwards.  Idempotent — a pooled store may be
+        Drops the parsed-record LRU and closes the backend (the SQLite
+        connection for that backend; a no-op for the file layout).  The
+        object must not be used afterwards.  Idempotent — a pooled store may be
         evicted and closed more than once.
         """
-        thread = self._compaction_thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=30.0)
         self._cache.clear()
         close = getattr(self._inner, "close", None)
         if close is not None:
@@ -335,78 +318,11 @@ class ExperimentStore:
         ids = self.list(app_name=app_name, version=version)
         return self.load(ids[-1]) if ids else None
 
-    def load_all(self, run_ids: Iterable[str]) -> List[RunRecord]:
-        return self.load_many(run_ids)
-
-    def load_many(
-        self,
-        run_ids: Iterable[str],
-        processes: Optional[int] = None,
-    ) -> List[RunRecord]:
-        """Load a batch of records, served from the cache where possible.
-
-        With ``processes`` > 1 the cache misses are parsed (JSON +
-        checksum, the expensive part) in a process pool; records are
-        rebuilt and cached in the calling process.  The pool requires
-        the ``fork`` start method and file-addressable records; on
-        spawn-only platforms this falls back to serial parsing with a
-        :class:`RuntimeWarning` (backends without per-record files fall
-        back silently).  Corrupt records are quarantined exactly as
-        :meth:`load` would.  Order follows ``run_ids``.
-        """
-        ids = list(run_ids)
-        records: List[Optional[RunRecord]] = [None] * len(ids)
-        pending: List[Tuple[int, str, Hashable]] = []
-        for i, run_id in enumerate(ids):
-            token = self._backend.record_token(run_id)
-            cached = self._cache.get(run_id, token)
-            if cached is not None:
-                records[i] = cached
-            else:
-                pending.append((i, run_id, token))
-        use_pool = bool(processes and processes > 1 and len(pending) > 1)
-        if use_pool:
-            paths = {
-                run_id: self._backend.record_path(run_id)
-                for _i, run_id, _token in pending
-            }
-            if any(path is None for path in paths.values()):
-                use_pool = False  # backend has no per-record files
-            elif "fork" not in multiprocessing.get_all_start_methods():
-                warnings.warn(
-                    "store.load_many(processes=...) needs the 'fork' start "
-                    "method, which this platform lacks; parsing serially",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                use_pool = False
-        if use_pool:
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=min(processes, len(pending)), mp_context=ctx
-            ) as pool:
-                futures = {
-                    pool.submit(_read_payload_task, str(paths[run_id])):
-                        (i, run_id, token)
-                    for i, run_id, token in pending
-                }
-                for future in as_completed(futures):
-                    i, run_id, token = futures[future]
-                    try:
-                        payload = future.result()
-                    except StoreCorruption:
-                        self._cache.evict(run_id)
-                        # Re-read through the backend so the bad bytes
-                        # are quarantined exactly as load() would.
-                        self._backend.get(run_id)
-                        raise  # pragma: no cover - get() raises first
-                    record = RunRecord.from_dict(payload)
-                    self._cache.put(run_id, token, record)
-                    records[i] = record
-        else:
-            for i, run_id, _token in pending:
-                records[i] = self.load(run_id)
-        return records  # type: ignore[return-value]
+    def load_many(self, run_ids: Iterable[str]) -> List[RunRecord]:
+        """Load a batch of records in ``run_ids`` order, each served from
+        the cache when its token is unchanged and otherwise parsed and
+        verified exactly as :meth:`load` would."""
+        return [self.load(run_id) for run_id in run_ids]
 
     def __len__(self) -> int:
         return len(self.index_entries())
@@ -523,18 +439,9 @@ class ExperimentStore:
 
     def index_token(self) -> Hashable:
         """An identity for the index's current contents — changes on any
-        write by any process.  Pair with :meth:`summaries_delta` for
-        incremental re-harvest."""
+        write by any process, so a harvest cached against it is valid
+        exactly as long as the token is."""
         return self._backend.index_token()
-
-    def summaries_delta(
-        self, cursor: Hashable
-    ) -> Optional[List[Tuple[str, dict]]]:
-        """``(run_id, meta)`` pairs appended since *cursor* (a previous
-        :meth:`index_token`), or ``None`` when the backend cannot prove
-        the only changes were appends of summarized runs — callers then
-        fall back to :meth:`harvest_evidence`."""
-        return self._backend.summaries_delta(cursor)
 
     def _maybe_auto_compact(self) -> None:
         if not self._auto_compact:
@@ -542,16 +449,7 @@ class ExperimentStore:
         segment_count = getattr(self._backend, "segment_count", None)
         if segment_count is None or segment_count() < self._auto_compact:
             return
-        if not self._background_compaction:
-            self._backend.compact()
-            return
-        if self._compaction_thread is not None \
-                and self._compaction_thread.is_alive():
-            return  # one fold in flight is enough
-        self._compaction_thread = threading.Thread(
-            target=self._backend.compact, name="store-compaction", daemon=True
-        )
-        self._compaction_thread.start()
+        self._backend.compact()
 
 
 def migrate_store(

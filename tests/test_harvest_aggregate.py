@@ -1,6 +1,8 @@
 """The harvest aggregate: monoid laws, byte-identity with the naive
-reference extraction, cross-backend equivalence, the pool's O(Δ) fold,
-and the degrade-to-rescan guarantees under crashes and missing aggregates.
+reference extraction, cross-backend equivalence, the pool's re-harvest
+off the rolling aggregate, the index token it is cached against, the
+seal that heals the sidecar, and the degrade-to-rescan guarantees under
+crashes and missing aggregates.
 
 The contract under test everywhere: a persisted aggregate may be
 *absent* (forcing a fold over the full summary scan) but never *wrong* —
@@ -20,6 +22,7 @@ from repro.faults import IOFault, IOFaultPlan, SimulatedCrash
 from repro.faults import io as io_faults
 from repro.server.pool import StorePool
 from repro.storage import ExperimentStore, RunRecord
+from repro.storage.file_backend import _stat_sig
 from tests.reference_extraction import reference_directives
 from tests.test_store_segments import lay_down_old_store
 
@@ -142,6 +145,20 @@ def _scan_aggregate(store: ExperimentStore, app=None) -> HarvestAggregate:
         meta["summary"] for meta in store.summaries(app_name=app).values())
 
 
+def _count_reads(monkeypatch) -> list:
+    """Every path the backends open for reading from now on, in order."""
+    reads = []
+    real_check = io_faults.check
+
+    def counting(op, path=None):
+        if op == "read":
+            reads.append(str(path))
+        return real_check(op, path)
+
+    monkeypatch.setattr(io_faults, "check", counting)
+    return reads
+
+
 # ---------------------------------------------------------------------------
 # the monoid
 # ---------------------------------------------------------------------------
@@ -258,24 +275,61 @@ def test_federated_mixed_members(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the pool: O(Δ) re-harvest and the token race
+# the pool: re-harvest off the rolling aggregate, the token and its race
 # ---------------------------------------------------------------------------
-def test_pool_incremental_fold_after_write(tmp_path):
+def test_pool_incremental_fold_after_write(tmp_path, monkeypatch):
+    """The one incremental path is the backend's: each save already
+    extended the sidecar, so the pool's re-harvest of the same store
+    after a write opens no segment and still equals the scan."""
     store = _store(tmp_path / "incr", n=3)
     pool = StorePool()
     first = pool.harvest(store)
     assert pool.harvest(store) is first  # token unchanged: cache hit
-    store.save(make_run(7))
-    refolded = pool.harvest(store)
-    stats = pool.stats()
-    assert stats["harvest_incremental"] == 1, \
-        "post-write re-harvest should fold only the delta"
-    assert refolded.to_text() == _scan_text(store)
-    # a delete breaks the append-only proof: next harvest rescans but
-    # still answers correctly
+    reads = _count_reads(monkeypatch)
+    for i in (7, 8):
+        store.save(make_run(i))
+        del reads[:]
+        refolded = pool.harvest(store)
+        assert not any("segments" in r for r in reads), reads
+        assert refolded.to_text() == _scan_text(store)
+    monkeypatch.undo()
+    # a delete stops the sidecar: the next harvest rescans but still
+    # answers correctly
     store.delete("run-001")
     assert pool.harvest(store).to_text() == _scan_text(store)
-    assert pool.stats()["harvest_incremental"] == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_write_changes_the_index_token(tmp_path, backend):
+    """Put, overwrite, delete, backfill, compact and rebuild each move
+    the token to one never seen before; reads leave it where it is."""
+    store = _store(tmp_path / backend, backend=backend, n=3)
+    bare = dict(store.index_entries()["run-000"])
+    del bare["summary"], bare["seq"]
+    writes = [
+        ("put", lambda: store.save(make_run(3))),
+        ("overwrite", lambda: store.save(make_run(3), overwrite=True)),
+        ("delete", lambda: store.delete("run-000")),
+        ("unsummarized put", lambda: store.backend.put(
+            "run-000", make_run(0).to_dict(), bare)),
+        ("backfill", lambda: store.summary("run-000")),
+        ("compact", store.compact),
+        ("rebuild", store.rebuild_index),
+    ]
+    seen = [store.index_token()]
+    for name, write in writes:
+        write()
+        token = store.index_token()
+        assert token not in seen, name
+        seen.append(token)
+        # reads only: summaries() or harvest_evidence() would backfill
+        # the unsummarized run, which is a write
+        store.list()
+        store.index_entries()
+        store.load("run-001")
+        store.backend.harvest_aggregate()
+        store.info()
+        assert store.index_token() == token, f"a read after {name}"
 
 
 def test_pool_does_not_cache_when_token_races(tmp_path):
@@ -433,6 +487,57 @@ def test_sidecar_write_error_never_fails_the_save(tmp_path):
     assert info.aggregated_segments == info.segments == 3
 
 
+def test_put_seal_heals_what_a_delete_stopped(tmp_path, monkeypatch):
+    """A delete's seal cannot extend the rolling sidecar and writes
+    none; the next save's seal rebuilds it from the merged view it holds
+    under the lock, so coverage is whole again and a cold harvest after
+    it reads no segment."""
+    root = tmp_path / "heal"
+    store = _store(root, n=4)
+    sidecar = root / "index.aggregate"
+    for run_id in ("run-001", "run-002"):
+        before = _stat_sig(sidecar)
+        store.delete(run_id)
+        assert _stat_sig(sidecar) == before, \
+            f"delete of {run_id} wrote a sidecar"
+        assert store.info().aggregated_runs == 0
+        assert store.harvest_evidence().finalize().to_text() == \
+            _scan_text(store)
+    store.save(make_run(4))
+    info = store.info()
+    assert info.aggregated_runs == info.runs == 3
+    assert info.aggregated_segments == info.segments == 7
+    reads = _count_reads(monkeypatch)
+    agg = _reopen(root).harvest_evidence()
+    assert not any("segments" in r for r in reads), reads
+    monkeypatch.undo()
+    assert agg == _scan_aggregate(_reopen(root))
+
+
+@pytest.mark.parametrize("fault", [
+    IOFault(op="read", at=0, kind="eio", times=99,
+            path_part="index.aggregate"),
+    IOFault(op="read", at=0, kind="eio"),
+], ids=["every-sidecar-read", "first-read"])
+def test_read_error_in_a_healing_save_never_fails_it(tmp_path, fault):
+    """An EIO on the healing save's reads — the pre-seal sidecar (taken
+    as absent: the seal heals anyway) or the first segment of the merged
+    view (the resilience layer retries the put) — returns normally and
+    leaves the harvest equal to the scan."""
+    root = tmp_path / "heal-eio"
+    _store(root, n=3).delete("run-001")
+    cold = ExperimentStore(root, auto_compact=0, cache_size=0)
+    with io_faults.injected(IOFaultPlan(seed=8501, faults=(fault,))) \
+            as injector:
+        cold.save(make_run(3))
+    assert injector.injected, "plan never fired"
+    reopened = _reopen(root)
+    info = reopened.info()
+    assert info.aggregated_runs == info.runs == 3
+    assert reopened.harvest_evidence().finalize().to_text() == \
+        _scan_text(reopened)
+
+
 def test_pre_aggregate_segment_folds_per_op(tmp_path):
     """Sealed segments the sidecar does not cover (two writers in a row
     died before extending it) still harvest exactly: the fast path folds
@@ -517,15 +622,7 @@ def test_cold_harvest_reads_one_file_not_the_segments(tmp_path, monkeypatch):
     assert (info.generation, info.segments) == (1, 32)
     assert info.aggregated_segments == 32
 
-    reads = []
-    real_check = io_faults.check
-
-    def counting(op, path=None):
-        if op == "read":
-            reads.append(str(path))
-        return real_check(op, path)
-
-    monkeypatch.setattr(io_faults, "check", counting)
+    reads = _count_reads(monkeypatch)
     for expect_runs in (36, 37):
         del reads[:]
         agg = _reopen(root).harvest_evidence("aggtest")

@@ -3,13 +3,15 @@
 Regression coverage for the old ``_fraction`` behaviour of scanning the
 profile tables in a fixed order: a process that shared its name with a
 node (or tag) silently read whichever table happened to come first.
+The queries answer from index summaries (``_summary_fraction``); the
+record-route ``_fraction`` below is the oracle they are held to.
 """
 
 import pytest
 
 from repro.storage.query import (
     AmbiguousResourceError,
-    _fraction,
+    _lookup,
     _summary_fraction,
     best_run,
     bottleneck_persistence,
@@ -17,6 +19,23 @@ from repro.storage.query import (
 )
 from repro.storage.records import RunRecord
 from repro.storage.store import ExperimentStore, summarize_record
+
+
+def _fraction(record: RunRecord, resource: str, activity: str) -> float:
+    """Fraction of total execution time *resource* spent in *activity*,
+    read off the record's full profile."""
+    profile = record.flat_profile()
+    total = profile.total_time()
+    if total <= 0:
+        return 0.0
+    tables = {
+        "Code": profile.by_code,
+        "Process": profile.by_process,
+        "Machine": profile.by_node,
+        "SyncObject": profile.by_tag,
+    }
+    entry = _lookup(tables, resource)
+    return (entry or {}).get(activity, 0.0) / total
 
 
 def make_record(run_id="r1", by_code=None, by_process=None, by_node=None,

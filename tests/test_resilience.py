@@ -248,9 +248,6 @@ class _FlakyBackend:
             raise StoreError(f"no stored run {run_id!r}")
         return self.stored[run_id]
 
-    def record_path(self, run_id):
-        return None
-
 
 def _wrap(inner, **overrides) -> ResilientBackend:
     clock = FakeClock()

@@ -106,7 +106,7 @@ class TestExperimentStore:
     def test_load_all(self, tmp_path, record):
         store = ExperimentStore(tmp_path / "runs")
         store.save(record)
-        recs = store.load_all(["pp-base"])
+        recs = store.load_many(["pp-base"])
         assert len(recs) == 1 and recs[0].run_id == "pp-base"
 
     def test_persists_across_instances(self, tmp_path, record):

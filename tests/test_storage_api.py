@@ -1,7 +1,6 @@
 """The redesigned public storage surface: repro.storage.api, the
 keyword-only ExperimentStore constructor and resolve_store."""
 
-import multiprocessing
 import warnings
 
 import pytest
@@ -128,30 +127,3 @@ class TestResolveStore:
         handle = resolve_store(tmp_path / "runs")
         assert handle.backend == "sqlite"
         assert handle.store.list() == ["r0"]
-
-
-class TestLoadManyFallbacks:
-    def test_spawn_only_platform_warns_and_parses_serially(
-        self, tmp_path, monkeypatch
-    ):
-        store = ExperimentStore(tmp_path / "runs", cache_size=0)
-        for i in range(3):
-            store.save(_tiny_record(f"r{i}"))
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        with pytest.warns(RuntimeWarning, match="fork"):
-            records = store.load_many(["r0", "r1", "r2"], processes=2)
-        assert [r.run_id for r in records] == ["r0", "r1", "r2"]
-
-    def test_pathless_backend_falls_back_silently(self, tmp_path):
-        store = ExperimentStore(
-            tmp_path / "runs", backend="sqlite", cache_size=0
-        )
-        for i in range(3):
-            store.save(_tiny_record(f"r{i}"))
-        assert store.backend.record_path("r0") is None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            records = store.load_many(["r0", "r1", "r2"], processes=2)
-        assert [r.run_id for r in records] == ["r0", "r1", "r2"]

@@ -184,15 +184,6 @@ class TestLoadMany:
         got = store.load_many(list(reversed(ids)))
         assert [r.run_id for r in got] == list(reversed(ids))
 
-    def test_process_pool_parsing(self, tmp_path):
-        store = ExperimentStore(tmp_path / "runs", cache_size=0)
-        ids = [f"r{i}" for i in range(6)]
-        for run_id in ids:
-            store.save(make_record(run_id=run_id))
-        got = store.load_many(ids, processes=2)
-        assert [r.run_id for r in got] == ids
-        assert got[0].to_dict() == make_record(run_id="r0").to_dict()
-
     def test_missing_run_raises(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs")
         store.save(make_record())
