@@ -213,6 +213,10 @@ def preload_store(root: Path, backend: str, n_entries: int) -> ExperimentStore:
         conn.execute("COMMIT")
     else:
         store.backend._write_base(index)
+        # the claim file hands out seq values: start past the preloaded ones
+        state = store.backend._read_state()
+        state["next_seq"] = n_entries
+        store.backend._write_state(state)
     return store
 
 

@@ -601,8 +601,11 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
         table.add_row(["aggregated segments",
                        f"{info.aggregated_segments}/{info.segments}"])
     if info.runs and not info.aggregated_runs:
-        table.add_row(["harvest fast path",
-                       "stale (run `repro store rebuild` to backfill)"])
+        table.add_row(["harvest fast path", (
+            "rescan until the next save (a delete stopped the aggregate)"
+            if info.backend == "file" else
+            "rescan once: the next harvest rebuilds the aggregate "
+            "(a delete or overwrite cleared it)")])
     print(table.render())
     return 0
 

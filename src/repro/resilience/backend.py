@@ -197,10 +197,6 @@ class ResilientBackend(StorageBackend):
         return self._guard("query_summaries", lambda: self.inner.query_summaries(
             app_name=app_name, version=version, run_ids=run_ids))
 
-    def set_summaries(self, summaries: Dict[str, dict]) -> None:
-        return self._guard("set_summaries",
-                           lambda: self.inner.set_summaries(summaries))
-
     # The two aggregate methods have non-abstract defaults on the ABC,
     # which this subclass would silently inherit (shadowing __getattr__
     # delegation) — so they must be wrapped explicitly like the rest.

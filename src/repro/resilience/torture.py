@@ -9,8 +9,9 @@ module turns that claim into an executable check:
 
 1. build a small seed store fault-free;
 2. derive a deterministic operation schedule from the seed (saves,
-   overwrites, deletes, compactions — or a cross-backend migration, or
-   a federated harvest);
+   overwrites, deletes, compactions — or a cross-backend migration, a
+   federated harvest, or, on ``file``, the open that converts a store
+   laid down in the oldest layout, with the plan armed before it);
 3. replay the schedule **fault-free on a pristine clone**, recording
    the canonical index view after every operation — the *chain* of
    legal states;
@@ -46,8 +47,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.extraction import HarvestAggregate
 from ..faults import io as io_faults
 from ..faults.io import IOFaultPlan, SimulatedCrash
+from ..storage.file_backend import _checksum
 from ..storage.records import RunRecord
 from ..storage.store import ExperimentStore, migrate_store
+from ..storage.summary import meta_for_record
 from .backend import ResiliencePolicy
 
 __all__ = ["TortureReport", "run_schedule", "run_torture", "TORTURE_BACKENDS"]
@@ -193,11 +196,14 @@ def run_schedule(backend: str, seed: int,
             scenario = "ops"
         elif roll < 0.8:
             scenario = "migrate"
+        elif backend == "file" and roll >= 0.9:
+            scenario = "convert"
         else:
             scenario = "harvest"
         runner = {"ops": _schedule_ops,
                   "migrate": _schedule_migrate,
-                  "harvest": _schedule_harvest}[scenario]
+                  "harvest": _schedule_harvest,
+                  "convert": _schedule_convert}[scenario]
         result = runner(backend, seed, rng, workdir, tag, base, initial)
         result.update({"backend": backend, "seed": seed, "scenario": scenario})
         result["divergent"] = (
@@ -219,7 +225,8 @@ def _stress(roots: Dict[str, Tuple[Path, str]], seed: int, body) -> Tuple[str, l
 
     Returns ``(outcome, faults_fired)``.  The plan is armed strictly
     after the stores are opened so call indices count operations, not
-    setup, and is always disarmed on the way out.
+    setup (a *body* that opens its own store puts the open under test),
+    and is always disarmed on the way out.
     """
     policy = _fast_policy(seed)
     stores = {key: _open(root, backend, policy)
@@ -262,6 +269,21 @@ def _check(root: Path, backend: str,
     return in_chain, payload_error, aggregate_error
 
 
+def _verdict(ops: List[str], outcome: str, fired: list, chain_len: int,
+             *checks: Tuple[bool, Optional[str], Optional[str]]) -> dict:
+    """One schedule's result from its :func:`_check` verdicts: every
+    view in its chain, the first payload and aggregate errors."""
+    return {
+        "ops": ops,
+        "outcome": outcome,
+        "faults_fired": fired,
+        "chain_len": chain_len,
+        "view_in_chain": all(c[0] for c in checks),
+        "payload_error": next((c[1] for c in checks if c[1]), None),
+        "aggregate_error": next((c[2] for c in checks if c[2]), None),
+    }
+
+
 def _schedule_ops(backend: str, seed: int, rng: random.Random, workdir: Path,
                   tag: str, base: Path, initial: Sequence[RunRecord]) -> dict:
     ops = _make_ops(rng, [r.run_id for r in initial])
@@ -283,16 +305,8 @@ def _schedule_ops(backend: str, seed: int, rng: random.Random, workdir: Path,
             _apply(stores["store"], op)
 
     outcome, fired = _stress({"store": (fault, backend)}, seed, body)
-    in_chain, payload_error, aggregate_error = _check(fault, backend, chain)
-    return {
-        "ops": [op[0] for op in ops],
-        "outcome": outcome,
-        "faults_fired": fired,
-        "chain_len": len(chain),
-        "view_in_chain": in_chain,
-        "payload_error": payload_error,
-        "aggregate_error": aggregate_error,
-    }
+    return _verdict([op[0] for op in ops], outcome, fired, len(chain),
+                    _check(fault, backend, chain))
 
 
 def _schedule_migrate(backend: str, seed: int, rng: random.Random,
@@ -323,20 +337,12 @@ def _schedule_migrate(backend: str, seed: int, rng: random.Random,
         {"src": (fault_src, backend), "dest": (fault_dest, dest_backend)},
         seed, body,
     )
-    in_chain, payload_error, aggregate_error = _check(
-        fault_dest, dest_backend, chain)
+    dest_check = _check(fault_dest, dest_backend, chain)
     src_probe = _open(fault_src, backend)
-    src_payload_error = _verify_payloads(src_probe)
+    src_check = (True, _verify_payloads(src_probe), None)
     _close(src_probe)
-    return {
-        "ops": [f"migrate->{dest_backend}"],
-        "outcome": outcome,
-        "faults_fired": fired,
-        "chain_len": len(chain),
-        "view_in_chain": in_chain,
-        "payload_error": payload_error or src_payload_error,
-        "aggregate_error": aggregate_error,
-    }
+    return _verdict([f"migrate->{dest_backend}"], outcome, fired, len(chain),
+                    dest_check, src_check)
 
 
 def _schedule_harvest(backend: str, seed: int, rng: random.Random,
@@ -369,19 +375,50 @@ def _schedule_harvest(backend: str, seed: int, rng: random.Random,
         {"store": (fault, backend), "peer": (fault_peer, peer_backend)},
         seed, body,
     )
-    in_chain, payload_error, aggregate_error = _check(
-        fault, backend, chains["store"])
-    peer_in_chain, peer_payload_error, peer_aggregate_error = _check(
-        fault_peer, peer_backend, chains["peer"])
-    return {
-        "ops": [f"harvest+{peer_backend}"],
-        "outcome": outcome,
-        "faults_fired": fired,
-        "chain_len": 1,
-        "view_in_chain": in_chain and peer_in_chain,
-        "payload_error": payload_error or peer_payload_error,
-        "aggregate_error": aggregate_error or peer_aggregate_error,
-    }
+    return _verdict([f"harvest+{peer_backend}"], outcome, fired, 1,
+                    _check(fault, backend, chains["store"]),
+                    _check(fault_peer, peer_backend, chains["peer"]))
+
+
+def _lay_down_oldest(root: Path, records: Sequence[RunRecord]) -> None:
+    """A file store in the oldest layout the converter reads: a bare
+    format-2 index without summaries, the first record a checksum-less
+    format-1 dict, a format-1 sidecar (claiming, wrongly, to cover the
+    base) and no claim file."""
+    root.mkdir(parents=True)
+    runs = {}
+    for seq, record in enumerate(records):
+        payload = record.to_dict()
+        body = payload if seq == 0 else {
+            "format": 2, "sha256": _checksum(payload), "record": payload}
+        (root / f"{record.run_id}.json").write_text(json.dumps(body))
+        runs[record.run_id] = {k: v for k, v in meta_for_record(record).items()
+                               if k != "summary"} | {"seq": seq}
+    (root / "index.json").write_text(json.dumps(runs))
+    st = (root / "index.json").stat()
+    (root / "index.aggregate").write_text(json.dumps({
+        "format": 1, "base_sig": [st.st_ino, st.st_mtime_ns, st.st_size],
+        "max_seq": -1, "all": HarvestAggregate().to_dict(), "by_app": {}}))
+
+
+def _schedule_convert(backend: str, seed: int, rng: random.Random,
+                      workdir: Path, tag: str, base: Path,
+                      initial: Sequence[RunRecord]) -> dict:
+    """The open that converts an oldest-layout store, faults armed
+    before it: the only legal post-state is the converted one."""
+    clean, fault = workdir / f"{tag}-clean", workdir / f"{tag}-fault"
+    for root in (clean, fault):
+        _lay_down_oldest(root, initial)
+    probe = _open(clean, backend)
+    chain = [store_view(probe)]
+    _close(probe)
+
+    def body(_stores):
+        _open(fault, backend, _fast_policy(seed)).harvest_evidence()
+
+    outcome, fired = _stress({}, seed, body)
+    return _verdict(["convert"], outcome, fired, 1,
+                    _check(fault, backend, chain))
 
 
 @dataclass

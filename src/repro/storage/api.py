@@ -15,9 +15,10 @@ mapping whose entries carry the denormalized query summaries
 (:func:`~repro.storage.summary.summarize_record`) that let cross-run
 queries answer without touching record payloads — and, optionally, a
 rolling harvest aggregate over that index, extended inside every save:
-the one incremental harvest path there is.  Everything else —
-record-object caching, summary backfill policy, batch loading, the
-public query helpers — lives above the seam and is backend-agnostic.
+the one incremental harvest path there is.  A backend reads one
+on-disk layout; converting anything older is its ``rebuild``.
+Everything else — record-object caching, batch loading, the public
+query helpers — lives above the seam and is backend-agnostic.
 """
 
 from __future__ import annotations
@@ -174,11 +175,10 @@ class StorageBackend(ABC):
     merged, seq-ordered view regardless of how the backend shards it
     internally.
 
-    Concurrency contract: :meth:`put`, :meth:`delete`,
-    :meth:`set_summaries`, :meth:`rebuild`, and :meth:`compact` must be
-    safe against concurrent writer *processes* on the same store, and
-    readers must always see a consistent (possibly slightly stale)
-    snapshot.  Integrity contract: :meth:`get` verifies the payload and
+    Concurrency contract: :meth:`put`, :meth:`delete`, :meth:`rebuild`,
+    and :meth:`compact` must be safe against concurrent writer
+    *processes* on the same store, and readers must always see a
+    consistent (possibly slightly stale) snapshot.  Integrity contract: :meth:`get` verifies the payload and
     quarantines + raises :class:`StoreCorruption` on a failed check,
     never returning half-read data.
     """
@@ -196,8 +196,9 @@ class StorageBackend(ABC):
         on overwrite — and returns ``(seq, record_token)`` where the
         token identifies the just-written bytes (taken under the write
         lock, so the frontend can prime its record cache without racing
-        a concurrent overwrite).  Raises :class:`StoreError` when
-        *run_id* exists and *overwrite* is false.  *meta* must not carry
+        a concurrent overwrite).  Raises :class:`StoreError`, before
+        writing anything, when *run_id* exists and *overwrite* is false
+        or *meta* has no dict ``"summary"``.  *meta* must not carry
         ``seq``; the backend owns its assignment.
         """
 
@@ -230,11 +231,8 @@ class StorageBackend(ABC):
     # -- index ----------------------------------------------------------
     @abstractmethod
     def iter_summaries(self) -> Iterator[Tuple[str, dict]]:
-        """``(run_id, meta)`` pairs in ``seq`` order (oldest first).
-
-        Metas carry ``"summary"`` when the store has one for that run;
-        pre-format-3 entries may lack it (the frontend backfills).
-        """
+        """``(run_id, meta)`` pairs in ``seq`` order (oldest first),
+        each meta carrying its ``"summary"``."""
 
     @abstractmethod
     def query_summaries(
@@ -244,13 +242,7 @@ class StorageBackend(ABC):
         run_ids: Optional[Sequence[str]] = None,
     ) -> Dict[str, dict]:
         """Filtered metas: ``run_ids`` order when given, else seq order
-        restricted to *app_name*/*version*.  Missing ids map to ``None``
-        so callers can distinguish absent from unsummarized."""
-
-    @abstractmethod
-    def set_summaries(self, summaries: Dict[str, dict]) -> None:
-        """Merge lazily computed summaries into existing index entries,
-        skipping runs another process already upgraded or removed."""
+        restricted to *app_name*/*version*.  Missing ids map to ``None``."""
 
     # -- harvest aggregates ---------------------------------------------
     # Optional fast path (default: not supported).  Backends that persist
@@ -275,7 +267,7 @@ class StorageBackend(ABC):
     def index_token(self) -> Hashable:
         """An identity for the index's *current* contents.
 
-        Any write — put, delete, summary backfill, rebuild, compaction,
+        Any write — put, delete, quarantine, rebuild, compaction,
         by this process or another — must change the token: callers
         cache what they derive from the index (the serving pool's
         directive sets) for exactly as long as it holds.  The default

@@ -4,23 +4,22 @@ Record bodies are per-run JSON files written via atomic rename and
 wrapped in a SHA-256 envelope (``{"format": 2, "sha256": ..., "record":
 {...}}``); a file that fails its check is *quarantined* — moved to
 ``<store>/quarantine/`` and dropped from the index — never silently
-skipped or half-read.  Checksum-less format-1 files from older stores
-still load.
+skipped or half-read.
 
 The index is **sharded into append-only segments** so a save is O(1)
 instead of O(store):
 
 * ``index.json`` — the *base generation*: a format-3 envelope
-  ``{"format": 3, "runs": {...}}`` exactly as older releases wrote it
-  (plus a ``"generation"`` counter newer readers use and older readers
-  ignore).
+  ``{"format": 3, "generation": ..., "runs": {...}}`` whose every meta
+  carries its query summary.
 * ``segments/NNNNNNNNNNNN.json`` — sealed segment files, each a short
   list of index ops (``put``/``del``) appended by one writer under the
   store lock and **never modified afterwards**.  The zero-padded name
   carries a monotonic counter, so lexicographic order is write order.
 * ``segments/_state.json`` — a tiny atomically-replaced claim file
   (``next_seq``/``counter``/``generation``) so writers assign ``seq``
-  and segment names without reading the merged index.
+  and segment names without reading the merged index.  Its ``"format"``
+  key stamps the layout: the one thing an open reads.
 * ``index.aggregate`` — the *rolling* harvest aggregate: the
   :class:`~repro.core.extraction.HarvestAggregate` (``by_app``, plus
   ``all`` unless one app owns every run and it would be the same thing
@@ -53,17 +52,17 @@ the sidecar second, so a writer killed in between — or a reader racing
 it — sees one uncovered segment and folds it; a reader holding a
 pre-compaction listing against the new sidecar meets ``seq <= max_seq``
 and rescans.  A delete's seal cannot extend it and writes none; a put
-or backfill seal that cannot roll it (after a delete, on an overwrite,
-over a stale stamp) rebuilds it from the merged view it holds under the
-lock, so coverage is short until the next put, never until the next
-compaction.  Absent or short, never wrong or double-counted.
+seal that cannot roll it (after a delete, on an overwrite, over a stale
+stamp) rebuilds it from the merged view it holds under the lock, so
+coverage is short until the next put, never until the next compaction.
+Absent or short, never wrong or double-counted.
 
-A directory written before segments existed — record files beside an
-``index.json`` (format 3, or the bare format-2 mapping), with no
-``segments/`` and no sidecar — is this layout with zero segments: it
-opens as is, the claim file is derived from the base on the first write,
-and harvests rescan until that write's seal builds the sidecar (or, with
-runs still unsummarized, until the backfill that completes them).
+The reader knows this one layout.  A store written before the layout
+stamp — checksum-less records, a bare format-2 index without summaries,
+a sidecar without ``through``, no claim file — is converted once, by
+the open that first finds ``index.json`` without a current stamp: under
+the store lock (re-checked there, so racing opens convert once) it runs
+``rebuild()``, the one converter, which is also ``repro store rebuild``.
 """
 
 from __future__ import annotations
@@ -110,14 +109,14 @@ _SEGMENTS_DIR = "segments"
 _STATE_NAME = "_state.json"
 _RECORD_FORMAT = 2
 #: On-disk base-index format: a ``{"format": 3, "runs": {...}}`` envelope
-#: whose per-run metadata may carry a denormalized query summary.
-#: Format-2 indexes (the bare run→meta mapping) are still read
-#: transparently.
+#: whose per-run metadata carries a denormalized query summary.
 _INDEX_FORMAT = 3
 _SEGMENT_FORMAT = 1
-#: On-disk format of the ``index.aggregate`` sidecar (1: no ``through``,
-#: ``all`` always spelled out — still read).
+#: On-disk format of the ``index.aggregate`` sidecar.
 _AGGREGATE_FORMAT = 2
+#: The layout stamp in the claim file.  An open that finds ``index.json``
+#: stamped lower (or not at all) converts the store with ``rebuild()``.
+_LAYOUT_FORMAT = 1
 _SEGMENT_CACHE_SIZE = 4096
 
 
@@ -147,12 +146,10 @@ def _stat_sig(path: Path) -> Tuple[int, int, int]:
 
 
 def read_record_payload(path: Path) -> dict:
-    """Parse one record file, verifying the checksum when present.
+    """Parse one record file and verify its checksum.
 
     Raises ``StoreCorruption`` (without quarantining — callers decide)
     on unparseable JSON, a malformed envelope, or a checksum mismatch.
-    Format-1 files (a bare record dict) predate checksums and are
-    accepted as-is.
     """
     io_faults.check("read", path)
     try:
@@ -162,10 +159,6 @@ def read_record_payload(path: Path) -> dict:
         raise StoreCorruption(f"{path.name}: unparseable record file ({exc})")
     if not isinstance(data, dict):
         raise StoreCorruption(f"{path.name}: record file is not an object")
-    if "format" not in data:
-        if "run_id" in data:  # legacy checksum-less record
-            return data
-        raise StoreCorruption(f"{path.name}: not a run record")
     payload = data.get("record")
     if not isinstance(payload, dict) or "run_id" not in payload:
         raise StoreCorruption(f"{path.name}: envelope has no record payload")
@@ -287,10 +280,19 @@ class FileBackend(StorageBackend):
         #: ``popitem`` — reentrant because ``read_merged`` nests
         #: ``_read_base``/``_read_segment``.
         self._cache_lock = threading.RLock()
-        if not self._index_path.exists():
+        # A current store costs this open one claim-file read.
+        if self._read_state().get("format", 0) < _LAYOUT_FORMAT \
+                or not self._index_path.exists():
             with self.lock():
+                state = self._read_state()
                 if not self._index_path.exists():
                     self._write_base({})
+                    if state.get("format", 0) < _LAYOUT_FORMAT:
+                        self._write_state({
+                            "next_seq": 0, "counter": 0, "generation": 0,
+                            "format": _LAYOUT_FORMAT})
+                elif state.get("format", 0) < _LAYOUT_FORMAT:
+                    self._rebuild()
 
     # ------------------------------------------------------------------
     # locking
@@ -302,13 +304,7 @@ class FileBackend(StorageBackend):
     # base index + segments
     # ------------------------------------------------------------------
     def _read_base(self) -> Tuple[Dict[str, dict], int]:
-        """The base-generation run→meta mapping and its generation.
-
-        Format-3 stores wrap it in a ``{"format": ..., "runs": ...}``
-        envelope; format-2 stores are the bare mapping.  Both load
-        transparently, so old stores keep working until the next write
-        (or ``rebuild``) upgrades them.
-        """
+        """The base-generation run→meta mapping and its generation."""
         with self._cache_lock:
             try:
                 sig = _stat_sig(self._index_path)
@@ -320,17 +316,18 @@ class FileBackend(StorageBackend):
             io_faults.check("read", self._index_path)
             with open(self._index_path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            generation = 0
-            if isinstance(data, dict) and isinstance(data.get("runs"), dict) \
-                    and isinstance(data.get("format"), int):
-                generation = int(data.get("generation", 0))
-                data = data["runs"]
+            runs = data.get("runs") if isinstance(data, dict) else None
+            if not isinstance(runs, dict):
+                raise StoreCorruption(
+                    f"{_INDEX_NAME}: not a format-{_INDEX_FORMAT} index "
+                    "(run `repro store rebuild`)")
+            generation = int(data.get("generation", 0))
             if sig is not None:
                 # sig was taken before the read: if a writer replaced the file
                 # in between we may cache newer content under the older
                 # signature, which is safe — the next stat mismatches.
-                self._base_cache = (sig, generation, data)
-            return dict(data), generation
+                self._base_cache = (sig, generation, runs)
+            return dict(runs), generation
 
     def _write_base(self, index: Dict[str, dict], generation: int = 0) -> None:
         envelope = {"format": _INDEX_FORMAT, "runs": index}
@@ -415,27 +412,15 @@ class FileBackend(StorageBackend):
 
     # -- writer state ---------------------------------------------------
     def _read_state(self) -> dict:
-        """The writer claim file — derived from the store when missing
-        (a store written before segments existed, or post-crash)."""
+        """The writer claim file, or ``{}`` when it is missing or
+        unparseable — no stamp, so the next open rebuilds it."""
+        io_faults.check("read", self._state_path)
         try:
             with open(self._state_path, "r", encoding="utf-8") as fh:
                 state = json.load(fh)
-            if isinstance(state, dict) and "next_seq" in state:
-                return state
-        except (OSError, json.JSONDecodeError):
-            pass
-        merged = self.read_merged()
-        next_seq = 1 + max(
-            (meta.get("seq", -1) for meta in merged.values()), default=-1
-        )
-        counters = [int(Path(n).stem) for n in self._segment_names()
-                    if Path(n).stem.isdigit()]
-        _base, generation = self._read_base()
-        return {
-            "next_seq": next_seq,
-            "counter": 1 + max(counters, default=-1),
-            "generation": generation,
-        }
+        except (FileNotFoundError, json.JSONDecodeError):
+            return {}
+        return state if isinstance(state, dict) else {}
 
     def _write_state(self, state: dict) -> None:
         self._segments_dir.mkdir(exist_ok=True)
@@ -458,7 +443,7 @@ class FileBackend(StorageBackend):
         of colliding with a later writer.
 
         The sidecar is rolled when the pre-seal aggregate proves out and
-        *ops* are pure new summarized puts.  Otherwise a put seal passes
+        *ops* are pure new puts.  Otherwise a put seal passes
         *merged*, the pre-seal view it holds under the lock, and the
         sidecar is rebuilt from it with *ops* applied: one fold, once,
         and the seals after it roll again.  A delete passes none, so
@@ -492,8 +477,8 @@ class FileBackend(StorageBackend):
         """*aggs* extended by each segment's ops, as private copies (the
         cached aggregates are shared with every reader), or ``None``
         unless every op is a *new, summarized* put: a delete, an
-        overwrite or backfill (``seq`` at or below the watermark), a
-        missing summary or anything misshapen is unprovable."""
+        overwrite (``seq`` at or below the watermark), a missing summary
+        or anything misshapen is unprovable."""
         all_agg = aggs["all"].copy()
         by_app = {app: agg.copy() for app, agg in aggs["by_app"].items()}
         max_seq = aggs["max_seq"]
@@ -518,7 +503,7 @@ class FileBackend(StorageBackend):
 
     def _build_aggregates(self, merged: Dict[str, dict]) -> Optional[dict]:
         """Full-scan aggregates over a merged view, in ``seq`` order.
-        ``None`` when any run lacks a dict summary (pre-format-3 metas)."""
+        ``None`` when any run lacks a dict summary (a misshapen meta)."""
         all_agg = HarvestAggregate()
         by_app: Dict[str, HarvestAggregate] = {}
         max_seq = -1
@@ -580,7 +565,6 @@ class FileBackend(StorageBackend):
         recorded base signature no longer matches — any base rewrite
         (compaction, rebuild) invalidates it without coordination,
         exactly like the other stat-signature caches.
-        Format-1 sidecars (no ``through``: the base alone) still load.
         """
         path = self.root / _AGGREGATE_NAME
         with self._cache_lock:
@@ -594,8 +578,8 @@ class FileBackend(StorageBackend):
                     io_faults.check("read", path)
                     with open(path, "r", encoding="utf-8") as fh:
                         data = json.load(fh)
-                    if data["format"] in (1, _AGGREGATE_FORMAT) \
-                            and isinstance(data.get("through", ""), str):
+                    if data["format"] == _AGGREGATE_FORMAT \
+                            and isinstance(data["through"], str):
                         by_app = {
                             app: HarvestAggregate.from_dict(d)
                             for app, d in data["by_app"].items()
@@ -606,7 +590,7 @@ class FileBackend(StorageBackend):
                             all_agg = HarvestAggregate.from_dict(data["all"])
                         parsed = {
                             "base_sig": tuple(data["base_sig"]),
-                            "through": data.get("through", ""),
+                            "through": data["through"],
                             "max_seq": int(data["max_seq"]),
                             "all": all_agg,
                             "by_app": by_app,
@@ -722,6 +706,8 @@ class FileBackend(StorageBackend):
     # ------------------------------------------------------------------
     def put(self, run_id: str, payload: dict, meta: dict,
             *, overwrite: bool = False) -> Tuple[int, Hashable]:
+        if not isinstance(meta.get("summary"), dict):
+            raise StoreError(f"run {run_id!r}: index meta has no summary")
         path = self._record_file(run_id)
         with self.lock():
             # Existence is judged by the *index*, not the payload file: a
@@ -814,86 +800,100 @@ class FileBackend(StorageBackend):
             out[run_id] = meta
         return out
 
-    def set_summaries(self, summaries: Dict[str, dict]) -> None:
-        with self.lock():
-            merged = self.read_merged()
-            ops: List[dict] = []
-            for run_id, summary in summaries.items():
-                meta = merged.get(run_id)
-                if meta is not None and not isinstance(meta.get("summary"), dict):
-                    meta = dict(meta)
-                    meta["summary"] = summary
-                    ops.append({"op": "put", "run_id": run_id, "meta": meta})
-            if ops:
-                self._append_segment(ops, merged)
-
     # ------------------------------------------------------------------
     # StorageBackend: maintenance
     # ------------------------------------------------------------------
     def rebuild(self) -> RecoveryReport:
-        report = RecoveryReport()
         with self.lock():
+            return self._rebuild()
+
+    def _adopt_record(self, path: Path) -> RunRecord:
+        """One record file as ``rebuild`` re-indexes it.  A bare record
+        dict — format 1, from before checksums — is read here and only
+        here, and rewritten on the spot as a checksummed envelope."""
+        try:
+            return RunRecord.from_dict(read_record_payload(path))
+        except StoreCorruption:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(data, dict) or "format" in data:
+                raise
+            record = RunRecord.from_dict(data)
+            self._write_record(path, data)
+            return record
+
+    def _rebuild(self) -> RecoveryReport:
+        """:meth:`rebuild` under the held store lock: the one converter
+        from any older layout, and the recovery from any wreckage."""
+        report = RecoveryReport()
+        # The view whose seq values survive, read leniently: the bare
+        # format-2 base mapping is read here and nowhere else, and a
+        # missing or misshapen base or segment starts a fresh lineage.
+        # Any other I/O error aborts: a transient one must not lose seqs.
+        try:
+            io_faults.check("read", self._index_path)
+            base = json.loads(self._index_path.read_text(encoding="utf-8"))
+            bare = "format" not in base
+            old = dict(base if bare else base["runs"])
+            generation = 0 if bare else int(base.get("generation", 0))
+            for name in self._segment_names():
+                _apply_ops(old, self._read_segment(name) or [])
+        except (FileNotFoundError, ValueError, TypeError, AttributeError,
+                KeyError):
+            old, generation = {}, 0
+        paths = sorted(
+            (p for p in self.root.glob("*.json") if p.name != _INDEX_NAME),
+            key=lambda p: p.stat().st_mtime,
+        )
+        index: Dict[str, dict] = {}
+        recovered = []
+        quarantined: List[Path] = []
+        for path in paths:
             try:
-                old = self.read_merged()
-            except (OSError, json.JSONDecodeError):
-                old = {}
-            paths = sorted(
-                (p for p in self.root.glob("*.json") if p.name != _INDEX_NAME),
-                key=lambda p: p.stat().st_mtime,
-            )
-            index: Dict[str, dict] = {}
-            recovered = []
-            quarantined: List[Path] = []
-            for path in paths:
-                try:
-                    record = RunRecord.from_dict(read_record_payload(path))
-                except (StoreCorruption, KeyError, TypeError, ValueError):
-                    quarantined.append(path)
-                    continue
-                meta = meta_for_record(record)
-                prior = old.get(record.run_id)
-                if prior and "seq" in prior:
-                    meta["seq"] = prior["seq"]
-                    index[record.run_id] = meta
-                else:
-                    recovered.append((record.run_id, meta))
-                report.kept.append(record.run_id)
-            next_seq = 1 + max(
-                (meta["seq"] for meta in index.values()), default=-1
-            )
-            for run_id, meta in recovered:
-                meta["seq"] = next_seq
-                next_seq += 1
-                index[run_id] = meta
+                record = self._adopt_record(path)
+            except (StoreCorruption, KeyError, TypeError, ValueError):
+                quarantined.append(path)
+                continue
+            meta = meta_for_record(record)
+            prior = old.get(record.run_id)
+            if prior and "seq" in prior:
+                meta["seq"] = prior["seq"]
+                index[record.run_id] = meta
+            else:
+                recovered.append((record.run_id, meta))
+            report.kept.append(record.run_id)
+        next_seq = 1 + max(
+            (meta["seq"] for meta in index.values()), default=-1
+        )
+        for run_id, meta in recovered:
+            meta["seq"] = next_seq
+            next_seq += 1
+            index[run_id] = meta
+        self._write_base(index, generation + 1)
+        # Every meta now carries a fresh summary, so the aggregate
+        # sidecar can always be built over the whole new base.
+        self._write_aggregate_sidecar(self._build_aggregates(index))
+        removed = self._segment_names()
+        for name in removed:
             try:
-                _base, generation = self._read_base()
-            except (OSError, json.JSONDecodeError):
-                generation = 0  # base unreadable: start a fresh lineage
-            self._write_base(index, generation + 1)
-            # Rebuild regenerates every meta with a fresh summary, so the
-            # aggregate sidecar can always be (re)built — this is how a
-            # store whose aggregates went missing or stale backfills them.
-            self._write_aggregate_sidecar(self._build_aggregates(index))
-            removed = self._segment_names()
-            for name in removed:
-                try:
-                    os.unlink(self._segments_dir / name)
-                except OSError:
-                    pass
-                self._drop_segment_cache(name)
-            self._write_state({
-                "next_seq": next_seq,
-                "counter": 1 + max(
-                    (int(Path(n).stem) for n in removed
-                     if Path(n).stem.isdigit()),
-                    default=-1,
-                ),
-                "generation": generation + 1,
-            })
-            # Quarantine after the index write: dropping the entry re-reads
-            # the index, so the rebuilt index must be the one on disk.
-            for path in quarantined:
-                report.quarantined.append(str(self._quarantine(path)))
+                os.unlink(self._segments_dir / name)
+            except OSError:
+                pass
+            self._drop_segment_cache(name)
+        # Last: the stamp lands only once the store is converted.
+        self._write_state({
+            "next_seq": next_seq,
+            "counter": 1 + max(
+                (int(Path(n).stem) for n in removed
+                 if Path(n).stem.isdigit()),
+                default=-1,
+            ),
+            "generation": generation + 1,
+            "format": _LAYOUT_FORMAT,
+        })
+        # Quarantine after the index write: dropping the entry re-reads
+        # the index, so the rebuilt index must be the one on disk.
+        for path in quarantined:
+            report.quarantined.append(str(self._quarantine(path)))
         return report
 
     def compact(self) -> CompactionStats:
@@ -954,9 +954,8 @@ class FileBackend(StorageBackend):
         _base, generation = self._read_base()
         side = self._read_sidecar()
         # aggregated_runs counts runs the aggregate fast path covers *right
-        # now*: 0 means the next harvest rescans (the staleness signal
-        # ``repro store stats`` surfaces; ``repro store rebuild`` or
-        # ``compact`` backfills).
+        # now*: 0 means the next harvest rescans — after a trailing delete,
+        # until the next save's seal rebuilds the sidecar.
         current = self._current_aggregates()
         return StoreInfo(
             root=self.root,

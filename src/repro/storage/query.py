@@ -6,8 +6,8 @@ multiple executions and across different tuning studies" (paper, Section
 tuning study asks of its history: how did a resource's cost evolve across
 runs, which bottlenecks persist, which run was best.
 
-Fast path: the store's format-3 index denormalizes each record into a
-query summary (:func:`repro.storage.store.summarize_record`), so
+Fast path: the store's index denormalizes each record into a query
+summary (:func:`repro.storage.store.summarize_record`), so
 :func:`resource_history`, :func:`bottleneck_persistence`, and the
 string-keyed form of :func:`best_run` answer from one index read without
 deserializing any record.  Callable keys and :func:`select` still need
@@ -113,8 +113,7 @@ def resource_history(
 ) -> ResourceHistory:
     """Track a resource's cost across stored runs (oldest first).
 
-    Answered from index summaries — no record deserialization on a
-    format-3 store.
+    Answered from index summaries — no record deserialization.
     """
     metas = store.summaries(run_ids=run_ids, app_name=app_name)
     points = tuple(
@@ -132,8 +131,7 @@ def bottleneck_persistence(
     """How many of the selected runs reported each (hypothesis : focus)
     pair as a bottleneck — the raw signal behind priority extraction.
 
-    Answered from index summaries — no record deserialization on a
-    format-3 store.
+    Answered from index summaries — no record deserialization.
     """
     metas = store.summaries(run_ids=run_ids, app_name=app_name)
     counts: Dict[Tuple[str, str], int] = {}

@@ -100,8 +100,8 @@ CREATE TABLE IF NOT EXISTS quarantine (
 -- Persisted harvest aggregates (scope '*' = every run, 'app:<name>' =
 -- one application's runs).  Invariant: either no rows at all, or rows
 -- that reflect the runs table exactly -- every write that cannot cheaply
--- preserve that (overwrite, delete, backfill, quarantine) clears the
--- table and the next harvest rebuilds it.
+-- preserve that (overwrite, delete, quarantine) clears the table and the
+-- next harvest rebuilds it.
 CREATE TABLE IF NOT EXISTS harvest_aggregates (
     scope   TEXT PRIMARY KEY,
     max_seq INTEGER NOT NULL,
@@ -205,6 +205,8 @@ class SQLiteBackend(StorageBackend):
     # ------------------------------------------------------------------
     def put(self, run_id: str, payload: dict, meta: dict,
             *, overwrite: bool = False) -> Tuple[int, Hashable]:
+        if not isinstance(meta.get("summary"), dict):
+            raise StoreError(f"run {run_id!r}: index meta has no summary")
         payload_json = json.dumps(payload)
         sha = _checksum(payload)
 
@@ -238,13 +240,8 @@ class SQLiteBackend(StorageBackend):
                 self._bump_mutations()
                 self._execute("DELETE FROM harvest_aggregates")
             else:
-                summary = row_meta.get("summary")
-                if isinstance(summary, dict):
-                    self._fold_into_aggregates(
-                        summary, row_meta.get("app_name"), seq
-                    )
-                else:
-                    self._execute("DELETE FROM harvest_aggregates")
+                self._fold_into_aggregates(
+                    row_meta["summary"], row_meta.get("app_name"), seq)
             return seq, ("rev", rev)
 
         return self._write_txn(body, f"put {run_id!r}")
@@ -363,33 +360,6 @@ class SQLiteBackend(StorageBackend):
         return self._decode_meta_rows(
             self._select(sql, params, describe="query_summaries"))
 
-    def set_summaries(self, summaries: Dict[str, dict]) -> None:
-        def body() -> None:
-            changed = False
-            for run_id, summary in summaries.items():
-                row = self._execute(
-                    "SELECT meta FROM runs WHERE run_id = ?", (run_id,)
-                ).fetchone()
-                if row is None:
-                    continue
-                meta = json.loads(row[0])
-                if isinstance(meta.get("summary"), dict):
-                    continue
-                meta["summary"] = summary
-                self._execute(
-                    "UPDATE runs SET meta = ? WHERE run_id = ?",
-                    (json.dumps(meta), run_id),
-                )
-                changed = True
-            if changed:
-                # Backfilled summaries change what a harvest folds, so
-                # any persisted aggregates (necessarily built before the
-                # gap they fill) are stale.
-                self._bump_mutations()
-                self._execute("DELETE FROM harvest_aggregates")
-
-        self._write_txn(body, "set_summaries")
-
     # ------------------------------------------------------------------
     # harvest aggregates
     # ------------------------------------------------------------------
@@ -397,10 +367,9 @@ class SQLiteBackend(StorageBackend):
         """Advance the mutation counter (inside a write transaction).
 
         Counts every index change that is *not* an append of a new
-        run — overwrite, delete, backfill, quarantine, rebuild, compact.
+        run — overwrite, delete, quarantine, rebuild, compact.
         :meth:`index_token` folds it in: the run count and highest
-        ``seq`` alone cannot tell an overwrite or backfill from no
-        change at all.
+        ``seq`` alone cannot tell an overwrite from no change at all.
         """
         self._execute(
             "INSERT INTO store_meta(key, value) VALUES ('mutations', '1') "
@@ -451,9 +420,9 @@ class SQLiteBackend(StorageBackend):
 
     def _build_aggregate_rows(self) -> Optional[dict]:
         """Rebuild the aggregate rows from the runs table (inside a write
-        transaction).  ``None`` — and no rows — when any run still lacks
-        a summary; harvest then stays on the scan path until a rebuild
-        or backfill completes the metas."""
+        transaction).  ``None`` — and no rows — when any meta is
+        misshapen (no dict summary); harvest then stays on the scan path
+        until a rebuild regenerates the metas."""
         rows = self._execute(
             "SELECT run_id, meta FROM runs ORDER BY seq"
         ).fetchall()
@@ -503,10 +472,10 @@ class SQLiteBackend(StorageBackend):
             # Aggregates are built and the app has no runs: the empty
             # aggregate, exactly what a scan of zero summaries yields.
             return HarvestAggregate()
-        # Nothing persisted yet: build once (self-healing — this is also
-        # how `repro store rebuild` backfill reaches existing stores) and
-        # serve from the rows ever after.  A store that cannot be written
-        # right now just stays on the scan path.
+        # Nothing persisted yet (a fresh store, or a delete/overwrite
+        # cleared the rows): build once and serve from the rows ever
+        # after.  A store that cannot be written right now just stays on
+        # the scan path.
         try:
             built = self._write_txn(self._build_aggregate_rows,
                                     "build harvest aggregates")
@@ -564,9 +533,7 @@ class SQLiteBackend(StorageBackend):
                 )
                 report.kept.append(run_id)
             # Every surviving meta now has a fresh summary, so the
-            # aggregate rows can always be rebuilt here — the backfill
-            # path for stores whose aggregates were cleared or predate
-            # the table.
+            # aggregate rows can always be rebuilt here.
             self._bump_mutations()
             self._build_aggregate_rows()
             return report

@@ -17,12 +17,13 @@ actual persistence lives behind the
 
 A store directory is auto-detected (``store.sqlite3`` present → sqlite,
 else file), so paths keep working everywhere a backend name isn't given.
+A file store from an older release is converted once, when it is
+opened; every read after that is a plain read of the current layout.
 
 What stays above the seam: the bounded in-process LRU of parsed
 :class:`RunRecord` objects (keyed by the backend's per-record token, so
 a cross-process overwrite invalidates entries without coordination),
-lazy summary backfill for pre-format-3 stores, batch loading, and
-auto-compaction policy.  Records obtained from the cache are shared
+batch loading, and auto-compaction policy.  Records obtained from the cache are shared
 objects: treat loaded (and saved) records as immutable.
 """
 
@@ -302,8 +303,7 @@ class ExperimentStore:
         version: Optional[str] = None,
     ) -> Dict[str, dict]:
         """Index metadata matching the filters, oldest first — one index
-        read, no record parsing.  Entries may or may not carry a
-        ``summary`` (pre-format-3 stores lack them until backfilled)."""
+        read, no record parsing.  Every entry carries its ``summary``."""
         return self._backend.query_summaries(app_name=app_name, version=version)
 
     def list(
@@ -331,45 +331,28 @@ class ExperimentStore:
     # summaries
     # ------------------------------------------------------------------
     def summary(self, run_id: str) -> dict:
-        """The query summary for one run — from the index when present,
-        otherwise computed from the record and backfilled into the index
-        (the lazy pre-format-3 upgrade path)."""
-        meta = self._backend.query_summaries(run_ids=[run_id])[run_id]
-        if meta is not None and isinstance(meta.get("summary"), dict):
-            return meta["summary"]
-        summary = summarize_record(self.load(run_id))
-        if meta is not None:
-            self._backend.set_summaries({run_id: summary})
-        return summary
+        """The query summary for one run, from the index."""
+        return self.summaries(run_ids=[run_id])[run_id]["summary"]
 
     def summaries(
         self,
         run_ids: Optional[Sequence[str]] = None,
         app_name: Optional[str] = None,
     ) -> Dict[str, dict]:
-        """Index entries with their summaries guaranteed present.
+        """Index entries, each meta carrying its ``"summary"``.
 
-        Returns ``run_id -> meta`` (each meta carrying ``"summary"``) in
-        ``run_ids`` order when given, else seq order filtered by
-        *app_name*.  Entries whose summary is missing — a pre-format-3
-        store — are computed from the record once and written back, so
-        the cost is paid on first touch only.
+        Returns ``run_id -> meta`` in ``run_ids`` order when given (a
+        missing id raises :class:`StoreError`), else seq order filtered
+        by *app_name*.  A read: it never writes to the store.
         """
         items = self._backend.query_summaries(
             app_name=None if run_ids is not None else app_name,
             run_ids=run_ids,
         )
-        out: Dict[str, dict] = {}
-        backfill: Dict[str, dict] = {}
         for run_id, meta in items.items():
-            meta = {} if meta is None else dict(meta)
-            if not isinstance(meta.get("summary"), dict):
-                meta["summary"] = summarize_record(self.load(run_id))
-                backfill[run_id] = meta["summary"]
-            out[run_id] = meta
-        if backfill:
-            self._backend.set_summaries(backfill)
-        return out
+            if meta is None:
+                raise StoreError(f"no stored run {run_id!r}")
+        return items
 
     def cache_info(self) -> Dict[str, int]:
         """Cache statistics (for tests and benchmarks)."""
@@ -394,9 +377,9 @@ class ExperimentStore:
         instead of aborting the rebuild.  Returns a
         :class:`RecoveryReport` listing both.
 
-        Doubles as the eager upgrade path: rebuilding a format-2 store
-        leaves it fully summarized, and rebuilding a segmented store
-        folds everything into one fresh base generation.
+        The same code converts a file store from an older release when
+        it is first opened; rebuilding a segmented store folds
+        everything into one fresh base generation.
         """
         self._cache.clear()
         return self._backend.rebuild()

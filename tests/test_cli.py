@@ -413,3 +413,39 @@ class TestSummaryFastPath:
         out = capsys.readouterr().out
         assert "run traced: tester v1, status complete" in out
         assert count_parses == []
+
+
+class TestStoreStats:
+    """``store stats`` names what stopped the harvest aggregate and what
+    heals it — a trailing delete and the next save on ``file``, a delete
+    and the next harvest on ``sqlite``."""
+
+    HINT = {"file": "rescan until the next save",
+            "sqlite": "rescan once: the next harvest rebuilds"}
+
+    @pytest.mark.parametrize("backend", ("file", "sqlite"))
+    def test_stale_hint_names_the_cause_and_the_cure(self, tmp_path, capsys,
+                                                     backend):
+        from repro.storage import ExperimentStore
+        from tests.test_harvest_aggregate import make_run
+
+        store = ExperimentStore(tmp_path / backend, backend=backend,
+                                auto_compact=0)
+        for i in range(3):
+            store.save(make_run(i))
+        store.harvest_evidence()
+        store.delete("run-002")
+
+        def stats():
+            assert run_cli("store", "stats", "--store", tmp_path / backend) == 0
+            return capsys.readouterr().out
+
+        out = stats()
+        assert "0/2" in out
+        assert self.HINT[backend] in out and "backfill" not in out
+        if backend == "file":
+            store.save(make_run(3))
+        else:
+            store.harvest_evidence()
+        out = stats()
+        assert "harvest fast path" not in out

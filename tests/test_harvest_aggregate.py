@@ -21,10 +21,9 @@ from repro.facade import harvest
 from repro.faults import IOFault, IOFaultPlan, SimulatedCrash
 from repro.faults import io as io_faults
 from repro.server.pool import StorePool
-from repro.storage import ExperimentStore, RunRecord
+from repro.storage import ExperimentStore, RunRecord, StoreError
 from repro.storage.file_backend import _stat_sig
 from tests.reference_extraction import reference_directives
-from tests.test_store_segments import lay_down_old_store
 
 BACKENDS = ("file", "sqlite")
 
@@ -262,10 +261,9 @@ def test_federated_mixed_members(tmp_path):
     a = _store(tmp_path / "a", backend="file", n=3)
     a.compact()
     assert a.info().aggregated_runs == 3
-    # a store from before the index had segments: no aggregate to read
-    lay_down_old_store(
-        tmp_path / "b", [make_run(i, app="other") for i in range(2)], (0, 1))
-    b = ExperimentStore(tmp_path / "b", auto_compact=0)
+    # a trailing delete stops the sidecar: b rescans until its next save
+    b = _store(tmp_path / "b", backend="file", n=3, app="other")
+    b.delete("run-002")
     assert b.info().aggregated_runs == 0
     federated = harvest([a, b], pool=None)
     expected = union_directives(harvest(a, pool=None), harvest(b, pool=None))
@@ -301,18 +299,13 @@ def test_pool_incremental_fold_after_write(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_every_write_changes_the_index_token(tmp_path, backend):
-    """Put, overwrite, delete, backfill, compact and rebuild each move
-    the token to one never seen before; reads leave it where it is."""
+    """Put, overwrite, delete, compact and rebuild each move the token
+    to one never seen before; reads leave it where it is."""
     store = _store(tmp_path / backend, backend=backend, n=3)
-    bare = dict(store.index_entries()["run-000"])
-    del bare["summary"], bare["seq"]
     writes = [
         ("put", lambda: store.save(make_run(3))),
         ("overwrite", lambda: store.save(make_run(3), overwrite=True)),
         ("delete", lambda: store.delete("run-000")),
-        ("unsummarized put", lambda: store.backend.put(
-            "run-000", make_run(0).to_dict(), bare)),
-        ("backfill", lambda: store.summary("run-000")),
         ("compact", store.compact),
         ("rebuild", store.rebuild_index),
     ]
@@ -322,14 +315,30 @@ def test_every_write_changes_the_index_token(tmp_path, backend):
         token = store.index_token()
         assert token not in seen, name
         seen.append(token)
-        # reads only: summaries() or harvest_evidence() would backfill
-        # the unsummarized run, which is a write
         store.list()
         store.index_entries()
+        store.summaries()
+        store.summary("run-001")
         store.load("run-001")
-        store.backend.harvest_aggregate()
+        store.harvest_evidence()
         store.info()
         assert store.index_token() == token, f"a read after {name}"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_put_without_a_summary_is_refused(tmp_path, backend):
+    """A meta with no dict summary is rejected before anything lands."""
+    store = _store(tmp_path / backend, backend=backend, n=2)
+    token = store.index_token()
+    bare = dict(store.index_entries()["run-000"])
+    del bare["seq"]
+    for summary in (None, "not a dict"):
+        meta = dict(bare, summary=summary) if summary else \
+            {k: v for k, v in bare.items() if k != "summary"}
+        with pytest.raises(StoreError, match="no summary"):
+            store.backend.put("run-009", make_run(9).to_dict(), meta)
+    assert store.index_token() == token
+    assert "run-009" not in store
 
 
 def test_pool_does_not_cache_when_token_races(tmp_path):
@@ -507,8 +516,9 @@ def test_put_seal_heals_what_a_delete_stopped(tmp_path, monkeypatch):
     info = store.info()
     assert info.aggregated_runs == info.runs == 3
     assert info.aggregated_segments == info.segments == 7
+    fresh = _reopen(root)
     reads = _count_reads(monkeypatch)
-    agg = _reopen(root).harvest_evidence()
+    agg = fresh.harvest_evidence()
     assert not any("segments" in r for r in reads), reads
     monkeypatch.undo()
     assert agg == _scan_aggregate(_reopen(root))
@@ -569,8 +579,7 @@ def test_unparseable_segment_forces_rescan_not_wrong(tmp_path):
     _save_without_sidecar(store, make_run(3))
     seg = sorted((root / "segments").glob("0*.json"))[-1]
     data = json.loads(seg.read_text())
-    for op in data["ops"]:
-        op["meta"].pop("summary", None)  # unsummarized put: unprovable
+    data["ops"].append({"op": "garbage"})  # no reader knows it: unprovable
     seg.write_text(json.dumps(data))
     reopened = _reopen(root)
     assert reopened.backend.harvest_aggregate() is None
@@ -610,9 +619,10 @@ def test_misshapen_sidecar_degrades_never_raises(tmp_path, text):
 # the rolling sidecar: one read cold, old layouts, mixed apps
 # ---------------------------------------------------------------------------
 def test_cold_harvest_reads_one_file_not_the_segments(tmp_path, monkeypatch):
-    """Count guard: on 1 generation + 32 segments a fresh store harvests
-    from the sidecar alone — at most two file reads, none under
-    ``segments/`` — and still does after another writer's save."""
+    """Count guard: on 1 generation + 32 segments a fresh store opens
+    and harvests in at most two file reads — the claim file's stamp and
+    the sidecar, no segment — and still does after another writer's
+    save."""
     root = tmp_path / "rolled"
     store = _store(root, n=4)
     store.compact()
@@ -626,8 +636,9 @@ def test_cold_harvest_reads_one_file_not_the_segments(tmp_path, monkeypatch):
     for expect_runs in (36, 37):
         del reads[:]
         agg = _reopen(root).harvest_evidence("aggtest")
-        assert len(reads) <= 2 and not any("segments" in r for r in reads), \
-            reads
+        assert len(reads) <= 2 and not any(
+            "segments" in r and not r.endswith("/_state.json")
+            for r in reads), reads
         assert agg.n_runs == expect_runs
         if expect_runs == 36:  # a different store object extends it
             ExperimentStore(root, auto_compact=0).save(make_run(36))
@@ -638,9 +649,10 @@ def test_cold_harvest_reads_one_file_not_the_segments(tmp_path, monkeypatch):
 def test_old_layout_store_reads_and_upgrades_on_first_save(tmp_path):
     """A store as the previous release wrote it — format-1 sidecar for
     the base alone (no ``through``, ``all`` spelled out), segments
-    carrying an ``"aggregate"`` — harvests by folding the segments' ops
-    (the embedded key is ignored: here it is poisoned), and its first
-    save rolls a format-2 sidecar over everything."""
+    carrying an ``"aggregate"`` (poisoned here), a claim file without
+    the layout stamp — is converted by the open, before any save: one
+    fresh base, no segments, a current sidecar over every run, and the
+    poison nowhere."""
     root = tmp_path / "old-layout"
     store = _store(root, n=2)
     store.compact()
@@ -662,17 +674,21 @@ def test_old_layout_store_reads_and_upgrades_on_first_save(tmp_path):
         data["aggregate"] = {"min_seq": seq, "max_seq": seq, "all": poison,
                              "by_app": {"aggtest": poison}}
         seg.write_text(json.dumps(data))
+    state_path = root / "segments" / "_state.json"
+    state = json.loads(state_path.read_text())
+    del state["format"]
+    state_path.write_text(json.dumps(state))
     reopened = _reopen(root)
     info = reopened.info()
-    assert (info.aggregated_runs, info.aggregated_segments) == (5, 0)
+    assert (info.runs, info.aggregated_runs, info.segments) == (5, 5, 0)
+    assert json.loads((root / "index.aggregate").read_text())["format"] == 2
     assert reopened.backend.harvest_aggregate() == _scan_aggregate(reopened)
     assert reopened.harvest_evidence().finalize().to_text() == \
         _scan_text(reopened)
     reopened.save(make_run(5))
     upgraded = _reopen(root)
     info = upgraded.info()
-    assert info.aggregated_segments == info.segments == 4
-    assert json.loads((root / "index.aggregate").read_text())["format"] == 2
+    assert info.aggregated_segments == info.segments == 1
     assert upgraded.backend.harvest_aggregate() == _scan_aggregate(upgraded)
 
 

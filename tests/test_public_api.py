@@ -1,7 +1,9 @@
 """The public surface, pinned name by name.
 
-``repro``, ``repro.core``, ``repro.core.extraction`` and ``repro.facade``
-export exactly the names listed here.  A change that says "public facade
+``repro``, ``repro.core``, ``repro.core.extraction``, ``repro.facade``,
+``repro.storage`` and ``repro.storage.api`` export exactly the names
+listed here, and a storage backend implements exactly the abstract
+methods listed in ``BACKEND_CONTRACT``.  A change that says "public facade
 unchanged" leaves this file alone; one that adds or removes a public
 name edits the list in the same commit, where a reviewer sees it.
 """
@@ -54,7 +56,34 @@ SURFACE = {
         "HarvestWarning", "default_pool", "diagnose", "harvest",
         "load_directives", "resolve_history", "resolve_store"
     ],
+    "repro.storage": [
+        "CompactionStats", "ExperimentStore", "FileBackend",
+        "RecoveryReport", "ResourceHistory", "RunRecord", "SQLiteBackend",
+        "StorageBackend", "StoreCorruption", "StoreError", "StoreHandle",
+        "StoreInfo", "StoreUnavailable", "best_run",
+        "bottleneck_persistence", "migrate_store", "resource_history",
+        "select", "summarize_record"
+    ],
+    "repro.storage.api": [
+        "CompactionStats", "RecoveryReport", "StorageBackend",
+        "StoreCorruption", "StoreError", "StoreHandle", "StoreInfo",
+        "StoreUnavailable"
+    ],
 }
+
+#: ``StorageBackend``'s abstract methods, one per line.
+BACKEND_CONTRACT = [
+    "compact",
+    "contains",
+    "delete",
+    "get",
+    "info",
+    "iter_summaries",
+    "put",
+    "query_summaries",
+    "rebuild",
+    "record_token",
+]
 
 
 @pytest.mark.parametrize("module", sorted(SURFACE))
@@ -69,3 +98,9 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     for name in SURFACE[module]:
         assert hasattr(mod, name), name
+
+
+def test_storage_backend_contract_is_pinned():
+    from repro.storage.api import StorageBackend
+
+    assert sorted(StorageBackend.__abstractmethods__) == BACKEND_CONTRACT

@@ -7,6 +7,7 @@ import pytest
 
 from repro.storage import ExperimentStore, RunRecord, StoreError, summarize_record
 from repro.storage.store import StoreCorruption
+from tests.test_store_segments import lay_down_old_store
 
 
 def make_record(run_id="r1", app_name="app", version="1", **overrides):
@@ -202,14 +203,14 @@ class TestLoadMany:
 # ---------------------------------------------------------------------------
 # format-3 index summaries
 # ---------------------------------------------------------------------------
-def strip_to_format2(root):
-    """Rewrite the on-disk index as a legacy bare mapping, no summaries."""
-    index_path = root / "index.json"
-    data = json.loads(index_path.read_text())
-    runs = data["runs"] if "runs" in data and "format" in data else data
-    for meta in runs.values():
-        meta.pop("summary", None)
-    index_path.write_text(json.dumps(runs))
+def lay_down_format2(root):
+    """A store as the format-2 releases left it: one checksummed record
+    beside a bare run→meta ``index.json`` without summaries."""
+    lay_down_old_store(root, [make_record()], (0,), index_format=2)
+
+
+def read_index(root):
+    return json.loads((root / "index.json").read_text())
 
 
 class TestIndexSummaries:
@@ -243,38 +244,28 @@ class TestIndexSummaries:
         }
 
     def test_format2_store_loads_transparently(self, tmp_path):
-        store = ExperimentStore(tmp_path / "runs")
-        store.save(make_record())
-        strip_to_format2(tmp_path / "runs")
+        lay_down_format2(tmp_path / "runs")
         fresh = ExperimentStore(tmp_path / "runs")
         assert fresh.list() == ["r1"]
         assert fresh.load("r1").run_id == "r1"
 
     def test_lazy_backfill_upgrades_index(self, tmp_path):
-        store = ExperimentStore(tmp_path / "runs")
-        store.save(make_record())
-        store.compact()  # fold the save into index.json for the strip
-        strip_to_format2(tmp_path / "runs")
+        """No backfill is left: the open converts the whole index."""
+        lay_down_format2(tmp_path / "runs")
         fresh = ExperimentStore(tmp_path / "runs")
-        metas = fresh.summaries()
-        assert metas["r1"]["summary"]["status"] == "complete"
-        # the computed summary was written back: a brand-new instance
-        # (fresh caches) sees it on disk without recomputing
-        ExperimentStore(tmp_path / "runs").compact()
-        data = json.loads((tmp_path / "runs" / "index.json").read_text())
+        data = read_index(tmp_path / "runs")
         assert data["format"] == 3
-        assert "summary" in data["runs"]["r1"]
+        assert data["runs"]["r1"]["summary"] == summarize_record(make_record())
+        assert fresh.summaries()["r1"]["summary"]["status"] == "complete"
 
     def test_single_summary_backfill(self, tmp_path):
-        store = ExperimentStore(tmp_path / "runs")
-        store.save(make_record())
-        store.compact()
-        strip_to_format2(tmp_path / "runs")
+        """``summary()`` on a converted store is a read: the token holds."""
+        lay_down_format2(tmp_path / "runs")
         fresh = ExperimentStore(tmp_path / "runs")
+        token = fresh.index_token()
         assert fresh.summary("r1")["peak_cost"] == pytest.approx(1.5)
-        ExperimentStore(tmp_path / "runs").compact()
-        data = json.loads((tmp_path / "runs" / "index.json").read_text())
-        assert "summary" in data["runs"]["r1"]
+        assert fresh.index_token() == token
+        assert "summary" in read_index(tmp_path / "runs")["runs"]["r1"]
 
     def test_summary_matches_record(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs")
@@ -283,14 +274,13 @@ class TestIndexSummaries:
         assert store.summary("r1") == summarize_record(rec)
 
     def test_rebuild_index_roundtrips_to_format3(self, tmp_path):
-        store = ExperimentStore(tmp_path / "runs")
-        store.save(make_record())
-        strip_to_format2(tmp_path / "runs")
+        lay_down_format2(tmp_path / "runs")
         report = ExperimentStore(tmp_path / "runs").rebuild_index()
         assert report.count == 1
-        data = json.loads((tmp_path / "runs" / "index.json").read_text())
+        data = read_index(tmp_path / "runs")
         assert data["format"] == 3
         assert data["runs"]["r1"]["summary"] == summarize_record(make_record())
+        assert data["runs"]["r1"]["seq"] == 0
 
     def test_summaries_filter_and_order(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs")

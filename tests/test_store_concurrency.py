@@ -81,8 +81,9 @@ def test_rebuild_index_recovers_lost_entries(tmp_path):
     store = ExperimentStore(root)
     for i in range(3):
         store.save(_tiny_record(f"r{i}"))
-    # simulate total index loss: base generation and all segments
-    (root / "index.json").write_text("{}")
+    # simulate total index loss: base generation, segments, claim file
+    # (with no index.json left the open starts a new, empty index)
+    (root / "index.json").unlink()
     for seg in (root / "segments").glob("*.json"):
         seg.unlink()
     assert ExperimentStore(root).list() == []

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.storage import ExperimentStore, RunRecord, StoreCorruption, StoreError
+from tests.test_store_segments import lay_down_old_store
 
 
 def _tiny_record(run_id: str) -> RunRecord:
@@ -63,13 +64,29 @@ class TestChecksums:
         assert (tmp_path / "runs" / "quarantine" / "r0.json").exists()
 
     def test_legacy_checksumless_record_still_loads(self, tmp_path):
+        """A pre-checksum (format-1) record is rewritten as an envelope
+        by the open that converts its store."""
+        root = tmp_path / "runs"
+        lay_down_old_store(root, [_tiny_record("r0")], (0,))
+        path = root / "r0.json"
+        path.write_text(json.dumps(json.loads(path.read_text())["record"]))
+        store = ExperimentStore(root)
+        data = json.loads(path.read_text())
+        assert data["format"] == 2 and len(data["sha256"]) == 64
+        assert store.load("r0").to_dict() == _tiny_record("r0").to_dict()
+
+    def test_bare_record_in_a_current_store_is_corruption(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs")
         store.save(_tiny_record("r0"))
-        # rewrite as a bare format-1 payload (pre-checksum store layout)
         path = tmp_path / "runs" / "r0.json"
-        payload = json.loads(path.read_text())["record"]
-        path.write_text(json.dumps(payload))
-        assert store.load("r0").run_id == "r0"
+        path.write_text(json.dumps(json.loads(path.read_text())["record"]))
+        with pytest.raises(StoreCorruption, match="no record payload"):
+            store.load("r0")
+        assert (tmp_path / "runs" / "quarantine" / "r0.json").exists()
+        # rebuild still re-adopts it, as an envelope
+        (tmp_path / "runs" / "quarantine" / "r0.json").rename(path)
+        assert store.rebuild_index().kept == ["r0"]
+        assert json.loads(path.read_text())["format"] == 2
 
     def test_quarantine_names_never_collide(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs")

@@ -257,7 +257,9 @@ def lay_down_old_store(root, records, seqs, *, index_format=3):
     """Write by hand what the monolithic-index releases left on disk:
     one checksummed file per record beside a single ``index.json`` — the
     format-3 envelope, or the bare format-2 mapping that predates index
-    summaries — and no ``segments/``, claim file or aggregate sidecar."""
+    summaries — and no ``segments/``, claim file or aggregate sidecar.
+    The first open converts it (``tests/test_legacy_stores.py`` pins
+    the answers against the reader that predates the conversion)."""
     root.mkdir(parents=True)
     runs = {}
     for record, seq in zip(records, seqs):
@@ -290,15 +292,19 @@ class TestStoreWrittenBeforeSegments:
         root = tmp_path / "old"
         records = [self.diagnosed(f"old-{i}", 40 + 20 * i) for i in range(3)]
         # written out of seq order, with the gaps deletes left behind
-        runs = lay_down_old_store(root, records, (5, 0, 2),
-                                  index_format=index_format)
+        lay_down_old_store(root, records, (5, 0, 2), index_format=index_format)
 
+        # the open converts it: every meta summarized, every seq kept,
+        # the stamp written and the whole index aggregated
         store = ExperimentStore(root, auto_compact=0)
         assert store.info().backend == "file"
         assert list(store.backend.iter_summaries()) == [
-            (rid, runs[rid]) for rid in ("old-1", "old-2", "old-0")]
+            (r.run_id, dict(meta_for_record(r), seq=seq))
+            for r, seq in ((records[1], 0), (records[2], 2), (records[0], 5))]
         assert store.load("old-2").to_dict() == records[2].to_dict()
-        assert not (root / "segments").exists()
+        assert os.listdir(root / "segments") == ["_state.json"]
+        info = store.info()
+        assert info.aggregated_runs == info.runs == 3
 
         new = self.diagnosed("new-0", 50)
         store.save(new)
@@ -311,16 +317,10 @@ class TestStoreWrittenBeforeSegments:
             [facts_of_record(r) for r in (records[1], records[2], records[0], new)],
             include_thresholds=True,
         ).to_text()
-        if index_format == 3:
-            # every old run is summarized: the first seal rolls a
-            # sidecar over the old base
-            info = store.info()
-            assert info.aggregated_runs == info.runs == 4
-            assert store.backend.harvest_aggregate() is not None
-        else:
-            # nothing to build an aggregate from: the harvest rescans
-            assert store.backend.harvest_aggregate() is None
-            assert store.info().aggregated_runs == 0
+        # the first seal rolls the converted sidecar over the new run
+        info = store.info()
+        assert info.aggregated_runs == info.runs == 4
+        assert store.backend.harvest_aggregate() is not None
         assert store.harvest_evidence().finalize(
             include_thresholds=True).to_text() == expected
 

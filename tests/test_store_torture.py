@@ -111,6 +111,20 @@ def test_single_schedule_is_deterministic(seed):
     assert a == b, f"run_schedule('file', {seed}) not reproducible"
 
 
+def test_converting_open_under_faults(tmp_path):
+    """Every ``convert`` schedule of the CI window: faults armed before
+    the open that converts an oldest-layout store, and the reopened
+    store is the fault-free conversion — view, payloads, aggregate."""
+    results = [run_schedule("file", seed, tmp_path) for seed in range(80)]
+    converts = [r for r in results if r["scenario"] == "convert"]
+    assert len(converts) >= 5
+    assert any(r["faults_fired"] for r in converts)
+    for bad in (r for r in converts if r["divergent"]):
+        pytest.fail(f"conversion diverged: seed={bad['seed']} "
+                    f"outcome={bad['outcome']} — reproduce with "
+                    f"run_schedule('file', {bad['seed']})")
+
+
 # ---------------------------------------------------------------------------
 # targeted: ENOSPC mid-compaction / mid-migration
 # ---------------------------------------------------------------------------
