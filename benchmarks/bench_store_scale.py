@@ -138,7 +138,7 @@ def timed_cold_query(root: Path, expect: int, reps: int = 3) -> float:
     """Median cold-*process* query wall: every rep opens a fresh store
     instance (no in-process caches), after one unmeasured warm-up so the
     OS page cache — identical for every backend — stops dominating."""
-    entries = ExperimentStore(root).index_entries(app_name="scale")
+    entries = ExperimentStore(root).summaries(app_name="scale")
     if len(entries) < expect:
         raise AssertionError(
             f"cold query saw {len(entries)} entries, expected >= {expect}"
@@ -146,7 +146,7 @@ def timed_cold_query(root: Path, expect: int, reps: int = 3) -> float:
     walls = []
     for _ in range(reps):
         start = time.perf_counter()
-        ExperimentStore(root).index_entries(app_name="scale")
+        ExperimentStore(root).summaries(app_name="scale")
         walls.append(time.perf_counter() - start)
     return statistics.median(walls)
 

@@ -319,7 +319,7 @@ class Campaign:
         if store is not None and not isinstance(store, ExperimentStore):
             from ..facade import resolve_store
 
-            store = resolve_store(store).store
+            store = resolve_store(store)
         if resume and journal is None:
             raise CampaignError("resume=True needs a journal")
         if journal is not None and not isinstance(journal, CampaignJournal):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sqlite3
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -47,7 +48,7 @@ from .facade import diagnose, harvest, load_directives, resolve_store
 from .faults import FaultPlan, FaultPlanError
 from .obs import TraceError, metrics_to_json, metrics_to_prometheus, read_trace
 from .simulator.errors import SimulationError
-from .storage import ExperimentStore, StoreCorruption, StoreError, migrate_store
+from .storage import StoreCorruption, StoreError, migrate_store
 from .visualize import (
     bar_chart,
     render_shg,
@@ -154,7 +155,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    store = resolve_store(args.store).store
+    store = resolve_store(args.store)
     records = store.load_many(args.runs)
     if args.postmortem:
         rec = records[0]
@@ -184,72 +185,27 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_run_summary(
-    run_id: str,
-    app_name: str,
-    version: str,
-    n_processes: int,
-    n_nodes: int,
-    pairs_tested: int,
-    bottlenecks: int,
-    state_counts: dict,
-    peak_cost: float,
-    t_all: Optional[float],
-    duration: float,
-) -> None:
-    print(f"run {run_id}: {app_name} v{version}, "
-          f"{n_processes} processes on {n_nodes} nodes")
-    table = Table("Search summary", ["quantity", "value"])
-    table.add_row(["pairs tested", pairs_tested])
-    table.add_row(["bottlenecks (true)", bottlenecks])
-    for state, count in sorted(state_counts.items()):
-        table.add_row([f"nodes {state}", count])
-    table.add_row(["peak instrumentation cost", f"{peak_cost:.2f}"])
-    table.add_row(["time to find all (s)", f"{t_all:.1f}" if t_all else "n/a"])
-    table.add_row(["program duration (s)", f"{duration:.1f}"])
-    print(table.render())
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    store = resolve_store(args.store, resilience=_resilience_setting(args)).store
-    wants_record = args.profile or args.shg or args.hierarchies or args.metrics
-    if not wants_record:
-        # Summary-only report: everything comes from the store index, so
-        # no record file is parsed at all.
-        meta = store.summaries(run_ids=[args.run])[args.run]
-        if all(k in meta for k in ("app_name", "version", "n_processes")):
-            summary = meta["summary"]
-            _print_run_summary(
-                args.run,
-                meta["app_name"],
-                meta["version"],
-                meta["n_processes"],
-                summary["n_nodes"],
-                meta.get("pairs_tested", 0),
-                meta.get("bottlenecks", len(summary["true_pairs"])),
-                summary["state_counts"],
-                summary["peak_cost"],
-                summary["time_to_find_all"],
-                summary["duration"],
-            )
-            return 0
+    store = resolve_store(args.store, resilience=_resilience_setting(args))
+    # The header comes from the index summary in every mode; the record
+    # is parsed only for the sections below that need it.
+    meta = store.summaries(run_ids=[args.run])[args.run]
+    summary = meta["summary"]
+    t_all = summary["time_to_find_all"]
+    print(f"run {args.run}: {meta['app_name']} v{meta['version']}, "
+          f"{meta['n_processes']} processes on {summary['n_nodes']} nodes")
+    table = Table("Search summary", ["quantity", "value"])
+    table.add_row(["pairs tested", meta["pairs_tested"]])
+    table.add_row(["bottlenecks (true)", meta["bottlenecks"]])
+    for state, count in sorted(summary["state_counts"].items()):
+        table.add_row([f"nodes {state}", count])
+    table.add_row(["peak instrumentation cost", f"{summary['peak_cost']:.2f}"])
+    table.add_row(["time to find all (s)", f"{t_all:.1f}" if t_all else "n/a"])
+    table.add_row(["program duration (s)", f"{summary['duration']:.1f}"])
+    print(table.render())
+    if not (args.profile or args.shg or args.hierarchies or args.metrics):
+        return 0
     record = store.load(args.run)
-    counts = {}
-    for n in record.shg_nodes:
-        counts[n["state"]] = counts.get(n["state"], 0) + 1
-    _print_run_summary(
-        record.run_id,
-        record.app_name,
-        record.version,
-        record.n_processes,
-        len(record.nodes),
-        record.pairs_tested,
-        record.bottleneck_count(),
-        counts,
-        record.peak_cost,
-        record.time_to_find_all(),
-        record.finish_time,
-    )
     if args.profile:
         prof = record.flat_profile()
         total = prof.total_time()
@@ -327,7 +283,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 "(was the run diagnosed with --trace?)")
         try:
             # One-line run header from the index summary — no record parse.
-            meta = resolve_store(args.store).store.summaries(run_ids=[args.run])[args.run]
+            meta = resolve_store(args.store).summaries(run_ids=[args.run])[args.run]
             summary = meta["summary"]
             print(f"run {args.run}: {meta.get('app_name', '?')} "
                   f"v{meta.get('version', '?')}, status {summary['status']}, "
@@ -341,8 +297,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    store = resolve_store(args.store).store
-    entries = store.index_entries(app_name=args.app)
+    store = resolve_store(args.store)
+    entries = store.summaries(app_name=args.app)
     if not entries:
         print("(no stored runs)")
         return 0
@@ -403,7 +359,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    store = resolve_store(args.store).store
+    store = resolve_store(args.store)
     old = store.load(args.old_run)
     new = store.load(args.new_run)
     mapper = None
@@ -419,7 +375,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_history(args: argparse.Namespace) -> int:
     from .storage import resource_history
 
-    store = resolve_store(args.store).store
+    store = resolve_store(args.store)
     history = resource_history(
         store, args.resource, activity=args.activity, app_name=args.app
     )
@@ -439,7 +395,7 @@ def cmd_history(args: argparse.Namespace) -> int:
 
 
 def cmd_automap(args: argparse.Namespace) -> int:
-    store = resolve_store(args.store).store
+    store = resolve_store(args.store)
     old = store.load(args.old_run)
     new = store.load(args.new_run)
     suggestions = suggest_mappings_for_records(old, new, min_score=args.min_score)
@@ -587,8 +543,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_store_stats(args: argparse.Namespace) -> int:
-    handle = resolve_store(args.store, resilience=_resilience_setting(args))
-    info = handle.info()
+    info = resolve_store(args.store, resilience=_resilience_setting(args)).info()
     table = Table(f"Store {args.store}", ["property", "value"])
     table.add_row(["backend", info.backend])
     table.add_row(["runs", info.runs])
@@ -611,15 +566,15 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_store_compact(args: argparse.Namespace) -> int:
-    handle = resolve_store(args.store, resilience=_resilience_setting(args))
-    stats = handle.store.compact()
+    stats = resolve_store(
+        args.store, resilience=_resilience_setting(args)).compact()
     print(stats)
     return 0
 
 
 def cmd_store_rebuild(args: argparse.Namespace) -> int:
-    handle = resolve_store(args.store, resilience=_resilience_setting(args))
-    report = handle.store.rebuild_index()
+    report = resolve_store(
+        args.store, resilience=_resilience_setting(args)).rebuild_index()
     print(report)
     return 0
 
@@ -628,8 +583,8 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
     """Scrub the store: read back every indexed record, recompute its
     summary, and look for orphans.  Exit 0 when clean, 3 (corruption)
     otherwise, so cron jobs and CI can alert on a sick archive."""
-    handle = resolve_store(args.store, resilience=_resilience_setting(args))
-    report = handle.store.verify()
+    report = resolve_store(
+        args.store, resilience=_resilience_setting(args)).verify()
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -643,11 +598,9 @@ def cmd_store_migrate(args: argparse.Namespace) -> int:
     dest = resolve_store(
         args.dest, backend=args.to_backend or "file", resilience=resilience
     )
-    copied = migrate_store(
-        source.store, dest.store, overwrite=args.overwrite
-    )
+    copied = migrate_store(source, dest, overwrite=args.overwrite)
     print(f"{copied} record(s) migrated from {args.store} "
-          f"({source.backend}) to {args.dest} ({dest.backend})")
+          f"({source.backend.name}) to {args.dest} ({dest.backend.name})")
     return 0
 
 
@@ -908,7 +861,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise
         print(f"corruption: {exc}", file=sys.stderr)
         return EXIT_CORRUPTION
-    except (StoreError, FaultPlanError, TraceError, OSError) as exc:
+    except (StoreError, FaultPlanError, TraceError, OSError,
+            sqlite3.Error) as exc:  # raw backend errors: --no-resilience
         if args.debug:
             raise
         print(f"error: {exc}", file=sys.stderr)

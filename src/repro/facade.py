@@ -39,7 +39,6 @@ from .core.extraction import extract_directives
 from .core.search import SearchConfig
 from .obs.trace import Tracer
 from .resilience.backend import ResiliencePolicy
-from .storage.api import StoreHandle
 from .storage.records import RunRecord
 from .storage.store import ExperimentStore, StoreError
 
@@ -128,19 +127,19 @@ def _resolve_pool(pool: PoolLike) -> Optional["StorePool"]:
 def resolve_store(
     store: StoreLike, *, backend: Optional[str] = None,
     resilience: Union[None, bool, ResiliencePolicy] = None,
-) -> StoreHandle:
-    """Resolve a path-or-store argument to a typed :class:`StoreHandle`.
+) -> ExperimentStore:
+    """The :class:`ExperimentStore` for a path-or-store argument.
 
     This is the one resolution path behind every ``--store`` flag and
-    ``store=`` keyword: an already-open :class:`ExperimentStore` passes
-    through unchanged (``opened=False``); a path opens a store there,
-    auto-detecting the backend unless *backend* pins one (``"file"``,
-    ``"sqlite"``, or ``"auto"``).  *resilience*
-    configures the retry/breaker layer when a path is opened (a
-    :class:`~repro.resilience.backend.ResiliencePolicy`, ``False`` to
-    disable, ``None`` for the armed defaults — the CLI's ``--retry-*``
-    flags build the policy); it does not apply to pass-through stores,
-    which keep whatever they were opened with.
+    ``store=`` keyword: an already-open store passes through unchanged;
+    a path opens a store there, auto-detecting the backend unless
+    *backend* pins one (``"file"``, ``"sqlite"``, or ``"auto"``).
+    *resilience* configures the retry/breaker layer when a path is
+    opened (a :class:`~repro.resilience.backend.ResiliencePolicy`,
+    ``False`` to disable, ``None`` for the armed defaults — the CLI's
+    ``--retry-*`` flags build the policy); it does not apply to
+    pass-through stores, which keep whatever they were opened with.
+    The store's ``root`` and ``backend.name`` say where it lives.
     """
     if isinstance(store, ExperimentStore):
         if backend is not None and backend != "auto" \
@@ -149,16 +148,8 @@ def resolve_store(
                 f"store is already open with backend "
                 f"{store.backend.name!r}, not {backend!r}"
             )
-        return StoreHandle(
-            store=store,
-            root=store.root,
-            backend=store.backend.name,
-            opened=False,
-        )
-    opened = ExperimentStore(store, backend=backend, resilience=resilience)
-    return StoreHandle(
-        store=opened, root=opened.root, backend=opened.backend.name,
-    )
+        return store
+    return ExperimentStore(store, backend=backend, resilience=resilience)
 
 
 def load_directives(path: Union[str, Path]) -> DirectiveSet:
@@ -325,7 +316,7 @@ def diagnose(
     ).run()
     if store is not None:
         store = pool_obj.get(store) if pool_obj is not None \
-            else resolve_store(store).store
+            else resolve_store(store)
         store.save(record, overwrite=overwrite)
         if trace is True:
             trace_path = Path(store.root) / "traces" / f"{record.run_id}.jsonl"
@@ -404,21 +395,18 @@ def harvest(
             )
         return union_directives(*parts) if len(parts) > 1 else parts[0]
     pool_obj = _resolve_pool(pool)
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, Path)) and not Path(source).is_dir():
         # A path must already be a store on disk: opening a missing path
         # would silently create an empty store there and mask a dead
         # mount or a typo.
-        if not Path(source).is_dir():
-            raise StoreError(f"store directory {str(source)!r} does not exist")
-        if pool_obj is not None:
-            return pool_obj.harvest(source, app=_app_name(app), **options)
-        source = resolve_store(source).store
-    if isinstance(source, ExperimentStore):
+        raise StoreError(f"store directory {str(source)!r} does not exist")
+    if isinstance(source, (str, Path, ExperimentStore)):
         if pool_obj is not None:
             return pool_obj.harvest(source, app=_app_name(app), **options)
         # Served from the backend's persisted aggregate when one provably
         # covers the current index, and from a fold over the index's
         # summaries when not — identical output either way.
-        return source.harvest_evidence(_app_name(app)).finalize(**options)
+        return resolve_store(source).harvest_evidence(
+            _app_name(app)).finalize(**options)
     records = _history_records(source, _app_name(app))
     return extract_directives(records, **options)

@@ -20,12 +20,13 @@ and Process attribution that also pass the residual Machine/SyncObject
 check, and how many candidates that bucket walk examines.  The walk
 happens once, when the cell is built; ``request()`` and ``delete()``
 keep every cell under the probe's routing keys current, so ``record()``
-is one cell lookup plus one overlap fold per *matching* probe.  Cells
-are keyed by identity and pin their ``parts``, so an id can never be
-reused while its cell is live; nothing a run does invalidates a cell
-(matching is tuple-prefix comparison on immutable values), and the cell
-table is dropped wholesale at a cap and rebuilt from the index on
-demand.  The naive statement of delivery — every live probe examined
+is one cell lookup plus one overlap fold per *matching* probe, and
+``read()`` finds the probes an in-progress segment feeds through the
+same cell.  Cells are keyed by identity and pin their ``parts``, so an
+id can never be reused while its cell is live; nothing a run does
+invalidates a cell (matching is tuple-prefix comparison on immutable
+values), and the cell table is dropped wholesale at a cap and rebuilt
+from the index on demand.  The naive statement of delivery — every live probe examined
 for every segment — is ``tests/reference_delivery.py``, which the
 property tests hold ``record()`` byte-identical to.
 """
@@ -46,11 +47,10 @@ from .metric import METRICS, Metric
 
 __all__ = ["ActiveInstrumentation", "InstrumentationManager", "matched_processes"]
 
-#: Cap on the identity-keyed match memo and on the attribution cell
-#: table; each is cleared wholesale when full.  Big enough that a
-#: realistic search never evicts (entries are bounded by distinct
-#: (focus, attribution) pairs resp. attributions), small enough that an
-#: adversarial stream cannot grow memory without bound.
+#: Cap on the attribution cell table, which is cleared wholesale when
+#: full.  Big enough that a realistic search never evicts (entries are
+#: bounded by distinct attributions), small enough that an adversarial
+#: stream cannot grow memory without bound.
 _MEMO_MAX = 1 << 16
 
 #: Routing key for a hierarchy the probe's focus does not constrain (or
@@ -175,8 +175,6 @@ class InstrumentationManager:
         # cells under each routing key whose bucket they draw from
         self._cells: Dict[Tuple[int, int], _Cell] = {}
         self._cell_index: Dict[_RouteKey, List[_Cell]] = {}
-        # identity memo for reads of in-progress segments; values pin their keys
-        self._match_memo: Dict[Tuple[int, int], Tuple[Focus, dict, bool]] = {}
         # matched-process sets cached per focus, invalidated when the
         # engine's process table grows
         self._focus_procs: Dict[Focus, Tuple[str, ...]] = {}
@@ -363,19 +361,6 @@ class InstrumentationManager:
         self._cells[(id(parts), id(activity))] = cell
         return cell
 
-    def _matches(self, focus: Focus, parts: dict) -> bool:
-        """Memoized ``focus.matches_parts(parts)`` keyed by identity."""
-        memo = self._match_memo
-        key = (id(focus), id(parts))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[2]
-        result = focus.matches_parts(parts)
-        if len(memo) >= _MEMO_MAX:
-            memo.clear()
-        memo[key] = (focus, parts, result)  # pin both: ids stay valid while cached
-        return result
-
     # ------------------------------------------------------------------
     # trace sink + perturbation source
     # ------------------------------------------------------------------
@@ -464,11 +449,20 @@ class InstrumentationManager:
                 segs = tuple(self.engine.in_progress())
                 if self._batching:
                     self._in_progress_snapshot = segs
+            # an in-progress segment feeds the probes of its attribution
+            # cell, the same cell record() will deliver it through
+            cells = self._cells
             for seg in segs:
                 if not instr.metric.counts(seg.activity):
                     continue
                 dt = instr.overlap(seg.start, seg.end)
-                if dt > 0.0 and self._matches(instr.focus, seg.parts):
+                if dt <= 0.0:
+                    continue
+                parts, activity = seg.parts, seg.activity
+                cell = cells.get((id(parts), id(activity)))
+                if cell is None:
+                    cell = self._build_cell(parts, activity)
+                if handle in cell.probes:
                     value += dt
         return value, elapsed
 

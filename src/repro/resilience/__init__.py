@@ -11,15 +11,15 @@ Four layers, lowest first:
 * :mod:`~repro.resilience.backend` — :class:`ResilientBackend`: the
   :class:`~repro.storage.api.StorageBackend` wrapper
   :class:`~repro.storage.store.ExperimentStore` threads every operation
-  through, configured by one :class:`ResiliencePolicy` value;
+  through, configured by one :class:`ResiliencePolicy` value — the
+  store's one retry layer (the backends never retry);
 * :mod:`~repro.resilience.scrub` / :mod:`~repro.resilience.torture` —
   the verification side: ``repro store verify`` and the seeded
   crash-consistency harness.
 
 ``scrub`` and ``torture`` are exported lazily (PEP 562): they import
-:mod:`repro.storage.store`, which imports the backends, which import
-this package for :class:`RetryPolicy` — eager re-export would close
-that cycle.
+:mod:`repro.storage.store`, which imports this package for
+:class:`ResilientBackend` — eager re-export would close that cycle.
 """
 
 from .backend import ResiliencePolicy, ResilientBackend

@@ -2,12 +2,14 @@
 transient failures and fails fast behind a circuit breaker.
 
 :class:`ExperimentStore` threads every backend call through a
-:class:`ResilientBackend` (unless resilience is disabled), so one
-wrapper gives all three layouts the same availability contract:
+:class:`ResilientBackend` (unless resilience is disabled), and this is
+the store's one retry layer: the backends themselves never retry, so
+both of them get the same availability contract from the same code:
 
 * transient failures — sqlite ``database is locked``, EIO, EAGAIN —
-  are retried under a seeded :class:`~repro.resilience.policy.RetryPolicy`
-  with a bounded deadline;
+  reach this wrapper raw and are retried, whole operation by whole
+  operation, under a seeded :class:`~repro.resilience.policy.RetryPolicy`
+  with a bounded deadline; every retry is counted;
 * an exhausted operation trips the per-backend
   :class:`~repro.resilience.breaker.CircuitBreaker`; while it is open,
   calls fail in microseconds with :class:`StoreUnavailable` instead of
@@ -20,7 +22,7 @@ wrapper gives all three layouts the same availability contract:
 
 Retrying a whole backend operation is safe because every backend keeps
 the operation's *index effect* atomic: a ``put`` that raised a transient
-error has not indexed the run (the file backends seal the index segment
+error has not indexed the run (the file backend seals the index segment
 as the final atomic rename; sqlite rolls the transaction back), so the
 retry re-runs the full operation from scratch and idempotently.
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple, TypeVar
 
 from ..storage.api import (
     CompactionStats,
@@ -181,12 +183,6 @@ class ResilientBackend(StorageBackend):
     def record_token(self, run_id: str) -> Hashable:
         return self._guard("record_token",
                            lambda: self.inner.record_token(run_id))
-
-    def iter_summaries(self) -> Iterator[Tuple[str, dict]]:
-        # materialize under the guard: a generator cannot be retried
-        # once partially consumed
-        return iter(self._guard(
-            "iter_summaries", lambda: list(self.inner.iter_summaries())))
 
     def query_summaries(
         self,

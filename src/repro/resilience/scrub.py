@@ -116,7 +116,7 @@ def verify_store(store) -> ScrubReport:
         backend=backend.name,
         root=str(store.root) if store.root is not None else None,
     )
-    entries = store.index_entries()
+    entries = store.summaries()
     for run_id, meta in entries.items():
         report.checked += 1
         try:

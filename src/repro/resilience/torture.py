@@ -30,8 +30,10 @@ report always carries the backend + seed, so any failure replays with
 ``run_schedule(backend, seed)``.
 
 Transient faults (``times``-bounded EIO, SQLITE_BUSY) are expected to be
-*absorbed* by the resilience layer — schedules where retry recovers
-complete end-to-end and must land exactly on the final chain state.
+*absorbed* by the store's one retry layer,
+:class:`~repro.resilience.backend.ResilientBackend` (the backends never
+retry on their own) — schedules where retry recovers complete
+end-to-end and must land exactly on the final chain state.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def store_view(store: ExperimentStore) -> str:
     raw ``seq`` values stripped (retries may burn them legitimately)."""
     view = [
         [run_id, {k: v for k, v in meta.items() if k != "seq"}]
-        for run_id, meta in store.index_entries().items()
+        for run_id, meta in store.summaries().items()
     ]
     return json.dumps(view, sort_keys=True, separators=(",", ":"))
 

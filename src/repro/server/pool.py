@@ -1,4 +1,4 @@
-"""StorePool: hot store handles and harvest results shared across requests.
+"""StorePool: hot stores and harvest results shared across requests.
 
 Opening an :class:`~repro.storage.store.ExperimentStore` parses the
 format-3 index (every run's denormalized summary); harvesting extracts a
@@ -6,8 +6,9 @@ directive set from all of those summaries.  Both are pure functions of
 the store's on-disk index state, yet the one-shot facade path recomputes
 them per call.  The pool keeps both warm:
 
-* an LRU of opened stores keyed by ``(resolved path, backend,
-  resilience)`` — eviction and :meth:`close` call the store's
+* an LRU of opened stores keyed by resolved path (a directory holds
+  one store; its backend is auto-detected and resilience is armed with
+  the defaults) — eviction and :meth:`close` call the store's
   ``close()``, so pooling never leaks SQLite connections;
 * a bounded harvest cache: one entry per owning store, application and
   extraction options, valid for the backend's **index state token**
@@ -42,7 +43,6 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from ..core.directives import DirectiveSet
-from ..resilience.backend import ResiliencePolicy
 from ..storage.store import ExperimentStore
 
 __all__ = ["StorePool"]
@@ -56,20 +56,12 @@ StoreLike = Union[ExperimentStore, str, Path]
 _HARVEST_CACHE_SIZE = 32
 
 
-def _resilience_key(resilience: Union[None, bool, ResiliencePolicy]) -> str:
-    if resilience is False:
-        return "off"
-    if resilience is None or resilience is True:
-        return "default"
-    return repr(resilience)
-
-
 class StorePool:
     """A bounded pool of opened stores plus a harvest cache.
 
     ``get(path)`` opens a store once and returns the same instance for
-    every later request of the same path/backend/resilience combination;
-    an :class:`ExperimentStore` argument passes through untouched (the
+    every later request of the same directory; an
+    :class:`ExperimentStore` argument passes through untouched (the
     caller owns its lifecycle, the pool never closes it).  ``max_stores``
     bounds how many distinct stores stay open; the least recently used
     one is closed on overflow.
@@ -80,8 +72,7 @@ class StorePool:
             raise ValueError(f"max_stores must be >= 1, got {max_stores}")
         self.max_stores = max_stores
         self._lock = threading.RLock()
-        self._stores: "OrderedDict[Tuple[str, str, str], ExperimentStore]" = \
-            OrderedDict()
+        self._stores: "OrderedDict[str, ExperimentStore]" = OrderedDict()
         # (id(store), app, options) -> (store, index token, directives)
         self._harvests: "OrderedDict[tuple, Tuple[ExperimentStore, object, DirectiveSet]]" = \
             OrderedDict()
@@ -95,27 +86,16 @@ class StorePool:
     # ------------------------------------------------------------------
     # stores
     # ------------------------------------------------------------------
-    def get(
-        self,
-        store: StoreLike,
-        *,
-        backend: Optional[str] = None,
-        resilience: Union[None, bool, ResiliencePolicy] = None,
-    ) -> ExperimentStore:
+    def get(self, store: StoreLike) -> ExperimentStore:
         """An open store for *store*, hot across calls.
 
         Path arguments are resolved (symlinks and relative prefixes
-        collapse onto one pool entry) and opened at most once per
-        backend/resilience combination.  Already-open stores pass
-        through unchanged.
+        collapse onto one pool entry) and opened at most once.
+        Already-open stores pass through unchanged.
         """
         if isinstance(store, ExperimentStore):
             return store
-        key = (
-            str(Path(store).resolve()),
-            backend or "auto",
-            _resilience_key(resilience),
-        )
+        key = str(Path(store).resolve())
         with self._lock:
             if self._closed:
                 raise RuntimeError("StorePool is closed")
@@ -125,7 +105,7 @@ class StorePool:
                 self.store_hits += 1
                 return cached
             self.store_misses += 1
-            opened = ExperimentStore(store, backend=backend, resilience=resilience)
+            opened = ExperimentStore(store)
             self._stores[key] = opened
             while len(self._stores) > self.max_stores:
                 _k, evicted = self._stores.popitem(last=False)
@@ -142,8 +122,6 @@ class StorePool:
         store: StoreLike,
         *,
         app: Optional[str] = None,
-        backend: Optional[str] = None,
-        resilience: Union[None, bool, ResiliencePolicy] = None,
         **options,
     ) -> DirectiveSet:
         """Directives extracted from *store*'s history, cached.
@@ -155,7 +133,7 @@ class StorePool:
         of the backend's rolling aggregate), every one until the next
         write reuses it.
         """
-        opened = self.get(store, backend=backend, resilience=resilience)
+        opened = self.get(store)
         token = opened.index_token()
         key = (id(opened), app, tuple(sorted(options.items())))
         with self._lock:

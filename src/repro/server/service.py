@@ -43,6 +43,7 @@ from ..apps.catalog import build_catalog_app
 from ..core.consultant import DiagnosisSession
 from ..core.directives import DirectiveSet
 from ..core.search import SearchConfig
+from ..facade import resolve_history
 from ..storage.records import RunRecord
 from .pool import StorePool
 
@@ -77,10 +78,15 @@ class SessionRequest:
     ``app`` is a live :class:`Application` or a catalog name (with
     ``version``/``iterations`` forwarded to
     :func:`~repro.apps.catalog.build_catalog_app`).  ``history`` supplies
-    search directives: a :class:`DirectiveSet` is used as-is, a store
-    path is harvested through the service's :class:`StorePool` (cached
-    until the store's index changes).  ``store`` persists the finished
-    record through the same pool.  ``search`` holds
+    search directives and is resolved exactly as ``repro.diagnose``
+    resolves it (:func:`~repro.facade.resolve_history`): a
+    :class:`DirectiveSet` is used as-is, a store directory is harvested
+    through the service's :class:`StorePool` (cached until the store's
+    index changes), a directive-file path is parsed, and a path that
+    does not exist fails the session with
+    :class:`~repro.storage.api.StoreError` instead of creating an empty
+    store there.  ``store`` persists the finished record through the
+    same pool.  ``search`` holds
     :class:`SearchConfig` field overrides when no explicit ``config`` is
     given.  ``progress`` receives this session's progress events in
     addition to the service-wide callback.
@@ -298,13 +304,8 @@ class DiagnosisService:
         app = request.app
         if not isinstance(app, Application):
             app = build_catalog_app(app, request.version, request.iterations)
-        directives: Optional[DirectiveSet] = None
-        if isinstance(request.history, DirectiveSet):
-            directives = request.history
-        elif request.history is not None:
-            directives = self.pool.harvest(
-                request.history, app=app.name, **request.harvest_options
-            )
+        directives = resolve_history(
+            request.history, app=app, pool=self.pool, **request.harvest_options)
         config = request.config or SearchConfig(**request.search)
         policy = self._policy(request.tenant)
         if policy.cost_limit is not None \

@@ -12,7 +12,6 @@ from .api import (
     StorageBackend,
     StoreCorruption,
     StoreError,
-    StoreHandle,
     StoreInfo,
     StoreUnavailable,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "StorageBackend",
     "FileBackend",
     "SQLiteBackend",
-    "StoreHandle",
     "StoreInfo",
     "CompactionStats",
     "RecoveryReport",

@@ -1,4 +1,4 @@
-"""The public storage API: backend protocol, typed handles, exceptions.
+"""The public storage API: backend protocol, value types, exceptions.
 
 The paper's conclusions call historical diagnosis "part of an ongoing
 research effort in which we are designing and developing an infrastructure
@@ -16,8 +16,11 @@ mapping whose entries carry the denormalized query summaries
 queries answer without touching record payloads — and, optionally, a
 rolling harvest aggregate over that index, extended inside every save:
 the one incremental harvest path there is.  A backend reads one
-on-disk layout; converting anything older is its ``rebuild``.
-Everything else — record-object caching, batch loading, the public
+on-disk layout; converting anything older is its ``rebuild``.  A backend
+does not retry: a transient failure (a locked sqlite database, EIO)
+leaves it raw, and :class:`~repro.resilience.backend.ResilientBackend`,
+which the frontend wraps around every backend, is the one layer that
+classifies, retries and counts it.  Everything else — record-object caching, batch loading, the public
 query helpers — lives above the seam and is backend-agnostic.
 """
 
@@ -26,24 +29,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .store import ExperimentStore
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "StorageBackend",
     "StoreInfo",
-    "StoreHandle",
     "CompactionStats",
     "RecoveryReport",
     "StoreError",
@@ -145,26 +135,6 @@ class StoreInfo:
     aggregated_segments: int = 0
 
 
-@dataclass(frozen=True)
-class StoreHandle:
-    """A resolved store: the open :class:`ExperimentStore` plus how it was
-    reached.  Returned by :func:`repro.facade.resolve_store` so the CLI
-    and the facade share one resolution path and can report provenance
-    (which backend, which directory) without re-deriving it."""
-
-    store: "ExperimentStore"
-    #: The store directory the handle resolved to (``None`` when an
-    #: already-open :class:`ExperimentStore` was passed through).
-    root: Optional[Path]
-    #: Resolved backend name.
-    backend: str
-    #: True when resolution opened the store (vs passing one through).
-    opened: bool = True
-
-    def info(self) -> StoreInfo:
-        return self.store.info()
-
-
 class StorageBackend(ABC):
     """Contract a storage backend implements for :class:`ExperimentStore`.
 
@@ -230,19 +200,16 @@ class StorageBackend(ABC):
 
     # -- index ----------------------------------------------------------
     @abstractmethod
-    def iter_summaries(self) -> Iterator[Tuple[str, dict]]:
-        """``(run_id, meta)`` pairs in ``seq`` order (oldest first),
-        each meta carrying its ``"summary"``."""
-
-    @abstractmethod
     def query_summaries(
         self,
         app_name: Optional[str] = None,
         version: Optional[str] = None,
         run_ids: Optional[Sequence[str]] = None,
     ) -> Dict[str, dict]:
-        """Filtered metas: ``run_ids`` order when given, else seq order
-        restricted to *app_name*/*version*.  Missing ids map to ``None``."""
+        """The one index read: filtered metas, each carrying its
+        ``"summary"`` — ``run_ids`` order when given, else seq order
+        (oldest first) restricted to *app_name*/*version*.  Missing ids
+        map to ``None``."""
 
     # -- harvest aggregates ---------------------------------------------
     # Optional fast path (default: not supported).  Backends that persist

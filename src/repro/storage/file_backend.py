@@ -76,7 +76,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 try:  # POSIX advisory locks; absent e.g. on Windows
     import fcntl
@@ -777,10 +777,6 @@ class FileBackend(StorageBackend):
     # ------------------------------------------------------------------
     # StorageBackend: index
     # ------------------------------------------------------------------
-    def iter_summaries(self) -> Iterator[Tuple[str, dict]]:
-        merged = self.read_merged()
-        yield from sorted(merged.items(), key=lambda kv: kv[1].get("seq", 0))
-
     def query_summaries(
         self,
         app_name: Optional[str] = None,

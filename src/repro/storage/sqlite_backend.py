@@ -20,16 +20,16 @@ concurrent writer processes serialize instead of failing; WAL mode lets
 readers proceed during writes where the filesystem supports it.
 
 Contention that outlives the busy timeout — a wedged writer, a lock
-held across an NFS hiccup, an injected ``SQLITE_BUSY`` — used to
-surface as a raw ``sqlite3.OperationalError``.  It is a *transient*
-condition, so every statement and every write transaction now runs
-under a bounded :class:`~repro.resilience.policy.RetryPolicy`; write
-transactions retry **whole** (the rollback makes each attempt
-idempotent), and exhaustion raises the typed
-:class:`~repro.storage.api.StoreUnavailable` instead of leaking sqlite
-internals.  Every statement also passes the :mod:`repro.faults.io`
-``sqlite`` seam, which is how the torture harness schedules
-busy/crash faults at chosen call indices.
+held across an NFS hiccup, an injected ``SQLITE_BUSY`` — leaves this
+backend as the raw ``sqlite3.OperationalError``; a failed write
+transaction is rolled back first, so the operation left no trace.  The
+backend does not retry: :class:`~repro.resilience.backend.ResilientBackend`,
+which :class:`~repro.storage.store.ExperimentStore` wraps around every
+backend, is the one layer that classifies the error as transient,
+retries the whole operation, counts the retry and trips the breaker.
+Every statement passes the :mod:`repro.faults.io` ``sqlite`` seam,
+which is how the torture harness schedules busy/crash faults at chosen
+call indices.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..core.extraction import HarvestAggregate
 from ..faults import io as io_faults
-from ..resilience.policy import RetryExhausted, RetryPolicy
 from .api import (
     CompactionStats,
     RecoveryReport,
@@ -51,7 +50,6 @@ from .api import (
     StoreCorruption,
     StoreError,
     StoreInfo,
-    StoreUnavailable,
 )
 from .file_backend import _checksum
 from .records import RunRecord
@@ -116,8 +114,7 @@ class SQLiteBackend(StorageBackend):
 
     name = "sqlite"
 
-    def __init__(self, root: str | Path, *,
-                 retry: Optional[RetryPolicy] = None):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / SQLITE_STORE_NAME
@@ -135,11 +132,6 @@ class SQLiteBackend(StorageBackend):
             "INSERT OR IGNORE INTO store_meta(key, value) VALUES ('schema', ?)",
             (str(_SCHEMA_VERSION),),
         )
-        # Contention surviving the busy timeout is transient, never
-        # fatal: bounded retries, then a typed StoreUnavailable.
-        self._retry = retry if retry is not None else RetryPolicy(
-            attempts=4, base_delay=0.01, max_delay=0.2, deadline_s=5.0,
-        )
         # The connection is shared (check_same_thread=False) so threads
         # of one process can read through a pooled store; explicit
         # transactions on a shared connection must not interleave their
@@ -151,41 +143,27 @@ class SQLiteBackend(StorageBackend):
         self._conn.close()
 
     # ------------------------------------------------------------------
-    # statement plumbing: fault seam + transient retry
+    # statement plumbing: the fault seam and the write transaction
     # ------------------------------------------------------------------
     def _execute(self, sql: str, params: Sequence = ()):
-        """One statement through the injection seam (no retry — used
-        inside transactions, where the *transaction* is the retry unit)."""
+        """One statement through the injection seam."""
         io_faults.check("sqlite", self.path)
         return self._conn.execute(sql, params)
 
-    def _call(self, fn: Callable[[], T], describe: str) -> T:
-        try:
-            return self._retry.call(fn, describe=describe)
-        except RetryExhausted as exc:
-            raise StoreUnavailable(
-                f"sqlite store {self.path.name}: {exc}"
-            ) from exc.last
+    def _select(self, sql: str, params: Sequence = ()) -> List[tuple]:
+        """A read, fetched eagerly."""
+        return self._execute(sql, params).fetchall()
 
-    def _select(self, sql: str, params: Sequence = (),
-                describe: str = "query") -> List[tuple]:
-        """A retried read: fetches eagerly so every attempt is complete."""
-        return self._call(
-            lambda: self._execute(sql, params).fetchall(), describe
-        )
+    def _write_txn(self, body: Callable[[], T]) -> T:
+        """Run *body* inside ``BEGIN IMMEDIATE``.
 
-    def _write_txn(self, body: Callable[[], T], describe: str) -> T:
-        """Run *body* inside ``BEGIN IMMEDIATE``, retrying the whole
-        transaction on transient failure.
-
-        Retrying individual statements inside an open transaction would
-        be wrong — sqlite may have invalidated the transaction — so the
-        unit of retry is the full begin/body/commit sequence; the
-        rollback on the way out makes each attempt start from scratch.
-        The rollback itself stays off the fault seam: it models what
-        sqlite's journal does unconditionally on a real crash.
+        Any failure rolls the transaction back before it propagates, so
+        a retry above the backend re-runs the whole operation from
+        scratch.  The rollback itself stays off the fault seam: it
+        models what sqlite's journal does unconditionally on a real
+        crash.
         """
-        def attempt() -> T:
+        with self._txn_lock:
             self._execute("BEGIN IMMEDIATE")
             try:
                 result = body()
@@ -197,8 +175,6 @@ class SQLiteBackend(StorageBackend):
                 except sqlite3.OperationalError:  # pragma: no cover
                     pass  # connection may have rolled back already
                 raise
-        with self._txn_lock:
-            return self._call(attempt, describe)
 
     # ------------------------------------------------------------------
     # records
@@ -244,13 +220,11 @@ class SQLiteBackend(StorageBackend):
                     row_meta["summary"], row_meta.get("app_name"), seq)
             return seq, ("rev", rev)
 
-        return self._write_txn(body, f"put {run_id!r}")
+        return self._write_txn(body)
 
     def get(self, run_id: str) -> dict:
         rows = self._select(
-            "SELECT payload, sha256 FROM runs WHERE run_id = ?", (run_id,),
-            describe=f"get {run_id!r}",
-        )
+            "SELECT payload, sha256 FROM runs WHERE run_id = ?", (run_id,))
         if not rows:
             raise StoreError(f"no stored run {run_id!r}")
         payload_json, sha = rows[0]
@@ -279,7 +253,7 @@ class SQLiteBackend(StorageBackend):
                 self._bump_mutations()
                 self._execute("DELETE FROM harvest_aggregates")
 
-        self._write_txn(body, f"quarantine {run_id!r}")
+        self._write_txn(body)
 
     def delete(self, run_id: str) -> None:
         def body() -> None:
@@ -290,19 +264,14 @@ class SQLiteBackend(StorageBackend):
                 self._bump_mutations()
                 self._execute("DELETE FROM harvest_aggregates")
 
-        self._write_txn(body, f"delete {run_id!r}")
+        self._write_txn(body)
 
     def contains(self, run_id: str) -> bool:
         return bool(self._select(
-            "SELECT 1 FROM runs WHERE run_id = ?", (run_id,),
-            describe=f"contains {run_id!r}",
-        ))
+            "SELECT 1 FROM runs WHERE run_id = ?", (run_id,)))
 
     def record_token(self, run_id: str) -> Hashable:
-        rows = self._select(
-            "SELECT rev FROM runs WHERE run_id = ?", (run_id,),
-            describe=f"record_token {run_id!r}",
-        )
+        rows = self._select("SELECT rev FROM runs WHERE run_id = ?", (run_id,))
         if not rows:
             raise StoreError(f"no stored run {run_id!r}")
         return ("rev", rows[0][0])
@@ -324,13 +293,6 @@ class SQLiteBackend(StorageBackend):
         metas = json.loads("[" + ",".join(meta for _run_id, meta in rows) + "]")
         return dict(zip((run_id for run_id, _meta in rows), metas))
 
-    def iter_summaries(self) -> Iterator[Tuple[str, dict]]:
-        rows = self._select(
-            "SELECT run_id, meta FROM runs ORDER BY seq",
-            describe="iter_summaries",
-        )
-        yield from self._decode_meta_rows(rows).items()
-
     def query_summaries(
         self,
         app_name: Optional[str] = None,
@@ -341,9 +303,7 @@ class SQLiteBackend(StorageBackend):
             out: Dict[str, dict] = {}
             for run_id in run_ids:
                 rows = self._select(
-                    "SELECT meta FROM runs WHERE run_id = ?", (run_id,),
-                    describe=f"query {run_id!r}",
-                )
+                    "SELECT meta FROM runs WHERE run_id = ?", (run_id,))
                 out[run_id] = json.loads(rows[0][0]) if rows else None
             return out
         clauses, params = [], []
@@ -357,8 +317,7 @@ class SQLiteBackend(StorageBackend):
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY seq"
-        return self._decode_meta_rows(
-            self._select(sql, params, describe="query_summaries"))
+        return self._decode_meta_rows(self._select(sql, params))
 
     # ------------------------------------------------------------------
     # harvest aggregates
@@ -457,18 +416,14 @@ class SQLiteBackend(StorageBackend):
     def harvest_aggregate(self, app_name: Optional[str] = None):
         scope = "*" if app_name is None else f"app:{app_name}"
         rows = self._select(
-            "SELECT data FROM harvest_aggregates WHERE scope = ?", (scope,),
-            describe="harvest_aggregate",
-        )
+            "SELECT data FROM harvest_aggregates WHERE scope = ?", (scope,))
         if rows:
             try:
                 return HarvestAggregate.from_dict(json.loads(rows[0][0]))
             except (ValueError, KeyError, TypeError, json.JSONDecodeError):
                 return None
         if app_name is not None and self._select(
-            "SELECT 1 FROM harvest_aggregates WHERE scope = '*'",
-            describe="harvest_aggregate",
-        ):
+                "SELECT 1 FROM harvest_aggregates WHERE scope = '*'"):
             # Aggregates are built and the app has no runs: the empty
             # aggregate, exactly what a scan of zero summaries yields.
             return HarvestAggregate()
@@ -477,9 +432,8 @@ class SQLiteBackend(StorageBackend):
         # after.  A store that cannot be written right now just stays on
         # the scan path.
         try:
-            built = self._write_txn(self._build_aggregate_rows,
-                                    "build harvest aggregates")
-        except (StoreUnavailable, sqlite3.Error):
+            built = self._write_txn(self._build_aggregate_rows)
+        except sqlite3.Error:
             return None
         if built is None:
             return None
@@ -490,9 +444,7 @@ class SQLiteBackend(StorageBackend):
     def index_token(self) -> Hashable:
         row = self._select(
             "SELECT (SELECT value FROM store_meta WHERE key = 'mutations'), "
-            "COUNT(*), COALESCE(MAX(seq), -1) FROM runs",
-            describe="index_token",
-        )[0]
+            "COUNT(*), COALESCE(MAX(seq), -1) FROM runs")[0]
         mutations = int(row[0]) if row[0] is not None else 0
         return ("sqlite", mutations, row[1], row[2])
 
@@ -538,24 +490,20 @@ class SQLiteBackend(StorageBackend):
             self._build_aggregate_rows()
             return report
 
-        return self._write_txn(body, "rebuild")
+        return self._write_txn(body)
 
     def compact(self) -> CompactionStats:
-        entries = self._select("SELECT COUNT(*) FROM runs",
-                               describe="compact count")[0][0]
-        self._call(lambda: self._execute("VACUUM"), "compact")
+        entries = self._select("SELECT COUNT(*) FROM runs")[0][0]
+        self._execute("VACUUM")
         # VACUUM keeps the contents, but a compaction is a write and
         # must move the index token like every other.
-        self._write_txn(self._bump_mutations, "compact")
+        self._write_txn(self._bump_mutations)
         return CompactionStats(segments_folded=0, entries=entries, generation=0)
 
     def info(self) -> StoreInfo:
-        runs = self._select("SELECT COUNT(*) FROM runs",
-                            describe="info")[0][0]
+        runs = self._select("SELECT COUNT(*) FROM runs")[0][0]
         agg_rows = self._select(
-            "SELECT n_runs FROM harvest_aggregates WHERE scope = '*'",
-            describe="info",
-        )
+            "SELECT n_runs FROM harvest_aggregates WHERE scope = '*'")
         try:
             index_bytes = self.path.stat().st_size
         except OSError:

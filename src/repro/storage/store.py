@@ -160,12 +160,13 @@ class ExperimentStore:
 
     ``resilience`` controls the availability layer every backend call is
     threaded through (:class:`~repro.resilience.backend.ResilientBackend`
-    — transient-failure retry plus a per-backend circuit breaker):
-    ``None``/``True`` arm it with default tunables, a
-    :class:`~repro.resilience.backend.ResiliencePolicy` arms it with
-    that policy, and ``False`` runs on the raw backend.  Armed-but-idle
-    it costs one wrapper call per operation; its counters are exposed
-    via :meth:`resilience_metrics`.
+    — transient-failure retry plus a per-backend circuit breaker, the
+    only retry layer the store has): ``None``/``True`` arm it with
+    default tunables, a :class:`~repro.resilience.backend.ResiliencePolicy`
+    arms it with that policy, and ``False`` runs on the raw backend,
+    whose transient errors (``sqlite3.OperationalError``, ``OSError``)
+    then surface as they are.  Armed-but-idle it costs one wrapper call
+    per operation; its counters are exposed via :meth:`resilience_metrics`.
     """
 
     def __init__(
@@ -177,22 +178,15 @@ class ExperimentStore:
         auto_compact: Optional[int] = _DEFAULT_AUTO_COMPACT,
         resilience: Union[None, bool, ResiliencePolicy] = None,
     ):
-        inner = _resolve_backend(root, backend)
-        if isinstance(inner, ResilientBackend):  # caller pre-wrapped it
+        self._inner = inner = _resolve_backend(root, backend)
+        if resilience is False:
             self._backend: StorageBackend = inner
-            self._inner = inner.inner
-        elif resilience is False:
-            self._backend = inner
-            self._inner = inner
         else:
             policy = resilience if isinstance(resilience, ResiliencePolicy) \
                 else None
             self._backend = ResilientBackend(inner, policy)
-            self._inner = inner
-        self.root = (
-            Path(root) if root is not None
-            else getattr(self._backend, "root", None)
-        )
+        self.root = Path(root) if root is not None \
+            else getattr(inner, "root", None)
         self._cache = _RecordCache(cache_size)
         self._auto_compact = auto_compact or 0
 
@@ -297,22 +291,13 @@ class ExperimentStore:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def index_entries(
-        self,
-        app_name: Optional[str] = None,
-        version: Optional[str] = None,
-    ) -> Dict[str, dict]:
-        """Index metadata matching the filters, oldest first — one index
-        read, no record parsing.  Every entry carries its ``summary``."""
-        return self._backend.query_summaries(app_name=app_name, version=version)
-
     def list(
         self,
         app_name: Optional[str] = None,
         version: Optional[str] = None,
     ) -> List[str]:
         """Run ids matching the filters, oldest first."""
-        return list(self.index_entries(app_name=app_name, version=version))
+        return list(self.summaries(app_name=app_name, version=version))
 
     def latest(self, app_name: str, version: Optional[str] = None) -> Optional[RunRecord]:
         ids = self.list(app_name=app_name, version=version)
@@ -325,7 +310,7 @@ class ExperimentStore:
         return [self.load(run_id) for run_id in run_ids]
 
     def __len__(self) -> int:
-        return len(self.index_entries())
+        return len(self.summaries())
 
     # ------------------------------------------------------------------
     # summaries
@@ -338,17 +323,18 @@ class ExperimentStore:
         self,
         run_ids: Optional[Sequence[str]] = None,
         app_name: Optional[str] = None,
+        version: Optional[str] = None,
     ) -> Dict[str, dict]:
-        """Index entries, each meta carrying its ``"summary"``.
+        """Index entries, each meta carrying its ``"summary"`` — the one
+        index read behind every listing, query and harvest rescan.
 
         Returns ``run_id -> meta`` in ``run_ids`` order when given (a
-        missing id raises :class:`StoreError`), else seq order filtered
-        by *app_name*.  A read: it never writes to the store.
+        missing id raises :class:`StoreError`; the filters are then
+        ignored), else seq order (oldest first) filtered by *app_name*
+        and *version*.  No record is parsed, and nothing is written.
         """
         items = self._backend.query_summaries(
-            app_name=None if run_ids is not None else app_name,
-            run_ids=run_ids,
-        )
+            app_name=app_name, version=version, run_ids=run_ids)
         for run_id, meta in items.items():
             if meta is None:
                 raise StoreError(f"no stored run {run_id!r}")

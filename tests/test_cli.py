@@ -270,6 +270,24 @@ class TestErrorExitCodes:
         assert "corruption" in capsys.readouterr().err
         assert (store / "quarantine" / "x1.json").exists()
 
+    def test_raw_sqlite_error_exit_2(self, tmp_path, monkeypatch, capsys):
+        """With ``--no-resilience`` a locked sqlite store surfaces raw,
+        as a one-line error, not a traceback."""
+        import sqlite3
+
+        from repro.storage import ExperimentStore, SQLiteBackend
+
+        ExperimentStore(tmp_path / "runs", backend="sqlite").close()
+
+        def locked(self, sql, params=()):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(SQLiteBackend, "_execute", locked)
+        code = run_cli("store", "stats", "--store", tmp_path / "runs",
+                       "--no-resilience")
+        assert code == 2
+        assert capsys.readouterr().err == "error: database is locked\n"
+
     def test_campaign_error_exit_5(self, capsys):
         code = run_cli("campaign", "tester", "--resume")
         assert code == 5
@@ -413,6 +431,31 @@ class TestSummaryFastPath:
         out = capsys.readouterr().out
         assert "run traced: tester v1, status complete" in out
         assert count_parses == []
+
+
+class TestReportHeader:
+    """``repro report`` prints its run header from the index summary in
+    every mode; the record is parsed only for the sections after it."""
+
+    @pytest.mark.parametrize("backend", ("file", "sqlite"))
+    def test_header_identical_with_and_without_profile(self, tmp_path,
+                                                       capsys, backend):
+        from repro.storage import ExperimentStore
+
+        store = tmp_path / backend
+        ExperimentStore(store, backend=backend).close()
+        assert run_cli("diagnose", "tester", "--iterations", 40,
+                       "--store", store, "--run-id", "r1") == 0
+        capsys.readouterr()
+        assert run_cli("report", "r1", "--store", store) == 0
+        plain = capsys.readouterr().out
+        assert run_cli("report", "r1", "--store", store, "--profile") == 0
+        with_profile = capsys.readouterr().out
+        assert plain.startswith("run r1: tester v1, ")
+        assert "pairs tested" in plain
+        assert with_profile.startswith(plain)
+        assert "Profile (fraction of total execution time)" in \
+            with_profile[len(plain):]
 
 
 class TestStoreStats:

@@ -316,7 +316,6 @@ def test_every_write_changes_the_index_token(tmp_path, backend):
         assert token not in seen, name
         seen.append(token)
         store.list()
-        store.index_entries()
         store.summaries()
         store.summary("run-001")
         store.load("run-001")
@@ -330,7 +329,7 @@ def test_put_without_a_summary_is_refused(tmp_path, backend):
     """A meta with no dict summary is rejected before anything lands."""
     store = _store(tmp_path / backend, backend=backend, n=2)
     token = store.index_token()
-    bare = dict(store.index_entries()["run-000"])
+    bare = dict(store.summaries()["run-000"])
     del bare["seq"]
     for summary in (None, "not a dict"):
         meta = dict(bare, summary=summary) if summary else \

@@ -2,13 +2,15 @@
 
 ``repro``, ``repro.core``, ``repro.core.extraction``, ``repro.facade``,
 ``repro.storage`` and ``repro.storage.api`` export exactly the names
-listed here, and a storage backend implements exactly the abstract
-methods listed in ``BACKEND_CONTRACT``.  A change that says "public facade
+listed here, a storage backend implements exactly the abstract methods
+listed in ``BACKEND_CONTRACT``, and the ways into the archive take
+exactly the parameters listed in ``SIGNATURES``.  A change that says "public facade
 unchanged" leaves this file alone; one that adds or removes a public
 name edits the list in the same commit, where a reviewer sees it.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -59,15 +61,14 @@ SURFACE = {
     "repro.storage": [
         "CompactionStats", "ExperimentStore", "FileBackend",
         "RecoveryReport", "ResourceHistory", "RunRecord", "SQLiteBackend",
-        "StorageBackend", "StoreCorruption", "StoreError", "StoreHandle",
-        "StoreInfo", "StoreUnavailable", "best_run",
+        "StorageBackend", "StoreCorruption", "StoreError", "StoreInfo",
+        "StoreUnavailable", "best_run",
         "bottleneck_persistence", "migrate_store", "resource_history",
         "select", "summarize_record"
     ],
     "repro.storage.api": [
         "CompactionStats", "RecoveryReport", "StorageBackend",
-        "StoreCorruption", "StoreError", "StoreHandle", "StoreInfo",
-        "StoreUnavailable"
+        "StoreCorruption", "StoreError", "StoreInfo", "StoreUnavailable"
     ],
 }
 
@@ -78,12 +79,27 @@ BACKEND_CONTRACT = [
     "delete",
     "get",
     "info",
-    "iter_summaries",
     "put",
     "query_summaries",
     "rebuild",
     "record_token",
 ]
+
+#: ``inspect.signature`` of each way into the archive: how a store is
+#: opened, how the pool opens and harvests one, how sqlite is opened.
+SIGNATURES = {
+    "repro.facade:resolve_store": (
+        "(store: 'StoreLike', *, backend: 'Optional[str]' = None, "
+        "resilience: 'Union[None, bool, ResiliencePolicy]' = None) "
+        "-> 'ExperimentStore'"),
+    "repro.server.pool:StorePool.get": (
+        "(self, store: 'StoreLike') -> 'ExperimentStore'"),
+    "repro.server.pool:StorePool.harvest": (
+        "(self, store: 'StoreLike', *, app: 'Optional[str]' = None, "
+        "**options) -> 'DirectiveSet'"),
+    "repro.storage.sqlite_backend:SQLiteBackend.__init__": (
+        "(self, root: 'str | Path')"),
+}
 
 
 @pytest.mark.parametrize("module", sorted(SURFACE))
@@ -104,3 +120,12 @@ def test_storage_backend_contract_is_pinned():
     from repro.storage.api import StorageBackend
 
     assert sorted(StorageBackend.__abstractmethods__) == BACKEND_CONTRACT
+
+
+@pytest.mark.parametrize("path", sorted(SIGNATURES))
+def test_archive_entry_signatures_are_pinned(path):
+    module, qualname = path.split(":")
+    obj = importlib.import_module(module)
+    for attr in qualname.split("."):
+        obj = getattr(obj, attr)
+    assert str(inspect.signature(obj)) == SIGNATURES[path]

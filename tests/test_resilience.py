@@ -1,6 +1,6 @@
 """The resilience layer: retry policy, circuit breaker, and the guarded
-backend wrapper (including the sqlite busy -> retry -> StoreUnavailable
-escalation the resilience layer was built for)."""
+backend wrapper — the store's one retry layer, including the sqlite
+busy -> retry -> StoreUnavailable escalation it was built for."""
 
 import errno
 import sqlite3
@@ -19,7 +19,6 @@ from repro.resilience import (
 from repro.storage import (
     ExperimentStore,
     RunRecord,
-    SQLiteBackend,
     StoreError,
     StoreUnavailable,
 )
@@ -306,35 +305,72 @@ class TestResilientBackend:
 
 
 class TestSqliteBusyEscalation:
-    """The satellite: sqlite 'database is locked' goes through RetryPolicy
-    and surfaces as a typed StoreUnavailable, not a raw OperationalError."""
+    """sqlite 'database is locked' reaches the store's one retry layer
+    raw: ResilientBackend retries the whole operation, counts every
+    retry, trips the breaker, and types exhaustion as StoreUnavailable;
+    with resilience off the raw OperationalError surfaces."""
 
-    def test_busy_retried_then_typed(self, tmp_path):
-        retry = RetryPolicy(attempts=3, base_delay=1e-4, max_delay=1e-3,
-                            deadline_s=60.0, sleep=lambda s: None)
-        backend = SQLiteBackend(tmp_path / "runs", retry=retry)
+    POLICY = ResiliencePolicy(attempts=3, breaker_threshold=2,
+                              base_delay=1e-4, max_delay=1e-3,
+                              deadline_s=60.0, sleep=lambda s: None)
+
+    def _locked(self, store):
+        """Make every sqlite statement of *store* fail as locked;
+        returns the statement counter."""
         calls = {"n": 0}
-        real = backend._execute
 
-        def contended(sql, params=()):
+        def locked(sql, params=()):
             calls["n"] += 1
             raise sqlite3.OperationalError("database is locked")
 
-        backend._execute = contended
-        try:
+        store.backend._execute = locked
+        return calls
+
+    def test_busy_retried_then_typed(self, tmp_path):
+        store = ExperimentStore(tmp_path / "runs", backend="sqlite",
+                                resilience=self.POLICY)
+        calls = self._locked(store)
+        for op in (1, 2):
             with pytest.raises(StoreUnavailable) as exc_info:
-                backend.contains("r0")
-        finally:
-            backend._execute = real
-        assert calls["n"] == 3  # attempts, not a single strike
-        assert isinstance(exc_info.value.__cause__, sqlite3.OperationalError)
-        backend.close()
+                "r0" in store
+            assert calls["n"] == 3 * op  # attempts, not one strike or 4
+            assert isinstance(exc_info.value.__cause__,
+                              sqlite3.OperationalError)
+        metrics = store.resilience_metrics()
+        assert metrics["retries_total"] == 4.0
+        assert metrics["unavailable_total"] == 2.0
+        assert metrics["breaker_state"] == 1.0
+        store.close()
+
+    def test_open_breaker_rejects_without_touching_sqlite(self, tmp_path):
+        store = ExperimentStore(tmp_path / "runs", backend="sqlite",
+                                resilience=self.POLICY)
+        calls = self._locked(store)
+        for _ in range(2):
+            with pytest.raises(StoreUnavailable):
+                store.load("r0")
+        before = calls["n"]
+        with pytest.raises(StoreUnavailable, match="circuit breaker"):
+            store.load("r0")
+        assert calls["n"] == before
+        assert store.resilience_metrics()["unavailable_total"] == 3.0
+        store.close()
+
+    def test_resilience_off_surfaces_the_raw_error(self, tmp_path):
+        store = ExperimentStore(tmp_path / "runs", backend="sqlite",
+                                resilience=False)
+        calls = self._locked(store)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            "r0" in store
+        assert calls["n"] == 1
+        store.close()
 
     def test_busy_that_clears_recovers(self, tmp_path):
-        retry = RetryPolicy(attempts=4, base_delay=1e-4, max_delay=1e-3,
-                            deadline_s=60.0, sleep=lambda s: None)
-        store = ExperimentStore(tmp_path / "runs", backend=SQLiteBackend(
-            tmp_path / "runs", retry=retry))
+        store = ExperimentStore(
+            tmp_path / "runs", backend="sqlite",
+            resilience=ResiliencePolicy(attempts=4, base_delay=1e-4,
+                                        max_delay=1e-3, deadline_s=60.0,
+                                        sleep=lambda s: None))
         store.save(_record("r0"))
         backend = store.backend
         calls = {"n": 0}
@@ -352,6 +388,7 @@ class TestSqliteBusyEscalation:
         finally:
             backend._execute = real
         assert calls["n"] >= 3
+        assert store.resilience_metrics()["retries_total"] == 2.0
 
 
 class TestStoreIntegration:

@@ -10,10 +10,10 @@ the reference into a shadow, and require *byte-identical* accumulated
 values.
 
 Also covered: routing-index and cell maintenance on delete, the bounded
-match memo and cell table, segment-parts interning, matched-process
-recounts after late process discovery, the descriptive lost-handle
-error, batched ``in_progress`` snapshots, and the ``progress_every``
-trace knob.
+cell table (which reads of in-progress segments share), segment-parts
+interning, matched-process recounts after late process discovery, the
+descriptive lost-handle error, batched ``in_progress`` snapshots, and
+the ``progress_every`` trace knob.
 """
 
 import random
@@ -244,24 +244,37 @@ class TestRoutingIndexMaintenance:
         mgr.record(seg)
         assert instr.accumulated == before
 
-    def test_match_memo_stays_bounded(self, monkeypatch):
-        """The read path's match memo and the cell table are both
-        capped, and delivery survives a wholesale drop."""
+    def test_cell_table_stays_bounded(self, monkeypatch):
+        """The cell table is capped, delivery survives a wholesale drop,
+        and ``read()`` finds the probes an in-progress segment feeds
+        through the same cells ``record()`` delivers through."""
         monkeypatch.setattr(instr_mod, "_MEMO_MAX", 16)
         rng = random.Random(7)
         world = build_world(rng)
         mgr = world["manager"]
+        engine = world["engine"]
+        pending = []
+        monkeypatch.setattr(engine, "in_progress", lambda: pending)
         foci = [random_focus(rng, world) for _ in range(4)]
-        handles = [mgr.request("exec_time", focus) for focus in foci]
+        handles = [mgr.request(rng.choice(METRIC_NAMES), focus)
+                   for focus in foci]
         shadow = {}
         for i in range(200):
             seg = random_segment(rng, world, float(i))
             deliver(mgr, seg, shadow)
             mgr.record(seg)
-            for focus in foci:
-                assert mgr._matches(focus, seg.parts) \
-                    == focus.matches_parts(seg.parts)
-            assert len(mgr._match_memo) <= 16
+            # a time probe's read adds a pending segment's overlap
+            # exactly when the naive scan would deliver it
+            pending[:] = [random_segment(rng, world, float(i))]
+            engine.now = i + 2.0
+            gain = {}
+            deliver(mgr, pending[0], gain)
+            for h in handles:
+                probe = mgr.instrumentation(h)
+                expect = probe.accumulated
+                if probe.metric.kind == "time":
+                    expect += gain.get(h, 0.0)
+                assert mgr.read(h)[0] == expect
             assert len(mgr._cells) <= 16
             # the index holds live cells only: it is dropped with the table
             live = {id(c) for c in mgr._cells.values()}

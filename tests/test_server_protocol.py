@@ -77,6 +77,15 @@ class TestProtocol:
             # The connection survives the error.
             assert client.ping()
 
+    def test_missing_history_path_is_error(self, server, tmp_path):
+        typo = tmp_path / "typo" / "runs"
+        with ServerClient(server.host, server.port) as client:
+            with pytest.raises(RuntimeError,
+                               match="StoreError: history path .* does not exist"):
+                client.diagnose("tester", iterations=20, history=str(typo))
+            assert client.ping()
+        assert not (tmp_path / "typo").exists()
+
     def test_unknown_op_is_error(self, server):
         with ServerClient(server.host, server.port) as client:
             event = next(client.request({"op": "frobnicate"}))

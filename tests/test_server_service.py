@@ -17,7 +17,7 @@ from repro.server import (
     TenantPolicy,
 )
 from repro.simulator.errors import SimTimeout
-from repro.storage import ExperimentStore
+from repro.storage import ExperimentStore, StoreError
 
 FAST = SearchConfig(min_interval=5.0, check_period=0.5,
                     insertion_latency=0.2, cost_limit=50.0)
@@ -243,6 +243,51 @@ class TestDiagnosisService:
 
         first, second = run_service(main())
         assert first.status == second.status == "complete"
+
+    def test_missing_history_path_fails_and_creates_nothing(self, tmp_path):
+        """A typo in a served history path fails the session the way
+        ``repro.diagnose`` fails it, instead of creating an empty store
+        there and running undirected."""
+        events = []
+
+        async def main():
+            service = DiagnosisService(slice_events=500, progress=events.append)
+            with pytest.raises(StoreError, match="history path .* does not exist"):
+                await service.run(SessionRequest(
+                    app="tester", iterations=20,
+                    history=str(tmp_path / "typo" / "runs"),
+                ))
+            return service.server_metrics()
+
+        metrics = run_service(main())
+        assert metrics["sessions_failed"] == 1
+        assert metrics["sessions_completed"] == 0
+        failed = [e for e in events if e["event"] == "session-failed"]
+        assert len(failed) == 1 and "StoreError" in failed[0]["error"]
+        assert not (tmp_path / "typo").exists()
+
+    def test_directive_file_as_history(self, tmp_path):
+        """The shared resolver also serves a directive file as history."""
+        from repro import diagnose, harvest
+
+        diagnose(make_pingpong(iterations=60), store=tmp_path / "runs",
+                 run_id="seed", pool=None, min_interval=5.0,
+                 check_period=0.5, insertion_latency=0.2, cost_limit=50.0)
+        directives = harvest(tmp_path / "runs", pool=None)
+        path = tmp_path / "seed.directives"
+        path.write_text(directives.to_text())
+
+        async def main():
+            service = DiagnosisService(slice_events=50)
+            from_file = await service.run(_request(
+                run_id="f", history=str(path)))
+            from_set = await service.run(_request(
+                run_id="f", history=directives))
+            return from_file, from_set
+
+        from_file, from_set = run_service(main())
+        assert from_file.status == "complete"
+        assert comparable(from_file) == comparable(from_set)
 
     def test_server_metrics_shape(self):
         from repro.obs import lint_prometheus_names, metrics_to_prometheus

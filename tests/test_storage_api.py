@@ -1,5 +1,5 @@
-"""The redesigned public storage surface: repro.storage.api, the
-keyword-only ExperimentStore constructor and resolve_store."""
+"""The public storage surface: repro.storage.api, the keyword-only
+ExperimentStore constructor and resolve_store."""
 
 import warnings
 
@@ -13,7 +13,6 @@ from repro.storage import (
     SQLiteBackend,
     StorageBackend,
     StoreError,
-    StoreHandle,
 )
 from repro.storage import api as storage_api
 
@@ -42,7 +41,6 @@ class TestApiSurface:
         assert set(storage_api.__all__) == {
             "StorageBackend",
             "StoreInfo",
-            "StoreHandle",
             "CompactionStats",
             "RecoveryReport",
             "StoreError",
@@ -97,23 +95,30 @@ class TestKeywordOnlyConstructor:
 
 
 class TestResolveStore:
-    def test_path_opens_a_handle(self, tmp_path):
-        handle = resolve_store(tmp_path / "runs")
-        assert isinstance(handle, StoreHandle)
-        assert handle.opened
-        assert handle.backend == "file"
-        assert handle.root == tmp_path / "runs"
-        assert handle.info().runs == 0
+    """``resolve_store`` hands back the store itself: where it lives is
+    its ``root``, what it runs on its ``backend.name``."""
+
+    def test_path_opens_a_store(self, tmp_path):
+        store = resolve_store(tmp_path / "runs")
+        assert isinstance(store, ExperimentStore)
+        assert store.backend.name == "file"
+        assert store.root == tmp_path / "runs"
+        assert store.info().runs == 0
 
     def test_open_store_passes_through(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs")
-        handle = resolve_store(store)
-        assert handle.store is store
-        assert not handle.opened
+        assert resolve_store(store) is store
+        assert resolve_store(store, backend="file") is store
 
     def test_backend_pin(self, tmp_path):
-        handle = resolve_store(tmp_path / "runs", backend="sqlite")
-        assert handle.backend == "sqlite"
+        store = resolve_store(tmp_path / "runs", backend="sqlite")
+        assert store.backend.name == "sqlite"
+
+    def test_resilience_setting_applies_to_an_opened_path(self, tmp_path):
+        assert resolve_store(tmp_path / "raw", resilience=False) \
+            .resilience_metrics() == {}
+        assert resolve_store(tmp_path / "armed") \
+            .resilience_metrics()["ops_total"] >= 0.0
 
     def test_backend_pin_conflict_rejected(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs", backend="file")
@@ -124,6 +129,6 @@ class TestResolveStore:
         ExperimentStore(tmp_path / "runs", backend="sqlite").save(
             _tiny_record("r0")
         )
-        handle = resolve_store(tmp_path / "runs")
-        assert handle.backend == "sqlite"
-        assert handle.store.list() == ["r0"]
+        store = resolve_store(tmp_path / "runs")
+        assert store.backend.name == "sqlite"
+        assert store.list() == ["r0"]

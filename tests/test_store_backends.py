@@ -86,7 +86,7 @@ class TestCrossBackendEquivalence:
             {"app_name": "ghost"},
         ):
             views = {
-                name: _canon(store.index_entries(**kwargs))
+                name: _canon(store.summaries(**kwargs))
                 for name, store in stores.items()
             }
             assert len(set(views.values())) == 1, (kwargs, sorted(views))
@@ -202,4 +202,4 @@ class TestSQLiteIntegrity:
         assert store.load("r0").version == "B"
         assert store.load("r0") is not cached
         # seq preserved across the overwrite
-        assert dict(store.backend.iter_summaries())["r0"]["seq"] == 0
+        assert dict(store.backend.query_summaries().items())["r0"]["seq"] == 0

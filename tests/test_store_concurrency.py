@@ -59,7 +59,7 @@ def test_concurrent_writers_lose_nothing(tmp_path):
     expected = {f"w{w}-r{i}" for w in range(N_PROCS) for i in range(RECORDS_EACH)}
     assert len(store) == len(expected)
     assert set(store.list()) == expected
-    index = dict(store.backend.iter_summaries())
+    index = dict(store.backend.query_summaries().items())
     seqs = sorted(meta["seq"] for meta in index.values())
     assert seqs == list(range(len(expected)))  # unique, gapless, monotonic
     for run_id in expected:
@@ -92,7 +92,7 @@ def test_rebuild_index_recovers_lost_entries(tmp_path):
     assert sorted(report.kept) == ["r0", "r1", "r2"]
     assert report.quarantined == []
     assert set(store.list()) == {"r0", "r1", "r2"}
-    seqs = sorted(m["seq"] for _rid, m in store.backend.iter_summaries())
+    seqs = sorted(m["seq"] for _rid, m in store.backend.query_summaries().items())
     assert seqs == [0, 1, 2]
 
 
@@ -100,9 +100,9 @@ def test_rebuild_preserves_existing_seq(tmp_path):
     store = ExperimentStore(tmp_path / "runs")
     for i in range(3):
         store.save(_tiny_record(f"r{i}"))
-    before = {rid: m["seq"] for rid, m in store.backend.iter_summaries()}
+    before = {rid: m["seq"] for rid, m in store.backend.query_summaries().items()}
     store.rebuild_index()
-    after = {rid: m["seq"] for rid, m in store.backend.iter_summaries()}
+    after = {rid: m["seq"] for rid, m in store.backend.query_summaries().items()}
     assert after == before
 
 

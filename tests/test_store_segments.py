@@ -141,7 +141,7 @@ class TestCompactionCrashStates:
         after = ExperimentStore(tmp_path / "runs")
         assert after.summaries() == view
         after.save(_tiny_record("r4"))
-        seqs = sorted(m["seq"] for _rid, m in after.backend.iter_summaries())
+        seqs = sorted(m["seq"] for _rid, m in after.backend.query_summaries().items())
         assert seqs == [0, 1, 2, 3, 4]
 
     def test_rebuild_recovers_from_arbitrary_wreckage(self, tmp_path):
@@ -197,7 +197,7 @@ class TestSigkillMidCompaction:
         assert report.quarantined == []
         fresh = ExperimentStore(root)
         assert set(fresh.list()) == on_disk
-        seqs = sorted(m["seq"] for _rid, m in fresh.backend.iter_summaries())
+        seqs = sorted(m["seq"] for _rid, m in fresh.backend.query_summaries().items())
         assert seqs == list(range(len(on_disk)))
 
 
@@ -244,7 +244,7 @@ class TestConcurrentSegmentWriters:
             for i in range(self.RECORDS_EACH)
         }
         assert set(store.list()) == expected
-        seqs = sorted(m["seq"] for _rid, m in store.backend.iter_summaries())
+        seqs = sorted(m["seq"] for _rid, m in store.backend.query_summaries().items())
         assert seqs == list(range(len(expected)))
         for run_id in expected:
             assert store.load(run_id).run_id == run_id
@@ -298,7 +298,7 @@ class TestStoreWrittenBeforeSegments:
         # the stamp written and the whole index aggregated
         store = ExperimentStore(root, auto_compact=0)
         assert store.info().backend == "file"
-        assert list(store.backend.iter_summaries()) == [
+        assert list(store.backend.query_summaries().items()) == [
             (r.run_id, dict(meta_for_record(r), seq=seq))
             for r, seq in ((records[1], 0), (records[2], 2), (records[0], 5))]
         assert store.load("old-2").to_dict() == records[2].to_dict()
@@ -308,7 +308,7 @@ class TestStoreWrittenBeforeSegments:
 
         new = self.diagnosed("new-0", 50)
         store.save(new)
-        assert dict(store.backend.iter_summaries())["new-0"]["seq"] == 6
+        assert dict(store.backend.query_summaries().items())["new-0"]["seq"] == 6
         assert sorted(os.listdir(root / "segments")) == [
             "000000000000.json", "_state.json"]
         assert store.list() == ["old-1", "old-2", "old-0", "new-0"]
