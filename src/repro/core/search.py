@@ -13,16 +13,31 @@ Search expansion is gated by the instrumentation cost model — when the
 total enabled cost reaches the critical threshold, expansion halts until
 deletions (triggered by false conclusions) bring the cost back down,
 exactly the halt/resume behaviour described in Section 2.
+
+Evaluation follows conclusions, not the watch set.  An *agenda* (a heap
+of due virtual time and node id) holds the instant each watched pair can
+next change its answer: a new pair once it has ``min_interval`` of data,
+an undecided borderline pair on the next tick, and a concluded
+persistent pair once its value can have crossed the noise band around
+its threshold (a time metric gains at most one second per matched
+process per second).  A tick evaluates only the entries due by then, in
+node-id order, plus any pair whose handle the instrumentation manager
+reports deleted since the last pass.  The record keeps the last value
+read, so the tick the search completes on and any tick after the program
+ended read every watched pair, as the per-tick sweep did; that sweep is
+``tests/reference_search.py``, the oracle this class is held to.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..metrics.instrumentation import InstrumentationManager
+from ..metrics.metric import METRICS
 from ..obs.trace import Tracer
 from ..resources.focus import Focus, whole_program
 from ..resources.resource import ResourceSpace
@@ -32,6 +47,11 @@ from .hypotheses import TOP_LEVEL, HypothesisTree, standard_tree
 from .shg import NodeState, Priority, SearchHistoryGraph, SHGNode
 
 __all__ = ["SearchConfig", "PerformanceConsultantSearch"]
+
+#: Relative hair taken off every agenda entry, so float rounding can make
+#: a pair due one look early (the exact test then re-checks it) but never
+#: late.
+_SLACK = 1e-9
 
 
 @dataclass
@@ -98,10 +118,24 @@ class PerformanceConsultantSearch:
         self.done_at: Optional[float] = None
         self._space_version = space.version
         self._thresholds = self._resolve_thresholds()
+        #: Hypotheses whose metric accumulates time (the flip bound holds
+        #: for these only; a count metric can jump at any instant).
+        self._timed = {
+            h.name for h in self.hypotheses.testable() if METRICS[h.metric].kind == "time"
+        }
         #: Nodes with a live read handle, maintained incrementally on
-        #: state transitions so the per-tick evaluation never rescans the
-        #: whole SHG (node_id -> node; iterated in node_id order).
+        #: state transitions (node_id -> node), and by handle, to map the
+        #: manager's deletion record back to nodes.
         self._watched: Dict[int, SHGNode] = {}
+        self._by_handle: Dict[int, SHGNode] = {}
+        #: The agenda: heap of (due virtual time, node_id), and each
+        #: watched node's one live due time; a heap entry that no longer
+        #: matches it is stale and skipped.
+        self._agenda: List[Tuple[float, int]] = []
+        self._due: Dict[int, float] = {}
+        #: What voids the agenda: the denominator changed, or a process's
+        #: in-flight activity was dropped (see :meth:`_due_nodes`).
+        self._engine_version = (engine.proc_table_version, engine.disruptions)
         self._ticks = 0
         self._progress_every = max(1, int(self.config.progress_every))
 
@@ -215,24 +249,36 @@ class PerformanceConsultantSearch:
     # the periodic search step
     # ------------------------------------------------------------------
     def tick(self) -> None:
+        """Evaluate the pairs due now, admit what the gate allows, and
+        note completion.  Virtual time stands still for the whole tick,
+        so every read in it shares one in-progress snapshot."""
         self._rescan_if_grown()
-        self._evaluate_active(self.config.min_interval)
-        self._expand()
-        self._ticks += 1
-        if self.tracer is not None and self._ticks % self._progress_every == 0:
-            self.tracer.emit(
-                "progress",
-                events=self.engine.events_processed,
-                cost=self.instr.total_cost,
-                active=self.instr.active_count,
-                pending=len(self._pending),
-                routed=self.instr.segments_routed,
-                scanned=0,  # field of a persisted trace format tests/golden hashes
-            )
-        if self.done_at is None and self.is_complete():
-            self.done_at = self.engine.now
-            if self.config.stop_engine_when_done:
-                self.engine.stop()
+        min_interval = self.config.min_interval
+        with self.instr.batched_reads():
+            due = self._due_nodes()
+            self._evaluate_nodes(due, min_interval)
+            self._expand()
+            self._ticks += 1
+            if self.tracer is not None and self._ticks % self._progress_every == 0:
+                self.tracer.emit(
+                    "progress",
+                    events=self.engine.events_processed,
+                    cost=self.instr.total_cost,
+                    active=self.instr.active_count,
+                    pending=len(self._pending),
+                    routed=self.instr.segments_routed,
+                    scanned=0,  # field of a persisted trace format tests/golden hashes
+                )
+            if self.done_at is None and self.is_complete():
+                self.done_at = self.engine.now
+                # The record keeps the last value read, and a persistent
+                # pair's is this tick's: the engine may stop right here.
+                read = {node.node_id for node in due}
+                self._evaluate_nodes(
+                    [n for n in self._watched_nodes() if n.node_id not in read],
+                    min_interval)
+                if self.config.stop_engine_when_done:
+                    self.engine.stop()
 
     def _rescan_if_grown(self) -> None:
         """Late resource discovery: when the resource space has grown
@@ -250,46 +296,126 @@ class PerformanceConsultantSearch:
                 self._refine(node)
 
     def _watch(self, node: SHGNode) -> None:
-        """Register a node with a live read handle for per-tick evaluation."""
+        """Register a node with a live read handle, due once it has
+        ``min_interval`` seconds of data."""
         self._watched[node.node_id] = node
+        self._by_handle[node.handle] = node
+        active_from = self.instr.instrumentation(node.handle).active_from
+        self._schedule(node, active_from + self.config.min_interval)
 
     def _unwatch(self, node: SHGNode) -> None:
         self._watched.pop(node.node_id, None)
+        self._due.pop(node.node_id, None)
 
-    def _active_nodes(self) -> List[SHGNode]:
-        """Nodes due for evaluation, in node_id order.
+    def _schedule(self, node: SHGNode, at: float) -> None:
+        """Put a watched node on the agenda at virtual time *at* (less
+        the rounding hair); ``inf`` means only a full pass reads it."""
+        if at != math.inf:
+            at -= _SLACK * (1.0 + abs(at))
+            heapq.heappush(self._agenda, (at, node.node_id))
+        self._due[node.node_id] = at
 
-        Derived from the incrementally maintained watch set rather than a
-        full SHG scan; entries that stopped satisfying the predicate
-        through an out-of-band mutation are dropped here.
-        """
+    def _watched_nodes(self, ids: Optional[Iterable[int]] = None) -> List[SHGNode]:
+        """The watched nodes among *ids* (default: all of them), in the
+        order given (default: node_id order).  Entries that stopped
+        satisfying the predicate through an out-of-band mutation are
+        dropped here."""
         out: List[SHGNode] = []
-        stale: List[int] = []
-        for nid in sorted(self._watched):
-            n = self._watched[nid]
+        watched = self._watched
+        for nid in sorted(watched) if ids is None else ids:
+            n = watched.get(nid)
+            if n is None:
+                continue
             if n.handle is not None and (
                 n.state is NodeState.ACTIVE or (n.persistent and n.concluded)
             ):
                 out.append(n)
             else:
-                stale.append(nid)
-        for nid in stale:
-            del self._watched[nid]
+                self._unwatch(n)
         return out
 
+    def _due_nodes(self) -> List[SHGNode]:
+        """The nodes this tick evaluates, in node_id order: the agenda's
+        entries due by now, plus every watched node whose handle the
+        instrumentation manager deleted since the last pass (so a lost
+        sample shows on the next tick, as when every tick looked every
+        handle up).
+
+        A tick reads the whole watch set instead when it fires after the
+        program ended (the record keeps the last value read), or when the
+        process table grew or a process crashed or hung since the last
+        tick (the flip bound assumed neither).
+        """
+        ids = set()
+        deleted = self.instr.deleted_handles
+        if deleted:
+            for handle in deleted:
+                node = self._by_handle.pop(handle, None)
+                if node is not None and node.handle == handle:
+                    ids.add(node.node_id)
+            deleted.clear()
+        engine = self.engine
+        version = (engine.proc_table_version, engine.disruptions)
+        if version != self._engine_version or engine.all_done():
+            self._engine_version = version
+            return self._watched_nodes()
+        now = engine.now
+        agenda, due = self._agenda, self._due
+        while agenda and agenda[0][0] <= now:
+            at, nid = heapq.heappop(agenda)
+            if due.get(nid) == at:
+                del due[nid]
+                ids.add(nid)
+        return self._watched_nodes(sorted(ids)) if ids else []
+
+    def _next_read(self, node: SHGNode, frac: float, elapsed: float) -> float:
+        """When a concluded persistent pair must next be read: the
+        earliest instant its value can have crossed the noise band.
+
+        A time metric gains at most one second per matched process per
+        second (``tests/test_search_agenda.py`` checks that premise), so
+        from fraction ``f`` after ``E`` seconds the fraction ``d`` seconds
+        later lies in ``[f*E/(E+d), (f*E+d)/(E+d)]``.  A TRUE pair cannot
+        fall below ``L = threshold - noise_band`` before ``E*(f-L)/L``, a
+        FALSE one cannot rise above ``U = threshold + noise_band`` before
+        ``E*(U-f)/(1-U)``.  A count metric, or a run in which a process
+        crashed or hung, is read on the next tick.
+        """
+        now = self.engine.now
+        if node.hypothesis not in self._timed or self.engine.disruptions:
+            return now
+        threshold = self.threshold(node.hypothesis)
+        band = self.config.noise_band
+        if node.state is NodeState.TRUE:
+            low = threshold - band
+            if low <= 0.0:
+                return math.inf
+            wait = elapsed * (frac - low) / low
+        else:
+            high = threshold + band
+            if high >= 1.0:
+                return math.inf
+            wait = elapsed * (high - frac) / (1.0 - high)
+        return now + max(wait, 0.0)
+
     def _evaluate_active(self, min_interval: float, force: bool = False) -> None:
+        """A full pass: evaluate every watched node (the final pass)."""
         with self.instr.batched_reads():
-            self._evaluate_nodes(self._active_nodes(), min_interval, force)
+            self._evaluate_nodes(self._watched_nodes(), min_interval, force)
 
     def _evaluate_nodes(
         self, nodes: List[SHGNode], min_interval: float, force: bool = False
     ) -> None:
+        """Evaluate *nodes* in order.  Every node that stays watched goes
+        back on the agenda at the next instant its answer can change."""
+        now = self.engine.now
         for node in nodes:
-            # The handle is looked up every tick, so a lost sample shows
-            # on the tick it is lost; the value (a walk over in-progress
-            # activity) is only computed once a conclusion can be due.
+            # The value (a walk over in-progress activity) is only
+            # computed once a conclusion can be due.
             try:
                 if self.instr.elapsed(node.handle) < min_interval:
+                    active_from = self.instr.instrumentation(node.handle).active_from
+                    self._schedule(node, active_from + min_interval)
                     continue
                 frac, elapsed = self.instr.normalized_read(node.handle)
             except KeyError:
@@ -320,8 +446,11 @@ class PerformanceConsultantSearch:
                 borderline = abs(frac - threshold) <= self.config.noise_band
                 decisive = elapsed >= self.config.decisive_factor * min_interval
                 if borderline and not decisive and not force:
+                    self._schedule(node, now)  # keeps collecting: next tick
                     continue
                 self._conclude(node, is_true)
+                if not node.persistent:
+                    continue
             elif node.persistent and node.concluded:
                 # Persistent tests continue for the whole run and may flip
                 # in either direction; the flip needs to clear the noise
@@ -344,6 +473,7 @@ class PerformanceConsultantSearch:
                         )
                     if flip_to is NodeState.TRUE:
                         self._refine(node)
+            self._schedule(node, self._next_read(node, frac, elapsed))
 
     def _mark_unknown(self, node: SHGNode, reason: str) -> None:
         """Give up on one pair with a data-quality annotation; the search
@@ -434,11 +564,18 @@ class PerformanceConsultantSearch:
     # ------------------------------------------------------------------
     def is_complete(self) -> bool:
         """True when nothing is pending and every instrumented test has
-        reached a conclusion at least once."""
-        if any(
-            self.shg.nodes[nid].state is NodeState.QUEUED for _, _, _, nid in self._pending
-        ):
-            return False
+        reached a conclusion at least once.
+
+        A watched ACTIVE node or a QUEUED pending entry answers at once;
+        the SHG is walked only when both say done, so a state mutated
+        out of band is still seen."""
+        for node in self._watched.values():
+            if node.state is NodeState.ACTIVE:
+                return False
+        nodes = self.shg.nodes
+        for _, _, _, nid in self._pending:
+            if nodes[nid].state is NodeState.QUEUED:
+                return False
         for node in self.shg:
             if node.state in (NodeState.ACTIVE, NodeState.QUEUED):
                 return False

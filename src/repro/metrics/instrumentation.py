@@ -156,6 +156,11 @@ class InstrumentationManager:
         self.total_requests = 0
         self.total_deletes = 0
         self.total_decimates = 0
+        #: Handles deleted since the consumer last cleared the list.  The
+        #: search drains it at every pass, so a probe deleted behind its
+        #: back (lost instrumentation data) is noticed on the next tick
+        #: without looking every live handle up.
+        self.deleted_handles: List[int] = []
         #: Optional structured trace sink (set by the session when tracing
         #: is on); every use is guarded so an untraced run pays nothing.
         self.tracer = None
@@ -281,6 +286,7 @@ class InstrumentationManager:
         self._accrue_cost()
         self._release_cost(instr)
         self.total_deletes += 1
+        self.deleted_handles.append(handle)
         if self.tracer is not None:
             self.tracer.emit("instr-delete", handle=handle, cost=instr.cost)
 

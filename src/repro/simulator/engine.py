@@ -143,6 +143,12 @@ class Engine:
         #: caching anything derived from ``procs`` (matched-process sets,
         #: normalisation denominators) can invalidate without rescanning.
         self.proc_table_version = 0
+        #: Injected crashes and hangs so far.  Each drops its process's
+        #: in-flight activity unrecorded (a hung receive may later be
+        #: recorded whole), so a metric can shrink or jump: a reader that
+        #: bounds how fast a metric can move must not trust the bound once
+        #: this is non-zero.
+        self.disruptions = 0
         #: Segments emitted (post de-minimis and crash filtering) and
         #: flush batches, for the obs metrics.
         self.segments_emitted = 0
@@ -310,6 +316,7 @@ class Engine:
         proc.crash = exc or RuntimeError(f"process {name} killed at t={self.now}")
         proc.finish_time = self.now
         self._live -= 1
+        self.disruptions += 1
         self._clear_current(proc)
         # It can no longer participate in a barrier or complete a
         # rendezvous handshake.
@@ -331,6 +338,7 @@ class Engine:
         if proc.state in (ProcState.DONE, ProcState.CRASHED):
             return
         proc.hung = True
+        self.disruptions += 1
         if proc.state is not ProcState.BLOCKED:
             proc.state = ProcState.BLOCKED
             proc.block_start = self.now

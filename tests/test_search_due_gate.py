@@ -1,12 +1,16 @@
 """The evaluation pass computes a value only when a conclusion is due.
 
-Every tick the search looks every watched handle up (so a lost sample is
-noticed on the tick it is lost), but it asks the instrumentation manager
-for a *value* — a walk over the engine's in-progress activity — only once
-the pair has ``min_interval`` seconds of data.  These tests hold that on
-real sessions: no value is computed that could not lead to a conclusion,
-and a handle deleted out of band before it is due is still reported at
-the virtual time of the very next tick.
+The search keeps an agenda of the instant each watched pair can next
+change its answer, so a tick looks a handle up only when its pair is
+due, and asks the instrumentation manager for a *value* — a walk over
+the engine's in-progress activity — only once the pair has
+``min_interval`` seconds of data.  A concluded persistent pair is due
+again only once its value can have crossed the noise band.  A handle
+deleted out of band reaches the search as a notification instead of
+through a lookup.  These tests hold that on real sessions: no value is
+computed that could not lead to a conclusion, ticks look up no handle
+they do not read, and a handle deleted out of band before it is due is
+still reported at the virtual time of the very next tick.
 """
 
 import dataclasses
@@ -27,8 +31,10 @@ def app():
 def logged_run(directives=None):
     """Run one session, logging per handle every value computed for it as
     ``(node, node state before the read, fraction, elapsed)`` and counting
-    handle lookups, ``engine.in_progress()`` walks and ticks.  No value
-    may be computed short of the interval of the pass it is computed in."""
+    handle lookups, ``engine.in_progress()`` walks and ticks, and the
+    lookups and values made before the final pass (which looks every
+    watched handle up).  No value may be computed short of the interval
+    of the pass it is computed in."""
     active = DiagnosisSession(app=app(), directives=directives, config=SC).begin()
     instr, engine, search = active.instr, active.engine, active.search
     log = {"reads": {}, "lookups": 0, "walks": 0, "ticks": 0, "search": search}
@@ -45,9 +51,11 @@ def logged_run(directives=None):
     def count(key):
         return lambda *args, **kwargs: log.update({key: log[key] + 1})
 
-    wrap(search, "_evaluate_active",
-         lambda min_interval, force=False: interval.append(min_interval))
+    wrap(search, "_evaluate_nodes",
+         lambda nodes, min_interval, force=False: interval.append(min_interval))
     wrap(search, "tick", count("ticks"))
+    wrap(search, "final_pass", lambda *args, **kwargs: log.update(at_final=(
+        log["lookups"], sum(len(reads) for reads in log["reads"].values()))))
     wrap(engine, "in_progress", count("walks"))
     wrap(instr, "elapsed", count("lookups"))
     read = instr.normalized_read
@@ -102,23 +110,28 @@ class TestValueOnlyWhenDue:
         # a walk needs a value computed in its pass, and a pass shares one
         assert 0 < log["walks"] <= total
         assert log["walks"] <= log["ticks"] + 1  # + the final pass
-        # what the gate saves: one value per lookup before it
-        assert total < log["lookups"] / 4
+        # what the agenda saves: a tick looks up only the pairs it reads
+        lookups, values = log.get("at_final", (log["lookups"], total))
+        assert lookups == values
 
     def test_directed_session_with_persistent_pairs(self):
         base, _ = logged_run()
         record, log = logged_run(extract_directives(base))
         total, concluded, borderline, persistent = classify(log)
-        assert persistent > 0  # read every tick once concluded, by design
+        assert persistent > 0  # still read after their conclusion, by design
         assert concluded == record.metrics["pairs_concluded"]
         assert 0 < log["walks"] <= log["ticks"] + 1
-        assert total < log["lookups"]
+        assert total <= log["lookups"]
+        # ... but only when the value can have crossed the noise band
+        pairs = sum(1 for node in log["search"].shg if node.persistent)
+        assert persistent <= log["ticks"] * pairs / 5
 
 
 class TestLostHandleBeforeDue:
     """Delete a live handle behind the search's back at t=3.5, long
     before its pair has ``min_interval`` of data: the loss must surface
-    at the next tick (t=4), exactly as when every tick read a value."""
+    at the next tick (t=4), exactly as when every tick looked every
+    handle up."""
 
     LOST_AT = 3.5
     NEXT_TICK = 4.0

@@ -55,13 +55,19 @@ def build_search():
     return eng, search
 
 
-def persistent_node(search, state, handle=999):
+def live_handle(search, node, persistent=False):
+    """A real probe for *node*'s pair, the way _expand would request it."""
+    metric = search.hypotheses.get(node.hypothesis).metric
+    return search.instr.request(metric, node.focus, persistent=persistent)
+
+
+def persistent_node(search, state):
     node = search.shg.find(SYNC, whole_program(search.space))
     node.persistent = True
     node.state = state
     node.t_concluded = 1.0
     node.value = 0.5
-    node.handle = handle
+    node.handle = live_handle(search, node, persistent=True)
     # Hand-forced transition: register with the incrementally maintained
     # watch set the way _expand would have.
     search._watch(node)
@@ -70,8 +76,9 @@ def persistent_node(search, state, handle=999):
 
 def stub_read(search, read):
     """Stub the manager at the seam the evaluation pass reads through:
-    ``elapsed`` is asked every tick, ``normalized_read`` only once a
-    conclusion is due.  *read* maps a handle to (fraction, elapsed)."""
+    ``elapsed`` is asked of every pair a pass evaluates,
+    ``normalized_read`` only once a conclusion is due.  *read* maps a
+    handle to (fraction, elapsed)."""
     search.instr.normalized_read = read
     search.instr.elapsed = lambda handle: read(handle)[1]
 
@@ -155,7 +162,7 @@ class TestLostSample:
         _, search = build_search()
         node = search.shg.find(SYNC, whole_program(search.space))
         node.state = NodeState.ACTIVE
-        node.handle = 999
+        node.handle = live_handle(search, node)
         search._watch(node)
         stub_read(search, self.raising_read)
         search._evaluate_active(min_interval=5.0)
