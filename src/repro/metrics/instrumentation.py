@@ -8,10 +8,10 @@ manager is a trace sink on the simulator engine and doubles as a
 perturbation source — active instrumentation slows the matched processes'
 computation per the cost model.
 
-Hot-path design.  ``record()`` runs once per emitted
-:class:`~repro.simulator.records.TimeSegment` — the single most executed
-piece of the online search — and a run's segments are drawn from a
-handful of attributions (interned ``parts`` dicts, see
+Hot-path design.  The engine hands the manager its flush batches of
+``(prototype, start, duration)`` triples (:meth:`record_batch`) — the
+single most executed piece of the online search — and a run's segments
+are drawn from a handful of attributions (interned ``parts`` dicts, see
 :func:`~repro.simulator.records.intern_parts`).  Probes are bucketed in
 a **routing index** keyed by ``(activity, Code selection parts, Process
 selection parts)``, and each ``(parts, activity)`` seen gets one
@@ -19,21 +19,32 @@ selection parts)``, and each ``(parts, activity)`` seen gets one
 and Process attribution that also pass the residual Machine/SyncObject
 check, and how many candidates that bucket walk examines.  The walk
 happens once, when the cell is built; ``request()`` and ``delete()``
-keep every cell under the probe's routing keys current, so ``record()``
-is one cell lookup plus one overlap fold per *matching* probe, and
-``read()`` finds the probes an in-progress segment feeds through the
-same cell.  Cells are keyed by identity and pin their ``parts``, so an
-id can never be reused while its cell is live; nothing a run does
-invalidates a cell (matching is tuple-prefix comparison on immutable
-values), and the cell table is dropped wholesale at a cap and rebuilt
-from the index on demand.  The naive statement of delivery — every live probe examined
-for every segment — is ``tests/reference_delivery.py``, which the
-property tests hold ``record()`` byte-identical to.
+keep every cell under the probe's routing keys current.  A prototype is
+resolved to its cell once, in a memo keyed by the prototype's identity,
+so delivering a segment is one memo hit plus one overlap fold per
+*matching* probe; ``record(segment)`` enters the same fold through the
+segment's prototype.  Cells and memo entries pin what their id keys
+stand for, so an id can never be reused while they live; nothing a run
+does invalidates a cell (matching is tuple-prefix comparison on
+immutable values), and the cell table is dropped wholesale at a cap —
+together with its index, the prototype memo, and any in-progress
+snapshot resolved against it — and rebuilt from the index on demand.
+``read()`` finds the probes an in-progress entry feeds through the same
+cells: :meth:`batched_reads` resolves the engine's in-progress parts to
+cells once per pass.
+
+Perturbation is pushed: whenever a process's carried cost changes, its
+overhead fraction is recomputed into a table the engine reads directly.
+
+The naive statement of delivery — every live probe examined for every
+segment — is ``tests/reference_delivery.py``, which the property tests
+hold delivery byte-identical to.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -41,16 +52,17 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..resources.focus import Focus
 from ..resources.resource import ResourceSpace
 from ..simulator.engine import Engine
-from ..simulator.records import Activity, TimeSegment
+from ..simulator.records import Activity, Batch, TimeSegment, prototype_of
 from .cost import CostGate, CostModel
 from .metric import METRICS, Metric
 
 __all__ = ["ActiveInstrumentation", "InstrumentationManager", "matched_processes"]
 
-#: Cap on the attribution cell table, which is cleared wholesale when
-#: full.  Big enough that a realistic search never evicts (entries are
-#: bounded by distinct attributions), small enough that an adversarial
-#: stream cannot grow memory without bound.
+#: Cap on the attribution cell table and on the prototype memo, each
+#: cleared wholesale when full (the memo also whenever the table is).
+#: Big enough that a realistic search never evicts (entries are bounded
+#: by distinct attributions), small enough that an adversarial stream
+#: cannot grow memory without bound.
 _MEMO_MAX = 1 << 16
 
 #: Routing key for a hierarchy the probe's focus does not constrain (or
@@ -88,8 +100,8 @@ class ActiveInstrumentation:
     ``processes`` is the *current* matched-process set (recounted when
     the engine's process table grows — late process discovery must not
     skew the normalisation denominator); ``charged`` freezes the set the
-    probe's cost was charged against at request time, so cost release
-    stays symmetric with the original charge.
+    probe's cost was charged against at request time, and cost is
+    released from exactly that set.
     """
 
     handle: int
@@ -128,6 +140,18 @@ class _Cell:
         self.probes: Dict[int, ActiveInstrumentation] = {}
 
 
+class _Snapshot:
+    """One in-progress walk and its entries resolved to cells as
+    ``(cell, start, end)``, valid while the cell table is at ``epoch``."""
+
+    __slots__ = ("epoch", "walk", "entries")
+
+    def __init__(self, epoch: int, walk: list, entries: list) -> None:
+        self.epoch = epoch
+        self.walk = walk
+        self.entries = entries
+
+
 #: (activity value, Code selection parts, Process selection parts).  The
 #: activity goes in by value: ``Enum.__hash__`` is Python-level, and a
 #: cell build hashes a dozen of these keys.
@@ -152,7 +176,13 @@ class InstrumentationManager:
         self.insertion_latency = insertion_latency
         self._active: Dict[int, ActiveInstrumentation] = {}
         self._handles = itertools.count(1)
+        # carried cost per process, and the overhead fraction it converts
+        # to — recomputed whenever the cost changes; the engine reads the
+        # second table on every compute (a process never charged carries
+        # the model's zero-cost overhead)
         self._per_proc_cost: Dict[str, float] = {p: 0.0 for p in engine.procs}
+        zero = self.cost_model.overhead_fraction(0.0)
+        self._overhead: Dict[str, float] = defaultdict(lambda: zero)
         self.total_requests = 0
         self.total_deletes = 0
         self.total_decimates = 0
@@ -176,10 +206,14 @@ class InstrumentationManager:
         self.probes_examined = 0
         # routing index: (activity value, code key, process key) -> {handle: probe}
         self._route: Dict[_RouteKey, Dict[int, ActiveInstrumentation]] = {}
-        # attribution cells by (id(parts), id(activity)), and the same
-        # cells under each routing key whose bucket they draw from
+        # attribution cells by (id(parts), id(activity)), the same cells
+        # under each routing key whose bucket they draw from, prototypes
+        # resolved to their cells by id(prototype) -> (prototype, cell),
+        # and how many times the table has been dropped
         self._cells: Dict[Tuple[int, int], _Cell] = {}
         self._cell_index: Dict[_RouteKey, List[_Cell]] = {}
+        self._proto_cells: Dict[int, Tuple[dict, _Cell]] = {}
+        self._cell_epoch = 0
         # matched-process sets cached per focus, invalidated when the
         # engine's process table grows
         self._focus_procs: Dict[Focus, Tuple[str, ...]] = {}
@@ -187,9 +221,9 @@ class InstrumentationManager:
         # inside batched_reads(): the in-progress snapshot every read of
         # the pass shares, taken by the first read that needs it
         self._batching = False
-        self._in_progress_snapshot: Optional[Tuple[TimeSegment, ...]] = None
+        self._in_progress_snapshot: Optional[_Snapshot] = None
         engine.add_sink(self)
-        engine.add_perturbation_source(self._overhead_for)
+        engine.add_perturbation_source(self._overhead.__getitem__)
 
     # ------------------------------------------------------------------
     # process-table tracking
@@ -259,7 +293,7 @@ class InstrumentationManager:
                     cell.probes[handle] = instr
         self.gate.add(cost)
         for p in procs:
-            self._per_proc_cost[p] = self._per_proc_cost.get(p, 0.0) + cost
+            self._carry(p, self._per_proc_cost.get(p, 0.0) + cost)
         self.total_requests += 1
         if self.tracer is not None:
             self.tracer.emit(
@@ -317,8 +351,15 @@ class InstrumentationManager:
 
     def _release_cost(self, instr: ActiveInstrumentation) -> None:
         self.gate.remove(instr.cost)
-        for p in instr.charged or instr.processes:
-            self._per_proc_cost[p] = max(self._per_proc_cost.get(p, 0.0) - instr.cost, 0.0)
+        # only from the processes charged at request time: a process that
+        # joined later never carried this probe's cost
+        for p in instr.charged:
+            self._carry(p, max(self._per_proc_cost.get(p, 0.0) - instr.cost, 0.0))
+
+    def _carry(self, proc_name: str, cost: float) -> None:
+        """Set a process's carried cost and push its overhead fraction."""
+        self._per_proc_cost[proc_name] = cost
+        self._overhead[proc_name] = self.cost_model.overhead_fraction(cost)
 
     # ------------------------------------------------------------------
     # segment routing
@@ -348,8 +389,12 @@ class InstrumentationManager:
         keys so ``request()``/``delete()`` find it.
         """
         if len(self._cells) >= _MEMO_MAX:
+            # the memo and any snapshot hold cells request()/delete() no
+            # longer reach: they go with the table
             self._cells.clear()
             self._cell_index.clear()
+            self._proto_cells.clear()
+            self._cell_epoch += 1
         code = parts.get("Code") or _CODE_ROOT
         proc = parts.get("Process") or _PROC_ROOT
         cell = _Cell(parts, activity)
@@ -367,39 +412,60 @@ class InstrumentationManager:
         self._cells[(id(parts), id(activity))] = cell
         return cell
 
-    # ------------------------------------------------------------------
-    # trace sink + perturbation source
-    # ------------------------------------------------------------------
-    def record(self, segment: TimeSegment) -> None:
-        self.segments_routed += 1
-        parts = segment.parts
-        activity = segment.activity
+    def _cell_of(self, parts: dict, activity: Activity) -> _Cell:
         cell = self._cells.get((id(parts), id(activity)))
         if cell is None:
             cell = self._build_cell(parts, activity)
-        self.probes_examined += cell.examined
-        if not cell.probes:
-            return
-        # every probe here matches and is live (delete() takes a probe
-        # out of its cells before it stamps deleted_at, so the window is
-        # open-ended): time metrics add the overlap with the active
-        # window, count metrics one per segment that finishes inside it
-        start = segment.start
-        end = start + segment.duration
-        for instr in cell.probes.values():
-            lo = instr.active_from
-            if instr.metric.kind == "count":
-                if lo <= end:
-                    instr.accumulated += 1.0
-                continue
-            if start > lo:
-                lo = start
-            dt = end - lo
-            if dt > 0.0:
-                instr.accumulated += dt
+        return cell
 
-    def _overhead_for(self, proc_name: str) -> float:
-        return self.cost_model.overhead_fraction(self._per_proc_cost.get(proc_name, 0.0))
+    def _resolve(self, proto: dict) -> Tuple[dict, _Cell]:
+        """Memoize one prototype's cell; the entry pins the prototype."""
+        cell = self._cell_of(proto["parts"], proto["activity"])
+        memo = self._proto_cells
+        if len(memo) >= _MEMO_MAX:
+            memo.clear()
+        hit = memo[id(proto)] = (proto, cell)
+        return hit
+
+    # ------------------------------------------------------------------
+    # trace sink
+    # ------------------------------------------------------------------
+    def record_batch(self, batch: Batch) -> None:
+        """Deliver one flush batch of ``(prototype, start, duration)``
+        triples, in order."""
+        memo = self._proto_cells
+        examined = 0
+        for proto, start, duration in batch:
+            hit = memo.get(id(proto))
+            if hit is None:
+                hit = self._resolve(proto)
+            cell = hit[1]
+            examined += cell.examined
+            if not cell.probes:
+                continue
+            # every probe here matches and is live (delete() takes a probe
+            # out of its cells before it stamps deleted_at, so the window
+            # is open-ended): time metrics add the overlap with the active
+            # window, count metrics one per segment that finishes inside it
+            end = start + duration
+            for instr in cell.probes.values():
+                lo = instr.active_from
+                if instr.metric.kind == "count":
+                    if lo <= end:
+                        instr.accumulated += 1.0
+                    continue
+                if start > lo:
+                    lo = start
+                dt = end - lo
+                if dt > 0.0:
+                    instr.accumulated += dt
+        self.segments_routed += len(batch)
+        self.probes_examined += examined
+
+    def record(self, segment: TimeSegment) -> None:
+        """Deliver one segment: the same fold, through the segment's
+        prototype (:func:`~repro.simulator.records.prototype_of`)."""
+        self.record_batch(((prototype_of(segment), segment.start, segment.duration),))
 
     # ------------------------------------------------------------------
     # reads
@@ -412,15 +478,19 @@ class InstrumentationManager:
 
     @contextmanager
     def batched_reads(self) -> Iterator[None]:
-        """Share one ``engine.in_progress()`` snapshot across every
-        :meth:`read` inside the block.
+        """Share one in-progress snapshot across every :meth:`read` inside
+        the block.
 
         The evaluation pass reads many handles at one engine instant;
         re-walking the per-process in-progress table for each handle is
         pure waste.  Virtual time cannot advance inside the block (reads
-        do not step the engine), so one snapshot is exact for all of
-        them.  The first read that needs it takes it: a pass in which no
-        conclusion is due never walks the table at all.
+        do not step the engine), so one walk of
+        :meth:`~repro.simulator.engine.Engine.in_progress_parts`, each
+        entry resolved to its attribution cell, is exact for all of them.
+        The first read that needs it takes it: a pass in which no
+        conclusion is due never walks the table at all.  Should the cell
+        table be dropped during the pass, the walk is resolved again
+        against the live cells.
         """
         prev = self._batching, self._in_progress_snapshot
         self._batching, self._in_progress_snapshot = True, None
@@ -449,28 +519,36 @@ class InstrumentationManager:
         value = instr.accumulated
         if instr.metric.kind == "time":
             # in-progress activity only contributes to time metrics;
-            # counts only include completed operations
-            segs = self._in_progress_snapshot
-            if segs is None:
-                segs = tuple(self.engine.in_progress())
+            # counts only include completed operations.  An in-progress
+            # entry feeds the probes of its attribution cell, the same
+            # cell delivery will use (membership implies the metric
+            # counts the activity).
+            snap = self._in_progress_snapshot
+            if snap is None or snap.epoch != self._cell_epoch:
+                snap = self._snapshot(snap)
                 if self._batching:
-                    self._in_progress_snapshot = segs
-            # an in-progress segment feeds the probes of its attribution
-            # cell, the same cell record() will deliver it through
-            cells = self._cells
-            for seg in segs:
-                if not instr.metric.counts(seg.activity):
-                    continue
-                dt = instr.overlap(seg.start, seg.end)
-                if dt <= 0.0:
-                    continue
-                parts, activity = seg.parts, seg.activity
-                cell = cells.get((id(parts), id(activity)))
-                if cell is None:
-                    cell = self._build_cell(parts, activity)
+                    self._in_progress_snapshot = snap
+            for cell, start, end in snap.entries:
                 if handle in cell.probes:
-                    value += dt
+                    dt = instr.overlap(start, end)
+                    if dt > 0.0:
+                        value += dt
         return value, elapsed
+
+    def _snapshot(self, stale: Optional[_Snapshot]) -> _Snapshot:
+        """Resolve the engine's in-progress walk (*stale*'s, when the
+        cell table was dropped since it was taken) to cells; resolving
+        can itself drop the table, and then it starts over."""
+        walk = self.engine.in_progress_parts() if stale is None else stale.walk
+        cell_of = self._cell_of
+        while True:
+            epoch = self._cell_epoch
+            entries = [
+                (cell_of(parts, activity), start, start + duration)
+                for parts, activity, start, duration in walk
+            ]
+            if epoch == self._cell_epoch:
+                return _Snapshot(epoch, walk, entries)
 
     def normalized_read(self, handle: int) -> Tuple[float, float]:
         """Return (fraction, elapsed): accumulated time normalised by

@@ -9,6 +9,13 @@ needs the value distribution of candidate foci.
 
 Unlike dynamic instrumentation the profiler observes the whole run (it is
 the store's ground truth, not an online measurement).
+
+The profile folds the engine's flush batches directly
+(:meth:`FlatProfile.add_batch`): a run's segments are drawn from a
+handful of segment prototypes, and the rows one prototype bumps are
+resolved once.  Each segment is still added on its own, in order —
+folding per-prototype subtotals would change the float summation order
+and with it every stored profile.
 """
 
 from __future__ import annotations
@@ -17,14 +24,14 @@ from collections import defaultdict
 from typing import Dict, Tuple
 
 from ..resources.names import join_path
-from ..simulator.records import Activity, TimeSegment
+from ..simulator.records import Activity, Batch, TimeSegment, prototype_of
 
 __all__ = ["FlatProfile", "ProfileCollector"]
 
 _ACT_KEYS = {Activity.COMPUTE: "compute", Activity.SYNC: "sync", Activity.IO: "io"}
 
-#: Cap on the attribution memo of :meth:`FlatProfile.add`; cleared
-#: wholesale when full.  Entries are bounded by the distinct attributions
+#: Cap on the prototype memo of :meth:`FlatProfile.add_batch`; cleared
+#: wholesale when full.  Entries are bounded by the distinct prototypes
 #: of a run (tens), so a realistic run never evicts.
 _MEMO_MAX = 1 << 16
 
@@ -57,67 +64,67 @@ class FlatProfile:
         )
         self.totals: Dict[str, float] = defaultdict(float)
         self.elapsed: float = 0.0
-        # (id(parts), stack, id(activity)) -> (parts, activity key, inner
-        # dicts to bump); see _resolve
-        self._memo: Dict[tuple, tuple] = {}
+        # id(prototype) -> (prototype, activity key, inner dicts to bump);
+        # see _resolve
+        self._memo: Dict[int, tuple] = {}
 
     # -- accumulation -------------------------------------------------------
+    def add_batch(self, batch: Batch) -> None:
+        """Charge one flush batch of ``(prototype, start, duration)``
+        triples to every table.
+
+        The names and the inner dicts a prototype bumps are resolved once
+        (:meth:`_resolve`); after that a segment is one memo hit and one
+        ``+=`` per table, in the same table order and segment order as an
+        unmemoized fold, so every sum is bit-identical.
+        """
+        memo = self._memo
+        elapsed = self.elapsed
+        for proto, start, duration in batch:
+            hit = memo.get(id(proto))
+            if hit is None:
+                hit = self._resolve(proto)
+            key = hit[1]
+            for cell in hit[2]:
+                cell[key] += duration
+            end = start + duration
+            if end > elapsed:
+                elapsed = end
+        self.elapsed = elapsed
+
     def add(self, seg: TimeSegment) -> None:
-        """Charge one segment to every table.
+        """Charge one segment: the same fold, through the segment's
+        prototype (:func:`~repro.simulator.records.prototype_of`)."""
+        self.add_batch(((prototype_of(seg), seg.start, seg.duration),))
 
-        A run's segments are drawn from a handful of attributions, so the
-        names and the inner dicts a segment bumps are resolved once per
-        attribution (:meth:`_resolve`); after that a segment is one memo
-        hit and one ``+=`` per table, in the same table order and segment
-        order as an unmemoized fold, so every sum is bit-identical.
+    def _resolve(self, proto: dict) -> tuple:
+        """Name one prototype's attribution in every table and memoize
+        the result.
+
+        The memo is keyed by the prototype's identity and pins it, so the
+        id cannot be reused while the entry lives.  Resolving creates
+        each outer table entry exactly where the first segment of the
+        attribution would have, so key order is unchanged.
         """
-        memo_key = (id(seg.parts), seg.stack, id(seg.activity))
-        hit = self._memo.get(memo_key)
-        if hit is None:
-            hit = self._resolve(seg, memo_key)
-        key = hit[1]
-        duration = seg.duration
-        for cell in hit[2]:
-            cell[key] += duration
-        end = seg.start + duration
-        if end > self.elapsed:
-            self.elapsed = end
-
-    def _resolve(self, seg: TimeSegment, memo_key: tuple) -> tuple:
-        """Name one attribution in every table and memoize the result.
-
-        The attribution is the segment's ``parts`` dict (interned per
-        (process, node, module, function, tag), see
-        :func:`~repro.simulator.records.intern_parts`), its stack and its
-        activity.  ``parts`` is keyed by identity and pinned in the memo
-        value, so its id cannot be reused while the entry lives; the
-        stack is keyed by value, because a trace-file replay builds a
-        fresh tuple per segment where the engine hands over one interned
-        snapshot per distinct stack.  Like probe
-        matching, the memo trusts ``parts`` to describe the segment's
-        own fields (true of every segment built by
-        :meth:`TimeSegment.make` or the engine; a hand-built segment
-        gets a private ``parts`` dict and so a private entry).  Resolving
-        creates each outer table entry exactly where the first segment
-        of the attribution would have, so key order is unchanged.
-        """
-        key = _ACT_KEYS[seg.activity]
-        code = join_path(("Code", seg.module, seg.function))
-        proc = join_path(("Process", seg.process))
-        node = join_path(("Machine", seg.node))
+        key = _ACT_KEYS[proto["activity"]]
+        module, function = proto["module"], proto["function"]
+        code = join_path(("Code", module, function))
+        proc = join_path(("Process", proto["process"]))
+        node = join_path(("Machine", proto["node"]))
         tag = ""
         cells = [self.by_code[code], self.by_process[proc], self.by_node[node]]
-        if seg.tag is not None and "SyncObject" in seg.parts:
-            tag = join_path(seg.parts["SyncObject"])
+        parts = proto["parts"]
+        if proto["tag"] is not None and "SyncObject" in parts:
+            tag = join_path(parts["SyncObject"])
             cells.append(self.by_tag[tag])
         cells.append(self.by_combo[(code, proc, node, tag)])
-        for frame in dict.fromkeys(seg.stack or ((seg.module, seg.function),)):
+        for frame in dict.fromkeys(proto["stack"] or ((module, function),)):
             cells.append(self.by_code_inclusive[join_path(("Code",) + frame)])
         cells.append(self.totals)
         if len(self._memo) >= _MEMO_MAX:
             self._memo.clear()
-        hit = (seg.parts, key, tuple(cells))
-        self._memo[memo_key] = hit
+        hit = (proto, key, tuple(cells))
+        self._memo[id(proto)] = hit
         return hit
 
     # -- ground-truth evaluation -----------------------------------------------
@@ -238,6 +245,9 @@ class ProfileCollector:
 
     def __init__(self) -> None:
         self.profile = FlatProfile()
+
+    def record_batch(self, batch: Batch) -> None:
+        self.profile.add_batch(batch)
 
     def record(self, segment: TimeSegment) -> None:
         self.profile.add(segment)

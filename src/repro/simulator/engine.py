@@ -3,18 +3,20 @@
 The engine plays the role of the paper's IBM SP/2 testbed: it executes
 generator-coroutine processes in virtual time, implements blocking and
 non-blocking tagged message passing, global barriers, and blocking I/O,
-and emits attributed :class:`~repro.simulator.records.TimeSegment` records
-to registered trace sinks.
+and hands attributed segments (see :mod:`repro.simulator.records`) to
+registered trace sinks.
 
 Two properties matter for reproducing the paper's dynamics:
 
 * **Online observability** — instrumentation inserted mid-run sees only
-  time from its activation onward; in-progress waits are exposed through
-  :meth:`Engine.in_progress` so a metric read at time *t* is exact even
-  when a blocking receive has not yet returned.
+  time from its activation onward; in-progress activity is exposed
+  through :meth:`Engine.in_progress_parts` (interned ``parts``, no
+  segment built) so a metric read at time *t* is exact even when a
+  blocking receive has not yet returned.
 * **Perturbation** — registered perturbation sources (the instrumentation
   cost model) stretch computation, so reducing unhelpful instrumentation
-  genuinely shortens execution, the paper's goal 2.
+  genuinely shortens execution, the paper's goal 2.  Every compute asks
+  for its stretch, so a lone source is called directly, not summed.
 
 The event loop
 --------------
@@ -25,14 +27,18 @@ rather than closures; anything else on the heap is a user callback.  The
 clock advances once per distinct timestamp.  Segments are *batched*: an
 interval that ends becomes a ``(prototype, start, duration)`` triple —
 the prototype being the attribute dict every segment of one attribution
-shares, cached on the process's interned stack snapshot — and triples
-turn into :class:`TimeSegment` objects only when an outside observer can
-look: before a user callback runs, before ``on_finish`` hooks, when the
-loop exits, before a diagnostic is raised, and before
-:meth:`Engine.crash_process` returns to whoever injected the fault.
-Engine-internal continuations never read sinks, so every flush precedes
-every possible observation and each sink sees the stream a per-event
-emitter would have handed it.
+shares, cached on the process's interned stack snapshot — and the
+pending triples are handed, as one list, to every sink's
+``record_batch`` only when an outside observer can look: before a user
+callback runs, before ``on_finish`` hooks, when the loop exits, before a
+diagnostic is raised, and before :meth:`Engine.crash_process` returns to
+whoever injected the fault.  Engine-internal continuations never read
+sinks, so every flush precedes every possible observation and each sink
+sees, in emission order, the stream a per-event emitter would have
+handed it.  Sinks are fed one after another, never interleaved segment
+by segment: no sink may read another's state.  The engine builds no
+segment; a sink that defines only ``record(segment)`` is wrapped by
+:func:`~repro.simulator.records.batch_sink`.
 
 Both watchdog budgets are non-destructive: the popped entry that would
 exceed ``max_time`` or ``max_events`` goes back on the heap unchanged.
@@ -64,7 +70,15 @@ from .process import (
     SimProcess,
     WaitReq,
 )
-from .records import Activity, TimeSegment, TraceSink, segment_prototype
+from .records import (
+    Activity,
+    TimeSegment,
+    TraceSink,
+    batch_sink,
+    intern_parts,
+    segment_prototype,
+    tag_from_parts,
+)
 
 __all__ = ["Engine"]
 
@@ -124,6 +138,9 @@ class Engine:
         self._pending_irecvs: Dict[str, List[Request]] = {}
         self._sinks: List[TraceSink] = []
         self._perturbation_sources: List[Callable[[str], float]] = []
+        # what a Compute asks for its stretch: None without sources, the
+        # lone source itself, or their sum
+        self._perturb: Optional[Callable[[str], float]] = None
         # message filters: fn(msg) -> sequence of extra delays, one
         # delivery per element ([] drops, [0, 0] duplicates, [d] delays)
         self._message_filters: List[Callable[[Message], Iterable[float]]] = []
@@ -181,12 +198,20 @@ class Engine:
         self.proc_table_version += 1
         return proc
 
-    def add_sink(self, sink: TraceSink) -> None:
-        self._sinks.append(sink)
+    def add_sink(self, sink) -> None:
+        """Register a :class:`~repro.simulator.records.TraceSink`; a sink
+        that defines only ``record(segment)`` is fed materialised
+        segments through :func:`~repro.simulator.records.batch_sink`."""
+        self._sinks.append(batch_sink(sink))
 
     def add_perturbation_source(self, fn: Callable[[str], float]) -> None:
         """Register a callable mapping process name -> overhead fraction."""
-        self._perturbation_sources.append(fn)
+        sources = self._perturbation_sources
+        sources.append(fn)
+        if len(sources) == 1:
+            self._perturb = fn
+        else:
+            self._perturb = lambda name: sum(src(name) for src in sources)
 
     def add_message_filter(self, fn: Callable[[Message], Iterable[float]]) -> None:
         """Register a fault-injection hook over message deliveries.
@@ -259,7 +284,8 @@ class Engine:
         return [p for p in self.procs.values() if p.state is ProcState.CRASHED]
 
     def perturbation(self, proc_name: str) -> float:
-        return sum(src(proc_name) for src in self._perturbation_sources)
+        perturb = self._perturb
+        return 0 if perturb is None else perturb(proc_name)
 
     def blocked_report(self) -> List[Dict]:
         """Structured diagnostics for every process that is not done:
@@ -346,26 +372,39 @@ class Engine:
             proc.block_frame = proc.current_frame
         self._clear_current(proc)
 
-    def in_progress(self) -> Iterable[TimeSegment]:
-        """Pseudo-segments for activity that has started but not finished,
-        so metric reads are exact at any instant."""
+    def in_progress_parts(self) -> List[Tuple[dict, Activity, float, float]]:
+        """``(parts, activity, start, duration)`` per process whose
+        activity has started but not finished, in process order, with
+        interned ``parts`` — what metric reads fold so they are exact at
+        any instant."""
+        now = self.now
+        procs = self.procs
+        out = []
         for name, cur in self._current.items():
             if cur is None:
                 continue
             activity, start, module, function, tag = cur
-            dur = self.now - start
+            dur = now - start
             if dur <= _EPS:
                 continue
-            proc = self.procs[name]
+            parts = intern_parts(name, procs[name].node, module, function, tag)
+            out.append((parts, activity, start, dur))
+        return out
+
+    def in_progress(self) -> Iterable[TimeSegment]:
+        """:meth:`in_progress_parts` as pseudo-segments (stack: the
+        innermost frame only)."""
+        for parts, activity, start, dur in self.in_progress_parts():
+            code = parts["Code"]
             yield TimeSegment.make(
                 start=start,
                 duration=dur,
                 activity=activity,
-                process=name,
-                node=proc.node,
-                module=module,
-                function=function,
-                tag=tag,
+                process=parts["Process"][1],
+                node=parts["Machine"][1],
+                module=code[1],
+                function=code[2],
+                tag=tag_from_parts(parts),
             )
 
     # ------------------------------------------------------------------
@@ -527,8 +566,9 @@ class Engine:
                     if seconds < 0:
                         current[proc.name] = None
                         raise ProgramError("negative compute time")
-                    if self._perturbation_sources:
-                        dur = seconds * (1.0 + max(self.perturbation(proc.name), 0.0))
+                    perturb = self._perturb
+                    if perturb is not None:
+                        dur = seconds * (1.0 + max(perturb(proc.name), 0.0))
                     else:
                         dur = seconds
                     stack = proc._stack
@@ -582,8 +622,9 @@ class Engine:
     # internals
     # ------------------------------------------------------------------
     def _flush_segments(self) -> None:
-        """Materialise pending segments and deliver them, in emission
-        order, to every sink (see module docstring for when)."""
+        """Hand the pending triples, in emission order, to every sink's
+        ``record_batch``, one sink after another (see module docstring
+        for when)."""
         pending = self._pending_segments
         if not pending:
             return
@@ -591,30 +632,10 @@ class Engine:
         # counter — callbacks, on_finish hooks, run() exit — flushes first)
         self.segments_emitted += len(pending)
         sinks = self._sinks
-        if not sinks:
-            pending.clear()
-            return
-        self.emit_batches += 1
-        new = object.__new__
-        cls = TimeSegment
-        if len(sinks) == 1:
-            record = sinks[0].record
-            for proto, start, duration in pending:
-                seg = new(cls)
-                d = seg.__dict__
-                d.update(proto)
-                d["start"] = start
-                d["duration"] = duration
-                record(seg)
-        else:
-            for proto, start, duration in pending:
-                seg = new(cls)
-                d = seg.__dict__
-                d.update(proto)
-                d["start"] = start
-                d["duration"] = duration
-                for sink in sinks:
-                    sink.record(seg)
+        if sinks:
+            self.emit_batches += 1
+            for sink in sinks:
+                sink.record_batch(pending)
         pending.clear()
 
     def _proto_for(
@@ -707,8 +728,9 @@ class Engine:
         seconds = call.seconds
         if seconds < 0:
             raise ProgramError("negative compute time")
-        if self._perturbation_sources:
-            dur = seconds * (1.0 + max(self.perturbation(proc.name), 0.0))
+        perturb = self._perturb
+        if perturb is not None:
+            dur = seconds * (1.0 + max(perturb(proc.name), 0.0))
         else:
             dur = seconds
         self._busy(proc, frame, dur, None)

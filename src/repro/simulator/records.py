@@ -6,26 +6,42 @@ resource in each hierarchy: the innermost application function (Code), the
 machine node (Machine), the process (Process), and — for synchronisation
 waits — the message tag or barrier (SyncObject).
 
-The instrumentation layer consumes segments through the
-:class:`TraceSink` protocol; a segment's attribution follows Paradyn's
-*exclusive* convention (time is charged to the innermost function on the
-stack), which matches the paper's phrasing "45% ... is spent waiting in
-function exchng2, and 20% in function main" (Section 4.2).
+A segment's attribution follows Paradyn's *exclusive* convention (time
+is charged to the innermost function on the stack), which matches the
+paper's phrasing "45% ... is spent waiting in function exchng2, and 20%
+in function main" (Section 4.2).
+
+Between the engine and its sinks a segment travels as a *prototype*: the
+attribute dict every segment of one attribution shares
+(:func:`segment_prototype`), plus its start and duration.  A
+:class:`TraceSink` receives the engine's flush batch — a list of
+``(prototype, start, duration)`` triples in emission order — through its
+one method, ``record_batch``.  The two sinks on the hot path (probes and
+the profile) fold prototypes directly, keyed by their identity; a sink
+that only knows ``record(segment)`` is fed through
+:func:`batch_sink`, the one place a prototype becomes a
+:class:`TimeSegment`.  The way back, :func:`prototype_of`, lets a
+segment that exists on its own (a trace-file replay, a test) enter the
+same prototype fold.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 __all__ = [
     "Activity",
+    "Batch",
     "TimeSegment",
     "TraceSink",
     "TraceCollector",
+    "batch_sink",
     "sync_tag_parts",
+    "tag_from_parts",
     "intern_parts",
+    "prototype_of",
     "segment_prototype",
 ]
 
@@ -52,6 +68,17 @@ def sync_tag_parts(tag: str) -> Tuple[str, ...]:
     if tag == "Barrier":
         return ("SyncObject", "Barrier")
     return ("SyncObject", "Message") + tuple(tag.split("/"))
+
+
+def tag_from_parts(parts: Dict[str, Tuple[str, ...]]) -> Optional[str]:
+    """The tag an interned ``parts`` dict was built for (the inverse of
+    :func:`sync_tag_parts`; ``None`` when it has no SyncObject path)."""
+    sync = parts.get("SyncObject")
+    if sync is None:
+        return None
+    if sync[1] == "Barrier":
+        return "Barrier"
+    return "/".join(sync[2:])
 
 
 #: Interned ``parts`` dicts, keyed by the attribution tuple.  A simulated
@@ -159,15 +186,15 @@ def segment_prototype(
 ) -> Dict[str, object]:
     """Attribute dict for every segment sharing one attribution.
 
-    The engine batches segments as ``(prototype, start, duration)``
-    triples and materialises real :class:`TimeSegment` objects only at
-    flush time, by copying the prototype into a fresh instance
-    ``__dict__`` and overwriting ``start``/``duration`` — the
-    frozen-dataclass ``__init__`` (ten guarded ``object.__setattr__``
-    calls) is by far the most expensive step of per-event emission.  The
-    keys here MUST stay in sync with :class:`TimeSegment`'s fields; a
-    segment built from a prototype compares equal to (and interns the
-    same ``parts`` as) one built through :meth:`TimeSegment.make`.
+    The engine hands its sinks ``(prototype, start, duration)`` triples;
+    sinks that fold them key their memos by the prototype's identity, so
+    a prototype is shared and never mutated.  The keys here MUST stay in
+    sync with :class:`TimeSegment`'s fields: :func:`batch_sink` builds a
+    segment by copying the prototype into a fresh instance ``__dict__``
+    and overwriting ``start``/``duration`` (the frozen-dataclass
+    ``__init__`` costs ten guarded ``object.__setattr__`` calls), and
+    that segment compares equal to (and interns the same ``parts`` as)
+    one built through :meth:`TimeSegment.make`.
     """
     return {
         "start": 0.0,
@@ -183,11 +210,82 @@ def segment_prototype(
     }
 
 
-class TraceSink(Protocol):
-    """Consumer of time segments (instrumentation, profilers, tests)."""
+#: Prototypes of segments that exist on their own, keyed by
+#: ``(id(parts), stack, id(activity))``.  Each prototype pins its
+#: ``parts``, so the id cannot be reused while the entry lives; the stack
+#: goes in by value because a trace-file replay builds a fresh tuple per
+#: segment.  Bounded and cleared wholesale like :data:`_PARTS_CACHE`.
+_PROTO_CACHE: Dict[tuple, Dict[str, object]] = {}
+_PROTO_CACHE_MAX = 65536
 
-    def record(self, segment: TimeSegment) -> None:  # pragma: no cover
+
+def prototype_of(segment: TimeSegment) -> Dict[str, object]:
+    """The shared prototype of an existing segment, so a segment fed one
+    at a time enters the same prototype fold as the engine's batches.
+
+    Like every identity-keyed memo downstream, this trusts ``parts`` to
+    describe the segment's own fields: true of every segment built by
+    :meth:`TimeSegment.make` or the engine, and a hand-built segment
+    carries a private ``parts`` dict and so gets a private prototype.
+    """
+    parts = segment.parts
+    key = (id(parts), segment.stack, id(segment.activity))
+    proto = _PROTO_CACHE.get(key)
+    if proto is None:
+        if len(_PROTO_CACHE) >= _PROTO_CACHE_MAX:
+            _PROTO_CACHE.clear()
+        proto = dict(segment.__dict__)
+        proto["start"] = 0.0
+        proto["duration"] = 0.0
+        _PROTO_CACHE[key] = proto
+    return proto
+
+
+#: One flush batch: ``(prototype, start, duration)`` in emission order.
+Batch = List[Tuple[Dict[str, object], float, float]]
+
+
+class TraceSink(Protocol):
+    """Consumer of the engine's segment stream (instrumentation, the
+    profile, tracers, tests).
+
+    The engine calls ``record_batch`` once per flush with the triples
+    emitted since the last one and clears the list afterwards: a sink
+    must not keep it.
+    """
+
+    def record_batch(self, batch: Batch) -> None:  # pragma: no cover
         ...
+
+
+class _SegmentFeed:
+    """Adapts a sink that defines only ``record(segment)``: every triple
+    of a batch becomes one :class:`TimeSegment`, handed over in order."""
+
+    __slots__ = ("sink",)
+
+    def __init__(self, sink) -> None:
+        self.sink = sink
+
+    def record_batch(self, batch: Batch) -> None:
+        record = self.sink.record
+        new = object.__new__
+        cls = TimeSegment
+        for proto, start, duration in batch:
+            seg = new(cls)
+            d = seg.__dict__
+            d.update(proto)
+            d["start"] = start
+            d["duration"] = duration
+            record(seg)
+
+
+def batch_sink(sink) -> TraceSink:
+    """*sink* itself when it folds batches, else *sink* behind the one
+    adaptor that materialises segments for ``record(segment)``."""
+    if hasattr(sink, "record_batch"):
+        return sink
+    return _SegmentFeed(sink)
 
 
 class TraceCollector:

@@ -17,6 +17,14 @@ Values accumulate in a shadow ``{handle: value}`` the caller owns, so the
 manager under test is only ever read.  Folding the same segments in the
 same order with the same arithmetic, the shadow and every probe's
 ``accumulated`` must agree bit for bit.
+
+The engine hands the manager flush batches of segment prototypes; the
+oracle is fed the way every sink was before that, one materialised
+segment at a time: :class:`ShadowSink` defines only ``record()``, so
+the engine wraps it in its materialising adaptor.  :func:`naive_read`
+states ``read()`` the same way — the shadow plus the overlap of every
+in-progress pseudo-segment the probe's metric counts and its focus
+matches.
 """
 
 
@@ -37,3 +45,36 @@ def deliver(manager, segment, shadow):
         if gain > 0.0 and probe.focus.matches_parts(segment.parts):
             shadow[handle] = shadow.get(handle, 0.0) + gain
     return len(live)
+
+
+class ShadowSink:
+    """A record-only engine sink folding every segment through
+    :func:`deliver` into ``shadow``, counting what that examined."""
+
+    def __init__(self, manager):
+        self.manager = manager
+        self.shadow = {}
+        self.segments = 0
+        self.examined = 0
+
+    def record(self, segment):
+        self.segments += 1
+        self.examined += deliver(self.manager, segment, self.shadow)
+
+
+def naive_read(manager, handle, shadow):
+    """``(value, elapsed)`` of live *handle*, from *shadow* and the
+    engine's in-progress pseudo-segments."""
+    probe = manager._active[handle]
+    elapsed = max(manager.engine.now - probe.active_from, 0.0)
+    if elapsed == 0.0:
+        return 0.0, 0.0
+    value = shadow.get(handle, 0.0)
+    if probe.metric.kind == "time":
+        for seg in manager.engine.in_progress():
+            if not probe.metric.counts(seg.activity):
+                continue
+            dt = probe.overlap(seg.start, seg.end)
+            if dt > 0.0 and probe.focus.matches_parts(seg.parts):
+                value += dt
+    return value, elapsed

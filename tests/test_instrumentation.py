@@ -1,5 +1,8 @@
 """Tests for the dynamic instrumentation manager."""
 
+import math
+import random
+
 import pytest
 
 from repro.metrics import CostModel, InstrumentationManager, matched_processes
@@ -256,3 +259,91 @@ class TestCostAndPerturbation:
         mgr.request("sync_wait_time", whole_program(space))
         assert mgr.total_requests == 2
         assert mgr.active_count == 2
+
+
+class SteppedCost(CostModel):
+    """A cost model whose overhead is not proportional to the carried
+    cost, and not zero at zero cost."""
+
+    def overhead_fraction(self, carried_cost):
+        return 0.002 + min(math.floor(carried_cost * 10.0) / 400.0, 0.3)
+
+
+def idle(proc):
+    return iter(())
+
+
+class TestPushedPerturbation:
+    def carried(self, mgr, name):
+        return mgr._per_proc_cost.get(name, 0.0)
+
+    def check(self, eng, mgr):
+        cm = mgr.cost_model
+        for name in eng.procs:
+            carried = self.carried(mgr, name)
+            assert eng.perturbation(name) == cm.overhead_fraction(carried), name
+            charges = sum(probe.cost for probe in mgr._active.values()
+                          if name in probe.charged)
+            assert carried == pytest.approx(charges, abs=1e-12), name
+
+    def test_delete_releases_only_what_was_charged(self):
+        """A probe whose focus matched no process when it was requested
+        charged nobody; once its process joins and the matched set is
+        recounted, deleting it must leave that process's cost alone."""
+        eng = Engine(Machine.named("n", 2), latency=LAT)
+        eng.add_process("p:0", "n0", idle)
+        space = ResourceSpace()
+        for name, node in (("p:0", "n0"), ("p:1", "n1")):
+            space.add(f"/Process/{name}")
+            space.add(f"/Machine/{node}")
+        mgr = InstrumentationManager(eng, space, cost_limit=100.0)
+        early = mgr.request("cpu_time", focus(space, Process="/Process/p:1"))
+        assert mgr.instrumentation(early).charged == ()
+        eng.add_process("p:1", "n1", idle)
+        mgr.pair_cost(whole_program(space))  # the recount
+        assert mgr.instrumentation(early).processes == ("p:1",)
+        mgr.request("cpu_time", whole_program(space))  # 0.05 + 2 x 0.15
+        assert self.carried(mgr, "p:1") == pytest.approx(0.35)
+        before = eng.perturbation("p:1")
+        assert before == pytest.approx(0.0035)
+        mgr.delete(early)
+        assert self.carried(mgr, "p:1") == pytest.approx(0.35)
+        assert eng.perturbation("p:1") == before
+        self.check(eng, mgr)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbation_tracks_carried_cost_under_churn(self, seed):
+        """Seeded request/delete/decimate churn, with a process joining
+        half way: after every operation each process's perturbation is
+        the cost model's function of its carried cost, and that cost is
+        what its live probes were charged."""
+        rng = random.Random(seed)
+        eng = Engine(Machine.named("n", 3), latency=LAT)
+        names = [f"p:{i}" for i in range(4)]
+        space = ResourceSpace()
+        for i, name in enumerate(names):
+            space.add(f"/Process/{name}")
+            space.add(f"/Machine/n{i % 3}")
+        for name in names[:3]:
+            eng.add_process(name, f"n{names.index(name) % 3}", idle)
+        mgr = InstrumentationManager(
+            eng, space, cost_model=SteppedCost(), cost_limit=1e9)
+        foci = [whole_program(space)] + [
+            focus(space, Process=f"/Process/{name}") for name in names
+        ] + [focus(space, Machine=f"/Machine/n{i}") for i in range(3)]
+        self.check(eng, mgr)
+        for step in range(300):
+            if step == 100:
+                eng.add_process("p:3", "n0", idle)
+                mgr.pair_cost(whole_program(space))
+            live = sorted(mgr._active)
+            roll = rng.random()
+            if roll < 0.5 or not live:
+                mgr.request(rng.choice(["cpu_time", "sync_wait_time"]),
+                            rng.choice(foci), persistent=rng.random() < 0.3)
+            elif roll < 0.8:
+                mgr.delete(rng.choice(live))
+            else:
+                mgr.decimate(rng.choice(live))
+            self.check(eng, mgr)
+        assert eng.perturbation("p:3") != SteppedCost().overhead_fraction(0.0)

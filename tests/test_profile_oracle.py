@@ -41,7 +41,8 @@ _TABLES = ("by_code", "by_process", "by_node", "by_tag", "by_code_inclusive",
 
 
 class NaiveProfile:
-    """The unmemoized fold, one segment at a time."""
+    """The unmemoized fold, one segment at a time — also a record-only
+    engine sink, fed materialised segments."""
 
     def __init__(self):
         for table in _TABLES:
@@ -66,6 +67,8 @@ class NaiveProfile:
             self.by_code_inclusive[join_path(("Code",) + frame)][key] += seg.duration
         self.totals[key] += seg.duration
         self.elapsed = max(self.elapsed, seg.end)
+
+    record = add
 
     def to_dict(self):
         out = {t: {k: dict(v) for k, v in getattr(self, t).items()}
@@ -249,6 +252,24 @@ class TestMemo:
         assert profile_bytes(prof) == naive_bytes(
             seg(i, f"p:{i}", "f") for i in range(200))
         assert len(prof._memo) == 200  # no two attributions shared a key
+
+    def test_memo_pins_prototypes_so_ids_cannot_be_reused(self):
+        """Hand the profile a fresh prototype per batch and drop it right
+        after: CPython hands the freed address to the next one, so a memo
+        that did not pin its prototype would charge the new attribution
+        to the old one's rows."""
+        prof = FlatProfile()
+        segments = []
+        for i in range(200):
+            s = seg(i, f"p:{i}", "f")
+            segments.append(s)
+            proto = records_mod.segment_prototype(
+                s.activity, s.process, s.node, s.module, s.function, s.tag,
+                s.stack)
+            prof.add_batch([(proto, s.start, s.duration)])
+            del proto
+        assert profile_bytes(prof) == naive_bytes(segments)
+        assert len(prof._memo) == 200
 
     def test_memo_stays_bounded(self, monkeypatch):
         monkeypatch.setattr(profile_mod, "_MEMO_MAX", 8)

@@ -3,8 +3,9 @@
 ``repro``, ``repro.core``, ``repro.core.extraction``, ``repro.facade``,
 ``repro.storage`` and ``repro.storage.api`` export exactly the names
 listed here, a storage backend implements exactly the abstract methods
-listed in ``BACKEND_CONTRACT``, and the ways into the archive take
-exactly the parameters listed in ``SIGNATURES``.  A change that says "public facade
+listed in ``BACKEND_CONTRACT``, the ways into the archive take
+exactly the parameters listed in ``SIGNATURES``, and a trace sink is the
+one method ``TRACE_SINK`` names.  A change that says "public facade
 unchanged" leaves this file alone; one that adds or removes a public
 name edits the list in the same commit, where a reviewer sees it.
 """
@@ -102,6 +103,11 @@ SIGNATURES = {
 }
 
 
+#: ``TraceSink``'s one method and its signature: the engine hands every
+#: sink its flush batch of ``(prototype, start, duration)`` triples.
+TRACE_SINK = {"record_batch": "(self, batch: 'Batch') -> 'None'"}
+
+
 @pytest.mark.parametrize("module", sorted(SURFACE))
 def test_exported_names_are_pinned(module):
     exported = importlib.import_module(module).__all__
@@ -129,3 +135,14 @@ def test_archive_entry_signatures_are_pinned(path):
     for attr in qualname.split("."):
         obj = getattr(obj, attr)
     assert str(inspect.signature(obj)) == SIGNATURES[path]
+
+
+def test_trace_sink_is_one_method():
+    from repro.simulator.records import TraceSink
+
+    methods = {
+        name: str(inspect.signature(value))
+        for name, value in vars(TraceSink).items()
+        if callable(value) and not name.startswith("_")
+    }
+    assert methods == TRACE_SINK

@@ -31,7 +31,7 @@ def app():
 def logged_run(directives=None):
     """Run one session, logging per handle every value computed for it as
     ``(node, node state before the read, fraction, elapsed)`` and counting
-    handle lookups, ``engine.in_progress()`` walks and ticks, and the
+    handle lookups, ``engine.in_progress_parts()`` walks and ticks, and the
     lookups and values made before the final pass (which looks every
     watched handle up).  No value may be computed short of the interval
     of the pass it is computed in."""
@@ -56,7 +56,7 @@ def logged_run(directives=None):
     wrap(search, "tick", count("ticks"))
     wrap(search, "final_pass", lambda *args, **kwargs: log.update(at_final=(
         log["lookups"], sum(len(reads) for reads in log["reads"].values()))))
-    wrap(engine, "in_progress", count("walks"))
+    wrap(engine, "in_progress_parts", count("walks"))
     wrap(instr, "elapsed", count("lookups"))
     read = instr.normalized_read
 

@@ -12,7 +12,7 @@ values.
 Also covered: routing-index and cell maintenance on delete, the bounded
 cell table (which reads of in-progress segments share), segment-parts
 interning, matched-process recounts after late process discovery, the
-descriptive lost-handle error, batched ``in_progress`` snapshots, and
+descriptive lost-handle error, batched in-progress snapshots, and
 the ``progress_every`` trace knob.
 """
 
@@ -254,7 +254,8 @@ class TestRoutingIndexMaintenance:
         mgr = world["manager"]
         engine = world["engine"]
         pending = []
-        monkeypatch.setattr(engine, "in_progress", lambda: pending)
+        monkeypatch.setattr(engine, "in_progress_parts", lambda: [
+            (s.parts, s.activity, s.start, s.duration) for s in pending])
         foci = [random_focus(rng, world) for _ in range(4)]
         handles = [mgr.request(rng.choice(METRIC_NAMES), focus)
                    for focus in foci]
@@ -357,13 +358,13 @@ class TestBatchedReads:
         ]
         engine.run(max_time=1e9)  # reads must see elapsed > 0
         calls = {"n": 0}
-        original = engine.in_progress
+        original = engine.in_progress_parts
 
         def counting():
             calls["n"] += 1
             return original()
 
-        engine.in_progress = counting
+        engine.in_progress_parts = counting
         # the snapshot is taken by the first read that needs it: a pass
         # that only asks how much data a handle has seen takes none
         with mgr.batched_reads():
