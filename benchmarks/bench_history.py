@@ -189,34 +189,20 @@ def preload_meta(i: int) -> dict:
     }
 
 
-def preload_store(root: Path, backend: str, n_entries: int) -> ExperimentStore:
+def preload_store(root: Path, n_entries: int) -> ExperimentStore:
     """Build an *n_entries*-run store through backend internals.
 
     Only the index is materialized (synthetic metas, no record bodies) —
     the costs under test are index-dominated; records appended afterwards
     are written for real.
     """
-    store = ExperimentStore(root, backend=backend, auto_compact=0)
-    index = {f"pre-{i:06d}": preload_meta(i) for i in range(n_entries)}
-    if backend == "sqlite":
-        conn = store.backend._conn
-        conn.execute("BEGIN IMMEDIATE")
-        conn.executemany(
-            "INSERT INTO runs(run_id, seq, app_name, version, meta, payload,"
-            " sha256, rev) VALUES (?, ?, ?, ?, ?, '{}', '', 0)",
-            [
-                (run_id, meta["seq"], meta["app_name"], meta["version"],
-                 json.dumps(meta))
-                for run_id, meta in index.items()
-            ],
-        )
-        conn.execute("COMMIT")
-    else:
-        store.backend._write_base(index)
-        # the claim file hands out seq values: start past the preloaded ones
-        state = store.backend._read_state()
-        state["next_seq"] = n_entries
-        store.backend._write_state(state)
+    store = ExperimentStore(root, auto_compact=0)
+    store.backend._write_base(
+        {f"pre-{i:06d}": preload_meta(i) for i in range(n_entries)})
+    # the claim file hands out seq values: start past the preloaded ones
+    state = store.backend._read_state()
+    state["next_seq"] = n_entries
+    store.backend._write_state(state)
     return store
 
 
@@ -346,7 +332,7 @@ def bench_scale_harvest(workdir: Path, n_entries: int, reps: int,
     """Aggregate-backed harvest vs the full summary rescan at archive
     scale, plus the pool's re-harvest after a write."""
     root = workdir / f"scale-{n_entries}"
-    store = preload_store(root, "file", n_entries)
+    store = preload_store(root, n_entries)
     store.compact()  # folds the base and persists the harvest aggregate
 
     def full_rescan(opened: ExperimentStore) -> DirectiveSet:

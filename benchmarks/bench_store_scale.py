@@ -6,15 +6,16 @@ up at archive scale — the paper's program histories accumulate for years,
 so saving run 100,001 must cost about what saving run 1 did.  Three
 phases:
 
-* **Equivalence** (always first): one mixed corpus is saved through the
-  ``file`` and ``sqlite`` backends; summary queries and harvested
-  directives must come back byte-identical across both before any
-  timing is believed.
+* **Equivalence** (always first): one mixed corpus is saved; a cold
+  reader's summary queries must come back byte-identical to the
+  writer's, and the harvest served from the persisted aggregate must
+  equal the one folded from the summary scan, before any timing is
+  believed.
 * **Scale**: a 10^5-entry index is preloaded through backend internals,
-  then append throughput is measured on top of it — the file backend
-  seals one segment file per save, sqlite inserts a row.  Cold query
-  latency (fresh process view: open + full summary scan) and cold
-  harvest latency are measured on the same stores.
+  then append throughput is measured on top of it — each save seals one
+  segment file.  Cold query latency (fresh process view: open + full
+  summary scan) and cold harvest latency are measured on the same
+  store.
 * **Resilience overhead**: appends to an *empty* file store through the
   raw backend and through the armed-but-idle retry/breaker wrapper.
 
@@ -50,8 +51,6 @@ from repro.storage import ExperimentStore, RunRecord  # noqa: E402
 RESULTS_DIR = REPO / "results"
 BASELINE = Path(__file__).resolve().parent / "baselines" / "store_scale.json"
 
-BACKENDS = ("file", "sqlite")
-
 
 def small_record(i: int, prefix: str = "append") -> RunRecord:
     """A minimal record for append-throughput timing (meta-dominated)."""
@@ -77,39 +76,22 @@ def small_record(i: int, prefix: str = "append") -> RunRecord:
 # phase 1: equivalence — a fast wrong answer is no answer
 # ---------------------------------------------------------------------------
 def assert_equivalence(workdir: Path, n_runs: int) -> None:
-    corpus = [make_record(i) for i in range(n_runs)]
-    stores = {}
-    for backend in BACKENDS:
-        store = ExperimentStore(workdir / f"equiv-{backend}", backend=backend)
-        for record in corpus:
-            store.save(record)
-        stores[backend] = store
-
-    summaries = {
-        backend: json.dumps(store.summaries(), sort_keys=True)
-        for backend, store in stores.items()
-    }
-    if len(set(summaries.values())) != 1:
-        raise AssertionError(
-            f"summary queries diverged across backends {sorted(summaries)}"
-        )
-    harvests = {
-        backend: harvest(store, include_thresholds=True).to_text()
-        for backend, store in stores.items()
-    }
-    if len(set(harvests.values())) != 1:
-        raise AssertionError(
-            f"harvested directives diverged across backends {sorted(harvests)}"
-        )
+    store = ExperimentStore(workdir / "equiv")
+    for i in range(n_runs):
+        store.save(make_record(i))
+    summaries = json.dumps(store.summaries(), sort_keys=True)
     # cold re-open answers must match the writing instance's answers
-    for backend, store in stores.items():
-        cold = json.dumps(
-            ExperimentStore(store.root).summaries(), sort_keys=True
-        )
-        if cold != summaries[backend]:
-            raise AssertionError(f"{backend}: cold reader diverged from writer")
-    print(f"equivalence: {n_runs}-run corpus byte-identical across "
-          f"{', '.join(BACKENDS)}")
+    cold = ExperimentStore(store.root)
+    if json.dumps(cold.summaries(), sort_keys=True) != summaries:
+        raise AssertionError("cold reader diverged from writer")
+    rescan = HarvestAggregate.of_summaries(
+        meta["summary"] for meta in cold.summaries().values())
+    if harvest(cold, include_thresholds=True).to_text() != \
+            rescan.finalize(include_thresholds=True).to_text():
+        raise AssertionError(
+            "aggregate-route harvest diverged from the summary rescan")
+    print(f"equivalence: {n_runs}-run corpus byte-identical between writer, "
+          "cold reader and rescan")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +119,7 @@ def timed_appends(store: ExperimentStore, n_appends: int, prefix: str) -> dict:
 def timed_cold_query(root: Path, expect: int, reps: int = 3) -> float:
     """Median cold-*process* query wall: every rep opens a fresh store
     instance (no in-process caches), after one unmeasured warm-up so the
-    OS page cache — identical for every backend — stops dominating."""
+    OS page cache stops dominating."""
     entries = ExperimentStore(root).summaries(app_name="scale")
     if len(entries) < expect:
         raise AssertionError(
@@ -154,7 +136,7 @@ def timed_cold_query(root: Path, expect: int, reps: int = 3) -> float:
 def timed_cold_harvest(root: Path, reps: int = 3) -> float:
     """Median cold-*process* harvest wall: every rep opens a fresh store
     and extracts directives from its full history — served from the
-    backend's persisted aggregate."""
+    persisted aggregate."""
     walls = []
     for _ in range(reps):
         start = time.perf_counter()
@@ -164,38 +146,27 @@ def timed_cold_harvest(root: Path, reps: int = 3) -> float:
 
 
 def bench_scale(workdir: Path, n_entries: int, n_appends: int) -> dict:
-    out: dict = {"entries": n_entries, "backends": {}}
-    for backend in BACKENDS:
-        root = workdir / f"scale-{backend}"
-        store = preload(root, backend, n_entries)
-        write = timed_appends(store, n_appends, f"ap-{backend[:2]}")
-        cold = timed_cold_query(root, n_entries)
+    root = workdir / "scale"
+    store = preload(root, n_entries)
+    write = timed_appends(store, n_appends, "ap")
+    cold = timed_cold_query(root, n_entries)
 
-        # settle the aggregate fast path (compaction persists the file
-        # sidecar; the first sqlite harvest self-heals its table), then
-        # require the aggregate answer to match the rescan answer before
-        # timing it
-        if backend == "file":
-            store.compact()
-        reference = HarvestAggregate.of_summaries(
-            meta["summary"] for meta in store.summaries().values()
-        ).finalize()
-        if store.harvest_evidence().finalize().to_text() != reference.to_text():
-            raise AssertionError(
-                f"{backend}: aggregate-route harvest diverged from the "
-                "summary rescan"
-            )
-        cold_harvest = timed_cold_harvest(root)
-
-        out["backends"][backend] = {
-            "write": write,
-            "cold_query_s": cold,
-            "cold_harvest_s": cold_harvest,
-        }
-        print(f"{backend:12s}: {write['throughput_per_s']:8.1f} saves/s "
-              f"over {n_entries} entries, cold query {cold * 1e3:.0f} ms, "
-              f"cold harvest {cold_harvest * 1e3:.1f} ms")
-    return out
+    # settle the aggregate fast path (compaction persists the sidecar),
+    # then require the aggregate answer to match the rescan answer
+    # before timing it
+    store.compact()
+    reference = HarvestAggregate.of_summaries(
+        meta["summary"] for meta in store.summaries().values()
+    ).finalize()
+    if store.harvest_evidence().finalize().to_text() != reference.to_text():
+        raise AssertionError(
+            "aggregate-route harvest diverged from the summary rescan")
+    cold_harvest = timed_cold_harvest(root)
+    print(f"{write['throughput_per_s']:8.1f} saves/s over {n_entries} "
+          f"entries, cold query {cold * 1e3:.0f} ms, "
+          f"cold harvest {cold_harvest * 1e3:.1f} ms")
+    return {"entries": n_entries, "write": write, "cold_query_s": cold,
+            "cold_harvest_s": cold_harvest}
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +250,13 @@ def main(argv=None) -> int:
             "equiv_runs": args.equiv_runs,
             "appends": args.appends,
         },
-        "equivalence": {"backends": list(BACKENDS), "byte_identical": True},
+        "equivalence": {"byte_identical": True},
         "scale": scale,
         "resilience": resilience,
         # one write path measured at both ends of the store's size: both
         # sides go through the armed wrapper (ExperimentStore's default)
         "preloaded_save_ratio": (
-            scale["backends"]["file"]["write"]["throughput_per_s"]
+            scale["write"]["throughput_per_s"]
             / resilience["armed_throughput_per_s"]
         ),
     }

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sqlite3
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -48,7 +47,7 @@ from .facade import diagnose, harvest, load_directives, resolve_store
 from .faults import FaultPlan, FaultPlanError
 from .obs import TraceError, metrics_to_json, metrics_to_prometheus, read_trace
 from .simulator.errors import SimulationError
-from .storage import StoreCorruption, StoreError, migrate_store
+from .storage import StoreCorruption, StoreError
 from .visualize import (
     bar_chart,
     render_shg,
@@ -552,15 +551,11 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
     table.add_row(["unfolded segments", info.segments])
     table.add_row(["index bytes", info.index_bytes])
     table.add_row(["aggregated runs", f"{info.aggregated_runs}/{info.runs}"])
-    if info.backend in ("file",):
-        table.add_row(["aggregated segments",
-                       f"{info.aggregated_segments}/{info.segments}"])
+    table.add_row(["aggregated segments",
+                   f"{info.aggregated_segments}/{info.segments}"])
     if info.runs and not info.aggregated_runs:
-        table.add_row(["harvest fast path", (
-            "rescan until the next save (a delete stopped the aggregate)"
-            if info.backend == "file" else
-            "rescan once: the next harvest rebuilds the aggregate "
-            "(a delete or overwrite cleared it)")])
+        table.add_row(["harvest fast path", "rescan until the next save "
+                       "(a delete stopped the aggregate)"])
     print(table.render())
     return 0
 
@@ -590,18 +585,6 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
     else:
         print(report)
     return 0 if report.clean else EXIT_CORRUPTION
-
-
-def cmd_store_migrate(args: argparse.Namespace) -> int:
-    resilience = _resilience_setting(args)
-    source = resolve_store(args.store, resilience=resilience)
-    dest = resolve_store(
-        args.dest, backend=args.to_backend or "file", resilience=resilience
-    )
-    copied = migrate_store(source, dest, overwrite=args.overwrite)
-    print(f"{copied} record(s) migrated from {args.store} "
-          f"({source.backend.name}) to {args.dest} ({dest.backend.name})")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -836,18 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_retry_flags(sp)
     sp.set_defaults(func=cmd_store_verify)
 
-    sp = ssub.add_parser(
-        "migrate",
-        help="copy every record into a new store (e.g. file -> sqlite)")
-    sp.add_argument("--store", required=True, help="source store directory")
-    sp.add_argument("--dest", required=True, help="destination store directory")
-    sp.add_argument("--to-backend", choices=("file", "sqlite"),
-                    default=None, help="destination backend (default file)")
-    sp.add_argument("--overwrite", action="store_true",
-                    help="replace run ids already present in the destination")
-    _add_retry_flags(sp)
-    sp.set_defaults(func=cmd_store_migrate)
-
     return parser
 
 
@@ -861,8 +832,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise
         print(f"corruption: {exc}", file=sys.stderr)
         return EXIT_CORRUPTION
-    except (StoreError, FaultPlanError, TraceError, OSError,
-            sqlite3.Error) as exc:  # raw backend errors: --no-resilience
+    except (StoreError, FaultPlanError, TraceError,
+            OSError) as exc:  # OSError: raw backend errors, --no-resilience
         if args.debug:
             raise
         print(f"error: {exc}", file=sys.stderr)

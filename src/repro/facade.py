@@ -39,6 +39,7 @@ from .core.extraction import extract_directives
 from .core.search import SearchConfig
 from .obs.trace import Tracer
 from .resilience.backend import ResiliencePolicy
+from .storage.file_backend import holds_store
 from .storage.records import RunRecord
 from .storage.store import ExperimentStore, StoreError
 
@@ -125,31 +126,25 @@ def _resolve_pool(pool: PoolLike) -> Optional["StorePool"]:
 # input resolution (shared by the facade and the CLI)
 # ---------------------------------------------------------------------------
 def resolve_store(
-    store: StoreLike, *, backend: Optional[str] = None,
+    store: StoreLike, *,
     resilience: Union[None, bool, ResiliencePolicy] = None,
 ) -> ExperimentStore:
     """The :class:`ExperimentStore` for a path-or-store argument.
 
     This is the one resolution path behind every ``--store`` flag and
     ``store=`` keyword: an already-open store passes through unchanged;
-    a path opens a store there, auto-detecting the backend unless
-    *backend* pins one (``"file"``, ``"sqlite"``, or ``"auto"``).
-    *resilience* configures the retry/breaker layer when a path is
+    a path opens the store there (creating an empty one when the
+    directory holds none — a save target).  *resilience* configures the
+    retry/breaker layer when a path is
     opened (a :class:`~repro.resilience.backend.ResiliencePolicy`,
     ``False`` to disable, ``None`` for the armed defaults — the CLI's
     ``--retry-*`` flags build the policy); it does not apply to
     pass-through stores, which keep whatever they were opened with.
-    The store's ``root`` and ``backend.name`` say where it lives.
+    The store's ``root`` says where it lives.
     """
     if isinstance(store, ExperimentStore):
-        if backend is not None and backend != "auto" \
-                and store.backend.name != backend:
-            raise StoreError(
-                f"store is already open with backend "
-                f"{store.backend.name!r}, not {backend!r}"
-            )
         return store
-    return ExperimentStore(store, backend=backend, resilience=resilience)
+    return ExperimentStore(store, resilience=resilience)
 
 
 def load_directives(path: Union[str, Path]) -> DirectiveSet:
@@ -395,11 +390,14 @@ def harvest(
             )
         return union_directives(*parts) if len(parts) > 1 else parts[0]
     pool_obj = _resolve_pool(pool)
-    if isinstance(source, (str, Path)) and not Path(source).is_dir():
-        # A path must already be a store on disk: opening a missing path
+    if isinstance(source, (str, Path)) and not holds_store(Path(source)):
+        # A path must already be a store on disk: opening any other path
         # would silently create an empty store there and mask a dead
-        # mount or a typo.
-        raise StoreError(f"store directory {str(source)!r} does not exist")
+        # mount, a typo or the wrong directory.
+        raise StoreError(
+            f"store directory {str(source)!r} holds no store"
+            if Path(source).is_dir() else
+            f"store directory {str(source)!r} does not exist")
     if isinstance(source, (str, Path, ExperimentStore)):
         if pool_obj is not None:
             return pool_obj.harvest(source, app=_app_name(app), **options)

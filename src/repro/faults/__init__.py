@@ -10,8 +10,8 @@ diagnosis, so every anomalous scenario is reproducible.
 
 :mod:`repro.faults.io` applies the same seeded-declarative pattern to
 the *real* machine: an :class:`IOFaultPlan` schedules EIO/ENOSPC/short
-writes/lost fsyncs/rename failures/SQLITE_BUSY/kills at chosen call
-indices of the storage backends' os and sqlite call sites.
+writes/lost fsyncs/rename failures/kills at chosen call indices of the
+store's os call sites.
 """
 
 from .injector import FaultInjector, InjectedFault, apply_faults

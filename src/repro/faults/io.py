@@ -1,8 +1,8 @@
 """Deterministic, seeded I/O fault injection at the storage/OS boundary.
 
 :mod:`repro.faults.plan` injects anomalies into the *simulated* machine;
-this module injects them into the *real* one — the os/file and sqlite
-call sites the storage backends go through.  The history store only earns
+this module injects them into the *real* one — the os/file call sites
+the store goes through.  The history store only earns
 its keep if it survives EIO, a full disk, a torn write, or a writer kill
 landing at any syscall boundary, and those conditions cannot be waited
 for: they must be injected, deterministically, so every failing schedule
@@ -10,7 +10,7 @@ replays exactly.
 
 The vocabulary mirrors the declarative :class:`~repro.faults.plan.FaultPlan`
 pattern: an :class:`IOFaultPlan` lists :class:`IOFault` entries, each
-naming an **op** (a call-site family the backends thread through this
+naming an **op** (a call-site family the store threads through this
 module), a 0-based **call index** at which to strike, a **kind**, and how
 many consecutive calls it covers (``times`` — transient faults clear,
 letting retry layers recover).  Ops and kinds:
@@ -23,8 +23,6 @@ write     ``eio``, ``enospc``, ``short`` (a prefix of the bytes lands,
 fsync     ``eio``, ``lost`` (fsync silently skipped), ``crash``
 replace   ``eio``, ``crash`` (atomic rename fails / process dies)
 read      ``eio``, ``crash``
-sqlite    ``busy`` (``sqlite3.OperationalError: database is locked``),
-          ``crash``
 ========  =============================================================
 
 ``crash`` raises :class:`SimulatedCrash` — a ``BaseException`` so no
@@ -38,7 +36,7 @@ visible, so its observable effect is exercising the skip path and the
 injection log.
 
 Arming is process-global (``arm``/``disarm`` or the ``injected`` context
-manager) and the check the backends call is one ``None`` test when no
+manager) and the check the store calls is one ``None`` test when no
 injector is armed — the disarmed cost is a function call.  Call counters
 are per-op and lock-protected, so schedules stay deterministic even with
 a background compaction thread in play.
@@ -48,7 +46,6 @@ from __future__ import annotations
 
 import errno
 import random
-import sqlite3
 import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -74,7 +71,6 @@ KINDS_FOR_OP: Dict[str, Tuple[str, ...]] = {
     "fsync": ("eio", "lost", "crash"),
     "replace": ("eio", "crash"),
     "read": ("eio", "crash"),
-    "sqlite": ("busy", "crash"),
 }
 
 
@@ -163,7 +159,7 @@ class IOFaultPlan:
     def random(
         seed: int,
         *,
-        ops: Sequence[str] = ("write", "fsync", "replace", "read", "sqlite"),
+        ops: Sequence[str] = ("write", "fsync", "replace", "read"),
         max_faults: int = 3,
         horizon: int = 16,
     ) -> "IOFaultPlan":
@@ -200,7 +196,7 @@ class IOFaultInjector:
     def on(self, op: str, path: object = None) -> Optional[Tuple[str, float]]:
         """Advance ``op``'s counter; raise or return the scheduled action.
 
-        Raising kinds (``eio``/``enospc``/``busy``/``crash``) raise from
+        Raising kinds (``eio``/``enospc``/``crash``) raise from
         here; caller-mediated kinds come back as ``(kind, arg)`` —
         ``short`` (write a prefix, then fail) and ``lost`` (skip the
         fsync).  ``None`` means no fault at this call.
@@ -230,13 +226,11 @@ class IOFaultInjector:
             raise OSError(
                 errno.ENOSPC, f"injected ENOSPC at {where}", str(path or "")
             )
-        if hit.kind == "busy":
-            raise sqlite3.OperationalError("database is locked")
         return (hit.kind, hit.arg)
 
 
 # ---------------------------------------------------------------------------
-# the process-global arming point the backends consult
+# the process-global arming point the store consults
 # ---------------------------------------------------------------------------
 _ACTIVE: Optional[IOFaultInjector] = None
 _ARM_LOCK = threading.Lock()
@@ -275,7 +269,7 @@ def injected(plan: IOFaultPlan) -> Iterator[IOFaultInjector]:
 
 
 def check(op: str, path: object = None) -> Optional[Tuple[str, float]]:
-    """The backends' per-call-site hook.  One ``None`` test when disarmed."""
+    """The store's per-call-site hook.  One ``None`` test when disarmed."""
     injector = _ACTIVE
     if injector is None:
         return None

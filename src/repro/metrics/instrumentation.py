@@ -22,8 +22,9 @@ happens once, when the cell is built; ``request()`` and ``delete()``
 keep every cell under the probe's routing keys current.  A prototype is
 resolved to its cell once, in a memo keyed by the prototype's identity,
 so delivering a segment is one memo hit plus one overlap fold per
-*matching* probe; ``record(segment)`` enters the same fold through the
-segment's prototype.  Cells and memo entries pin what their id keys
+*matching* probe; a segment that exists on its own enters the same fold
+as a one-triple batch through its
+:func:`~repro.simulator.records.prototype_of`.  Cells and memo entries pin what their id keys
 stand for, so an id can never be reused while they live; nothing a run
 does invalidates a cell (matching is tuple-prefix comparison on
 immutable values), and the cell table is dropped wholesale at a cap —
@@ -52,7 +53,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..resources.focus import Focus
 from ..resources.resource import ResourceSpace
 from ..simulator.engine import Engine
-from ..simulator.records import Activity, Batch, TimeSegment, prototype_of
+from ..simulator.records import Activity, Batch
 from .cost import CostGate, CostModel
 from .metric import METRICS, Metric
 
@@ -461,11 +462,6 @@ class InstrumentationManager:
                     instr.accumulated += dt
         self.segments_routed += len(batch)
         self.probes_examined += examined
-
-    def record(self, segment: TimeSegment) -> None:
-        """Deliver one segment: the same fold, through the segment's
-        prototype (:func:`~repro.simulator.records.prototype_of`)."""
-        self.record_batch(((prototype_of(segment), segment.start, segment.duration),))
 
     # ------------------------------------------------------------------
     # reads

@@ -248,6 +248,3 @@ class ProfileCollector:
 
     def record_batch(self, batch: Batch) -> None:
         self.profile.add_batch(batch)
-
-    def record(self, segment: TimeSegment) -> None:
-        self.profile.add(segment)

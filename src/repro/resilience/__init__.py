@@ -12,7 +12,7 @@ Four layers, lowest first:
   :class:`~repro.storage.api.StorageBackend` wrapper
   :class:`~repro.storage.store.ExperimentStore` threads every operation
   through, configured by one :class:`ResiliencePolicy` value — the
-  store's one retry layer (the backends never retry);
+  store's one retry layer (the backend never retries);
 * :mod:`~repro.resilience.scrub` / :mod:`~repro.resilience.torture` —
   the verification side: ``repro store verify`` and the seeded
   crash-consistency harness.

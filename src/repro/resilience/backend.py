@@ -3,12 +3,11 @@ transient failures and fails fast behind a circuit breaker.
 
 :class:`ExperimentStore` threads every backend call through a
 :class:`ResilientBackend` (unless resilience is disabled), and this is
-the store's one retry layer: the backends themselves never retry, so
-both of them get the same availability contract from the same code:
+the store's one retry layer (the backend itself never retries):
 
-* transient failures — sqlite ``database is locked``, EIO, EAGAIN —
-  reach this wrapper raw and are retried, whole operation by whole
-  operation, under a seeded :class:`~repro.resilience.policy.RetryPolicy`
+* transient failures — EIO, EAGAIN — reach this wrapper raw and are
+  retried, whole operation by whole operation, under a seeded
+  :class:`~repro.resilience.policy.RetryPolicy`
   with a bounded deadline; every retry is counted;
 * an exhausted operation trips the per-backend
   :class:`~repro.resilience.breaker.CircuitBreaker`; while it is open,
@@ -20,11 +19,11 @@ both of them get the same availability contract from the same code:
   :class:`~repro.faults.io.SimulatedCrash` passes through everything
   (nothing recovers from a kill).
 
-Retrying a whole backend operation is safe because every backend keeps
+Retrying a whole backend operation is safe because the backend keeps
 the operation's *index effect* atomic: a ``put`` that raised a transient
-error has not indexed the run (the file backend seals the index segment
-as the final atomic rename; sqlite rolls the transaction back), so the
-retry re-runs the full operation from scratch and idempotently.
+error has not indexed the run (the index segment is sealed by the final
+atomic rename), so the retry re-runs the full operation from scratch
+and idempotently.
 
 All counters are exported via :meth:`ResilientBackend.metrics` in the
 flat shape :func:`repro.obs.metrics.metrics_to_prometheus` renders.
@@ -101,8 +100,8 @@ class ResilientBackend(StorageBackend):
     """Every :class:`StorageBackend` operation, guarded.
 
     ``inner`` stays reachable (``.inner``, and attribute fallthrough via
-    ``__getattr__`` for backend-specific extras like ``segment_count``
-    or ``_conn``), so diagnostics and benchmarks that poke internals
+    ``__getattr__`` for backend-specific extras like ``segment_count``),
+    so diagnostics and benchmarks that poke internals
     keep working.
     """
 
@@ -212,7 +211,7 @@ class ResilientBackend(StorageBackend):
     def info(self) -> StoreInfo:
         return self._guard("info", lambda: self.inner.info())
 
-    # backend-specific extras (segment_count, lock, _conn, ...) fall
+    # backend-specific extras (segment_count, lock, ...) fall
     # through unguarded — they are internals, not contract surface
     def __getattr__(self, item: str):
         return getattr(self.inner, item)

@@ -1,8 +1,8 @@
 """Retry with seeded exponential backoff — the transient-failure half of
 :mod:`repro.resilience`.
 
-The history store is shared infrastructure: a busy sqlite writer, a
-transient EIO from a network filesystem, or a lock-held index must not
+The history store is shared infrastructure: a transient EIO from a
+network filesystem, an EAGAIN, or a lock-held index must not
 abort a diagnosis run that could succeed ten milliseconds later.  A
 :class:`RetryPolicy` bounds that patience explicitly — a maximum attempt
 count AND a wall-clock deadline, whichever lands first — and draws its
@@ -10,8 +10,8 @@ jitter from a seeded :class:`random.Random` so a replayed torture
 schedule backs off identically every time.
 
 What counts as *transient* is a policy decision, not a mechanism one:
-:func:`default_classify` treats sqlite ``database is locked``/``busy``
-and the retryable OS errnos (EIO, EAGAIN, ENOSPC is **not** retryable —
+:func:`default_classify` treats the retryable OS errnos (EIO, EAGAIN,
+EBUSY, EINTR; ENOSPC is **not** retryable —
 a full disk does not empty itself on a backoff curve) as worth retrying,
 and everything else — :class:`~repro.storage.api.StoreCorruption`
 especially — as final.  Callers override ``classify`` per call site.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import errno
 import random
-import sqlite3
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -32,18 +31,10 @@ __all__ = ["RetryPolicy", "RetryExhausted", "default_classify", "is_transient"]
 #: absent: retrying into a full disk burns the deadline for nothing.
 _TRANSIENT_ERRNOS = frozenset({errno.EIO, errno.EAGAIN, errno.EBUSY, errno.EINTR})
 
-#: sqlite3.OperationalError message fragments that mean writer contention.
-_SQLITE_TRANSIENT = ("database is locked", "database table is locked", "busy")
-
 
 def is_transient(exc: BaseException) -> bool:
     """Whether *exc* is the kind of failure a short wait can fix."""
-    if isinstance(exc, sqlite3.OperationalError):
-        message = str(exc).lower()
-        return any(part in message for part in _SQLITE_TRANSIENT)
-    if isinstance(exc, OSError):
-        return exc.errno in _TRANSIENT_ERRNOS
-    return False
+    return isinstance(exc, OSError) and exc.errno in _TRANSIENT_ERRNOS
 
 
 # kept as a distinct name so call sites read as policy, not plumbing

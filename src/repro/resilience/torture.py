@@ -1,7 +1,7 @@
 """Crash-consistency torture: seeded fault/kill schedules vs the store.
 
 The store's consistency claim is simple to state and easy to break: a
-writer killed — or fed EIO/ENOSPC/lock contention — at *any* I/O call
+writer killed — or fed EIO/ENOSPC/a failed rename — at *any* I/O call
 boundary leaves the merged index view equal to the state after some
 prefix of the completed operations, never a third thing, and every
 payload the surviving index references still loads and verifies.  This
@@ -9,9 +9,9 @@ module turns that claim into an executable check:
 
 1. build a small seed store fault-free;
 2. derive a deterministic operation schedule from the seed (saves,
-   overwrites, deletes, compactions — or a cross-backend migration, a
-   federated harvest, or, on ``file``, the open that converts a store
-   laid down in the oldest layout, with the plan armed before it);
+   overwrites, deletes, compactions — or a federated harvest, or the
+   open that converts a store laid down in the oldest layout, with the
+   plan armed before it);
 3. replay the schedule **fault-free on a pristine clone**, recording
    the canonical index view after every operation — the *chain* of
    legal states;
@@ -21,18 +21,18 @@ module turns that claim into an executable check:
    object exactly as a killed process would);
 5. re-open the stressed clone with a fresh store — the restarted
    process — and assert its view is *in the chain*, all its payloads
-   verify, and the backend's persisted harvest aggregate is absent or
-   equal to a fold over the summary scan (never wrong).
+   verify, and the persisted harvest aggregate is absent or equal to a
+   fold over the summary scan (never wrong).
 
 Views are compared without ``seq`` values (a retried save legitimately
 burns sequence numbers; ordering still must match) and a divergence
-report always carries the backend + seed, so any failure replays with
-``run_schedule(backend, seed)``.
+report always carries the seed, so any failure replays with
+``run_schedule(seed)``.
 
-Transient faults (``times``-bounded EIO, SQLITE_BUSY) are expected to be
-*absorbed* by the store's one retry layer,
-:class:`~repro.resilience.backend.ResilientBackend` (the backends never
-retry on their own) — schedules where retry recovers complete
+Transient faults (``times``-bounded EIO) are expected to be *absorbed*
+by the store's one retry layer,
+:class:`~repro.resilience.backend.ResilientBackend` (the backend never
+retries on its own) — schedules where retry recovers complete
 end-to-end and must land exactly on the final chain state.
 """
 
@@ -51,13 +51,11 @@ from ..faults import io as io_faults
 from ..faults.io import IOFaultPlan, SimulatedCrash
 from ..storage.file_backend import _checksum
 from ..storage.records import RunRecord
-from ..storage.store import ExperimentStore, migrate_store
+from ..storage.store import ExperimentStore
 from ..storage.summary import meta_for_record
 from .backend import ResiliencePolicy
 
-__all__ = ["TortureReport", "run_schedule", "run_torture", "TORTURE_BACKENDS"]
-
-TORTURE_BACKENDS = ("file", "sqlite")
+__all__ = ["TortureReport", "run_schedule", "run_torture"]
 
 
 def _no_sleep(_delay: float) -> None:
@@ -95,21 +93,12 @@ def _record(run_id: str, tag: int, app: str = "torture") -> RunRecord:
     )
 
 
-def _open(root: Path, backend: str,
+def _open(root: Path,
           policy: Optional[ResiliencePolicy] = None) -> ExperimentStore:
     return ExperimentStore(
-        root, backend=backend, auto_compact=0,
+        root, auto_compact=0,
         resilience=policy if policy is not None else False,
     )
-
-
-def _close(store: ExperimentStore) -> None:
-    close = getattr(store.backend, "close", None)
-    if close is not None:
-        try:
-            close()
-        except Exception:
-            pass
 
 
 def store_view(store: ExperimentStore) -> str:
@@ -169,45 +158,40 @@ def _make_ops(rng: random.Random, known: List[str]) -> List[Tuple[str, object]]:
     return ops
 
 
-def _build_base(root: Path, backend: str, records: Sequence[RunRecord]) -> None:
-    store = _open(root, backend)
+def _build_base(root: Path, records: Sequence[RunRecord]) -> None:
+    store = _open(root)
     for record in records:
         store.save(record)
-    _close(store)
 
 
-def run_schedule(backend: str, seed: int,
-                 workdir: Optional[Path] = None) -> dict:
+def run_schedule(seed: int, workdir: Optional[Path] = None) -> dict:
     """One torture schedule; returns its result dict (see module doc).
 
-    Deterministic in (backend, seed): the op sequence, the fault plan,
-    and every record payload derive from the seed alone.
+    Deterministic in *seed*: the op sequence, the fault plan, and every
+    record payload derive from the seed alone.
     """
     owns_workdir = workdir is None
     workdir = Path(workdir) if workdir is not None else Path(
         tempfile.mkdtemp(prefix="repro-torture-"))
-    tag = f"{backend}-{seed}"
+    tag = f"s{seed}"
     try:
         rng = random.Random(seed)
         initial = [_record(f"r{i}", i) for i in range(3)]
         base = workdir / f"{tag}-base"
-        _build_base(base, backend, initial)
+        _build_base(base, initial)
 
         roll = rng.random()
         if roll < 0.6:
             scenario = "ops"
-        elif roll < 0.8:
-            scenario = "migrate"
-        elif backend == "file" and roll >= 0.9:
-            scenario = "convert"
-        else:
+        elif roll < 0.9:
             scenario = "harvest"
+        else:
+            scenario = "convert"
         runner = {"ops": _schedule_ops,
-                  "migrate": _schedule_migrate,
                   "harvest": _schedule_harvest,
                   "convert": _schedule_convert}[scenario]
-        result = runner(backend, seed, rng, workdir, tag, base, initial)
-        result.update({"backend": backend, "seed": seed, "scenario": scenario})
+        result = runner(seed, rng, workdir, tag, base, initial)
+        result.update({"seed": seed, "scenario": scenario})
         result["divergent"] = (
             not result.pop("view_in_chain")
             or result["payload_error"] is not None
@@ -222,7 +206,7 @@ def run_schedule(backend: str, seed: int,
                 shutil.rmtree(child, ignore_errors=True)
 
 
-def _stress(roots: Dict[str, Tuple[Path, str]], seed: int, body) -> Tuple[str, list]:
+def _stress(roots: Dict[str, Path], seed: int, body) -> Tuple[str, list]:
     """Open resilient stores over *roots*, arm the seeded plan, run *body*.
 
     Returns ``(outcome, faults_fired)``.  The plan is armed strictly
@@ -231,8 +215,7 @@ def _stress(roots: Dict[str, Tuple[Path, str]], seed: int, body) -> Tuple[str, l
     and is always disarmed on the way out.
     """
     policy = _fast_policy(seed)
-    stores = {key: _open(root, backend, policy)
-              for key, (root, backend) in roots.items()}
+    stores = {key: _open(root, policy) for key, root in roots.items()}
     plan = IOFaultPlan.random(seed, max_faults=3, horizon=24)
     outcome = "completed"
     with io_faults.injected(plan) as injector:
@@ -242,8 +225,6 @@ def _stress(roots: Dict[str, Tuple[Path, str]], seed: int, body) -> Tuple[str, l
             outcome = f"crashed: {exc}"
         except Exception as exc:
             outcome = f"failed: {type(exc).__name__}: {exc}"
-    for store in stores.values():
-        _close(store)
     return outcome, list(injector.injected)
 
 
@@ -259,16 +240,13 @@ def _verify_aggregate(store: ExperimentStore) -> Optional[str]:
     return None
 
 
-def _check(root: Path, backend: str,
+def _check(root: Path,
            chain: List[str]) -> Tuple[bool, Optional[str], Optional[str]]:
     """Re-open *root* as a fresh process would and judge its state:
     ``(view in chain, payload error, aggregate error)``."""
-    reopened = _open(root, backend)
-    in_chain = store_view(reopened) in chain
-    payload_error = _verify_payloads(reopened)
-    aggregate_error = _verify_aggregate(reopened)
-    _close(reopened)
-    return in_chain, payload_error, aggregate_error
+    reopened = _open(root)
+    return (store_view(reopened) in chain, _verify_payloads(reopened),
+            _verify_aggregate(reopened))
 
 
 def _verdict(ops: List[str], outcome: str, fired: list, chain_len: int,
@@ -286,18 +264,17 @@ def _verdict(ops: List[str], outcome: str, fired: list, chain_len: int,
     }
 
 
-def _schedule_ops(backend: str, seed: int, rng: random.Random, workdir: Path,
+def _schedule_ops(seed: int, rng: random.Random, workdir: Path,
                   tag: str, base: Path, initial: Sequence[RunRecord]) -> dict:
     ops = _make_ops(rng, [r.run_id for r in initial])
 
     clean = workdir / f"{tag}-clean"
     shutil.copytree(base, clean)
-    store = _open(clean, backend)
+    store = _open(clean)
     chain = [store_view(store)]
     for op in ops:
         _apply(store, op)
         chain.append(store_view(store))
-    _close(store)
 
     fault = workdir / f"{tag}-fault"
     shutil.copytree(base, fault)
@@ -306,64 +283,22 @@ def _schedule_ops(backend: str, seed: int, rng: random.Random, workdir: Path,
         for op in ops:
             _apply(stores["store"], op)
 
-    outcome, fired = _stress({"store": (fault, backend)}, seed, body)
+    outcome, fired = _stress({"store": fault}, seed, body)
     return _verdict([op[0] for op in ops], outcome, fired, len(chain),
-                    _check(fault, backend, chain))
+                    _check(fault, chain))
 
 
-def _schedule_migrate(backend: str, seed: int, rng: random.Random,
-                      workdir: Path, tag: str, base: Path,
-                      initial: Sequence[RunRecord]) -> dict:
-    dest_backend = rng.choice(TORTURE_BACKENDS)
-
-    # clean chain: the destination view grows one record at a time
-    clean_src = workdir / f"{tag}-clean-src"
-    shutil.copytree(base, clean_src)
-    src = _open(clean_src, backend)
-    dest = _open(workdir / f"{tag}-clean-dest", dest_backend)
-    chain = [store_view(dest)]
-    for run_id in src.list():
-        dest.save(src.load(run_id))
-        chain.append(store_view(dest))
-    _close(src)
-    _close(dest)
-
-    fault_src = workdir / f"{tag}-fault-src"
-    shutil.copytree(base, fault_src)
-    fault_dest = workdir / f"{tag}-fault-dest"
-
-    def body(stores):
-        migrate_store(stores["src"], stores["dest"])
-
-    outcome, fired = _stress(
-        {"src": (fault_src, backend), "dest": (fault_dest, dest_backend)},
-        seed, body,
-    )
-    dest_check = _check(fault_dest, dest_backend, chain)
-    src_probe = _open(fault_src, backend)
-    src_check = (True, _verify_payloads(src_probe), None)
-    _close(src_probe)
-    return _verdict([f"migrate->{dest_backend}"], outcome, fired, len(chain),
-                    dest_check, src_check)
-
-
-def _schedule_harvest(backend: str, seed: int, rng: random.Random,
+def _schedule_harvest(seed: int, rng: random.Random,
                       workdir: Path, tag: str, base: Path,
                       initial: Sequence[RunRecord]) -> dict:
     from ..facade import harvest  # local: facade imports this package
 
-    peer_backend = rng.choice(TORTURE_BACKENDS)
     peer_base = workdir / f"{tag}-peer-base"
-    _build_base(peer_base, peer_backend,
-                [_record(f"p{i}", 10 + i) for i in range(2)])
+    _build_base(peer_base, [_record(f"p{i}", 10 + i) for i in range(2)])
 
     # harvest is read-only: the only legal post-state is the pre-state
-    chains = {}
-    for key, (root, b) in (("store", (base, backend)),
-                           ("peer", (peer_base, peer_backend))):
-        probe = _open(root, b)
-        chains[key] = [store_view(probe)]
-        _close(probe)
+    chains = {key: [store_view(_open(root))]
+              for key, root in (("store", base), ("peer", peer_base))}
 
     fault = workdir / f"{tag}-fault"
     shutil.copytree(base, fault)
@@ -373,13 +308,10 @@ def _schedule_harvest(backend: str, seed: int, rng: random.Random,
     def body(stores):
         harvest([stores["store"], stores["peer"]])
 
-    outcome, fired = _stress(
-        {"store": (fault, backend), "peer": (fault_peer, peer_backend)},
-        seed, body,
-    )
-    return _verdict([f"harvest+{peer_backend}"], outcome, fired, 1,
-                    _check(fault, backend, chains["store"]),
-                    _check(fault_peer, peer_backend, chains["peer"]))
+    outcome, fired = _stress({"store": fault, "peer": fault_peer}, seed, body)
+    return _verdict(["harvest"], outcome, fired, 1,
+                    _check(fault, chains["store"]),
+                    _check(fault_peer, chains["peer"]))
 
 
 def _lay_down_oldest(root: Path, records: Sequence[RunRecord]) -> None:
@@ -403,7 +335,7 @@ def _lay_down_oldest(root: Path, records: Sequence[RunRecord]) -> None:
         "max_seq": -1, "all": HarvestAggregate().to_dict(), "by_app": {}}))
 
 
-def _schedule_convert(backend: str, seed: int, rng: random.Random,
+def _schedule_convert(seed: int, rng: random.Random,
                       workdir: Path, tag: str, base: Path,
                       initial: Sequence[RunRecord]) -> dict:
     """The open that converts an oldest-layout store, faults armed
@@ -411,16 +343,13 @@ def _schedule_convert(backend: str, seed: int, rng: random.Random,
     clean, fault = workdir / f"{tag}-clean", workdir / f"{tag}-fault"
     for root in (clean, fault):
         _lay_down_oldest(root, initial)
-    probe = _open(clean, backend)
-    chain = [store_view(probe)]
-    _close(probe)
+    chain = [store_view(_open(clean))]
 
     def body(_stores):
-        _open(fault, backend, _fast_policy(seed)).harvest_evidence()
+        _open(fault, _fast_policy(seed)).harvest_evidence()
 
     outcome, fired = _stress({}, seed, body)
-    return _verdict(["convert"], outcome, fired, 1,
-                    _check(fault, backend, chain))
+    return _verdict(["convert"], outcome, fired, 1, _check(fault, chain))
 
 
 @dataclass
@@ -460,29 +389,27 @@ class TortureReport:
         ]
         for bad in self.divergences:
             lines.append(
-                f"  DIVERGENCE backend={bad['backend']} seed={bad['seed']} "
+                f"  DIVERGENCE seed={bad['seed']} "
                 f"scenario={bad['scenario']} outcome={bad['outcome']} "
                 f"payload_error={bad['payload_error']} "
                 f"aggregate_error={bad['aggregate_error']} — reproduce with "
-                f"run_schedule({bad['backend']!r}, {bad['seed']})"
+                f"run_schedule({bad['seed']})"
             )
         return "\n".join(lines)
 
 
 def run_torture(
-    backends: Sequence[str] = TORTURE_BACKENDS,
     seeds: Sequence[int] = range(20),
     workdir: Optional[Path] = None,
 ) -> TortureReport:
-    """The full matrix: every backend × every seed, one report."""
+    """The full matrix: one schedule per seed, one report."""
     owns_workdir = workdir is None
     workdir = Path(workdir) if workdir is not None else Path(
         tempfile.mkdtemp(prefix="repro-torture-"))
     report = TortureReport()
     try:
-        for backend in backends:
-            for seed in seeds:
-                report.schedules.append(run_schedule(backend, seed, workdir))
+        for seed in seeds:
+            report.schedules.append(run_schedule(seed, workdir))
     finally:
         if owns_workdir:
             shutil.rmtree(workdir, ignore_errors=True)

@@ -7,9 +7,9 @@ the store's on-disk index state, yet the one-shot facade path recomputes
 them per call.  The pool keeps both warm:
 
 * an LRU of opened stores keyed by resolved path (a directory holds
-  one store; its backend is auto-detected and resilience is armed with
-  the defaults) — eviction and :meth:`close` call the store's
-  ``close()``, so pooling never leaks SQLite connections;
+  one store, opened with resilience armed at the defaults) — eviction
+  and :meth:`close` call the store's ``close()``, which drops its
+  record cache;
 * a bounded harvest cache: one entry per owning store, application and
   extraction options, valid for the backend's **index state token**
   (:meth:`~repro.storage.store.ExperimentStore.index_token`) it was

@@ -72,12 +72,10 @@ from .process import (
 )
 from .records import (
     Activity,
-    TimeSegment,
     TraceSink,
     batch_sink,
     intern_parts,
     segment_prototype,
-    tag_from_parts,
 )
 
 __all__ = ["Engine"]
@@ -390,22 +388,6 @@ class Engine:
             parts = intern_parts(name, procs[name].node, module, function, tag)
             out.append((parts, activity, start, dur))
         return out
-
-    def in_progress(self) -> Iterable[TimeSegment]:
-        """:meth:`in_progress_parts` as pseudo-segments (stack: the
-        innermost frame only)."""
-        for parts, activity, start, dur in self.in_progress_parts():
-            code = parts["Code"]
-            yield TimeSegment.make(
-                start=start,
-                duration=dur,
-                activity=activity,
-                process=parts["Process"][1],
-                node=parts["Machine"][1],
-                module=code[1],
-                function=code[2],
-                tag=tag_from_parts(parts),
-            )
 
     # ------------------------------------------------------------------
     # run loop

@@ -39,7 +39,6 @@ __all__ = [
     "TraceCollector",
     "batch_sink",
     "sync_tag_parts",
-    "tag_from_parts",
     "intern_parts",
     "prototype_of",
     "segment_prototype",
@@ -68,17 +67,6 @@ def sync_tag_parts(tag: str) -> Tuple[str, ...]:
     if tag == "Barrier":
         return ("SyncObject", "Barrier")
     return ("SyncObject", "Message") + tuple(tag.split("/"))
-
-
-def tag_from_parts(parts: Dict[str, Tuple[str, ...]]) -> Optional[str]:
-    """The tag an interned ``parts`` dict was built for (the inverse of
-    :func:`sync_tag_parts`; ``None`` when it has no SyncObject path)."""
-    sync = parts.get("SyncObject")
-    if sync is None:
-        return None
-    if sync[1] == "Barrier":
-        return "Barrier"
-    return "/".join(sync[2:])
 
 
 #: Interned ``parts`` dicts, keyed by the attribution tuple.  A simulated

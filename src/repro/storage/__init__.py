@@ -2,8 +2,8 @@
 
 The public storage surface lives in :mod:`repro.storage.api`
 (:class:`StorageBackend`, :class:`StoreInfo`, the exception taxonomy);
-:class:`ExperimentStore` is the backend-agnostic frontend, with file
-(segmented index) and SQLite backends.
+:class:`ExperimentStore` is the frontend over the one backend,
+:class:`FileBackend` (record files plus a segmented index).
 """
 
 from .api import (
@@ -24,8 +24,7 @@ from .query import (
     select,
 )
 from .records import RunRecord
-from .sqlite_backend import SQLiteBackend
-from .store import ExperimentStore, migrate_store, summarize_record
+from .store import ExperimentStore, summarize_record
 
 __all__ = [
     "ResourceHistory",
@@ -37,7 +36,6 @@ __all__ = [
     "ExperimentStore",
     "StorageBackend",
     "FileBackend",
-    "SQLiteBackend",
     "StoreInfo",
     "CompactionStats",
     "RecoveryReport",
@@ -45,5 +43,4 @@ __all__ = [
     "StoreError",
     "StoreUnavailable",
     "summarize_record",
-    "migrate_store",
 ]

@@ -2,13 +2,13 @@
 
 The paper's conclusions call historical diagnosis "part of an ongoing
 research effort in which we are designing and developing an infrastructure
-for storing, naming, and querying multi-execution performance data".  At
-fleet scale that infrastructure cannot be one on-disk layout: a laptop
-tuning study wants greppable JSON files, a CI archive of 10^5 runs wants
-an indexed database.  This module is the seam between the two — the
-:class:`StorageBackend` contract every persistence layer implements, the
-value types the frontend (:class:`~repro.storage.store.ExperimentStore`)
-exchanges with it, and the exception taxonomy shared by all of them.
+for storing, naming, and querying multi-execution performance data".
+This module is the seam under that infrastructure's frontend
+(:class:`~repro.storage.store.ExperimentStore`): the
+:class:`StorageBackend` contract, the value types the frontend
+exchanges with a backend, and the exception taxonomy.  One backend
+implements it — :class:`~repro.storage.file_backend.FileBackend`, the
+one on-disk layout — and so does the retry layer wrapped around it.
 
 A backend owns durability, integrity, and the *index*: the run → meta
 mapping whose entries carry the denormalized query summaries
@@ -17,11 +17,11 @@ queries answer without touching record payloads — and, optionally, a
 rolling harvest aggregate over that index, extended inside every save:
 the one incremental harvest path there is.  A backend reads one
 on-disk layout; converting anything older is its ``rebuild``.  A backend
-does not retry: a transient failure (a locked sqlite database, EIO)
-leaves it raw, and :class:`~repro.resilience.backend.ResilientBackend`,
-which the frontend wraps around every backend, is the one layer that
-classifies, retries and counts it.  Everything else — record-object caching, batch loading, the public
-query helpers — lives above the seam and is backend-agnostic.
+does not retry: a transient failure (EIO, EAGAIN) leaves it raw, and
+:class:`~repro.resilience.backend.ResilientBackend`, which the frontend
+wraps around the backend, is the one layer that classifies, retries and
+counts it.  Everything else — record-object caching, batch loading, the
+public query helpers — lives above the seam.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class StoreInfo:
 
     #: Store directory (``None`` for purely in-memory backends).
     root: Optional[Path]
-    #: Backend name: ``"file"``, ``"sqlite"``, ...
+    #: Backend name (``"file"``).
     backend: str
     #: Number of indexed runs.
     runs: int
@@ -121,17 +121,17 @@ class StoreInfo:
     index_format: int
     #: Base-index generation (0 until the first compaction).
     generation: int = 0
-    #: Index segments not yet folded into the base (file backend only).
+    #: Index segments not yet folded into the base.
     segments: int = 0
-    #: Bytes held by the index (base + unfolded segments, or the DB file).
+    #: Bytes held by the index (base + unfolded segments).
     index_bytes: int = 0
     #: Runs covered by a currently-valid persisted harvest aggregate
     #: (0 when the backend keeps none, or the persisted one went stale).
     aggregated_runs: int = 0
-    #: Index segments the persisted harvest aggregate covers (file
-    #: backend only: the rolling sidecar stops at a delete's seal until
-    #: the next put's seal rebuilds it, and an uncovered tail is folded
-    #: per op, or forces the rescan).
+    #: Index segments the persisted harvest aggregate covers (the
+    #: rolling sidecar stops at a delete's seal until the next put's
+    #: seal rebuilds it, and an uncovered tail is folded per op, or
+    #: forces the rescan).
     aggregated_segments: int = 0
 
 
@@ -153,7 +153,7 @@ class StorageBackend(ABC):
     never returning half-read data.
     """
 
-    #: Short backend identifier (``"file"``, ``"sqlite"``, ...).
+    #: Short backend identifier (``"file"``).
     name: str = "abstract"
 
     # -- records --------------------------------------------------------

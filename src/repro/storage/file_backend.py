@@ -57,12 +57,26 @@ stamp) rebuilds it from the merged view it holds under the lock, so
 coverage is short until the next put, never until the next compaction.
 Absent or short, never wrong or double-counted.
 
-The reader knows this one layout.  A store written before the layout
-stamp — checksum-less records, a bare format-2 index without summaries,
-a sidecar without ``through``, no claim file — is converted once, by
-the open that first finds ``index.json`` without a current stamp: under
-the store lock (re-checked there, so racing opens convert once) it runs
-``rebuild()``, the one converter, which is also ``repro store rebuild``.
+The reader knows this one layout, and it is the only store there is.
+A store written before the layout stamp — checksum-less records, a bare
+format-2 index without summaries, a sidecar without ``through``, no
+claim file, or the single-file ``store.sqlite3`` database older
+releases offered beside the files — is converted once, by the open that
+first finds no current stamp next to ``index.json`` or the database:
+under the store lock (re-checked there, so racing opens convert once) it
+runs ``rebuild()``, the one converter, which is also ``repro store
+rebuild``.  A database is converted in this order, and a crash at any
+point converts again on the next open:
+
+1. every ``runs`` row becomes a record envelope and keeps its ``seq``;
+   a row that fails its sha256, and every row of the ``quarantine``
+   table, becomes a file in ``quarantine/`` (one name per row, so a
+   second pass rewrites the same files);
+2. the base index and the aggregate sidecar are written;
+3. ``store.sqlite3`` and then its ``-wal``/``-shm`` files are renamed to
+   ``store.sqlite3.converted`` (never deleted: it stays a database
+   sqlite opens), so from here on a reopen converts the files alone;
+4. the stamp is written last.
 """
 
 from __future__ import annotations
@@ -96,7 +110,7 @@ from .api import (
 from .records import RunRecord
 from .summary import meta_for_record
 
-__all__ = ["FileBackend", "read_record_payload"]
+__all__ = ["FileBackend", "holds_store", "read_record_payload"]
 
 _INDEX_NAME = "index.json"
 #: Harvest-aggregate sidecar for the base generation.  Deliberately not a
@@ -107,6 +121,8 @@ _LOCK_NAME = "index.lock"
 _QUARANTINE_DIR = "quarantine"
 _SEGMENTS_DIR = "segments"
 _STATE_NAME = "_state.json"
+#: The database of the sqlite store older releases wrote; converted once.
+_SQLITE_NAME = "store.sqlite3"
 _RECORD_FORMAT = 2
 #: On-disk base-index format: a ``{"format": 3, "runs": {...}}`` envelope
 #: whose per-run metadata carries a denormalized query summary.
@@ -143,6 +159,12 @@ def _stat_sig(path: Path) -> Tuple[int, int, int]:
     """
     st = path.stat()
     return (st.st_ino, st.st_mtime_ns, st.st_size)
+
+
+def holds_store(root: Path) -> bool:
+    """Whether *root* holds a store: a base index, or a sqlite database
+    its first open converts."""
+    return (root / _INDEX_NAME).exists() or (root / _SQLITE_NAME).exists()
 
 
 def read_record_payload(path: Path) -> dict:
@@ -284,15 +306,15 @@ class FileBackend(StorageBackend):
         if self._read_state().get("format", 0) < _LAYOUT_FORMAT \
                 or not self._index_path.exists():
             with self.lock():
-                state = self._read_state()
-                if not self._index_path.exists():
+                stamped = self._read_state().get("format", 0) >= _LAYOUT_FORMAT
+                if not stamped and holds_store(self.root):
+                    self._rebuild()
+                elif not self._index_path.exists():
                     self._write_base({})
-                    if state.get("format", 0) < _LAYOUT_FORMAT:
+                    if not stamped:
                         self._write_state({
                             "next_seq": 0, "counter": 0, "generation": 0,
                             "format": _LAYOUT_FORMAT})
-                elif state.get("format", 0) < _LAYOUT_FORMAT:
-                    self._rebuild()
 
     # ------------------------------------------------------------------
     # locking
@@ -685,8 +707,7 @@ class FileBackend(StorageBackend):
         quarantine of the same name gets a numeric suffix so nothing is
         overwritten.  Must run under the lock.
         """
-        qdir = self.root / _QUARANTINE_DIR
-        qdir.mkdir(exist_ok=True)
+        qdir = self._quarantine_dir()
         dest = qdir / path.name
         counter = 1
         while dest.exists():
@@ -695,6 +716,11 @@ class FileBackend(StorageBackend):
         _replace(path, dest)
         self._drop_index_entry(path.stem)
         return dest
+
+    def _quarantine_dir(self) -> Path:
+        qdir = self.root / _QUARANTINE_DIR
+        qdir.mkdir(exist_ok=True)
+        return qdir
 
     def _drop_index_entry(self, run_id: str) -> None:
         if self.read_merged().get(run_id) is None:
@@ -817,6 +843,46 @@ class FileBackend(StorageBackend):
             self._write_record(path, data)
             return record
 
+    def _convert_sqlite(self) -> Dict[str, dict]:
+        """Write the rows of ``store.sqlite3`` out as files (step 1 of
+        the conversion in the module docstring) and return each
+        converted run's ``{"seq": ...}`` for the rebuild to keep."""
+        import sqlite3  # only a store from an older release needs it
+
+        database = self.root / _SQLITE_NAME
+        io_faults.check("read", database)
+        conn = sqlite3.connect(database)
+        try:
+            rows = conn.execute(
+                "SELECT run_id, seq, payload, sha256 FROM runs ORDER BY seq"
+            ).fetchall()
+            held = conn.execute(
+                "SELECT rowid, run_id, quarantined_at, payload, sha256, reason"
+                " FROM quarantine ORDER BY rowid").fetchall()
+        finally:
+            conn.close()
+        seqs: Dict[str, dict] = {}
+        rejected = []
+        for run_id, seq, text, sha in rows:
+            try:
+                payload = json.loads(text)
+            except (TypeError, ValueError):
+                payload = None
+            if isinstance(payload, dict) and _checksum(payload) == sha:
+                self._write_record(self._record_file(run_id), payload)
+                seqs[run_id] = {"seq": seq}
+            else:
+                rejected.append((f"{run_id}.sqlite.json", {
+                    "run_id": run_id, "seq": seq, "payload": text,
+                    "sha256": sha, "reason": "payload checksum mismatch"}))
+        for rowid, run_id, at, text, sha, reason in held:
+            rejected.append((f"{run_id}.sqlite-{rowid}.json", {
+                "run_id": run_id, "quarantined_at": at, "payload": text,
+                "sha256": sha, "reason": reason}))
+        for name, row in rejected:
+            _atomic_write_json(self._quarantine_dir() / name, row)
+        return seqs
+
     def _rebuild(self) -> RecoveryReport:
         """:meth:`rebuild` under the held store lock: the one converter
         from any older layout, and the recovery from any wreckage."""
@@ -836,6 +902,8 @@ class FileBackend(StorageBackend):
         except (FileNotFoundError, ValueError, TypeError, AttributeError,
                 KeyError):
             old, generation = {}, 0
+        if (self.root / _SQLITE_NAME).exists():
+            old.update(self._convert_sqlite())
         paths = sorted(
             (p for p in self.root.glob("*.json") if p.name != _INDEX_NAME),
             key=lambda p: p.stat().st_mtime,
@@ -875,6 +943,11 @@ class FileBackend(StorageBackend):
             except OSError:
                 pass
             self._drop_segment_cache(name)
+        for suffix in ("", "-wal", "-shm"):
+            database = self.root / (_SQLITE_NAME + suffix)
+            if database.exists():
+                _replace(database,
+                         self.root / f"{_SQLITE_NAME}.converted{suffix}")
         # Last: the stamp lands only once the store is converted.
         self._write_state({
             "next_seq": next_seq,

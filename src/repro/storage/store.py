@@ -6,19 +6,15 @@ for storing, naming, and querying multi-execution performance data".  This
 module is that infrastructure's *frontend*: :class:`ExperimentStore`
 exposes the save/load/query surface the rest of the system uses, while
 actual persistence lives behind the
-:class:`~repro.storage.api.StorageBackend` seam —
+:class:`~repro.storage.api.StorageBackend` seam, in the one store
+layout there is: one JSON file per record plus a **sharded index** of
+append-only segments with compaction
+(:mod:`repro.storage.file_backend`), so a save is O(1) instead of
+O(store).
 
-* ``backend="file"`` (the default): one JSON file per record plus a
-  **sharded index** of append-only segments with compaction
-  (:mod:`repro.storage.file_backend`), so a save is O(1) instead of
-  O(store);
-* ``backend="sqlite"``: everything in one SQLite database, optimized
-  for summary queries (:mod:`repro.storage.sqlite_backend`).
-
-A store directory is auto-detected (``store.sqlite3`` present → sqlite,
-else file), so paths keep working everywhere a backend name isn't given.
-A file store from an older release is converted once, when it is
-opened; every read after that is a plain read of the current layout.
+A store from an older release is converted once, when it is opened
+(:mod:`repro.storage.file_backend` lists what it converts); every read
+after that is a plain read of the current layout.
 
 What stays above the seam: the bounded in-process LRU of parsed
 :class:`RunRecord` objects (keyed by the backend's per-record token, so
@@ -46,7 +42,6 @@ from .api import (
 )
 from .file_backend import FileBackend
 from .records import RunRecord
-from .sqlite_backend import SQLITE_STORE_NAME, SQLiteBackend
 from .summary import meta_for_record, summarize_record
 
 __all__ = [
@@ -56,14 +51,11 @@ __all__ = [
     "StoreUnavailable",
     "RecoveryReport",
     "summarize_record",
-    "migrate_store",
 ]
 
 _DEFAULT_CACHE_SIZE = 64
 #: Segments a save may leave unfolded before it triggers a compaction.
 _DEFAULT_AUTO_COMPACT = 64
-
-BackendLike = Union[None, str, StorageBackend]
 
 
 class _RecordCache:
@@ -118,42 +110,15 @@ class _RecordCache:
             return len(self._items)
 
 
-def _resolve_backend(root: Union[str, Path, None],
-                     backend: BackendLike) -> StorageBackend:
-    if isinstance(backend, StorageBackend):
-        return backend
-    if backend is None or backend == "auto":
-        if root is None:
-            raise StoreError(
-                "ExperimentStore needs a root directory or a backend instance"
-            )
-        if (Path(root) / SQLITE_STORE_NAME).exists():
-            return SQLiteBackend(root)
-        return FileBackend(root)
-    if root is None:
-        raise StoreError(f"backend {backend!r} needs a root directory")
-    if backend == "file":
-        return FileBackend(root)
-    if backend == "sqlite":
-        return SQLiteBackend(root)
-    raise StoreError(
-        f"unknown storage backend {backend!r} "
-        "(expected 'file', 'sqlite', or a StorageBackend)"
-    )
-
-
 class ExperimentStore:
-    """A store of :class:`RunRecord` objects over a pluggable backend.
+    """A store of :class:`RunRecord` objects in the directory *root*
+    (created, with an empty store, when it holds none).
 
-    Safe for concurrent use from multiple processes: every backend
-    serialises its writers (flock for the file layout, SQLite's own
-    locking for the database), so simultaneous writers never lose each
-    other's updates.
+    Safe for concurrent use from multiple processes: the backend
+    serialises its writers with a flock, so simultaneous writers never
+    lose each other's updates.
 
-    All configuration is keyword-only: ``backend`` selects the
-    persistence layer (``"file"``, ``"sqlite"``, a
-    :class:`~repro.storage.api.StorageBackend` instance, or ``None`` to
-    auto-detect from the directory), ``cache_size`` bounds the parsed
+    All configuration is keyword-only: ``cache_size`` bounds the parsed
     record LRU, and ``auto_compact`` is the segment count past which a
     save folds the index into a new base generation (``0``/``None``
     disables).
@@ -164,51 +129,43 @@ class ExperimentStore:
     only retry layer the store has): ``None``/``True`` arm it with
     default tunables, a :class:`~repro.resilience.backend.ResiliencePolicy`
     arms it with that policy, and ``False`` runs on the raw backend,
-    whose transient errors (``sqlite3.OperationalError``, ``OSError``)
-    then surface as they are.  Armed-but-idle it costs one wrapper call
+    whose transient errors (``OSError``) then surface as they are.  Armed-but-idle it costs one wrapper call
     per operation; its counters are exposed via :meth:`resilience_metrics`.
     """
 
     def __init__(
         self,
-        root: Union[str, Path, None] = None,
+        root: Union[str, Path],
         *,
-        backend: BackendLike = None,
         cache_size: int = _DEFAULT_CACHE_SIZE,
         auto_compact: Optional[int] = _DEFAULT_AUTO_COMPACT,
         resilience: Union[None, bool, ResiliencePolicy] = None,
     ):
-        self._inner = inner = _resolve_backend(root, backend)
+        self._inner = inner = FileBackend(root)
         if resilience is False:
             self._backend: StorageBackend = inner
         else:
             policy = resilience if isinstance(resilience, ResiliencePolicy) \
                 else None
             self._backend = ResilientBackend(inner, policy)
-        self.root = Path(root) if root is not None \
-            else getattr(inner, "root", None)
+        self.root = inner.root
         self._cache = _RecordCache(cache_size)
         self._auto_compact = auto_compact or 0
 
     @property
     def backend(self) -> StorageBackend:
-        """The persistence layer this store runs on — always the *inner*
-        backend, never the resilience wrapper, so callers that compare
-        identity or poke backend internals see what they passed in."""
+        """The persistence layer this store runs on — always the inner
+        :class:`~repro.storage.file_backend.FileBackend`, never the
+        resilience wrapper, so callers that poke backend internals see
+        the backend itself."""
         return self._inner
 
     def close(self) -> None:
-        """Release the store's in-process resources.
-
-        Drops the parsed-record LRU and closes the backend (the SQLite
-        connection for that backend; a no-op for the file layout).  The
-        object must not be used afterwards.  Idempotent — a pooled store may be
-        evicted and closed more than once.
+        """Release the store's in-process resources: the parsed-record
+        LRU.  The object must not be used afterwards.  Idempotent — a
+        pooled store may be evicted and closed more than once.
         """
         self._cache.clear()
-        close = getattr(self._inner, "close", None)
-        if close is not None:
-            close()
 
     def resilience_metrics(self) -> Dict[str, float]:
         """Retry/breaker counters when resilience is armed, else ``{}``.
@@ -363,8 +320,8 @@ class ExperimentStore:
         instead of aborting the rebuild.  Returns a
         :class:`RecoveryReport` listing both.
 
-        The same code converts a file store from an older release when
-        it is first opened; rebuilding a segmented store folds
+        The same code converts a store from an older release when it is
+        first opened; rebuilding a segmented store folds
         everything into one fresh base generation.
         """
         self._cache.clear()
@@ -374,8 +331,7 @@ class ExperimentStore:
         """Fold accumulated index segments into a new base generation.
 
         Crash-safe (a writer killed mid-compaction leaves the store
-        readable) and a no-op shrink (``VACUUM``) on backends without
-        segments.  Saves trigger this automatically past the
+        readable).  Saves trigger this automatically past the
         ``auto_compact`` threshold.
         """
         return self._backend.compact()
@@ -392,11 +348,11 @@ class ExperimentStore:
         store's current runs (restricted to *app_name* when given).
 
         Served from the backend's persisted aggregate when it can prove
-        one covers exactly the current index — one sidecar read (one row
-        on sqlite) plus a per-op fold of any segments sealed since it was
-        last extended, instead of O(runs) — and otherwise computed by the
-        full summary scan, so the result is the same either way.  Treat the returned aggregate
-        as immutable: :meth:`HarvestAggregate.copy` before folding more
+        one covers exactly the current index — one sidecar read plus a
+        per-op fold of any segments sealed since it was last extended,
+        instead of O(runs) — and otherwise computed by the full summary
+        scan, so the result is the same either way.  Treat the returned
+        aggregate as immutable: :meth:`HarvestAggregate.copy` before folding more
         runs into it.
         """
         agg = self._backend.harvest_aggregate(app_name)
@@ -413,30 +369,7 @@ class ExperimentStore:
         return self._backend.index_token()
 
     def _maybe_auto_compact(self) -> None:
-        if not self._auto_compact:
-            return
-        segment_count = getattr(self._backend, "segment_count", None)
-        if segment_count is None or segment_count() < self._auto_compact:
-            return
-        self._backend.compact()
+        if self._auto_compact \
+                and self._inner.segment_count() >= self._auto_compact:
+            self._backend.compact()
 
-
-def migrate_store(
-    source: ExperimentStore,
-    dest: ExperimentStore,
-    *,
-    overwrite: bool = False,
-) -> int:
-    """Copy every record from *source* into *dest*, oldest first.
-
-    Records stream one at a time through the normal save path, so the
-    destination backend assigns fresh contiguous ``seq`` values in the
-    same recency order and recomputes summaries deterministically —
-    queries over the migrated store answer byte-identically to the
-    original.  Returns the number of records copied.
-    """
-    copied = 0
-    for run_id in source.list():
-        dest.save(source.load(run_id), overwrite=overwrite)
-        copied += 1
-    return copied

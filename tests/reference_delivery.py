@@ -1,4 +1,5 @@
-"""The naive probe delivery ``InstrumentationManager.record()`` is held to.
+"""The naive probe delivery ``InstrumentationManager.record_batch()`` is
+held to.
 
 ``repro.metrics.instrumentation`` delivers a time segment through an
 attribution cell: the probes that match the segment were worked out
@@ -23,9 +24,39 @@ oracle is fed the way every sink was before that, one materialised
 segment at a time: :class:`ShadowSink` defines only ``record()``, so
 the engine wraps it in its materialising adaptor.  :func:`naive_read`
 states ``read()`` the same way — the shadow plus the overlap of every
-in-progress pseudo-segment the probe's metric counts and its focus
-matches.
+in-progress pseudo-segment (:func:`in_progress`) the probe's metric
+counts and its focus matches.
+
+:func:`feed` is how a test hands a segment that exists on its own to a
+batch sink: a one-triple batch through the segment's prototype.
 """
+
+from repro.simulator.records import TimeSegment, prototype_of
+
+
+def feed(sink, *segments):
+    """Deliver *segments* to the batch sink *sink*, one at a time and in
+    order, each as a ``(prototype, start, duration)`` batch of one."""
+    for seg in segments:
+        sink.record_batch([(prototype_of(seg), seg.start, seg.duration)])
+
+
+def in_progress(engine):
+    """The engine's in-progress activities as pseudo-segments (stack:
+    the innermost frame only), from ``in_progress_parts()``."""
+    for parts, activity, start, duration in engine.in_progress_parts():
+        code = parts["Code"]
+        sync = parts.get("SyncObject")
+        if sync is None:
+            tag = None
+        elif sync[1] == "Barrier":
+            tag = "Barrier"
+        else:
+            tag = "/".join(sync[2:])
+        yield TimeSegment.make(
+            start=start, duration=duration, activity=activity,
+            process=parts["Process"][1], node=parts["Machine"][1],
+            module=code[1], function=code[2], tag=tag)
 
 
 def deliver(manager, segment, shadow):
@@ -71,7 +102,7 @@ def naive_read(manager, handle, shadow):
         return 0.0, 0.0
     value = shadow.get(handle, 0.0)
     if probe.metric.kind == "time":
-        for seg in manager.engine.in_progress():
+        for seg in in_progress(manager.engine):
             if not probe.metric.counts(seg.activity):
                 continue
             dt = probe.overlap(seg.start, seg.end)

@@ -39,7 +39,8 @@ from repro.simulator.process import (
     SimProcess,
     WaitReq,
 )
-from repro.simulator.records import Activity, TimeSegment
+from repro.simulator.records import Activity, TimeSegment, intern_parts
+from tests.reference_delivery import feed
 
 _EPS = 1e-12
 
@@ -83,7 +84,11 @@ class ReferenceEngine:
         return proc
 
     def add_sink(self, sink):
-        self._sinks.append(sink)
+        """A batch sink is handed each segment as a batch of one."""
+        if hasattr(sink, "record_batch"):
+            self._sinks.append(lambda seg: feed(sink, seg))
+        else:
+            self._sinks.append(sink.record)
 
     def add_perturbation_source(self, fn):
         self._perturbation_sources.append(fn)
@@ -129,16 +134,16 @@ class ReferenceEngine:
     def perturbation(self, name):
         return sum(src(name) for src in self._perturbation_sources)
 
-    def in_progress(self):
+    def in_progress_parts(self):
+        out = []
         for name, cur in self._current.items():
             if cur is None or self.now - cur[1] <= _EPS:
                 continue
             activity, start, frame, tag = cur
-            yield TimeSegment.make(
-                start=start, duration=self.now - start, activity=activity,
-                process=name, node=self.procs[name].node,
-                module=frame[0], function=frame[1], tag=tag,
-            )
+            parts = intern_parts(name, self.procs[name].node,
+                                 frame[0], frame[1], tag)
+            out.append((parts, activity, start, self.now - start))
+        return out
 
     def blocked_report(self):
         rdv_dest = {sender.name: dest
@@ -256,8 +261,8 @@ class ReferenceEngine:
             process=proc.name, node=proc.node,
             module=frame[0], function=frame[1], tag=tag, stack=stack,
         )
-        for sink in self._sinks:
-            sink.record(seg)
+        for record in self._sinks:
+            record(seg)
 
     def _busy(self, proc, activity, duration, frame, value=None):
         """Charge *duration* of *activity* to *proc* from now, then resume

@@ -270,23 +270,23 @@ class TestErrorExitCodes:
         assert "corruption" in capsys.readouterr().err
         assert (store / "quarantine" / "x1.json").exists()
 
-    def test_raw_sqlite_error_exit_2(self, tmp_path, monkeypatch, capsys):
-        """With ``--no-resilience`` a locked sqlite store surfaces raw,
-        as a one-line error, not a traceback."""
-        import sqlite3
+    def test_raw_os_error_exit_2(self, tmp_path, capsys):
+        """With ``--no-resilience`` an I/O error surfaces raw, as a
+        one-line error, not a traceback."""
+        from repro.faults import IOFault, IOFaultPlan
+        from repro.faults import io as io_faults
+        from repro.storage import ExperimentStore
 
-        from repro.storage import ExperimentStore, SQLiteBackend
-
-        ExperimentStore(tmp_path / "runs", backend="sqlite").close()
-
-        def locked(self, sql, params=()):
-            raise sqlite3.OperationalError("database is locked")
-
-        monkeypatch.setattr(SQLiteBackend, "_execute", locked)
-        code = run_cli("store", "stats", "--store", tmp_path / "runs",
-                       "--no-resilience")
+        ExperimentStore(tmp_path / "runs").close()
+        # read[0] is the open's claim-file read; read[1] the index read
+        # of ``info()``, which a retry would have absorbed
+        plan = IOFaultPlan(faults=(IOFault(op="read", at=1, kind="eio"),))
+        with io_faults.injected(plan):
+            code = run_cli("store", "stats", "--store", tmp_path / "runs",
+                           "--no-resilience")
         assert code == 2
-        assert capsys.readouterr().err == "error: database is locked\n"
+        assert capsys.readouterr().err.startswith(
+            "error: [Errno 5] injected EIO at read[1]")
 
     def test_campaign_error_exit_5(self, capsys):
         code = run_cli("campaign", "tester", "--resume")
@@ -437,13 +437,9 @@ class TestReportHeader:
     """``repro report`` prints its run header from the index summary in
     every mode; the record is parsed only for the sections after it."""
 
-    @pytest.mark.parametrize("backend", ("file", "sqlite"))
     def test_header_identical_with_and_without_profile(self, tmp_path,
-                                                       capsys, backend):
-        from repro.storage import ExperimentStore
-
-        store = tmp_path / backend
-        ExperimentStore(store, backend=backend).close()
+                                                       capsys):
+        store = tmp_path / "runs"
         assert run_cli("diagnose", "tester", "--iterations", 40,
                        "--store", store, "--run-id", "r1") == 0
         capsys.readouterr()
@@ -460,35 +456,25 @@ class TestReportHeader:
 
 class TestStoreStats:
     """``store stats`` names what stopped the harvest aggregate and what
-    heals it — a trailing delete and the next save on ``file``, a delete
-    and the next harvest on ``sqlite``."""
+    heals it — a trailing delete, and the next save."""
 
-    HINT = {"file": "rescan until the next save",
-            "sqlite": "rescan once: the next harvest rebuilds"}
-
-    @pytest.mark.parametrize("backend", ("file", "sqlite"))
-    def test_stale_hint_names_the_cause_and_the_cure(self, tmp_path, capsys,
-                                                     backend):
+    def test_stale_hint_names_the_cause_and_the_cure(self, tmp_path, capsys):
         from repro.storage import ExperimentStore
         from tests.test_harvest_aggregate import make_run
 
-        store = ExperimentStore(tmp_path / backend, backend=backend,
-                                auto_compact=0)
+        store = ExperimentStore(tmp_path / "runs", auto_compact=0)
         for i in range(3):
             store.save(make_run(i))
         store.harvest_evidence()
         store.delete("run-002")
 
         def stats():
-            assert run_cli("store", "stats", "--store", tmp_path / backend) == 0
+            assert run_cli("store", "stats", "--store", tmp_path / "runs") == 0
             return capsys.readouterr().out
 
         out = stats()
         assert "0/2" in out
-        assert self.HINT[backend] in out and "backfill" not in out
-        if backend == "file":
-            store.save(make_run(3))
-        else:
-            store.harvest_evidence()
+        assert "rescan until the next save" in out and "backfill" not in out
+        store.save(make_run(3))
         out = stats()
         assert "harvest fast path" not in out

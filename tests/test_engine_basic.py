@@ -12,6 +12,7 @@ from repro.simulator import (
     SimulationError,
     TraceCollector,
 )
+from tests.reference_delivery import in_progress
 
 
 def make_engine(n_nodes=1):
@@ -100,7 +101,7 @@ class TestComputeAndIo:
         # a program bug, not a scheduler one ("cannot schedule in the past")
         with pytest.raises(ProgramError, match="negative I/O time"):
             eng.run()
-        assert list(eng.in_progress()) == []  # nothing left in progress
+        assert list(in_progress(eng)) == []  # nothing left in progress
 
     def test_non_syscall_yield_rejected(self):
         eng = make_engine()
@@ -230,7 +231,7 @@ class TestScheduling:
                 yield Compute(10.0)
 
         def check(e):
-            segs = list(e.in_progress())
+            segs = list(in_progress(e))
             if segs:
                 seen.append((segs[0].activity, segs[0].duration))
 

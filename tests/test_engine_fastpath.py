@@ -42,6 +42,7 @@ from repro.simulator import (
     WaitReq,
 )
 from repro.simulator.process import Isend
+from tests.reference_delivery import in_progress
 from tests.reference_engine import ReferenceEngine
 
 GOLDEN = Path(__file__).parent / "golden" / "engine_traces.json"
@@ -315,7 +316,7 @@ def callbacks_read_in_progress(eng, col):
     seen = []
     for t in (0.25, 1.25):
         eng.schedule(
-            t, lambda: seen.append(sorted(seg_row(s) for s in eng.in_progress())))
+            t, lambda: seen.append(sorted(seg_row(s) for s in in_progress(eng))))
     return [outcome(eng.run), seen]
 
 

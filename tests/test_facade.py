@@ -78,6 +78,20 @@ class TestDiagnose:
         with pytest.raises(StoreError):
             diagnose(_app(), history=tmp_path / "nope.directives", **FAST)
 
+    @pytest.mark.parametrize("pool", [None, "default"])
+    def test_history_directory_without_a_store_is_left_untouched(
+            self, tmp_path, pool):
+        """An existing directory that holds no store is not history: it
+        fails the diagnosis, and no store appears in it."""
+        (tmp_path / "notes.txt").write_text("not a store")
+        with pytest.raises(StoreError, match="holds no store"):
+            diagnose(_app(), history=tmp_path, pool=pool, **FAST)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
+
+    def test_store_target_still_creates_its_store(self, tmp_path, base_record):
+        record = diagnose(_app(), store=tmp_path / "new", **FAST)
+        assert ExperimentStore(tmp_path / "new").list() == [record.run_id]
+
 
 class TestHarvest:
     def test_single_record(self, base_record):
@@ -122,6 +136,20 @@ class TestHarvest:
             with pytest.raises(StoreError, match="does not exist"):
                 harvest(source, pool=pool)
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("pool", [None, "default"])
+    def test_directory_without_a_store_raises_and_is_left_untouched(
+            self, tmp_path, pool):
+        from repro.facade import resolve_history
+
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for read in (lambda: harvest(empty, pool=pool),
+                     lambda: harvest(str(empty), pool=pool),
+                     lambda: resolve_history(empty, pool=pool)):
+            with pytest.raises(StoreError, match="holds no store"):
+                read()
+        assert list(empty.iterdir()) == []
 
     def test_list_of_strings_is_federated(self, tmp_path):
         # Strings in a list are member store *paths* now; a path that is

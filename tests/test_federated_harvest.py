@@ -28,7 +28,7 @@ def records():
 @pytest.fixture()
 def two_stores(tmp_path, records):
     a = ExperimentStore(tmp_path / "site-a")
-    b = ExperimentStore(tmp_path / "site-b", backend="sqlite")
+    b = ExperimentStore(tmp_path / "site-b")
     a.save(records[0])
     b.save(records[1])
     return a, b

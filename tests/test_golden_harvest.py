@@ -12,7 +12,8 @@ route that change deleted), so it holds the one route left to the bytes
 the deleted one produced.
 
 The same text must come back however the history is handed over: the
-records, a ``file`` store, a ``sqlite`` store, a :class:`StorePool`.
+records, a ``file`` store, a ``sqlite`` store an older release wrote
+(converted when it is opened), a :class:`StorePool`.
 
 A change that moves the harvest on purpose regenerates the fixture with
 ``PYTHONPATH=src python tests/test_golden_harvest.py``; one that must
@@ -38,6 +39,7 @@ from repro.server.pool import StorePool
 from repro.storage import ExperimentStore
 from tests.test_golden_records import KINDS, runs
 from tests.test_harvest_aggregate import OPTION_COMBOS
+from tests.test_legacy_stores import lay_down_sqlite
 
 GOLDEN = Path(__file__).parent / "golden" / "harvest_poisson_a_1000.json"
 GROUPS = KINDS + ["all"]
@@ -76,17 +78,16 @@ def sources(tmp_path_factory):
     pool = StorePool()
     out = {}
     for group, records in groups().items():
-        stores = {}
-        for backend in ("file", "sqlite"):
-            stores[backend] = ExperimentStore(
-                root / f"{group}-{backend}", backend=backend)
-            for record in records:
-                stores[backend].save(record)
+        store = ExperimentStore(root / f"{group}-file")
+        for record in records:
+            store.save(record)
+        lay_down_sqlite(root / f"{group}-sqlite", records, range(len(records)))
         out[group] = {
             "records": partial(extract_directives, records),
-            "file": partial(repro.harvest, stores["file"], pool=None),
-            "sqlite": partial(repro.harvest, stores["sqlite"], pool=None),
-            "pool": partial(pool.harvest, stores["file"]),
+            "file": partial(repro.harvest, store, pool=None),
+            "sqlite": partial(repro.harvest, root / f"{group}-sqlite",
+                              pool=None),
+            "pool": partial(pool.harvest, store),
         }
     yield out
     pool.close()

@@ -25,8 +25,6 @@ from repro.storage import ExperimentStore, RunRecord, StoreError
 from repro.storage.file_backend import _stat_sig
 from tests.reference_extraction import reference_directives
 
-BACKENDS = ("file", "sqlite")
-
 HYPS = ("CPUbound", "ExcessiveSyncWaitingTime", "ExcessiveIOBlockingTime")
 
 OPTION_COMBOS = (
@@ -123,8 +121,8 @@ def make_run(i: int, app: str = "aggtest") -> RunRecord:
     )
 
 
-def _store(root, backend="file", n=3, app="aggtest") -> ExperimentStore:
-    store = ExperimentStore(root, backend=backend, auto_compact=0)
+def _store(root, n=3, app="aggtest") -> ExperimentStore:
+    store = ExperimentStore(root, auto_compact=0)
     for i in range(n):
         store.save(make_run(i, app=app))
     return store
@@ -216,28 +214,6 @@ def test_dict_roundtrip_and_version_guard():
         HarvestAggregate.from_dict(data)
 
 
-# ---------------------------------------------------------------------------
-# cross-backend equivalence
-# ---------------------------------------------------------------------------
-def test_cross_backend_aggregate_equivalence(tmp_path):
-    """The aggregate-served harvest must match the summary-scan route on
-    every backend, and all backends must agree with each other."""
-    texts = {}
-    for backend in BACKENDS:
-        store = _store(tmp_path / backend, backend=backend, n=4)
-        if backend == "file":
-            store.compact()  # persists the aggregate sidecar
-        fast = store.harvest_evidence().finalize(
-            include_thresholds=True).to_text()
-        assert fast == _scan_text(store, include_thresholds=True), backend
-        texts[backend] = fast
-        info = store.info()
-        # file: compaction persisted it; sqlite: the first harvest
-        # self-healed the aggregate table
-        assert info.aggregated_runs == info.runs, backend
-    assert len(set(texts.values())) == 1, sorted(texts)
-
-
 def test_app_scoped_aggregate_matches_scan(tmp_path):
     store = ExperimentStore(tmp_path / "mixed", auto_compact=0)
     for i in range(3):
@@ -258,11 +234,11 @@ def test_app_scoped_aggregate_matches_scan(tmp_path):
 def test_federated_mixed_members(tmp_path):
     """A federated harvest over one aggregate-backed member and one
     scan-only member keeps per-member union semantics."""
-    a = _store(tmp_path / "a", backend="file", n=3)
+    a = _store(tmp_path / "a", n=3)
     a.compact()
     assert a.info().aggregated_runs == 3
     # a trailing delete stops the sidecar: b rescans until its next save
-    b = _store(tmp_path / "b", backend="file", n=3, app="other")
+    b = _store(tmp_path / "b", n=3, app="other")
     b.delete("run-002")
     assert b.info().aggregated_runs == 0
     federated = harvest([a, b], pool=None)
@@ -297,11 +273,10 @@ def test_pool_incremental_fold_after_write(tmp_path, monkeypatch):
     assert pool.harvest(store).to_text() == _scan_text(store)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_every_write_changes_the_index_token(tmp_path, backend):
+def test_every_write_changes_the_index_token(tmp_path):
     """Put, overwrite, delete, compact and rebuild each move the token
     to one never seen before; reads leave it where it is."""
-    store = _store(tmp_path / backend, backend=backend, n=3)
+    store = _store(tmp_path / "runs", n=3)
     writes = [
         ("put", lambda: store.save(make_run(3))),
         ("overwrite", lambda: store.save(make_run(3), overwrite=True)),
@@ -324,10 +299,9 @@ def test_every_write_changes_the_index_token(tmp_path, backend):
         assert store.index_token() == token, f"a read after {name}"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_put_without_a_summary_is_refused(tmp_path, backend):
+def test_put_without_a_summary_is_refused(tmp_path):
     """A meta with no dict summary is rejected before anything lands."""
-    store = _store(tmp_path / backend, backend=backend, n=2)
+    store = _store(tmp_path / "runs", n=2)
     token = store.index_token()
     bare = dict(store.summaries()["run-000"])
     del bare["seq"]

@@ -2,7 +2,6 @@
 process-global arming point, and the injector's strike log."""
 
 import errno
-import sqlite3
 
 import pytest
 
@@ -102,16 +101,13 @@ class TestInjector:
         with pytest.raises(OSError):
             inj.on("replace", "/store/index.json")
 
-    def test_enospc_and_busy_kinds(self):
+    def test_enospc_kind(self):
         inj = io_faults.IOFaultInjector(IOFaultPlan(faults=(
             IOFault(op="write", at=0, kind="enospc"),
-            IOFault(op="sqlite", at=0, kind="busy"),
         )))
         with pytest.raises(OSError) as exc_info:
             inj.on("write")
         assert exc_info.value.errno == errno.ENOSPC
-        with pytest.raises(sqlite3.OperationalError, match="locked"):
-            inj.on("sqlite")
 
     def test_crash_is_not_an_exception_subclass(self):
         inj = io_faults.IOFaultInjector(IOFaultPlan(faults=(

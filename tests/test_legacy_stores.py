@@ -1,6 +1,6 @@
-"""File stores from before the layout stamp: converted once on open.
+"""Stores from before the layout stamp: converted once on open.
 
-Five layouts older releases left on disk are laid down here by hand,
+Six layouts older releases left on disk are laid down here by hand,
 byte by byte, so the fixtures stay what those releases wrote whatever
 the current writer does:
 
@@ -13,15 +13,23 @@ the current writer does:
   ``"aggregate"`` key (poisoned here), and an ``index.aggregate`` for
   the base alone (no ``through``);
 * ``segments-unstamped`` — a current-shape segmented store whose claim
-  file has no ``"format"`` stamp.
+  file has no ``"format"`` stamp;
+* ``sqlite-schema1`` — the single ``store.sqlite3`` database of the
+  sqlite backend older releases offered, written through its schema
+  (:data:`SQLITE_SCHEMA`, copied here), with one row that fails its
+  sha256 and one row in its ``quarantine`` table.
 
 ``tests/golden/legacy_stores.json`` pins, per layout, the sha256 of the
-index entries, of every loaded record and of the harvest text.  It was
-written at the parent of the change that made ``rebuild()`` the one
-converter, where the reader still branched per format and
-``summaries()`` backfilled the index: opening the same bytes now must
-give the same three answers.  Regenerate (only when the answers are
-meant to move) with ``PYTHONPATH=src python tests/test_legacy_stores.py``.
+index entries (``seq`` included), of every loaded record and of the
+harvest text.  The five file layouts were written at the parent of the
+change that made ``rebuild()`` the one converter, where the reader still
+branched per format and ``summaries()`` backfilled the index;
+``sqlite-schema1`` at the parent of the change that made the file layout
+the only store, where the sqlite backend still read the database (after
+the first load of each run had quarantined the corrupt row).  Opening
+the same bytes now must give the same three answers.  Regenerate (only
+when the answers are meant to move) with ``PYTHONPATH=src python
+tests/test_legacy_stores.py``.
 """
 
 import hashlib
@@ -38,13 +46,15 @@ if __name__ == "__main__":  # run as a script: make ``tests`` importable
 
 from repro.core.extraction import HarvestAggregate
 from repro.facade import harvest
-from repro.storage import ExperimentStore
+from repro.faults import IOFault, IOFaultPlan, SimulatedCrash
+from repro.faults import io as io_faults
+from repro.storage import ExperimentStore, StoreCorruption
 from repro.storage.summary import meta_for_record
 from tests.test_harvest_aggregate import make_run
 
 GOLDEN = Path(__file__).parent / "golden" / "legacy_stores.json"
 LAYOUTS = ("monolithic-format3", "bare-format2", "format1-records",
-           "format1-sidecar", "segments-unstamped")
+           "format1-sidecar", "segments-unstamped", "sqlite-schema1")
 
 #: Five runs, the last of a second app, so every scope is exercised.
 RECORDS = [make_run(i, app="aggtest" if i < 4 else "other") for i in range(5)]
@@ -83,8 +93,80 @@ def _aggregates(metas) -> dict:
     }
 
 
+#: The sqlite backend's schema, version 1: the only one it ever wrote.
+SQLITE_SCHEMA = """
+CREATE TABLE IF NOT EXISTS store_meta (
+    key TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS runs (
+    run_id   TEXT PRIMARY KEY,
+    seq      INTEGER NOT NULL,
+    app_name TEXT,
+    version  TEXT,
+    meta     TEXT NOT NULL,
+    payload  TEXT NOT NULL,
+    sha256   TEXT NOT NULL,
+    rev      INTEGER NOT NULL DEFAULT 0
+);
+CREATE INDEX IF NOT EXISTS idx_runs_seq ON runs(seq);
+CREATE INDEX IF NOT EXISTS idx_runs_app ON runs(app_name, version, seq);
+CREATE INDEX IF NOT EXISTS idx_runs_summary
+    ON runs(app_name, seq, version, run_id, meta);
+CREATE TABLE IF NOT EXISTS quarantine (
+    run_id        TEXT,
+    quarantined_at REAL,
+    payload       TEXT,
+    sha256        TEXT,
+    reason        TEXT
+);
+CREATE TABLE IF NOT EXISTS harvest_aggregates (
+    scope   TEXT PRIMARY KEY,
+    max_seq INTEGER NOT NULL,
+    n_runs  INTEGER NOT NULL,
+    data    TEXT NOT NULL
+);
+"""
+
+
+def lay_down_sqlite(root: Path, records, seqs, *, corrupt=False) -> None:
+    """A sqlite store holding *records* at *seqs*, each row as the
+    backend's ``put`` wrote it, in its WAL journal mode and with its
+    aggregate table empty (as any delete or overwrite left it).
+    *corrupt* adds a row whose payload fails its sha256 and a row in the
+    ``quarantine`` table."""
+    import sqlite3
+
+    root.mkdir(parents=True)
+    conn = sqlite3.connect(root / "store.sqlite3")
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.executescript(SQLITE_SCHEMA)
+    conn.execute("INSERT INTO store_meta(key, value) VALUES ('schema', '1')")
+    rows = [(record, seq, record.to_dict()) for record, seq in zip(records, seqs)]
+    if corrupt:
+        torn = make_run(5, app="other")
+        rows.append((torn, 9, dict(torn.to_dict(), pairs_tested=-1)))
+        conn.execute(
+            "INSERT INTO quarantine(run_id, quarantined_at, payload, sha256,"
+            " reason) VALUES ('run-001', 1e9, '{\"run_id\": \"run-0', ?, "
+            "'payload checksum mismatch')", ("0" * 64,))
+    for record, seq, payload in rows:
+        conn.execute(
+            "INSERT INTO runs(run_id, seq, app_name, version, meta, payload,"
+            " sha256, rev) VALUES (?, ?, ?, ?, ?, ?, ?, 0)",
+            (record.run_id, seq, record.app_name, record.version,
+             json.dumps(dict(meta_for_record(record), seq=seq)),
+             json.dumps(payload), hashlib.sha256(
+                 _canonical(record.to_dict()).encode("utf-8")).hexdigest()))
+    conn.commit()
+    conn.close()
+
+
 def lay_down(root: Path, layout: str) -> None:
     """Write *layout* under *root* exactly as the old release left it."""
+    if layout == "sqlite-schema1":
+        lay_down_sqlite(root, RECORDS, MONOLITHIC_SEQS, corrupt=True)
+        return
     root.mkdir(parents=True)
     for record in RECORDS:
         payload = record.to_dict()
@@ -199,13 +281,66 @@ def test_reads_never_write(tmp_path, layout):
 
 def test_a_converted_store_is_opened_without_conversion(tmp_path):
     """The stamp is checked before (and again under) the lock: a second
-    open of a converted store leaves every file where it was."""
+    open of a converted store reads the claim file and nothing else, and
+    leaves every file where it was."""
+    for layout in ("bare-format2", "sqlite-schema1"):
+        root = tmp_path / layout
+        lay_down(root, layout)
+        _open(root)
+        before = {p: _stat_sig(p) for p in root.rglob("*") if p.is_file()}
+        with io_faults.injected(IOFaultPlan()) as injector:
+            store = _open(root)
+        assert injector.counters == {"read": 1}, layout
+        store.harvest_evidence()
+        assert {p: _stat_sig(p) for p in root.rglob("*")
+                if p.is_file()} == before, layout
+
+
+def test_a_sqlite_store_keeps_what_it_cannot_convert(tmp_path):
+    """The corrupt row and the quarantine table's row land in
+    ``quarantine/``, and the database survives under a new name."""
     root = tmp_path / "old"
-    lay_down(root, "bare-format2")
-    _open(root)
-    before = {p: _stat_sig(p) for p in root.rglob("*") if p.is_file()}
-    _open(root).harvest_evidence()
-    assert {p: _stat_sig(p) for p in root.rglob("*") if p.is_file()} == before
+    lay_down(root, "sqlite-schema1")
+    store = _open(root)
+    assert "run-005" not in store.list() and not (root / "run-005.json").exists()
+    held = {p.name: json.loads(p.read_text())
+            for p in (root / "quarantine").iterdir()}
+    assert sorted(held) == ["run-001.sqlite-1.json", "run-005.sqlite.json"]
+    assert held["run-005.sqlite.json"]["seq"] == 9
+    assert held["run-001.sqlite-1.json"]["reason"] == "payload checksum mismatch"
+    assert (root / "store.sqlite3.converted").is_file()
+    assert not any(p.name.startswith("store.sqlite3") and
+                   not p.name.startswith("store.sqlite3.converted")
+                   for p in root.iterdir())
+
+
+def _converted(root: Path):
+    """What a conversion left, as a reader sees it: the pinned answers,
+    the file names (a torn ``*.tmp`` is invisible) and the quarantine."""
+    store = _open(root)
+    names = sorted(str(p.relative_to(root)) for p in root.rglob("*")
+                   if p.is_file() and p.suffix != ".tmp")
+    held = {p.name: p.read_text() for p in (root / "quarantine").iterdir()}
+    return digests(store), store.info().aggregated_runs, names, held
+
+
+def test_a_crash_anywhere_in_a_conversion_converts_again(tmp_path):
+    """A kill at each I/O call of the conversion, then a reopen: the
+    same store as the conversion that was never interrupted."""
+    lay_down(tmp_path / "clean", "sqlite-schema1")
+    with io_faults.injected(IOFaultPlan()) as counted:
+        _open(tmp_path / "clean")
+    want = _converted(tmp_path / "clean")
+    calls = dict(counted.counters)
+    assert calls["replace"] > len(RECORDS), calls
+    for op, n in sorted(calls.items()):
+        for at in range(n):
+            root = tmp_path / f"{op}-{at}"
+            lay_down(root, "sqlite-schema1")
+            plan = IOFaultPlan(faults=(IOFault(op=op, at=at, kind="crash"),))
+            with io_faults.injected(plan), pytest.raises(SimulatedCrash):
+                _open(root)
+            assert _converted(root) == want, (op, at)
 
 
 if __name__ == "__main__":
@@ -214,6 +349,12 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / layout
             lay_down(root, layout)
-            pins[layout] = digests(_open(root))
+            store = _open(root)
+            for run_id in store.list():
+                try:  # quarantines a row the store still holds
+                    store.load(run_id)
+                except StoreCorruption:
+                    pass
+            pins[layout] = digests(store)
     GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} ({len(pins)} layouts)")

@@ -6,6 +6,7 @@ from repro.metrics import FlatProfile
 from repro.metrics.profile import ProfileCollector
 from repro.resources import ResourceSpace, whole_program
 from repro.simulator import Activity, TimeSegment
+from tests.reference_delivery import feed
 
 
 def seg(start, dur, activity, proc="p:1", node="n0", module="m.c", fn="f", tag=None):
@@ -116,5 +117,5 @@ class TestSerialization:
 
     def test_collector_wraps_profile(self):
         pc = ProfileCollector()
-        pc.record(seg(0, 1.0, Activity.COMPUTE))
+        feed(pc, seg(0, 1.0, Activity.COMPUTE))
         assert pc.profile.totals["compute"] == pytest.approx(1.0)

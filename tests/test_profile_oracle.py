@@ -33,6 +33,7 @@ from repro.simulator import (
 from repro.simulator import records as records_mod
 from repro.simulator import tracefile
 from repro.simulator.records import Activity, TimeSegment
+from tests.reference_delivery import feed
 from tests.reference_engine import ReferenceEngine
 
 _ACT_KEYS = {Activity.COMPUTE: "compute", Activity.SYNC: "sync", Activity.IO: "io"}
@@ -164,8 +165,7 @@ def replayed_segments(seed, sink, tmp_path):
     path = tmp_path / "trace.jsonl"
     assert tracefile.write_trace(path, live) == len(live)
     segments = list(tracefile.read_trace(path))
-    for seg in segments:
-        sink.record(seg)
+    feed(sink, *segments)
     return segments
 
 

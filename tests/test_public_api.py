@@ -61,10 +61,10 @@ SURFACE = {
     ],
     "repro.storage": [
         "CompactionStats", "ExperimentStore", "FileBackend",
-        "RecoveryReport", "ResourceHistory", "RunRecord", "SQLiteBackend",
+        "RecoveryReport", "ResourceHistory", "RunRecord",
         "StorageBackend", "StoreCorruption", "StoreError", "StoreInfo",
         "StoreUnavailable", "best_run",
-        "bottleneck_persistence", "migrate_store", "resource_history",
+        "bottleneck_persistence", "resource_history",
         "select", "summarize_record"
     ],
     "repro.storage.api": [
@@ -87,10 +87,10 @@ BACKEND_CONTRACT = [
 ]
 
 #: ``inspect.signature`` of each way into the archive: how a store is
-#: opened, how the pool opens and harvests one, how sqlite is opened.
+#: opened, how the pool opens and harvests one.
 SIGNATURES = {
     "repro.facade:resolve_store": (
-        "(store: 'StoreLike', *, backend: 'Optional[str]' = None, "
+        "(store: 'StoreLike', *, "
         "resilience: 'Union[None, bool, ResiliencePolicy]' = None) "
         "-> 'ExperimentStore'"),
     "repro.server.pool:StorePool.get": (
@@ -98,8 +98,10 @@ SIGNATURES = {
     "repro.server.pool:StorePool.harvest": (
         "(self, store: 'StoreLike', *, app: 'Optional[str]' = None, "
         "**options) -> 'DirectiveSet'"),
-    "repro.storage.sqlite_backend:SQLiteBackend.__init__": (
-        "(self, root: 'str | Path')"),
+    "repro.storage.store:ExperimentStore.__init__": (
+        "(self, root: 'Union[str, Path]', *, cache_size: 'int' = 64, "
+        "auto_compact: 'Optional[int]' = 64, "
+        "resilience: 'Union[None, bool, ResiliencePolicy]' = None)"),
 }
 
 

@@ -1,11 +1,13 @@
 """The resilience layer: retry policy, circuit breaker, and the guarded
-backend wrapper — the store's one retry layer, including the sqlite
-busy -> retry -> StoreUnavailable escalation it was built for."""
+backend wrapper — the store's one retry layer, including the transient
+EIO -> retry -> StoreUnavailable escalation it was built for."""
 
 import errno
-import sqlite3
 
 import pytest
+
+from repro.faults import IOFault, IOFaultPlan
+from repro.faults import io as io_faults
 
 from repro.resilience import (
     CircuitBreaker,
@@ -62,11 +64,6 @@ def _fast(**kwargs) -> RetryPolicy:
 
 
 class TestClassify:
-    def test_sqlite_locked_is_transient(self):
-        assert is_transient(sqlite3.OperationalError("database is locked"))
-        assert is_transient(sqlite3.OperationalError("database table is locked"))
-        assert not is_transient(sqlite3.OperationalError("no such table: runs"))
-
     def test_errno_families(self):
         assert is_transient(OSError(errno.EIO, "io"))
         assert is_transient(OSError(errno.EAGAIN, "again"))
@@ -304,90 +301,70 @@ class TestResilientBackend:
         assert wrapped.exc_factory is inner.exc_factory
 
 
-class TestSqliteBusyEscalation:
-    """sqlite 'database is locked' reaches the store's one retry layer
-    raw: ResilientBackend retries the whole operation, counts every
-    retry, trips the breaker, and types exhaustion as StoreUnavailable;
-    with resilience off the raw OperationalError surfaces."""
+class TestTransientEscalation:
+    """A transient EIO reaches the store's one retry layer raw:
+    ResilientBackend retries the whole operation, counts every retry,
+    trips the breaker, and types exhaustion as StoreUnavailable; with
+    resilience off the raw OSError surfaces.
+
+    Every attempt of a save writes the claim file first, so an armed
+    ``write`` strike fails each attempt at its first write: the injector
+    counts one write call per attempt."""
 
     POLICY = ResiliencePolicy(attempts=3, breaker_threshold=2,
                               base_delay=1e-4, max_delay=1e-3,
                               deadline_s=60.0, sleep=lambda s: None)
 
-    def _locked(self, store):
-        """Make every sqlite statement of *store* fail as locked;
-        returns the statement counter."""
-        calls = {"n": 0}
+    @staticmethod
+    def _eio(times: int = 10**6) -> IOFaultPlan:
+        return IOFaultPlan(faults=(
+            IOFault(op="write", at=0, kind="eio", times=times),))
 
-        def locked(sql, params=()):
-            calls["n"] += 1
-            raise sqlite3.OperationalError("database is locked")
-
-        store.backend._execute = locked
-        return calls
-
-    def test_busy_retried_then_typed(self, tmp_path):
-        store = ExperimentStore(tmp_path / "runs", backend="sqlite",
-                                resilience=self.POLICY)
-        calls = self._locked(store)
-        for op in (1, 2):
-            with pytest.raises(StoreUnavailable) as exc_info:
-                "r0" in store
-            assert calls["n"] == 3 * op  # attempts, not one strike or 4
-            assert isinstance(exc_info.value.__cause__,
-                              sqlite3.OperationalError)
+    def test_eio_retried_then_typed(self, tmp_path):
+        store = ExperimentStore(tmp_path / "runs", resilience=self.POLICY)
+        with io_faults.injected(self._eio()) as injector:
+            for op in (1, 2):
+                with pytest.raises(StoreUnavailable) as exc_info:
+                    store.save(_record(f"r{op}"))
+                # attempts, not one strike or 4
+                assert injector.counters["write"] == 3 * op
+                assert isinstance(exc_info.value.__cause__, OSError)
         metrics = store.resilience_metrics()
         assert metrics["retries_total"] == 4.0
         assert metrics["unavailable_total"] == 2.0
         assert metrics["breaker_state"] == 1.0
-        store.close()
+        assert ExperimentStore(tmp_path / "runs").list() == []
 
-    def test_open_breaker_rejects_without_touching_sqlite(self, tmp_path):
-        store = ExperimentStore(tmp_path / "runs", backend="sqlite",
-                                resilience=self.POLICY)
-        calls = self._locked(store)
-        for _ in range(2):
-            with pytest.raises(StoreUnavailable):
-                store.load("r0")
-        before = calls["n"]
-        with pytest.raises(StoreUnavailable, match="circuit breaker"):
-            store.load("r0")
-        assert calls["n"] == before
+    def test_open_breaker_rejects_without_io(self, tmp_path):
+        store = ExperimentStore(tmp_path / "runs", resilience=self.POLICY)
+        with io_faults.injected(self._eio()) as injector:
+            for _ in range(2):
+                with pytest.raises(StoreUnavailable):
+                    store.save(_record("r0"))
+            before = dict(injector.counters)
+            with pytest.raises(StoreUnavailable, match="circuit breaker"):
+                store.save(_record("r0"))
+            assert injector.counters == before
         assert store.resilience_metrics()["unavailable_total"] == 3.0
-        store.close()
 
     def test_resilience_off_surfaces_the_raw_error(self, tmp_path):
-        store = ExperimentStore(tmp_path / "runs", backend="sqlite",
-                                resilience=False)
-        calls = self._locked(store)
-        with pytest.raises(sqlite3.OperationalError, match="locked"):
-            "r0" in store
-        assert calls["n"] == 1
-        store.close()
+        store = ExperimentStore(tmp_path / "runs", resilience=False)
+        with io_faults.injected(self._eio()) as injector:
+            with pytest.raises(OSError, match="injected EIO") as exc_info:
+                store.save(_record("r0"))
+        assert exc_info.value.errno == errno.EIO
+        assert injector.counters["write"] == 1
 
-    def test_busy_that_clears_recovers(self, tmp_path):
+    def test_eio_that_clears_recovers(self, tmp_path):
         store = ExperimentStore(
-            tmp_path / "runs", backend="sqlite",
+            tmp_path / "runs",
             resilience=ResiliencePolicy(attempts=4, base_delay=1e-4,
                                         max_delay=1e-3, deadline_s=60.0,
                                         sleep=lambda s: None))
-        store.save(_record("r0"))
-        backend = store.backend
-        calls = {"n": 0}
-        real = backend._execute
-
-        def flaky(sql, params=()):
-            calls["n"] += 1
-            if calls["n"] <= 2:
-                raise sqlite3.OperationalError("database is locked")
-            return real(sql, params)
-
-        backend._execute = flaky
-        try:
-            assert store.load("r0").run_id == "r0"
-        finally:
-            backend._execute = real
-        assert calls["n"] >= 3
+        with io_faults.injected(self._eio(times=2)) as injector:
+            store.save(_record("r0"))
+        assert len(injector.injected) == 2
+        assert store.load("r0").run_id == "r0"
         assert store.resilience_metrics()["retries_total"] == 2.0
 
 

@@ -29,7 +29,7 @@ from repro.resources import ResourceSpace, whole_program
 from repro.simulator import Engine, LatencyModel, Machine
 from repro.simulator import records as records_mod
 from repro.simulator.records import Activity, TimeSegment, intern_parts
-from tests.reference_delivery import deliver
+from tests.reference_delivery import deliver, feed
 
 LAT = LatencyModel(alpha=0.0, beta=0.0, send_overhead=0.0, recv_overhead=0.0)
 METRIC_NAMES = (
@@ -183,7 +183,7 @@ class TestRoutedScanEquivalence:
                 start += rng.random() * 0.05
                 walked += bucket_walk(mgr, seg)
                 scanned += deliver(mgr, seg, shadow)
-                mgr.record(seg)
+                feed(mgr, seg)
                 segments += 1
 
         assert probes
@@ -218,7 +218,7 @@ class TestRoutingIndexMaintenance:
         assert mgr._route
         rng = random.Random(5)
         for i in range(50):
-            mgr.record(random_segment(rng, world, float(i)))
+            feed(mgr, random_segment(rng, world, float(i)))
         assert any(c.probes for c in mgr._cells.values())
         for h in handles:
             mgr.delete(h)
@@ -237,11 +237,11 @@ class TestRoutingIndexMaintenance:
             process=world["procs"][0], node=world["nodes"][0],
             module=mod, function=fn,
         )
-        mgr.record(seg)
+        feed(mgr, seg)
         before = instr.accumulated
         assert before > 0.0
         mgr.delete(handle)
-        mgr.record(seg)
+        feed(mgr, seg)
         assert instr.accumulated == before
 
     def test_cell_table_stays_bounded(self, monkeypatch):
@@ -263,7 +263,7 @@ class TestRoutingIndexMaintenance:
         for i in range(200):
             seg = random_segment(rng, world, float(i))
             deliver(mgr, seg, shadow)
-            mgr.record(seg)
+            feed(mgr, seg)
             # a time probe's read adds a pending segment's overlap
             # exactly when the naive scan would deliver it
             pending[:] = [random_segment(rng, world, float(i))]

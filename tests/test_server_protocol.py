@@ -86,6 +86,19 @@ class TestProtocol:
             assert client.ping()
         assert not (tmp_path / "typo").exists()
 
+    def test_history_directory_without_a_store_is_error(self, server,
+                                                        tmp_path):
+        """An existing directory that holds no store fails the request
+        over the wire, and the server writes nothing into it."""
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        with ServerClient(server.host, server.port) as client:
+            with pytest.raises(RuntimeError,
+                               match="StoreError: .* holds no store"):
+                client.diagnose("tester", iterations=20, history=str(empty))
+            assert client.ping()
+        assert list(empty.iterdir()) == []
+
     def test_unknown_op_is_error(self, server):
         with ServerClient(server.host, server.port) as client:
             event = next(client.request({"op": "frobnicate"}))

@@ -37,7 +37,7 @@ from repro.simulator import (
 )
 from repro.simulator import records as records_mod
 from repro.simulator.records import Activity, TimeSegment, segment_prototype
-from tests.reference_delivery import ShadowSink, deliver, naive_read
+from tests.reference_delivery import ShadowSink, deliver, feed, naive_read
 from tests.reference_engine import ReferenceEngine
 from tests.test_engine_fastpath import ring_builder, seg_key
 from tests.test_profile_oracle import NaiveProfile, naive_bytes, random_engine
@@ -57,10 +57,11 @@ LEAVES = [("k.f", "kernel"), ("s.f", "solve"), ("m.f", "main"),
 
 
 class RecordOnly:
-    """A sink that defines only ``record(segment)``."""
+    """A sink that defines only ``record(segment)``: each segment goes
+    on to *sink* as a batch of one."""
 
     def __init__(self, sink):
-        self.record = sink.record
+        self.record = lambda segment: feed(sink, segment)
 
 
 def fed_per_segment(engine, sink):
@@ -299,7 +300,7 @@ class TestPrototypeMemo:
             (stale,) = [cell for cell, _, _ in mgr._in_progress_snapshot.entries]
             epoch = mgr._cell_epoch
             for i in range(20):  # fill the table until it drops
-                mgr.record(TimeSegment.make(
+                feed(mgr, TimeSegment.make(
                     start=0.0, duration=0.0, activity=Activity.COMPUTE,
                     process=f"q:{i}", node="n0", module="m.c", function="g"))
             assert mgr._cell_epoch > epoch

@@ -10,11 +10,10 @@ from repro.storage import (
     ExperimentStore,
     FileBackend,
     RunRecord,
-    SQLiteBackend,
     StorageBackend,
-    StoreError,
 )
 from repro.storage import api as storage_api
+from tests.test_legacy_stores import lay_down_sqlite
 
 
 def _tiny_record(run_id: str, app_name: str = "api", version: str = "1") -> RunRecord:
@@ -55,11 +54,7 @@ class TestApiSurface:
             StorageBackend()
 
     def test_backends_implement_the_contract(self, tmp_path):
-        for backend in (
-            FileBackend(tmp_path / "f"),
-            SQLiteBackend(tmp_path / "s"),
-        ):
-            assert isinstance(backend, StorageBackend)
+        assert isinstance(FileBackend(tmp_path / "f"), StorageBackend)
 
     def test_store_corruption_carries_quarantine_path(self):
         exc = storage_api.StoreCorruption("bad", quarantined_to=None)
@@ -79,19 +74,15 @@ class TestKeywordOnlyConstructor:
             store = ExperimentStore(tmp_path / "runs", cache_size=8)
         assert store.cache_info()["maxsize"] == 8
 
-    def test_backend_instance_supplies_root(self, tmp_path):
-        backend = FileBackend(tmp_path / "runs")
-        store = ExperimentStore(backend=backend)
-        assert store.root == tmp_path / "runs"
-        assert store.backend is backend
-
     def test_no_root_no_backend_rejected(self):
-        with pytest.raises(StoreError):
+        with pytest.raises(TypeError):
             ExperimentStore()
 
     def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="unknown storage backend"):
+        """There is one backend: naming any is an unknown keyword."""
+        with pytest.raises(TypeError, match="backend"):
             ExperimentStore(tmp_path / "runs", backend="etcd")
+        assert not (tmp_path / "runs").exists()
 
 
 class TestResolveStore:
@@ -108,11 +99,6 @@ class TestResolveStore:
     def test_open_store_passes_through(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs")
         assert resolve_store(store) is store
-        assert resolve_store(store, backend="file") is store
-
-    def test_backend_pin(self, tmp_path):
-        store = resolve_store(tmp_path / "runs", backend="sqlite")
-        assert store.backend.name == "sqlite"
 
     def test_resilience_setting_applies_to_an_opened_path(self, tmp_path):
         assert resolve_store(tmp_path / "raw", resilience=False) \
@@ -120,15 +106,10 @@ class TestResolveStore:
         assert resolve_store(tmp_path / "armed") \
             .resilience_metrics()["ops_total"] >= 0.0
 
-    def test_backend_pin_conflict_rejected(self, tmp_path):
-        store = ExperimentStore(tmp_path / "runs", backend="file")
-        with pytest.raises(StoreError, match="already open"):
-            resolve_store(store, backend="sqlite")
-
     def test_auto_detects_sqlite_layout(self, tmp_path):
-        ExperimentStore(tmp_path / "runs", backend="sqlite").save(
-            _tiny_record("r0")
-        )
+        """A directory an older release wrote as a sqlite store opens as
+        the file store it is converted into."""
+        lay_down_sqlite(tmp_path / "runs", [_tiny_record("r0")], [0])
         store = resolve_store(tmp_path / "runs")
-        assert store.backend.name == "sqlite"
+        assert store.backend.name == "file"
         assert store.list() == ["r0"]

@@ -1,16 +1,13 @@
 """Thread-safety hammer for the storage caches (satellite fix).
 
 One store, many same-process threads: the parsed-index one-slot cache in
-the file backend, the sqlite transaction path, and the shared record LRU
-all get hit concurrently.  Before the locks these raced on
+the file backend and the shared record LRU both get hit concurrently.  Before the locks these raced on
 ``OrderedDict`` mutation (``move_to_end``/``popitem`` mid-iteration) and
 on the segment cache's read-modify-write; the hammer reproduces that
 shape and must stay green.
 """
 
 import threading
-
-import pytest
 
 from repro import diagnose
 from repro.apps.synthetic import make_pingpong
@@ -59,11 +56,10 @@ def _hammer(store, run_ids, errors):
         t.join(timeout=120)
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
-def test_many_reader_threads_one_store(tmp_path, backend):
+def test_many_reader_threads_one_store(tmp_path):
     record = _seed_record()
     replicas = _replicas(record, 12)
-    store = ExperimentStore(tmp_path / "runs", backend=backend,
+    store = ExperimentStore(tmp_path / "runs",
                             cache_size=4)  # small LRU: constant eviction
     for r in replicas:
         store.save(r)
@@ -76,12 +72,10 @@ def test_many_reader_threads_one_store(tmp_path, backend):
     assert info["hits"] + info["misses"] >= THREADS * ROUNDS
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
-def test_readers_race_writers(tmp_path, backend):
+def test_readers_race_writers(tmp_path):
     record = _seed_record()
     replicas = _replicas(record, 8)
-    store = ExperimentStore(tmp_path / "runs", backend=backend,
-                            cache_size=4)
+    store = ExperimentStore(tmp_path / "runs", cache_size=4)
     for r in replicas:
         store.save(r)
     errors = []
@@ -112,14 +106,3 @@ def test_close_is_idempotent(tmp_path):
     store.save(record)
     store.close()
     store.close()  # pooled stores may be closed twice
-
-
-def test_sqlite_close_releases_connection(tmp_path):
-    record = _seed_record()
-    store = ExperimentStore(tmp_path / "runs", backend="sqlite")
-    store.save(record)
-    store.close()
-    # A fresh open still reads everything back.
-    again = ExperimentStore(tmp_path / "runs", backend="sqlite")
-    assert again.load("seed").run_id == "seed"
-    again.close()

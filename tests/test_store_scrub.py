@@ -4,11 +4,7 @@ and orphaned record files."""
 
 import json
 
-import pytest
-
 from repro.storage import ExperimentStore, RunRecord
-
-BACKENDS = ("file", "sqlite")
 
 
 def _record(run_id: str, tag: int = 0) -> RunRecord:
@@ -30,16 +26,15 @@ def _record(run_id: str, tag: int = 0) -> RunRecord:
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_clean_store_verifies(tmp_path, backend):
-    store = ExperimentStore(tmp_path / "runs", backend=backend)
+def test_clean_store_verifies(tmp_path):
+    store = ExperimentStore(tmp_path / "runs")
     for i in range(3):
         store.save(_record(f"r{i}", i))
     report = store.verify()
     assert report.clean
     assert report.checked == 3
     assert report.ok == 3
-    assert report.backend == backend
+    assert report.backend == "file"
     assert "3 record(s): 3 ok" in str(report)
     assert report.to_dict()["clean"] is True
 
@@ -99,18 +94,11 @@ def test_invalid_record_reported(tmp_path):
     """A checksum-valid envelope around a malformed record body."""
     from repro.storage.file_backend import _checksum
 
-    store = ExperimentStore(tmp_path / "runs", backend="sqlite", cache_size=0)
+    store = ExperimentStore(tmp_path / "runs", cache_size=0)
     store.save(_record("r0"))
     truncated = {"run_id": "r0"}
-    backend = store.backend
-    backend._conn.execute("BEGIN IMMEDIATE")
-    backend._conn.execute(
-        "UPDATE runs SET payload = ?, sha256 = ? WHERE run_id = 'r0'",
-        (json.dumps(truncated), _checksum(truncated)),
-    )
-    backend._conn.execute("COMMIT")
-    report = ExperimentStore(
-        tmp_path / "runs", backend="sqlite", cache_size=0
-    ).verify()
+    (tmp_path / "runs" / "r0.json").write_text(json.dumps(
+        {"format": 2, "sha256": _checksum(truncated), "record": truncated}))
+    report = ExperimentStore(tmp_path / "runs", cache_size=0).verify()
     assert [run_id for run_id, _ in report.invalid] == ["r0"]
     assert not report.clean

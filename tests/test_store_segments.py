@@ -19,7 +19,7 @@ import pytest
 from repro.apps.synthetic import make_pingpong
 from repro.cli import main as cli_main
 from repro.core import SearchConfig, run_diagnosis
-from repro.storage import ExperimentStore, RunRecord, StoreError
+from repro.storage import ExperimentStore, RunRecord
 from repro.storage.file_backend import FileBackend
 from repro.storage.summary import meta_for_record
 from tests.reference_extraction import facts_of_record, reference_directives
@@ -332,7 +332,7 @@ class TestStoreWrittenBeforeSegments:
             include_thresholds=True).to_text() == expected
 
     def test_monolithic_backend_name_is_gone(self, tmp_path, capsys):
-        with pytest.raises(StoreError, match="'file', 'sqlite'"):
+        with pytest.raises(TypeError, match="backend"):
             ExperimentStore(tmp_path / "runs", backend="file-legacy")
         ExperimentStore(tmp_path / "runs").save(_tiny_record("r0"))
         with pytest.raises(SystemExit) as usage:

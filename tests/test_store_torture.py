@@ -1,6 +1,6 @@
 """Crash-consistency torture in tier 1: a small seeded matrix of random
 fault/kill schedules, plus targeted ENOSPC and SIGKILL strikes in the
-middle of compaction and migration.  Every assertion message cites the
+middle of compaction.  Every assertion message cites the
 seed (and the ``run_schedule`` call for matrix failures), so a CI red
 replays locally bit-for-bit."""
 
@@ -10,16 +10,8 @@ import pytest
 
 from repro.faults import IOFault, IOFaultPlan, SimulatedCrash
 from repro.faults import io as io_faults
-from repro.resilience.torture import (
-    TORTURE_BACKENDS,
-    _check,
-    run_schedule,
-    run_torture,
-    store_view,
-)
-from repro.storage import ExperimentStore, RunRecord, migrate_store
-
-FILE_BACKENDS = ("file",)
+from repro.resilience.torture import _check, run_schedule, run_torture, store_view
+from repro.storage import ExperimentStore, RunRecord
 
 
 def _record(run_id: str, tag: int = 0) -> RunRecord:
@@ -41,17 +33,16 @@ def _record(run_id: str, tag: int = 0) -> RunRecord:
     )
 
 
-def _build(root, backend, n=3) -> ExperimentStore:
-    store = ExperimentStore(root, backend=backend, auto_compact=0,
-                            resilience=False)
+def _build(root, n=3) -> ExperimentStore:
+    store = ExperimentStore(root, auto_compact=0, resilience=False)
     for i in range(n):
         store.save(_record(f"r{i}", i))
     return store
 
 
-def _reopen(root, backend) -> ExperimentStore:
-    return ExperimentStore(root, backend=backend, auto_compact=0,
-                           resilience=False, cache_size=0)
+def _reopen(root) -> ExperimentStore:
+    return ExperimentStore(root, auto_compact=0, resilience=False,
+                           cache_size=0)
 
 
 def _assert_payloads_load(store, context):
@@ -64,39 +55,39 @@ def _assert_payloads_load(store, context):
 # the seeded matrix (a slice of the CI-scale campaign in benchmarks/)
 # ---------------------------------------------------------------------------
 def test_seeded_matrix_never_diverges(tmp_path):
-    report = run_torture(TORTURE_BACKENDS, seeds=range(15), workdir=tmp_path)
-    assert len(report.schedules) == 15 * len(TORTURE_BACKENDS)
+    report = run_torture(seeds=range(30), workdir=tmp_path)
+    assert len(report.schedules) == 30
     for bad in report.divergences:
         pytest.fail(
-            f"store diverged: backend={bad['backend']} seed={bad['seed']} "
+            f"store diverged: seed={bad['seed']} "
             f"scenario={bad['scenario']} outcome={bad['outcome']} "
             f"faults={bad['faults_fired']} — reproduce with "
-            f"run_schedule({bad['backend']!r}, {bad['seed']})"
+            f"run_schedule({bad['seed']})"
         )
 
 
 def test_check_reports_a_wrong_persisted_aggregate(tmp_path):
     """The third verdict has force: a sidecar that passes every stamp
     but double-counts a run is reported, an absent one is not."""
-    store = _build(tmp_path / "file", "file")
+    store = _build(tmp_path / "file")
     chain = [store_view(store)]
-    assert _check(tmp_path / "file", "file", chain) == (True, None, None)
+    assert _check(tmp_path / "file", chain) == (True, None, None)
     sidecar = tmp_path / "file" / "index.aggregate"
     data = json.loads(sidecar.read_text())
     data["by_app"]["torture"]["n_runs"] += 1
     sidecar.write_text(json.dumps(data))
     in_chain, payload_error, aggregate_error = _check(
-        tmp_path / "file", "file", chain)
+        tmp_path / "file", chain)
     assert (in_chain, payload_error) == (True, None)
     assert aggregate_error is not None
     sidecar.unlink()  # absent: the harvest rescans, nothing to report
-    assert _check(tmp_path / "file", "file", chain) == (True, None, None)
+    assert _check(tmp_path / "file", chain) == (True, None, None)
 
 
 def _stable(result):
     """The path-insensitive shape of a schedule result: workdirs differ
     between runs, everything else must not."""
-    out = {k: result[k] for k in ("backend", "seed", "scenario", "ops",
+    out = {k: result[k] for k in ("seed", "scenario", "ops",
                                   "chain_len", "divergent")}
     out["outcome_kind"] = result["outcome"].split(":")[0]
     out["fired"] = [(op, idx, kind)
@@ -106,32 +97,31 @@ def _stable(result):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_single_schedule_is_deterministic(seed):
-    a = _stable(run_schedule("file", seed))
-    b = _stable(run_schedule("file", seed))
-    assert a == b, f"run_schedule('file', {seed}) not reproducible"
+    a = _stable(run_schedule(seed))
+    b = _stable(run_schedule(seed))
+    assert a == b, f"run_schedule({seed}) not reproducible"
 
 
 def test_converting_open_under_faults(tmp_path):
     """Every ``convert`` schedule of the CI window: faults armed before
     the open that converts an oldest-layout store, and the reopened
     store is the fault-free conversion — view, payloads, aggregate."""
-    results = [run_schedule("file", seed, tmp_path) for seed in range(80)]
+    results = [run_schedule(seed, tmp_path) for seed in range(80)]
     converts = [r for r in results if r["scenario"] == "convert"]
     assert len(converts) >= 5
     assert any(r["faults_fired"] for r in converts)
     for bad in (r for r in converts if r["divergent"]):
         pytest.fail(f"conversion diverged: seed={bad['seed']} "
                     f"outcome={bad['outcome']} — reproduce with "
-                    f"run_schedule('file', {bad['seed']})")
+                    f"run_schedule({bad['seed']})")
 
 
 # ---------------------------------------------------------------------------
-# targeted: ENOSPC mid-compaction / mid-migration
+# targeted: ENOSPC and SIGKILL mid-compaction
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend", FILE_BACKENDS)
-def test_enospc_mid_compaction(tmp_path, backend):
+def test_enospc_mid_compaction(tmp_path):
     seed = 7001
-    store = _build(tmp_path / backend, backend)
+    store = _build(tmp_path / "runs")
     before = store_view(store)
     plan = IOFaultPlan(seed=seed, faults=(
         IOFault(op="write", at=0, kind="enospc", times=99),
@@ -140,98 +130,27 @@ def test_enospc_mid_compaction(tmp_path, backend):
         with pytest.raises(Exception):
             store.compact()
     assert injector.injected, f"seed={seed}: plan never fired"
-    reopened = _reopen(tmp_path / backend, backend)
-    context = (f"backend={backend} seed={seed}: store inconsistent after "
-               f"ENOSPC mid-compaction")
+    reopened = _reopen(tmp_path / "runs")
+    context = f"seed={seed}: store inconsistent after ENOSPC mid-compaction"
     assert store_view(reopened) == before, context
     _assert_payloads_load(reopened, context)
 
 
-@pytest.mark.parametrize("backend", ("file", "sqlite"))
-def test_enospc_mid_migration(tmp_path, backend):
-    """Destination runs out of disk partway: the records that landed
-    must be intact and in migration order — never a torn tail."""
-    seed = 7002
-    src = _build(tmp_path / "src", backend, n=4)
-    dest_root = tmp_path / "dest"
-    dest = ExperimentStore(dest_root, backend="file", auto_compact=0,
-                           resilience=False)
-    # strike the third record write in the destination store only
-    plan = IOFaultPlan(seed=seed, faults=(
-        IOFault(op="write", at=4, kind="enospc", times=99,
-                path_part="dest"),
-    ))
-    with io_faults.injected(plan) as injector:
-        with pytest.raises(Exception):
-            migrate_store(src, dest)
-    assert injector.injected, f"seed={seed}: plan never fired"
-    reopened = _reopen(dest_root, "file")
-    src_order = src.list()
-    landed = reopened.list()
-    context = (f"backend={backend} seed={seed}: destination inconsistent "
-               f"after ENOSPC mid-migration (landed={landed})")
-    assert landed == src_order[:len(landed)], context
-    assert len(landed) < len(src_order), context
-    _assert_payloads_load(reopened, context)
-    # the source is read-only in a migration: bit-for-bit untouched
-    assert store_view(_reopen(tmp_path / "src", backend)) == store_view(src), \
-        context
-
-
-# ---------------------------------------------------------------------------
-# targeted: SIGKILL mid-compaction / mid-migration
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend,op", [
-    ("file", "replace"),
-    ("sqlite", "sqlite"),
-])
-def test_kill_mid_compaction(tmp_path, backend, op):
+def test_kill_mid_compaction(tmp_path):
     """Compaction preserves the logical view, so a kill at any of its
     syscall boundaries must leave the reopened view exactly as before."""
     seed = 7003
-    store = _build(tmp_path / backend, backend)
+    store = _build(tmp_path / "runs")
     before = store_view(store)
     plan = IOFaultPlan(seed=seed, faults=(
-        IOFault(op=op, at=0, kind="crash"),
+        IOFault(op="replace", at=0, kind="crash"),
     ))
     with io_faults.injected(plan) as injector:
         with pytest.raises(SimulatedCrash):
             store.compact()
     assert injector.injected, f"seed={seed}: plan never fired"
     # the in-memory store died with the "process"; reopen from disk
-    reopened = _reopen(tmp_path / backend, backend)
-    context = (f"backend={backend} seed={seed}: store inconsistent after "
-               f"kill mid-compaction")
+    reopened = _reopen(tmp_path / "runs")
+    context = f"seed={seed}: store inconsistent after kill mid-compaction"
     assert store_view(reopened) == before, context
     _assert_payloads_load(reopened, context)
-
-
-@pytest.mark.parametrize("backend,op,at", [
-    ("file", "replace", 3),
-    ("sqlite", "sqlite", 6),
-])
-def test_kill_mid_migration(tmp_path, backend, op, at):
-    """Kill the *destination* writer partway through a migration: the
-    destination must hold an intact prefix, the source must be intact."""
-    seed = 7004
-    src = _build(tmp_path / "src", "file", n=4)
-    src_before = store_view(src)
-    dest_root = tmp_path / "dest"
-    dest = ExperimentStore(dest_root, backend=backend, auto_compact=0,
-                           resilience=False)
-    plan = IOFaultPlan(seed=seed, faults=(
-        IOFault(op=op, at=at, kind="crash", path_part="dest"),
-    ))
-    with io_faults.injected(plan) as injector:
-        with pytest.raises(SimulatedCrash):
-            migrate_store(src, dest)
-    assert injector.injected, f"seed={seed}: plan never fired"
-    reopened = _reopen(dest_root, backend)
-    src_order = src.list()
-    landed = reopened.list()
-    context = (f"backend={backend} seed={seed}: destination inconsistent "
-               f"after kill mid-migration (landed={landed})")
-    assert landed == src_order[:len(landed)], context
-    assert len(landed) < len(src_order), context
-    _assert_payloads_load(reopened, context)
-    assert store_view(_reopen(tmp_path / "src", "file")) == src_before, context
