@@ -24,11 +24,21 @@ The event loop
 :meth:`Engine.run` dispatches the heap directly with hoisted locals.
 Engine-internal continuations are small tuples ``(opcode, ...operands)``
 rather than closures; anything else on the heap is a user callback.  The
-clock advances once per distinct timestamp.  Segments are *batched*: an
-interval that ends becomes a ``(prototype, start, duration)`` triple —
-the prototype being the attribute dict every segment of one attribution
-shares, cached on the process's interned stack snapshot — and the
-pending triples are handed, as one list, to every sink's
+clock advances once per distinct timestamp.
+
+Not every event is a heap push and a pop.  A dispatch returns its
+process's next continuation when it has exactly one (the end of a
+compute, I/O, send or receive overhead; the resume after an ``Irecv`` or
+a completed wait), and the loop takes the next event with
+``heappushpop``: one comparison returns the continuation itself when it
+ends strictly before the heap top (its ``seq`` is the largest yet, so a
+tie goes to the older entry).  Event order cannot move.
+
+Segments are *batched*: an interval that ends becomes a ``(prototype,
+start, duration)`` triple — the prototype being the attribute dict every
+segment of one attribution shares, cached on the process's interned
+stack snapshot — and the pending triples are handed, as one list, to
+every sink's
 ``record_batch`` only when an outside observer can look: before a user
 callback runs, before ``on_finish`` hooks, when the loop exits, before a
 diagnostic is raised, and before :meth:`Engine.crash_process` returns to
@@ -40,8 +50,10 @@ by segment: no sink may read another's state.  The engine builds no
 segment; a sink that defines only ``record(segment)`` is wrapped by
 :func:`~repro.simulator.records.batch_sink`.
 
-Both watchdog budgets are non-destructive: the popped entry that would
-exceed ``max_time`` or ``max_events`` goes back on the heap unchanged.
+Both watchdog budgets are non-destructive: the entry (popped or taken
+directly) that would exceed ``max_time`` or ``max_events`` goes back on
+the heap unchanged, and so does one taken directly when :meth:`stop`
+was called.
 
 The per-event discipline this loop is held to lives in
 ``tests/reference_engine.py``.
@@ -50,7 +62,7 @@ The per-event discipline this loop is held to lives in
 from __future__ import annotations
 
 import dataclasses
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ProgramError, SimDeadlock, SimTimeout, SimulationError
@@ -250,24 +262,24 @@ class Engine:
             if not self.all_done():
                 self.queue.push(self.now + period, tick)
 
-        self.queue.push(self.now if start is None else start, tick)
+        self.schedule(self.now if start is None else start, tick)
 
     def stop(self) -> None:
         """Abort the run after the current event (used by the diagnosis
         driver once the search has nothing left to conclude)."""
         self._stopped = True
 
-    def _push_op(self, time: float, payload: tuple) -> None:
-        """Engine-internal scheduling: same past-guard and clamp as
+    def _entry(self, time: float, payload: tuple) -> tuple:
+        """An engine-internal heap entry: same past-guard and clamp as
         :meth:`schedule`, but the payload is a continuation tuple and no
-        cancel token is handed out."""
+        cancel token is handed out.  The ``seq`` is taken now, whether
+        the entry is pushed or taken directly."""
         now = self.now
         if time < now:
             if time < now - _EPS:
                 raise SimulationError(f"cannot schedule in the past: {time} < {now}")
             time = now
-        queue = self.queue
-        heappush(queue._heap, (time, next(queue._seq), payload))
+        return (time, next(self.queue._seq), payload)
 
     # ------------------------------------------------------------------
     # state inspection
@@ -341,7 +353,7 @@ class Engine:
         proc.finish_time = self.now
         self._live -= 1
         self.disruptions += 1
-        self._clear_current(proc)
+        self._current[name] = None
         # It can no longer participate in a barrier or complete a
         # rendezvous handshake.
         self._barrier_waiting = [p for p in self._barrier_waiting if p.name != name]
@@ -368,7 +380,7 @@ class Engine:
             proc.block_start = self.now
             proc.block_tag = "<hang>"
             proc.block_frame = proc.current_frame
-        self._clear_current(proc)
+        self._current[name] = None
 
     def in_progress_parts(self) -> List[Tuple[dict, Activity, float, float]]:
         """``(parts, activity, start, duration)`` per process whose
@@ -447,7 +459,8 @@ class Engine:
     def _loop(self, max_time: float, max_events: Optional[int]) -> None:
         """The dispatch loop.  The virtual-time budget is tested only
         when the clock is about to advance, the event budget is a
-        countdown that never reaches zero when none is set."""
+        countdown that never reaches zero when none is set.  ``nxt`` is
+        the last dispatch's continuation, not yet on the heap."""
         queue = self.queue
         heap = queue._heap
         seq = queue._seq
@@ -471,10 +484,18 @@ class Engine:
             # resumed with a budget the clock already exceeds: every
             # pending event is over budget (heap times are >= now)
             raise self._timeout("max_time", max_time)
-        while heap:
+        nxt = None
+        while heap or nxt is not None:
             if self._stopped:
+                if nxt is not None:
+                    heappush(heap, nxt)
                 break
-            entry = heappop(heap)
+            if nxt is None:
+                entry = heappop(heap)
+            else:
+                # nxt itself when it sorts before the heap top
+                entry = heappushpop(heap, nxt)
+                nxt = None
             tok = entry[1]
             if cancelled and tok in cancelled:
                 cancelled.discard(tok)
@@ -493,18 +514,24 @@ class Engine:
                 self.now = t
             self.events_processed += 1
             payload = entry[2]
-            if type(payload) is tuple:
-                op = payload[0]
+            if type(payload) is not tuple:
+                # user-scheduled callback: it may observe sinks, the
+                # clock, or counters — materialise everything first
+                if pending:
+                    self._flush_segments()
+                payload()
+                continue
+            op = payload[0]
+            if op == 2:  # _OP_DELIVER
+                nxt = deliver(payload[1])
+            else:
                 if op == 0:  # _OP_EMIT_STEP
                     _, proc, start, dur, proto, value = payload
                     if proto is not None and proc.state is not crashed_state:
                         pend_append((proto, start, dur))
-                elif op == 1:  # _OP_STEP
+                else:  # _OP_STEP
                     proc = payload[1]
                     value = payload[2]
-                else:  # _OP_DELIVER
-                    deliver(payload[1])
-                    continue
                 # ---- resume proc's generator with value and dispatch
                 # its next syscall ----
                 if proc.state is crashed_state:
@@ -568,7 +595,7 @@ class Engine:
                             )
                     else:
                         proto = None
-                    heappush(heap, (now + dur, next(seq), (0, proc, now, dur, proto, None)))
+                    nxt = (now + dur, next(seq), (0, proc, now, dur, proto, None))
                 else:
                     # exact types only; anything else — subclasses, bad
                     # yields — goes through _dispatch
@@ -577,25 +604,19 @@ class Engine:
                     frame = stack[-1] if stack else unknown_frame
                     cls = call.__class__
                     if cls is Send or cls is Isend:
-                        do_send(proc, call, frame)
+                        nxt = do_send(proc, call, frame)
                     elif cls is Recv:
-                        do_recv(proc, call, frame)
+                        nxt = do_recv(proc, call, frame)
                     elif cls is Irecv:
-                        do_irecv(proc, call)
+                        nxt = do_irecv(proc, call)
                     elif cls is WaitReq:
-                        do_wait(proc, call, frame)
+                        nxt = do_wait(proc, call, frame)
                     elif cls is Barrier:
-                        do_barrier(proc, frame)
+                        nxt = do_barrier(proc, frame)
                     elif cls is IoOp:
-                        do_io(proc, call, frame)
+                        nxt = do_io(proc, call, frame)
                     else:
-                        dispatch(proc, call, frame)
-            else:
-                # user-scheduled callback: it may observe sinks, the
-                # clock, or counters — materialise everything first
-                if pending:
-                    self._flush_segments()
-                payload()
+                        nxt = dispatch(proc, call, frame)
         else:
             if not self._stopped and not self.all_done():
                 raise self._deadlock()
@@ -658,18 +679,6 @@ class Engine:
             d[tag] = proto
         return proto
 
-    def _set_current(
-        self,
-        proc: SimProcess,
-        activity: Activity,
-        frame: Tuple[str, str],
-        tag: Optional[str] = None,
-    ) -> None:
-        self._current[proc.name] = (activity, self.now, frame[0], frame[1], tag)
-
-    def _clear_current(self, proc: SimProcess) -> None:
-        self._current[proc.name] = None
-
     def _maybe_finish(self) -> None:
         # a process leaving (done or crashed) may satisfy a pending barrier
         self._check_barrier()
@@ -680,33 +689,29 @@ class Engine:
             for fn in self._on_finish:
                 fn(self)
 
-    def _resume_at(self, time: float, proc: SimProcess, value=None) -> None:
-        # every caller passes time == self.now, so no past-guard is needed
-        queue = self.queue
-        heappush(queue._heap, (time, next(queue._seq), (_OP_STEP, proc, value)))
-
-    def _dispatch(self, proc: SimProcess, call, frame) -> None:
+    # Each dispatch returns the process's next continuation for the loop to
+    # push or take directly, or None having parked it or pushed its own.
+    def _dispatch(self, proc: SimProcess, call, frame) -> Optional[tuple]:
         """Syscalls the loop's exact-type switch did not take: subclasses
         of the in-tree syscalls, and yields that are no syscall at all."""
         if isinstance(call, Compute):
-            self._do_compute(proc, call, frame)
-        elif isinstance(call, IoOp):
-            self._do_io(proc, call, frame)
-        elif isinstance(call, (Send, Isend)):
-            self._do_send(proc, call, frame)
-        elif isinstance(call, Recv):
-            self._do_recv(proc, call, frame)
-        elif isinstance(call, Irecv):
-            self._do_irecv(proc, call)
-        elif isinstance(call, WaitReq):
-            self._do_wait(proc, call, frame)
-        elif isinstance(call, Barrier):
-            self._do_barrier(proc, frame)
-        else:
-            raise ProgramError(f"{proc.name} yielded non-syscall {call!r}")
+            return self._do_compute(proc, call, frame)
+        if isinstance(call, IoOp):
+            return self._do_io(proc, call, frame)
+        if isinstance(call, (Send, Isend)):
+            return self._do_send(proc, call, frame)
+        if isinstance(call, Recv):
+            return self._do_recv(proc, call, frame)
+        if isinstance(call, Irecv):
+            return self._do_irecv(proc, call)
+        if isinstance(call, WaitReq):
+            return self._do_wait(proc, call, frame)
+        if isinstance(call, Barrier):
+            return self._do_barrier(proc, frame)
+        raise ProgramError(f"{proc.name} yielded non-syscall {call!r}")
 
     # -- compute / io --------------------------------------------------------
-    def _do_compute(self, proc: SimProcess, call, frame) -> None:
+    def _do_compute(self, proc: SimProcess, call, frame) -> tuple:
         seconds = call.seconds
         if seconds < 0:
             raise ProgramError("negative compute time")
@@ -715,11 +720,11 @@ class Engine:
             dur = seconds * (1.0 + max(perturb(proc.name), 0.0))
         else:
             dur = seconds
-        self._busy(proc, frame, dur, None)
+        return self._busy(proc, frame, dur, None)
 
-    def _busy(self, proc: SimProcess, frame, dur: float, value) -> None:
-        """Charge *dur* seconds of CPU to *proc* from now, then resume it
-        with *value*."""
+    def _busy(self, proc: SimProcess, frame, dur: float, value) -> tuple:
+        """Charge *dur* seconds of CPU to *proc* from now; the returned
+        continuation resumes it with *value*."""
         start = self.now
         self._current[proc.name] = (_ACT_COMPUTE, start, frame[0], frame[1], None)
         if dur > _EPS:
@@ -731,9 +736,12 @@ class Engine:
                 proto = self._proto_for(_CODE_COMPUTE, _ACT_COMPUTE, proc, frame, None)
         else:
             proto = None
-        self._push_op(start + dur, (_OP_EMIT_STEP, proc, start, dur, proto, value))
+        payload = (_OP_EMIT_STEP, proc, start, dur, proto, value)
+        if dur < 0:  # only a negative latency-model overhead reaches back
+            return self._entry(start + dur, payload)
+        return (start + dur, next(self.queue._seq), payload)
 
-    def _do_io(self, proc: SimProcess, call, frame) -> None:
+    def _do_io(self, proc: SimProcess, call, frame) -> tuple:
         start = self.now
         dur = call.seconds
         if dur < 0:
@@ -748,10 +756,10 @@ class Engine:
                 proto = self._proto_for(_CODE_IO, _ACT_IO, proc, frame, None)
         else:
             proto = None
-        self._push_op(start + dur, (_OP_EMIT_STEP, proc, start, dur, proto, None))
+        return self._entry(start + dur, (_OP_EMIT_STEP, proc, start, dur, proto, None))
 
     # -- sends ---------------------------------------------------------------
-    def _do_send(self, proc: SimProcess, call, frame) -> None:
+    def _do_send(self, proc: SimProcess, call, frame) -> Optional[tuple]:
         dest = call.dest
         if dest not in self.procs:
             raise ProgramError(f"{proc.name} sends to unknown process {dest!r}")
@@ -769,9 +777,9 @@ class Engine:
             proc.block_start = self.now
             proc.block_tag = call.tag
             proc.block_frame = frame
-            self._set_current(proc, _ACT_SYNC, frame, tag=call.tag)
+            self._current[proc.name] = (_ACT_SYNC, self.now, frame[0], frame[1], call.tag)
             self._rdv_waiting.setdefault(dest, []).append((proc, call))
-            return
+            return None
         overhead = lat.send_overhead
         start = self.now
         # the latency model inlined: transfer_time()'s expression verbatim
@@ -780,13 +788,13 @@ class Engine:
         if self._message_filters:
             self._schedule_delivery(msg)
         else:
-            self._push_op(arrival, (_OP_DELIVER, msg))
+            heappush(self.queue._heap, self._entry(arrival, (_OP_DELIVER, msg)))
         if ctype is Isend or (ctype is not Send and isinstance(call, Isend)):
             result = Request(proc.name, call.tag)
             result.complete = True
         else:
             result = None
-        self._busy(proc, frame, overhead, result)
+        return self._busy(proc, frame, overhead, result)
 
     def _schedule_delivery(self, msg: Message) -> None:
         """Schedule the arrival of *msg*, applying message filters (fault
@@ -804,10 +812,13 @@ class Engine:
                 deliveries = passed
         else:
             deliveries = (msg,)
+        heap = self.queue._heap
         for m in deliveries:
-            self._push_op(m.arrival_time, (_OP_DELIVER, m))
+            heappush(heap, self._entry(m.arrival_time, (_OP_DELIVER, m)))
 
-    def _deliver(self, msg: Message) -> None:
+    def _deliver(self, msg: Message) -> Optional[tuple]:
+        """A message arrives: the woken receiver's recv-overhead
+        continuation, if the message woke one."""
         dest = self.procs[msg.dest]
         # Posted non-blocking receives match ahead of the mailbox.
         for req in self._pending_irecvs[msg.dest]:
@@ -822,8 +833,8 @@ class Engine:
                     and dest.block_tag is not None
                     and dest._wait_req is req
                 ):
-                    self._unblock_sync(dest, msg.tag)
-                return
+                    return self._unblock_sync(dest, msg.tag)
+                return None
         # Blocking receive already parked?
         want = dest._recv_want
         if (
@@ -833,9 +844,9 @@ class Engine:
             and (want[0] == ANY_SOURCE or want[0] == msg.src)
         ):
             dest._recv_want = None
-            self._unblock_sync(dest, msg.tag, value=msg)
-            return
+            return self._unblock_sync(dest, msg.tag, value=msg)
         self._mailboxes[msg.dest].deliver(msg)
+        return None
 
     def _receiver_posted(self, dest: str, src: str, tag: str) -> bool:
         """True when *dest* already has a receive posted that matches a
@@ -870,11 +881,12 @@ class Engine:
                 sender.name, dest, call.tag, call.size, sender.block_start, arrival
             )
             self._schedule_delivery(msg)
-            self._unblock_sync(sender, call.tag)
+            heappush(self.queue._heap, self._unblock_sync(sender, call.tag))
             return
 
-    def _unblock_sync(self, proc: SimProcess, tag: str, value=None) -> None:
-        """End a synchronisation wait and resume the process."""
+    def _unblock_sync(self, proc: SimProcess, tag: str, value=None) -> tuple:
+        """End a synchronisation wait; the returned continuation resumes
+        the process after the receive overhead."""
         start = self.now
         frame = proc.block_frame
         # the SYNC wait; an injected crash loses the in-flight interval
@@ -893,23 +905,23 @@ class Engine:
             self._pending_segments.append((proto, proc.block_start, wait))
         proc.block_tag = None
         proc._wait_req = None
-        self._busy(proc, frame, self.latency.recv_overhead, value)
+        return self._busy(proc, frame, self.latency.recv_overhead, value)
 
     # -- receives --------------------------------------------------------------
-    def _do_recv(self, proc: SimProcess, call: Recv, frame) -> None:
+    def _do_recv(self, proc: SimProcess, call: Recv, frame) -> Optional[tuple]:
         msg = self._mailboxes[proc.name].match(call.src, call.tag)
         if msg is not None:
-            self._busy(proc, frame, self.latency.recv_overhead, msg)
-            return
+            return self._busy(proc, frame, self.latency.recv_overhead, msg)
         proc.state = ProcState.BLOCKED
         proc.block_start = self.now
         proc.block_tag = call.tag
         proc.block_frame = frame
         proc._recv_want = (call.src, call.tag)
-        self._set_current(proc, _ACT_SYNC, frame, tag=call.tag)
+        self._current[proc.name] = (_ACT_SYNC, self.now, frame[0], frame[1], call.tag)
         self._release_rendezvous(proc.name, call.src, call.tag)
+        return None
 
-    def _do_irecv(self, proc: SimProcess, call: Irecv) -> None:
+    def _do_irecv(self, proc: SimProcess, call: Irecv) -> tuple:
         req = Request(call.src, call.tag)
         msg = self._mailboxes[proc.name].match(call.src, call.tag)
         if msg is not None:
@@ -918,22 +930,23 @@ class Engine:
         else:
             self._pending_irecvs[proc.name].append(req)
             self._release_rendezvous(proc.name, call.src, call.tag)
-        self._resume_at(self.now, proc, req)
+        return (self.now, next(self.queue._seq), (_OP_STEP, proc, req))
 
-    def _do_wait(self, proc: SimProcess, call: WaitReq, frame) -> None:
+    def _do_wait(self, proc: SimProcess, call: WaitReq, frame) -> Optional[tuple]:
         req = call.request
         if req.complete:
-            self._resume_at(self.now, proc, req.message)
-            return
+            return (self.now, next(self.queue._seq), (_OP_STEP, proc, req.message))
         proc.state = ProcState.BLOCKED
         proc.block_start = self.now
         proc.block_tag = req.tag
         proc.block_frame = frame
         proc._wait_req = req
-        self._set_current(proc, _ACT_SYNC, frame, tag=req.tag)
+        self._current[proc.name] = (_ACT_SYNC, self.now, frame[0], frame[1], req.tag)
+        return None
 
     # -- barrier -----------------------------------------------------------------
     def _do_barrier(self, proc: SimProcess, frame) -> None:
+        # releasing the barrier pushes every waiter's resume itself
         proc.state = ProcState.BLOCKED
         now = self.now
         proc.block_start = now

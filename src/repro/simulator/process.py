@@ -46,21 +46,45 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Syscalls
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class Compute:
-    """Burn *seconds* of CPU time (stretched by instrumentation overhead)."""
+def _reduce(self):
+    """Pickle a frozen slotted value as a constructor call."""
+    return (self.__class__, tuple(getattr(self, name) for name in self.__slots__))
 
+
+# The hottest syscalls are slotted; ``__init__`` writes each slot once
+# through its descriptor (``_set_*``), not the guarded object.__setattr__.
+@dataclass(frozen=True, init=False)
+class Compute:
+    """Burn *seconds* of CPU time (stretched by instrumentation overhead).
+    Its end is bound when yielded: the engine resumes the program without
+    a heap round trip when nothing else is due first."""
+
+    __slots__ = ("seconds",)
     seconds: float
 
+    def __init__(self, seconds: float) -> None:
+        _set_seconds(self, seconds)
 
-@dataclass(frozen=True)
+    __reduce__ = _reduce
+
+
+@dataclass(frozen=True, init=False)
 class Send:
-    """Blocking-buffered send: the sender pays a small CPU overhead and the
-    message arrives at *dest* after the network transfer time."""
+    """Blocking-buffered send: the sender pays a small CPU overhead, a
+    bound event like a compute's end, and the message arrives at *dest*
+    after the network transfer time."""
 
+    __slots__ = ("dest", "tag", "size")
     dest: str
     tag: str
-    size: float = 0.0
+    size: float
+
+    def __init__(self, dest: str, tag: str, size: float = 0.0) -> None:
+        _set_dest(self, dest)
+        _set_send_tag(self, tag)
+        _set_size(self, size)
+
+    __reduce__ = _reduce
 
 
 @dataclass(frozen=True)
@@ -72,13 +96,25 @@ class Isend:
     size: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Recv:
     """Blocking receive; blocked time is synchronisation waiting time
-    attributed to the current function and the message tag."""
+    attributed to the current function and the message tag.  A matched
+    message costs the receive overhead, a bound event like a compute's."""
 
+    __slots__ = ("src", "tag")
     src: str
     tag: str
+
+    def __init__(self, src: str, tag: str) -> None:
+        _set_src(self, src)
+        _set_recv_tag(self, tag)
+
+    __reduce__ = _reduce
+
+
+_set_seconds, _set_dest, _set_send_tag, _set_size, _set_src, _set_recv_tag = (
+    d.__set__ for d in (Compute.seconds, Send.dest, Send.tag, Send.size, Recv.src, Recv.tag))
 
 
 @dataclass(frozen=True)
@@ -164,27 +200,30 @@ def _new_snap(frames: tuple) -> "_StackSnap":
 
 
 class _FunctionFrame:
-    """Context manager pushing/popping one (module, function) frame."""
+    """Context manager pushing/popping one (module, function) frame; one
+    per process and frame, reused, so it keeps no per-entry state."""
 
-    __slots__ = ("_proc", "_frame", "_saved")
+    __slots__ = ("_proc", "_frame")
 
-    def __init__(self, proc: "SimProcess", module: str, function: str):
+    def __init__(self, proc: "SimProcess", frame: Tuple[str, str]):
         self._proc = proc
-        self._frame = (module, function)
+        self._frame = frame
 
     def __enter__(self) -> None:
         # remember the pre-push snapshot so __exit__ can restore it:
         # popping restores exactly the stack the snapshot was taken of
-        self._saved = self._proc._stack_tuple
-        self._proc._stack.append(self._frame)
-        self._proc._stack_tuple = None
+        proc = self._proc
+        proc._saved_snaps.append(proc._stack_tuple)
+        proc._stack.append(self._frame)
+        proc._stack_tuple = None
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        top = self._proc._stack.pop()
-        self._proc._stack_tuple = self._saved
-        if top != self._frame:  # pragma: no cover - defensive
+        proc = self._proc
+        top = proc._stack.pop()
+        proc._stack_tuple = proc._saved_snaps.pop()
+        if top is not self._frame:  # pragma: no cover - defensive
             raise ProgramError(
-                f"function stack corruption in {self._proc.name}: "
+                f"function stack corruption in {proc.name}: "
                 f"popped {top}, expected {self._frame}"
             )
 
@@ -209,6 +248,9 @@ class SimProcess:
         # snapshot object and the prototype cells riding on it (see
         # _StackSnap) keep hitting.
         self._snap_intern: dict = {(): self._stack_tuple}
+        # The snapshot before each frame push, and the reusable frames.
+        self._saved_snaps: List[Optional[_StackSnap]] = []
+        self._frames: dict = {}
         # Blocking-receive want and pending wait request, always present
         # so the engine reads them without getattr.
         self._recv_want: Optional[Tuple[str, str]] = None
@@ -226,7 +268,11 @@ class SimProcess:
     # -- program-facing API --------------------------------------------------
     def function(self, module: str, function: str) -> _FunctionFrame:
         """Enter an attributed function frame (see module docstring)."""
-        return _FunctionFrame(self, module, function)
+        key = (module, function)
+        frame = self._frames.get(key)
+        if frame is None:
+            frame = self._frames[key] = _FunctionFrame(self, key)
+        return frame
 
     @property
     def current_frame(self) -> Tuple[str, str]:

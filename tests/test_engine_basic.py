@@ -9,6 +9,7 @@ from repro.simulator import (
     IoOp,
     Machine,
     ProgramError,
+    SimProcess,
     SimulationError,
     TraceCollector,
 )
@@ -170,6 +171,22 @@ class TestScheduling:
         # one tick per second during the run; none rescheduled after finish
         assert 4 <= len(ticks) <= 7
 
+    def test_periodic_start_in_the_past_rejected(self):
+        eng = make_engine()
+
+        def prog(proc):
+            yield Compute(5.0)
+
+        eng.add_process("p", "n0", prog)
+        eng.run()
+        assert eng.now == 5.0
+        with pytest.raises(SimulationError):
+            eng.schedule_periodic(2.0, lambda e: None, start=1.0)
+        assert len(eng.queue) == 0
+        # within the clock tolerance the start is clamped to now
+        eng.schedule_periodic(2.0, lambda e: None, start=5.0 - 1e-13)
+        assert eng.queue.peek_time() == 5.0
+
     def test_periodic_rejects_nonpositive(self):
         eng = make_engine()
         with pytest.raises(SimulationError):
@@ -240,3 +257,83 @@ class TestScheduling:
         eng.run()
         assert seen and seen[0][0] is Activity.COMPUTE
         assert seen[0][1] == pytest.approx(4.0)
+
+
+class TestFunctionFrames:
+    """``proc.function`` hands out one reusable frame per (module,
+    function); the snapshot to restore on exit lives on the process, so
+    every way out of a ``with`` restores the stack and the very snapshot
+    object that was current before it."""
+
+    def test_one_frame_per_function(self):
+        proc = SimProcess("p", "n0", None)
+        assert proc.function("m.c", "f") is proc.function("m.c", "f")
+        assert proc.function("m.c", "f") is not proc.function("m.c", "g")
+
+    def test_recursion(self):
+        eng = make_engine()
+        tc = TraceCollector()
+        eng.add_sink(tc)
+        seen = []
+
+        def rec(proc, depth):
+            with proc.function("m.c", "r"):
+                inside = proc.stack_snapshot()
+                yield Compute(1.0)
+                if depth:
+                    yield from rec(proc, depth - 1)
+                # the inner frame's exit restored this very snapshot
+                seen.append(proc.stack_snapshot() is inside)
+                yield Compute(0.5)
+
+        def prog(proc):
+            root = proc.stack_snapshot()
+            for _ in range(2):
+                yield from rec(proc, 2)
+            seen.append(proc.stack_snapshot() is root and proc.depth == 0)
+
+        eng.add_process("p", "n0", prog)
+        eng.run()
+        assert seen == [True] * 7
+        assert [len(s.stack) for s in tc.segments[:6]] == [1, 2, 3, 3, 2, 1]
+        # the second descent reuses the interned snapshots of the first
+        first, second = tc.segments[:6], tc.segments[6:]
+        assert all(a.stack is b.stack for a, b in zip(first, second))
+
+    def test_exception_through_a_frame(self):
+        eng = make_engine()
+        seen = []
+
+        def prog(proc):
+            with proc.function("m.c", "outer"):
+                outer = proc.stack_snapshot()
+                for _ in range(2):
+                    try:
+                        with proc.function("m.c", "inner"):
+                            yield Compute(1.0)
+                            raise KeyError("boom")
+                    except KeyError:
+                        pass
+                    seen.append((proc.stack_snapshot() is outer, proc.depth))
+                yield Compute(1.0)
+
+        eng.add_process("p", "n0", prog)
+        eng.run()
+        assert seen == [(True, 1), (True, 1)]
+
+    def test_generator_closed_mid_frame(self):
+        def prog(proc):
+            with proc.function("m.c", "outer"):
+                with proc.function("m.c", "inner"):
+                    yield Compute(1.0)
+                    yield Compute(1.0)
+
+        proc = SimProcess("p", "n0", prog)
+        root = proc.stack_snapshot()
+        for _ in range(2):
+            proc.gen = None
+            proc.start()
+            next(proc.gen)
+            assert proc.stack_snapshot() == (("m.c", "outer"), ("m.c", "inner"))
+            proc.gen.close()
+            assert proc.depth == 0 and proc.stack_snapshot() is root

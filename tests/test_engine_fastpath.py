@@ -8,8 +8,11 @@ everything an observer can see: the per-sink ``TimeSegment`` stream
 (every field, ``stack`` equality and interned ``parts`` identity),
 clock, finish time, event and segment counters, what callbacks saw when
 they ran, and the ``SimDeadlock``/``SimTimeout`` diagnostics.  Both are
-also held to ``tests/golden/engine_traces.json``, written by the engine's
-former per-event loop at the parent of the change that removed it.
+also held to ``tests/golden/engine_traces.json``: the original cases
+were written by the engine's former per-event loop at the parent of the
+change that removed it, the ``TestRunAhead`` cases by the engine at the
+parent of the change that let it take a continuation without a heap
+round trip.
 
 A change that moves the traces on purpose regenerates the fixture:
 ``PYTHONPATH=src python tests/test_engine_fastpath.py``.
@@ -279,6 +282,58 @@ def late_to_the_barrier(engine_cls):
     return eng
 
 
+def streaks(engine_cls):
+    """Runs of continuations that end strictly before anything else is
+    due, so the engine takes them without a heap round trip: p0 and p1
+    compute in exact binary steps (ending on the same instants as each
+    other and as the callbacks the drive functions schedule), with
+    zero-length computes and I/O mixed in; p2 waits on p0's messages."""
+    eng = engine_cls(Machine.named("node", 3), crash_policy="record")
+
+    def worker(step, peer):
+        def p(proc):
+            with proc.function("m.f", "loop"):
+                for i in range(16):
+                    with proc.function("m.f", "step"):
+                        yield Compute(step)
+                        yield Compute(0.0)
+                    if i % 4 == 3:
+                        yield IoOp(0.0)
+                        yield Send(peer, "s/0", 64)
+        return p
+
+    def waiter(proc):
+        with proc.function("m.f", "wait"):
+            for _ in range(4):
+                yield Recv("p0", "s/0")
+                yield Compute(0.125)
+
+    eng.add_process("p0", "node0", worker(0.25, "p2"))
+    eng.add_process("p1", "node1", worker(0.5, "p2"))
+    eng.add_process("p2", "node2", waiter)
+    return eng
+
+
+def program_stops_engine(engine_cls):
+    """p0 stops the engine from inside its program, then yields a
+    compute that is due before anything else."""
+    eng = engine_cls(Machine.named("node", 2))
+
+    def p0(proc):
+        with proc.function("m.f", "a"):
+            yield Compute(0.25)
+            eng.stop()
+            yield Compute(0.25)
+
+    def p1(proc):
+        with proc.function("m.f", "b"):
+            yield Compute(4.0)
+
+    eng.add_process("p0", "node0", p0)
+    eng.add_process("p1", "node1", p1)
+    return eng
+
+
 # --------------------------------------------------------------------------
 # ways of driving them
 # --------------------------------------------------------------------------
@@ -388,6 +443,47 @@ def schedule_between_runs(eng, col):
     return [first, after, seen, stops]
 
 
+def callbacks_on_streak_ends(eng, col):
+    """Callbacks due at the very instants computes end: a tie goes to
+    the callback, which was scheduled first."""
+    seen = []
+    for t in (0.5, 1.0, 2.0, 4.0):
+        eng.schedule(t, lambda: seen.append(sinks_now(eng, col)))
+    return [outcome(eng.run), seen]
+
+
+def one_event_slices(eng, col):
+    """``run(max_events=1)`` until done: every streak is cut after each
+    event and resumed from the heap."""
+    stops, seen = 0, []
+    while "finished" not in (end := outcome(lambda: eng.run(max_events=1))):
+        assert end["budget"] == {"max_events": 1}
+        stops += 1
+        if stops % 16 == 0:
+            seen.append(sinks_now(eng, col))
+    return [end, stops, seen]
+
+
+def stop_from_on_finish(eng, col):
+    eng.on_finish(lambda e: e.stop())
+    eng.schedule_periodic(0.75, lambda e: None)
+    return [outcome(eng.run), len(eng.queue), eng.queue.peek_time()]
+
+
+def stopped_run_keeps_queue(eng, col):
+    first = outcome(eng.run)
+    return [first, len(eng.queue), eng.queue.peek_time(),
+            sinks_now(eng, col), outcome(eng.run)]
+
+
+def faults_on_streak_ends(eng, col):
+    """Crash p0 and hang p1 at instants their computes end."""
+    eng.schedule(1.0, lambda: eng.crash_process("p0"))
+    eng.schedule(2.0, lambda: eng.hang_process("p1"))
+    eng.schedule_periodic(1.0, lambda e: None)  # keeps time advancing
+    return outcome(lambda: eng.run(max_time=12.0))
+
+
 CASES = {
     **{f"ring-{seed}": (ring_builder(seed=seed), just_run) for seed in range(6)},
     **{f"ring-perturbed-{seed}": (ring_builder(seed=seed, perturb=True), just_run)
@@ -409,6 +505,12 @@ CASES = {
     "crash-inside-callback": (late_to_the_barrier, crash_inside_callback),
     "hang-between-runs": (late_to_the_barrier, hang_between_runs),
     "schedule-between-runs": (ring_builder(seed=2), schedule_between_runs),
+    "streak-ties-callbacks": (streaks, callbacks_on_streak_ends),
+    "streak-one-event-slices": (streaks, one_event_slices),
+    "streak-resume-max-time": (streaks, resume_doubling("max_time", 0.3)),
+    "stop-from-on-finish": (streaks, stop_from_on_finish),
+    "stop-from-program": (program_stops_engine, stopped_run_keeps_queue),
+    "streak-crash-and-hang": (streaks, faults_on_streak_ends),
 }
 
 
@@ -565,6 +667,60 @@ class TestOutOfRunEntryPoints:
         assert now == pytest.approx(after[0] + 0.3)
         assert in_sink == emitted > after[1]
         assert run.frozen()["sha256"] == golden["ring-2"]["sha256"]
+
+
+class TestRunAhead:
+    """Continuations that end strictly before the heap top are taken
+    without a heap round trip; nothing an observer sees may move."""
+
+    def test_compute_ending_on_a_callback_is_a_tie(self, golden):
+        run = check("streak-ties-callbacks", golden)
+        _end, seen = run.result
+        for now, in_sink, emitted, _events in seen:
+            # the callback ran before the computes ending at its instant
+            assert in_sink == emitted
+            assert in_sink == sum(s.end < now for s in run.col.segments)
+
+    def test_zero_length_computes_emit_nothing(self, golden):
+        run = check("streak-ties-callbacks", golden)
+        assert all(s.duration > 0 for s in run.col.segments)
+        assert {s.activity.value for s in run.col.segments} == {"compute", "sync"}
+
+    def test_one_event_slices_reproduce_the_whole_run(self, golden):
+        run = check("streak-one-event-slices", golden)
+        end, stops, _seen = run.result
+        assert stops == run.eng.events_processed - 1  # the last slice finished
+        whole = Run(streaks, just_run, Engine).frozen()
+        for key in ("finished_at", "events_processed", "segments_emitted", "sha256"):
+            assert run.frozen()[key] == whole[key], key
+
+    def test_max_time_cuts_a_streak(self, golden):
+        run = check("streak-resume-max-time", golden)
+        _end, stops = run.result
+        assert len(stops) >= 3
+        whole = Run(streaks, just_run, Engine).frozen()
+        assert run.frozen()["sha256"] == whole["sha256"]
+
+    def test_stop_from_on_finish(self, golden):
+        run = check("stop-from-on-finish", golden)
+        _end, queued, next_time = run.result
+        # the next tick and p1's last message (p2 never receives it) wait
+        assert run.eng.all_done() and queued == 2
+        assert next_time > run.eng.finished_at
+
+    def test_stop_from_a_program_requeues_its_next_event(self, golden):
+        run = check("stop-from-program", golden)
+        first, queued, next_time, _now, again = run.result
+        assert first == again == {"finished": 0.25}
+        # p0's second compute and p1's compute, both still queued
+        assert queued == 2 and next_time == 0.5
+
+    def test_crash_and_hang_on_streak_ends(self, golden):
+        run = check("streak-crash-and-hang", golden)
+        assert run.result["raised"] == "SimTimeout"
+        assert run.result["crashed"] == ["p0"]
+        assert {b["process"]: b["kind"] for b in run.result["blocked"]} == {
+            "p1": "hang", "p2": "recv"}
 
 
 if __name__ == "__main__":

@@ -4,14 +4,16 @@
 ``repro.storage`` and ``repro.storage.api`` export exactly the names
 listed here, a storage backend implements exactly the abstract methods
 listed in ``BACKEND_CONTRACT``, the ways into the archive take
-exactly the parameters listed in ``SIGNATURES``, and a trace sink is the
-one method ``TRACE_SINK`` names.  A change that says "public facade
+exactly the parameters listed in ``SIGNATURES``, a trace sink is the
+one method ``TRACE_SINK`` names, and the hot syscalls are the immutable
+values ``SYSCALLS`` describes.  A change that says "public facade
 unchanged" leaves this file alone; one that adds or removes a public
 name edits the list in the same commit, where a reviewer sees it.
 """
 
 import importlib
 import inspect
+import pickle
 
 import pytest
 
@@ -105,6 +107,17 @@ SIGNATURES = {
 }
 
 
+#: The syscalls a program yields most, as values: constructor
+#: parameters, and the repr of ``cls(*args)``.
+SYSCALLS = {
+    "Compute": ("(seconds: 'float')", (1.5,), "Compute(seconds=1.5)"),
+    "Send": ("(dest: 'str', tag: 'str', size: 'float' = 0.0)", ("p1", "1/0"),
+             "Send(dest='p1', tag='1/0', size=0.0)"),
+    "Recv": ("(src: 'str', tag: 'str')", ("p0", "1/0"),
+             "Recv(src='p0', tag='1/0')"),
+}
+
+
 #: ``TraceSink``'s one method and its signature: the engine hands every
 #: sink its flush batch of ``(prototype, start, duration)`` triples.
 TRACE_SINK = {"record_batch": "(self, batch: 'Batch') -> 'None'"}
@@ -148,3 +161,32 @@ def test_trace_sink_is_one_method():
         if callable(value) and not name.startswith("_")
     }
     assert methods == TRACE_SINK
+
+
+@pytest.mark.parametrize("name", sorted(SYSCALLS))
+def test_syscall_values_are_pinned(name):
+    from repro import simulator
+
+    cls = getattr(simulator, name)
+    params, args, text = SYSCALLS[name]
+    sig = inspect.signature(cls)
+    assert str(sig.replace(return_annotation=sig.empty)) == params
+    call = cls(*args)
+    assert repr(call) == text
+    twin = cls(*args)
+    assert call == twin and hash(call) == hash(twin) and call is not twin
+    assert call != cls(*args[:-1], "other")
+    assert len({call, twin}) == 1
+    with pytest.raises(AttributeError):
+        setattr(call, next(iter(sig.parameters)), args[0])
+    with pytest.raises(AttributeError):
+        call.extra = 1
+    assert call == twin  # unchanged
+    assert pickle.loads(pickle.dumps(call)) == call
+
+
+def test_syscall_equality_is_class_aware():
+    from repro.simulator import Compute, IoOp
+
+    assert Compute(1.0) != IoOp(1.0)
+    assert IoOp(1.0) != Compute(1.0)
