@@ -159,7 +159,7 @@ class DirectiveSet:
         }
         self._threshold_index = {t.hypothesis: t.value for t in self.thresholds}
         # Pruned resource paths as tuples keyed by hypothesis (including
-        # "*"): is_pruned probes selection prefixes against these sets
+        # "*"): screen() probes selection prefixes against these sets
         # instead of scanning every PruneDirective per candidate pair.
         # Path tuples start with the hierarchy name, so a selection from
         # one hierarchy can never collide with a prune in another.
@@ -171,23 +171,28 @@ class DirectiveSet:
             self._prune_max_depth = max(self._prune_max_depth, len(path))
 
     # -- queries used by the search -------------------------------------------
+    def screen(self, key: Tuple[str, str], focus: Focus) -> Optional[Priority]:
+        """What the directives say of one candidate pair, keyed
+        ``(hypothesis, str(focus))`` as the Search History Graph keys it:
+        ``None`` when a prune removes it, else its search priority.  The
+        search asks this once per new pair."""
+        if key in self._pair_prune_index:
+            return None
+        if self._prune_paths:
+            max_depth = self._prune_max_depth
+            for hyp_key in (key[0], ANY_HYPOTHESIS):
+                paths = self._prune_paths.get(hyp_key)
+                if not paths:
+                    continue
+                # root selections are never pruned away
+                for _, sel in focus.constrained:
+                    for depth in range(1, min(len(sel), max_depth) + 1):
+                        if sel[:depth] in paths:
+                            return None
+        return self._priority_index.get(key, Priority.MEDIUM)
+
     def is_pruned(self, hypothesis: str, focus: Focus) -> bool:
-        if (hypothesis, str(focus)) in self._pair_prune_index:
-            return True
-        if not self._prune_paths:
-            return False
-        for hyp_key in (hypothesis, ANY_HYPOTHESIS):
-            paths = self._prune_paths.get(hyp_key)
-            if not paths:
-                continue
-            for hier in focus.hierarchies:
-                sel = focus.selection_parts(hier)
-                if len(sel) == 1:
-                    continue  # root selection is never pruned away
-                for depth in range(1, min(len(sel), self._prune_max_depth) + 1):
-                    if sel[:depth] in paths:
-                        return True
-        return False
+        return self.screen((hypothesis, str(focus)), focus) is None
 
     def priority_of(self, hypothesis: str, focus: Focus) -> Priority:
         return self._priority_index.get((hypothesis, str(focus)), Priority.MEDIUM)

@@ -24,8 +24,17 @@ process per second).  A tick evaluates only the entries due by then, in
 node-id order, plus any pair whose handle the instrumentation manager
 reports deleted since the last pass.  The record keeps the last value
 read, so the tick the search completes on and any tick after the program
-ended read every watched pair, as the per-tick sweep did; that sweep is
-``tests/reference_search.py``, the oracle this class is held to.
+ended read every watched pair, as the per-tick sweep did.
+
+A pair is paid for once on its way through consider → admit → read →
+conclude → delete → refine: a candidate is looked up in the SHG before
+anything else (an existing pair only gains a parent edge), and a new one
+is screened by the directives in one call; a queue head the cost gate
+blocks keeps its price until the head or the process table changes; the
+probe carries the plan ``request()`` made for it; and a tick enters its
+read batch by hand.  ``tests/reference_search.py`` is the oracle this
+class is held to: the per-tick sweep, with the pair lifecycle as it was
+before it was made cheap.
 """
 
 from __future__ import annotations
@@ -123,6 +132,11 @@ class PerformanceConsultantSearch:
         self._timed = {
             h.name for h in self.hypotheses.testable() if METRICS[h.metric].kind == "time"
         }
+        self._metrics = {h.name: h.metric for h in self.hypotheses.testable()}
+        #: The queue head ``_expand`` last priced, the process-table
+        #: version it was priced at, and its cost: a head the gate blocks
+        #: is not re-priced every tick.
+        self._priced: Tuple[Optional[SHGNode], int, float] = (None, -1, 0.0)
         #: Nodes with a live read handle, maintained incrementally on
         #: state transitions (node_id -> node), and by handle, to map the
         #: manager's deletion record back to nodes.
@@ -207,23 +221,26 @@ class PerformanceConsultantSearch:
     # candidate handling
     # ------------------------------------------------------------------
     def _consider(self, hypothesis: str, focus: Focus, parent: SHGNode) -> None:
-        """Queue a candidate pair unless pruned or already present."""
-        if self.directives.is_pruned(hypothesis, focus):
-            node, created = self.shg.add(hypothesis, focus, parent=parent)
-            if created:
-                node.state = NodeState.PRUNED
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "node-pruned", node=node.node_id,
-                        hypothesis=hypothesis, focus=str(focus),
-                    )
+        """Queue a candidate pair unless pruned or already present.  An
+        existing pair only gains a parent edge, so the SHG is asked
+        first, and the directives only of a new pair."""
+        key = (hypothesis, str(focus))
+        if self.shg.link(key, parent) is not None:
             return
-        priority = self.directives.priority_of(hypothesis, focus)
-        node, created = self.shg.add(hypothesis, focus, parent=parent, priority=priority)
-        if created:
-            if priority is Priority.HIGH:
-                node.persistent = True
-            self._enqueue(node)
+        priority = self.directives.screen(key, focus)
+        if priority is None:
+            node = self.shg.create(key, focus, parent)
+            node.state = NodeState.PRUNED
+            if self.tracer is not None:
+                self.tracer.emit(
+                    "node-pruned", node=node.node_id,
+                    hypothesis=hypothesis, focus=key[1],
+                )
+            return
+        node = self.shg.create(key, focus, parent, priority)
+        if priority is Priority.HIGH:
+            node.persistent = True
+        self._enqueue(node)
 
     def _enqueue(self, node: SHGNode) -> None:
         heapq.heappush(
@@ -252,11 +269,14 @@ class PerformanceConsultantSearch:
         """Evaluate the pairs due now, admit what the gate allows, and
         note completion.  Virtual time stands still for the whole tick,
         so every read in it shares one in-progress snapshot."""
-        self._rescan_if_grown()
+        if self.space.version != self._space_version:
+            self._rescan_if_grown()
         min_interval = self.config.min_interval
-        with self.instr.batched_reads():
+        outer = self.instr.open_batch()
+        try:
             due = self._due_nodes()
-            self._evaluate_nodes(due, min_interval)
+            if due:
+                self._evaluate_nodes(due, min_interval)
             self._expand()
             self._ticks += 1
             if self.tracer is not None and self._ticks % self._progress_every == 0:
@@ -279,6 +299,8 @@ class PerformanceConsultantSearch:
                     min_interval)
                 if self.config.stop_engine_when_done:
                     self.engine.stop()
+        finally:
+            self.instr.close_batch(outer)
 
     def _rescan_if_grown(self) -> None:
         """Late resource discovery: when the resource space has grown
@@ -440,7 +462,7 @@ class PerformanceConsultantSearch:
                     self._mark_unknown(node, "lost instrumentation sample")
                 continue
             node.value = frac
-            threshold = self.threshold(node.hypothesis)
+            threshold = self._thresholds[node.hypothesis]
             is_true = frac > threshold
             if node.state is NodeState.ACTIVE:
                 borderline = abs(frac - threshold) <= self.config.noise_band
@@ -510,29 +532,36 @@ class PerformanceConsultantSearch:
         """Instrument pending candidates in priority order while the cost
         gate admits them.  Admission is strictly in queue order — when the
         head does not fit, expansion halts (Section 2)."""
-        while self._pending:
-            _, _, _, node_id = self._pending[0]
-            node = self.shg.nodes[node_id]
+        pending = self._pending
+        nodes = self.shg.nodes
+        instr = self.instr
+        gate = instr.gate
+        version = self.engine.proc_table_version
+        while pending:
+            node = nodes[pending[0][3]]
             if node.state is not NodeState.QUEUED:
-                heapq.heappop(self._pending)
+                heapq.heappop(pending)
                 continue
-            cost = self.instr.pair_cost(node.focus, persistent=node.persistent)
-            if not self.instr.gate.can_admit(cost):
+            priced, priced_at, cost = self._priced
+            if priced is not node or priced_at != version:
+                cost = instr.pair_cost(node.focus, persistent=node.persistent)
+                self._priced = (node, version, cost)
+            if not gate.can_admit(cost):
                 break
-            heapq.heappop(self._pending)
-            metric = self.hypotheses.get(node.hypothesis).metric
+            heapq.heappop(pending)
             if self.tracer is not None:
                 self.tracer.emit(
                     "gate-admit", node=node.node_id, cost=cost,
-                    total=self.instr.gate.total,
+                    total=gate.total,
                 )
-            node.handle = self.instr.request(metric, node.focus, persistent=node.persistent)
+            node.handle = handle = instr.request(
+                self._metrics[node.hypothesis], node.focus, persistent=node.persistent)
             node.t_requested = self.engine.now
             node.state = NodeState.ACTIVE
             self._watch(node)
             if self.tracer is not None:
                 self.tracer.emit(
-                    "node-active", node=node.node_id, handle=node.handle, cost=cost,
+                    "node-active", node=node.node_id, handle=handle, cost=cost,
                 )
 
     # ------------------------------------------------------------------

@@ -136,21 +136,40 @@ class SearchHistoryGraph:
         new parent edge is added — the pair is not retested (DAG dedup).
         """
         key = (hypothesis, str(focus))
-        nid = self._index.get(key)
-        if nid is not None:
-            node = self.nodes[nid]
-            if parent is not None and parent.node_id != node.node_id:
-                node.parents.add(parent.node_id)
-                parent.children.add(node.node_id)
+        node = self.link(key, parent)
+        if node is not None:
             return node, False
-        node = SHGNode(node_id=self._next_id, hypothesis=hypothesis, focus=focus, priority=priority)
-        self._next_id += 1
-        self.nodes[node.node_id] = node
-        self._index[key] = node.node_id
+        return self.create(key, focus, parent, priority), True
+
+    def link(self, key: Tuple[str, str], parent: Optional[SHGNode]) -> Optional[SHGNode]:
+        """The node of the pair keyed ``(hypothesis, str(focus))``, with a
+        parent edge added, or ``None`` when the pair is new."""
+        nid = self._index.get(key)
+        if nid is None:
+            return None
+        node = self.nodes[nid]
+        if parent is not None and parent.node_id != nid:
+            node.parents.add(parent.node_id)
+            parent.children.add(nid)
+        return node
+
+    def create(
+        self,
+        key: Tuple[str, str],
+        focus: Focus,
+        parent: Optional[SHGNode] = None,
+        priority: Priority = Priority.MEDIUM,
+    ) -> SHGNode:
+        """A node for the new pair keyed ``(hypothesis, str(focus))``."""
+        nid = self._next_id
+        node = SHGNode(node_id=nid, hypothesis=key[0], focus=focus, priority=priority)
+        self._next_id = nid + 1
+        self.nodes[nid] = node
+        self._index[key] = nid
         if parent is not None:
             node.parents.add(parent.node_id)
-            parent.children.add(node.node_id)
-        return node, True
+            parent.children.add(nid)
+        return node
 
     # -- queries ---------------------------------------------------------------
     def by_state(self, state: NodeState) -> List[SHGNode]:

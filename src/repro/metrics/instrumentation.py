@@ -34,12 +34,24 @@ snapshot resolved against it — and rebuilt from the index on demand.
 cells: :meth:`batched_reads` resolves the engine's in-progress parts to
 cells once per pass.
 
+A probe carries its **plan**: ``request()`` works out its routing keys,
+matched processes and cost once, and ``delete()`` leaves exactly the
+buckets and cells under those keys.  What a focus contributes (its Code
+and Process key selections and matched processes) is cached per focus
+object, so pricing the search's queue head and requesting it share one
+derivation; the cache is dropped when the engine's process table grows,
+which every caller detects with one version compare.  The reads the
+search makes per pair (``elapsed``, ``normalized_read``) look the handle
+up once each.
+
 Perturbation is pushed: whenever a process's carried cost changes, its
 overhead fraction is recomputed into a table the engine reads directly.
 
 The naive statement of delivery — every live probe examined for every
 segment — is ``tests/reference_delivery.py``, which the property tests
-hold delivery byte-identical to.
+hold delivery byte-identical to; ``tests/reference_search.ReferenceManager``
+re-derives every probe's keys and matched processes at each use, and
+the search and sink-seam tests hold this manager to it.
 """
 
 from __future__ import annotations
@@ -71,6 +83,7 @@ _MEMO_MAX = 1 << 16
 #: of every segment attribution in that hierarchy.
 _CODE_ROOT = ("Code",)
 _PROC_ROOT = ("Process",)
+_NODE_ROOT = ("Machine",)
 
 
 def matched_processes(focus: Focus, engine: Engine) -> Tuple[str, ...]:
@@ -80,15 +93,18 @@ def matched_processes(focus: Focus, engine: Engine) -> Tuple[str, ...]:
     Process selection and its host node lies under the Machine selection.
     This count also normalises hypothesis values (see metrics.metric).
     """
-    want_proc = focus.selection_parts("Process") if "Process" in focus.hierarchies else ("Process",)
-    want_node = focus.selection_parts("Machine") if "Machine" in focus.hierarchies else ("Machine",)
+    want_proc, want_node = _PROC_ROOT, _NODE_ROOT
+    for hierarchy, parts in focus.constrained:
+        if hierarchy == "Process":
+            want_proc = parts
+        elif hierarchy == "Machine":
+            want_node = parts
+    n_proc, n_node = len(want_proc), len(want_node)
     out = []
     for name, proc in engine.procs.items():
-        pp = ("Process", name)
-        np_ = ("Machine", proc.node)
-        if pp[: len(want_proc)] != want_proc:
+        if ("Process", name)[:n_proc] != want_proc:
             continue
-        if np_[: len(want_node)] != want_node:
+        if ("Machine", proc.node)[:n_node] != want_node:
             continue
         out.append(name)
     return tuple(out)
@@ -102,7 +118,9 @@ class ActiveInstrumentation:
     the engine's process table grows — late process discovery must not
     skew the normalisation denominator); ``charged`` freezes the set the
     probe's cost was charged against at request time, and cost is
-    released from exactly that set.
+    released from exactly that set.  ``keys`` are the probe's
+    routing-index keys, fixed at request time; ``delete()`` leaves the
+    buckets and cells under exactly these.
     """
 
     handle: int
@@ -116,6 +134,7 @@ class ActiveInstrumentation:
     charged: Tuple[str, ...] = ()
     accumulated: float = 0.0
     deleted_at: Optional[float] = None
+    keys: Tuple["_RouteKey", ...] = ()
 
     def overlap(self, start: float, end: float) -> float:
         """Seconds of [start, end) that fall inside the active window."""
@@ -157,6 +176,10 @@ class _Snapshot:
 #: activity goes in by value: ``Enum.__hash__`` is Python-level, and a
 #: cell build hashes a dozen of these keys.
 _RouteKey = Tuple[str, Tuple[str, ...], Tuple[str, ...]]
+
+#: What a focus contributes to a probe: (the focus, which the entry pins,
+#: Code key selection, Process key selection, matched processes).
+_Plan = Tuple[Focus, Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]
 
 
 class InstrumentationManager:
@@ -215,10 +238,13 @@ class InstrumentationManager:
         self._cell_index: Dict[_RouteKey, List[_Cell]] = {}
         self._proto_cells: Dict[int, Tuple[dict, _Cell]] = {}
         self._cell_epoch = 0
-        # matched-process sets cached per focus, invalidated when the
-        # engine's process table grows
-        self._focus_procs: Dict[Focus, Tuple[str, ...]] = {}
+        # each focus priced or requested: id(focus) -> (focus, Code key,
+        # Process key, matched processes), dropped when the engine's
+        # process table grows; and each metric's activity values in
+        # routing-key order, by metric name
+        self._plans: Dict[int, _Plan] = {}
         self._proc_version = engine.proc_table_version
+        self._activity_keys: Dict[str, Tuple[Metric, Tuple[str, ...]]] = {}
         # inside batched_reads(): the in-progress snapshot every read of
         # the pass shares, taken by the first read that needs it
         self._batching = False
@@ -235,29 +261,41 @@ class InstrumentationManager:
         A probe requested before the engine learned about a process would
         otherwise keep normalising by the stale count for the rest of the
         run.  The charged cost is *not* restated — the gate accounted for
-        the processes that existed at request time (``charged``).
+        the processes that existed at request time (``charged``).  Callers
+        compare the table version first, so a run whose table never grows
+        pays one compare per call.
         """
-        version = self.engine.proc_table_version
-        if version == self._proc_version:
-            return
-        self._proc_version = version
-        self._focus_procs.clear()
+        self._proc_version = self.engine.proc_table_version
+        plans = self._plans
+        plans.clear()
         for instr in self._active.values():
-            instr.processes = self._matched(instr.focus)
+            instr.processes = (plans.get(id(instr.focus)) or self._plan(instr.focus))[3]
 
-    def _matched(self, focus: Focus) -> Tuple[str, ...]:
-        procs = self._focus_procs.get(focus)
-        if procs is None:
-            procs = matched_processes(focus, self.engine)
-            self._focus_procs[focus] = procs
-        return procs
+    def _plan(self, focus: Focus) -> _Plan:
+        """Work out and cache what a probe on *focus* needs: its Code and
+        Process routing-key selections and its matched processes.  The
+        entry pins the focus its id key stands for; callers try
+        ``self._plans.get(id(focus))`` first."""
+        code, proc = _CODE_ROOT, _PROC_ROOT
+        for hierarchy, parts in focus.constrained:
+            if hierarchy == "Code":
+                code = parts
+            elif hierarchy == "Process":
+                proc = parts
+        plans = self._plans
+        if len(plans) >= _MEMO_MAX:
+            plans.clear()
+        plan = plans[id(focus)] = (focus, code, proc, matched_processes(focus, self.engine))
+        return plan
 
     # ------------------------------------------------------------------
     # request / delete
     # ------------------------------------------------------------------
     def pair_cost(self, focus: Focus, persistent: bool = False) -> float:
-        self._sync_proc_table()
-        return self.cost_model.pair_cost(len(self._matched(focus)), persistent=persistent)
+        if self.engine.proc_table_version != self._proc_version:
+            self._sync_proc_table()
+        plan = self._plans.get(id(focus)) or self._plan(focus)
+        return self.cost_model.pair_cost(len(plan[3]), persistent=persistent)
 
     def request(self, metric_name: str, focus: Focus, persistent: bool = False) -> int:
         """Insert probes for (metric : focus); returns a read handle.
@@ -265,12 +303,22 @@ class InstrumentationManager:
         The probes become active ``insertion_latency`` seconds after the
         request — the paper notes a reported bottleneck's timestamp starts
         at "the instant of the instrumentation request, plus the time
-        required to actually insert the instrumentation".
+        required to actually insert the instrumentation".  The probe
+        carries its plan — routing keys, matched processes, cost — and
+        ``delete()`` reuses it.
         """
         metric = METRICS[metric_name]
-        self._sync_proc_table()
-        procs = self._matched(focus)
+        if self.engine.proc_table_version != self._proc_version:
+            self._sync_proc_table()
+        _, code, proc, procs = self._plans.get(id(focus)) or self._plan(focus)
         cost = self.cost_model.pair_cost(len(procs), persistent=persistent)
+        acts = self._activity_keys.get(metric_name)
+        if acts is None or acts[0] is not metric:
+            acts = self._activity_keys[metric_name] = (
+                metric, tuple(sorted(a.value for a in metric.activities)))
+        keys = []
+        for act in acts[1]:
+            keys.append((act, code, proc))
         handle = next(self._handles)
         now = self.engine.now
         self._accrue_cost()
@@ -284,17 +332,24 @@ class InstrumentationManager:
             processes=procs,
             persistent=persistent,
             charged=procs,
+            keys=tuple(keys),
         )
         self._active[handle] = instr
-        for key in self._probe_keys(instr):
-            self._route.setdefault(key, {})[handle] = instr
-            for cell in self._cell_index.get(key, ()):
+        route, cell_index = self._route, self._cell_index
+        for key in keys:
+            bucket = route.get(key)
+            if bucket is None:
+                bucket = route[key] = {}
+            bucket[handle] = instr
+            for cell in cell_index.get(key, ()):
                 cell.examined += 1
                 if focus.matches_parts(cell.parts):
                     cell.probes[handle] = instr
         self.gate.add(cost)
+        per_proc, overhead, model = self._per_proc_cost, self._overhead, self.cost_model
         for p in procs:
-            self._carry(p, self._per_proc_cost.get(p, 0.0) + cost)
+            carried = per_proc[p] = per_proc.get(p, 0.0) + cost
+            overhead[p] = model.overhead_fraction(carried)
         self.total_requests += 1
         if self.tracer is not None:
             self.tracer.emit(
@@ -308,13 +363,14 @@ class InstrumentationManager:
         instr = self._active.pop(handle, None)
         if instr is None:
             return
-        for key in self._probe_keys(instr):
-            bucket = self._route.get(key)
+        route, cell_index = self._route, self._cell_index
+        for key in instr.keys:
+            bucket = route.get(key)
             if bucket is not None:
                 bucket.pop(handle, None)
                 if not bucket:
-                    del self._route[key]
-            for cell in self._cell_index.get(key, ()):
+                    del route[key]
+            for cell in cell_index.get(key, ()):
                 cell.examined -= 1
                 cell.probes.pop(handle, None)
         instr.deleted_at = self.engine.now
@@ -351,35 +407,18 @@ class InstrumentationManager:
         self._cost_last = now
 
     def _release_cost(self, instr: ActiveInstrumentation) -> None:
+        """Release a probe's cost and push the new overhead fractions."""
         self.gate.remove(instr.cost)
         # only from the processes charged at request time: a process that
         # joined later never carried this probe's cost
+        per_proc, overhead, model = self._per_proc_cost, self._overhead, self.cost_model
         for p in instr.charged:
-            self._carry(p, max(self._per_proc_cost.get(p, 0.0) - instr.cost, 0.0))
-
-    def _carry(self, proc_name: str, cost: float) -> None:
-        """Set a process's carried cost and push its overhead fraction."""
-        self._per_proc_cost[proc_name] = cost
-        self._overhead[proc_name] = self.cost_model.overhead_fraction(cost)
+            carried = per_proc[p] = max(per_proc.get(p, 0.0) - instr.cost, 0.0)
+            overhead[p] = model.overhead_fraction(carried)
 
     # ------------------------------------------------------------------
     # segment routing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _probe_keys(instr: ActiveInstrumentation) -> List[_RouteKey]:
-        """Routing-index keys for one probe: its focus's Code and Process
-        selection parts, one key per activity class its metric counts."""
-        focus = instr.focus
-        code = (
-            focus.selection_parts("Code")
-            if "Code" in focus.hierarchies else _CODE_ROOT
-        )
-        proc = (
-            focus.selection_parts("Process")
-            if "Process" in focus.hierarchies else _PROC_ROOT
-        )
-        return [(act, code, proc) for act in sorted(a.value for a in instr.metric.activities)]
-
     def _build_cell(self, parts: dict, activity: Activity) -> _Cell:
         """Walk the buckets reachable from one attribution, once.
 
@@ -467,6 +506,8 @@ class InstrumentationManager:
     # reads
     # ------------------------------------------------------------------
     def _lookup(self, handle: int) -> ActiveInstrumentation:
+        """The live probe of *handle*; ``KeyError`` for an unknown or
+        deleted one (the hot reads try ``self._active.get`` first)."""
         instr = self._active.get(handle)
         if instr is None:
             raise KeyError(f"unknown or deleted instrumentation handle {handle}")
@@ -488,18 +529,28 @@ class InstrumentationManager:
         table be dropped during the pass, the walk is resolved again
         against the live cells.
         """
-        prev = self._batching, self._in_progress_snapshot
-        self._batching, self._in_progress_snapshot = True, None
+        outer = self.open_batch()
         try:
             yield
         finally:
-            self._batching, self._in_progress_snapshot = prev
+            self.close_batch(outer)
+
+    def open_batch(self) -> Tuple[bool, Optional[_Snapshot]]:
+        """Enter a :meth:`batched_reads` block by hand (the search's tick
+        does, once per tick); returns what :meth:`close_batch` restores."""
+        outer = self._batching, self._in_progress_snapshot
+        self._batching, self._in_progress_snapshot = True, None
+        return outer
+
+    def close_batch(self, outer: Tuple[bool, Optional[_Snapshot]]) -> None:
+        self._batching, self._in_progress_snapshot = outer
 
     def elapsed(self, handle: int) -> float:
         """Seconds of data *handle* has observed so far (``KeyError`` for
         an unknown or deleted handle) — the cheap half of :meth:`read`,
         for callers that only want a value once enough has been seen."""
-        return max(self.engine.now - self._lookup(handle).active_from, 0.0)
+        instr = self._active.get(handle) or self._lookup(handle)
+        return max(self.engine.now - instr.active_from, 0.0)
 
     def read(self, handle: int) -> Tuple[float, float]:
         """Return (accumulated seconds, observed elapsed seconds).
@@ -507,7 +558,7 @@ class InstrumentationManager:
         In-progress activity (e.g. a blocking receive that has not yet
         returned) is included, so reads are exact at any instant.
         """
-        instr = self._lookup(handle)
+        instr = self._active.get(handle) or self._lookup(handle)
         now = self.engine.now
         elapsed = max(now - instr.active_from, 0.0)
         if elapsed == 0.0:
@@ -536,21 +587,22 @@ class InstrumentationManager:
         cell table was dropped since it was taken) to cells; resolving
         can itself drop the table, and then it starts over."""
         walk = self.engine.in_progress_parts() if stale is None else stale.walk
-        cell_of = self._cell_of
+        cells = self._cells
         while True:
             epoch = self._cell_epoch
-            entries = [
-                (cell_of(parts, activity), start, start + duration)
-                for parts, activity, start, duration in walk
-            ]
+            entries = []
+            for parts, activity, start, duration in walk:
+                cell = cells.get((id(parts), id(activity))) or self._build_cell(parts, activity)
+                entries.append((cell, start, start + duration))
             if epoch == self._cell_epoch:
                 return _Snapshot(epoch, walk, entries)
 
     def normalized_read(self, handle: int) -> Tuple[float, float]:
         """Return (fraction, elapsed): accumulated time normalised by
         elapsed × matched-process count (the hypothesis test value)."""
-        self._sync_proc_table()
-        instr = self._lookup(handle)
+        if self.engine.proc_table_version != self._proc_version:
+            self._sync_proc_table()
+        instr = self._active.get(handle) or self._lookup(handle)
         value, elapsed = self.read(handle)
         denom = elapsed * max(len(instr.processes), 1)
         return (value / denom if denom > 0 else 0.0), elapsed

@@ -9,6 +9,12 @@ whole-program focus selects every root:
 A *child focus* is obtained by moving down a single edge in one hierarchy;
 deriving children this way is *refinement* — the operation the Performance
 Consultant applies to every node that tests true.
+
+A focus keeps what matching needs from the moment it is built: the
+``(hierarchy, parts)`` of every *constrained* selection (one below its
+root) and its depth, so the search's hot path — segment matching, prune
+tests, probe routing keys, queue order — never visits an unconstrained
+hierarchy.
 """
 
 from __future__ import annotations
@@ -34,9 +40,15 @@ class Focus:
     ``Focus(mapping)`` is the validating constructor for selections that
     arrive from outside; refinement derives children from an already
     valid parent without re-parsing it (:meth:`with_selection`).
+
+    What matching needs is fixed once, when the focus is sealed:
+    :attr:`constrained` holds the ``(hierarchy, parts)`` of every
+    selection below its root, in hierarchy order, so a match, a prune
+    test or a probe's routing key never looks at an unconstrained
+    hierarchy, and :meth:`depth` is stored.
     """
 
-    __slots__ = ("_sel", "_parts", "_hash", "_str")
+    __slots__ = ("_sel", "_parts", "_hash", "_str", "_depth", "constrained")
 
     def __init__(self, selections: Mapping[str, str]):
         sel: Dict[str, str] = {}
@@ -56,9 +68,20 @@ class Focus:
         self._seal()
 
     def _seal(self) -> None:
-        """Fix hash and printed form once ``_sel`` is final."""
+        """Fix hash, printed form, constrained selections and depth once
+        ``_sel`` and ``_parts`` are final."""
         self._hash = hash(tuple(self._sel.items()))
         self._str = "< " + ", ".join(self._sel.values()) + " >"
+        constrained = []
+        depth = 0
+        for hierarchy, parts in self._parts.items():
+            n = len(parts)
+            if n > 1:
+                constrained.append((hierarchy, parts))
+                depth += n - 1
+        #: ``(hierarchy, parts)`` of every selection below its root.
+        self.constrained: Tuple[Tuple[str, Tuple[str, ...]], ...] = tuple(constrained)
+        self._depth = depth
 
     def _derive(self, hierarchy: str, path: str, parts: Tuple[str, ...]) -> "Focus":
         """This focus with one selection replaced by the already split
@@ -103,11 +126,11 @@ class Focus:
         return dict(self._sel)
 
     def is_whole_program(self) -> bool:
-        return all(len(p) == 1 for p in self._parts.values())
+        return not self.constrained
 
     def depth(self) -> int:
         """Total number of refinement edges below the whole-program focus."""
-        return sum(len(p) - 1 for p in self._parts.values())
+        return self._depth
 
     # -- algebra -------------------------------------------------------------
     def with_selection(self, hierarchy: str, path: str) -> "Focus":
@@ -139,9 +162,7 @@ class Focus:
         has no SyncObject).  A constrained hierarchy with no segment
         resource does not match; an unconstrained one always matches.
         """
-        for h, want in self._parts.items():
-            if len(want) == 1:
-                continue
+        for h, want in self.constrained:
             have = segment_parts.get(h)
             if have is None or have[: len(want)] != want:
                 return False

@@ -25,8 +25,16 @@ rounding; the last checks the premise of the flip bound on seeded
 random programs: between two ticks a time metric's value grows by at
 most one second per matched process per second, and never shrinks.
 
-``python tests/test_search_agenda.py`` runs the matrix at three more
-program lengths (a wider sweep than tier-1 pays for).
+The oracle is the sweep *and* the pair lifecycle as it was before it
+was made cheap: ``ReferenceSearch`` runs on ``ReferenceManager``, so a
+change to candidate handling, admission or probe bookkeeping is compared
+with the straightforward code, not with itself.  One more test holds the
+priced queue head to it: a head the gate blocks is re-priced when a
+process joins.
+
+``PYTHONPATH=src python tests/test_search_agenda.py`` (from the repo
+root) runs the matrix at three more program lengths, a wider sweep than
+tier-1 pays for; CI's ``tests-no-cache`` job runs it.
 """
 
 import functools
@@ -34,7 +42,9 @@ import io
 import json
 import math
 import random
+import sys
 from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 
@@ -55,8 +65,12 @@ from repro.obs import Tracer, deterministic_metrics
 from repro.resources import ResourceSpace, whole_program
 from repro.simulator import Compute, Engine, LatencyModel, Machine, Recv, Send
 from repro.simulator.errors import SimTimeout
-from tests.reference_search import ReferenceSearch, reference_search
-from tests.test_profile_oracle import random_engine
+
+if __name__ == "__main__":  # run as a script: the ``tests`` package sits at the repo root
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from tests.reference_search import ReferenceManager, ReferenceSearch, reference_search  # noqa: E402
+from tests.test_profile_oracle import random_engine  # noqa: E402
 
 TREES = {"standard": standard_tree, "extended": extended_tree}
 CONFIGS = {
@@ -277,14 +291,15 @@ def steps(*ops, times=1):
 
 
 def hand_built(search_cls, programs, hypothesis, process=None, *, tree=standard_tree,
-               overrides=None, strike=None, join=None, until=None):
+               overrides=None, strike=None, join=None, until=None, cost_limit=50.0):
     """Run processes ``p:1``.. (one node each) under *search_cls*, with
     (*hypothesis* : the whole program, or *process* alone) persistent by
     directive.  ``strike=(t, fn)`` calls ``fn(engine)`` at virtual time
     *t*; ``join=(t, program)`` adds one more process at *t* (between two
     ``run()`` calls: a process added inside one never starts); ``until``
-    stops a run a hang wedged there and finalises it.  Returns the pair's
-    node, the virtual times it was read at, and the SHG and trace."""
+    stops a run a hang wedged there and finalises it.  The oracle's
+    search runs on the oracle's manager.  Returns the pair's node, the
+    virtual times it was read at, and the SHG and trace."""
     names = [f"p:{i}" for i in range(1, len(programs) + 2)]
     eng = Engine(Machine.named("n", len(names)), latency=LAT)
     space = ResourceSpace()
@@ -295,10 +310,11 @@ def hand_built(search_cls, programs, hypothesis, process=None, *, tree=standard_
     for i, program in enumerate(programs):
         eng.add_process(names[i], f"n{i}", program)
     config = SearchConfig(min_interval=10.0, check_period=1.0, insertion_latency=0.5,
-                          cost_limit=50.0, noise_band=0.02,
+                          cost_limit=cost_limit, noise_band=0.02,
                           threshold_overrides=overrides or {})
-    instr = InstrumentationManager(eng, space, cost_model=CostModel(perturb_per_unit=0.0),
-                                   cost_limit=config.cost_limit, insertion_latency=0.5)
+    manager_cls = ReferenceManager if search_cls is ReferenceSearch else InstrumentationManager
+    instr = manager_cls(eng, space, cost_model=CostModel(perturb_per_unit=0.0),
+                        cost_limit=config.cost_limit, insertion_latency=0.5)
     focus = whole_program(space)
     if process is not None:
         focus = focus.with_selection("Process", f"/Process/{process}")
@@ -395,6 +411,23 @@ class TestBoundVoided:
             "FrequentSyncOperations", "p:1", tree=extended_tree)
         assert flipped == [(36.0, "false", "true")]
         assert reads == every_tick
+
+
+def test_blocked_head_is_repriced_when_a_process_joins():
+    """The gate admits one whole-program pair at a time (0.35 of a 0.4
+    limit), so the queue head waits.  At t=5.5 a third process joins and
+    the head's price rises to 0.5, past the limit: it must never be
+    admitted at the price it was quoted before the join."""
+    args = ([steps(Recv("p:2", "t"), Compute(1.0), times=60),
+             steps(Compute(2.0), Send("p:1", "t", 8), times=60)], SYNC)
+    kwargs = dict(join=(5.5, steps(Compute(1.0), times=60)), cost_limit=0.4)
+    _, _, got = hand_built(PerformanceConsultantSearch, *args, **kwargs)
+    _, _, want = hand_built(ReferenceSearch, *args, **kwargs)
+    same_text(got, want, "SHG and trace")
+    events = [json.loads(line) for line in got.splitlines()[1:]]
+    admitted = [e["t"] for e in events if e["kind"] == "gate-admit"]
+    assert admitted == [0.0]
+    assert any(e["kind"] == "node-never-run" for e in events)
 
 
 def test_agenda_entries_are_lower_bounds():

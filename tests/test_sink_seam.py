@@ -6,7 +6,10 @@ and the profile — fold prototypes directly, memoised by identity.  The
 oracle is delivery one materialised segment at a time: a twin manager
 and profile registered behind the engine's record-only adaptor, the
 naive probe scan of ``tests/reference_delivery.py`` and the naive
-profile fold of ``tests/test_profile_oracle.py``.
+profile fold of ``tests/test_profile_oracle.py``.  The twin manager is
+``tests/reference_search.ReferenceManager``, which re-derives each
+probe's routing keys at request and at delete, so the cell bookkeeping
+of ``request()``/``delete()`` is held to it too.
 
 Seeded random programs run with probe churn, perturbation, a sink added
 mid-run, and crashes, hangs or message filters.  Both sides must agree
@@ -39,6 +42,7 @@ from repro.simulator import records as records_mod
 from repro.simulator.records import Activity, TimeSegment, segment_prototype
 from tests.reference_delivery import ShadowSink, deliver, feed, naive_read
 from tests.reference_engine import ReferenceEngine
+from tests.reference_search import ReferenceManager
 from tests.test_engine_fastpath import ring_builder, seg_key
 from tests.test_profile_oracle import NaiveProfile, naive_bytes, random_engine
 from tests.test_segment_routing import (
@@ -96,7 +100,8 @@ class Side:
     materialised segments one at a time."""
 
     def __init__(self, engine, space, batched):
-        self.mgr = InstrumentationManager(
+        manager_cls = InstrumentationManager if batched else ReferenceManager
+        self.mgr = manager_cls(
             engine, space, cost_model=CostModel(perturb_per_unit=0.05),
             cost_limit=1e9, insertion_latency=0.5,
         )
