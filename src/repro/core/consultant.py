@@ -4,6 +4,13 @@ This is the public entry point most users want: build an
 :class:`~repro.apps.base.Application`, optionally supply a
 :class:`~repro.core.directives.DirectiveSet` harvested from history, and
 get back a fully populated :class:`~repro.storage.records.RunRecord`.
+
+A session pays for its history by what the run needs of it, not by its
+size: :meth:`DiagnosisSession.begin` hands a directive set that names
+only resources the run knows, and carries no map, to the search as it
+is (:func:`~repro.core.mapping.apply_mappings` decides per distinct
+name), and :meth:`ActiveDiagnosis.result` reads the Search History Graph
+in one walk (:meth:`~repro.core.shg.SearchHistoryGraph.tally`).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from ..simulator.errors import SimTimeout, SimulationError
 from ..storage.records import RunRecord
 from .directives import DirectiveSet
 from .discovery import DiscoverySink
-from .hypotheses import TOP_LEVEL, HypothesisTree, standard_tree
+from .hypotheses import HypothesisTree, standard_tree
 from .mapping import apply_mappings
 from .search import PerformanceConsultantSearch, SearchConfig
 
@@ -289,21 +296,17 @@ class ActiveDiagnosis:
         if failure is None and engine.crashed():
             crashed = sorted(p.name for p in engine.crashed())
             failure = f"crashed processes: {crashed}"
-        shg = search.shg
-        states = shg.state_counts()
-        concluded = sum(
-            1 for n in shg if n.concluded and n.hypothesis != TOP_LEVEL
-        )
+        tally = search.shg.tally()
         metrics = run_metrics(
             engine_events=engine.events_processed,
             wall_seconds=time.perf_counter() - self._wall_start,
             virtual_seconds=finish,
             peak_cost=instr.peak_cost,
             mean_cost=instr.mean_cost,
-            pairs_instrumented=shg.tested_count(),
-            pairs_concluded=concluded,
-            pairs_pruned=states.get("pruned", 0),
-            pairs_unknown=states.get("unknown", 0),
+            pairs_instrumented=tally.tested,
+            pairs_concluded=tally.concluded,
+            pairs_pruned=tally.states.get("pruned", 0),
+            pairs_unknown=tally.states.get("unknown", 0),
             instr_requests=instr.total_requests,
             instr_deletes=instr.total_deletes,
             instr_decimates=instr.total_decimates,
@@ -311,8 +314,8 @@ class ActiveDiagnosis:
             probes_examined=instr.probes_examined,
             engine_segments=engine.segments_emitted,
             emit_batches=engine.emit_batches,
-            time_to_first_true=search.first_true_time(),
-            time_to_last_true=search.last_true_time(),
+            time_to_first_true=tally.first_true,
+            time_to_last_true=tally.last_true,
             trace_events=session.tracer.count if session.tracer else 0,
             trace_dropped=session.tracer.dropped if session.tracer else 0,
         )
@@ -328,11 +331,11 @@ class ActiveDiagnosis:
                 name: hierarchy.names()
                 for name, hierarchy in self.space.hierarchies.items()
             },
-            shg_nodes=shg.to_dicts(),
+            shg_nodes=tally.nodes,
             profile=self.profiler.profile.to_dict(),
             finish_time=finish,
             search_done_time=search.done_at,
-            pairs_tested=shg.tested_count(),
+            pairs_tested=tally.tested,
             total_requests=instr.total_requests,
             peak_cost=instr.peak_cost,
             thresholds=dict(search._thresholds),
@@ -345,7 +348,7 @@ class ActiveDiagnosis:
             notes=session.faults.describe() if session.faults else "",
             status="degraded" if degraded else "complete",
             failure=failure,
-            coverage=search.coverage(),
+            coverage=tally.coverage,
             metrics=metrics,
         )
 

@@ -18,6 +18,11 @@ Directive files are plain text, one directive per line::
     priority high ExcessiveSyncWaitingTime < /Code/exchng1.f/exchng1, /Machine, /Process, /SyncObject >
     threshold ExcessiveSyncWaitingTime 0.12
     map /Code/oned.f /Code/onednb.f
+
+A :class:`DirectiveSet` is immutable once built: its lookup indexes and
+the distinct resource names it mentions (:attr:`DirectiveSet.resource_names`,
+what directive mapping decides over) are derived from its lists once,
+and every composition builds a new set that derives its own.
 """
 
 from __future__ import annotations
@@ -133,7 +138,13 @@ class MapDirective:
 
 
 class DirectiveSet:
-    """A parsed collection of directives, the unit the PC consumes."""
+    """A parsed collection of directives, the unit the PC consumes.
+
+    Nothing changes a set after construction (the search, mapping and
+    every composition only read its lists), so what is derived from the
+    lists is derived once: the lookup indexes when the set is built, the
+    distinct resource names on first use.
+    """
 
     def __init__(
         self,
@@ -148,6 +159,7 @@ class DirectiveSet:
         self.priorities: List[PriorityDirective] = list(priorities)
         self.thresholds: List[ThresholdDirective] = list(thresholds)
         self.maps: List[MapDirective] = list(maps)
+        self._names: Optional[Tuple[str, ...]] = None
         self._reindex()
 
     def _reindex(self) -> None:
@@ -169,6 +181,26 @@ class DirectiveSet:
             path = split_path(p.resource)
             self._prune_paths.setdefault(p.hypothesis, set()).add(path)
             self._prune_max_depth = max(self._prune_max_depth, len(path))
+
+    @property
+    def resource_names(self) -> Tuple[str, ...]:
+        """The distinct resource paths the set names, in first-seen
+        order: every prune's resource, then every selection of every
+        pair focus.  History names a few resources many times over, and
+        harvested directives share their focus objects, so each distinct
+        focus object is read once; computed on first use."""
+        names = self._names
+        if names is None:
+            seen: Dict[str, None] = dict.fromkeys(p.resource for p in self.prunes)
+            foci = set()
+            for group in (self.pair_prunes, self.priorities):
+                for d in group:
+                    focus = d.focus
+                    if id(focus) not in foci:
+                        foci.add(id(focus))
+                        seen.update(dict.fromkeys(focus.selections().values()))
+            names = self._names = tuple(seen)
+        return names
 
     # -- queries used by the search -------------------------------------------
     def screen(self, key: Tuple[str, str], focus: Focus) -> Optional[Priority]:

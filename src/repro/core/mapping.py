@@ -13,6 +13,13 @@ module-level map.  After mapping, directives whose resources do not exist
 in the current run's resource space are dropped (and reported), matching
 the paper's workflow of applying mappings before reading directives into
 the Performance Consultant.
+
+Mapping is decided over a set's distinct resource names, not over its
+directives: a harvested set of some 1 400 directives names a few dozen
+resources.  A set that carries no map and names only resources the run
+knows is returned as it is, so a directed session fed the same history
+over and over pays a few dozen lookups for it, not a pass over every
+directive.
 """
 
 from __future__ import annotations
@@ -88,29 +95,41 @@ def apply_mappings(
     the paper's "increased efficiency" step of filtering before the
     directives are read into the Performance Consultant.
 
-    A set names few resources many times over, so each distinct name is
-    mapped and looked up in *space* once per call, and a directive no map
-    rewrote is passed through as the same object (directives are frozen,
-    foci immutable); only a rewritten one is rebuilt.
+    The decision is taken once per distinct name the set mentions
+    (:attr:`~repro.core.directives.DirectiveSet.resource_names`): its
+    mapped name and whether *space* knows it.  When the set carries no
+    map and no name is rewritten or dropped, the set is already what
+    the new run needs and is returned as it is (``mapped`` counts its
+    prunes, pair prunes and priorities) — the warm path of a directed
+    session, whose history names the same few resources every time.
+    Otherwise each directive is looked up in that verdict table: one no
+    map rewrote is passed through as the same object (directives are
+    frozen, foci immutable); only a rewritten one is rebuilt.
     """
-    mapper = ResourceMapper([*directives.maps, *extra_maps])
+    maps = [*directives.maps, *extra_maps]
+    mapper = ResourceMapper(maps)
     report = MappingReport()
     # name -> (mapped name, known to the space)
     verdicts: Dict[str, Tuple[str, bool]] = {}
-
-    def verdict(path: str) -> Tuple[str, bool]:
-        hit = verdicts.get(path)
-        if hit is None:
-            mapped = mapper.map_path(path) if len(mapper) else path
-            hit = verdicts[path] = (mapped, space is None or mapped in space)
-        return hit
+    unchanged = not directives.maps
+    for name in directives.resource_names:
+        mapped = mapper.map_path(name) if maps else name
+        known = space is None or mapped in space
+        verdicts[name] = (mapped, known)
+        unchanged = unchanged and known and mapped == name
+    if unchanged:
+        report.mapped = (
+            len(directives.prunes) + len(directives.pair_prunes)
+            + len(directives.priorities)
+        )
+        return directives, report
 
     def keep_focus(focus: Focus) -> Optional[Focus]:
         before = focus.selections()
         after = {}
         known = True
         for h, path in before.items():
-            after[h], ok = verdict(path)
+            after[h], ok = verdicts[path]
             known = known and ok
         if after != before:
             # The validating constructor: a map that moved a selection
@@ -124,7 +143,7 @@ def apply_mappings(
 
     prunes = []
     for p in directives.prunes:
-        path, known = verdict(p.resource)
+        path, known = verdicts[p.resource]
         if not known:
             report.dropped.append(path)
             continue

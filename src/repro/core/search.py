@@ -198,15 +198,21 @@ class PerformanceConsultantSearch:
         # to the directive list first (Section 3.2 applies prunes to the
         # extracted directives "for increased efficiency"), so a combined
         # prune+priority configuration starts fewer persistent tests.
+        # Each pair is keyed once, as in _consider: a pair already in the
+        # SHG (a repeated directive) only gains the root edge.  A pair on
+        # a hypothesis the tree cannot test (unknown, or the virtual root)
+        # is skipped.
         for pd in self.directives.high_priority_pairs():
-            if pd.hypothesis not in self.hypotheses:
+            if pd.hypothesis not in self._metrics:
                 continue
-            if self.directives.is_pruned(pd.hypothesis, pd.focus):
+            key = (pd.hypothesis, str(pd.focus))
+            if self.shg.link(key, root) is not None:
                 continue
-            node, created = self.shg.add(pd.hypothesis, pd.focus, parent=root, priority=Priority.HIGH)
-            if created:
-                node.persistent = True
-                self._enqueue(node)
+            if self.directives.screen(key, pd.focus) is None:
+                continue
+            node = self.shg.create(key, pd.focus, root, Priority.HIGH)
+            node.persistent = True
+            self._enqueue(node)
 
         # The default top-down start: the three top hypotheses at the
         # whole-program focus.
@@ -610,32 +616,9 @@ class PerformanceConsultantSearch:
                 return False
         return True
 
-    def coverage(self) -> float:
-        """Fraction of instrumented pairs that reached a full-data
-        conclusion (true or false).  1.0 means every test the search
-        started was decided; lost samples, fault-aborted runs, and
-        end-of-program truncation all lower it.  Harvesters use it to
-        flag directives extracted from degraded runs."""
-        tested = concluded = 0
-        for node in self.shg:
-            if node.t_requested is None or node.hypothesis == TOP_LEVEL:
-                continue
-            tested += 1
-            if node.concluded:
-                concluded += 1
-        return concluded / tested if tested else 1.0
-
     def true_pairs(self) -> List[Tuple[str, str]]:
         return [
             (n.hypothesis, str(n.focus))
             for n in self.shg.true_nodes()
             if n.hypothesis != TOP_LEVEL
         ]
-
-    def last_true_time(self) -> Optional[float]:
-        times = [n.t_concluded for n in self.shg.true_nodes() if n.hypothesis != TOP_LEVEL]
-        return max(times) if times else None
-
-    def first_true_time(self) -> Optional[float]:
-        times = [n.t_concluded for n in self.shg.true_nodes() if n.hypothesis != TOP_LEVEL]
-        return min(times) if times else None

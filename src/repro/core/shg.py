@@ -5,6 +5,11 @@ acyclic graph called the Search History Graph" (paper, Section 2).  The
 same pair can be reached by refining along different hierarchies, so nodes
 deduplicate by (hypothesis, focus) and accumulate parent edges — that is
 what makes the structure a DAG rather than a tree.
+
+A finished run's record reads the graph once: :meth:`SearchHistoryGraph.tally`
+walks the nodes a single time for the stored node dicts, the state
+counts, the tested and concluded pairs, coverage and the first and last
+true times.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..resources.focus import Focus, parse_focus
+from .hypotheses import TOP_LEVEL
 
-__all__ = ["NodeState", "Priority", "SHGNode", "SearchHistoryGraph"]
+__all__ = ["NodeState", "Priority", "SHGNode", "SHGTally", "SearchHistoryGraph"]
 
 
 class NodeState(enum.Enum):
@@ -41,6 +47,11 @@ class Priority(enum.IntEnum):
 
     def __str__(self) -> str:
         return self.name.lower()
+
+
+#: The text a node dict stores for each state and priority.
+_STATE_TEXT = {s: s.value for s in NodeState}
+_PRIORITY_TEXT = {p: str(p) for p in Priority}
 
 
 @dataclass
@@ -76,8 +87,8 @@ class SHGNode:
             "id": self.node_id,
             "hypothesis": self.hypothesis,
             "focus": str(self.focus),
-            "state": self.state.value,
-            "priority": str(self.priority),
+            "state": _STATE_TEXT[self.state],
+            "priority": _PRIORITY_TEXT[self.priority],
             "persistent": self.persistent,
             "value": self.value,
             "t_requested": self.t_requested,
@@ -103,6 +114,30 @@ class SHGNode:
             parents=set(data.get("parents", ())),
             children=set(data.get("children", ())),
         )
+
+
+@dataclass
+class SHGTally:
+    """What a run's record reports of its graph.  The virtual root
+    (``TopLevelHypothesis``) counts in :attr:`states` only."""
+
+    #: Node dicts in node-id order (:meth:`SHGNode.to_dict`).
+    nodes: List[dict]
+    #: Nodes per state value, keys in the order the states first occur.
+    states: Dict[str, int]
+    #: Pairs that received instrumentation (Table 2's 'Total Number of
+    #: Hypothesis/Focus Pairs Tested').
+    tested: int
+    #: Pairs concluded true or false.
+    concluded: int
+    #: Fraction of the tested pairs concluded true or false (1.0 when
+    #: none was tested).  Lost samples, fault-aborted runs and
+    #: end-of-program truncation lower it; harvesters use it to flag
+    #: directives extracted from degraded runs.
+    coverage: float
+    #: Earliest and latest conclusion time of a true pair.
+    first_true: Optional[float]
+    last_true: Optional[float]
 
 
 class SearchHistoryGraph:
@@ -181,17 +216,53 @@ class SearchHistoryGraph:
     def tested_count(self) -> int:
         """Pairs that actually received instrumentation (Table 2's 'Total
         Number of Hypothesis/Focus Pairs Tested')."""
-        return sum(
-            1
-            for n in self.nodes.values()
-            if n.t_requested is not None and n.hypothesis != "TopLevelHypothesis"
-        )
+        return self.tally().tested
 
     def state_counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for n in self.nodes.values():
-            out[n.state.value] = out.get(n.state.value, 0) + 1
-        return out
+        return self.tally().states
+
+    def tally(self) -> SHGTally:
+        """Everything a run's record reports of the graph, in one walk."""
+        nodes: List[dict] = []
+        states: Dict[str, int] = {}
+        tested = concluded = tested_concluded = 0
+        first = last = None
+        in_order = True
+        prev = -1
+        true, false = NodeState.TRUE, NodeState.FALSE
+        for nid, node in self.nodes.items():
+            item = node.to_dict()
+            nodes.append(item)
+            in_order = in_order and prev < nid
+            prev = nid
+            text = item["state"]
+            states[text] = states.get(text, 0) + 1
+            state = node.state
+            if node.hypothesis == TOP_LEVEL:
+                continue
+            done = state is true or state is false
+            if node.t_requested is not None:
+                tested += 1
+                tested_concluded += done
+            if done:
+                concluded += 1
+                if state is true:
+                    t = node.t_concluded
+                    if first is None or t < first:
+                        first = t
+                    if last is None or t > last:
+                        last = t
+        if not in_order:
+            nodes.sort(key=lambda d: d["id"])
+        return SHGTally(
+            nodes=nodes,
+            states=states,
+            tested=tested,
+            concluded=concluded,
+            coverage=tested_concluded / tested if tested else 1.0,
+            first_true=first,
+            last_true=last,
+        )
 
     def roots(self) -> List[SHGNode]:
         return [n for n in self.nodes.values() if not n.parents]

@@ -10,10 +10,11 @@ every concluded persistent pair, and asks whether the search is complete
 by walking the whole SHG.
 
 It also carries the straightforward statement of each pair's lifecycle
-before it was made cheap: a candidate is screened by the prune test, the
-priority lookup and ``SearchHistoryGraph.add`` in turn (each keys the
-pair itself); the queue is ordered by a depth summed over every
-hierarchy; the queue head is re-priced on every tick; and
+before it was made cheap: a candidate, and at the start every persistent
+pair, is screened by the prune test, the priority lookup and
+``SearchHistoryGraph.add`` in turn (each keys the pair itself); the
+queue is ordered by a depth summed over every hierarchy; the queue head
+is re-priced on every tick; and
 :class:`ReferenceManager` derives a probe's routing keys from its focus
 and metric at request *and* at delete, recounts matched processes per
 focus through ``Focus.hierarchies``, checks the process table through a
@@ -34,6 +35,7 @@ from typing import List, Optional, Tuple
 from unittest import mock
 
 from repro.core.directives import ANY_HYPOTHESIS
+from repro.core.hypotheses import TOP_LEVEL
 from repro.core.search import PerformanceConsultantSearch
 from repro.core.shg import NodeState, Priority, SHGNode
 from repro.metrics.instrumentation import (
@@ -42,6 +44,7 @@ from repro.metrics.instrumentation import (
     _Snapshot,
 )
 from repro.metrics.metric import METRICS
+from repro.resources.focus import whole_program
 
 
 def is_pruned(directives, hypothesis, focus) -> bool:
@@ -280,6 +283,43 @@ class ReferenceSearch(PerformanceConsultantSearch):
                 self.engine.stop()
 
     # -- candidates ----------------------------------------------------------
+    def start(self) -> None:
+        """The search start with each persistent pair keyed by the prune
+        test and by ``shg_add`` in turn; a pair on a hypothesis the tree
+        cannot test is skipped."""
+        if self._started:
+            raise RuntimeError("search already started")
+        self._started = True
+        root, _ = shg_add(self.shg, TOP_LEVEL, whole_program(self.space))
+        root.state = NodeState.TRUE
+        root.t_concluded = self.engine.now
+        if self.tracer is not None:
+            self.tracer.emit(
+                "node-queued", node=root.node_id, hypothesis=root.hypothesis,
+                focus=str(root.focus), priority=str(root.priority), persistent=False,
+            )
+            self.tracer.emit(
+                "node-concluded", node=root.node_id, state=root.state.value,
+                value=None, threshold=None,
+            )
+        for pd in self.directives.high_priority_pairs():
+            if pd.hypothesis not in self.hypotheses:
+                continue
+            if self.hypotheses.get(pd.hypothesis).is_virtual:
+                continue
+            if is_pruned(self.directives, pd.hypothesis, pd.focus):
+                continue
+            node, created = shg_add(self.shg, pd.hypothesis, pd.focus, parent=root,
+                                    priority=Priority.HIGH)
+            if created:
+                node.persistent = True
+                self._enqueue(node)
+        wp = whole_program(self.space)
+        for child in self.hypotheses.children(TOP_LEVEL):
+            self._consider(child.name, wp, parent=root)
+        self.engine.schedule_periodic(self.config.check_period, lambda _: self.tick())
+        self.engine.on_finish(lambda _: self.final_pass())
+
     def _consider(self, hypothesis: str, focus, parent: SHGNode) -> None:
         if is_pruned(self.directives, hypothesis, focus):
             node, created = shg_add(self.shg, hypothesis, focus, parent=parent)

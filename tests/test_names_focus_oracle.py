@@ -3,7 +3,8 @@
 ``split_path`` remembers the names it has split, ``parse_focus`` hands
 out one object per distinct text, ``Focus.with_selection`` / ``refine``
 derive a child from the parent's fields, and ``apply_mappings`` decides
-once per distinct name and passes untouched directives through.  The
+once per distinct name the set mentions, passes untouched directives
+through and hands back a set that needs no mapping as it is.  The
 oracles here are the functions as they stood before that — every name
 parsed every time, every focus built by ``Focus(dict)``, every directive
 rebuilt — and the two must agree on every result, on every exception
@@ -13,7 +14,8 @@ A second group pins what no other test would notice: that the tables
 stay bounded and never hold a rejected name, that threads sharing them
 agree with the oracle while the cap is being tripped, and — the count
 guard — that a second ``begin()`` on a benchmark-sized directive set
-parses no name and builds no focus for a directive no map rewrote.
+parses no name, builds no focus, directive or directive set, and asks
+the resource space about each distinct name at most once.
 """
 
 import sys
@@ -27,6 +29,7 @@ import repro
 from repro.apps.catalog import build_catalog_app
 from repro.apps.poisson import version_maps
 from repro.core import DiagnosisSession, SearchConfig
+from repro.core.combination import union_directives
 from repro.core.directives import (
     DirectiveSet,
     MapDirective,
@@ -152,6 +155,16 @@ def oracle_apply_mappings(directives, space=None, extra_maps=()):
         thresholds=list(directives.thresholds),
     )
     return out, report
+
+
+def oracle_resource_names(directives):
+    """Every name the set mentions, in the order its lists mention them:
+    prune resources, then each pair prune's and each priority's focus
+    selections."""
+    names = [p.resource for p in directives.prunes]
+    for d in (*directives.pair_prunes, *directives.priorities):
+        names.extend(d.focus.selection(h) for h in d.focus.hierarchies)
+    return tuple(dict.fromkeys(names))
 
 
 def outcome(fn, *args, **kwargs):
@@ -373,7 +386,27 @@ class TestAgainstOracle:
             mapped, report = got[1]
             return ("returned", mapped.to_text(), report.mapped, report.dropped)
 
-        assert run(apply_mappings) == run(oracle_apply_mappings)
+        want = run(oracle_apply_mappings)
+        assert run(apply_mappings) == want
+        assert directives.resource_names == oracle_resource_names(directives)
+        if want[0] == "returned":
+            # the set itself comes back exactly when it carries no map and
+            # the oracle rewrote and dropped nothing
+            untouched = (not directives.maps and not want[3]
+                         and want[1] == directives.to_text())
+            got, _report = apply_mappings(directives, space, extra_maps)
+            assert (got is directives) == untouched
+
+    @settings(max_examples=100, deadline=None)
+    @given(directive_sets(), directive_sets(),
+           st.lists(st.sampled_from(["prunes", "pair_prunes", "priorities",
+                                     "thresholds", "maps"]), unique=True))
+    def test_derived_sets_name_their_own_resources(self, a, b, kinds):
+        a.resource_names, b.resource_names  # computed before deriving
+        derived = [a.merged_with(b), b.merged_with(a), a.only(*kinds),
+                   a.without_pair_prunes(), union_directives(a, b)]
+        for directives in derived:
+            assert directives.resource_names == oracle_resource_names(directives)
 
     @settings(max_examples=100, deadline=None)
     @given(directive_sets(), st.one_of(st.none(), spaces()))
@@ -544,14 +577,24 @@ def poisson_history():
     return directives
 
 
+DIRECTIVE_CLASSES = (PruneDirective, PairPruneDirective, PriorityDirective,
+                     ThresholdDirective, MapDirective)
+
+
 class Counted:
-    """Counts the uncached name parses and the foci the validating
-    constructor builds while it is installed."""
+    """Counts, while it is installed, the uncached name parses, the foci
+    the validating constructor builds, the directive sets and directive
+    objects built, and the membership questions put to a resource
+    space."""
 
     def __init__(self, monkeypatch):
         self.names = 0
         self.foci = []
+        self.sets = 0
+        self.directives = 0
+        self.questions = 0
         parse_path, init = names_mod._parse_path, Focus.__init__
+        set_init, contains = DirectiveSet.__init__, ResourceSpace.__contains__
 
         def counting_parse(path):
             self.names += 1
@@ -561,8 +604,28 @@ class Counted:
             init(focus, selections)
             self.foci.append(focus)
 
+        def counting_set_init(directives, *args, **kwargs):
+            self.sets += 1
+            set_init(directives, *args, **kwargs)
+
+        def counting_contains(space, path):
+            self.questions += 1
+            return contains(space, path)
+
+        def counting_directive(cls):
+            directive_init = cls.__init__
+
+            def counting(directive, *args, **kwargs):
+                self.directives += 1
+                directive_init(directive, *args, **kwargs)
+            return counting
+
         monkeypatch.setattr(names_mod, "_parse_path", counting_parse)
         monkeypatch.setattr(Focus, "__init__", counting_init)
+        monkeypatch.setattr(DirectiveSet, "__init__", counting_set_init)
+        monkeypatch.setattr(ResourceSpace, "__contains__", counting_contains)
+        for cls in DIRECTIVE_CLASSES:
+            monkeypatch.setattr(cls, "__init__", counting_directive(cls))
 
 
 class TestCountGuard:
@@ -580,13 +643,12 @@ class TestCountGuard:
         # nothing is built for a directive
         assert len(counted.foci) <= 2
         assert all(f.is_whole_program() for f in counted.foci)
-        mapped = active.search.directives
-        assert len(mapped) > 1000
-        given_ids = {id(d) for d in (*poisson_history.prunes,
-                                     *poisson_history.pair_prunes,
-                                     *poisson_history.priorities)}
-        assert all(id(d) in given_ids for d in (
-            *mapped.prunes, *mapped.pair_prunes, *mapped.priorities))
+        # a set that needs no mapping is used as it is: no set and no
+        # directive is built, and the space hears one question per
+        # distinct name the set mentions, not one per directive
+        assert active.search.directives is poisson_history
+        assert counted.sets == 0 and counted.directives == 0
+        assert 0 < counted.questions <= len(poisson_history.resource_names)
 
     def test_a_map_costs_only_the_directives_it_rewrites(
             self, poisson_history, monkeypatch):

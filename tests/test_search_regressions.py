@@ -1,6 +1,6 @@
 """Regression tests for search-state correctness fixes.
 
-Covers three historical bugs:
+Covers four historical bugs:
 
 * persistent pairs concluded TRUE could never flip back to FALSE when
   the bottleneck disappeared (the flip logic was one-directional);
@@ -9,16 +9,23 @@ Covers three historical bugs:
   extraction;
 * ``storage.query._fraction`` resolved resource names by scanning the
   profile tables in a fixed order, so a name shared between hierarchies
-  could silently read the wrong table (see ``test_query_dispatch``).
+  could silently read the wrong table (see ``test_query_dispatch``);
+* a High-priority directive on the virtual root hypothesis was started
+  as a persistent test and crashed the first tick, which looked up the
+  metric the root does not have.
 """
+
+import json
 
 import pytest
 
+import repro
+from repro.apps.catalog import build_catalog_app
 from repro.core import SearchConfig
 from repro.core.search import PerformanceConsultantSearch
 from repro.core.shg import NodeState
 from repro.metrics import CostModel, InstrumentationManager
-from repro.obs import Tracer
+from repro.obs import Tracer, deterministic_metrics
 from repro.resources import ResourceSpace, whole_program
 from repro.simulator import Compute, Engine, LatencyModel, Machine
 
@@ -186,3 +193,24 @@ class TestLostSample:
         search._evaluate_active(min_interval=5.0)
         states = replay_conclusions(search.tracer.events())
         assert states[(SYNC, str(whole_program(search.space)))] == "true"
+
+
+class TestHighPriorityOnUntestableHypothesis:
+    BASE = ("priority high ExcessiveSyncWaitingTime"
+            " < /Code/oned.f, /Machine, /Process, /SyncObject >\n")
+
+    def record(self, tmp_path, text):
+        path = tmp_path / f"history-{len(list(tmp_path.iterdir()))}.d"
+        path.write_text(text)
+        record = repro.diagnose(build_catalog_app("poisson", "A", 60),
+                                history=str(path), run_id="regression", pool=None)
+        data = record.to_dict()
+        data["metrics"] = deterministic_metrics(data["metrics"])
+        return json.dumps(data, sort_keys=True)
+
+    @pytest.mark.parametrize("hypothesis", ["TopLevelHypothesis", "NoSuchHypothesis"])
+    def test_is_skipped(self, tmp_path, hypothesis):
+        extra = (f"priority high {hypothesis}"
+                 " < /Code/oned.f, /Machine, /Process, /SyncObject >\n")
+        assert self.record(tmp_path, self.BASE + extra) \
+            == self.record(tmp_path, self.BASE)
