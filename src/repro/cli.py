@@ -86,8 +86,9 @@ def _parse_threshold(text: str):
 def _resilience_setting(args: argparse.Namespace):
     """Turn the ``--retry-*``/``--no-resilience`` flags into the
     ``resilience=`` argument of :func:`resolve_store`: ``False`` to open
-    the raw backend, a :class:`~repro.resilience.backend.ResiliencePolicy`
-    when any knob was set, ``None`` for the armed defaults."""
+    the raw backend, a :class:`~repro.resilience.policy.ResiliencePolicy`
+    when any knob was set, ``None`` for the armed defaults.  A value the
+    policy rejects raises ``ValueError``."""
     if getattr(args, "no_resilience", False):
         return False
     overrides = {}
@@ -185,7 +186,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    store = resolve_store(args.store, resilience=_resilience_setting(args))
+    store = resolve_store(args.store, resilience=args.resilience)
     # The header comes from the index summary in every mode; the record
     # is parsed only for the sections below that need it.
     meta = store.summaries(run_ids=[args.run])[args.run]
@@ -246,7 +247,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 labels={"run_id": record.run_id, "app": record.app_name},
             ))
             # Store-level retry/circuit-breaker counters, from the
-            # resilience wrapper the ops above went through.
+            # guarded call the ops above went through.
             resilience = store.resilience_metrics()
             if resilience:
                 sys.stdout.write(metrics_to_prometheus(
@@ -542,7 +543,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_store_stats(args: argparse.Namespace) -> int:
-    info = resolve_store(args.store, resilience=_resilience_setting(args)).info()
+    info = resolve_store(args.store, resilience=args.resilience).info()
     table = Table(f"Store {args.store}", ["property", "value"])
     table.add_row(["backend", info.backend])
     table.add_row(["runs", info.runs])
@@ -562,14 +563,14 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
 
 def cmd_store_compact(args: argparse.Namespace) -> int:
     stats = resolve_store(
-        args.store, resilience=_resilience_setting(args)).compact()
+        args.store, resilience=args.resilience).compact()
     print(stats)
     return 0
 
 
 def cmd_store_rebuild(args: argparse.Namespace) -> int:
     report = resolve_store(
-        args.store, resilience=_resilience_setting(args)).rebuild_index()
+        args.store, resilience=args.resilience).rebuild_index()
     print(report)
     return 0
 
@@ -579,7 +580,7 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
     summary, and look for orphans.  Exit 0 when clean, 3 (corruption)
     otherwise, so cron jobs and CI can alert on a sick archive."""
     report = resolve_store(
-        args.store, resilience=_resilience_setting(args)).verify()
+        args.store, resilience=args.resilience).verify()
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -825,6 +826,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        args.resilience = _resilience_setting(args)
+    except ValueError as exc:
+        print(f"error: bad --retry-* value: {exc}", file=sys.stderr)
+        return EXIT_STORE
     try:
         return args.func(args)
     except (StoreCorruption, JournalError) as exc:

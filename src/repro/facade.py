@@ -38,7 +38,7 @@ from .core.directives import DirectiveSet
 from .core.extraction import extract_directives
 from .core.search import SearchConfig
 from .obs.trace import Tracer
-from .resilience.backend import ResiliencePolicy
+from .resilience.policy import ResiliencePolicy
 from .storage.file_backend import holds_store
 from .storage.records import RunRecord
 from .storage.store import ExperimentStore, StoreError
@@ -136,7 +136,7 @@ def resolve_store(
     a path opens the store there (creating an empty one when the
     directory holds none — a save target).  *resilience* configures the
     retry/breaker layer when a path is
-    opened (a :class:`~repro.resilience.backend.ResiliencePolicy`,
+    opened (a :class:`~repro.resilience.policy.ResiliencePolicy`,
     ``False`` to disable, ``None`` for the armed defaults — the CLI's
     ``--retry-*`` flags build the policy); it does not apply to
     pass-through stores, which keep whatever they were opened with.

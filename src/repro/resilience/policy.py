@@ -1,5 +1,6 @@
 """Retry with seeded exponential backoff — the transient-failure half of
-:mod:`repro.resilience`.
+:mod:`repro.resilience` — and :class:`ResiliencePolicy`, the one value
+that configures a store's retry and circuit breaker.
 
 The history store is shared infrastructure: a transient EIO from a
 network filesystem, an EAGAIN, or a lock-held index must not
@@ -15,6 +16,10 @@ EBUSY, EINTR; ENOSPC is **not** retryable —
 a full disk does not empty itself on a backoff curve) as worth retrying,
 and everything else — :class:`~repro.storage.api.StoreCorruption`
 especially — as final.  Callers override ``classify`` per call site.
+
+Tunables that would break the loop — no attempt at all, a negative
+delay or deadline, jitter outside ``[0, 1]`` — are rejected when the
+policy is built, not at the first transient error.
 """
 
 from __future__ import annotations
@@ -25,7 +30,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-__all__ = ["RetryPolicy", "RetryExhausted", "default_classify", "is_transient"]
+from .breaker import CircuitBreaker
+
+__all__ = [
+    "ResiliencePolicy",
+    "RetryPolicy",
+    "RetryExhausted",
+    "default_classify",
+    "is_transient",
+]
 
 #: OS errnos a retry can plausibly outwait.  ENOSPC is deliberately
 #: absent: retrying into a full disk burns the deadline for nothing.
@@ -88,6 +101,15 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
+        for name in ("base_delay", "multiplier", "max_delay"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
+        if self.deadline_s is not None and self.deadline_s < 0:
+            raise ValueError(
+                f"deadline_s must be >= 0 or None, got {self.deadline_s}")
         self._rng = random.Random(self.seed)
 
     def delay_for(self, attempt: int) -> float:
@@ -132,3 +154,54 @@ class RetryPolicy:
             f"(last: {history[-1]})",
             last=final, attempts=len(history),
         ) from final
+
+
+@dataclass(frozen=True)
+class ResiliencePolicy:
+    """Tunables for one store's retry + breaker behaviour.
+
+    One frozen value object so the CLI's ``--retry-*`` flags, the
+    facade, and the torture harness all configure resilience the same
+    way.  ``sleep``/``clock`` are injectable for zero-wall-clock tests.
+    """
+
+    attempts: int = 4
+    base_delay: float = 0.02
+    multiplier: float = 2.0
+    max_delay: float = 0.5
+    jitter: float = 0.5
+    deadline_s: Optional[float] = 2.0
+    seed: int = 0
+    breaker_threshold: int = 3
+    breaker_reset_s: float = 30.0
+    sleep: Callable[[float], None] = time.sleep
+    clock: Callable[[], float] = time.monotonic
+
+    def __post_init__(self) -> None:
+        # Build both parts once: their constructors hold the checks, so
+        # a bad tunable fails here, where the policy is written.
+        self.make_retry()
+        self.make_breaker("policy")
+
+    def make_retry(self, on_retry=None) -> RetryPolicy:
+        return RetryPolicy(
+            attempts=self.attempts,
+            base_delay=self.base_delay,
+            multiplier=self.multiplier,
+            max_delay=self.max_delay,
+            jitter=self.jitter,
+            deadline_s=self.deadline_s,
+            seed=self.seed,
+            classify=default_classify,
+            sleep=self.sleep,
+            clock=self.clock,
+            on_retry=on_retry,
+        )
+
+    def make_breaker(self, name: str) -> CircuitBreaker:
+        return CircuitBreaker(
+            name,
+            failure_threshold=self.breaker_threshold,
+            reset_timeout_s=self.breaker_reset_s,
+            clock=self.clock,
+        )

@@ -16,20 +16,19 @@ every run:
   payload rename landed but the index segment did not; ``rebuild``
   regenerates the summary from the surviving payload.
 
-On the file layouts it also reports **orphans**: record files on disk
-that no index entry references (the post-state of a crashed ``delete``,
-or a ``put`` that died before sealing its segment).  Orphans are not
-touched — ``rebuild`` re-adopts them by design.
+It also reports **orphans**: record files on disk that no index entry
+references (the post-state of a crashed ``delete``, or a ``put`` that
+died before sealing its segment).  Orphans are not touched —
+``rebuild`` re-adopts them by design.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..storage.api import StoreCorruption, StoreError
+from ..storage.api import StoreCorruption, StoreError, StoreUnavailable
 from ..storage.records import RunRecord
 from ..storage.summary import summarize_record
 
@@ -43,7 +42,7 @@ class ScrubReport:
     """What one ``repro store verify`` pass found."""
 
     backend: str
-    root: Optional[str]
+    root: str
     #: Index entries examined.
     checked: int = 0
     #: Runs whose payload passed every check.
@@ -57,7 +56,7 @@ class ScrubReport:
     invalid: List[Tuple[str, str]] = field(default_factory=list)
     #: Runs whose indexed summary disagrees with a recompute.
     summary_divergent: List[str] = field(default_factory=list)
-    #: On-disk record files no index entry references (file layouts).
+    #: On-disk record files no index entry references.
     orphans: List[str] = field(default_factory=list)
     #: Quarantine destinations produced by this scrub.
     quarantined: List[str] = field(default_factory=list)
@@ -109,23 +108,24 @@ def verify_store(store) -> ScrubReport:
 
     Reads go through the backend's normal verified path, so corrupt
     payloads are quarantined as a side effect exactly once; everything
-    else is reported without mutation.
+    else is reported without mutation.  Each payload read is the store's
+    guarded call (retried like any other read) on the backend itself, so
+    the record cache never answers for the bytes on disk.
     """
     backend = store.backend
-    report = ScrubReport(
-        backend=backend.name,
-        root=str(store.root) if store.root is not None else None,
-    )
+    report = ScrubReport(backend=backend.name, root=str(store.root))
     entries = store.summaries()
     for run_id, meta in entries.items():
         report.checked += 1
         try:
-            payload = backend.get(run_id)
+            payload = store._call(backend.get, run_id)
         except StoreCorruption as exc:
             report.corrupt.append((run_id, str(exc)))
             if exc.quarantined_to is not None:
                 report.quarantined.append(str(exc.quarantined_to))
             continue
+        except StoreUnavailable:
+            raise  # the store is unreachable: that says nothing of the run
         except StoreError:
             report.missing.append(run_id)
             continue
@@ -142,14 +142,9 @@ def verify_store(store) -> ScrubReport:
                 continue
         report.ok += 1
 
-    root = getattr(store, "root", None)
-    if root is not None and backend.name == "file":
-        root = Path(root)
-        for path in sorted(root.glob("*.json")):
-            if path.name == _INDEX_NAME:
-                continue
-            if path.stem not in entries:
-                report.orphans.append(path.name)
+    for path in sorted(store.root.glob("*.json")):
+        if path.name != _INDEX_NAME and path.stem not in entries:
+            report.orphans.append(path.name)
     return report
 
 

@@ -30,9 +30,9 @@ report always carries the seed, so any failure replays with
 ``run_schedule(seed)``.
 
 Transient faults (``times``-bounded EIO) are expected to be *absorbed*
-by the store's one retry layer,
-:class:`~repro.resilience.backend.ResilientBackend` (the backend never
-retries on its own) — schedules where retry recovers complete
+by the store's one retry layer, the guarded call every
+:class:`~repro.storage.store.ExperimentStore` operation goes through
+(the backend never retries on its own) — schedules where retry recovers complete
 end-to-end and must land exactly on the final chain state.
 """
 
@@ -53,7 +53,7 @@ from ..storage.file_backend import _checksum
 from ..storage.records import RunRecord
 from ..storage.store import ExperimentStore
 from ..storage.summary import meta_for_record
-from .backend import ResiliencePolicy
+from .policy import ResiliencePolicy
 
 __all__ = ["TortureReport", "run_schedule", "run_torture"]
 

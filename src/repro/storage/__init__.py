@@ -1,15 +1,15 @@
 """Multi-execution performance-data store (run records, persistence, queries).
 
 The public storage surface lives in :mod:`repro.storage.api`
-(:class:`StorageBackend`, :class:`StoreInfo`, the exception taxonomy);
+(:class:`StoreInfo`, the other value types, the exception taxonomy);
 :class:`ExperimentStore` is the frontend over the one backend,
-:class:`FileBackend` (record files plus a segmented index).
+:class:`FileBackend` (record files plus a segmented index), and the
+one layer that retries a transient backend failure.
 """
 
 from .api import (
     CompactionStats,
     RecoveryReport,
-    StorageBackend,
     StoreCorruption,
     StoreError,
     StoreInfo,
@@ -34,7 +34,6 @@ __all__ = [
     "select",
     "RunRecord",
     "ExperimentStore",
-    "StorageBackend",
     "FileBackend",
     "StoreInfo",
     "CompactionStats",

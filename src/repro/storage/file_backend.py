@@ -102,7 +102,6 @@ from ..faults import io as io_faults
 from .api import (
     CompactionStats,
     RecoveryReport,
-    StorageBackend,
     StoreCorruption,
     StoreError,
     StoreInfo,
@@ -272,10 +271,30 @@ def _apply_ops(view: Dict[str, dict], ops: List[dict]) -> None:
             view.pop(op["run_id"], None)
 
 
-class FileBackend(StorageBackend):
+class FileBackend:
     """File-per-record storage with a segmented index.  See the module
-    docstring for the on-disk layout and the crash-safety argument."""
+    docstring for the on-disk layout and the crash-safety argument.
 
+    The backend persists two things: **record payloads** (the full
+    ``RunRecord.to_dict()`` JSON, integrity-checked) and **index metas**
+    (small dicts carrying ``app_name``/``version``/``seq``/... and a
+    ``"summary"`` for the query fast path).  Every index read presents
+    one merged, seq-ordered view however the index is sharded.
+
+    Concurrency contract: :meth:`put`, :meth:`delete`, :meth:`rebuild`
+    and :meth:`compact` are safe against concurrent writer *processes*
+    on the same store, and readers always see a consistent (possibly
+    slightly stale) snapshot.  Integrity contract: :meth:`get` verifies
+    the payload and quarantines + raises :class:`StoreCorruption` on a
+    failed check, never returning half-read data.
+
+    The backend never retries: a transient failure (EIO, EAGAIN) leaves
+    it as the raw ``OSError``, and
+    :class:`~repro.storage.store.ExperimentStore`'s guarded call is the
+    one layer that classifies, retries and counts it.
+    """
+
+    #: Short backend identifier.
     name = "file"
 
     def __init__(self, root: str | Path):
@@ -660,6 +679,16 @@ class FileBackend(StorageBackend):
             return self._fold_ops(side, tail) if tail else side
 
     def harvest_aggregate(self, app_name: Optional[str] = None):
+        """The persisted :class:`~repro.core.extraction.HarvestAggregate`
+        over the store's current runs (restricted to *app_name* when
+        given), or ``None`` when the sidecar cannot be proved to cover
+        exactly the current index — the frontend then falls back to the
+        full summary scan, so a missing or stale aggregate can never
+        produce wrong directives.
+
+        Callers must treat the returned aggregate as immutable (copy
+        before folding into it).
+        """
         current = self._current_aggregates()
         if current is None:
             return None
@@ -669,9 +698,15 @@ class FileBackend(StorageBackend):
         return agg if agg is not None else HarvestAggregate()
 
     def index_token(self) -> Hashable:
-        """``(base stat signature, segment names)``: every write seals a
-        segment under a never-reused name or rewrites the base, so any
-        write changes it, and it costs one ``listdir`` plus one ``stat``.
+        """An identity for the index's *current* contents.
+
+        Any write — put, delete, quarantine, rebuild, compaction, by this
+        process or another — changes the token: callers cache what they
+        derive from the index (the serving pool's directive sets) for
+        exactly as long as it holds.  It is ``(base stat signature,
+        segment names)``: every write seals a segment under a never-reused
+        name or rewrites the base, and it costs one ``listdir`` plus one
+        ``stat``.
         """
         with self._cache_lock:
             # Same read discipline as read_merged: segments before base,
@@ -728,10 +763,21 @@ class FileBackend(StorageBackend):
         self._append_segment([{"op": "del", "run_id": run_id}])
 
     # ------------------------------------------------------------------
-    # StorageBackend: records
+    # records
     # ------------------------------------------------------------------
     def put(self, run_id: str, payload: dict, meta: dict,
             *, overwrite: bool = False) -> Tuple[int, Hashable]:
+        """Persist one record payload and its index meta atomically.
+
+        Assigns the record's ``seq`` — monotonic for new runs, preserved
+        on overwrite — and returns ``(seq, record_token)`` where the
+        token identifies the just-written bytes (taken under the write
+        lock, so the frontend can prime its record cache without racing
+        a concurrent overwrite).  Raises :class:`StoreError`, before
+        writing anything, when *run_id* exists and *overwrite* is false
+        or *meta* has no dict ``"summary"``.  *meta* must not carry
+        ``seq``; the backend owns its assignment.
+        """
         if not isinstance(meta.get("summary"), dict):
             raise StoreError(f"run {run_id!r}: index meta has no summary")
         path = self._record_file(run_id)
@@ -767,6 +813,12 @@ class FileBackend(StorageBackend):
         return seq, token
 
     def get(self, run_id: str) -> dict:
+        """The verified record payload for *run_id*.
+
+        Raises :class:`StoreError` for a missing run and
+        :class:`StoreCorruption` (after quarantining the bad bytes) for
+        one that fails its integrity check.
+        """
         path = self._record_file(run_id)
         if not path.exists():
             raise StoreError(f"no stored run {run_id!r}")
@@ -781,6 +833,7 @@ class FileBackend(StorageBackend):
             ) from None
 
     def delete(self, run_id: str) -> None:
+        """Remove a run's payload and index entry (missing ids are a no-op)."""
         with self.lock():
             # Index first, payload second: a crash in between leaves a
             # harmless unindexed orphan (the post-op view; scrub reports
@@ -792,16 +845,23 @@ class FileBackend(StorageBackend):
                 path.unlink()
 
     def contains(self, run_id: str) -> bool:
+        """Whether *run_id* has a stored payload."""
         return self._record_file(run_id).exists()
 
     def record_token(self, run_id: str) -> Hashable:
+        """An identity for the run's *current* stored bytes.
+
+        Changes whenever the payload is rewritten (by any process), so
+        the frontend's record cache invalidates without coordination.
+        Raises :class:`StoreError` for a missing run.
+        """
         try:
             return _stat_sig(self._record_file(run_id))
         except OSError:
             raise StoreError(f"no stored run {run_id!r}") from None
 
     # ------------------------------------------------------------------
-    # StorageBackend: index
+    # index
     # ------------------------------------------------------------------
     def query_summaries(
         self,
@@ -809,6 +869,10 @@ class FileBackend(StorageBackend):
         version: Optional[str] = None,
         run_ids: Optional[Sequence[str]] = None,
     ) -> Dict[str, dict]:
+        """The one index read: filtered metas, each carrying its
+        ``"summary"`` — ``run_ids`` order when given, else seq order
+        (oldest first) restricted to *app_name*/*version*.  Missing ids
+        map to ``None``."""
         merged = self.read_merged()
         if run_ids is not None:
             return {run_id: merged.get(run_id) for run_id in run_ids}
@@ -823,9 +887,12 @@ class FileBackend(StorageBackend):
         return out
 
     # ------------------------------------------------------------------
-    # StorageBackend: maintenance
+    # maintenance
     # ------------------------------------------------------------------
     def rebuild(self) -> RecoveryReport:
+        """Reconstruct the index from stored payloads, quarantining any
+        that fail their integrity check, and fold everything into a
+        fresh fully-summarized base generation."""
         with self.lock():
             return self._rebuild()
 
@@ -966,6 +1033,9 @@ class FileBackend(StorageBackend):
         return report
 
     def compact(self) -> CompactionStats:
+        """Fold accumulated index segments into a new base generation.
+        Crash-safe: a writer killed at any point mid-compaction leaves
+        the store readable."""
         with self.lock():
             names = self._segment_names()
             merged = self.read_merged()
@@ -1008,6 +1078,7 @@ class FileBackend(StorageBackend):
         return len(self._segment_names())
 
     def info(self) -> StoreInfo:
+        """The store's current shape (sizes, generation, backend name)."""
         merged = self.read_merged()
         names = self._segment_names()
         index_bytes = 0

@@ -1,40 +1,53 @@
-"""Multi-execution experiment store: the backend-agnostic frontend.
+"""Multi-execution experiment store: the frontend over the one backend.
 
 The paper's conclusions call historical diagnosis "part of an ongoing
 research effort in which we are designing and developing an infrastructure
 for storing, naming, and querying multi-execution performance data".  This
 module is that infrastructure's *frontend*: :class:`ExperimentStore`
 exposes the save/load/query surface the rest of the system uses, while
-actual persistence lives behind the
-:class:`~repro.storage.api.StorageBackend` seam, in the one store
-layout there is: one JSON file per record plus a **sharded index** of
-append-only segments with compaction
-(:mod:`repro.storage.file_backend`), so a save is O(1) instead of
-O(store).
+actual persistence lives in :class:`~repro.storage.file_backend.FileBackend`,
+the one store layout there is: one JSON file per record plus a **sharded
+index** of append-only segments with compaction, so a save is O(1)
+instead of O(store).
 
 A store from an older release is converted once, when it is opened
 (:mod:`repro.storage.file_backend` lists what it converts); every read
 after that is a plain read of the current layout.
 
-What stays above the seam: the bounded in-process LRU of parsed
-:class:`RunRecord` objects (keyed by the backend's per-record token, so
-a cross-process overwrite invalidates entries without coordination),
-batch loading, and auto-compaction policy.  Records obtained from the cache are shared
-objects: treat loaded (and saved) records as immutable.
+What the frontend adds on top of the backend: the one guarded call
+every backend operation goes through (transient-failure retry plus a
+circuit breaker, configured by a
+:class:`~repro.resilience.policy.ResiliencePolicy`), the bounded
+in-process LRU of parsed :class:`RunRecord` objects (keyed by the
+backend's per-record token, so a cross-process overwrite invalidates
+entries without coordination), batch loading, and auto-compaction
+policy.  Records obtained from the cache are shared objects: treat
+loaded (and saved) records as immutable.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from ..core.extraction import HarvestAggregate
-from ..resilience.backend import ResiliencePolicy, ResilientBackend
+from ..resilience.breaker import CircuitOpen
+from ..resilience.policy import ResiliencePolicy, RetryExhausted
 from .api import (
     CompactionStats,
     RecoveryReport,
-    StorageBackend,
     StoreCorruption,
     StoreError,
     StoreInfo,
@@ -56,6 +69,8 @@ __all__ = [
 _DEFAULT_CACHE_SIZE = 64
 #: Segments a save may leave unfolded before it triggers a compaction.
 _DEFAULT_AUTO_COMPACT = 64
+
+T = TypeVar("T")
 
 
 class _RecordCache:
@@ -123,14 +138,15 @@ class ExperimentStore:
     save folds the index into a new base generation (``0``/``None``
     disables).
 
-    ``resilience`` controls the availability layer every backend call is
-    threaded through (:class:`~repro.resilience.backend.ResilientBackend`
-    — transient-failure retry plus a per-backend circuit breaker, the
-    only retry layer the store has): ``None``/``True`` arm it with
-    default tunables, a :class:`~repro.resilience.backend.ResiliencePolicy`
-    arms it with that policy, and ``False`` runs on the raw backend,
-    whose transient errors (``OSError``) then surface as they are.  Armed-but-idle it costs one wrapper call
-    per operation; its counters are exposed via :meth:`resilience_metrics`.
+    ``resilience`` controls the availability layer every backend call
+    goes through (:meth:`_call` — transient-failure retry plus a circuit
+    breaker, the only retry layer the store has): ``None``/``True`` arm
+    it with default tunables, a
+    :class:`~repro.resilience.policy.ResiliencePolicy` arms it with that
+    policy, and ``False`` calls the backend directly, whose transient
+    errors (``OSError``) then surface as they are.  Armed-but-idle it
+    costs one guarded call per operation; its counters are exposed via
+    :meth:`resilience_metrics`.
     """
 
     def __init__(
@@ -141,24 +157,29 @@ class ExperimentStore:
         auto_compact: Optional[int] = _DEFAULT_AUTO_COMPACT,
         resilience: Union[None, bool, ResiliencePolicy] = None,
     ):
-        self._inner = inner = FileBackend(root)
-        if resilience is False:
-            self._backend: StorageBackend = inner
-        else:
-            policy = resilience if isinstance(resilience, ResiliencePolicy) \
-                else None
-            self._backend = ResilientBackend(inner, policy)
-        self.root = inner.root
+        self._backend = FileBackend(root)
+        self.root = self._backend.root
         self._cache = _RecordCache(cache_size)
         self._auto_compact = auto_compact or 0
+        #: ``None`` when resilience is off: :meth:`_call` then goes
+        #: straight to the backend.
+        self._retry = None
+        if resilience is not False:
+            policy = resilience if isinstance(resilience, ResiliencePolicy) \
+                else ResiliencePolicy()
+            self._retry = policy.make_retry(on_retry=self._on_retry)
+            self._breaker = policy.make_breaker(self._backend.name)
+            self._lock = threading.Lock()
+            self._ops_total = 0
+            self._retries_total = 0
+            self._unavailable_total = 0
 
     @property
-    def backend(self) -> StorageBackend:
-        """The persistence layer this store runs on — always the inner
-        :class:`~repro.storage.file_backend.FileBackend`, never the
-        resilience wrapper, so callers that poke backend internals see
-        the backend itself."""
-        return self._inner
+    def backend(self) -> FileBackend:
+        """The :class:`~repro.storage.file_backend.FileBackend` this store
+        runs on, for callers that poke backend internals; calls made on
+        it directly skip the retry layer."""
+        return self._backend
 
     def close(self) -> None:
         """Release the store's in-process resources: the parsed-record
@@ -167,15 +188,78 @@ class ExperimentStore:
         """
         self._cache.clear()
 
+    # ------------------------------------------------------------------
+    # the guarded call
+    # ------------------------------------------------------------------
+    def _on_retry(self, attempt: int, delay: float, exc: BaseException) -> None:
+        with self._lock:
+            self._retries_total += 1
+
+    def _call(self, fn: Callable[..., T], *args, **kwargs) -> T:
+        """``fn(*args, **kwargs)`` — one backend operation — guarded.
+
+        * transient failures (EIO, EAGAIN) reach this call raw and the
+          whole operation is retried under the seeded
+          :class:`~repro.resilience.policy.RetryPolicy`, every retry
+          counted;
+        * an exhausted operation records a failure on the
+          :class:`~repro.resilience.breaker.CircuitBreaker` and raises
+          :class:`StoreUnavailable` chained to the last ``OSError``;
+          while the breaker is open, calls fail in microseconds without
+          touching the backend;
+        * domain errors — :class:`StoreError`, :class:`StoreCorruption` —
+          pass through on the first strike and count as breaker
+          successes (the store answered), and
+          :class:`~repro.faults.io.SimulatedCrash` passes through
+          untouched (nothing recovers from a kill).
+
+        Retrying a whole operation is safe because the backend keeps its
+        index effect atomic: a ``put`` that raised a transient error has
+        not indexed the run (the segment rename is the commit point).
+        """
+        if self._retry is None:
+            return fn(*args, **kwargs)
+        name = self._backend.name
+        with self._lock:
+            self._ops_total += 1
+        try:
+            self._breaker.allow()
+        except CircuitOpen as exc:
+            with self._lock:
+                self._unavailable_total += 1
+            raise StoreUnavailable(str(exc)) from exc
+        try:
+            result = self._retry.call(lambda: fn(*args, **kwargs),
+                                      describe=f"{name} {fn.__name__}")
+        except RetryExhausted as exc:
+            self._breaker.record_failure()
+            with self._lock:
+                self._unavailable_total += 1
+            raise StoreUnavailable(
+                f"store backend {name!r}: {exc}"
+            ) from exc.last
+        except Exception:
+            self._breaker.record_success()
+            raise
+        self._breaker.record_success()
+        return result
+
     def resilience_metrics(self) -> Dict[str, float]:
         """Retry/breaker counters when resilience is armed, else ``{}``.
 
         Flat numeric values in the shape
         :func:`repro.obs.metrics.metrics_to_prometheus` renders.
         """
-        if isinstance(self._backend, ResilientBackend):
-            return self._backend.metrics()
-        return {}
+        if self._retry is None:
+            return {}
+        with self._lock:
+            out = {
+                "ops_total": float(self._ops_total),
+                "retries_total": float(self._retries_total),
+                "unavailable_total": float(self._unavailable_total),
+            }
+        out.update(self._breaker.metrics())
+        return out
 
     def verify(self):
         """Scrub the store: every record checked, divergences reported.
@@ -206,8 +290,9 @@ class ExperimentStore:
         what it just wrote.  Treat a record as immutable once saved.
         """
         meta = meta_for_record(record)  # outside the lock: pure CPU
-        _seq, token = self._backend.put(
-            record.run_id, record.to_dict(), meta, overwrite=overwrite
+        _seq, token = self._call(
+            self._backend.put,
+            record.run_id, record.to_dict(), meta, overwrite=overwrite,
         )
         self._cache.put(record.run_id, token, record)
         self._maybe_auto_compact()
@@ -225,12 +310,12 @@ class ExperimentStore:
         the raised :class:`StoreCorruption` says where the bytes went,
         so callers (and the CLI) can report what happened.
         """
-        token = self._backend.record_token(run_id)
+        token = self._call(self._backend.record_token, run_id)
         cached = self._cache.get(run_id, token)
         if cached is not None:
             return cached
         try:
-            payload = self._backend.get(run_id)
+            payload = self._call(self._backend.get, run_id)
         except StoreCorruption:
             self._cache.evict(run_id)
             raise
@@ -240,10 +325,10 @@ class ExperimentStore:
 
     def delete(self, run_id: str) -> None:
         self._cache.evict(run_id)
-        self._backend.delete(run_id)
+        self._call(self._backend.delete, run_id)
 
     def __contains__(self, run_id: str) -> bool:
-        return self._backend.contains(run_id)
+        return self._call(self._backend.contains, run_id)
 
     # ------------------------------------------------------------------
     # queries
@@ -290,8 +375,8 @@ class ExperimentStore:
         ignored), else seq order (oldest first) filtered by *app_name*
         and *version*.  No record is parsed, and nothing is written.
         """
-        items = self._backend.query_summaries(
-            app_name=app_name, version=version, run_ids=run_ids)
+        items = self._call(self._backend.query_summaries,
+                           app_name=app_name, version=version, run_ids=run_ids)
         for run_id, meta in items.items():
             if meta is None:
                 raise StoreError(f"no stored run {run_id!r}")
@@ -325,7 +410,7 @@ class ExperimentStore:
         everything into one fresh base generation.
         """
         self._cache.clear()
-        return self._backend.rebuild()
+        return self._call(self._backend.rebuild)
 
     def compact(self) -> CompactionStats:
         """Fold accumulated index segments into a new base generation.
@@ -334,11 +419,11 @@ class ExperimentStore:
         readable).  Saves trigger this automatically past the
         ``auto_compact`` threshold.
         """
-        return self._backend.compact()
+        return self._call(self._backend.compact)
 
     def info(self) -> StoreInfo:
         """The store's identity and shape (``repro store stats``)."""
-        return self._backend.info()
+        return self._call(self._backend.info)
 
     # ------------------------------------------------------------------
     # harvest fast path
@@ -355,7 +440,7 @@ class ExperimentStore:
         aggregate as immutable: :meth:`HarvestAggregate.copy` before folding more
         runs into it.
         """
-        agg = self._backend.harvest_aggregate(app_name)
+        agg = self._call(self._backend.harvest_aggregate, app_name)
         if agg is None:
             metas = self.summaries(app_name=app_name)
             agg = HarvestAggregate.of_summaries(
@@ -366,10 +451,10 @@ class ExperimentStore:
         """An identity for the index's current contents — changes on any
         write by any process, so a harvest cached against it is valid
         exactly as long as the token is."""
-        return self._backend.index_token()
+        return self._call(self._backend.index_token)
 
     def _maybe_auto_compact(self) -> None:
         if self._auto_compact \
-                and self._inner.segment_count() >= self._auto_compact:
-            self._backend.compact()
+                and self._backend.segment_count() >= self._auto_compact:
+            self.compact()
 

@@ -288,6 +288,23 @@ class TestErrorExitCodes:
         assert capsys.readouterr().err.startswith(
             "error: [Errno 5] injected EIO at read[1]")
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--retry-attempts", "0"),
+        ("--retry-backoff", "-1"),
+        ("--retry-deadline", "-5"),
+    ])
+    def test_bad_retry_flag_is_a_usage_error(self, tmp_path, capsys,
+                                             flag, value):
+        """A --retry-* value the policy rejects is one line on stderr and
+        exit 2, before any store is opened."""
+        code = run_cli("store", "stats", "--store", tmp_path / "runs",
+                       flag, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --retry-* value: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
     def test_campaign_error_exit_5(self, capsys):
         code = run_cli("campaign", "tester", "--resume")
         assert code == 5

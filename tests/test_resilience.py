@@ -1,7 +1,9 @@
-"""The resilience layer: retry policy, circuit breaker, and the guarded
-backend wrapper — the store's one retry layer, including the transient
-EIO -> retry -> StoreUnavailable escalation it was built for."""
+"""The resilience layer: retry policy, circuit breaker, the policy value
+that configures them, and the store's guarded call — its one retry
+layer, including the transient EIO -> retry -> StoreUnavailable
+escalation it was built for."""
 
+import dataclasses
 import errno
 
 import pytest
@@ -13,13 +15,13 @@ from repro.resilience import (
     CircuitBreaker,
     CircuitOpen,
     ResiliencePolicy,
-    ResilientBackend,
     RetryExhausted,
     RetryPolicy,
     is_transient,
 )
 from repro.storage import (
     ExperimentStore,
+    FileBackend,
     RunRecord,
     StoreError,
     StoreUnavailable,
@@ -217,93 +219,35 @@ class TestCircuitBreaker:
         assert all(isinstance(v, float) for v in metrics.values())
 
 
-class _FlakyBackend:
-    """Minimal StorageBackend-shaped stub with scriptable failures."""
+class TestResiliencePolicy:
+    """A tunable that would break retry is rejected where the policy is
+    written — not at the first transient error, where a negative delay
+    became a ValueError the breaker counted as a success, and a negative
+    deadline silently turned retry off."""
 
-    name = "flaky"
+    @pytest.mark.parametrize("bad", [
+        {"attempts": 0},
+        {"base_delay": -1},
+        {"max_delay": -0.5},
+        {"multiplier": -2.0},
+        {"deadline_s": -5},
+        {"jitter": -0.1},
+        {"jitter": 1.5},
+        {"breaker_threshold": 0},
+    ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+    def test_rejected_when_built(self, bad):
+        with pytest.raises(ValueError):
+            ResiliencePolicy(**bad)
 
-    def __init__(self, fail_times: int = 0,
-                 exc_factory=lambda: OSError(errno.EIO, "injected")) -> None:
-        self.fail_times = fail_times
-        self.exc_factory = exc_factory
-        self.calls = 0
-        self.stored = {}
-
-    def put(self, run_id, payload, meta, *, overwrite=False):
-        self.calls += 1
-        if self.calls <= self.fail_times:
-            raise self.exc_factory()
-        self.stored[run_id] = payload
-        return (len(self.stored), None)
-
-    def get(self, run_id):
-        self.calls += 1
-        if self.calls <= self.fail_times:
-            raise self.exc_factory()
-        if run_id not in self.stored:
-            raise StoreError(f"no stored run {run_id!r}")
-        return self.stored[run_id]
-
-
-def _wrap(inner, **overrides) -> ResilientBackend:
-    clock = FakeClock()
-    policy = ResiliencePolicy(
-        attempts=overrides.pop("attempts", 3),
-        base_delay=1e-4, max_delay=1e-3, deadline_s=60.0,
-        sleep=clock.sleep, clock=clock, **overrides,
-    )
-    return ResilientBackend(inner, policy)
-
-
-class TestResilientBackend:
-    def test_transient_failure_retried_to_success(self):
-        inner = _FlakyBackend(fail_times=2)
-        wrapped = _wrap(inner)
-        wrapped.put("r0", {"x": 1}, {})
-        assert inner.stored == {"r0": {"x": 1}}
-        metrics = wrapped.metrics()
-        assert metrics["retries_total"] == 2.0
-        assert metrics["unavailable_total"] == 0.0
-
-    def test_exhaustion_becomes_store_unavailable(self):
-        inner = _FlakyBackend(fail_times=99)
-        wrapped = _wrap(inner)
-        with pytest.raises(StoreUnavailable) as exc_info:
-            wrapped.get("r0")
-        assert isinstance(exc_info.value.__cause__, OSError)
-        assert wrapped.metrics()["unavailable_total"] == 1.0
-
-    def test_domain_error_passes_through_untouched(self):
-        inner = _FlakyBackend()
-        wrapped = _wrap(inner)
-        with pytest.raises(StoreError, match="no stored run"):
-            wrapped.get("ghost")
-        # the store answered: no breaker damage
-        assert wrapped.metrics()["breaker_consecutive_failures"] == 0.0
-
-    def test_breaker_opens_and_fails_fast(self):
-        inner = _FlakyBackend(fail_times=10**6)
-        wrapped = _wrap(inner, breaker_threshold=2)
-        for _ in range(2):
-            with pytest.raises(StoreUnavailable):
-                wrapped.get("r0")
-        calls_before = inner.calls
-        with pytest.raises(StoreUnavailable, match="circuit breaker"):
-            wrapped.get("r0")
-        assert inner.calls == calls_before  # rejected without touching disk
-        assert wrapped.metrics()["breaker_state"] == 1.0
-
-    def test_inner_attribute_fallthrough(self):
-        inner = _FlakyBackend()
-        wrapped = _wrap(inner)
-        assert wrapped.inner is inner
-        assert wrapped.name == "flaky"
-        assert wrapped.exc_factory is inner.exc_factory
+    def test_edge_values_accepted(self):
+        ResiliencePolicy(base_delay=0.0, jitter=0.0, deadline_s=None)
+        ResiliencePolicy(attempts=1, jitter=1.0, deadline_s=0.0,
+                         breaker_threshold=1)
 
 
 class TestTransientEscalation:
-    """A transient EIO reaches the store's one retry layer raw:
-    ResilientBackend retries the whole operation, counts every retry,
+    """A transient EIO reaches the store's one retry layer raw: the
+    store's guarded call retries the whole operation, counts every retry,
     trips the breaker, and types exhaustion as StoreUnavailable; with
     resilience off the raw OSError surfaces.
 
@@ -367,6 +311,106 @@ class TestTransientEscalation:
         assert store.load("r0").run_id == "r0"
         assert store.resilience_metrics()["retries_total"] == 2.0
 
+    # -- the same contract on a read: a payload read, and the scrub ------
+    def _armed(self, tmp_path, op, policy=None):
+        """A store opened under *policy* (default ``POLICY``) and the
+        operation whose first ``op`` call meets the strike: a save of
+        ``r1`` for ``write``, a cold load of the stored ``r0`` (its
+        payload read) for ``read``.  Either returns the run id."""
+        root = tmp_path / "runs"
+        if op == "read":
+            ExperimentStore(root, resilience=False).save(_record("r0"))
+        store = ExperimentStore(root, resilience=policy or self.POLICY)
+        if op == "write":
+            return store, lambda: store.save(_record("r1"))
+        return store, lambda: store.load("r0").run_id
+
+    @staticmethod
+    def _strike(op: str, times: int = 10**6) -> IOFaultPlan:
+        return IOFaultPlan(faults=(
+            IOFault(op=op, at=0, kind="eio", times=times),))
+
+    @pytest.mark.parametrize("op", ["write", "read"])
+    def test_strike_that_clears_is_retried_to_success(self, tmp_path, op):
+        store, call = self._armed(tmp_path, op)
+        with io_faults.injected(self._strike(op, times=2)) as injector:
+            run_id = call()
+        assert len(injector.injected) == 2
+        assert run_id == {"write": "r1", "read": "r0"}[op]
+        metrics = store.resilience_metrics()
+        assert metrics["retries_total"] == 2.0
+        assert metrics["unavailable_total"] == 0.0
+
+    @pytest.mark.parametrize("op", ["write", "read"])
+    def test_exhaustion_is_store_unavailable(self, tmp_path, op):
+        store, call = self._armed(tmp_path, op)
+        with io_faults.injected(self._strike(op)) as injector:
+            with pytest.raises(StoreUnavailable) as exc_info:
+                call()
+        assert injector.counters[op] == 3
+        assert isinstance(exc_info.value.__cause__, OSError)
+        assert store.resilience_metrics()["unavailable_total"] == 1.0
+
+    @pytest.mark.parametrize("op", ["write", "read"])
+    def test_open_breaker_fails_fast(self, tmp_path, op):
+        # threshold 1: a load's record_token succeeds between two failed
+        # payload reads and would reset a longer streak
+        policy = dataclasses.replace(self.POLICY, breaker_threshold=1)
+        store, call = self._armed(tmp_path, op, policy)
+        with io_faults.injected(self._strike(op)) as injector:
+            with pytest.raises(StoreUnavailable):
+                call()
+            before = dict(injector.counters)
+            with pytest.raises(StoreUnavailable, match="circuit breaker"):
+                call()
+            assert injector.counters == before
+        assert store.resilience_metrics()["breaker_state"] == 1.0
+
+    def test_domain_error_passes_on_the_first_strike(self, tmp_path):
+        store = ExperimentStore(tmp_path / "runs", resilience=self.POLICY)
+        with pytest.raises(StoreError, match="no stored run"):
+            store.load("ghost")
+        metrics = store.resilience_metrics()
+        assert metrics["retries_total"] == 0.0
+        # the store answered: no breaker damage
+        assert metrics["breaker_consecutive_failures"] == 0.0
+
+    @staticmethod
+    def _scrubbed(root, resilience):
+        """A store over *root* whose index and record cache are warm, so
+        the scrub's first read is the payload's, from disk."""
+        store = ExperimentStore(root, resilience=resilience)
+        store.summaries()
+        store.load("r0")
+        return store
+
+    def test_scrub_retries_a_transient_payload_read(self, tmp_path):
+        root = tmp_path / "runs"
+        ExperimentStore(root, resilience=False).save(_record("r0"))
+        plan = IOFaultPlan(faults=(IOFault(
+            op="read", at=0, kind="eio", times=1, path_part="r0"),))
+        armed = self._scrubbed(root, self.POLICY)
+        with io_faults.injected(plan) as injector:
+            report = armed.verify()
+        assert len(injector.injected) == 1
+        assert report.clean and report.ok == 1
+        assert armed.resilience_metrics()["retries_total"] == 1.0
+        raw = self._scrubbed(root, False)
+        with io_faults.injected(plan):
+            with pytest.raises(OSError, match="injected EIO"):
+                raw.verify()
+
+    def test_scrub_of_an_unreachable_store_raises(self, tmp_path):
+        """Exhausted retries say nothing about the run: the scrub raises
+        StoreUnavailable instead of reporting the payload missing."""
+        root = tmp_path / "runs"
+        ExperimentStore(root, resilience=False).save(_record("r0"))
+        armed = self._scrubbed(root, self.POLICY)
+        with io_faults.injected(IOFaultPlan(faults=(IOFault(
+                op="read", at=0, kind="eio", times=10**6, path_part="r0"),))):
+            with pytest.raises(StoreUnavailable):
+                armed.verify()
+
 
 class TestStoreIntegration:
     def test_store_wraps_by_default_and_exposes_metrics(self, tmp_path):
@@ -382,5 +426,5 @@ class TestStoreIntegration:
 
     def test_backend_property_stays_inner(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs")
-        assert not isinstance(store.backend, ResilientBackend)
+        assert type(store.backend) is FileBackend
         assert store.backend.name == "file"

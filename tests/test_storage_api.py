@@ -6,12 +6,7 @@ import warnings
 import pytest
 
 from repro.facade import resolve_store
-from repro.storage import (
-    ExperimentStore,
-    FileBackend,
-    RunRecord,
-    StorageBackend,
-)
+from repro.storage import ExperimentStore, RunRecord
 from repro.storage import api as storage_api
 from tests.test_legacy_stores import lay_down_sqlite
 
@@ -38,7 +33,6 @@ def _tiny_record(run_id: str, app_name: str = "api", version: str = "1") -> RunR
 class TestApiSurface:
     def test_explicit_all(self):
         assert set(storage_api.__all__) == {
-            "StorageBackend",
             "StoreInfo",
             "CompactionStats",
             "RecoveryReport",
@@ -48,13 +42,6 @@ class TestApiSurface:
         }
         for name in storage_api.__all__:
             assert hasattr(storage_api, name)
-
-    def test_backend_is_abstract(self):
-        with pytest.raises(TypeError):
-            StorageBackend()
-
-    def test_backends_implement_the_contract(self, tmp_path):
-        assert isinstance(FileBackend(tmp_path / "f"), StorageBackend)
 
     def test_store_corruption_carries_quarantine_path(self):
         exc = storage_api.StoreCorruption("bad", quarantined_to=None)
