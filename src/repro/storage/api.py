@@ -97,7 +97,7 @@ class CompactionStats:
 class StoreInfo:
     """A store's identity and shape — what ``repro store stats`` prints."""
 
-    #: Store directory (``None`` for purely in-memory backends).
+    #: Store directory.
     root: Optional[Path]
     #: Backend name (``"file"``).
     backend: str

@@ -32,7 +32,13 @@ instead of O(store):
 Readers merge base + segments into one view.  Sealed segments are
 immutable, so they are parsed once and cached by name; the base is
 cached by stat signature; the merged view is cached by (base signature,
-segment-name tuple).  Read ordering — list segments, parse them, read
+segment-name tuple), and a put advances it by the ops it seals, so the
+next read or put replays nothing.  Every meta that enters those caches
+points its ``true_pairs``/``false_pairs`` entries at one shared
+``[hypothesis, focus]`` list per distinct pair: N runs of an app hold
+each pair once, plus N lists of pointers.  The base is compact JSON
+(readers parse the ``indent=1``, sorted-key form older releases wrote
+just the same).  Read ordering — list segments, parse them, read
 the base *last* — guarantees the base is at least as new as the segment
 listing, so a compaction racing the read only makes some replayed ops
 idempotent, never loses them.
@@ -257,9 +263,8 @@ def _atomic_write_text(path: Path, text: str) -> None:
     _replace(tmp, path)
 
 
-def _atomic_write_json(path: Path, data: dict, *, indent: Optional[int] = None) -> None:
-    _atomic_write_text(
-        path, json.dumps(data, indent=indent, sort_keys=indent is not None))
+def _atomic_write_json(path: Path, data: dict) -> None:
+    _atomic_write_text(path, json.dumps(data))
 
 
 def _apply_ops(view: Dict[str, dict], ops: List[dict]) -> None:
@@ -314,11 +319,16 @@ class FileBackend:
         self._sidecar_cache: Optional[Tuple[Tuple[int, int, int], Optional[dict]]] = None
         #: Merged view keyed by (base signature, segment-name tuple).
         self._merged_cache: Optional[Tuple[Hashable, Dict[str, dict]]] = None
-        #: Guards the three caches above against concurrent same-process
-        #: readers.  The flock serialises *processes*; threads sharing
-        #: one backend (a pooled store under a server) additionally race
-        #: on the one-slot caches and the segment LRU's ``move_to_end``/
-        #: ``popitem`` — reentrant because ``read_merged`` nests
+        #: ``(hypothesis, focus)`` -> the one ``[hypothesis, focus]`` list
+        #: every cached meta's summary points at (see :meth:`_share_pairs`);
+        #: started afresh with each base this backend writes.
+        self._pairs: Dict[Tuple[str, str], list] = {}
+        #: Guards the caches and the pair table above against concurrent
+        #: same-process readers.  The flock serialises *processes*;
+        #: threads sharing one backend (a pooled store under a server)
+        #: additionally race on the one-slot caches, the segment LRU's
+        #: ``move_to_end``/``popitem`` and a put's in-place advance of the
+        #: merged view — reentrant because ``_merged_view`` nests
         #: ``_read_base``/``_read_segment``.
         self._cache_lock = threading.RLock()
         # A current store costs this open one claim-file read.
@@ -344,8 +354,27 @@ class FileBackend:
     # ------------------------------------------------------------------
     # base index + segments
     # ------------------------------------------------------------------
+    def _share_pairs(self, meta: object) -> None:
+        """Point the ``true_pairs``/``false_pairs`` entries of *meta*'s
+        summary at the table's one list per ``(hypothesis, focus)``
+        (caller holds ``_cache_lock``).  The values stay lists of equal
+        lists; a misshapen entry is left as it is."""
+        summary = meta.get("summary") if isinstance(meta, dict) else None
+        if not isinstance(summary, dict):
+            return
+        table = self._pairs
+        for field in ("true_pairs", "false_pairs"):
+            pairs = summary.get(field)
+            if type(pairs) is list:
+                summary[field] = [
+                    table.setdefault((p[0], p[1]), p)
+                    if type(p) is list and len(p) == 2
+                    and type(p[0]) is str and type(p[1]) is str else p
+                    for p in pairs]
+
     def _read_base(self) -> Tuple[Dict[str, dict], int]:
-        """The base-generation run→meta mapping and its generation."""
+        """The base-generation run→meta mapping (the cached dict itself:
+        do not mutate it) and its generation."""
         with self._cache_lock:
             try:
                 sig = _stat_sig(self._index_path)
@@ -353,7 +382,7 @@ class FileBackend:
                 sig = None
             if sig is not None and self._base_cache is not None \
                     and self._base_cache[0] == sig:
-                return dict(self._base_cache[2]), self._base_cache[1]
+                return self._base_cache[2], self._base_cache[1]
             io_faults.check("read", self._index_path)
             with open(self._index_path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -363,19 +392,26 @@ class FileBackend:
                     f"{_INDEX_NAME}: not a format-{_INDEX_FORMAT} index "
                     "(run `repro store rebuild`)")
             generation = int(data.get("generation", 0))
+            for meta in runs.values():
+                self._share_pairs(meta)
             if sig is not None:
                 # sig was taken before the read: if a writer replaced the file
                 # in between we may cache newer content under the older
                 # signature, which is safe — the next stat mismatches.
                 self._base_cache = (sig, generation, runs)
-            return dict(runs), generation
+            return runs, generation
 
     def _write_base(self, index: Dict[str, dict], generation: int = 0) -> None:
         envelope = {"format": _INDEX_FORMAT, "runs": index}
         if generation:
             envelope["generation"] = generation
-        _atomic_write_json(self._index_path, envelope, indent=1)
+        _atomic_write_json(self._index_path, envelope)
         with self._cache_lock:
+            # Every cached segment was folded into *index*: a fresh pair
+            # table forgets the pairs of runs that are gone.
+            self._pairs = {}
+            for meta in index.values():
+                self._share_pairs(meta)
             # Writes happen under the store lock, so no other writer can
             # replace the file between our rename and this stat.
             self._base_cache = (_stat_sig(self._index_path), generation, dict(index))
@@ -414,10 +450,19 @@ class FileBackend:
             # merged view — a third state neither pre- nor post-op.  The
             # resilience layer retries it instead.
             ops = data.get("ops", []) if isinstance(data, dict) else []
-            self._segment_cache[name] = ops
-            while len(self._segment_cache) > _SEGMENT_CACHE_SIZE:
-                self._segment_cache.popitem(last=False)
+            self._cache_segment(name, ops)
             return ops
+
+    def _cache_segment(self, name: str, ops: List[dict]) -> None:
+        """Cache one sealed segment's ops, their metas' pairs shared
+        (caller holds ``_cache_lock``)."""
+        if isinstance(ops, list):
+            for op in ops:
+                if isinstance(op, dict):
+                    self._share_pairs(op.get("meta"))
+        self._segment_cache[name] = ops
+        while len(self._segment_cache) > _SEGMENT_CACHE_SIZE:
+            self._segment_cache.popitem(last=False)
 
     def _drop_segment_cache(self, name: str) -> None:
         """Forget a folded segment's parsed ops (used after unlink)."""
@@ -426,30 +471,48 @@ class FileBackend:
             self._merged_cache = None
 
     def read_merged(self) -> Dict[str, dict]:
-        """One consistent run→meta view: base + segment ops in order.
+        """One consistent run→meta view: base + segment ops in order (a
+        copy of the mapping; the metas are shared, so do not mutate
+        them)."""
+        with self._cache_lock:
+            return dict(self._merged_view()[1])
+
+    def _merged_view(self) -> Tuple[Hashable, Dict[str, dict]]:
+        """The cached merged view and its key (caller holds
+        ``_cache_lock``; only :meth:`_advance_view` mutates the view).
 
         Ordering matters: segments are listed and parsed *before* the
         base is read, so the base is never older than the segment set —
         a compaction racing this read can only make replayed ops
         idempotent, not lose them.
         """
-        with self._cache_lock:
-            names = self._segment_names()
-            segments = [(name, self._read_segment(name)) for name in names]
-            parsed = tuple(name for name, ops in segments if ops is not None)
-            try:
-                base_sig = _stat_sig(self._index_path)
-            except OSError:
-                base_sig = None
-            key = (base_sig, parsed)
-            if self._merged_cache is not None and self._merged_cache[0] == key:
-                return dict(self._merged_cache[1])
-            base, _generation = self._read_base()
-            merged = base  # _read_base returned a fresh dict
+        names = self._segment_names()
+        segments = [(name, self._read_segment(name)) for name in names]
+        parsed = tuple(name for name, ops in segments if ops is not None)
+        try:
+            base_sig = _stat_sig(self._index_path)
+        except OSError:
+            base_sig = None
+        key = (base_sig, parsed)
+        if self._merged_cache is None or self._merged_cache[0] != key:
+            merged = dict(self._read_base()[0])
             for _name, ops in segments:
                 _apply_ops(merged, ops or ())
             self._merged_cache = (key, merged)
-            return dict(merged)
+        return self._merged_cache
+
+    def _advance_view(self, key: Hashable, name: str, ops: List[dict]) -> None:
+        """Account for segment *name*, just sealed with *ops* under the
+        store lock: cache its ops, and advance the merged view read under
+        *key* in place when it is still the cached one.  Otherwise the
+        next read replays, as after any other write."""
+        with self._cache_lock:
+            self._cache_segment(name, ops)
+            cached = self._merged_cache
+            if cached is not None and cached[0] == key:
+                _apply_ops(cached[1], ops)
+                base_sig, names = key
+                self._merged_cache = ((base_sig, names + (name,)), cached[1])
 
     # -- writer state ---------------------------------------------------
     def _read_state(self) -> dict:
@@ -467,28 +530,29 @@ class FileBackend:
         self._segments_dir.mkdir(exist_ok=True)
         _atomic_write_json(self._state_path, state)
 
-    def _append_segment(self, ops: List[dict],
-                        merged: Optional[Dict[str, dict]] = None) -> None:
+    def _append_segment(self, ops: List[dict]) -> None:
         """Claim a segment name and seal *ops* into it (under the lock)."""
         state = self._read_state()
         counter = state["counter"]
         state["counter"] = counter + 1
         self._write_state(state)
-        self._seal_segment(counter, ops, merged)
+        self._seal_segment(counter, ops)
 
     def _seal_segment(self, counter: int, ops: List[dict],
-                      merged: Optional[Dict[str, dict]] = None) -> None:
+                      view_key: Optional[Hashable] = None) -> None:
         """Write one sealed, never-again-modified segment file and roll
         the aggregate sidecar over it.  The counter must already be
         claimed in the state file, so a crash here skips a name instead
         of colliding with a later writer.
 
-        The sidecar is rolled when the pre-seal aggregate proves out and
-        *ops* are pure new puts.  Otherwise a put seal passes
-        *merged*, the pre-seal view it holds under the lock, and the
-        sidecar is rebuilt from it with *ops* applied: one fold, once,
-        and the seals after it roll again.  A delete passes none, so
-        coverage stops at the old ``through`` until the next put.
+        A put passes *view_key*, the key of the merged view it read
+        under the lock; once the segment is renamed, that view is
+        advanced by *ops* (:meth:`_advance_view`).  The sidecar is rolled
+        when the pre-seal aggregate proves out and *ops* are pure new
+        puts.  Otherwise a put's seal rebuilds it from the post-seal
+        view: one fold, once, and the seals after it roll again.  A
+        delete passes no key, so coverage stops at the old ``through``
+        until the next put.
         """
         self._segments_dir.mkdir(exist_ok=True)
         name = f"{counter:012d}.json"
@@ -496,12 +560,14 @@ class FileBackend:
         _atomic_write_json(
             self._segments_dir / name, {"format": _SEGMENT_FORMAT, "ops": ops}
         )
+        if view_key is not None:
+            self._advance_view(view_key, name, ops)
         try:
             rolled = self._fold_ops(current, [ops]) \
                 if current is not None else None
-            if rolled is None and merged is not None:
-                _apply_ops(merged, ops)
-                rolled = self._build_aggregates(merged)
+            if rolled is None and view_key is not None:
+                with self._cache_lock:
+                    rolled = self._build_aggregates(self._merged_view()[1])
             if rolled is not None:
                 self._write_aggregate_sidecar(rolled, through=name)
         except OSError:
@@ -709,7 +775,7 @@ class FileBackend:
         ``stat``.
         """
         with self._cache_lock:
-            # Same read discipline as read_merged: segments before base,
+            # Same read discipline as _merged_view: segments before base,
             # so a racing compaction can only produce a token no later
             # read will match — never one that aliases two states.
             names = tuple(self._segment_names())
@@ -758,8 +824,9 @@ class FileBackend:
         return qdir
 
     def _drop_index_entry(self, run_id: str) -> None:
-        if self.read_merged().get(run_id) is None:
-            return
+        with self._cache_lock:
+            if self._merged_view()[1].get(run_id) is None:
+                return
         self._append_segment([{"op": "del", "run_id": run_id}])
 
     # ------------------------------------------------------------------
@@ -787,11 +854,13 @@ class FileBackend:
             # may leave an orphaned record file behind, and a retry —
             # or a later legitimate save of the same run id — must be
             # able to reclaim it.
-            merged = self.read_merged()
-            prior = merged.get(run_id)
+            with self._cache_lock:
+                view_key, view = self._merged_view()
+                prior = view.get(run_id)
             if prior is not None and not overwrite:
                 raise StoreError(f"run {run_id!r} already stored")
-            meta = dict(meta)
+            # Our own summary: the seal points its pairs at shared lists.
+            meta = dict(meta, summary=dict(meta["summary"]))
             seq = prior["seq"] if prior and "seq" in prior else None
             # Claim seq + segment name in one state write *before*
             # touching anything else: a crash in between skips values
@@ -807,7 +876,7 @@ class FileBackend:
             self._write_record(path, payload)
             self._seal_segment(
                 counter, [{"op": "put", "run_id": run_id, "meta": meta}],
-                merged,
+                view_key,
             )
             token = _stat_sig(path)
         return seq, token
@@ -872,13 +941,15 @@ class FileBackend:
         """The one index read: filtered metas, each carrying its
         ``"summary"`` — ``run_ids`` order when given, else seq order
         (oldest first) restricted to *app_name*/*version*.  Missing ids
-        map to ``None``."""
-        merged = self.read_merged()
-        if run_ids is not None:
-            return {run_id: merged.get(run_id) for run_id in run_ids}
+        map to ``None``.  The metas are shared with the backend's caches:
+        read-only."""
+        with self._cache_lock:
+            merged = self._merged_view()[1]
+            if run_ids is not None:
+                return {run_id: merged.get(run_id) for run_id in run_ids}
+            ordered = sorted(merged.items(), key=lambda kv: kv[1].get("seq", 0))
         out: Dict[str, dict] = {}
-        for run_id, meta in sorted(merged.items(),
-                                   key=lambda kv: kv[1].get("seq", 0)):
+        for run_id, meta in ordered:
             if app_name is not None and meta.get("app_name") != app_name:
                 continue
             if version is not None and meta.get("version") != version:
@@ -1038,7 +1109,8 @@ class FileBackend:
         the store readable."""
         with self.lock():
             names = self._segment_names()
-            merged = self.read_merged()
+            with self._cache_lock:
+                merged = self._merged_view()[1]
             # Aggregates for the new base: the rolled sidecar (plus any
             # uncovered tail) when the old state still proves out, by
             # full fold otherwise.  Computed before the base rename
@@ -1079,7 +1151,8 @@ class FileBackend:
 
     def info(self) -> StoreInfo:
         """The store's current shape (sizes, generation, backend name)."""
-        merged = self.read_merged()
+        with self._cache_lock:
+            runs = len(self._merged_view()[1])
         names = self._segment_names()
         index_bytes = 0
         try:
@@ -1100,7 +1173,7 @@ class FileBackend:
         return StoreInfo(
             root=self.root,
             backend=self.name,
-            runs=len(merged),
+            runs=runs,
             index_format=_INDEX_FORMAT,
             generation=generation,
             segments=len(names),

@@ -374,6 +374,9 @@ class ExperimentStore:
         missing id raises :class:`StoreError`; the filters are then
         ignored), else seq order (oldest first) filtered by *app_name*
         and *version*.  No record is parsed, and nothing is written.
+        The metas are shared with the backend's index caches (each
+        ``[hypothesis, focus]`` pair is one list across runs): treat
+        them as read-only.
         """
         items = self._call(self._backend.query_summaries,
                            app_name=app_name, version=version, run_ids=run_ids)

@@ -7,6 +7,7 @@ on the segment cache's read-modify-write; the hammer reproduces that
 shape and must stay green.
 """
 
+import sys
 import threading
 
 from repro import diagnose
@@ -98,6 +99,49 @@ def test_readers_race_writers(tmp_path):
         stop.set()
         w.join(timeout=120)
     assert errors == []
+
+
+def test_writer_threads_advance_the_shared_view(tmp_path):
+    """Puts from several threads advance the backend's one cached view
+    in place (and auto-compaction replaces it) while readers list it:
+    no reader may see a view change size under it, and the writers'
+    view must end equal to a fresh reader's."""
+    replicas = _replicas(_seed_record(), 40)
+    store = ExperimentStore(tmp_path / "runs", auto_compact=8)
+    errors = []
+
+    def writer(k):
+        try:
+            for record in replicas[k::4]:
+                store.save(record)
+        except Exception as exc:  # noqa: BLE001 - collected for the assert
+            errors.append(exc)
+
+    def reader():
+        try:
+            for _ in range(ROUNDS):
+                metas = store.summaries()
+                assert list(metas) == sorted(
+                    metas, key=lambda run_id: metas[run_id]["seq"])
+                store.info()
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(k,)) for k in range(4)]
+    threads += [threading.Thread(target=reader) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(store.list()) == sorted(r.run_id for r in replicas)
+    assert store.summaries() == ExperimentStore(tmp_path / "runs").summaries()
 
 
 def test_close_is_idempotent(tmp_path):

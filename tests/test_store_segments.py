@@ -7,19 +7,24 @@ policy, every intermediate crash state of the compaction protocol, and
 survival of a real SIGKILL landing mid-write/mid-compaction.
 """
 
+import dataclasses
+import gc
 import hashlib
 import json
 import multiprocessing
 import os
 import signal
 import time
+import tracemalloc
 
 import pytest
 
+from repro.apps.catalog import build_catalog_app
 from repro.apps.synthetic import make_pingpong
 from repro.cli import main as cli_main
-from repro.core import SearchConfig, run_diagnosis
-from repro.storage import ExperimentStore, RunRecord
+from repro.core import DiagnosisSession, SearchConfig, run_diagnosis
+from repro.faults import io as io_faults
+from repro.storage import ExperimentStore, RunRecord, file_backend
 from repro.storage.file_backend import FileBackend
 from repro.storage.summary import meta_for_record
 from tests.reference_extraction import facts_of_record, reference_directives
@@ -79,16 +84,34 @@ class TestSegmentLifecycle:
         assert store.info().generation == 1
         assert len(store) == 3
 
-    def test_fresh_reader_sees_unfolded_segments(self, tmp_path):
-        writer = ExperimentStore(tmp_path / "runs", auto_compact=0)
-        for i in range(3):
-            writer.save(_tiny_record(f"r{i}"))
-        reader = ExperimentStore(tmp_path / "runs")
-        assert set(reader.list()) == {"r0", "r1", "r2"}
-        assert all(
-            meta["summary"]["status"] == "complete"
-            for meta in reader.summaries().values()
-        )
+    def test_fresh_reader_sees_unfolded_segments(self, tmp_path, monkeypatch):
+        # the base as this release writes it, and as older releases did
+        for base_json in ("compact", "indented"):
+            root = tmp_path / base_json
+            with monkeypatch.context() as patch:
+                if base_json == "indented":
+                    patch.setattr(file_backend, "_atomic_write_json",
+                                  _write_json_with_indented_base)
+                writer = ExperimentStore(root, auto_compact=0)
+                for i in range(5):
+                    writer.save(_paired_record(f"r{i}"))
+                    if i == 2:
+                        writer.compact()  # r0-r2 in the base, r3-r4 in segments
+            base = (root / "index.json").read_text()
+            assert ("\n" in base) == (base_json == "indented")
+
+            reader = ExperimentStore(root)
+            assert reader.list() == ["r0", "r1", "r2", "r3", "r4"]
+            assert all(
+                meta["summary"]["status"] == "complete"
+                for meta in reader.summaries().values()
+            )
+            assert reader.summaries() == writer.summaries()
+            # opened as it is: no rebuild (generation 1) and the sidecar
+            # the writer left still covers every run
+            info = reader.info()
+            assert info.generation == 1 and info.segments == 2
+            assert info.aggregated_runs == info.runs == 5
 
     def test_delete_is_a_segment_op(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs", auto_compact=0)
@@ -99,6 +122,169 @@ class TestSegmentLifecycle:
         assert ExperimentStore(tmp_path / "runs").list() == ["keep"]
         store.compact()
         assert ExperimentStore(tmp_path / "runs").list() == ["keep"]
+
+
+_WRITE_JSON = file_backend._atomic_write_json
+
+
+def _write_json_with_indented_base(path, data):
+    """``_atomic_write_json`` as older releases ran it: the base index
+    with ``indent=1`` and sorted keys, every other file compact."""
+    if path.name == "index.json":
+        file_backend._atomic_write_text(
+            path, json.dumps(data, indent=1, sort_keys=True))
+    else:
+        _WRITE_JSON(path, data)
+
+
+def _paired_record(run_id: str) -> RunRecord:
+    """A tiny record that concluded one true and one false pair."""
+    nodes = [
+        {"id": i, "hypothesis": hyp, "focus": f"< /Code/{hyp}.c, /Process >",
+         "state": state, "priority": "medium", "persistent": False,
+         "value": 0.5, "t_requested": 0.0, "t_concluded": 1.0,
+         "quality": None, "parents": [], "children": []}
+        for i, (hyp, state) in enumerate(
+            (("CPUbound", "true"), ("ExcessiveSyncWaitingTime", "false")))
+    ]
+    return dataclasses.replace(_tiny_record(run_id), shg_nodes=nodes)
+
+
+def _pairs_of(metas, field):
+    return [meta["summary"][field][0] for meta in metas.values()]
+
+
+def _index_reads(monkeypatch) -> list:
+    """Every base-index or segment file the store opens for reading from
+    now on (the claim file ``segments/_state.json`` is not counted)."""
+    reads = []
+    real_check = io_faults.check
+
+    def counting(op, path=None):
+        if op == "read" and path is not None:
+            path = str(path)
+            if path.endswith("index.json") or (
+                    os.sep + "segments" + os.sep in path
+                    and not path.endswith("_state.json")):
+                reads.append(path)
+        return real_check(op, path)
+
+    monkeypatch.setattr(io_faults, "check", counting)
+    return reads
+
+
+class TestSharedPairsAndWarmPuts:
+    """Every meta the backend caches points each ``[hypothesis, focus]``
+    at one shared list, and a put advances the cached view by its own
+    op instead of replaying the index."""
+
+    def test_same_pair_is_one_object(self, tmp_path):
+        root = tmp_path / "runs"
+        writer = ExperimentStore(root, auto_compact=0)
+        for i in range(4):
+            writer.save(_paired_record(f"r{i}"))
+            if i == 1:
+                writer.compact()  # r0, r1 in the base; r2, r3 in segments
+        # base parse + segment parse (a fresh open), the writer's puts
+        # over its compacted base, and a rebuilt base
+        for metas in (ExperimentStore(root).summaries(), writer.summaries()):
+            for field in ("true_pairs", "false_pairs"):
+                first, *rest = _pairs_of(metas, field)
+                assert all(pair is first for pair in rest)
+        writer.rebuild_index()
+        for field in ("true_pairs", "false_pairs"):
+            first, *rest = _pairs_of(writer.summaries(), field)
+            assert all(pair is first for pair in rest)
+        # values are unchanged: lists of [hypothesis, focus] lists
+        assert writer.summary("r0")["true_pairs"] == [
+            ["CPUbound", "< /Code/CPUbound.c, /Process >"]]
+
+    def test_held_index_grows_by_pointers_per_run(self, tmp_path):
+        """Around ``read_merged()`` on a fresh open, each added run of
+        the Poisson record grows the held index by well under what a
+        plain parse of the same base holds per run (measured: ~40 KB
+        against ~260 KB)."""
+        record = DiagnosisSession(
+            app=build_catalog_app("poisson", "A", 1000),
+            config=SearchConfig(stop_engine_when_done=True)).run()
+        assert len(record.false_pairs()) > 500
+
+        def held(n_runs):
+            root = tmp_path / f"s{n_runs}"
+            store = ExperimentStore(root, auto_compact=0)
+            for i in range(n_runs):
+                store.save(dataclasses.replace(record, run_id=f"r{i}"))
+            store.compact()
+            store.save(dataclasses.replace(record, run_id="tail"))
+            text = (root / "index.json").read_text()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                backend = FileBackend(root)
+                view = backend.read_merged()
+                shared = tracemalloc.get_traced_memory()[0]
+                del backend, view
+                gc.collect()
+                start = tracemalloc.get_traced_memory()[0]
+                plain = json.loads(text)
+                plain_bytes = tracemalloc.get_traced_memory()[0] - start
+                del plain
+            finally:
+                tracemalloc.stop()
+            return shared, plain_bytes
+
+        shared_2, plain_2 = held(2)
+        shared_6, plain_6 = held(6)
+        per_run, plain_per_run = (shared_6 - shared_2) / 4, (plain_6 - plain_2) / 4
+        assert plain_per_run > 150_000
+        assert per_run < plain_per_run / 3
+
+    def test_warm_put_reads_and_replays_nothing(self, tmp_path, monkeypatch):
+        store = ExperimentStore(tmp_path / "runs", auto_compact=0)
+        for i in range(3):
+            store.save(_paired_record(f"r{i}"))
+        store.compact()
+        store.save(_paired_record("r3"))  # warm: base and a segment cached
+        reads = _index_reads(monkeypatch)
+        applied = []
+        apply_ops = file_backend._apply_ops
+
+        def counting_apply(view, ops):
+            applied.append(len(ops))
+            apply_ops(view, ops)
+
+        monkeypatch.setattr(file_backend, "_apply_ops", counting_apply)
+        store.save(_paired_record("r4"))
+        store.save(_paired_record("r2"), overwrite=True)  # sidecar rebuilt
+        listed = store.summaries()
+        assert reads == []
+        assert applied == [1, 1]  # each put's own op, no replay
+        monkeypatch.undo()
+        fresh = ExperimentStore(tmp_path / "runs")
+        assert fresh.summaries() == listed
+        assert list(listed) == ["r0", "r1", "r2", "r3", "r4"]
+        assert store.harvest_evidence() == fresh.harvest_evidence()
+
+    def test_two_backends_in_turn_match_one_writer(self, tmp_path):
+        root = tmp_path / "two"
+        writers = (ExperimentStore(root, auto_compact=3),
+                   ExperimentStore(root, auto_compact=0))
+        solo = ExperimentStore(tmp_path / "one", auto_compact=3)
+        steps = [("save", f"r{i}") for i in range(5)] + [
+            ("overwrite", "r1"), ("delete", "r0"), ("save", "r5"),
+            ("overwrite", "r3"), ("save", "r6"), ("save", "r7")]
+        for turn, (op, run_id) in enumerate(steps):
+            for store in (writers[turn % 2], solo):
+                if op == "delete":
+                    store.delete(run_id)
+                else:
+                    store.save(_paired_record(run_id),
+                               overwrite=op == "overwrite")
+            want = solo.summaries()
+            for store in writers + (ExperimentStore(root),):
+                assert store.summaries() == want, (turn, op, run_id)
+        assert writers[0].harvest_evidence() == solo.harvest_evidence()
+        assert writers[1].harvest_evidence() == solo.harvest_evidence()
 
 
 class TestCompactionCrashStates:
