@@ -26,6 +26,7 @@ pipeline over the records it is given.
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -134,6 +135,8 @@ def threshold_directives(
 #: persisted aggregates from older code degrade to a rescan, never to a
 #: misread).
 AGGREGATE_VERSION = 1
+#: What :meth:`HarvestAggregate.to_json` text holds before ``n_runs``.
+_JSON_HEAD = '{"version": %d, "n_runs": ' % AGGREGATE_VERSION
 
 
 class HarvestAggregate:
@@ -145,6 +148,10 @@ class HarvestAggregate:
     historic-prune test "below threshold in every run" is exactly "max
     over runs below threshold"), per-hypothesis value evidence, and the
     first run's machine/process environment for the general prunes.
+    :meth:`finalize` reads six fields — ``first_env``, ``true_pairs``,
+    ``false_pairs``, ``code_candidates``, ``code_max_fraction`` and
+    ``hyp_values`` — and never ``n_runs``; :meth:`same_evidence`
+    compares exactly those six.
 
     Hypothesis values are kept as ``{round(v, 4): max raw v}`` buckets —
     ``suggest_threshold`` filters raw values against the noise floor and
@@ -385,6 +392,23 @@ class HarvestAggregate:
             },
         }
 
+    def to_json(
+        self, last: Optional[Tuple["HarvestAggregate", str]] = None
+    ) -> str:
+        """``json.dumps(self.to_dict())``.
+
+        *last* is an earlier aggregate and the text this method gave for
+        it.  When it has the :meth:`same_evidence` — a rolling writer's
+        save that taught the history nothing new — its text is reused
+        with only ``n_runs`` spliced in.  Equal values encode alike:
+        summaries hold true divisions and floats, never an ``int`` twin
+        of a float or ``-0.0``.
+        """
+        if last is not None and self.same_evidence(last[0]):
+            rest = last[1][len(_JSON_HEAD) + len(str(last[0].n_runs)):]
+            return f"{_JSON_HEAD}{self.n_runs}{rest}"
+        return json.dumps(self.to_dict())
+
     @classmethod
     def from_dict(cls, data: dict) -> "HarvestAggregate":
         """Inverse of :meth:`to_dict`.
@@ -412,6 +436,28 @@ class HarvestAggregate:
         return out
 
     # -- comparison / introspection ---------------------------------------
+    def same_evidence(self, other: "HarvestAggregate") -> bool:
+        """Whether :meth:`finalize` reads the same thing from both, for
+        every option combination: the six fields it reads are equal.
+
+        ``n_runs`` is not compared: the unions and maxima saturate, so
+        another run of the same program usually adds nothing, and
+        whoever derived something from ``other`` (a directive set, an
+        encoded body) may keep it.  A field :meth:`finalize` comes to
+        read must be added here, or that reuse goes stale.
+        """
+        return all(
+            mine is theirs or mine == theirs
+            for mine, theirs in (
+                (self.first_env, other.first_env),
+                (self.true_pairs, other.true_pairs),
+                (self.false_pairs, other.false_pairs),
+                (self.code_candidates, other.code_candidates),
+                (self.code_max_fraction, other.code_max_fraction),
+                (self.hyp_values, other.hyp_values),
+            )
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HarvestAggregate):
             return NotImplemented

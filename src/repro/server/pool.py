@@ -20,19 +20,26 @@ them per call.  The pool keeps both warm:
   one instead of sitting beside it.
 
 A miss asks :meth:`~repro.storage.store.ExperimentStore.harvest_evidence`
-for the evidence and finalizes it.  The pool keeps no evidence of its
-own: the backend's rolling aggregate, extended inside every save, is
-the one incremental path, so the first harvest after a write is one
-aggregate read, not a fold over the history.  The pool re-reads the
-index token after extraction and only caches when it still matches the
-token the computation started from — a concurrent writer mid-extraction
-would otherwise poison the cache with directives for an index state the
+for the evidence (one read of the backend's rolling aggregate, which
+every save extends) and finalizes it — unless the entry it replaces
+was finalized from evidence that
+:meth:`~repro.core.extraction.HarvestAggregate.same_evidence` the fresh
+one.  The rules are unions and maxima, so they saturate: after a few
+runs of one program a save usually teaches the history nothing new,
+and the miss then hands back the cached
+:class:`~repro.core.directives.DirectiveSet` object itself, re-keyed to
+the new token (``harvest_reuses`` counts these), so ``begin()`` reuses
+the set's names and indexes too.  The pool re-reads the index token
+after extraction and only caches when it still matches the token the
+computation started from — a concurrent writer mid-extraction would
+otherwise poison the cache with directives for an index state the
 token no longer names.
 
 Thread-safe: the server's worker threads and any direct callers share
 one pool under a single lock; the cached values themselves (stores,
-:class:`~repro.core.directives.DirectiveSet`) are treated as immutable
-shared objects, the same contract the record cache already imposes.
+directive sets and the evidence they came from) are treated as
+immutable shared objects, the same contract the record cache already
+imposes.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from ..core.directives import DirectiveSet
+from ..core.extraction import HarvestAggregate
 from ..storage.store import ExperimentStore
 
 __all__ = ["StorePool"]
@@ -73,8 +81,9 @@ class StorePool:
         self.max_stores = max_stores
         self._lock = threading.RLock()
         self._stores: "OrderedDict[str, ExperimentStore]" = OrderedDict()
-        # (id(store), app, options) -> (store, index token, directives)
-        self._harvests: "OrderedDict[tuple, Tuple[ExperimentStore, object, DirectiveSet]]" = \
+        # (id(store), app, options) -> (store, index token, directives,
+        # the evidence they were finalized from)
+        self._harvests: "OrderedDict[tuple, Tuple[ExperimentStore, object, DirectiveSet, HarvestAggregate]]" = \
             OrderedDict()
         self._closed = False
         self.store_hits = 0
@@ -82,6 +91,7 @@ class StorePool:
         self.evictions = 0
         self.harvest_hits = 0
         self.harvest_misses = 0
+        self.harvest_reuses = 0
 
     # ------------------------------------------------------------------
     # stores
@@ -129,31 +139,44 @@ class StorePool:
         Semantically identical to the facade's summary fast path
         (directives extracted from every summary in the store's index),
         but the result is cached against the store's index state token:
-        the first diagnosis after a write pays the extraction (one read
-        of the backend's rolling aggregate), every one until the next
-        write reuses it.
+        the first diagnosis after a write reads the backend's rolling
+        aggregate and finalizes it only when its evidence differs from
+        what the cached set came from; every one until the next write
+        is a hit.  Raises ``RuntimeError`` once the pool is closed.
         """
         opened = self.get(store)
         token = opened.index_token()
         key = (id(opened), app, tuple(sorted(options.items())))
         with self._lock:
+            if self._closed:
+                raise RuntimeError("StorePool is closed")
             entry = self._harvests.get(key)
             # Identity-check the owning store: id() alone could collide
             # after an evicted store is garbage collected.
-            if entry is not None and entry[0] is opened and entry[1] == token:
+            if entry is not None and entry[0] is not opened:
+                entry = None
+            if entry is not None and entry[1] == token:
                 self._harvests.move_to_end(key)
                 self.harvest_hits += 1
                 return entry[2]
             self.harvest_misses += 1
 
-        directives = opened.harvest_evidence(app).finalize(**options)
+        evidence = opened.harvest_evidence(app)
+        if entry is not None and evidence.same_evidence(entry[3]):
+            directives = entry[2]
+            with self._lock:
+                self.harvest_reuses += 1
+        else:
+            directives = evidence.finalize(**options)
 
         # Cache only when the index still looks exactly as it did when
         # extraction started; a write that landed mid-extraction would
         # otherwise pin these directives to a token they don't describe.
         if opened.index_token() == token:
             with self._lock:
-                self._harvests[key] = (opened, token, directives)
+                if self._closed:
+                    return directives
+                self._harvests[key] = (opened, token, directives, evidence)
                 self._harvests.move_to_end(key)
                 while len(self._harvests) > _HARVEST_CACHE_SIZE:
                     self._harvests.popitem(last=False)
@@ -189,6 +212,7 @@ class StorePool:
                 "harvest_entries": len(self._harvests),
                 "harvest_hits": self.harvest_hits,
                 "harvest_misses": self.harvest_misses,
+                "harvest_reuses": self.harvest_reuses,
             }
 
     def __len__(self) -> int:

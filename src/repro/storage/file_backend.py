@@ -323,6 +323,10 @@ class FileBackend:
         #: every cached meta's summary points at (see :meth:`_share_pairs`);
         #: started afresh with each base this backend writes.
         self._pairs: Dict[Tuple[str, str], list] = {}
+        #: Sidecar scope (``None`` for ``all``, else the app) -> the last
+        #: aggregate written for it and its encoded body (see
+        #: :meth:`_encode_aggregate`); guarded by the store lock.
+        self._bodies: Dict[Optional[str], Tuple[HarvestAggregate, str]] = {}
         #: Guards the caches and the pair table above against concurrent
         #: same-process readers.  The flock serialises *processes*;
         #: threads sharing one backend (a pooled store under a server)
@@ -654,16 +658,31 @@ class FileBackend:
         # app's aggregate: store it once.
         solo = len(by_app) == 1 and all(
             agg.n_runs == all_agg.n_runs for agg in by_app.values())
-        _atomic_write_json(path, {
-            "format": _AGGREGATE_FORMAT,
-            "base_sig": list(parsed["base_sig"]),
-            "through": through,
-            "max_seq": aggs["max_seq"],
-            "all": None if solo else all_agg.to_dict(),
-            "by_app": {app: by_app[app].to_dict() for app in sorted(by_app)},
-        })
+        # The text ``json.dumps`` gives the sidecar dict, with each
+        # aggregate's body spliced in from _encode_aggregate.
+        _atomic_write_text(path, '{"format": %d, "base_sig": %s, '
+                           '"through": %s, "max_seq": %s, "all": %s, '
+                           '"by_app": {%s}}' % (
+            _AGGREGATE_FORMAT,
+            json.dumps(list(parsed["base_sig"])),
+            json.dumps(through),
+            json.dumps(aggs["max_seq"]),
+            "null" if solo else self._encode_aggregate(None, all_agg),
+            ", ".join(
+                f"{json.dumps(app)}: {self._encode_aggregate(app, by_app[app])}"
+                for app in sorted(by_app)),
+        ))
         with self._cache_lock:
             self._sidecar_cache = (_stat_sig(path), parsed)
+
+    def _encode_aggregate(self, scope: Optional[str],
+                          agg: HarvestAggregate) -> str:
+        """*agg*'s body for sidecar *scope*, reusing the last body written
+        for that scope when a save taught it nothing new (caller holds
+        the store lock)."""
+        body = agg.to_json(self._bodies.get(scope))
+        self._bodies[scope] = (agg, body)
+        return body
 
     def _read_sidecar(self) -> Optional[dict]:
         """The parsed sidecar, *validated against the current base*.

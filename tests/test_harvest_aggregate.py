@@ -694,3 +694,124 @@ def test_mixed_apps_keep_every_scope_exact(tmp_path):
     assert fresh.backend.harvest_aggregate() == _scan_aggregate(fresh)
     assert fresh.backend.harvest_aggregate("alpha") == \
         _scan_aggregate(fresh, "alpha")
+
+
+# ---------------------------------------------------------------------------
+# reuse on equal evidence: the pool's directive set, the sidecar's body
+# ---------------------------------------------------------------------------
+def _variant(base: RunRecord, run_id: str, edit=None) -> RunRecord:
+    """A copy of *base* under *run_id*, changed in place by *edit*."""
+    record = RunRecord.from_dict(base.to_dict())
+    record.run_id = run_id
+    if edit is not None:
+        edit(record)
+    return record
+
+
+def _check_sidecar(store: ExperimentStore) -> None:
+    """The sidecar either covers every listed segment — then it parses
+    to the full-scan aggregates and its bytes are ``json.dumps`` of the
+    whole dict — or it stops short of a delete and is refused."""
+    backend = store.backend
+    text = (backend.root / "index.aggregate").read_text()
+    data = json.loads(text)
+    assert data["base_sig"] == list(_stat_sig(backend.root / "index.json"))
+    if data["through"] != max(backend._segment_names(), default=""):
+        assert backend._current_aggregates() is None
+        return
+    expected = backend._build_aggregates(backend.read_merged())
+    parsed = backend._read_sidecar()
+    assert parsed["max_seq"] == expected["max_seq"]
+    assert parsed["all"] == expected["all"]
+    assert parsed["by_app"] == expected["by_app"]
+    by_app = expected["by_app"]
+    solo = len(by_app) == 1 and all(
+        agg.n_runs == expected["all"].n_runs for agg in by_app.values())
+    assert text == json.dumps({
+        "format": data["format"],
+        "base_sig": data["base_sig"],
+        "through": data["through"],
+        "max_seq": expected["max_seq"],
+        "all": None if solo else expected["all"].to_dict(),
+        "by_app": {app: by_app[app].to_dict() for app in sorted(by_app)},
+    })
+
+
+def test_reuse_on_equal_evidence_matches_the_cold_scan(tmp_path):
+    """One pool and one store through a write sequence in which each
+    step changes one thing the harvest reads — or nothing.  After every
+    step, every pooled answer equals the cold reference scan and the
+    sidecar is exact to the byte, so neither the pool's reused directive
+    set nor the sidecar's reused body can go stale."""
+    store = ExperimentStore(tmp_path / "runs", auto_compact=0)
+    plain = make_run(0, app="alpha")
+
+    def four_nodes(record):  # machine nodes == processes: /Machine prune
+        record.hierarchies["Machine"] = \
+            ["/Machine"] + [f"/Machine/n{j}" for j in range(4)]
+
+    def add_node(record, j, state, value, focus):
+        record.shg_nodes.append(dict(
+            record.shg_nodes[0], id=len(record.shg_nodes), state=state,
+            hypothesis=HYPS[j % 2], value=value, focus=_focus(focus)))
+
+    def new_true(record):
+        record.shg_nodes[2]["state"] = "true"
+
+    def new_false(record):  # same hypothesis and value as node 0
+        add_node(record, 0, "false", 0.2, "/Code/m0.c/fn04")
+
+    def new_leaf(record):
+        record.hierarchies["Code"].append("/Code/m0.c/fn09")
+
+    def code_max(record):  # 0.0015 of 40 → ~1/41 of it: past 0.005
+        record.profile["by_code"]["/Code/m1.c/fn05"]["compute"] = 1.0
+
+    def new_bucket(record):
+        record.shg_nodes[0]["value"] = 0.777
+
+    store.save(_variant(plain, "run-000", four_nodes))
+    for i in (1, 2):
+        store.save(make_run(i, app="alpha"))
+    store.save(make_run(3, app="beta"))
+    pool = StorePool()
+    steps = [
+        ("no news", lambda: store.save(_variant(plain, "again-000"))),
+        ("new true pair", lambda: store.save(
+            _variant(plain, "true-000", new_true))),
+        ("new false pair", lambda: store.save(
+            _variant(plain, "false-000", new_false))),
+        ("new code leaf", lambda: store.save(
+            _variant(plain, "leaf-000", new_leaf))),
+        ("code max crosses", lambda: store.save(
+            _variant(plain, "max-000", code_max))),
+        ("new bucket", lambda: store.save(
+            _variant(plain, "bucket-000", new_bucket))),
+        ("no news again", lambda: store.save(_variant(plain, "again-001"))),
+        ("overwrite", lambda: store.save(
+            _variant(make_run(1, app="alpha"), "run-001", new_bucket),
+            overwrite=True)),
+        ("delete the first run", lambda: store.delete("run-000")),
+        ("first env changes", lambda: store.save(
+            _variant(plain, "again-002"))),
+        ("compaction", store.compact),
+        ("no news after compaction", lambda: store.save(
+            _variant(plain, "again-003"))),
+        ("rebuild", store.rebuild_index),
+        ("other scope", lambda: store.save(
+            _variant(make_run(4, app="beta"), "beta-004", new_true))),
+        ("no news in both scopes", lambda: store.save(
+            _variant(make_run(4, app="beta"), "beta-005", new_true))),
+    ]
+    for name, write in [("seeded", lambda: None)] + steps:
+        write()
+        _check_sidecar(store)
+        for app in (None, "alpha", "beta"):
+            metas = store.summaries(app_name=app)
+            summaries = [meta["summary"] for meta in metas.values()]
+            for options in OPTION_COMBOS:
+                expected = reference_directives(summaries, **options).to_text()
+                assert pool.harvest(store, app=app, **options).to_text() \
+                    == expected, (name, app, options)
+    stats = pool.stats()
+    assert 0 < stats["harvest_reuses"] < stats["harvest_misses"]

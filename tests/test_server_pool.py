@@ -6,7 +6,7 @@ from repro import diagnose, harvest
 from repro.apps.synthetic import make_pingpong
 from repro.facade import default_pool
 from repro.server import StorePool
-from repro.storage import ExperimentStore
+from repro.storage import ExperimentStore, RunRecord
 
 FAST = dict(min_interval=5.0, check_period=0.5, insertion_latency=0.2, cost_limit=50.0)
 
@@ -54,11 +54,42 @@ class TestStorePool:
         second = pool.harvest(tmp_path / "runs")
         assert second is first
         assert pool.stats()["harvest_hits"] == 1
-        # Any write changes the index state token and invalidates.
-        _seed(tmp_path / "runs", run_id="seed-0002")
+        # Any write changes the index state token: the next harvest is a
+        # miss, and a new true pair means new directives.
+        record = RunRecord.from_dict(
+            pool.get(tmp_path / "runs").load("seed-0001").to_dict())
+        record.run_id = "seed-0002"
+        node = next(n for n in record.shg_nodes if n["state"] == "false")
+        node["state"] = "true"
+        pool.get(tmp_path / "runs").save(record)
         third = pool.harvest(tmp_path / "runs")
         assert third is not first
+        assert third.to_text() == harvest(tmp_path / "runs", pool=None).to_text()
+        assert third.to_text() != first.to_text()
         assert pool.stats()["harvest_misses"] == 2
+        assert pool.stats()["harvest_reuses"] == 0
+
+    def test_save_with_no_new_evidence_reuses_the_harvest(self, tmp_path):
+        # Priorities, prunes and thresholds are unions and maxima: the
+        # same run again teaches the history nothing, so the miss after
+        # the write hands back the very same directive set.
+        _seed(tmp_path / "runs")
+        pool = StorePool()
+        store = pool.get(tmp_path / "runs")
+        first = pool.harvest(tmp_path / "runs")
+        record = RunRecord.from_dict(store.load("seed-0001").to_dict())
+        record.run_id = "seed-0002"
+        store.save(record)
+        again = pool.harvest(tmp_path / "runs")
+        assert again is first
+        assert again.to_text() == harvest(tmp_path / "runs", pool=None).to_text()
+        stats = pool.stats()
+        assert stats["harvest_misses"] == 2
+        assert stats["harvest_reuses"] == 1
+        assert stats["harvest_entries"] == 1
+        # re-keyed to the new token: the next ask is a plain hit
+        assert pool.harvest(tmp_path / "runs") is first
+        assert pool.stats()["harvest_hits"] == 1
 
     def test_harvest_matches_facade(self, tmp_path):
         _seed(tmp_path / "runs")
@@ -109,6 +140,20 @@ class TestStorePool:
         pool.close()
         with pytest.raises(RuntimeError):
             pool.get(tmp_path / "runs")
+
+    def test_closed_pool_refuses_to_harvest(self, tmp_path):
+        # A pass-through store is not the pool's to close, but a closed
+        # pool must neither harvest it nor cache an entry for it.
+        _seed(tmp_path / "runs")
+        store = ExperimentStore(tmp_path / "runs")
+        pool = StorePool()
+        pool.close()
+        with pytest.raises(RuntimeError):
+            pool.harvest(store)
+        with pytest.raises(RuntimeError):
+            pool.harvest(tmp_path / "runs")
+        assert pool.stats()["harvest_entries"] == 0
+        assert pool.stats()["harvest_misses"] == 0
 
     def test_context_manager(self, tmp_path):
         _seed(tmp_path / "runs")

@@ -303,6 +303,7 @@ class TestDiagnosisService:
         assert lint_prometheus_names(metrics, prefix="repro_server") == []
         text = metrics_to_prometheus(metrics, prefix="repro_server")
         assert "repro_server_sessions_completed 1" in text
+        assert "repro_server_pool_harvest_reuses 0" in text
 
     def test_stop_rejects_queue(self):
         async def main():
