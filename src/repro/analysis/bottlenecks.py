@@ -236,21 +236,20 @@ def significant_areas(
     large global wait fractions, processes dominated by waiting, and the
     pairwise *combinations* of those components whose (per-matched-process
     normalised) wait fraction clears ``combo_min``."""
-    total = profile.total_time()
-    if total <= 0:
+    if profile.total_time() <= 0:
         return []
     placement = placement or {}
     areas: List[Area] = []
     code_sig: List[str] = []
     tag_sig: List[str] = []
     proc_sig: List[str] = []
-    for name, entry in profile.by_code.items():
-        frac = entry.get("sync", 0.0) / total
+    for name, shares in profile.share_table(profile.by_code).items():
+        frac = shares.get("sync", 0.0)
         if frac >= min_fraction:
             areas.append(Area((name,), frac))
             code_sig.append(name)
-    for name, entry in profile.by_tag.items():
-        frac = entry.get("sync", 0.0) / total
+    for name, shares in profile.share_table(profile.by_tag).items():
+        frac = shares.get("sync", 0.0)
         if frac >= min_fraction:
             areas.append(Area((name,), frac))
             tag_sig.append(name)

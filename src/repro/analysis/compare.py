@@ -92,13 +92,9 @@ class ResourceDelta:
 
 def _fractions(record: RunRecord, table: str, activity: str) -> Dict[str, float]:
     profile = record.flat_profile()
-    total = profile.total_time()
-    if total <= 0:
-        return {}
-    source = getattr(profile, table)
     return {
-        name: entry.get(activity, 0.0) / total
-        for name, entry in source.items()
+        name: shares.get(activity, 0.0)
+        for name, shares in profile.share_table(getattr(profile, table)).items()
     }
 
 

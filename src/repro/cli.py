@@ -208,24 +208,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     record = store.load(args.run)
     if args.profile:
         prof = record.flat_profile()
-        total = prof.total_time()
         ranked = sorted(
             prof.by_code.items(), key=lambda kv: -sum(kv[1].values())
         )[: args.top]
+        shares = prof.share_table(prof.by_code)
         ptable = Table("Profile (fraction of total execution time)",
                        ["resource", "compute", "sync", "io"])
-        for name, entry in ranked:
-            ptable.add_row([
-                name,
-                f"{entry.get('compute', 0.0) / total:.3f}",
-                f"{entry.get('sync', 0.0) / total:.3f}",
-                f"{entry.get('io', 0.0) / total:.3f}",
-            ])
+        for name, _entry in ranked:
+            row = shares.get(name, {})
+            ptable.add_row([name] + [f"{row.get(activity, 0.0):.3f}"
+                                     for activity in ("compute", "sync", "io")])
         print()
         print(ptable.render())
         print()
         print(bar_chart(
-            [(name, sum(entry.values()) / total) for name, entry in ranked]
+            [(name, prof.exec_share((entry,))) for name, entry in ranked]
         ))
     if args.shg:
         print()
@@ -518,17 +515,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .campaign import default_executor
     from .server import DiagnosisService, StorePool, serve_forever
 
-    service = DiagnosisService(
-        StorePool(max_stores=args.pool_size),
-        max_concurrent=args.max_concurrent,
-        queue_limit=args.queue_limit,
-        slice_events=args.slice_events,
-        tenants=dict(args.tenant or ()),
-        executor=default_executor(args.workers) if args.workers
-        and args.workers > 1 else None,
-        progress=(lambda event: print(json.dumps(event), flush=True))
-        if args.verbose else None,
-    )
+    try:
+        service = DiagnosisService(
+            StorePool(max_stores=args.pool_size),
+            max_concurrent=args.max_concurrent,
+            queue_limit=args.queue_limit,
+            slice_events=args.slice_events,
+            tenants=dict(args.tenant or ()),
+            executor=default_executor(args.workers) if args.workers
+            and args.workers > 1 else None,
+            progress=(lambda event: print(json.dumps(event), flush=True))
+            if args.verbose else None,
+        )
+    except ValueError as exc:
+        # a bad numeric flag: one line before any port is bound
+        print(f"error: bad serve flag: {exc}", file=sys.stderr)
+        return EXIT_STORE
 
     def ready(bound) -> None:
         print(f"serving diagnoses on {bound[0]}:{bound[1]} "

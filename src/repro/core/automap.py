@@ -139,14 +139,10 @@ def suggest_mappings(
     def code_share(profile: Optional[FlatProfile], name: str) -> float:
         if profile is None:
             return 0.0
-        total = profile.total_time()
-        if total <= 0:
-            return 0.0
-        return sum(
-            sum(entry.values())
-            for key, entry in profile.by_code.items()
+        return profile.exec_share(
+            entry for key, entry in profile.by_code.items()
             if key == name or key.startswith(name + "/")
-        ) / total
+        )
 
     old_mods, new_mods = shared_and_unique("Code", 2)
 

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -88,7 +90,8 @@ HistoryLike = Union[
 ]
 StoreLike = Union[ExperimentStore, str, Path]
 #: ``pool=`` argument: ``"default"`` (the process-wide pool), an explicit
-#: :class:`~repro.server.pool.StorePool`, or ``None`` to opt out.
+#: :class:`~repro.server.pool.StorePool`, or ``None`` for a pool of one
+#: for the call (re-open and re-harvest per call).
 PoolLike = Union[None, str, "StorePool"]
 
 _default_pool: Optional["StorePool"] = None
@@ -111,15 +114,23 @@ def default_pool() -> "StorePool":
     return _default_pool
 
 
-def _resolve_pool(pool: PoolLike) -> Optional["StorePool"]:
-    if pool is None:
-        return None
+@contextmanager
+def _resolve_pool(pool: PoolLike) -> Iterator["StorePool"]:
+    """The pool a facade call takes every store from: the process-wide
+    one, the caller's, or for ``None`` a pool of one for the call,
+    closed before the call returns."""
     if isinstance(pool, str):
         if pool != "default":
             raise TypeError(f'pool must be "default", a StorePool, or None, '
                             f'got {pool!r}')
-        return default_pool()
-    return pool
+        yield default_pool()
+    elif pool is None:
+        from .server.pool import StorePool
+
+        with StorePool() as own:
+            yield own
+    else:
+        yield pool
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +142,11 @@ def resolve_store(
 ) -> ExperimentStore:
     """The :class:`ExperimentStore` for a path-or-store argument.
 
-    This is the one resolution path behind every ``--store`` flag and
-    ``store=`` keyword: an already-open store passes through unchanged;
-    a path opens the store there (creating an empty one when the
+    The resolution behind the CLI's store commands and a campaign's
+    ``store=`` (a facade call takes its stores from a
+    :class:`~repro.server.pool.StorePool` instead, which opens them the
+    same way): an already-open store passes through unchanged; a path
+    opens the store there (creating an empty one when the
     directory holds none — a save target).  *resilience* configures the
     retry/breaker layer when a path is
     opened (a :class:`~repro.resilience.policy.ResiliencePolicy`,
@@ -177,7 +190,8 @@ def resolve_history(
     ``pool`` routes store sources through a
     :class:`~repro.server.pool.StorePool` (see :func:`harvest`);
     ``None`` — the default here, matching the resolver's historical
-    behavior — opens and extracts per call.
+    behavior — is a pool of one for the call, so every call re-opens
+    and re-extracts.
     """
     if history is None:
         return None
@@ -272,8 +286,9 @@ def diagnose(
     :func:`default_pool`, so repeated diagnoses over the same archive
     reuse the open store, its parsed index, and the cached harvest; pass
     an explicit :class:`~repro.server.pool.StorePool` to scope the
-    reuse, or ``pool=None`` to re-open and re-harvest per call (the
-    pre-pool behavior).
+    reuse, or ``pool=None`` for a pool of one for the call: the stores
+    it opens (one per path, shared by ``history`` and ``store``) are
+    closed before it returns, so every call re-opens and re-harvests.
 
     >>> record = diagnose(build_poisson("C"), history="runs/", store="runs/")
     """
@@ -298,23 +313,22 @@ def diagnose(
         trace_path = Path(trace)
     elif trace:
         tracer = Tracer()
-    pool_obj = _resolve_pool(pool)
-    record = DiagnosisSession(
-        app=app,
-        directives=resolve_history(
-            history, app=app, pool=pool_obj, strict=strict_history
-        ),
-        config=config or (SearchConfig(**search_kwargs) if search_kwargs else None),
-        run_id=run_id,
-        tracer=tracer,
-        **session_kwargs,
-    ).run()
-    if store is not None:
-        store = pool_obj.get(store) if pool_obj is not None \
-            else resolve_store(store)
-        store.save(record, overwrite=overwrite)
-        if trace is True:
-            trace_path = Path(store.root) / "traces" / f"{record.run_id}.jsonl"
+    with _resolve_pool(pool) as pool_obj:
+        record = DiagnosisSession(
+            app=app,
+            directives=resolve_history(
+                history, app=app, pool=pool_obj, strict=strict_history
+            ),
+            config=config or (SearchConfig(**search_kwargs) if search_kwargs else None),
+            run_id=run_id,
+            tracer=tracer,
+            **session_kwargs,
+        ).run()
+        if store is not None:
+            store = pool_obj.get(store)
+            store.save(record, overwrite=overwrite)
+            if trace is True:
+                trace_path = Path(store.root) / "traces" / f"{record.run_id}.jsonl"
     if trace_path is not None:
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         tracer.write(trace_path)
@@ -355,7 +369,8 @@ def harvest(
     ``pool`` (default: the process-wide :func:`default_pool`) keeps the
     opened store *and* the extracted directives hot across calls,
     invalidated by the store's index state token whenever any process
-    writes to it; ``pool=None`` re-opens and re-extracts per call.
+    writes to it; ``pool=None`` is a pool of one for the call, closed
+    before it returns, so every call re-opens and re-extracts.
 
     **Federated harvest** (a list/tuple of stores) harvests every store
     independently and merges the directive sets with
@@ -370,41 +385,34 @@ def harvest(
     source would silently return an empty history.
     """
     source = store_or_records
-    if isinstance(source, (list, tuple)) and source and all(
-        isinstance(s, (ExperimentStore, str, Path)) for s in source
-    ):
-        parts = []
-        for member in source:
-            try:
-                parts.append(
-                    harvest(member, app=app, strict=strict, pool=pool, **options)
+    with _resolve_pool(pool) as pool_obj:
+        if isinstance(source, (list, tuple)) and source and all(
+            isinstance(s, (ExperimentStore, str, Path)) for s in source
+        ):
+            parts = []
+            for member in source:
+                try:
+                    parts.append(harvest(member, app=app, strict=strict,
+                                         pool=pool_obj, **options))
+                except (StoreError, OSError) as exc:
+                    if strict:
+                        raise
+                    warnings.warn(HarvestWarning(member, exc), stacklevel=2)
+            if not parts:
+                raise StoreError(
+                    "federated harvest: every member store failed "
+                    f"({len(source)} skipped)"
                 )
-            except (StoreError, OSError) as exc:
-                if strict:
-                    raise
-                warnings.warn(HarvestWarning(member, exc), stacklevel=2)
-        if not parts:
+            return union_directives(*parts) if len(parts) > 1 else parts[0]
+        if isinstance(source, (str, Path)) and not holds_store(Path(source)):
+            # A path must already be a store on disk: opening any other
+            # path would silently create an empty store there and mask a
+            # dead mount, a typo or the wrong directory.
             raise StoreError(
-                "federated harvest: every member store failed "
-                f"({len(source)} skipped)"
-            )
-        return union_directives(*parts) if len(parts) > 1 else parts[0]
-    pool_obj = _resolve_pool(pool)
-    if isinstance(source, (str, Path)) and not holds_store(Path(source)):
-        # A path must already be a store on disk: opening any other path
-        # would silently create an empty store there and mask a dead
-        # mount, a typo or the wrong directory.
-        raise StoreError(
-            f"store directory {str(source)!r} holds no store"
-            if Path(source).is_dir() else
-            f"store directory {str(source)!r} does not exist")
-    if isinstance(source, (str, Path, ExperimentStore)):
-        if pool_obj is not None:
+                f"store directory {str(source)!r} holds no store"
+                if Path(source).is_dir() else
+                f"store directory {str(source)!r} does not exist")
+        if isinstance(source, (str, Path, ExperimentStore)):
             return pool_obj.harvest(source, app=_app_name(app), **options)
-        # Served from the backend's persisted aggregate when one provably
-        # covers the current index, and from a fold over the index's
-        # summaries when not — identical output either way.
-        return resolve_store(source).harvest_evidence(
-            _app_name(app)).finalize(**options)
     records = _history_records(source, _app_name(app))
     return extract_directives(records, **options)

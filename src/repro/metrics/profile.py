@@ -21,7 +21,7 @@ and with it every stored profile.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..resources.names import join_path
 from ..simulator.records import Activity, Batch, TimeSegment, prototype_of
@@ -172,29 +172,45 @@ class FlatProfile:
         """Summed process time across all activity classes."""
         return sum(self.totals.values())
 
-    def fraction_of_total(self, table: Dict[str, Dict[str, float]], name: str, key: str) -> float:
+    # -- shares of total process time -------------------------------------------
+    # The one definition of "share of execution": seconds over
+    # total_time(), nothing (or 0.0) for a profile that holds no time.
+    # Summaries, resource histories, run comparison, the checklist,
+    # automap and historic prunes all read their shares from here.
+    def share_table(self, table: Dict[str, Dict[str, float]]) -> Dict[str, Dict[str, float]]:
+        """Every ``{activity: seconds}`` entry of *table* (one of this
+        profile's tables) as shares of total process time."""
+        total = self.total_time()
+        if total <= 0.0:
+            return {}
+        return {
+            name: {activity: seconds / total for activity, seconds in entry.items()}
+            for name, entry in table.items()
+        }
+
+    def exec_share(self, entries: Iterable[Dict[str, float]]) -> float:
+        """The seconds of every activity class in *entries* (entries of
+        one table) as one share of total process time."""
         total = self.total_time()
         if total <= 0.0:
             return 0.0
-        return table.get(name, {}).get(key, 0.0) / total
+        return sum(sum(entry.values()) for entry in entries) / total
+
+    def exec_shares(self, table: Dict[str, Dict[str, float]]) -> Dict[str, float]:
+        """:meth:`exec_share` of each entry of *table* on its own."""
+        if self.total_time() <= 0.0:
+            return {}
+        return {name: self.exec_share((entry,)) for name, entry in table.items()}
 
     def code_exec_fraction(self, name: str) -> float:
         """Fraction of total execution time spent (in any class) in the
         given code resource — the signal for historic low-cost prunes."""
-        total = self.total_time()
-        if total <= 0.0:
-            return 0.0
-        entry = self.by_code.get(name, {})
-        return sum(entry.values()) / total
+        return self.exec_share((self.by_code.get(name, {}),))
 
     def code_inclusive_fraction(self, name: str) -> float:
         """Inclusive variant: fraction of total execution time spent with
         the given function anywhere on the call stack."""
-        total = self.total_time()
-        if total <= 0.0:
-            return 0.0
-        entry = self.by_code_inclusive.get(name, {})
-        return sum(entry.values()) / total
+        return self.exec_share((self.by_code_inclusive.get(name, {}),))
 
     def sync_fraction_by_process(self, name: str) -> float:
         entry = self.by_process.get(name, {})

@@ -1,5 +1,5 @@
-"""repro.resilience — retry, circuit breaking, scrub, and torture for the
-history store.
+"""repro.resilience — retry, circuit breaking and scrub for the history
+store.
 
 Three layers, lowest first:
 
@@ -12,14 +12,8 @@ Three layers, lowest first:
   :class:`~repro.storage.store.ExperimentStore` sends every backend
   operation through one guarded call built from it — the store's one
   retry layer (the backend never retries);
-* :mod:`~repro.resilience.scrub` / :mod:`~repro.resilience.torture` —
-  the verification side: ``repro store verify`` and the seeded
-  crash-consistency harness.
-
-``torture`` is exported lazily (PEP 562): it imports
-:mod:`repro.storage.store`, which imports this package for
-:class:`ResiliencePolicy` — an eager re-export would close that cycle.
-CI imports each side first in a fresh interpreter to prove it stays open.
+* :mod:`~repro.resilience.scrub` — the verification side:
+  ``repro store verify``.
 """
 
 from .breaker import CircuitBreaker, CircuitOpen
@@ -39,22 +33,7 @@ __all__ = [
     "RetryExhausted",
     "RetryPolicy",
     "ScrubReport",
-    "TortureReport",
     "default_classify",
     "is_transient",
-    "run_schedule",
-    "run_torture",
     "verify_store",
 ]
-
-_LAZY = {"TortureReport", "run_schedule", "run_torture"}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    from . import torture
-
-    return getattr(torture, name)

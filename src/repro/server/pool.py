@@ -3,8 +3,9 @@
 Opening an :class:`~repro.storage.store.ExperimentStore` parses the
 format-3 index (every run's denormalized summary); harvesting extracts a
 directive set from all of those summaries.  Both are pure functions of
-the store's on-disk index state, yet the one-shot facade path recomputes
-them per call.  The pool keeps both warm:
+the store's on-disk index state.  The pool keeps both warm (a facade
+call with ``pool=None`` takes a pool of one for the call, which is the
+one-shot: it recomputes both per call):
 
 * an LRU of opened stores keyed by resolved path (a directory holds
   one store, opened with resilience armed at the defaults) — eviction
@@ -136,9 +137,10 @@ class StorePool:
     ) -> DirectiveSet:
         """Directives extracted from *store*'s history, cached.
 
-        Semantically identical to the facade's summary fast path
-        (directives extracted from every summary in the store's index),
-        but the result is cached against the store's index state token:
+        Semantically identical to
+        ``store.harvest_evidence(app).finalize(**options)`` (directives
+        extracted from every summary in the store's index), but the
+        result is cached against the store's index state token:
         the first diagnosis after a write reads the backend's rolling
         aggregate and finalizes it only when its evidence differs from
         what the cached set came from; every one until the next write

@@ -37,16 +37,6 @@ def summarize_record(record: RunRecord) -> dict:
     function list (historic prunes).
     """
     profile = record.flat_profile()
-    total = profile.total_time()
-
-    def fraction_table(table: Dict[str, Dict[str, float]]) -> Dict[str, Dict[str, float]]:
-        if total <= 0:
-            return {}
-        return {
-            name: {activity: value / total for activity, value in entry.items()}
-            for name, entry in table.items()
-        }
-
     hyp_values: Dict[str, List[float]] = {}
     state_counts: Dict[str, int] = {}
     for node in record.shg_nodes:
@@ -76,19 +66,14 @@ def summarize_record(record: RunRecord) -> dict:
         "false_pairs": [list(pair) for pair in record.false_pairs()],
         "state_counts": state_counts,
         "hyp_values": hyp_values,
-        "total_time": total,
+        "total_time": profile.total_time(),
         "fractions": {
-            "Code": fraction_table(profile.by_code),
-            "Process": fraction_table(profile.by_process),
-            "Machine": fraction_table(profile.by_node),
-            "SyncObject": fraction_table(profile.by_tag),
+            "Code": profile.share_table(profile.by_code),
+            "Process": profile.share_table(profile.by_process),
+            "Machine": profile.share_table(profile.by_node),
+            "SyncObject": profile.share_table(profile.by_tag),
         },
-        "code_exec_fractions": {
-            name: sum(entry.values()) / total
-            for name, entry in profile.by_code.items()
-        }
-        if total > 0
-        else {},
+        "code_exec_fractions": profile.exec_shares(profile.by_code),
         "code_leaves": code_leaves,
     }
 

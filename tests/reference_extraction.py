@@ -43,6 +43,7 @@ from repro.resources.focus import parse_focus
 def facts_of_record(record):
     """What the rules need to know about one run, read off the record."""
     profile = record.flat_profile()
+    total = profile.total_time()
     values = {}
     for node in record.shg_nodes:
         if node["state"] in ("true", "false") and node.get("value") is not None:
@@ -58,8 +59,9 @@ def facts_of_record(record):
                         if n["state"] == "false"],
         "code_leaves": [name for name in record.hierarchies.get("Code", [])
                         if name.count("/") == 3],  # /Code/module/function
-        "code_exec_fractions": {name: profile.code_exec_fraction(name)
-                                for name in profile.by_code},
+        # the share formula written out, not FlatProfile's
+        "code_exec_fractions": {name: sum(entry.values()) / total if total > 0 else 0.0
+                                for name, entry in profile.by_code.items()},
         "hyp_values": values,
     }
 

@@ -305,6 +305,28 @@ class TestErrorExitCodes:
         assert err.count("\n") == 1
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--pool-size", "0"),
+        ("--max-concurrent", "0"),
+        ("--slice-events", "0"),
+        ("--queue-limit", "-1"),
+    ])
+    def test_bad_serve_flag_is_a_usage_error(self, monkeypatch, capsys,
+                                             flag, value):
+        """A numeric ``serve`` flag the service rejects is one line on
+        stderr and exit 2, before any port is bound."""
+        import repro.server
+
+        def no_serving(*_args, **_kwargs):
+            raise AssertionError("serve bound a port with a bad flag")
+
+        monkeypatch.setattr(repro.server, "serve_forever", no_serving)
+        code = run_cli("serve", "--port", "0", flag, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad serve flag: ")
+        assert err.count("\n") == 1
+
     def test_campaign_error_exit_5(self, capsys):
         code = run_cli("campaign", "tester", "--resume")
         assert code == 5

@@ -12,7 +12,9 @@ route that change deleted), so it holds the one route left to the bytes
 the deleted one produced.
 
 The same text must come back however the history is handed over: the
-records, a ``file`` store, a ``sqlite`` store an older release wrote
+records, a ``file`` store (its evidence finalized with no pool in
+between), the facade's ``oneshot`` (``pool=None``: a pool of one for the
+call) over that store's path, a ``sqlite`` store an older release wrote
 (converted when it is opened), a :class:`StorePool`.
 
 A change that moves the harvest on purpose regenerates the fixture with
@@ -43,7 +45,7 @@ from tests.test_legacy_stores import lay_down_sqlite
 
 GOLDEN = Path(__file__).parent / "golden" / "harvest_poisson_a_1000.json"
 GROUPS = KINDS + ["all"]
-ROUTES = ["records", "file", "sqlite", "pool"]
+ROUTES = ["records", "file", "oneshot", "sqlite", "pool"]
 
 
 def groups():
@@ -84,7 +86,10 @@ def sources(tmp_path_factory):
         lay_down_sqlite(root / f"{group}-sqlite", records, range(len(records)))
         out[group] = {
             "records": partial(extract_directives, records),
-            "file": partial(repro.harvest, store, pool=None),
+            "file": lambda store=store, **options:
+                store.harvest_evidence().finalize(**options),
+            "oneshot": partial(repro.harvest, root / f"{group}-file",
+                               pool=None),
             "sqlite": partial(repro.harvest, root / f"{group}-sqlite",
                               pool=None),
             "pool": partial(pool.harvest, store),

@@ -22,7 +22,15 @@ many directives survived, how many were dropped, the first of them, and
 a digest of the whole list in order.  It was written at the parent of
 the change that made mapping decide once per distinct name.
 
-A change that moves the output on purpose regenerates the fixture:
+``tests/golden/summary_poisson_a_1000.json`` pins the index summary
+(:func:`~repro.storage.summary.summarize_record`) of each of the three
+records — every field, by a digest of its JSON with key order kept, plus
+a readable subset.  It was written at the parent of the change that gave
+"share of total process time" its one formula in
+:class:`~repro.metrics.profile.FlatProfile`, so the summary's fraction
+tables stay the floats the per-consumer formulas produced.
+
+A change that moves the output on purpose regenerates both fixtures:
 ``PYTHONPATH=src python tests/test_golden_records.py``.
 """
 
@@ -38,8 +46,10 @@ from repro.apps.catalog import build_catalog_app
 from repro.apps.poisson import version_maps
 from repro.core import DiagnosisSession, DirectiveSet, SearchConfig, apply_mappings
 from repro.obs import deterministic_metrics
+from repro.storage.summary import summarize_record
 
 GOLDEN = Path(__file__).parent / "golden" / "poisson_a_1000.json"
+SUMMARY_GOLDEN = Path(__file__).parent / "golden" / "summary_poisson_a_1000.json"
 KINDS = ["undirected", "directed", "mapped"]
 
 
@@ -83,6 +93,22 @@ def view(record):
     }
 
 
+def summary_view(record):
+    """The pinned view of one record's index summary: the digest of
+    every field, then the sizes a failure is read from."""
+    summary = summarize_record(record)
+    return {
+        # key order is part of the bytes: no sort_keys
+        "sha256": hashlib.sha256(json.dumps(summary).encode()).hexdigest(),
+        "total_time": summary["total_time"],
+        "fractions": {hier: len(table)
+                      for hier, table in summary["fractions"].items()},
+        "code_exec_fractions": len(summary["code_exec_fractions"]),
+        "true_pairs": len(summary["true_pairs"]),
+        "false_pairs": len(summary["false_pairs"]),
+    }
+
+
 def mapping_view(report):
     return {
         "mapped": report.mapped,
@@ -107,8 +133,7 @@ def runs():
     }, a_to_b
 
 
-def views():
-    records, a_to_b = runs()
+def views(records, a_to_b):
     _mapped, report = apply_mappings(
         a_to_b, build_catalog_app("poisson", "B", 1000).make_space())
     out = {kind: view(record) for kind, record in records.items()}
@@ -116,9 +141,18 @@ def views():
     return out
 
 
+def summary_views(records):
+    return {kind: summary_view(record) for kind, record in records.items()}
+
+
 @pytest.fixture(scope="module")
-def got():
-    return json.loads(json.dumps(views()))
+def golden_runs():
+    return runs()
+
+
+@pytest.fixture(scope="module")
+def got(golden_runs):
+    return json.loads(json.dumps(views(*golden_runs)))
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +170,14 @@ class TestGoldenRecord:
     def test_whole_record_digest(self, got, want, kind):
         assert got[kind]["sha256"] == want[kind]["sha256"]
 
+    def test_summary_is_golden(self, golden_runs, kind):
+        want = json.loads(SUMMARY_GOLDEN.read_text())[kind]
+        got = json.loads(json.dumps(summary_view(golden_runs[0][kind])))
+        for key, value in want.items():
+            if key != "sha256":
+                assert got[key] == value, key
+        assert got["sha256"] == want["sha256"]
+
 
 def test_golden_binds_a_real_search(want):
     """The fixture is not vacuous: history shrinks the search it pins."""
@@ -152,5 +194,8 @@ def test_golden_binds_a_real_search(want):
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(views(), indent=1) + "\n")
+    records, a_to_b = runs()
+    GOLDEN.write_text(json.dumps(views(records, a_to_b), indent=1) + "\n")
     print(f"wrote {GOLDEN}")
+    SUMMARY_GOLDEN.write_text(json.dumps(summary_views(records), indent=1) + "\n")
+    print(f"wrote {SUMMARY_GOLDEN}")

@@ -242,7 +242,8 @@ def test_federated_mixed_members(tmp_path):
     b.delete("run-002")
     assert b.info().aggregated_runs == 0
     federated = harvest([a, b], pool=None)
-    expected = union_directives(harvest(a, pool=None), harvest(b, pool=None))
+    expected = union_directives(a.harvest_evidence().finalize(),
+                                b.harvest_evidence().finalize())
     assert federated.to_text() == expected.to_text()
     # member order must not matter
     assert harvest([b, a], pool=None).to_text() == federated.to_text()

@@ -214,14 +214,16 @@ def lay_down(root: Path, layout: str) -> None:
 def digests(store: ExperimentStore) -> dict:
     """The three pinned answers.  ``"index_entries"`` keeps the name of
     the index read the golden file was written through; ``summaries()``
-    is that same read."""
+    is that same read.  The harvest is the store's evidence finalized
+    with no pool in between, and the facade's one-shot must agree."""
     entries = list(store.summaries().items())
+    text = store.harvest_evidence().finalize(include_thresholds=True).to_text()
+    assert harvest(store, pool=None, include_thresholds=True).to_text() == text
     return {
         "index_entries": _sha(entries),
         "records": _sha([store.load(run_id).to_dict()
                          for run_id, _meta in entries]),
-        "harvest": _sha(harvest(store, pool=None,
-                                include_thresholds=True).to_text()),
+        "harvest": _sha(text),
     }
 
 

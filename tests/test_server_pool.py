@@ -1,4 +1,10 @@
-"""Tests for the StorePool: hot handles, harvest caching, eviction."""
+"""Tests for the StorePool: hot handles, harvest caching, eviction.
+
+Every facade call takes its stores from a pool, ``pool=None`` included
+(a pool of one for the call), so a pool is never compared with itself
+here: the oracle is :func:`cold_harvest`, the route ``pool=None`` took
+before it became a pool of one, written out.
+"""
 
 import pytest
 
@@ -14,6 +20,11 @@ FAST = dict(min_interval=5.0, check_period=0.5, insertion_latency=0.2, cost_limi
 def _seed(path, run_id="seed-0001"):
     return diagnose(make_pingpong(iterations=40), store=path,
                     run_id=run_id, pool=None, **FAST)
+
+
+def cold_harvest(path, app=None, **options):
+    """Open the store and finalize its evidence, no pool in between."""
+    return ExperimentStore(path).harvest_evidence(app).finalize(**options)
 
 
 class TestStorePool:
@@ -64,7 +75,7 @@ class TestStorePool:
         pool.get(tmp_path / "runs").save(record)
         third = pool.harvest(tmp_path / "runs")
         assert third is not first
-        assert third.to_text() == harvest(tmp_path / "runs", pool=None).to_text()
+        assert third.to_text() == cold_harvest(tmp_path / "runs").to_text()
         assert third.to_text() != first.to_text()
         assert pool.stats()["harvest_misses"] == 2
         assert pool.stats()["harvest_reuses"] == 0
@@ -82,7 +93,7 @@ class TestStorePool:
         store.save(record)
         again = pool.harvest(tmp_path / "runs")
         assert again is first
-        assert again.to_text() == harvest(tmp_path / "runs", pool=None).to_text()
+        assert again.to_text() == cold_harvest(tmp_path / "runs").to_text()
         stats = pool.stats()
         assert stats["harvest_misses"] == 2
         assert stats["harvest_reuses"] == 1
@@ -95,8 +106,9 @@ class TestStorePool:
         _seed(tmp_path / "runs")
         pool = StorePool()
         pooled = pool.harvest(tmp_path / "runs", include_thresholds=True)
-        cold = harvest(tmp_path / "runs", include_thresholds=True, pool=None)
-        assert pooled.to_text() == cold.to_text()
+        one_shot = harvest(tmp_path / "runs", include_thresholds=True, pool=None)
+        cold = cold_harvest(tmp_path / "runs", include_thresholds=True)
+        assert pooled.to_text() == one_shot.to_text() == cold.to_text()
 
     def test_harvest_key_includes_options_and_app(self, tmp_path):
         _seed(tmp_path / "runs")
@@ -188,14 +200,40 @@ class TestFacadePoolRouting:
 
     def test_pool_none_preserves_cold_path(self, tmp_path):
         _seed(tmp_path / "runs")
-        pool = default_pool()
-        before = pool.stats()
         warm = harvest(tmp_path / "runs")
-        cold = harvest(tmp_path / "runs", pool=None)
-        assert cold.to_text() == warm.to_text()
-        # The opt-out call never touched the shared pool.
-        assert default_pool().stats()["store_misses"] == \
-            max(before["store_misses"], default_pool().stats()["store_misses"])
+        before = default_pool().stats()
+        one_shot = harvest(tmp_path / "runs", pool=None)
+        # The pool of one is the call's own: the shared pool is untouched.
+        assert default_pool().stats() == before
+        assert one_shot.to_text() == warm.to_text() \
+            == cold_harvest(tmp_path / "runs").to_text()
+
+    def test_pool_none_leaves_no_store_open(self, tmp_path, monkeypatch):
+        """``history=`` and ``store=`` on one path share the call's one
+        store, and it is closed before the call returns."""
+        _seed(tmp_path / "runs")
+        opened, closed = [], []
+        init, close = ExperimentStore.__init__, ExperimentStore.close
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            opened.append(self)
+
+        def tracked_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(ExperimentStore, "__init__", tracked_init)
+        monkeypatch.setattr(ExperimentStore, "close", tracked_close)
+        before = default_pool().stats()
+        record = diagnose(make_pingpong(iterations=40),
+                          history=tmp_path / "runs", store=tmp_path / "runs",
+                          run_id="directed", pool=None, **FAST)
+        assert len(opened) == 1
+        assert closed == opened
+        assert default_pool().stats() == before
+        monkeypatch.undo()
+        assert record.run_id in ExperimentStore(tmp_path / "runs").list()
 
     def test_diagnose_pool_produces_identical_record(self, tmp_path):
         _seed(tmp_path / "runs")

@@ -273,7 +273,10 @@ class TestDiagnosisService:
         diagnose(make_pingpong(iterations=60), store=tmp_path / "runs",
                  run_id="seed", pool=None, min_interval=5.0,
                  check_period=0.5, insertion_latency=0.2, cost_limit=50.0)
-        directives = harvest(tmp_path / "runs", pool=None)
+        directives = ExperimentStore(tmp_path / "runs") \
+            .harvest_evidence().finalize()
+        assert harvest(tmp_path / "runs", pool=None).to_text() \
+            == directives.to_text()
         path = tmp_path / "seed.directives"
         path.write_text(directives.to_text())
 

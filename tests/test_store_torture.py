@@ -10,7 +10,7 @@ import pytest
 
 from repro.faults import IOFault, IOFaultPlan, SimulatedCrash
 from repro.faults import io as io_faults
-from repro.resilience.torture import _check, run_schedule, run_torture, store_view
+from tests.store_torture import _check, run_schedule, run_torture, store_view
 from repro.storage import ExperimentStore, RunRecord
 
 
@@ -52,7 +52,7 @@ def _assert_payloads_load(store, context):
 
 
 # ---------------------------------------------------------------------------
-# the seeded matrix (a slice of the CI-scale campaign in benchmarks/)
+# the seeded matrix (a slice of the CI-scale campaign, tests/store_torture.py)
 # ---------------------------------------------------------------------------
 def test_seeded_matrix_never_diverges(tmp_path):
     report = run_torture(seeds=range(30), workdir=tmp_path)
