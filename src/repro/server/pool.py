@@ -1,7 +1,7 @@
 """StorePool: hot stores and harvest results shared across requests.
 
 Opening an :class:`~repro.storage.store.ExperimentStore` parses the
-format-3 index (every run's denormalized summary); harvesting extracts a
+index (every run's denormalized summary); harvesting extracts a
 directive set from all of those summaries.  Both are pure functions of
 the store's on-disk index state.  The pool keeps both warm (a facade
 call with ``pool=None`` takes a pool of one for the call, which is the

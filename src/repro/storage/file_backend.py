@@ -9,13 +9,18 @@ skipped or half-read.
 The index is **sharded into append-only segments** so a save is O(1)
 instead of O(store):
 
-* ``index.json`` — the *base generation*: a format-3 envelope
-  ``{"format": 3, "generation": ..., "runs": {...}}`` whose every meta
-  carries its query summary.
-* ``segments/NNNNNNNNNNNN.json`` — sealed segment files, each a short
-  list of index ops (``put``/``del``) appended by one writer under the
-  store lock and **never modified afterwards**.  The zero-padded name
-  carries a monotonic counter, so lexicographic order is write order.
+* ``index.json`` — the *base generation*: a format-4 envelope
+  ``{"format": 4, "generation": ..., "pairs": [...], "runs": {...}}``
+  whose every meta carries its query summary.  ``pairs`` is the file's
+  table of distinct ``[hypothesis, focus]`` pairs, and a summary's
+  ``true_pairs``/``false_pairs`` are lists of indices into it.
+* ``segments/NNNNNNNNNNNN.json`` — sealed format-2 segment files
+  ``{"format": 2, "pairs": [...], "ops": [...]}``, each a short list of
+  index ops (``put``/``del``) appended by one writer under the store
+  lock and **never modified afterwards**, its put metas' pairs indices
+  into its own ``pairs``.  No file refers to another file's table.  The
+  zero-padded name carries a monotonic counter, so lexicographic order
+  is write order.
 * ``segments/_state.json`` — a tiny atomically-replaced claim file
   (``next_seq``/``counter``/``generation``) so writers assign ``seq``
   and segment names without reading the merged index.  Its ``"format"``
@@ -33,12 +38,14 @@ Readers merge base + segments into one view.  Sealed segments are
 immutable, so they are parsed once and cached by name; the base is
 cached by stat signature; the merged view is cached by (base signature,
 segment-name tuple), and a put advances it by the ops it seals, so the
-next read or put replays nothing.  Every meta that enters those caches
-points its ``true_pairs``/``false_pairs`` entries at one shared
-``[hypothesis, focus]`` list per distinct pair: N runs of an app hold
-each pair once, plus N lists of pointers.  The base is compact JSON
-(readers parse the ``indent=1``, sorted-key form older releases wrote
-just the same).  Read ordering — list segments, parse them, read
+next read or put replays nothing.  Every meta enters those caches as a
+read decodes it: each pair index becomes the backend's one shared
+``[hypothesis, focus]`` list for that pair, so N runs of an app hold
+each pair once, plus N lists of pointers, and ``summaries()`` answers
+with lists of lists as before.  A base of another format or a segment
+of another format is refused with :class:`StoreCorruption`, never
+decoded.  The base is compact JSON.  Read ordering — list segments,
+parse them, read
 the base *last* — guarantees the base is at least as new as the segment
 listing, so a compaction racing the read only makes some replayed ops
 idempotent, never loses them.
@@ -66,8 +73,9 @@ Absent or short, never wrong or double-counted.
 The reader knows this one layout, and it is the only store there is.
 A store written before the layout stamp — checksum-less records, a bare
 format-2 index without summaries, a sidecar without ``through``, no
-claim file, or the single-file ``store.sqlite3`` database older
-releases offered beside the files — is converted once, by the open that
+claim file, layout 1's index files with every pair spelled out as two
+strings, or the single-file ``store.sqlite3`` database older releases
+offered beside the files — is converted once, by the open that
 first finds no current stamp next to ``index.json`` or the database:
 under the store lock (re-checked there, so racing opens convert once) it
 runs ``rebuild()``, the one converter, which is also ``repro store
@@ -96,7 +104,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 try:  # POSIX advisory locks; absent e.g. on Windows
     import fcntl
@@ -129,16 +137,22 @@ _STATE_NAME = "_state.json"
 #: The database of the sqlite store older releases wrote; converted once.
 _SQLITE_NAME = "store.sqlite3"
 _RECORD_FORMAT = 2
-#: On-disk base-index format: a ``{"format": 3, "runs": {...}}`` envelope
-#: whose per-run metadata carries a denormalized query summary.
-_INDEX_FORMAT = 3
-_SEGMENT_FORMAT = 1
+#: On-disk base-index format: a ``{"format": 4, "pairs": [...], "runs":
+#: {...}}`` envelope whose per-run metadata carries a denormalized query
+#: summary, its ``true_pairs``/``false_pairs`` as indices into ``pairs``.
+_INDEX_FORMAT = 4
+#: Sealed-segment format: ``{"format": 2, "pairs": [...], "ops": [...]}``,
+#: the put metas' pairs as indices into the segment's own ``pairs``.
+_SEGMENT_FORMAT = 2
 #: On-disk format of the ``index.aggregate`` sidecar.
 _AGGREGATE_FORMAT = 2
 #: The layout stamp in the claim file.  An open that finds ``index.json``
-#: stamped lower (or not at all) converts the store with ``rebuild()``.
-_LAYOUT_FORMAT = 1
+#: stamped lower (or not at all) converts the store with ``rebuild()``;
+#: layout 1 spelled every pair out as two strings in every summary.
+_LAYOUT_FORMAT = 2
 _SEGMENT_CACHE_SIZE = 4096
+#: The summary fields an index file stores as pair-table indices.
+_PAIR_FIELDS = ("true_pairs", "false_pairs")
 
 
 def _canonical(payload: dict) -> str:
@@ -267,6 +281,22 @@ def _atomic_write_json(path: Path, data: dict) -> None:
     _atomic_write_text(path, json.dumps(data))
 
 
+def _with_pair_ids(meta: dict, ids: Dict[Tuple[str, str], int]) -> dict:
+    """A copy of *meta* as an index file stores it: each
+    ``[hypothesis, focus]`` of its summary becomes that pair's index in
+    the file's pair table *ids* (extended in place)."""
+    summary = dict(meta["summary"])
+    for field in _PAIR_FIELDS:
+        summary[field] = [ids.setdefault((hyp, focus), len(ids))
+                          for hyp, focus in summary[field]]
+    return dict(meta, summary=summary)
+
+
+def _put_metas(ops: List[dict]) -> Iterable[dict]:
+    """The metas *ops* put, in order."""
+    return (op["meta"] for op in ops if op.get("op") == "put")
+
+
 def _apply_ops(view: Dict[str, dict], ops: List[dict]) -> None:
     """Replay one segment's index ops onto a run→meta view in place."""
     for op in ops:
@@ -320,7 +350,7 @@ class FileBackend:
         #: Merged view keyed by (base signature, segment-name tuple).
         self._merged_cache: Optional[Tuple[Hashable, Dict[str, dict]]] = None
         #: ``(hypothesis, focus)`` -> the one ``[hypothesis, focus]`` list
-        #: every cached meta's summary points at (see :meth:`_share_pairs`);
+        #: every cached meta's summary points at (see :meth:`_resolve_pairs`);
         #: started afresh with each base this backend writes.
         self._pairs: Dict[Tuple[str, str], list] = {}
         #: Sidecar scope (``None`` for ``all``, else the app) -> the last
@@ -358,23 +388,26 @@ class FileBackend:
     # ------------------------------------------------------------------
     # base index + segments
     # ------------------------------------------------------------------
-    def _share_pairs(self, meta: object) -> None:
-        """Point the ``true_pairs``/``false_pairs`` entries of *meta*'s
-        summary at the table's one list per ``(hypothesis, focus)``
-        (caller holds ``_cache_lock``).  The values stay lists of equal
-        lists; a misshapen entry is left as it is."""
-        summary = meta.get("summary") if isinstance(meta, dict) else None
-        if not isinstance(summary, dict):
-            return
-        table = self._pairs
-        for field in ("true_pairs", "false_pairs"):
-            pairs = summary.get(field)
-            if type(pairs) is list:
-                summary[field] = [
-                    table.setdefault((p[0], p[1]), p)
-                    if type(p) is list and len(p) == 2
-                    and type(p[0]) is str and type(p[1]) is str else p
-                    for p in pairs]
+    def _resolve_pairs(self, name: str, pairs: object,
+                       metas: Iterable[dict]) -> None:
+        """Decode one index file in place: every pair index in *metas*'
+        summaries becomes the shared ``[hypothesis, focus]`` list for that
+        entry of the file's table *pairs* (caller holds ``_cache_lock``).
+        Raises :class:`StoreCorruption` naming file *name* when the table
+        or an index is misshapen."""
+        shared = self._pairs
+        try:
+            table = [shared.setdefault((hyp, focus), [hyp, focus])
+                     for hyp, focus in pairs]
+            for meta in metas:
+                summary = meta["summary"]
+                for field in _PAIR_FIELDS:
+                    summary[field] = [table[i] for i in summary[field]]
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as exc:
+            raise StoreCorruption(
+                f"{name}: misshapen pair table or pair id ({exc!r}; "
+                "run `repro store rebuild`)") from None
 
     def _read_base(self) -> Tuple[Dict[str, dict], int]:
         """The base-generation run→meta mapping (the cached dict itself:
@@ -390,14 +423,15 @@ class FileBackend:
             io_faults.check("read", self._index_path)
             with open(self._index_path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            runs = data.get("runs") if isinstance(data, dict) else None
+            found = data.get("format") if isinstance(data, dict) else None
+            runs = data.get("runs") if found == _INDEX_FORMAT else None
             if not isinstance(runs, dict):
                 raise StoreCorruption(
-                    f"{_INDEX_NAME}: not a format-{_INDEX_FORMAT} index "
+                    f"{_INDEX_NAME}: format {found!r} is not the "
+                    f"format-{_INDEX_FORMAT} index this layout reads "
                     "(run `repro store rebuild`)")
             generation = int(data.get("generation", 0))
-            for meta in runs.values():
-                self._share_pairs(meta)
+            self._resolve_pairs(_INDEX_NAME, data.get("pairs"), runs.values())
             if sig is not None:
                 # sig was taken before the read: if a writer replaced the file
                 # in between we may cache newer content under the older
@@ -406,7 +440,12 @@ class FileBackend:
             return runs, generation
 
     def _write_base(self, index: Dict[str, dict], generation: int = 0) -> None:
-        envelope = {"format": _INDEX_FORMAT, "runs": index}
+        """Write *index* as the new base and cache it as a fresh read
+        would give it back (copies of its metas; *index* is not kept)."""
+        ids: Dict[Tuple[str, str], int] = {}
+        runs = {run_id: _with_pair_ids(meta, ids)
+                for run_id, meta in index.items()}
+        envelope = {"format": _INDEX_FORMAT, "pairs": list(ids), "runs": runs}
         if generation:
             envelope["generation"] = generation
         _atomic_write_json(self._index_path, envelope)
@@ -414,11 +453,10 @@ class FileBackend:
             # Every cached segment was folded into *index*: a fresh pair
             # table forgets the pairs of runs that are gone.
             self._pairs = {}
-            for meta in index.values():
-                self._share_pairs(meta)
+            self._resolve_pairs(_INDEX_NAME, ids, runs.values())
             # Writes happen under the store lock, so no other writer can
             # replace the file between our rename and this stat.
-            self._base_cache = (_stat_sig(self._index_path), generation, dict(index))
+            self._base_cache = (_stat_sig(self._index_path), generation, runs)
             self._merged_cache = None
 
     def _segment_names(self) -> List[str]:
@@ -453,17 +491,21 @@ class FileBackend:
             # "vanished" would silently drop this segment's ops from the
             # merged view — a third state neither pre- nor post-op.  The
             # resilience layer retries it instead.
-            ops = data.get("ops", []) if isinstance(data, dict) else []
+            found = data.get("format") if isinstance(data, dict) else None
+            ops = data.get("ops") if found == _SEGMENT_FORMAT else None
+            if not isinstance(ops, list):
+                raise StoreCorruption(
+                    f"{_SEGMENTS_DIR}/{name}: format {found!r} is not the "
+                    f"format-{_SEGMENT_FORMAT} segment this layout reads "
+                    "(run `repro store rebuild`)")
+            self._resolve_pairs(f"{_SEGMENTS_DIR}/{name}", data.get("pairs"),
+                                _put_metas(ops))
             self._cache_segment(name, ops)
             return ops
 
     def _cache_segment(self, name: str, ops: List[dict]) -> None:
-        """Cache one sealed segment's ops, their metas' pairs shared
-        (caller holds ``_cache_lock``)."""
-        if isinstance(ops, list):
-            for op in ops:
-                if isinstance(op, dict):
-                    self._share_pairs(op.get("meta"))
+        """Cache one sealed segment's decoded ops (caller holds
+        ``_cache_lock``)."""
         self._segment_cache[name] = ops
         while len(self._segment_cache) > _SEGMENT_CACHE_SIZE:
             self._segment_cache.popitem(last=False)
@@ -505,12 +547,16 @@ class FileBackend:
             self._merged_cache = (key, merged)
         return self._merged_cache
 
-    def _advance_view(self, key: Hashable, name: str, ops: List[dict]) -> None:
-        """Account for segment *name*, just sealed with *ops* under the
-        store lock: cache its ops, and advance the merged view read under
-        *key* in place when it is still the cached one.  Otherwise the
-        next read replays, as after any other write."""
+    def _advance_view(self, key: Hashable, name: str, pairs: Iterable,
+                      ops: List[dict]) -> None:
+        """Account for segment *name*, just sealed with the encoded *ops*
+        and pair table *pairs* under the store lock: decode and cache its
+        ops, and advance the merged view read under *key* in place when
+        it is still the cached one.  Otherwise the next read replays, as
+        after any other write."""
         with self._cache_lock:
+            self._resolve_pairs(f"{_SEGMENTS_DIR}/{name}", pairs,
+                                _put_metas(ops))
             self._cache_segment(name, ops)
             cached = self._merged_cache
             if cached is not None and cached[0] == key:
@@ -561,11 +607,13 @@ class FileBackend:
         self._segments_dir.mkdir(exist_ok=True)
         name = f"{counter:012d}.json"
         current = self._current_aggregates()  # pre-seal: we hold the lock
-        _atomic_write_json(
-            self._segments_dir / name, {"format": _SEGMENT_FORMAT, "ops": ops}
-        )
+        ids: Dict[Tuple[str, str], int] = {}
+        encoded = [dict(op, meta=_with_pair_ids(op["meta"], ids))
+                   if op["op"] == "put" else op for op in ops]
+        _atomic_write_json(self._segments_dir / name, {
+            "format": _SEGMENT_FORMAT, "pairs": list(ids), "ops": encoded})
         if view_key is not None:
-            self._advance_view(view_key, name, ops)
+            self._advance_view(view_key, name, ids, encoded)
         try:
             rolled = self._fold_ops(current, [ops]) \
                 if current is not None else None
@@ -878,8 +926,6 @@ class FileBackend:
                 prior = view.get(run_id)
             if prior is not None and not overwrite:
                 raise StoreError(f"run {run_id!r} already stored")
-            # Our own summary: the seal points its pairs at shared lists.
-            meta = dict(meta, summary=dict(meta["summary"]))
             seq = prior["seq"] if prior and "seq" in prior else None
             # Claim seq + segment name in one state write *before*
             # touching anything else: a crash in between skips values
@@ -891,12 +937,10 @@ class FileBackend:
             counter = state["counter"]
             state["counter"] = counter + 1
             self._write_state(state)
-            meta["seq"] = seq
             self._write_record(path, payload)
-            self._seal_segment(
-                counter, [{"op": "put", "run_id": run_id, "meta": meta}],
-                view_key,
-            )
+            self._seal_segment(counter, [
+                {"op": "put", "run_id": run_id, "meta": dict(meta, seq=seq)}],
+                view_key)
             token = _stat_sig(path)
         return seq, token
 
@@ -1045,9 +1089,11 @@ class FileBackend:
         from any older layout, and the recovery from any wreckage."""
         report = RecoveryReport()
         # The view whose seq values survive, read leniently: the bare
-        # format-2 base mapping is read here and nowhere else, and a
-        # missing or misshapen base or segment starts a fresh lineage.
-        # Any other I/O error aborts: a transient one must not lose seqs.
+        # format-2 base mapping and every older base and segment format
+        # are read here and nowhere else (only ``seq`` is kept, so pairs
+        # need no decoding), and a missing or misshapen base or segment
+        # starts a fresh lineage.  Any other I/O error aborts: a
+        # transient one must not lose seqs.
         try:
             io_faults.check("read", self._index_path)
             base = json.loads(self._index_path.read_text(encoding="utf-8"))
@@ -1055,7 +1101,11 @@ class FileBackend:
             old = dict(base if bare else base["runs"])
             generation = 0 if bare else int(base.get("generation", 0))
             for name in self._segment_names():
-                _apply_ops(old, self._read_segment(name) or [])
+                path = self._segments_dir / name
+                io_faults.check("read", path)
+                data = json.loads(path.read_text(encoding="utf-8"))
+                _apply_ops(old, data.get("ops", [])
+                           if isinstance(data, dict) else [])
         except (FileNotFoundError, ValueError, TypeError, AttributeError,
                 KeyError):
             old, generation = {}, 0

@@ -20,7 +20,8 @@ circuit breaker, configured by a
 :class:`~repro.resilience.policy.ResiliencePolicy`), the bounded
 in-process LRU of parsed :class:`RunRecord` objects (keyed by the
 backend's per-record token, so a cross-process overwrite invalidates
-entries without coordination), batch loading, and auto-compaction
+entries without coordination; a saved record is held only weakly),
+batch loading, and auto-compaction
 policy.  Records obtained from the cache are shared objects: treat
 loaded (and saved) records as immutable.
 """
@@ -28,6 +29,7 @@ loaded (and saved) records as immutable.
 from __future__ import annotations
 
 import threading
+import weakref
 from pathlib import Path
 from typing import (
     Callable,
@@ -76,6 +78,12 @@ T = TypeVar("T")
 class _RecordCache:
     """Bounded LRU of parsed records keyed by run id + backend token.
 
+    An entry is *strong* (a record :meth:`ExperimentStore.load` parsed:
+    the parse is what it saves) or *weak* (a record the caller saved:
+    served while the caller still holds it, and never kept alive by the
+    cache alone).  A weak entry whose record is gone is a miss.  Both
+    kinds count towards *maxsize*.
+
     Safe for concurrent same-process readers: lookup, insertion, and
     eviction mutate the underlying ``OrderedDict`` (``move_to_end``,
     ``popitem``) and therefore hold a lock — a server multiplexing many
@@ -88,7 +96,7 @@ class _RecordCache:
         self.maxsize = maxsize
         from collections import OrderedDict
 
-        self._items: "OrderedDict[str, Tuple[Hashable, RunRecord]]" = OrderedDict()
+        self._items: "OrderedDict[str, Tuple[Hashable, object]]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -96,18 +104,24 @@ class _RecordCache:
     def get(self, run_id: str, token: Hashable) -> Optional[RunRecord]:
         with self._lock:
             entry = self._items.get(run_id)
-            if entry is None or entry[0] != token:
+            record = entry[1] if entry is not None and entry[0] == token \
+                else None
+            if type(record) is weakref.ref:
+                record = record()
+            if record is None:
                 self.misses += 1
                 return None
             self._items.move_to_end(run_id)
             self.hits += 1
-            return entry[1]
+            return record
 
-    def put(self, run_id: str, token: Hashable, record: RunRecord) -> None:
+    def put(self, run_id: str, token: Hashable, record: RunRecord,
+            *, weak: bool = False) -> None:
         if self.maxsize <= 0:
             return
         with self._lock:
-            self._items[run_id] = (token, record)
+            self._items[run_id] = (token, weakref.ref(record) if weak
+                                   else record)
             self._items.move_to_end(run_id)
             while len(self._items) > self.maxsize:
                 self._items.popitem(last=False)
@@ -286,15 +300,18 @@ class ExperimentStore:
 
         The index entry carries the record's query summary
         (:func:`summarize_record`) and the saved record is installed in
-        the load cache, so a campaign's post-save harvest never re-parses
-        what it just wrote.  Treat a record as immutable once saved.
+        the load cache as a *weak* entry: while the caller holds the
+        record, :meth:`load` returns that same object (a campaign's
+        post-save harvest never re-parses what it just wrote), and once
+        the caller drops it the cache does not keep it alive — the next
+        load parses it again.  Treat a record as immutable once saved.
         """
         meta = meta_for_record(record)  # outside the lock: pure CPU
         _seq, token = self._call(
             self._backend.put,
             record.run_id, record.to_dict(), meta, overwrite=overwrite,
         )
-        self._cache.put(record.run_id, token, record)
+        self._cache.put(record.run_id, token, record, weak=True)
         self._maybe_auto_compact()
         return record.run_id
 

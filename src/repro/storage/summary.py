@@ -1,4 +1,4 @@
-"""Denormalized per-run query summaries (the format-3 fast path).
+"""Denormalized per-run query summaries (the index fast path).
 
 A summary is everything the cross-run queries (:mod:`repro.storage.query`)
 and directive extraction need from a record without deserializing it:

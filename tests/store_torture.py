@@ -10,8 +10,9 @@ module turns that claim into an executable check:
 1. build a small seed store fault-free;
 2. derive a deterministic operation schedule from the seed (saves,
    overwrites, deletes, compactions — or a federated harvest, or the
-   open that converts a store laid down in the oldest layout, with the
-   plan armed before it);
+   open that converts a store laid down in the oldest layout or in the
+   segmented layout 1 the previous release wrote, with the plan armed
+   before it);
 3. replay the schedule **fault-free on a pristine clone**, recording
    the canonical index view after every operation — the *chain* of
    legal states;
@@ -97,7 +98,17 @@ def _fast_policy(seed: int) -> ResiliencePolicy:
 
 
 def _record(run_id: str, tag: int, app: str = "torture") -> RunRecord:
-    """A deterministic record whose payload (and summary) vary with *tag*."""
+    """A deterministic record whose payload (and summary) vary with *tag*:
+    one true and one false ``[hypothesis, focus]`` pair, shared with
+    some of the other tags, so index files carry a real pair table."""
+    nodes = [
+        {"id": i, "hypothesis": hyp, "focus": f"< /Code/f{(tag + i) % 3}.c >",
+         "state": state, "priority": "medium", "persistent": False,
+         "value": 0.5, "t_requested": 0.0, "t_concluded": 1.0,
+         "quality": None, "parents": [], "children": []}
+        for i, (hyp, state) in enumerate(
+            (("CPUbound", "true"), ("ExcessiveSyncWaitingTime", "false")))
+    ]
     return RunRecord(
         run_id=run_id,
         app_name=app,
@@ -106,7 +117,7 @@ def _record(run_id: str, tag: int, app: str = "torture") -> RunRecord:
         nodes=["n0"],
         placement={"p0": "n0"},
         hierarchies={"Code": ["/Code"]},
-        shg_nodes=[],
+        shg_nodes=nodes,
         profile={},
         finish_time=1.0 + tag,
         search_done_time=None,
@@ -356,21 +367,62 @@ def _lay_down_oldest(root: Path, records: Sequence[RunRecord]) -> None:
         "max_seq": -1, "all": HarvestAggregate().to_dict(), "by_app": {}}))
 
 
+def _lay_down_layout1(root: Path, records: Sequence[RunRecord]) -> None:
+    """A file store in the segmented layout 1 the previous release
+    wrote: a format-3 base holding the first record, one format-1
+    segment per further record with every pair spelled out as two
+    strings, a format-2 sidecar covering them all and a claim file
+    stamped 1."""
+    (root / "segments").mkdir(parents=True)
+    metas = [dict(meta_for_record(r), seq=seq) for seq, r in enumerate(records)]
+    for record in records:
+        payload = record.to_dict()
+        (root / f"{record.run_id}.json").write_text(json.dumps({
+            "format": 2, "sha256": _checksum(payload), "record": payload}))
+    (root / "index.json").write_text(json.dumps({
+        "format": 3, "generation": 1,
+        "runs": {records[0].run_id: metas[0]}}))
+    names = []
+    for counter, (record, meta) in enumerate(zip(records[1:], metas[1:])):
+        names.append(f"{counter:012d}.json")
+        (root / "segments" / names[-1]).write_text(json.dumps({
+            "format": 1,
+            "ops": [{"op": "put", "run_id": record.run_id, "meta": meta}]}))
+    (root / "segments" / "_state.json").write_text(json.dumps({
+        "next_seq": len(records), "counter": len(names), "generation": 1,
+        "format": 1}))
+    by_app: Dict[str, list] = {}
+    for meta in metas:
+        by_app.setdefault(meta["app_name"], []).append(meta["summary"])
+    st = (root / "index.json").stat()
+    (root / "index.aggregate").write_text(json.dumps({
+        "format": 2, "base_sig": [st.st_ino, st.st_mtime_ns, st.st_size],
+        "through": names[-1], "max_seq": len(records) - 1,
+        "all": HarvestAggregate.of_summaries(
+            meta["summary"] for meta in metas).to_dict(),
+        "by_app": {app: HarvestAggregate.of_summaries(s).to_dict()
+                   for app, s in by_app.items()}}))
+
+
 def _schedule_convert(seed: int, rng: random.Random,
                       workdir: Path, tag: str, base: Path,
                       initial: Sequence[RunRecord]) -> dict:
-    """The open that converts an oldest-layout store, faults armed
-    before it: the only legal post-state is the converted one."""
+    """The open that converts a store of an older layout — the oldest or
+    layout 1, drawn from the seed — faults armed before it: the only
+    legal post-state is the converted one."""
+    layout, lay_down = (("layout1", _lay_down_layout1) if rng.random() < 0.5
+                        else ("oldest", _lay_down_oldest))
     clean, fault = workdir / f"{tag}-clean", workdir / f"{tag}-fault"
     for root in (clean, fault):
-        _lay_down_oldest(root, initial)
+        lay_down(root, initial)
     chain = [store_view(_open(clean))]
 
     def body(_stores):
         _open(fault, _fast_policy(seed)).harvest_evidence()
 
     outcome, fired = _stress({}, seed, body)
-    return _verdict(["convert"], outcome, fired, 1, _check(fault, chain))
+    return _verdict([f"convert {layout}"], outcome, fired, 1,
+                    _check(fault, chain))
 
 
 @dataclass

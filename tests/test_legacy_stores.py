@@ -1,6 +1,6 @@
 """Stores from before the layout stamp: converted once on open.
 
-Six layouts older releases left on disk are laid down here by hand,
+Seven layouts older releases left on disk are laid down here by hand,
 byte by byte, so the fixtures stay what those releases wrote whatever
 the current writer does:
 
@@ -12,8 +12,11 @@ the current writer does:
 * ``format1-sidecar`` — a base plus sealed segments that carry an
   ``"aggregate"`` key (poisoned here), and an ``index.aggregate`` for
   the base alone (no ``through``);
-* ``segments-unstamped`` — a current-shape segmented store whose claim
+* ``segments-unstamped`` — a segmented store of layout 1 whose claim
   file has no ``"format"`` stamp;
+* ``segments-layout1`` — the same store stamped layout 1: a format-3
+  base and format-1 segments that spell every ``[hypothesis, focus]``
+  pair out as two strings, beside a format-2 sidecar;
 * ``sqlite-schema1`` — the single ``store.sqlite3`` database of the
   sqlite backend older releases offered, written through its schema
   (:data:`SQLITE_SCHEMA`, copied here), with one row that fails its
@@ -26,7 +29,10 @@ change that made ``rebuild()`` the one converter, where the reader still
 branched per format and ``summaries()`` backfilled the index;
 ``sqlite-schema1`` at the parent of the change that made the file layout
 the only store, where the sqlite backend still read the database (after
-the first load of each run had quarantined the corrupt row).  Opening
+the first load of each run had quarantined the corrupt row);
+``segments-layout1`` at the parent of the change that gave every index
+file its own pair table, where layout 1 was current and opened without
+a conversion.  Opening
 the same bytes now must give the same three answers.  Regenerate (only
 when the answers are meant to move) with ``PYTHONPATH=src python
 tests/test_legacy_stores.py``.
@@ -54,7 +60,8 @@ from tests.test_harvest_aggregate import make_run
 
 GOLDEN = Path(__file__).parent / "golden" / "legacy_stores.json"
 LAYOUTS = ("monolithic-format3", "bare-format2", "format1-records",
-           "format1-sidecar", "segments-unstamped", "sqlite-schema1")
+           "format1-sidecar", "segments-unstamped", "segments-layout1",
+           "sqlite-schema1")
 
 #: Five runs, the last of a second app, so every scope is exercised.
 RECORDS = [make_run(i, app="aggtest" if i < 4 else "other") for i in range(5)]
@@ -200,8 +207,10 @@ def lay_down(root: Path, layout: str) -> None:
                 max_seq=meta["seq"])
         names.append(f"{counter:012d}.json")
         _write(root / "segments" / names[-1], segment)
-    _write(root / "segments" / "_state.json", {
-        "next_seq": len(metas), "counter": len(names), "generation": 1})
+    state = {"next_seq": len(metas), "counter": len(names), "generation": 1}
+    if layout == "segments-layout1":
+        state["format"] = 1
+    _write(root / "segments" / "_state.json", state)
     if layout == "format1-sidecar":
         sidecar = dict(_aggregates(metas[:2]), format=1, max_seq=1)
     else:
@@ -243,16 +252,16 @@ def test_open_converts_to_the_pinned_answers(tmp_path, layout):
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_converted_store_is_one_current_layout(tmp_path, layout):
-    """After the open: a stamped claim file, a format-3 base, envelopes
-    only, no segments and a sidecar of the current format."""
+    """After the open: a claim file stamped layout 2, a format-4 base,
+    envelopes only, no segments and a sidecar of the current format."""
     root = tmp_path / layout
     lay_down(root, layout)
     _open(root)
     state = json.loads((root / "segments" / "_state.json").read_text())
-    assert state["format"] >= 1 and state["next_seq"] > max(
+    assert state["format"] == 2 and state["next_seq"] > max(
         meta["seq"] for meta in json.loads(
             (root / "index.json").read_text())["runs"].values())
-    assert json.loads((root / "index.json").read_text())["format"] == 3
+    assert json.loads((root / "index.json").read_text())["format"] == 4
     assert sorted(os.listdir(root / "segments")) == ["_state.json"]
     assert json.loads((root / "index.aggregate").read_text())["format"] == 2
     for record in RECORDS:

@@ -1,7 +1,9 @@
 """Correctness of the history-query fast path: record memoization, the
-store's LRU record cache, format-3 index summaries, and batched loads."""
+store's LRU record cache, format-4 index summaries, and batched loads."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -121,6 +123,16 @@ class TestStoreCache:
         store.save(rec)
         assert store.load("r1") is rec
 
+    def test_save_does_not_keep_a_dropped_record_alive(self, tmp_path):
+        store = ExperimentStore(tmp_path / "runs")
+        rec = make_record()
+        store.save(rec)
+        ref, expected = weakref.ref(rec), rec.to_dict()
+        del rec
+        gc.collect()
+        assert ref() is None
+        assert store.load("r1").to_dict() == expected
+
     def test_cache_disabled(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs", cache_size=0)
         store.save(make_record())
@@ -201,7 +213,7 @@ class TestLoadMany:
 
 
 # ---------------------------------------------------------------------------
-# format-3 index summaries
+# format-4 index summaries
 # ---------------------------------------------------------------------------
 def lay_down_format2(root):
     """A store as the format-2 releases left it: one checksummed record
@@ -210,19 +222,28 @@ def lay_down_format2(root):
 
 
 def read_index(root):
-    return json.loads((root / "index.json").read_text())
+    """The base index as written, every summary's pair ids read back
+    through the file's own pair table."""
+    data = json.loads((root / "index.json").read_text())
+    for meta in data["runs"].values():
+        summary = meta["summary"]
+        for field in ("true_pairs", "false_pairs"):
+            summary[field] = [data["pairs"][i] for i in summary[field]]
+    return data
 
 
 class TestIndexSummaries:
-    def test_save_writes_format3_envelope_with_summary(self, tmp_path):
+    def test_save_writes_format4_envelope_with_summary(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs")
         store.save(make_record())
         # the save landed in an append-only index segment; compaction
-        # folds it into the format-3 base envelope
+        # folds it into the format-4 base envelope
         assert store.info().segments == 1
         store.compact()
-        data = json.loads((tmp_path / "runs" / "index.json").read_text())
-        assert data["format"] == 3
+        raw = json.loads((tmp_path / "runs" / "index.json").read_text())
+        assert raw["runs"]["r1"]["summary"]["true_pairs"] == [0]
+        data = read_index(tmp_path / "runs")
+        assert data["format"] == 4
         summary = data["runs"]["r1"]["summary"]
         assert summary["true_pairs"] == [[
             "CPUbound", "< /Code/a.c/main, /Machine, /Process, /SyncObject >",
@@ -254,7 +275,7 @@ class TestIndexSummaries:
         lay_down_format2(tmp_path / "runs")
         fresh = ExperimentStore(tmp_path / "runs")
         data = read_index(tmp_path / "runs")
-        assert data["format"] == 3
+        assert data["format"] == 4
         assert data["runs"]["r1"]["summary"] == summarize_record(make_record())
         assert fresh.summaries()["r1"]["summary"]["status"] == "complete"
 
@@ -273,12 +294,12 @@ class TestIndexSummaries:
         store.save(rec)
         assert store.summary("r1") == summarize_record(rec)
 
-    def test_rebuild_index_roundtrips_to_format3(self, tmp_path):
+    def test_rebuild_index_roundtrips_to_format4(self, tmp_path):
         lay_down_format2(tmp_path / "runs")
         report = ExperimentStore(tmp_path / "runs").rebuild_index()
         assert report.count == 1
         data = read_index(tmp_path / "runs")
-        assert data["format"] == 3
+        assert data["format"] == 4
         assert data["runs"]["r1"]["summary"] == summarize_record(make_record())
         assert data["runs"]["r1"]["seq"] == 0
 

@@ -24,7 +24,7 @@ from repro.apps.synthetic import make_pingpong
 from repro.cli import main as cli_main
 from repro.core import DiagnosisSession, SearchConfig, run_diagnosis
 from repro.faults import io as io_faults
-from repro.storage import ExperimentStore, RunRecord, file_backend
+from repro.storage import ExperimentStore, RunRecord, StoreCorruption, file_backend
 from repro.storage.file_backend import FileBackend
 from repro.storage.summary import meta_for_record
 from tests.reference_extraction import facts_of_record, reference_directives
@@ -201,9 +201,11 @@ class TestSharedPairsAndWarmPuts:
 
     def test_held_index_grows_by_pointers_per_run(self, tmp_path):
         """Around ``read_merged()`` on a fresh open, each added run of
-        the Poisson record grows the held index by well under what a
-        plain parse of the same base holds per run (measured: ~40 KB
-        against ~260 KB)."""
+        the Poisson record grows the held index by well under a third of
+        the ~260 KB a plain parse of its spelled-out summary held
+        (measured: ~40 KB), and the base on disk by well under the
+        ~92 KB its summary took with every pair spelled out as two
+        strings (measured: ~15 KB with a per-file pair table)."""
         record = DiagnosisSession(
             app=build_catalog_app("poisson", "A", 1000),
             config=SearchConfig(stop_engine_when_done=True)).run()
@@ -215,8 +217,8 @@ class TestSharedPairsAndWarmPuts:
             for i in range(n_runs):
                 store.save(dataclasses.replace(record, run_id=f"r{i}"))
             store.compact()
+            base_bytes = (root / "index.json").stat().st_size
             store.save(dataclasses.replace(record, run_id="tail"))
-            text = (root / "index.json").read_text()
             gc.collect()
             tracemalloc.start()
             try:
@@ -224,20 +226,14 @@ class TestSharedPairsAndWarmPuts:
                 view = backend.read_merged()
                 shared = tracemalloc.get_traced_memory()[0]
                 del backend, view
-                gc.collect()
-                start = tracemalloc.get_traced_memory()[0]
-                plain = json.loads(text)
-                plain_bytes = tracemalloc.get_traced_memory()[0] - start
-                del plain
             finally:
                 tracemalloc.stop()
-            return shared, plain_bytes
+            return shared, base_bytes
 
-        shared_2, plain_2 = held(2)
-        shared_6, plain_6 = held(6)
-        per_run, plain_per_run = (shared_6 - shared_2) / 4, (plain_6 - plain_2) / 4
-        assert plain_per_run > 150_000
-        assert per_run < plain_per_run / 3
+        shared_2, base_2 = held(2)
+        shared_6, base_6 = held(6)
+        assert (shared_6 - shared_2) / 4 < 87_000
+        assert (base_6 - base_2) / 4 < 23_000
 
     def test_warm_put_reads_and_replays_nothing(self, tmp_path, monkeypatch):
         store = ExperimentStore(tmp_path / "runs", auto_compact=0)
@@ -434,6 +430,44 @@ class TestConcurrentSegmentWriters:
         assert seqs == list(range(len(expected)))
         for run_id in expected:
             assert store.load(run_id).run_id == run_id
+
+
+class TestIndexFilesOfAnotherFormat:
+    """A layout-2 store reads only format-4 bases and format-2 segments:
+    a file an older release wrote into it is refused by name, never
+    decoded as pair ids, and ``rebuild`` recovers the store."""
+
+    def _store(self, root):
+        store = ExperimentStore(root, auto_compact=0)
+        store.save(_paired_record("r0"))
+        store.compact()
+        store.save(_paired_record("r1"))
+        return store
+
+    def test_base_of_format_3_is_refused(self, tmp_path):
+        root = tmp_path / "runs"
+        listed = self._store(root).summaries()
+        (root / "index.json").write_text(json.dumps({"format": 3, "runs": {
+            "r0": listed["r0"]}}))
+        fresh = ExperimentStore(root)
+        with pytest.raises(StoreCorruption, match=(
+                r"index\.json: format 3 .*repro store rebuild")):
+            fresh.summaries()
+        fresh.rebuild_index()
+        assert ExperimentStore(root).summaries() == listed
+
+    def test_segment_with_string_pairs_is_refused(self, tmp_path):
+        root = tmp_path / "runs"
+        listed = self._store(root).summaries()
+        (name,) = [n for n in os.listdir(root / "segments") if n[0] != "_"]
+        (root / "segments" / name).write_text(json.dumps({"format": 1, "ops": [
+            {"op": "put", "run_id": "r1", "meta": listed["r1"]}]}))
+        fresh = ExperimentStore(root)
+        with pytest.raises(StoreCorruption, match=(
+                rf"segments/{name}: format 1 .*repro store rebuild")):
+            fresh.summaries()
+        fresh.rebuild_index()
+        assert ExperimentStore(root).summaries() == listed
 
 
 # ---------------------------------------------------------------------------
