@@ -254,25 +254,25 @@ class ActiveDiagnosis:
             budget = max_events if remaining is None else min(max_events, remaining)
         try:
             finish = self.engine.run(max_time=self._max_time, max_events=budget)
-        except SimTimeout as exc:
-            budget_keys = getattr(exc, "budget", None) or {}
+        except SimulationError as exc:
             slice_limited = (
-                "max_events" in budget_keys
+                isinstance(exc, SimTimeout)
+                and "max_events" in exc.budget
                 and max_events is not None
                 and (remaining is None or self.events_dispatched < self._max_events)
             )
             if slice_limited:
                 return True
-            return self._conclude_failure(exc)
-        except SimulationError as exc:
-            return self._conclude_failure(exc)
+            if self.session.on_failure == "raise":
+                # re-raised in place: a frame keeping the exception in a
+                # local would make a cycle through its own traceback
+                raise
+            return self._degrade(exc)
         self._finish = finish
         self._done = True
         return False
 
-    def _conclude_failure(self, exc: SimulationError) -> bool:
-        if self.session.on_failure == "raise":
-            raise exc
+    def _degrade(self, exc: SimulationError) -> bool:
         # Graceful degradation: finalise over what was gathered, keep
         # the surviving conclusions, annotate the rest.
         self._failure = f"{type(exc).__name__}: {exc}"

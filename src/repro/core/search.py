@@ -42,8 +42,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..metrics.instrumentation import InstrumentationManager
 from ..metrics.metric import METRICS
@@ -90,6 +91,20 @@ class SearchConfig:
     #: tick).  Large searches tick thousands of times; raising this keeps
     #: per-tick stat polling from dominating the trace file.
     progress_every: int = 1
+
+
+def _weak_hook(search: "PerformanceConsultantSearch", name: str) -> Callable[[Engine], None]:
+    """An engine hook calling ``search.<name>()`` while the search lives.
+    The search holds its engine, so the hooks the engine holds reach the
+    search only weakly: a strong hook would be a reference cycle."""
+    ref = weakref.ref(search)
+
+    def hook(_engine: Engine) -> None:
+        target = ref()
+        if target is not None:
+            getattr(target, name)()
+
+    return hook
 
 
 class PerformanceConsultantSearch:
@@ -220,8 +235,8 @@ class PerformanceConsultantSearch:
         for child in self.hypotheses.children(TOP_LEVEL):
             self._consider(child.name, wp, parent=root)
 
-        self.engine.schedule_periodic(self.config.check_period, lambda _: self.tick())
-        self.engine.on_finish(lambda _: self.final_pass())
+        self.engine.schedule_periodic(self.config.check_period, _weak_hook(self, "tick"))
+        self.engine.on_finish(_weak_hook(self, "final_pass"))
 
     # ------------------------------------------------------------------
     # candidate handling

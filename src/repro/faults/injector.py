@@ -10,7 +10,8 @@ perturbation and any other registered hooks.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+import weakref
+from typing import List, Optional, Tuple
 
 from ..simulator.engine import Engine
 from ..simulator.messages import Message
@@ -35,21 +36,25 @@ class FaultInjector:
     of ``(virtual_time, kind, detail)`` tuples, where kind is one of
     ``drop`` / ``duplicate`` / ``delay`` / ``crash`` / ``hang``.  Tests
     assert against it and degraded-run reports cite it.
+
+    Lifetime: the engine holds the injector's hooks, and through them the
+    injector, so the injector holds the engine only weakly (a strong
+    reference would be a cycle); a hook runs only while its engine
+    dispatches it.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._rng = random.Random(plan.seed)
-        self._engine: Optional[Engine] = None
+        self._engine: Optional["weakref.ref[Engine]"] = None
         self.injected: List[Tuple[float, str, str]] = []
-        self._slow_overhead: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     def attach(self, engine: Engine) -> "FaultInjector":
         """Register every fault in the plan against *engine*; returns self."""
         if self._engine is not None:
             raise FaultPlanError("injector already attached to an engine")
-        self._engine = engine
+        self._engine = weakref.ref(engine)
         plan = self.plan
         unknown = [
             p for p in list(plan.crash_at) + list(plan.hang_at)
@@ -65,12 +70,12 @@ class FaultInjector:
             # Slow nodes express as a perturbation source, the same
             # mechanism that models instrumentation overhead: a factor-f
             # node contributes f-1 extra fraction to every compute burst.
-            self._slow_overhead = {
+            overhead = {
                 name: plan.slow_nodes.get(proc.node, 1.0) - 1.0
                 for name, proc in engine.procs.items()
             }
             engine.add_perturbation_source(
-                lambda proc_name: self._slow_overhead.get(proc_name, 0.0)
+                lambda proc_name: overhead.get(proc_name, 0.0)
             )
         for proc, t in sorted(plan.crash_at.items()):
             engine.schedule(t, lambda p=proc, at=t: self._crash(p, at))
@@ -83,7 +88,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def _filter_message(self, msg: Message) -> List[float]:
         plan, rng = self.plan, self._rng
-        now = self._engine.now
+        now = self._engine().now
         if plan.drop and rng.random() < plan.drop:
             self.injected.append((now, "drop", f"{msg.src}->{msg.dest} tag {msg.tag}"))
             return []
@@ -98,11 +103,11 @@ class FaultInjector:
 
     def _crash(self, proc: str, at: float) -> None:
         self.injected.append((at, "crash", proc))
-        self._engine.crash_process(proc, InjectedFault(proc, at))
+        self._engine().crash_process(proc, InjectedFault(proc, at))
 
     def _hang(self, proc: str, at: float) -> None:
         self.injected.append((at, "hang", proc))
-        self._engine.hang_process(proc)
+        self._engine().hang_process(proc)
 
     # ------------------------------------------------------------------
     def run_budgets(self) -> Tuple[float, Optional[int]]:

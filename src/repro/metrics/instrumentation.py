@@ -57,6 +57,7 @@ the search and sink-seam tests hold this manager to it.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -182,6 +183,22 @@ _RouteKey = Tuple[str, Tuple[str, ...], Tuple[str, ...]]
 _Plan = Tuple[Focus, Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]
 
 
+class _WeakSink:
+    """The engine's link to a manager.  The manager holds its engine, so
+    the sink the engine holds reaches the manager only weakly: a strong
+    one would be a reference cycle."""
+
+    __slots__ = ("_manager",)
+
+    def __init__(self, manager: "InstrumentationManager") -> None:
+        self._manager = weakref.ref(manager)
+
+    def record_batch(self, batch: Batch) -> None:
+        manager = self._manager()
+        if manager is not None:
+            manager.record_batch(batch)
+
+
 class InstrumentationManager:
     """Insert/read/delete dynamic instrumentation against a live engine."""
 
@@ -249,7 +266,7 @@ class InstrumentationManager:
         # the pass shares, taken by the first read that needs it
         self._batching = False
         self._in_progress_snapshot: Optional[_Snapshot] = None
-        engine.add_sink(self)
+        engine.add_sink(_WeakSink(self))
         engine.add_perturbation_source(self._overhead.__getitem__)
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ finer-grained description of the program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .names import ResourceNameError, join_path, split_path
@@ -21,7 +21,6 @@ __all__ = ["Resource", "ResourceHierarchy", "ResourceSpace", "STANDARD_HIERARCHI
 STANDARD_HIERARCHIES = ("Code", "Machine", "Process", "SyncObject")
 
 
-@dataclass
 class Resource:
     """One node of a resource hierarchy.
 
@@ -31,17 +30,27 @@ class Resource:
     combined hierarchies from several runs (paper, Figure 3).  ``parts``
     is ``name`` split once at creation: refinement builds child foci from
     it instead of re-parsing the name.
+
+    A hierarchy holds its nodes top-down (``children``); ``parent`` is
+    answered through a weak reference, so a tree is no reference cycle
+    and is freed as soon as its hierarchy is.  It is ``None`` for a
+    root, and for a node that outlived its parent.
     """
 
-    name: str
-    label: str
-    parent: Optional["Resource"] = None
-    children: Dict[str, "Resource"] = field(default_factory=dict)
-    tags: set = field(default_factory=set)
-    parts: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "label", "children", "tags", "parts", "_parent", "__weakref__")
 
-    def __post_init__(self) -> None:
-        self.parts = split_path(self.name)
+    def __init__(self, name: str, label: str, parent: Optional["Resource"] = None) -> None:
+        self.name = name
+        self.label = label
+        self.children: Dict[str, Resource] = {}
+        self.tags: set = set()
+        self.parts: Tuple[str, ...] = split_path(name)
+        self._parent = None if parent is None else weakref.ref(parent)
+
+    @property
+    def parent(self) -> Optional["Resource"]:
+        ref = self._parent
+        return None if ref is None else ref()
 
     @property
     def is_leaf(self) -> bool:

@@ -12,6 +12,11 @@ dependencies.  Ops:
   ``{"event": "result", "record": {...}}`` or ``{"event": "error"}``.
   Fields mirror :class:`~repro.server.service.SessionRequest`.
 
+A request line longer than 64 KiB (asyncio's stream limit) is answered
+with one ``error`` event naming the limit, and the connection closed.
+A client that hangs up mid-session is sent nothing more; its session
+finishes server-side.
+
 Requests on one connection are served in arrival order but execute
 concurrently with every other connection's — the load generator opens
 one connection per simulated client (closed-loop), which is what keeps
@@ -28,12 +33,16 @@ import asyncio
 import json
 import socket
 import threading
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional, Set
 
 from ..obs.metrics import metrics_to_prometheus
 from .service import DiagnosisService, ServerBusy, SessionRequest
 
 __all__ = ["start_server", "serve_forever", "ServerClient", "ServerThread"]
+
+#: The longest request line a connection accepts: asyncio's default
+#: ``StreamReader`` limit, passed explicitly so the error can name it.
+_LINE_LIMIT = 2 ** 16
 
 #: Request fields copied verbatim onto :class:`SessionRequest`.
 _REQUEST_FIELDS = (
@@ -62,7 +71,16 @@ async def _handle_connection(
 
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # past the limit the stream cannot be framed again:
+                # answer once and hang up
+                await send({
+                    "event": "error",
+                    "error": f"request line longer than {_LINE_LIMIT} bytes",
+                })
+                break
             if not line:
                 break
             line = line.strip()
@@ -83,7 +101,7 @@ async def _handle_connection(
                         ),
                     })
                 elif op == "diagnose":
-                    await _handle_diagnose(service, message, send)
+                    await _handle_diagnose(service, message, send, writer)
                 else:
                     await send({
                         "event": "error", "error": f"unknown op {op!r}",
@@ -104,14 +122,29 @@ async def _handle_connection(
         writer.close()
 
 
-async def _handle_diagnose(service, message, send) -> None:
+async def _handle_diagnose(service, message, send, writer) -> None:
     request = _session_request(message)
     loop = asyncio.get_running_loop()
     if message.get("progress"):
         # Progress events are produced on this same loop; schedule the
         # writes as tasks so a slow client never blocks the scheduler.
-        request.progress = lambda event: loop.create_task(send(event)) \
-            and None
+        # Once the connection is gone no more are sent (the session
+        # finishes server-side); each write is held until it settles and
+        # its outcome retrieved, a client that went away being no error.
+        sends: Set[asyncio.Task] = set()
+
+        def settled(task: asyncio.Task) -> None:
+            sends.discard(task)
+            if not task.cancelled():
+                task.exception()
+
+        def progress(event: Dict[str, Any]) -> None:
+            if not writer.is_closing():
+                task = loop.create_task(send(event))
+                sends.add(task)
+                task.add_done_callback(settled)
+
+        request.progress = progress
     try:
         record = await service.run(request)
     except ServerBusy as exc:
@@ -131,7 +164,8 @@ async def start_server(
 ) -> asyncio.AbstractServer:
     """Bind the JSONL server (``port=0`` picks a free port)."""
     return await asyncio.start_server(
-        lambda r, w: _handle_connection(service, r, w), host, port
+        lambda r, w: _handle_connection(service, r, w), host, port,
+        limit=_LINE_LIMIT,
     )
 
 

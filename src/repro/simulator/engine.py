@@ -62,6 +62,7 @@ The per-event discipline this loop is held to lives in
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -121,8 +122,36 @@ _BLOCKED = ProcState.BLOCKED
 _DONE = ProcState.DONE
 
 
+class _Periodic:
+    """A :meth:`Engine.schedule_periodic` callback, rescheduling itself.
+    The engine's heap holds it, so it holds the engine only weakly: a
+    strong reference would be a cycle (when it runs, the engine is alive,
+    dispatching it)."""
+
+    __slots__ = ("_engine", "period", "fn")
+
+    def __init__(self, engine: "Engine", period: float, fn: Callable[["Engine"], None]) -> None:
+        self._engine = weakref.ref(engine)
+        self.period = period
+        self.fn = fn
+
+    def __call__(self) -> None:
+        engine = self._engine()
+        if engine._stopped:
+            return
+        self.fn(engine)
+        if not engine.all_done():
+            engine.queue.push(engine.now + self.period, self)
+
+
 class Engine:
-    """Deterministic discrete-event executor for simulated programs."""
+    """Deterministic discrete-event executor for simulated programs.
+
+    Lifetime: nothing the engine holds refers back to it strongly — its
+    periodic callbacks and a fault injector hold it weakly, and the
+    instrumentation manager and the search, which hold it, register
+    hooks that hold them weakly — so an engine is freed by reference
+    counting as soon as its last holder drops it."""
 
     def __init__(
         self,
@@ -192,6 +221,15 @@ class Engine:
         # per-process in-progress activity: (activity, start, module, fn, tag)
         self._current: Dict[str, Optional[Tuple[Activity, float, str, str, Optional[str]]]] = {}
 
+    def __del__(self) -> None:
+        # A process and its program refer to each other (the generator is
+        # handed its process), and so do a process and its reusable
+        # frames.  The engine owns its processes and cuts both edges when
+        # it is freed; a program still suspended is closed here.
+        for proc in self.__dict__.get("procs", {}).values():
+            proc.gen = None
+            proc._frames.clear()
+
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
@@ -255,14 +293,7 @@ class Engine:
         if period <= 0:
             raise SimulationError("period must be positive")
 
-        def tick() -> None:
-            if self._stopped:
-                return
-            fn(self)
-            if not self.all_done():
-                self.queue.push(self.now + period, tick)
-
-        self.schedule(self.now if start is None else start, tick)
+        self.schedule(self.now if start is None else start, _Periodic(self, period, fn))
 
     def stop(self) -> None:
         """Abort the run after the current event (used by the diagnosis
@@ -655,7 +686,9 @@ class Engine:
         until the continuation fires, so the stack during the interval is
         exactly the stack now."""
         snap = proc.stack_snapshot()
-        stack = snap
+        # the prototype keeps a plain copy: it rides on the snapshot, so
+        # holding the snapshot itself would be a reference cycle
+        stack = tuple(snap)
         if not stack or stack[-1] != frame:
             stack = stack + (frame,)
         key = (code, proc.name, frame, tag, stack)

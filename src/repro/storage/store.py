@@ -139,6 +139,24 @@ class _RecordCache:
             return len(self._items)
 
 
+class _CallCounts:
+    """The guarded call's counters.  The retry policy's observer counts
+    into this, not into the store: the store holds its policy, so a
+    bound method of the store there would be a reference cycle."""
+
+    __slots__ = ("lock", "ops", "retries", "unavailable")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.ops = 0
+        self.retries = 0
+        self.unavailable = 0
+
+    def retried(self, attempt: int, delay: float, exc: BaseException) -> None:
+        with self.lock:
+            self.retries += 1
+
+
 class ExperimentStore:
     """A store of :class:`RunRecord` objects in the directory *root*
     (created, with an empty store, when it holds none).
@@ -181,12 +199,9 @@ class ExperimentStore:
         if resilience is not False:
             policy = resilience if isinstance(resilience, ResiliencePolicy) \
                 else ResiliencePolicy()
-            self._retry = policy.make_retry(on_retry=self._on_retry)
+            self._counts = _CallCounts()
+            self._retry = policy.make_retry(on_retry=self._counts.retried)
             self._breaker = policy.make_breaker(self._backend.name)
-            self._lock = threading.Lock()
-            self._ops_total = 0
-            self._retries_total = 0
-            self._unavailable_total = 0
 
     @property
     def backend(self) -> FileBackend:
@@ -205,10 +220,6 @@ class ExperimentStore:
     # ------------------------------------------------------------------
     # the guarded call
     # ------------------------------------------------------------------
-    def _on_retry(self, attempt: int, delay: float, exc: BaseException) -> None:
-        with self._lock:
-            self._retries_total += 1
-
     def _call(self, fn: Callable[..., T], *args, **kwargs) -> T:
         """``fn(*args, **kwargs)`` — one backend operation — guarded.
 
@@ -234,21 +245,22 @@ class ExperimentStore:
         if self._retry is None:
             return fn(*args, **kwargs)
         name = self._backend.name
-        with self._lock:
-            self._ops_total += 1
+        counts = self._counts
+        with counts.lock:
+            counts.ops += 1
         try:
             self._breaker.allow()
         except CircuitOpen as exc:
-            with self._lock:
-                self._unavailable_total += 1
+            with counts.lock:
+                counts.unavailable += 1
             raise StoreUnavailable(str(exc)) from exc
         try:
             result = self._retry.call(lambda: fn(*args, **kwargs),
                                       describe=f"{name} {fn.__name__}")
         except RetryExhausted as exc:
             self._breaker.record_failure()
-            with self._lock:
-                self._unavailable_total += 1
+            with counts.lock:
+                counts.unavailable += 1
             raise StoreUnavailable(
                 f"store backend {name!r}: {exc}"
             ) from exc.last
@@ -266,11 +278,12 @@ class ExperimentStore:
         """
         if self._retry is None:
             return {}
-        with self._lock:
+        counts = self._counts
+        with counts.lock:
             out = {
-                "ops_total": float(self._ops_total),
-                "retries_total": float(self._retries_total),
-                "unavailable_total": float(self._unavailable_total),
+                "ops_total": float(counts.ops),
+                "retries_total": float(counts.retries),
+                "unavailable_total": float(counts.unavailable),
             }
         out.update(self._breaker.metrics())
         return out

@@ -1,7 +1,9 @@
 """Tests for the JSONL TCP protocol, client shim, and server thread."""
 
 import json
+import logging
 import socket
+import time
 
 import pytest
 
@@ -255,3 +257,54 @@ class TestTenantOverWire:
             metrics = probe.metrics()["metrics"]
             assert metrics["sessions_rejected"] == 1
             assert metrics["sessions_completed"] == 2
+
+
+class TestClientsThatMisbehave:
+    """A client that hangs up mid-session or sends an unframeable line
+    costs only its own connection: no asyncio error is logged, and the
+    server keeps serving and keeps its counters balanced."""
+
+    @staticmethod
+    def asyncio_errors(caplog):
+        import gc
+
+        gc.collect()  # a task's unretrieved exception is logged when freed
+        return [r.getMessage() for r in caplog.records
+                if r.name == "asyncio" and r.levelno >= logging.ERROR]
+
+    def test_progress_to_a_client_that_went_away(self, caplog):
+        with ServerThread(slice_events=200) as srv:
+            with socket.create_connection((srv.host, srv.port),
+                                          timeout=30) as sock:
+                sock.sendall(json.dumps({
+                    "op": "diagnose", "app": "poisson", "version": "A",
+                    "iterations": 400, "progress": True,
+                }).encode() + b"\n")
+                time.sleep(0.05)
+            deadline = time.monotonic() + 120
+            with ServerClient(srv.host, srv.port) as client:
+                while True:
+                    metrics = client.metrics()["metrics"]
+                    if metrics["sessions_submitted"] and \
+                            not metrics["active_sessions"]:
+                        break
+                    assert time.monotonic() < deadline, metrics
+                    time.sleep(0.05)
+        assert metrics["active_sessions"] == 0
+        assert metrics["sessions_submitted"] == (
+            metrics["sessions_completed"] + metrics["sessions_failed"]
+            + metrics["sessions_rejected"])
+        assert self.asyncio_errors(caplog) == []
+
+    def test_oversized_request_line(self, caplog):
+        with ServerThread() as srv:
+            with socket.create_connection((srv.host, srv.port),
+                                          timeout=30) as sock:
+                sock.sendall(b'{"op": "ping", "pad": "' + b"x" * 200_000
+                             + b'"}\n')
+                event = json.loads(sock.makefile("rb").readline())
+            assert event["event"] == "error"
+            assert "65536 bytes" in event["error"]
+            with ServerClient(srv.host, srv.port) as client:
+                assert client.ping()
+        assert self.asyncio_errors(caplog) == []

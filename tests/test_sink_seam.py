@@ -69,8 +69,11 @@ class RecordOnly:
 
 
 def fed_per_segment(engine, sink):
-    """Re-register *sink* behind the engine's record-only adaptor."""
-    engine._sinks.remove(sink)
+    """Re-register *sink*, a manager just built on *engine*, behind the
+    engine's record-only adaptor.  A manager registers itself last, and
+    through a link that holds it weakly."""
+    link = engine._sinks.pop()
+    assert link._manager() is sink
     engine.add_sink(RecordOnly(sink))
 
 
