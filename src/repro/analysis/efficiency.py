@@ -10,7 +10,7 @@ does not improve the result." (paper, Section 4.2)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..storage.records import RunRecord
 
@@ -26,17 +26,6 @@ class ThresholdPoint:
     pairs_tested: int
     efficiency: float
     areas_reported: Optional[int] = None
-
-    def as_row(self) -> List[str]:
-        cells = [
-            f"{self.threshold:.0%}",
-            str(self.bottlenecks),
-            str(self.pairs_tested),
-            f"{self.efficiency:.3f}",
-        ]
-        if self.areas_reported is not None:
-            cells.insert(1, str(self.areas_reported))
-        return cells
 
 
 def threshold_point(

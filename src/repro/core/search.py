@@ -107,6 +107,23 @@ def _weak_hook(search: "PerformanceConsultantSearch", name: str) -> Callable[[En
     return hook
 
 
+def _engine_clock(engine: Engine) -> Callable[[], float]:
+    """A tracer clock reading *engine*'s virtual time.  A caller may keep
+    its tracer after the session ends, so the clock reaches the engine
+    only weakly; once the engine is freed it reads the last time seen."""
+    ref = weakref.ref(engine)
+    last = 0.0
+
+    def clock() -> float:
+        nonlocal last
+        live = ref()
+        if live is not None:
+            last = live.now
+        return last
+
+    return clock
+
+
 class PerformanceConsultantSearch:
     """One online diagnosis over a live engine."""
 
@@ -130,7 +147,7 @@ class PerformanceConsultantSearch:
         #: ``None`` check so an untraced run pays nothing.
         self.tracer = tracer
         if tracer is not None:
-            tracer.clock = lambda: engine.now
+            tracer.clock = _engine_clock(engine)
             instrumentation.tracer = tracer
             instrumentation.gate.on_transition = (
                 lambda kind, **data: tracer.emit(kind, **data)

@@ -109,15 +109,6 @@ class FaultInjector:
         self.injected.append((at, "hang", proc))
         self._engine().hang_process(proc)
 
-    # ------------------------------------------------------------------
-    def run_budgets(self) -> Tuple[float, Optional[int]]:
-        """(max_time, max_events) to pass to ``Engine.run``."""
-        plan = self.plan
-        return (
-            plan.max_virtual_time if plan.max_virtual_time is not None else 1e9,
-            plan.max_events,
-        )
-
 
 def apply_faults(engine: Engine, plan: FaultPlan) -> FaultInjector:
     """Convenience: build an injector for *plan* and attach it to *engine*."""

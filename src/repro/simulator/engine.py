@@ -224,11 +224,15 @@ class Engine:
     def __del__(self) -> None:
         # A process and its program refer to each other (the generator is
         # handed its process), and so do a process and its reusable
-        # frames.  The engine owns its processes and cuts both edges when
-        # it is freed; a program still suspended is closed here.
+        # frames, and a crashed process and its program's frames in the
+        # crash's traceback.  The engine owns its processes and cuts
+        # these edges when it is freed; a program still suspended is
+        # closed here.
         for proc in self.__dict__.get("procs", {}).values():
             proc.gen = None
             proc._frames.clear()
+            if proc.crash is not None:
+                proc.crash.__traceback__ = None
 
     # ------------------------------------------------------------------
     # setup
@@ -594,7 +598,10 @@ class Engine:
                     if self.crash_policy == "raise":
                         raise
                     proc.state = crashed_state
-                    proc.crash = exc
+                    # keep the program's frames, not this loop's: its
+                    # frame holds the engine, and engine -> process ->
+                    # crash -> frame would be a cycle
+                    proc.crash = exc.with_traceback(exc.__traceback__.tb_next)
                     proc.finish_time = now
                     self._live -= 1
                     self._maybe_finish()

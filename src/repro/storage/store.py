@@ -14,9 +14,9 @@ A store from an older release is converted once, when it is opened
 (:mod:`repro.storage.file_backend` lists what it converts); every read
 after that is a plain read of the current layout.
 
-What the frontend adds on top of the backend: the one guarded call
-every backend operation goes through (transient-failure retry plus a
-circuit breaker, configured by a
+What the frontend adds on top of the backend: the one guard every
+backend operation goes through (:class:`_Guard`: transient-failure
+retry plus a circuit breaker, built from one
 :class:`~repro.resilience.policy.ResiliencePolicy`), the bounded
 in-process LRU of parsed :class:`RunRecord` objects (keyed by the
 backend's per-record token, so a cross-process overwrite invalidates
@@ -28,6 +28,7 @@ loaded (and saved) records as immutable.
 
 from __future__ import annotations
 
+import random
 import threading
 import weakref
 from pathlib import Path
@@ -45,8 +46,7 @@ from typing import (
 )
 
 from ..core.extraction import HarvestAggregate
-from ..resilience.breaker import CircuitOpen
-from ..resilience.policy import ResiliencePolicy, RetryExhausted
+from ..resilience.policy import ResiliencePolicy, is_transient
 from .api import (
     CompactionStats,
     RecoveryReport,
@@ -139,22 +139,138 @@ class _RecordCache:
             return len(self._items)
 
 
-class _CallCounts:
-    """The guarded call's counters.  The retry policy's observer counts
-    into this, not into the store: the store holds its policy, so a
-    bound method of the store there would be a reference cycle."""
+#: Breaker states, coded as ``resilience_metrics()["breaker_state"]``.
+_CLOSED, _OPEN, _HALF_OPEN = 0, 1, 2
 
-    __slots__ = ("lock", "ops", "retries", "unavailable")
 
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.ops = 0
-        self.retries = 0
-        self.unavailable = 0
+class _Guard:
+    """A store's availability layer, built from its
+    :class:`ResiliencePolicy`: the circuit breaker's state, the seeded
+    jitter RNG and the counters :meth:`ExperimentStore.resilience_metrics`
+    reports.  :meth:`call` runs one backend operation under it.
 
-    def retried(self, attempt: int, delay: float, exc: BaseException) -> None:
-        with self.lock:
-            self.retries += 1
+    Breaker state and counters change under one lock; the backend call
+    and the backoff sleep run outside it.  The guard holds nothing of its
+    store, so the store's edge to it closes no cycle.
+    """
+
+    def __init__(self, policy: ResiliencePolicy, name: str) -> None:
+        self.policy = policy
+        self.name = name
+        self._rng = random.Random(policy.seed)
+        self._lock = threading.Lock()
+        self._state = _CLOSED
+        self._failures = 0  # consecutive exhausted operations
+        self._opened_at = 0.0
+        self._probing = False  # the one half-open probe is in flight
+        self._ops = self._retries = self._unavailable = 0
+        self._opened = self._rejected = 0
+        self._probe_successes = self._probe_failures = 0
+
+    def _state_now(self) -> int:
+        # caller holds the lock; an open breaker past its reset time
+        # turns half-open here
+        if self._state == _OPEN and (self.policy.clock() - self._opened_at
+                                     >= self.policy.breaker_reset_s):
+            self._state = _HALF_OPEN
+            self._probing = False
+        return self._state
+
+    def call(self, fn: Callable[..., T], args: tuple, kwargs: dict) -> T:
+        """Gate, then attempts with backoff under the deadline, then the
+        breaker's bookkeeping; see :meth:`ExperimentStore._call`."""
+        policy = self.policy
+        with self._lock:
+            self._ops += 1
+            state = self._state_now()
+            if state == _HALF_OPEN and not self._probing:
+                self._probing = True
+            elif state != _CLOSED:
+                self._rejected += 1
+                self._unavailable += 1
+                retry_in = 0.0 if state == _HALF_OPEN else (
+                    policy.breaker_reset_s
+                    - (policy.clock() - self._opened_at))
+                raise StoreUnavailable(
+                    f"circuit breaker for {self.name!r} is open "
+                    f"(retry in {max(retry_in, 0.0):.2f}s)")
+        start = policy.clock()
+        attempt = 1
+        while True:
+            try:
+                result = fn(*args, **kwargs)
+            except Exception as exc:
+                if not is_transient(exc):
+                    self._settle(True)
+                    raise
+                if not self._backoff(attempt, start):
+                    self._settle(False)
+                    raise StoreUnavailable(
+                        f"store backend {self.name!r}: {self.name} "
+                        f"{fn.__name__} still failing after {attempt} "
+                        f"attempt(s) (last: {type(exc).__name__}: {exc})"
+                    ) from exc
+                attempt += 1
+                continue
+            self._settle(True)
+            return result
+
+    def _backoff(self, attempt: int, start: float) -> bool:
+        """Sleep before the retry that follows failed *attempt* and count
+        it; ``False`` when the attempts or the deadline are spent."""
+        policy = self.policy
+        if attempt >= policy.attempts:
+            return False
+        delay = min(policy.base_delay * policy.multiplier ** (attempt - 1),
+                    policy.max_delay)
+        if policy.jitter > 0:
+            delay *= 1.0 - policy.jitter * self._rng.random()
+        if policy.deadline_s is not None and (
+                policy.clock() - start + delay > policy.deadline_s):
+            return False
+        with self._lock:
+            self._retries += 1
+        policy.sleep(delay)
+        return True
+
+    def _settle(self, answered: bool) -> None:
+        """Breaker bookkeeping for one finished operation: *answered*
+        when the store gave a result or a domain error, else exhausted."""
+        with self._lock:
+            if answered:
+                if self._state == _HALF_OPEN:
+                    self._probe_successes += 1
+                    self._probing = False
+                    self._state = _CLOSED
+                self._failures = 0
+                return
+            self._unavailable += 1
+            if self._state == _HALF_OPEN:
+                self._probe_failures += 1
+                self._probing = False
+            else:
+                self._failures += 1
+                if self._state != _CLOSED or (
+                        self._failures < self.policy.breaker_threshold):
+                    return
+            self._state = _OPEN
+            self._opened_at = self.policy.clock()
+            self._opened += 1
+            self._failures = 0
+
+    def metrics(self) -> Dict[str, float]:
+        with self._lock:
+            return {
+                "ops_total": float(self._ops),
+                "retries_total": float(self._retries),
+                "unavailable_total": float(self._unavailable),
+                "breaker_state": float(self._state_now()),
+                "breaker_opened_total": float(self._opened),
+                "breaker_rejected_total": float(self._rejected),
+                "breaker_probe_successes": float(self._probe_successes),
+                "breaker_probe_failures": float(self._probe_failures),
+                "breaker_consecutive_failures": float(self._failures),
+            }
 
 
 class ExperimentStore:
@@ -195,13 +311,11 @@ class ExperimentStore:
         self._auto_compact = auto_compact or 0
         #: ``None`` when resilience is off: :meth:`_call` then goes
         #: straight to the backend.
-        self._retry = None
+        self._guard: Optional[_Guard] = None
         if resilience is not False:
             policy = resilience if isinstance(resilience, ResiliencePolicy) \
                 else ResiliencePolicy()
-            self._counts = _CallCounts()
-            self._retry = policy.make_retry(on_retry=self._counts.retried)
-            self._breaker = policy.make_breaker(self._backend.name)
+            self._guard = _Guard(policy, self._backend.name)
 
     @property
     def backend(self) -> FileBackend:
@@ -224,11 +338,9 @@ class ExperimentStore:
         """``fn(*args, **kwargs)`` — one backend operation — guarded.
 
         * transient failures (EIO, EAGAIN) reach this call raw and the
-          whole operation is retried under the seeded
-          :class:`~repro.resilience.policy.RetryPolicy`, every retry
-          counted;
-        * an exhausted operation records a failure on the
-          :class:`~repro.resilience.breaker.CircuitBreaker` and raises
+          whole operation is retried with the policy's seeded backoff
+          under its deadline, every retry counted;
+        * an exhausted operation counts a breaker failure and raises
           :class:`StoreUnavailable` chained to the last ``OSError``;
           while the breaker is open, calls fail in microseconds without
           touching the backend;
@@ -242,33 +354,10 @@ class ExperimentStore:
         index effect atomic: a ``put`` that raised a transient error has
         not indexed the run (the segment rename is the commit point).
         """
-        if self._retry is None:
+        guard = self._guard
+        if guard is None:
             return fn(*args, **kwargs)
-        name = self._backend.name
-        counts = self._counts
-        with counts.lock:
-            counts.ops += 1
-        try:
-            self._breaker.allow()
-        except CircuitOpen as exc:
-            with counts.lock:
-                counts.unavailable += 1
-            raise StoreUnavailable(str(exc)) from exc
-        try:
-            result = self._retry.call(lambda: fn(*args, **kwargs),
-                                      describe=f"{name} {fn.__name__}")
-        except RetryExhausted as exc:
-            self._breaker.record_failure()
-            with counts.lock:
-                counts.unavailable += 1
-            raise StoreUnavailable(
-                f"store backend {name!r}: {exc}"
-            ) from exc.last
-        except Exception:
-            self._breaker.record_success()
-            raise
-        self._breaker.record_success()
-        return result
+        return guard.call(fn, args, kwargs)
 
     def resilience_metrics(self) -> Dict[str, float]:
         """Retry/breaker counters when resilience is armed, else ``{}``.
@@ -276,17 +365,7 @@ class ExperimentStore:
         Flat numeric values in the shape
         :func:`repro.obs.metrics.metrics_to_prometheus` renders.
         """
-        if self._retry is None:
-            return {}
-        counts = self._counts
-        with counts.lock:
-            out = {
-                "ops_total": float(counts.ops),
-                "retries_total": float(counts.retries),
-                "unavailable_total": float(counts.unavailable),
-            }
-        out.update(self._breaker.metrics())
-        return out
+        return {} if self._guard is None else self._guard.metrics()
 
     def verify(self):
         """Scrub the store: every record checked, divergences reported.

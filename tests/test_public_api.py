@@ -1,7 +1,7 @@
 """The public surface, pinned name by name.
 
 ``repro``, ``repro.core``, ``repro.core.extraction``, ``repro.facade``,
-``repro.storage`` and ``repro.storage.api`` export exactly the names
+``repro.resilience``, ``repro.storage`` and ``repro.storage.api`` export exactly the names
 listed here, the ways into the archive take exactly the parameters
 listed in ``SIGNATURES``, a trace sink is the one method ``TRACE_SINK``
 names, and the hot syscalls are the immutable values ``SYSCALLS``
@@ -59,6 +59,9 @@ SURFACE = {
     "repro.facade": [
         "HarvestWarning", "default_pool", "diagnose", "harvest",
         "load_directives", "resolve_history", "resolve_store"
+    ],
+    "repro.resilience": [
+        "ResiliencePolicy", "ScrubReport", "is_transient", "verify_store"
     ],
     "repro.storage": [
         "CompactionStats", "ExperimentStore", "FileBackend",

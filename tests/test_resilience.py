@@ -1,7 +1,7 @@
-"""The resilience layer: retry policy, circuit breaker, the policy value
-that configures them, and the store's guarded call — its one retry
-layer, including the transient EIO -> retry -> StoreUnavailable
-escalation it was built for."""
+"""The resilience layer: the policy value that configures a store's
+retry and circuit breaker, the guard built from it, and the store's
+guarded call — its one retry layer, including the transient EIO ->
+retry -> StoreUnavailable escalation it was built for."""
 
 import dataclasses
 import errno
@@ -11,14 +11,7 @@ import pytest
 from repro.faults import IOFault, IOFaultPlan
 from repro.faults import io as io_faults
 
-from repro.resilience import (
-    CircuitBreaker,
-    CircuitOpen,
-    ResiliencePolicy,
-    RetryExhausted,
-    RetryPolicy,
-    is_transient,
-)
+from repro.resilience import ResiliencePolicy, is_transient
 from repro.storage import (
     ExperimentStore,
     FileBackend,
@@ -26,6 +19,7 @@ from repro.storage import (
     StoreError,
     StoreUnavailable,
 )
+from repro.storage.store import _Guard
 
 
 def _record(run_id: str) -> RunRecord:
@@ -58,11 +52,21 @@ class FakeClock:
         self.now += seconds
 
 
-def _fast(**kwargs) -> RetryPolicy:
+def _fast(**kwargs) -> _Guard:
+    """A guard for backend ``'file'`` on a fake clock: no real waiting."""
     clock = FakeClock()
     kwargs.setdefault("sleep", clock.sleep)
     kwargs.setdefault("clock", clock)
-    return RetryPolicy(**kwargs)
+    return _Guard(ResiliencePolicy(**kwargs), "file")
+
+
+def _run(guard: _Guard, fn):
+    return guard.call(fn, (), {})
+
+
+def put():
+    """A backend operation that always meets a transient failure."""
+    raise OSError(errno.EIO, "injected")
 
 
 class TestClassify:
@@ -78,10 +82,12 @@ class TestClassify:
 
 
 class TestRetryPolicy:
+    """The guard's attempts: backoff, deadline and exhaustion."""
+
     def test_first_try_success_no_sleep(self):
         sleeps = []
-        policy = _fast(sleep=sleeps.append)
-        assert policy.call(lambda: "ok") == "ok"
+        guard = _fast(sleep=sleeps.append)
+        assert _run(guard, lambda: "ok") == "ok"
         assert sleeps == []
 
     def test_transient_failures_retried_until_success(self):
@@ -93,7 +99,7 @@ class TestRetryPolicy:
                 raise OSError(errno.EIO, "injected")
             return "recovered"
 
-        assert _fast(attempts=4).call(flaky) == "recovered"
+        assert _run(_fast(attempts=4), flaky) == "recovered"
         assert calls["n"] == 3
 
     def test_non_transient_raises_immediately(self):
@@ -104,118 +110,133 @@ class TestRetryPolicy:
             raise StoreError("already stored")
 
         with pytest.raises(StoreError):
-            _fast(attempts=4).call(fatal)
+            _run(_fast(attempts=4), fatal)
         assert calls["n"] == 1
 
     def test_exhaustion_raises_typed_error_with_provenance(self):
-        def always():
-            raise OSError(errno.EIO, "injected")
-
-        policy = _fast(attempts=3)
-        with pytest.raises(RetryExhausted) as exc_info:
-            policy.call(always, describe="file put")
-        assert exc_info.value.attempts == 3
-        assert isinstance(exc_info.value.last, OSError)
-        assert "file put" in str(exc_info.value)
+        with pytest.raises(StoreUnavailable) as exc_info:
+            _run(_fast(attempts=3), put)
+        assert str(exc_info.value) == (
+            "store backend 'file': file put still failing after 3 "
+            "attempt(s) (last: OSError: [Errno 5] injected)")
+        assert isinstance(exc_info.value.__cause__, OSError)
 
     def test_deadline_cuts_retries_short(self):
-        clock = FakeClock()
-        policy = RetryPolicy(attempts=100, base_delay=0.5, multiplier=1.0,
-                             jitter=0.0, deadline_s=1.0,
-                             sleep=clock.sleep, clock=clock)
+        guard = _fast(attempts=100, base_delay=0.5, multiplier=1.0,
+                      jitter=0.0, deadline_s=1.0)
         calls = {"n": 0}
 
         def always():
             calls["n"] += 1
             raise OSError(errno.EIO, "injected")
 
-        with pytest.raises(RetryExhausted):
-            policy.call(always)
+        with pytest.raises(StoreUnavailable, match="after 3 attempt"):
+            _run(guard, always)
         # 0.5s per backoff into a 1.0s budget: attempt, 2 sleeps, done
         assert calls["n"] == 3
 
     def test_backoff_is_seeded_and_bounded(self):
-        a = RetryPolicy(seed=9)
-        b = RetryPolicy(seed=9)
-        delays_a = [a.delay_for(n) for n in range(1, 6)]
-        delays_b = [b.delay_for(n) for n in range(1, 6)]
-        assert delays_a == delays_b
-        for n, delay in enumerate(delays_a, start=1):
-            raw = min(a.base_delay * a.multiplier ** (n - 1), a.max_delay)
-            assert raw * (1 - a.jitter) <= delay <= raw
+        def delays(seed):
+            sleeps = []
+            with pytest.raises(StoreUnavailable):
+                _run(_fast(seed=seed, attempts=6, deadline_s=None,
+                           sleep=sleeps.append), put)
+            return sleeps
 
-    def test_on_retry_observer(self):
-        seen = []
-        policy = _fast(attempts=3,
-                       on_retry=lambda n, d, e: seen.append((n, type(e))))
+        policy = ResiliencePolicy()
+        assert delays(9) == delays(9)
+        assert delays(9) != delays(10)  # the jitter is drawn, not fixed
+        assert len(delays(9)) == 5
+        for n, delay in enumerate(delays(9), start=1):
+            raw = min(policy.base_delay * policy.multiplier ** (n - 1),
+                      policy.max_delay)
+            assert raw * (1 - policy.jitter) <= delay <= raw
 
-        def always():
-            raise OSError(errno.EIO, "injected")
-
-        with pytest.raises(RetryExhausted):
-            policy.call(always)
-        assert seen == [(1, OSError), (2, OSError)]
+    def test_every_retry_is_counted(self):
+        guard = _fast(attempts=3)
+        with pytest.raises(StoreUnavailable):
+            _run(guard, put)
+        assert guard.metrics()["retries_total"] == 2.0
+        assert guard.metrics()["ops_total"] == 1.0
 
 
 class TestCircuitBreaker:
-    def _breaker(self, **kwargs) -> CircuitBreaker:
+    """The guard's breaker: threshold 3, reset after 10 s.  Every
+    operation here exhausts on its first attempt or succeeds."""
+
+    def _guard(self) -> _Guard:
         self.clock = FakeClock()
-        kwargs.setdefault("failure_threshold", 3)
-        kwargs.setdefault("reset_timeout_s", 10.0)
-        return CircuitBreaker("test", clock=self.clock, **kwargs)
+        return _Guard(ResiliencePolicy(
+            attempts=1, breaker_threshold=3, breaker_reset_s=10.0,
+            sleep=self.clock.sleep, clock=self.clock), "file")
+
+    @staticmethod
+    def _fail(guard: _Guard, times: int = 1) -> None:
+        for _ in range(times):
+            with pytest.raises(StoreUnavailable, match="still failing"):
+                _run(guard, put)
+
+    @staticmethod
+    def _state(guard: _Guard) -> float:
+        return guard.metrics()["breaker_state"]
 
     def test_opens_after_threshold(self):
-        breaker = self._breaker()
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        with pytest.raises(CircuitOpen):
-            breaker.allow()
+        guard = self._guard()
+        self._fail(guard, 2)
+        assert self._state(guard) == 0.0  # closed
+        self._fail(guard)
+        assert self._state(guard) == 1.0  # open
+        calls = []
+        with pytest.raises(StoreUnavailable) as exc_info:
+            _run(guard, lambda: calls.append(1))
+        assert str(exc_info.value) == \
+            "circuit breaker for 'file' is open (retry in 10.00s)"
+        assert calls == []
+        assert guard.metrics()["breaker_rejected_total"] == 1.0
 
     def test_success_resets_the_streak(self):
-        breaker = self._breaker()
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"
+        guard = self._guard()
+        self._fail(guard, 2)
+        _run(guard, lambda: None)
+        self._fail(guard, 2)
+        assert self._state(guard) == 0.0
 
     def test_half_open_probe_success_closes(self):
-        breaker = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
+        guard = self._guard()
+        self._fail(guard, 3)
         self.clock.now += 10.0
-        assert breaker.state == "half-open"
-        breaker.allow()  # the probe slot
-        with pytest.raises(CircuitOpen):
-            breaker.allow()  # second concurrent probe rejected
-        breaker.record_success()
-        assert breaker.state == "closed"
-        breaker.allow()
+        assert self._state(guard) == 2.0  # half-open
+
+        def probe():
+            # a second call while the probe is in flight is rejected
+            with pytest.raises(StoreUnavailable,
+                               match=r"open \(retry in 0\.00s\)"):
+                _run(guard, lambda: None)
+            return "probed"
+
+        assert _run(guard, probe) == "probed"
+        assert self._state(guard) == 0.0
+        assert _run(guard, lambda: "ok") == "ok"
+        assert guard.metrics()["breaker_probe_successes"] == 1.0
 
     def test_half_open_probe_failure_reopens(self):
-        breaker = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
+        guard = self._guard()
+        self._fail(guard, 3)
         self.clock.now += 10.0
-        breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        metrics = breaker.metrics()
+        self._fail(guard)
+        assert self._state(guard) == 1.0
+        metrics = guard.metrics()
         assert metrics["breaker_opened_total"] == 2.0
         assert metrics["breaker_probe_failures"] == 1.0
 
     def test_metrics_shape(self):
-        breaker = self._breaker()
-        metrics = breaker.metrics()
-        assert set(metrics) == {
+        metrics = self._guard().metrics()
+        assert list(metrics) == [
+            "ops_total", "retries_total", "unavailable_total",
             "breaker_state", "breaker_opened_total", "breaker_rejected_total",
             "breaker_probe_successes", "breaker_probe_failures",
             "breaker_consecutive_failures",
-        }
+        ]
         assert all(isinstance(v, float) for v in metrics.values())
 
 

@@ -29,6 +29,7 @@ from repro.metrics.instrumentation import InstrumentationManager
 from repro.obs.trace import Tracer
 from repro.resources.resource import Resource
 from repro.server import ServerClient, ServerThread
+from repro.simulator import Compute, Machine
 from repro.simulator.engine import Engine
 from repro.simulator.errors import SimTimeout
 from repro.simulator.process import SimProcess
@@ -147,6 +148,21 @@ class TestSessionsFreeThemselves:
     def test_traced(self):
         assert left_behind(lambda: run(tracer=Tracer())) == (0, 0)
 
+    def test_traced_with_the_tracer_held(self):
+        held = []
+
+        def case():
+            tracer = Tracer()
+            run(tracer=tracer)
+            held.append(tracer)
+        assert left_behind(case) == (0, 0)
+        # once the engine is gone the clock reads the last time it saw
+        tracer = held[-1]
+        last = tracer.events()[-1].t
+        assert last >= tracer.events("run-end")[-1].t > 0
+        tracer.emit("after")
+        assert tracer.events("after")[0].t == last
+
     def test_discovering_resources(self):
         assert left_behind(lambda: run(discover_resources=True)) == (0, 0)
 
@@ -154,6 +170,21 @@ class TestSessionsFreeThemselves:
         def case():
             repro.diagnose(app(), history=archive, store=archive, pool=None)
         assert left_behind(case) == (0, 0)
+
+
+def test_recorded_crash_frees_its_engine():
+    def crashing(proc):
+        yield Compute(1.0)
+        raise RuntimeError("simulated segfault")
+
+    def case():
+        engine = Engine(Machine.named("n", 1), crash_policy="record")
+        engine.add_process("p", "n0", crashing)
+        engine.run()
+        crash = engine.procs["p"].crash
+        assert type(crash) is RuntimeError
+        assert str(crash) == "simulated segfault"
+    assert left_behind(case) == (0, 0)
 
 
 def test_served_request_leaves_no_session_object():
