@@ -6,13 +6,11 @@ execution backend (:class:`SerialExecutor` or :class:`PoolExecutor`), and
 :class:`Campaign` handles fan-out, the between-stage directive-extraction
 barrier, retries with exponential backoff, per-run wall-clock timeouts,
 salvage of fault-stricken runs into degraded partial records, progress
-streaming, persistence into the concurrency-safe experiment store, and —
-through the :class:`CampaignJournal` — resumption after a crash without
-redoing finished runs.
+streaming, and persistence into the concurrency-safe experiment store,
+from which a killed campaign resumes without redoing finished runs.
 """
 
 from .executors import PoolExecutor, RunTimeout, SerialExecutor, default_executor
-from .journal import CampaignJournal, JournalError
 from .runner import Campaign, CampaignError, CampaignResult, StageResult
 from .spec import RunSpec, Stage
 
@@ -25,8 +23,6 @@ __all__ = [
     "CampaignError",
     "CampaignResult",
     "StageResult",
-    "CampaignJournal",
-    "JournalError",
     "RunSpec",
     "Stage",
 ]

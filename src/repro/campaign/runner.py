@@ -25,14 +25,12 @@ Failure policy, in escalation order:
 expired run fails with :class:`~repro.campaign.executors.RunTimeout` and
 goes through the same retry ladder.
 
-Crash resumability: pass ``journal=`` a path and every *final* outcome is
-fsync'd to an append-only JSONL file before the campaign proceeds.  After
-a kill, the same campaign re-run with ``resume=True`` rehydrates the
-journalled records and sends only the unfinished runs to the executor.
-
 Results stream back through an optional ``progress`` callback and are
 optionally persisted to a concurrency-safe
-:class:`~repro.storage.store.ExperimentStore` as they arrive.
+:class:`~repro.storage.store.ExperimentStore` as they arrive.  That store
+is the campaign's only durable record of finished runs: after a kill, the
+same campaign re-run with ``resume=True`` restores the runs the store's
+index holds and sends only the rest to the executor.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.consultant import run_diagnosis
 from ..core.directives import DirectiveSet
@@ -52,7 +50,6 @@ from ..simulator.errors import SimulationError
 from ..storage.records import RunRecord
 from ..storage.store import ExperimentStore, StoreCorruption, StoreError
 from .executors import SerialExecutor, default_executor
-from .journal import CampaignJournal
 from .spec import RunSpec, Stage
 
 __all__ = ["Campaign", "CampaignResult", "StageResult", "CampaignError"]
@@ -132,7 +129,7 @@ class StageResult:
     #: (``on_store_failure="degrade"``): the run itself succeeded and its
     #: record is in :attr:`records`, but the store write failed.
     store_failures: Dict[str, str] = field(default_factory=dict)
-    #: Run ids restored from the journal instead of re-executed.
+    #: Run ids restored from the campaign store instead of re-executed.
     resumed: List[str] = field(default_factory=list)
     wall: float = 0.0
     #: The harvested directive set injected via ``directives_from``.
@@ -285,7 +282,6 @@ class Campaign:
         progress: Optional[ProgressCallback] = None,
         overwrite: bool = False,
         workers: Optional[int] = None,
-        journal: Union[CampaignJournal, str, Path, None] = None,
         resume: bool = False,
         run_timeout: Optional[float] = None,
         on_store_failure: str = "raise",
@@ -295,15 +291,14 @@ class Campaign:
         ``executor`` defaults to :class:`SerialExecutor` (or a pool when
         ``workers`` is given).  ``store`` may be a path or an
         :class:`ExperimentStore`; records are saved as they complete.
-        ``journal`` (a path or :class:`CampaignJournal`) makes every
-        final outcome crash-durable; with ``resume=True`` runs the
-        journal already holds are restored instead of re-executed.
+        With ``resume=True`` (which needs ``store``) the runs the
+        store's index already holds are loaded instead of re-executed.
         ``run_timeout`` caps each run's wall-clock seconds.
         ``on_store_failure`` decides what a failed ``store.save`` does:
         ``"raise"`` (the default) aborts the campaign, ``"degrade"``
         records the error in :attr:`StageResult.store_failures`, keeps
-        the in-memory record (and its journal entry), and continues —
-        a sick archive then costs durability, not compute.
+        the in-memory record, and continues — a sick archive then costs
+        durability, not compute (a later resume re-runs the unsaved run).
         ``progress`` receives event dicts (``stage-started``,
         ``run-finished``, ``run-failed``, ``run-retried``,
         ``run-salvaged``, ``run-skipped``, ``store-degraded``,
@@ -316,33 +311,26 @@ class Campaign:
             )
         if executor is None:
             executor = default_executor(workers) if workers else SerialExecutor()
+        if resume and store is None:
+            raise CampaignError("resume=True needs a store")
         if store is not None and not isinstance(store, ExperimentStore):
             from ..facade import resolve_store
 
             store = resolve_store(store)
-        if resume and journal is None:
-            raise CampaignError("resume=True needs a journal")
-        if journal is not None and not isinstance(journal, CampaignJournal):
-            journal = CampaignJournal(journal)
-        # A kill can land between a record's store.save and its journal
-        # append; the resumed campaign then legitimately re-executes a run
-        # the store already holds, so its own run ids may be overwritten.
-        if resume:
-            overwrite = True
         emit = progress or (lambda event: None)
-        finished = journal.finished(campaign=self.name) if (journal and resume) else {}
+        # Resume keys on the *index*, not on payload files (``in store``):
+        # a kill between a save's record rename and its segment seal leaves
+        # an unindexed orphan file that list(), harvest and save all treat
+        # as absent, so that run re-executes and its save reclaims the file.
+        held = frozenset(store.list()) if resume else frozenset()
 
         campaign_start = time.perf_counter()
         result = CampaignResult(name=self.name, stages={})
-        try:
-            for stage in self.stages:
-                result.stages[stage.name] = self._run_stage(
-                    stage, executor, result, store, emit, overwrite,
-                    journal, finished, run_timeout, on_store_failure,
-                )
-        finally:
-            if journal is not None:
-                journal.close()
+        for stage in self.stages:
+            result.stages[stage.name] = self._run_stage(
+                stage, executor, result, store, emit, overwrite,
+                held, run_timeout, on_store_failure,
+            )
         result.wall = time.perf_counter() - campaign_start
         return result
 
@@ -355,8 +343,7 @@ class Campaign:
         store: Optional[ExperimentStore],
         emit: ProgressCallback,
         overwrite: bool,
-        journal: Optional[CampaignJournal],
-        finished: Mapping[str, dict],
+        held: AbstractSet[str],
         run_timeout: Optional[float],
         on_store_failure: str = "raise",
     ) -> StageResult:
@@ -417,19 +404,6 @@ class Campaign:
         store_failures: Dict[str, str] = {}
         resumed: List[str] = []
 
-        def journal_entry(run_id: str, status: str, error=None, outcome=None) -> None:
-            if journal is None:
-                return
-            journal.append({
-                "campaign": self.name,
-                "stage": stage.name,
-                "run_id": run_id,
-                "status": status,
-                "error": error,
-                "record": outcome["record"] if outcome else None,
-                "wall": outcome["wall"] if outcome else None,
-            })
-
         def accept(index: int, outcome: Dict[str, Any], salvaged: bool = False) -> None:
             """A final successful (possibly degraded) worker result."""
             run_id = specs[index].run_id
@@ -442,8 +416,8 @@ class Campaign:
                     store.save(record, overwrite=overwrite)
                 except (StoreError, OSError) as exc:
                     # The *run* succeeded; only its persistence failed.
-                    # Under "degrade" the record survives in memory (and
-                    # in the journal below) and the campaign carries on.
+                    # Under "degrade" the record survives in memory and
+                    # the campaign carries on.
                     if on_store_failure != "degrade":
                         raise
                     store_failures[run_id] = str(exc)
@@ -453,9 +427,6 @@ class Campaign:
                         "run_id": run_id,
                         "error": str(exc),
                     })
-            journal_entry(
-                run_id, "degraded" if record.degraded else "ok", outcome=outcome
-            )
             emit({
                 "event": "run-salvaged" if salvaged else "run-finished",
                 "stage": stage.name,
@@ -473,7 +444,6 @@ class Campaign:
             """A run that exhausted every recovery path."""
             run_id = specs[index].run_id
             failures[run_id] = str(outcome)
-            journal_entry(run_id, "failed", error=str(outcome))
             emit({
                 "event": "run-failed",
                 "stage": stage.name,
@@ -481,24 +451,22 @@ class Campaign:
                 "error": str(outcome),
             })
 
-        # Runs the journal already finished: restore, don't re-execute.
-        pending: List[int] = []
-        for index, spec in enumerate(specs):
-            entry = finished.get(spec.run_id)
-            if entry and entry.get("record"):
-                record = RunRecord.from_dict(entry["record"])
+        # Runs the store already holds: restore, don't re-execute.
+        pending = [i for i, spec in enumerate(specs) if spec.run_id not in held]
+        restore = [i for i, spec in enumerate(specs) if spec.run_id in held]
+        if restore:
+            loaded = store.load_many([specs[i].run_id for i in restore])
+            for index, record in zip(restore, loaded):
                 records[index] = record
-                resumed.append(spec.run_id)
+                resumed.append(record.run_id)
                 if record.degraded:
-                    degraded.append(spec.run_id)
+                    degraded.append(record.run_id)
                 emit({
                     "event": "run-skipped",
                     "stage": stage.name,
-                    "run_id": spec.run_id,
-                    "status": entry["status"],
+                    "run_id": record.run_id,
+                    "status": record.status,
                 })
-            else:
-                pending.append(index)
 
         # Attempt 0 plus `retries` backoff rounds.
         last_error: Dict[int, Exception] = {}

@@ -32,7 +32,7 @@ from .apps.catalog import build_catalog_app
 from .apps.ocean import OceanConfig, build_ocean
 from .apps.poisson import PoissonConfig, build_poisson
 from .apps.tester import TesterConfig, build_tester
-from .campaign import Campaign, CampaignError, JournalError, RunSpec, Stage, default_executor
+from .campaign import Campaign, CampaignError, RunSpec, Stage, default_executor
 from .core import (
     DirectiveSet,
     SearchConfig,
@@ -453,7 +453,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"  {event['run_id']}: salvaged as degraded "
                   f"({event['coverage']:.0%} coverage)")
         elif event["event"] == "run-skipped":
-            print(f"  {event['run_id']}: already in journal ({event['status']}), skipped")
+            print(f"  {event['run_id']}: already in store ({event['status']}), skipped")
         elif event["event"] == "run-retried":
             print(f"  {event['run_id']}: retry {event['attempt']} "
                   f"after {event['backoff']:.2f} s ({event['error']})")
@@ -467,7 +467,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         store=args.store,
         progress=progress,
         overwrite=args.overwrite,
-        journal=args.journal,
         resume=args.resume,
         run_timeout=args.run_timeout,
         on_store_failure=args.on_store_failure,
@@ -676,9 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-executions per failed run (with exponential backoff)")
     p.add_argument("--run-timeout", type=float, default=None, metavar="SECONDS",
                    help="wall-clock budget per run")
-    p.add_argument("--journal", help="JSONL journal of finished runs (crash recovery)")
     p.add_argument("--resume", action="store_true",
-                   help="skip runs the journal already holds (needs --journal)")
+                   help="skip runs the store already holds (needs --store)")
     p.add_argument("--min-coverage", type=float, default=0.0,
                    help="exclude records below this coverage from the "
                         "directed stage's harvest")
@@ -835,7 +833,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_STORE
     try:
         return args.func(args)
-    except (StoreCorruption, JournalError) as exc:
+    except StoreCorruption as exc:
         if args.debug:
             raise
         print(f"corruption: {exc}", file=sys.stderr)

@@ -172,7 +172,7 @@ def read_trace(path: Union[str, Path]) -> List[TraceEvent]:
 
     Raises :class:`TraceError` on a missing/incompatible header or a
     malformed line (a torn *final* line — a crash landed mid-write — is
-    dropped instead, matching the campaign journal's tolerance).
+    dropped instead).
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:

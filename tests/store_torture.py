@@ -12,7 +12,7 @@ module turns that claim into an executable check:
    overwrites, deletes, compactions — or a federated harvest, or the
    open that converts a store laid down in the oldest layout or in the
    segmented layout 1 the previous release wrote, with the plan armed
-   before it);
+   before it, or a small diagnosis campaign saving into the store);
 3. replay the schedule **fault-free on a pristine clone**, recording
    the canonical index view after every operation — the *chain* of
    legal states;
@@ -23,7 +23,9 @@ module turns that claim into an executable check:
 5. re-open the stressed clone with a fresh store — the restarted
    process — and assert its view is *in the chain*, all its payloads
    verify, and the persisted harvest aggregate is absent or equal to a
-   fold over the summary scan (never wrong).
+   fold over the summary scan (never wrong).  A campaign schedule then
+   resumes the campaign fault-free on the reopened store, which must
+   land exactly on the chain's final state.
 
 Views are compared without ``seq`` values (a retried save legitimately
 burns sequence numbers; ordering still must match) and a divergence
@@ -65,6 +67,9 @@ REPO = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":  # run as a script: make ``repro`` importable
     sys.path.insert(0, str(REPO / "src"))
 
+from repro.apps.synthetic import make_pingpong  # noqa: E402
+from repro.campaign import Campaign, RunSpec  # noqa: E402
+from repro.core import SearchConfig  # noqa: E402
 from repro.core.extraction import HarvestAggregate  # noqa: E402
 from repro.facade import harvest  # noqa: E402
 from repro.faults import io as io_faults  # noqa: E402
@@ -215,13 +220,16 @@ def run_schedule(seed: int, workdir: Optional[Path] = None) -> dict:
         _build_base(base, initial)
 
         roll = rng.random()
-        if roll < 0.6:
+        if roll < 0.5:
             scenario = "ops"
+        elif roll < 0.6:
+            scenario = "campaign-resume"
         elif roll < 0.9:
             scenario = "harvest"
         else:
             scenario = "convert"
         runner = {"ops": _schedule_ops,
+                  "campaign-resume": _schedule_campaign_resume,
                   "harvest": _schedule_harvest,
                   "convert": _schedule_convert}[scenario]
         result = runner(seed, rng, workdir, tag, base, initial)
@@ -423,6 +431,48 @@ def _schedule_convert(seed: int, rng: random.Random,
     outcome, fired = _stress({}, seed, body)
     return _verdict([f"convert {layout}"], outcome, fired, 1,
                     _check(fault, chain))
+
+
+def _campaign() -> Campaign:
+    """Four short, deterministic diagnoses: equal runs save equal metas."""
+    config = SearchConfig(min_interval=5.0, check_period=0.5,
+                          insertion_latency=0.2, cost_limit=50.0)
+    return Campaign(specs=[
+        RunSpec(make_pingpong, builder_kwargs={"iterations": 20}, config=config)
+        for _ in range(4)], name="camp", retries=0)
+
+
+def _schedule_campaign_resume(seed: int, rng: random.Random,
+                              workdir: Path, tag: str, base: Path,
+                              initial: Sequence[RunRecord]) -> dict:
+    """A campaign saving into the faulted clone, then — the restarted
+    process — a fault-free ``resume=True`` on the reopened store: the
+    post-crash view is in the chain (one state per saved run), and the
+    resumed store is exactly its final state."""
+    clean = workdir / f"{tag}-clean"
+    shutil.copytree(base, clean)
+    store = _open(clean)
+    chain = [store_view(store)]
+
+    def saved(event: dict) -> None:
+        if event["event"] == "run-finished":
+            chain.append(store_view(store))
+
+    _campaign().run(store=store, progress=saved)
+
+    fault = workdir / f"{tag}-fault"
+    shutil.copytree(base, fault)
+    outcome, fired = _stress(
+        {"store": fault}, seed,
+        lambda stores: _campaign().run(store=stores["store"]))
+    crashed = _check(fault, chain)
+    try:
+        _campaign().run(store=_open(fault), resume=True)
+        resumed = _check(fault, chain[-1:])
+    except Exception as exc:
+        resumed = (False, f"resume: {type(exc).__name__}: {exc}", None)
+    return _verdict(["campaign", "resume"], outcome, fired, len(chain),
+                    crashed, resumed)
 
 
 @dataclass

@@ -1,7 +1,6 @@
-"""Campaign robustness: backoff, timeouts, salvage, the journal, and
-resume-after-SIGKILL."""
+"""Campaign robustness: backoff, timeouts, salvage, resume from the
+campaign store, and resume-after-SIGKILL."""
 
-import json
 import multiprocessing
 import os
 import signal
@@ -14,8 +13,6 @@ from repro.apps.synthetic import make_pingpong
 from repro.campaign import (
     Campaign,
     CampaignError,
-    CampaignJournal,
-    JournalError,
     PoolExecutor,
     RunSpec,
     RunTimeout,
@@ -142,88 +139,117 @@ class TestSalvage:
         assert "run-salvaged" not in [e["event"] for e in events]
 
 
-class TestJournal:
-    def test_final_outcomes_journalled(self, tmp_path):
-        jpath = tmp_path / "j.jsonl"
-        Campaign(
-            specs=[_spec(), RunSpec(_always_fails)], name="j", retries=0,
-        ).run(journal=jpath)
-        entries = list(CampaignJournal(jpath).entries())
-        assert [(e["run_id"], e["status"]) for e in entries] == [
-            ("j-runs-000", "ok"), ("j-runs-001", "failed"),
-        ]
-        assert entries[0]["record"]["run_id"] == "j-runs-000"
-        assert entries[1]["error"] == "boom"
+class TestResumeFromStore:
+    """The store is the campaign's one durable record of finished runs:
+    resume restores what its index holds and executes everything else."""
 
-    def test_finished_excludes_failures_and_respects_campaign(self, tmp_path):
-        jpath = tmp_path / "j.jsonl"
-        Campaign(
-            specs=[_spec(), RunSpec(_always_fails)], name="j", retries=0,
-        ).run(journal=jpath)
-        journal = CampaignJournal(jpath)
-        assert sorted(journal.finished("j")) == ["j-runs-000"]
-        assert journal.finished("other-campaign") == {}
+    @staticmethod
+    def _spied_store(root, monkeypatch):
+        """A store whose saves log their ``overwrite`` flag."""
+        store = ExperimentStore(root)
+        real_save = store.save
+        store.overwrites = []
 
-    def test_torn_final_line_tolerated(self, tmp_path):
-        jpath = tmp_path / "j.jsonl"
-        Campaign(specs=[_spec()], name="j").run(journal=jpath)
-        with open(jpath, "a") as fh:
-            fh.write('{"campaign": "j", "run_id": "torn", "sta')  # the kill landed here
-        assert sorted(CampaignJournal(jpath).finished("j")) == ["j-runs-000"]
+        def save(record, overwrite=False):
+            store.overwrites.append(overwrite)
+            return real_save(record, overwrite=overwrite)
 
-    def test_append_after_torn_line_repairs_tail(self, tmp_path):
-        """Appending after a torn final line must not glue the new entry
-        onto the fragment (which would corrupt a mid-file line)."""
-        jpath = tmp_path / "j.jsonl"
-        Campaign(specs=[_spec()], name="j").run(journal=jpath)
-        with open(jpath, "a") as fh:
-            fh.write('{"campaign": "j", "run_id": "torn", "sta')
-        journal = CampaignJournal(jpath)
-        journal.append({"campaign": "j", "run_id": "after", "status": "ok"})
-        journal.close()
-        entries = list(CampaignJournal(jpath).entries())
-        assert [e["run_id"] for e in entries] == ["j-runs-000", "after"]
+        monkeypatch.setattr(store, "save", save)
+        return store
 
-    def test_corrupt_interior_line_raises(self, tmp_path):
-        jpath = tmp_path / "j.jsonl"
-        jpath.write_text('not json\n{"run_id": "x", "status": "ok"}\n')
-        with pytest.raises(JournalError):
-            list(CampaignJournal(jpath).entries())
-
-    def test_resume_requires_journal(self):
-        with pytest.raises(CampaignError, match="needs a journal"):
+    def test_resume_requires_store(self):
+        with pytest.raises(CampaignError, match="needs a store"):
             Campaign(specs=[_spec()], name="j").run(resume=True)
 
-    def test_resume_skips_journalled_runs(self, tmp_path):
-        jpath = tmp_path / "j.jsonl"
+    def test_resume_skips_stored_runs(self, tmp_path):
         campaign = Campaign(specs=[_spec(), _spec()], name="j")
-        first = campaign.run(journal=jpath)
+        first = campaign.run(store=tmp_path / "runs")
         events = []
-        second = campaign.run(journal=jpath, resume=True, progress=events.append)
+        second = campaign.run(
+            store=tmp_path / "runs", resume=True, progress=events.append,
+        )
         kinds = [e["event"] for e in events]
         assert kinds.count("run-skipped") == 2
         assert "run-finished" not in kinds
+        assert {e["status"] for e in events
+                if e["event"] == "run-skipped"} == {"complete"}
         assert second.stage("runs").resumed == ["j-runs-000", "j-runs-001"]
         # restored records equal the originals
         assert [r.to_dict() for r in second.records] == [
             r.to_dict() for r in first.records
         ]
 
-    def test_resume_reruns_journalled_failures(self, tmp_path):
-        jpath = tmp_path / "j.jsonl"
+    def test_resumed_degraded_record_counts_as_degraded(self, tmp_path):
+        campaign = Campaign(
+            specs=[_poisson_spec(faults=CRASH_PLAN)], name="j", retries=0,
+        )
+        assert campaign.run(store=tmp_path / "runs").degraded == ["j-runs-000"]
+        events = []
+        result = campaign.run(
+            store=tmp_path / "runs", resume=True, progress=events.append,
+        )
+        assert [(e["event"], e.get("status")) for e in events
+                if e["event"].startswith("run-")] == [("run-skipped", "degraded")]
+        assert result.stage("runs").resumed == ["j-runs-000"]
+        assert result.degraded == ["j-runs-000"]
+
+    def test_resume_reruns_failures(self, tmp_path):
         flag = tmp_path / "fixed.flag"
 
         Campaign(
             specs=[RunSpec(_fail_until_flag, (str(flag),))], name="j", retries=0,
-        ).run(journal=jpath)
-        assert CampaignJournal(jpath).finished("j") == {}
+        ).run(store=tmp_path / "runs")
+        assert ExperimentStore(tmp_path / "runs").list() == []
 
         flag.write_text("")  # the transient condition clears
         result = Campaign(
             specs=[RunSpec(_fail_until_flag, (str(flag),))], name="j", retries=0,
-        ).run(journal=jpath, resume=True)
+        ).run(store=tmp_path / "runs", resume=True)
         assert not result.failures
-        assert sorted(CampaignJournal(jpath).finished("j")) == ["j-runs-000"]
+        assert result.stage("runs").resumed == []
+        assert ExperimentStore(tmp_path / "runs").list() == ["j-runs-000"]
+
+    def test_other_campaign_on_the_same_store_runs_everything(self, tmp_path):
+        Campaign(specs=[_spec(), _spec()], name="j").run(store=tmp_path / "runs")
+        events = []
+        result = Campaign(specs=[_spec(), _spec()], name="k").run(
+            store=tmp_path / "runs", resume=True, progress=events.append,
+        )
+        kinds = [e["event"] for e in events]
+        assert kinds.count("run-finished") == 2
+        assert "run-skipped" not in kinds
+        assert ExperimentStore(tmp_path / "runs").list() == [
+            "j-runs-000", "j-runs-001", "k-runs-000", "k-runs-001",
+        ]
+
+    def test_unindexed_orphan_payload_is_rerun(self, tmp_path, monkeypatch):
+        """A kill between a save's record rename and its segment seal
+        leaves a payload file no index entry names.  ``list()``, harvest
+        and ``save`` all say the run is absent, so resume re-executes it
+        and a plain save reclaims the file."""
+        specs = [_spec(), _spec()]
+        Campaign(specs=specs, name="o").run(store=tmp_path / "donor")
+        store = ExperimentStore(tmp_path / "runs")
+        store.save(ExperimentStore(tmp_path / "donor").load("o-runs-000"))
+        (tmp_path / "runs" / "o-runs-001.json").write_bytes(
+            (tmp_path / "donor" / "o-runs-001.json").read_bytes())
+        assert store.list() == ["o-runs-000"] and "o-runs-001" in store
+
+        store = self._spied_store(tmp_path / "runs", monkeypatch)
+        events = []
+        result = Campaign(specs=specs, name="o").run(
+            store=store, resume=True, progress=events.append,
+        )
+        assert [(e["event"], e["run_id"]) for e in events
+                if e["event"].startswith("run-")] == [
+            ("run-skipped", "o-runs-000"), ("run-finished", "o-runs-001"),
+        ]
+        assert result.stage("runs").resumed == ["o-runs-000"]
+        assert store.overwrites == [False]
+        reopened = ExperimentStore(tmp_path / "runs", cache_size=0)
+        assert reopened.list() == ["o-runs-000", "o-runs-001"]
+        report = reopened.verify()
+        assert report.clean and report.ok == 2 and report.orphans == []
 
 
 def _fail_until_flag(flag_path, iterations=60):
@@ -275,13 +301,22 @@ class TestStoreDegrade:
         assert ExperimentStore(tmp_path / "runs").list() == ["d-runs-001"]
         assert "1 unsaved" in result.summary()
 
-    def test_degrade_still_journals_the_run(self, tmp_path, monkeypatch):
+    def test_resume_reruns_the_run_the_store_never_got(self, tmp_path, monkeypatch):
         store = self._broken_store(tmp_path, monkeypatch, {"d-runs-000"})
-        jpath = tmp_path / "j.jsonl"
-        Campaign(specs=[_spec()], name="d").run(
-            store=store, on_store_failure="degrade", journal=jpath,
+        campaign = Campaign(specs=[_spec(), _spec()], name="d")
+        campaign.run(store=store, on_store_failure="degrade")
+        events = []
+        result = campaign.run(
+            store=tmp_path / "runs", resume=True, progress=events.append,
         )
-        assert sorted(CampaignJournal(jpath).finished("d")) == ["d-runs-000"]
+        assert [(e["event"], e["run_id"]) for e in events
+                if e["event"].startswith("run-")] == [
+            ("run-skipped", "d-runs-001"), ("run-finished", "d-runs-000"),
+        ]
+        assert not result.store_failures
+        assert sorted(ExperimentStore(tmp_path / "runs").list()) == [
+            "d-runs-000", "d-runs-001",
+        ]
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(CampaignError, match="on_store_failure"):
@@ -294,67 +329,64 @@ class TestStoreDegrade:
 N_KILL_RUNS = 8
 
 
-def _killable_campaign(root):
-    specs = [
+def _kill_specs():
+    return [
         RunSpec(
             make_pingpong, builder_kwargs={"iterations": 60},
             config=FAST, pre_delay=0.15,
         )
         for _ in range(N_KILL_RUNS)
     ]
-    Campaign(specs=specs, name="kill", retries=0).run(
-        journal=os.path.join(root, "j.jsonl"),
+
+
+def _killable_campaign(root):
+    Campaign(specs=_kill_specs(), name="kill", retries=0).run(
         store=os.path.join(root, "store"),
     )
 
 
-def _journal_lines(path):
-    if not os.path.exists(path):
-        return 0
-    with open(path) as fh:
-        return sum(1 for line in fh if line.strip())
+def _stored(root):
+    """Run ids the store's index holds (none before the store exists)."""
+    if not os.path.exists(os.path.join(root, "segments", "_state.json")):
+        return []
+    return ExperimentStore(root, cache_size=0).list()
 
 
 class TestResumeAfterKill:
     def test_sigkill_mid_campaign_then_resume(self, tmp_path):
-        jpath = tmp_path / "j.jsonl"
+        root = tmp_path / "store"
         ctx = multiprocessing.get_context()
         child = ctx.Process(target=_killable_campaign, args=(str(tmp_path),))
         child.start()
-        # wait until some (but not all) runs are journalled, then kill -9
+        # wait until some (but not all) runs are stored, then kill -9
         deadline = time.monotonic() + 60.0
-        while _journal_lines(jpath) < 2 and time.monotonic() < deadline:
+        while len(_stored(root)) < 2 and time.monotonic() < deadline:
             time.sleep(0.01)
         os.kill(child.pid, signal.SIGKILL)
         child.join(timeout=30)
         assert child.exitcode == -signal.SIGKILL
 
-        done_before = set(CampaignJournal(jpath).finished("kill"))
-        assert done_before, "journal should hold the completed runs"
-        assert len(done_before) < N_KILL_RUNS, "kill landed after completion"
+        held = _stored(root)
+        assert len(held) >= 2, "store should hold the completed runs"
+        assert len(held) < N_KILL_RUNS, "kill landed after completion"
 
-        specs = [
-            RunSpec(
-                make_pingpong, builder_kwargs={"iterations": 60},
-                config=FAST, pre_delay=0.15,
-            )
-            for _ in range(N_KILL_RUNS)
-        ]
         events = []
-        result = Campaign(specs=specs, name="kill", retries=0).run(
-            journal=jpath, resume=True,
-            store=tmp_path / "store", progress=events.append,
+        result = Campaign(specs=_kill_specs(), name="kill", retries=0).run(
+            resume=True, store=root, progress=events.append,
         )
-        # only the unfinished runs were re-executed
+        # only the runs the index did not hold were re-executed
         kinds = [e["event"] for e in events]
-        assert kinds.count("run-skipped") == len(done_before)
-        assert kinds.count("run-finished") == N_KILL_RUNS - len(done_before)
+        assert sorted(e["run_id"] for e in events
+                      if e["event"] == "run-skipped") == sorted(held)
+        assert kinds.count("run-finished") == N_KILL_RUNS - len(held)
         assert not result.failures
         assert len(result.records) == N_KILL_RUNS
-        assert len(CampaignJournal(jpath).finished("kill")) == N_KILL_RUNS
-        # every record is in the store exactly once
-        store = ExperimentStore(tmp_path / "store")
-        assert len(store.list()) == N_KILL_RUNS
+        # every record is in the store exactly once, and verifies
+        store = ExperimentStore(root, cache_size=0)
+        assert sorted(store.list()) == [
+            f"kill-runs-{i:03d}" for i in range(N_KILL_RUNS)
+        ]
+        assert store.verify().ok == N_KILL_RUNS
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,7 @@ class TestErrorExitCodes:
     def test_campaign_error_exit_5(self, capsys):
         code = run_cli("campaign", "tester", "--resume")
         assert code == 5
-        assert "needs a journal" in capsys.readouterr().err
+        assert "needs a store" in capsys.readouterr().err
 
     def test_missing_fault_plan_exit_2(self, capsys):
         code = run_cli("diagnose", "tester", "--faults", "/nonexistent/plan.json")
@@ -339,21 +339,18 @@ class TestErrorExitCodes:
 
 
 class TestCampaignCli:
-    def test_journal_and_resume_flags(self, tmp_path, capsys):
-        journal = tmp_path / "j.jsonl"
+    def test_resume_and_store_flags(self, tmp_path, capsys):
         assert run_cli(
             "campaign", "tester", "--iterations", 60, "--runs", 2,
-            "--name", "cj", "--journal", journal, "--store", tmp_path / "runs",
+            "--name", "cj", "--store", tmp_path / "runs",
         ) == 0
-        assert journal.exists()
         capsys.readouterr()
         assert run_cli(
             "campaign", "tester", "--iterations", 60, "--runs", 2,
-            "--name", "cj", "--journal", journal, "--resume",
-            "--store", tmp_path / "runs",
+            "--name", "cj", "--resume", "--store", tmp_path / "runs",
         ) == 0
         out = capsys.readouterr().out
-        assert "skipped" in out
+        assert out.count("already in store (complete), skipped") == 2
 
 
 class TestObservability:

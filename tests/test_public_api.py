@@ -1,8 +1,9 @@
 """The public surface, pinned name by name.
 
-``repro``, ``repro.core``, ``repro.core.extraction``, ``repro.facade``,
-``repro.resilience``, ``repro.storage`` and ``repro.storage.api`` export exactly the names
-listed here, the ways into the archive take exactly the parameters
+``repro``, ``repro.campaign``, ``repro.core``, ``repro.core.extraction``,
+``repro.facade``, ``repro.resilience``, ``repro.storage`` and
+``repro.storage.api`` export exactly the names listed here, the ways into
+the archive (a campaign's run among them) take exactly the parameters
 listed in ``SIGNATURES``, a trace sink is the one method ``TRACE_SINK``
 names, and the hot syscalls are the immutable values ``SYSCALLS``
 describes.  A change that says "public facade
@@ -34,6 +35,11 @@ SURFACE = {
         "make_io_app", "make_pingpong", "parse_focus", "resolve_store",
         "run_diagnosis", "standard_tree", "suggest_threshold",
         "union_directives", "version_maps", "whole_program"
+    ],
+    "repro.campaign": [
+        "Campaign", "CampaignError", "CampaignResult", "PoolExecutor",
+        "RunSpec", "RunTimeout", "SerialExecutor", "Stage", "StageResult",
+        "default_executor"
     ],
     "repro.core": [
         "ANY_HYPOTHESIS", "DiagnosisSession", "DirectiveError",
@@ -78,8 +84,16 @@ SURFACE = {
 }
 
 #: ``inspect.signature`` of each way into the archive: how a store is
-#: opened, how the pool opens and harvests one.
+#: opened, how the pool opens and harvests one, how a campaign saves into
+#: (and resumes from) one.
 SIGNATURES = {
+    "repro.campaign.runner:Campaign.run": (
+        "(self, executor=None, *, "
+        "store: 'Union[ExperimentStore, str, Path, None]' = None, "
+        "progress: 'Optional[ProgressCallback]' = None, "
+        "overwrite: 'bool' = False, workers: 'Optional[int]' = None, "
+        "resume: 'bool' = False, run_timeout: 'Optional[float]' = None, "
+        "on_store_failure: 'str' = 'raise') -> 'CampaignResult'"),
     "repro.facade:resolve_store": (
         "(store: 'StoreLike', *, "
         "resilience: 'Union[None, bool, ResiliencePolicy]' = None) "
