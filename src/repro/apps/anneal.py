@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..simulator.process import Barrier, Compute
 from .base import Application
+from .rng import UniformRows
 
 __all__ = ["AnnealConfig", "build_anneal"]
 
@@ -32,14 +31,13 @@ class AnnealConfig:
     seed: int = 99
 
 
-def _program(rank: int, n: int, times, cfg: AnnealConfig) -> Callable:
+def _program(rank: int, n: int, times: UniformRows, cfg: AnnealConfig) -> Callable:
     def program(proc):
         with proc.function("bubba.c", "main"):
             with proc.function("graph.c", "readgraph"):
                 yield Compute(0.4)
                 yield Barrier()
-            for it in range(cfg.iterations):
-                t = float(times[rank, it])
+            for it, t in enumerate(times.row(rank)):
                 # The two hot modules: the annealing move evaluator lives
                 # in goat, the cut-cost kernel in partition.c.
                 with proc.function("goat", "evalmove"):
@@ -62,8 +60,7 @@ def build_anneal(config: AnnealConfig | None = None) -> Application:
     """Build the Figure-2 annealing partitioner."""
     cfg = config or AnnealConfig()
     n = cfg.n_processes
-    rng = np.random.default_rng(cfg.seed)
-    times = cfg.base_compute * rng.uniform(0.9, 1.1, size=(n, cfg.iterations))
+    times = UniformRows(cfg.seed, 0.9, 1.1, cfg.iterations, [cfg.base_compute] * n)
     processes = [f"anneal:{r + 1}" for r in range(n)]
     nodes = [f"grilled{r + 1}" for r in range(n)]
     return Application(

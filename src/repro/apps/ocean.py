@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-import numpy as np
-
 from ..simulator.process import Barrier, Compute, IoOp, Recv, Send
 from .base import Application
+from .rng import UniformRows
 
 __all__ = ["OceanConfig", "build_ocean"]
 
@@ -47,7 +46,7 @@ def _proc_name(rank: int) -> str:
     return f"ocean:{rank + 1}"
 
 
-def _program(rank: int, n: int, times: np.ndarray, cfg: OceanConfig) -> Callable:
+def _program(rank: int, n: int, times: UniformRows, cfg: OceanConfig) -> Callable:
     left = _proc_name((rank - 1) % n)
     right = _proc_name((rank + 1) % n)
     root = 0
@@ -57,9 +56,9 @@ def _program(rank: int, n: int, times: np.ndarray, cfg: OceanConfig) -> Callable
             with proc.function("ocean.f", "init"):
                 yield Compute(1.0)
                 yield Barrier()
-            for it in range(cfg.iterations):
+            for it, t in enumerate(times.row(rank)):
                 with proc.function("step.f", "timestep"):
-                    yield Compute(float(times[rank, it]))
+                    yield Compute(t)
                 with proc.function("halo.f", "haloswap"):
                     # Bidirectional ring halo: tags 5/0 (eastward) and 5/1
                     # (westward); the alternating heavy/light load factors
@@ -69,7 +68,7 @@ def _program(rank: int, n: int, times: np.ndarray, cfg: OceanConfig) -> Callable
                     yield Recv(left, "5/0")
                     yield Recv(right, "5/1")
                 with proc.function("step.f", "vdiff"):
-                    yield Compute(float(times[rank, it]) * 0.12)
+                    yield Compute(t * 0.12)
                 # global time-step reduction on tag 5/-1
                 if rank == root:
                     for other in range(1, n):
@@ -93,12 +92,10 @@ def build_ocean(config: OceanConfig | None = None) -> Application:
     """Build the PVM-style ocean circulation application."""
     cfg = config or OceanConfig()
     n = cfg.n_processes
-    rng = np.random.default_rng(cfg.seed)
-    means = np.array([cfg.load_factors[r % len(cfg.load_factors)] for r in range(n)])
-    jitter = rng.uniform(
-        1.0 - cfg.jitter_width, 1.0 + cfg.jitter_width, size=(n, cfg.iterations)
+    times = UniformRows(
+        cfg.seed, 1.0 - cfg.jitter_width, 1.0 + cfg.jitter_width, cfg.iterations,
+        [cfg.base_compute * cfg.load_factors[r % len(cfg.load_factors)] for r in range(n)],
     )
-    times = cfg.base_compute * means[:, None] * jitter
     processes = [_proc_name(r) for r in range(n)]
     nodes = [f"spark{r + 1:02d}" for r in range(n)]
     return Application(

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-import numpy as np
-
 from ..core.directives import MapDirective
 from ..simulator.process import (
     Barrier,
@@ -41,6 +39,7 @@ from ..simulator.process import (
     WaitReq,
 )
 from .base import Application
+from .rng import UniformRows
 
 __all__ = ["PoissonConfig", "build_poisson", "VERSIONS", "version_maps", "machine_maps"]
 
@@ -75,17 +74,16 @@ class PoissonConfig:
 
 def _compute_times(
     cfg: PoissonConfig, n_procs: int, salt: int, factors: Tuple[float, ...] | None = None
-) -> np.ndarray:
-    """Per-(rank, iteration) sweep compute seconds, deterministic."""
-    rng = np.random.default_rng(cfg.seed + 7919 * salt)
+) -> UniformRows:
+    """Per-(rank, iteration) sweep compute seconds, deterministic: row
+    ``r`` is rank ``r``'s, drawn as its program reaches each iteration."""
     base = factors if factors is not None else cfg.load_factors
-    means = np.array([base[r % len(base)] for r in range(n_procs)])
     # Bounded (uniform) multiplicative jitter: per-iteration imbalance
     # without heavy tails, so finite observation windows concentrate on the
     # long-run fractions quickly (online reads match postmortem truth).
     width = cfg.jitter_width
-    jitter = rng.uniform(1.0 - width, 1.0 + width, size=(n_procs, cfg.iterations))
-    return cfg.base_compute * means[:, None] * jitter
+    return UniformRows(cfg.seed + 7919 * salt, 1.0 - width, 1.0 + width, cfg.iterations,
+                       [cfg.base_compute * base[r % len(base)] for r in range(n_procs)])
 
 
 def _proc_name(rank: int) -> str:
@@ -114,7 +112,7 @@ def _reduce_and_bcast(proc, rank: int, n: int, tag: str, cfg: PoissonConfig):
         yield Recv(_proc_name(root), tag)
 
 
-def _program_blocking_1d(rank: int, n: int, times: np.ndarray, cfg: PoissonConfig):
+def _program_blocking_1d(rank: int, n: int, times: UniformRows, cfg: PoissonConfig):
     """Version A: full sweep, then a blocking ordered ghost exchange."""
     up = _proc_name(rank - 1) if rank > 0 else None
     down = _proc_name(rank + 1) if rank < n - 1 else None
@@ -124,9 +122,9 @@ def _program_blocking_1d(rank: int, n: int, times: np.ndarray, cfg: PoissonConfi
             with proc.function("oned.f", "setup1d"):
                 yield Compute(cfg.setup_compute)
                 yield Barrier()
-            for it in range(cfg.iterations):
+            for t in times.row(rank):
                 with proc.function("sweep.f", "sweep1d"):
-                    yield Compute(float(times[rank, it]))
+                    yield Compute(t)
                 with proc.function("exchng1.f", "exchng1"):
                     if down:
                         yield Send(down, "1/0", cfg.msg_bytes)
@@ -146,7 +144,7 @@ def _program_blocking_1d(rank: int, n: int, times: np.ndarray, cfg: PoissonConfi
     return program
 
 
-def _program_nonblocking_1d(rank: int, n: int, times: np.ndarray, cfg: PoissonConfig):
+def _program_nonblocking_1d(rank: int, n: int, times: UniformRows, cfg: PoissonConfig):
     """Version B: boundary sweep, post communications, overlap the interior
     sweep, then wait — much of the imbalance hides behind computation."""
     up = _proc_name(rank - 1) if rank > 0 else None
@@ -157,9 +155,9 @@ def _program_nonblocking_1d(rank: int, n: int, times: np.ndarray, cfg: PoissonCo
             with proc.function("onednb.f", "setup1d"):
                 yield Compute(cfg.setup_compute)
                 yield Barrier()
-            for it in range(cfg.iterations):
-                boundary = float(times[rank, it]) * (1.0 - cfg.interior_fraction)
-                interior = float(times[rank, it]) * cfg.interior_fraction
+            for t in times.row(rank):
+                boundary = t * (1.0 - cfg.interior_fraction)
+                interior = t * cfg.interior_fraction
                 with proc.function("nbsweep.f", "nbsweep"):
                     yield Compute(boundary)
                 req_up = req_down = None
@@ -194,8 +192,8 @@ def _program_2d(
     rank: int,
     n: int,
     ncols: int,
-    times: np.ndarray,
-    times2: np.ndarray,
+    times: UniformRows,
+    times2: UniformRows,
     cfg: PoissonConfig,
 ):
     """Versions C/D: 2-D decomposition with a red/black double sweep.
@@ -217,9 +215,9 @@ def _program_2d(
             with proc.function("twod.f", "setupgrid"):
                 yield Compute(cfg.setup_compute)
                 yield Barrier()
-            for it in range(cfg.iterations):
+            for t, t2 in zip(times.row(rank), times2.row(rank)):
                 with proc.function("sweep2d.f", "sweep2d"):
-                    yield Compute(float(times[rank, it]) * cfg.red_fraction)
+                    yield Compute(t * cfg.red_fraction)
                 with proc.function("exchng2.f", "exchng2"):
                     # red phase: bidirectional vertical plus horizontal
                     # ghost exchange (tag 3/0) — carries the large
@@ -237,7 +235,7 @@ def _program_2d(
                     if side:
                         yield Recv(side, "3/0")
                 with proc.function("sweep2d.f", "sweep2d"):
-                    yield Compute(float(times2[rank, it]) * (1.0 - cfg.red_fraction))
+                    yield Compute(t2 * (1.0 - cfg.red_fraction))
                 with proc.function("exchng2.f", "exchng2"):
                     # black phase: vertical-only exchange (tag 3/1)
                     if up:

@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..simulator.process import Barrier, Compute, IoOp
 from .base import Application
+from .rng import UniformRows
 
 __all__ = ["TesterConfig", "build_tester"]
 
@@ -39,23 +38,23 @@ class TesterConfig:
     seed: int = 7
 
 
-def _program(rank: int, n: int, times, cfg: TesterConfig) -> Callable:
+def _program(rank: int, n: int, times: UniformRows, cfg: TesterConfig) -> Callable:
     name = f"Tester:{rank + 1}"
     peer = f"Tester:{(rank + 1) % n + 1}"
 
     def program(proc):
         with proc.function("main.c", "main"):
-            for it in range(cfg.iterations):
+            for it, t in enumerate(times.row(rank)):
                 with proc.function("vect.c", "vect::addel"):
-                    yield Compute(float(times[rank, it]) * 0.3)
+                    yield Compute(t * 0.3)
                 with proc.function("vect.c", "vect::findel"):
-                    yield Compute(float(times[rank, it]) * 0.2)
+                    yield Compute(t * 0.2)
                 with proc.function("testutil.C", "verifya"):
                     # Tester:2 does double verification work.
                     factor = 2.0 if rank == 1 else 1.0
-                    yield Compute(float(times[rank, it]) * 0.4 * factor)
+                    yield Compute(t * 0.4 * factor)
                 with proc.function("testutil.C", "verifyb"):
-                    yield Compute(float(times[rank, it]) * 0.1)
+                    yield Compute(t * 0.1)
                 if (it + 1) % 10 == 0:
                     with proc.function("testutil.C", "printstatus"):
                         yield Compute(0.01)
@@ -70,8 +69,7 @@ def build_tester(config: TesterConfig | None = None) -> Application:
     """Build the Figure-1 Tester program (4 processes on CPU_1..CPU_4)."""
     cfg = config or TesterConfig()
     n = 4
-    rng = np.random.default_rng(cfg.seed)
-    times = cfg.base_compute * rng.uniform(0.7, 1.3, size=(n, cfg.iterations))
+    times = UniformRows(cfg.seed, 0.7, 1.3, cfg.iterations, [cfg.base_compute] * n)
     processes = [f"Tester:{r + 1}" for r in range(n)]
     nodes = [f"CPU_{r + 1}" for r in range(n)]
     return Application(

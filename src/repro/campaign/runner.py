@@ -318,10 +318,10 @@ class Campaign:
 
             store = resolve_store(store)
         emit = progress or (lambda event: None)
-        # Resume keys on the *index*, not on payload files (``in store``):
-        # a kill between a save's record rename and its segment seal leaves
-        # an unindexed orphan file that list(), harvest and save all treat
-        # as absent, so that run re-executes and its save reclaims the file.
+        # Resume keys on the *index*, not on payload files: a kill between
+        # a save's record rename and its segment seal leaves an unindexed
+        # orphan file that list(), ``in``, harvest and save all treat as
+        # absent, so that run re-executes and its save reclaims the file.
         held = frozenset(store.list()) if resume else frozenset()
 
         campaign_start = time.perf_counter()

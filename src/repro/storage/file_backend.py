@@ -976,10 +976,6 @@ class FileBackend:
             if path.exists():
                 path.unlink()
 
-    def contains(self, run_id: str) -> bool:
-        """Whether *run_id* has a stored payload."""
-        return self._record_file(run_id).exists()
-
     def record_token(self, run_id: str) -> Hashable:
         """An identity for the run's *current* stored bytes.
 

@@ -437,7 +437,10 @@ class ExperimentStore:
         self._call(self._backend.delete, run_id)
 
     def __contains__(self, run_id: str) -> bool:
-        return self._call(self._backend.contains, run_id)
+        """Whether the index holds *run_id*, as ``save`` judges existence:
+        an unindexed orphan payload is absent until ``rebuild`` adopts it."""
+        return self._call(self._backend.query_summaries,
+                          run_ids=[run_id])[run_id] is not None
 
     # ------------------------------------------------------------------
     # queries

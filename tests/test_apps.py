@@ -207,3 +207,39 @@ class TestOtherApps:
         hot = prof.by_code["/Code/goat/evalmove"].get("compute", 0.0)
         hot += prof.by_code["/Code/partition.c/cutcost"].get("compute", 0.0)
         assert hot / total > 0.7  # figure 2: goat and partition.c true
+
+
+@pytest.mark.parametrize("name,version", [
+    ("poisson", "A"), ("poisson", "B"), ("poisson", "C"), ("poisson", "D"),
+    ("ocean", None), ("anneal", None), ("tester", None),
+])
+def test_negative_iterations_rejected_at_build(name, version):
+    """A negative workload length fails while the app is built, as
+    NumPy's negative array shape did, instead of reaching a program."""
+    from repro.apps.catalog import build_catalog_app
+
+    with pytest.raises(ValueError, match="negative"):
+        build_catalog_app(name, version, iterations=-1)
+
+
+def test_numpy_stays_out_of_the_process():
+    """The applications draw their jitter in pure Python: importing the
+    package, its CLI and its server and running a diagnosis loads no
+    numpy (it is a test-only dependency, the jitter's oracle)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys, repro, repro.cli, repro.server\n"
+        "from repro.apps import PoissonConfig, build_poisson\n"
+        "record = repro.diagnose(build_poisson('A', PoissonConfig(iterations=50)),"
+        " pool=None)\n"
+        "assert record.true_pairs(), 'diagnosis found nothing'\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

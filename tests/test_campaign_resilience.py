@@ -224,16 +224,16 @@ class TestResumeFromStore:
 
     def test_unindexed_orphan_payload_is_rerun(self, tmp_path, monkeypatch):
         """A kill between a save's record rename and its segment seal
-        leaves a payload file no index entry names.  ``list()``, harvest
-        and ``save`` all say the run is absent, so resume re-executes it
-        and a plain save reclaims the file."""
+        leaves a payload file no index entry names.  ``list()``, ``in``,
+        harvest and ``save`` all say the run is absent, so resume
+        re-executes it and a plain save reclaims the file."""
         specs = [_spec(), _spec()]
         Campaign(specs=specs, name="o").run(store=tmp_path / "donor")
         store = ExperimentStore(tmp_path / "runs")
         store.save(ExperimentStore(tmp_path / "donor").load("o-runs-000"))
         (tmp_path / "runs" / "o-runs-001.json").write_bytes(
             (tmp_path / "donor" / "o-runs-001.json").read_bytes())
-        assert store.list() == ["o-runs-000"] and "o-runs-001" in store
+        assert store.list() == ["o-runs-000"] and "o-runs-001" not in store
 
         store = self._spied_store(tmp_path / "runs", monkeypatch)
         events = []

@@ -172,11 +172,14 @@ class TestStorageCorners:
         store = ExperimentStore(tmp_path)
         store.save(rec)
         (tmp_path / "r1.json").unlink()  # file gone, index stale
-        assert "r1" not in store  # contains checks the file
+        # ``in`` answers from the index, as list() does, until a rebuild
+        assert "r1" in store and store.list() == ["r1"]
         from repro.storage import StoreError
 
         with pytest.raises(StoreError):
             store.load("r1")
+        store.rebuild_index()
+        assert "r1" not in store and store.list() == []
 
     def test_record_json_is_plain(self, tmp_path):
         app = make_pingpong(iterations=20)

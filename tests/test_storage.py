@@ -74,6 +74,22 @@ class TestExperimentStore:
         assert "pp-base" in store
         assert len(store) == 1
 
+    def test_unindexed_orphan_payload_is_not_in_store(self, tmp_path, record):
+        """``in`` answers from the index, as ``list()``, ``len()`` and
+        ``save`` do: a payload file no index entry names (a kill between
+        a save's record rename and its segment seal) is absent until
+        ``rebuild_index()`` adopts it."""
+        donor = ExperimentStore(tmp_path / "donor")
+        donor.save(record)
+        store = ExperimentStore(tmp_path / "runs")
+        (tmp_path / "runs" / "pp-base.json").write_bytes(
+            (tmp_path / "donor" / "pp-base.json").read_bytes())
+        assert "pp-base" not in store
+        assert store.list() == [] and len(store) == 0
+        store.rebuild_index()
+        assert "pp-base" in store
+        assert store.list() == ["pp-base"]
+
     def test_list_filters(self, tmp_path, record):
         store = ExperimentStore(tmp_path / "runs")
         store.save(record)
