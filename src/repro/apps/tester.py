@@ -38,10 +38,7 @@ class TesterConfig:
     seed: int = 7
 
 
-def _program(rank: int, n: int, times: UniformRows, cfg: TesterConfig) -> Callable:
-    name = f"Tester:{rank + 1}"
-    peer = f"Tester:{(rank + 1) % n + 1}"
-
+def _program(rank: int, times: UniformRows) -> Callable:
     def program(proc):
         with proc.function("main.c", "main"):
             for it, t in enumerate(times.row(rank)):
@@ -83,7 +80,7 @@ def build_tester(config: TesterConfig | None = None) -> Application:
         tags=(),
         processes=processes,
         placement=dict(zip(processes, nodes)),
-        programs={processes[r]: _program(r, n, times, cfg) for r in range(n)},
+        programs={processes[r]: _program(r, times) for r in range(n)},
         uses_barrier=True,
         description="Figure-1 example program Tester",
     )

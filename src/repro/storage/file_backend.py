@@ -44,11 +44,11 @@ read decodes it: each pair index becomes the backend's one shared
 each pair once, plus N lists of pointers, and ``summaries()`` answers
 with lists of lists as before.  A base of another format or a segment
 of another format is refused with :class:`StoreCorruption`, never
-decoded.  The base is compact JSON.  Read ordering — list segments,
-parse them, read
-the base *last* — guarantees the base is at least as new as the segment
-listing, so a compaction racing the read only makes some replayed ops
-idempotent, never loses them.
+decoded.  The base is compact JSON, written one run at a time.  Read
+ordering — list segments, parse them, read the base *last* — guarantees
+the base is at least as new as the segment listing, so a compaction
+racing the read only makes some replayed ops idempotent, never loses
+them.
 
 Compaction (explicit ``compact()`` or auto past a segment threshold)
 folds segments into a new base generation under the lock: write the new
@@ -250,35 +250,35 @@ def _replace(src: Path, dst: Path) -> None:
     os.replace(src, dst)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     """Write-to-temp, fsync, rename — the only way bytes reach the store.
 
-    The fsync before the rename is what makes the rename a commit point
-    a crash cannot tear: without it a power loss can leave the *renamed*
-    file empty.  The :mod:`repro.faults.io` seams model exactly the
-    failures this sequence must survive — a short write (a prefix lands,
-    then ENOSPC), a lost fsync, a failed rename, or a kill between any
-    two steps — and the tmp name never matches the ``*.json`` globs, so
-    a torn temp file is invisible to every reader.
+    *chunks* is the file's text in pieces, written as they come, so a
+    large file is never one string.  The fsync before the rename is what
+    makes the rename a commit point a crash cannot tear: without it a
+    power loss can leave the *renamed* file empty.  The
+    :mod:`repro.faults.io` seams, consulted once per file, model exactly
+    the failures this sequence must survive — a short write (a non-empty
+    prefix lands, then ENOSPC), a lost fsync, a failed rename, or a kill
+    between any two steps — and the tmp name never matches the
+    ``*.json`` globs, so a torn temp file is invisible to every reader.
     """
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         action = io_faults.check("write", tmp)
         if action is not None and action[0] == "short":
+            text = "".join(chunks)
             fh.write(text[: max(1, int(len(text) * action[1]))])
             fh.flush()
             raise OSError(
                 errno.ENOSPC, f"injected short write on {tmp.name}", str(tmp)
             )
-        fh.write(text)
+        for chunk in chunks:
+            fh.write(chunk)
         fh.flush()
         if io_faults.check("fsync", tmp) is None:  # "lost" skips the sync
             os.fsync(fh.fileno())
     _replace(tmp, path)
-
-
-def _atomic_write_json(path: Path, data: dict) -> None:
-    _atomic_write_text(path, json.dumps(data))
 
 
 def _with_pair_ids(meta: dict, ids: Dict[Tuple[str, str], int]) -> dict:
@@ -440,23 +440,42 @@ class FileBackend:
             return runs, generation
 
     def _write_base(self, index: Dict[str, dict], generation: int = 0) -> None:
-        """Write *index* as the new base and cache it as a fresh read
-        would give it back (copies of its metas; *index* is not kept)."""
-        ids: Dict[Tuple[str, str], int] = {}
-        runs = {run_id: _with_pair_ids(meta, ids)
-                for run_id, meta in index.items()}
-        envelope = {"format": _INDEX_FORMAT, "pairs": list(ids), "runs": runs}
-        if generation:
-            envelope["generation"] = generation
-        _atomic_write_json(self._index_path, envelope)
+        """Write *index* as the new base, one run at a time, and cache the
+        view it wrote: a shallow copy of *index*, whose metas must come
+        decoded as a read decodes them.  They may be shared with readers,
+        so nothing here copies or mutates them.
+
+        The text is byte for byte ``json.dumps`` of the whole envelope,
+        but only one run's encoding exists at a time."""
+        # The pairs in the order the envelope's encoding meets them, each
+        # as the one list the metas already share.
+        table: Dict[Tuple[str, str], list] = {}
+        for meta in index.values():
+            summary = meta["summary"]
+            for field in _PAIR_FIELDS:
+                for pair in summary[field]:
+                    table.setdefault(tuple(pair), pair)
+        ids = {pair: i for i, pair in enumerate(table)}
+
+        def chunks() -> Iterable[str]:
+            yield '{"format": %d, "pairs": %s, "runs": {' % (
+                _INDEX_FORMAT, json.dumps(list(ids)))
+            sep = ""
+            for run_id, meta in index.items():
+                yield f"{sep}{json.dumps(run_id)}: "
+                yield json.dumps(_with_pair_ids(meta, ids))
+                sep = ", "
+            yield '}, "generation": %d}' % generation if generation else "}}"
+
+        _atomic_write(self._index_path, chunks())
         with self._cache_lock:
             # Every cached segment was folded into *index*: a fresh pair
             # table forgets the pairs of runs that are gone.
-            self._pairs = {}
-            self._resolve_pairs(_INDEX_NAME, ids, runs.values())
+            self._pairs = table
             # Writes happen under the store lock, so no other writer can
             # replace the file between our rename and this stat.
-            self._base_cache = (_stat_sig(self._index_path), generation, runs)
+            self._base_cache = (_stat_sig(self._index_path), generation,
+                                dict(index))
             self._merged_cache = None
 
     def _segment_names(self) -> List[str]:
@@ -578,7 +597,7 @@ class FileBackend:
 
     def _write_state(self, state: dict) -> None:
         self._segments_dir.mkdir(exist_ok=True)
-        _atomic_write_json(self._state_path, state)
+        _atomic_write(self._state_path, [json.dumps(state)])
 
     def _append_segment(self, ops: List[dict]) -> None:
         """Claim a segment name and seal *ops* into it (under the lock)."""
@@ -610,8 +629,8 @@ class FileBackend:
         ids: Dict[Tuple[str, str], int] = {}
         encoded = [dict(op, meta=_with_pair_ids(op["meta"], ids))
                    if op["op"] == "put" else op for op in ops]
-        _atomic_write_json(self._segments_dir / name, {
-            "format": _SEGMENT_FORMAT, "pairs": list(ids), "ops": encoded})
+        _atomic_write(self._segments_dir / name, [json.dumps({
+            "format": _SEGMENT_FORMAT, "pairs": list(ids), "ops": encoded})])
         if view_key is not None:
             self._advance_view(view_key, name, ids, encoded)
         try:
@@ -706,20 +725,20 @@ class FileBackend:
         # app's aggregate: store it once.
         solo = len(by_app) == 1 and all(
             agg.n_runs == all_agg.n_runs for agg in by_app.values())
-        # The text ``json.dumps`` gives the sidecar dict, with each
-        # aggregate's body spliced in from _encode_aggregate.
-        _atomic_write_text(path, '{"format": %d, "base_sig": %s, '
-                           '"through": %s, "max_seq": %s, "all": %s, '
-                           '"by_app": {%s}}' % (
-            _AGGREGATE_FORMAT,
-            json.dumps(list(parsed["base_sig"])),
-            json.dumps(through),
-            json.dumps(aggs["max_seq"]),
+        # The text ``json.dumps`` gives the sidecar dict, each aggregate's
+        # body from _encode_aggregate written as a chunk of its own.
+        chunks = [
+            '{"format": %d, "base_sig": %s, "through": %s, "max_seq": %s, '
+            '"all": ' % (_AGGREGATE_FORMAT,
+                         json.dumps(list(parsed["base_sig"])),
+                         json.dumps(through), json.dumps(aggs["max_seq"])),
             "null" if solo else self._encode_aggregate(None, all_agg),
-            ", ".join(
-                f"{json.dumps(app)}: {self._encode_aggregate(app, by_app[app])}"
-                for app in sorted(by_app)),
-        ))
+            ', "by_app": {']
+        for i, app in enumerate(sorted(by_app)):
+            chunks += [f"{', ' if i else ''}{json.dumps(app)}: ",
+                       self._encode_aggregate(app, by_app[app])]
+        chunks.append("}}")
+        _atomic_write(path, chunks)
         with self._cache_lock:
             self._sidecar_cache = (_stat_sig(path), parsed)
 
@@ -862,11 +881,9 @@ class FileBackend:
         # One serialisation: the canonical text that is hashed is the
         # text that is stored (readers re-derive it from the parsed payload).
         canonical = _canonical(payload)
-        _atomic_write_text(
-            path,
-            '{"format": %d, "sha256": "%s", "record": %s}'
-            % (_RECORD_FORMAT, _sha256(canonical), canonical),
-        )
+        _atomic_write(path, (
+            '{"format": %d, "sha256": "%s", "record": '
+            % (_RECORD_FORMAT, _sha256(canonical)), canonical, "}"))
 
     def _quarantine(self, path: Path) -> Path:
         """Move a corrupt file out of the store (index entry included).
@@ -1077,7 +1094,7 @@ class FileBackend:
                 "run_id": run_id, "quarantined_at": at, "payload": text,
                 "sha256": sha, "reason": reason}))
         for name, row in rejected:
-            _atomic_write_json(self._quarantine_dir() / name, row)
+            _atomic_write(self._quarantine_dir() / name, [json.dumps(row)])
         return seqs
 
     def _rebuild(self) -> RecoveryReport:
@@ -1135,6 +1152,14 @@ class FileBackend:
             meta["seq"] = next_seq
             next_seq += 1
             index[run_id] = meta
+        # Decoded as a read decodes them before they enter the caches:
+        # one shared list per [hypothesis, focus] pair.
+        shared: Dict[Tuple[str, str], list] = {}
+        for meta in index.values():
+            summary = meta["summary"]
+            for field in _PAIR_FIELDS:
+                summary[field] = [shared.setdefault(tuple(pair), pair)
+                                  for pair in summary[field]]
         self._write_base(index, generation + 1)
         # Every meta now carries a fresh summary, so the aggregate
         # sidecar can always be built over the whole new base.

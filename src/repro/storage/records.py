@@ -26,6 +26,10 @@ _MEMO_DEPS = {
     "hierarchies": ("space",),
     "profile": ("flat_profile",),
 }
+#: The serialised node states the pair queries test, read once here
+#: instead of through the enum per node.
+_TRUE = NodeState.TRUE.value
+_FALSE = NodeState.FALSE.value
 
 
 @dataclass
@@ -128,7 +132,7 @@ class RunRecord:
         return [
             (n["hypothesis"], n["focus"])
             for n in self.shg_nodes
-            if n["state"] == NodeState.TRUE.value
+            if n["state"] == _TRUE
             and n["hypothesis"] != "TopLevelHypothesis"
         ]
 
@@ -136,7 +140,7 @@ class RunRecord:
         return [
             (n["hypothesis"], n["focus"])
             for n in self.shg_nodes
-            if n["state"] == NodeState.FALSE.value
+            if n["state"] == _FALSE
         ]
 
     def found_times(self) -> Dict[Tuple[str, str], float]:
@@ -144,7 +148,7 @@ class RunRecord:
         out: Dict[Tuple[str, str], float] = {}
         for n in self.shg_nodes:
             if (
-                n["state"] == NodeState.TRUE.value
+                n["state"] == _TRUE
                 and n["hypothesis"] != "TopLevelHypothesis"
                 and n.get("t_concluded") is not None
             ):

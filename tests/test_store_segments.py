@@ -90,8 +90,8 @@ class TestSegmentLifecycle:
             root = tmp_path / base_json
             with monkeypatch.context() as patch:
                 if base_json == "indented":
-                    patch.setattr(file_backend, "_atomic_write_json",
-                                  _write_json_with_indented_base)
+                    patch.setattr(FileBackend, "_write_base",
+                                  _write_indented_base)
                 writer = ExperimentStore(root, auto_compact=0)
                 for i in range(5):
                     writer.save(_paired_record(f"r{i}"))
@@ -124,17 +124,17 @@ class TestSegmentLifecycle:
         assert ExperimentStore(tmp_path / "runs").list() == ["keep"]
 
 
-_WRITE_JSON = file_backend._atomic_write_json
+_WRITE_BASE = FileBackend._write_base
 
 
-def _write_json_with_indented_base(path, data):
-    """``_atomic_write_json`` as older releases ran it: the base index
-    with ``indent=1`` and sorted keys, every other file compact."""
-    if path.name == "index.json":
-        file_backend._atomic_write_text(
-            path, json.dumps(data, indent=1, sort_keys=True))
-    else:
-        _WRITE_JSON(path, data)
+def _write_indented_base(backend, index, generation=0):
+    """``_write_base`` as older releases ran it: the base index with
+    ``indent=1`` and sorted keys, rewritten through the atomic write
+    (every other file is written as this release writes it)."""
+    _WRITE_BASE(backend, index, generation)
+    envelope = json.loads(backend._index_path.read_text())
+    file_backend._atomic_write(
+        backend._index_path, [json.dumps(envelope, indent=1, sort_keys=True)])
 
 
 def _paired_record(run_id: str) -> RunRecord:
