@@ -47,6 +47,9 @@ __all__ = [
 
 ANY_HYPOTHESIS = "*"
 
+_UNSEEN = object()  # no verdict yet (``None`` is one: pruned)
+_VERDICTS_MAX = 1 << 14  # per set; cleared wholesale at the cap
+
 
 class DirectiveError(ValueError):
     """Raised for malformed directive text."""
@@ -143,7 +146,8 @@ class DirectiveSet:
     Nothing changes a set after construction (the search, mapping and
     every composition only read its lists), so what is derived from the
     lists is derived once: the lookup indexes when the set is built, the
-    distinct resource names on first use.
+    distinct resource names on first use, each pair's screen verdict on
+    first ask.
     """
 
     def __init__(
@@ -160,6 +164,7 @@ class DirectiveSet:
         self.thresholds: List[ThresholdDirective] = list(thresholds)
         self.maps: List[MapDirective] = list(maps)
         self._names: Optional[Tuple[str, ...]] = None
+        self._verdicts: Dict[Tuple[str, str], Optional[Priority]] = {}
         self._reindex()
 
     def _reindex(self) -> None:
@@ -207,7 +212,19 @@ class DirectiveSet:
         """What the directives say of one candidate pair, keyed
         ``(hypothesis, str(focus))`` as the Search History Graph keys it:
         ``None`` when a prune removes it, else its search priority.  The
-        search asks this once per new pair."""
+        search asks this once per new pair; the text fixes the focus, so
+        the set keeps each verdict for every session it is handed to."""
+        verdicts = self._verdicts
+        verdict = verdicts.get(key, _UNSEEN)
+        if verdict is _UNSEEN:
+            verdict = self._screen(key, focus)
+            if len(verdicts) >= _VERDICTS_MAX:
+                verdicts.clear()
+            verdicts[key] = verdict
+        return verdict
+
+    def _screen(self, key: Tuple[str, str], focus: Focus) -> Optional[Priority]:
+        """The prune and priority test behind :meth:`screen`."""
         if key in self._pair_prune_index:
             return None
         if self._prune_paths:

@@ -170,14 +170,24 @@ class Focus:
 
     # -- refinement ----------------------------------------------------------
     def refine(self, space: ResourceSpace, hierarchy: str) -> List["Focus"]:
-        """Child foci obtained by one step down in *hierarchy*."""
+        """Child foci obtained by one step down in *hierarchy*, in the
+        resource node's order, from :data:`_CHILD_TABLE`."""
         sel = self._sel.get(hierarchy)
         if sel is None:
             return []
         node = space.hierarchy(hierarchy).find(sel)
         if node is None:
             return []
-        return [self._derive(hierarchy, c.name, c.parts) for c in node.children.values()]
+        key = (self._str, hierarchy, tuple(node.children))
+        kids = _CHILD_TABLE.get(key)
+        if kids is None:
+            derived = (self._derive(hierarchy, c.name, c.parts)
+                       for c in node.children.values())
+            kids = tuple(_intern(f._str, f) for f in derived)
+            if len(_CHILD_TABLE) >= _CHILD_TABLE_MAX:
+                _CHILD_TABLE.clear()
+            _CHILD_TABLE[key] = kids
+        return list(kids)
 
     def children(self, space: ResourceSpace) -> List["Focus"]:
         """All child foci across every hierarchy (paper: refinement moves
@@ -205,6 +215,16 @@ _FOCUS_TABLE: Dict[str, Focus] = {}
 _FOCUS_TABLE_MAX = 1 << 14
 
 
+#: Every focus's children in one hierarchy, derived once per process:
+#: sessions of one app refine the same lattice.  Keyed by value — the
+#: text and hierarchy fix the parent's selection, the node's child labels
+#: in order fix each child — so a late-discovered resource or another
+#: app's tree is another key.  Children go through :data:`_FOCUS_TABLE`
+#: (a directive's focus is the refined one); bounded like it.
+_CHILD_TABLE: Dict[Tuple[str, str, Tuple[str, ...]], Tuple[Focus, ...]] = {}
+_CHILD_TABLE_MAX = 1 << 12
+
+
 def _parse_focus(text: str) -> Focus:
     """The uncached parse behind :func:`parse_focus`."""
     body = text.strip()
@@ -226,17 +246,27 @@ def _parse_focus(text: str) -> Focus:
     return Focus(sels)
 
 
+def _intern(text: str, focus: Focus) -> Focus:
+    """The focus :data:`_FOCUS_TABLE` holds for *text*, else *focus*,
+    entered under *text*."""
+    known = _FOCUS_TABLE.get(text)
+    if known is None:
+        if len(_FOCUS_TABLE) >= _FOCUS_TABLE_MAX:
+            _FOCUS_TABLE.clear()
+        _FOCUS_TABLE[text] = known = focus
+    return known
+
+
 def parse_focus(text: str) -> Focus:
     """Parse the printed form ``< /Code/x, /Machine, ... >``.
 
-    Equal texts return the same (immutable) object.
+    Equal texts return the same (immutable) object, which is also the
+    child refinement derived for that text.
     """
     if type(text) is not str:
         return _parse_focus(text)  # not a table key; fails as it always did
     focus = _FOCUS_TABLE.get(text)
     if focus is None:
-        focus = _parse_focus(text)
-        if len(_FOCUS_TABLE) >= _FOCUS_TABLE_MAX:
-            _FOCUS_TABLE.clear()
-        _FOCUS_TABLE[text] = focus
+        parsed = _parse_focus(text)
+        focus = _intern(text, _FOCUS_TABLE.get(parsed._str, parsed))
     return focus

@@ -260,10 +260,11 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     :mod:`repro.faults.io` seams, consulted once per file, model exactly
     the failures this sequence must survive — a short write (a non-empty
     prefix lands, then ENOSPC), a lost fsync, a failed rename, or a kill
-    between any two steps — and the tmp name never matches the
-    ``*.json`` globs, so a torn temp file is invisible to every reader.
+    between any two steps — and the tmp name (the file's own name plus
+    ``.tmp``, so no two files share one) never matches the ``*.json``
+    globs, so a torn temp file is invisible to every reader.
     """
-    tmp = path.with_suffix(".tmp")
+    tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         action = io_faults.check("write", tmp)
         if action is not None and action[0] == "short":
@@ -651,6 +652,26 @@ class FileBackend:
     # harvest aggregates
     # ------------------------------------------------------------------
     @staticmethod
+    def _fold_run(aggs: dict, app: object, summary: dict) -> None:
+        """Fold one run into *aggs* in place.  While one app owns every
+        run, ``all`` *is* its aggregate (stored once, as ``null``) and is
+        folded once; the first run of another scope splits the two."""
+        all_agg, by_app = aggs["all"], aggs["by_app"]
+        if not by_app and not all_agg.n_runs and isinstance(app, str):
+            by_app[app] = all_agg
+        if len(by_app) == 1:
+            ((owner, agg),) = by_app.items()
+            if agg is all_agg and owner != app:
+                by_app[owner] = agg.copy()
+        all_agg.fold_summary(summary)
+        if isinstance(app, str):
+            agg = by_app.get(app)
+            if agg is None:
+                agg = by_app[app] = HarvestAggregate()
+            if agg is not all_agg:
+                agg.fold_summary(summary)
+
+    @staticmethod
     def _fold_ops(aggs: dict, segments: List[object]) -> Optional[dict]:
         """*aggs* extended by each segment's ops, as private copies (the
         cached aggregates are shared with every reader), or ``None``
@@ -658,8 +679,9 @@ class FileBackend:
         overwrite (``seq`` at or below the watermark), a missing summary
         or anything misshapen is unprovable."""
         all_agg = aggs["all"].copy()
-        by_app = {app: agg.copy() for app, agg in aggs["by_app"].items()}
-        max_seq = aggs["max_seq"]
+        by_app = {app: all_agg if agg is aggs["all"] else agg.copy()
+                  for app, agg in aggs["by_app"].items()}
+        out = {"all": all_agg, "by_app": by_app, "max_seq": aggs["max_seq"]}
         for ops in segments:
             if not isinstance(ops, list):
                 return None
@@ -669,33 +691,24 @@ class FileBackend:
                     return None
                 summary = meta.get("summary")
                 seq = meta.get("seq", -1)
-                if not isinstance(summary, dict) or seq <= max_seq:
+                if not isinstance(summary, dict) or seq <= out["max_seq"]:
                     return None
-                max_seq = seq
-                all_agg.fold_summary(summary)
-                app = meta.get("app_name")
-                if isinstance(app, str):
-                    by_app.setdefault(
-                        app, HarvestAggregate()).fold_summary(summary)
-        return {"all": all_agg, "by_app": by_app, "max_seq": max_seq}
+                out["max_seq"] = seq
+                FileBackend._fold_run(out, meta.get("app_name"), summary)
+        return out
 
     def _build_aggregates(self, merged: Dict[str, dict]) -> Optional[dict]:
         """Full-scan aggregates over a merged view, in ``seq`` order.
         ``None`` when any run lacks a dict summary (a misshapen meta)."""
-        all_agg = HarvestAggregate()
-        by_app: Dict[str, HarvestAggregate] = {}
-        max_seq = -1
+        out = {"all": HarvestAggregate(), "by_app": {}, "max_seq": -1}
         for _run_id, meta in sorted(merged.items(),
                                     key=lambda kv: kv[1].get("seq", 0)):
             summary = meta.get("summary")
             if not isinstance(summary, dict):
                 return None
-            all_agg.fold_summary(summary)
-            app = meta.get("app_name")
-            if isinstance(app, str):
-                by_app.setdefault(app, HarvestAggregate()).fold_summary(summary)
-            max_seq = max(max_seq, meta.get("seq", -1))
-        return {"all": all_agg, "by_app": by_app, "max_seq": max_seq}
+            self._fold_run(out, meta.get("app_name"), summary)
+            out["max_seq"] = max(out["max_seq"], meta.get("seq", -1))
+        return out
 
     def _write_aggregate_sidecar(self, aggs: Optional[dict],
                                  through: str = "") -> None:

@@ -10,8 +10,10 @@ every concluded persistent pair, and asks whether the search is complete
 by walking the whole SHG.
 
 It also carries the straightforward statement of each pair's lifecycle
-before it was made cheap: a candidate, and at the start every persistent
-pair, is screened by the prune test, the priority lookup and
+before it was made cheap: a true node's child foci are built afresh
+through the validating constructor (never from the interned lattice the
+search walks); a candidate, and at the start every persistent pair, is
+screened by the prune test, the priority lookup and
 ``SearchHistoryGraph.add`` in turn (each keys the pair itself); the
 queue is ordered by a depth summed over every hierarchy; the queue head
 is re-priced on every tick; and
@@ -44,7 +46,7 @@ from repro.metrics.instrumentation import (
     _Snapshot,
 )
 from repro.metrics.metric import METRICS
-from repro.resources.focus import whole_program
+from repro.resources.focus import Focus, whole_program
 
 
 def is_pruned(directives, hypothesis, focus) -> bool:
@@ -65,6 +67,17 @@ def is_pruned(directives, hypothesis, focus) -> bool:
                 if sel[:depth] in paths:
                     return True
     return False
+
+
+def derive_children(focus, space) -> List[Focus]:
+    """``Focus.children`` without its process-wide table: each child is
+    built by the validating ``Focus(dict)`` constructor over the space's
+    own children, hierarchy by hierarchy, in the resource node's order."""
+    out = []
+    for hier in focus.hierarchies:
+        for child in space.hierarchy(hier).children_of(focus.selection(hier)):
+            out.append(Focus({**focus.selections(), hier: child.name}))
+    return out
 
 
 def shg_add(shg, hypothesis, focus, parent=None, priority=Priority.MEDIUM):
@@ -353,7 +366,7 @@ class ReferenceSearch(PerformanceConsultantSearch):
     def _refine(self, node: SHGNode) -> None:
         for child_h in self.hypotheses.children(node.hypothesis):
             self._consider(child_h.name, node.focus, parent=node)
-        for child_f in node.focus.children(self.space):
+        for child_f in derive_children(node.focus, self.space):
             self._consider(node.hypothesis, child_f, parent=node)
 
     def _expand(self) -> None:

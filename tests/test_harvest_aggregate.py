@@ -816,3 +816,54 @@ def test_reuse_on_equal_evidence_matches_the_cold_scan(tmp_path):
                     == expected, (name, app, options)
     stats = pool.stats()
     assert 0 < stats["harvest_reuses"] < stats["harvest_misses"]
+
+
+def _scan_sidecar_text(store: ExperimentStore) -> str:
+    """The sidecar's bytes rebuilt from the summary scan alone; only the
+    stamps (base signature, segment watermark, ``max_seq``) come from
+    the file itself."""
+    data = json.loads((store.backend.root / "index.aggregate").read_text())
+    everything = _scan_aggregate(store)
+    apps = sorted({meta["app_name"] for meta in store.summaries().values()
+                   if isinstance(meta["app_name"], str)})
+    by_app = {app: _scan_aggregate(store, app) for app in apps}
+    solo = len(apps) == 1 and by_app[apps[0]].n_runs == everything.n_runs
+    return json.dumps({
+        "format": data["format"], "base_sig": data["base_sig"],
+        "through": data["through"], "max_seq": data["max_seq"],
+        "all": None if solo else everything.to_dict(),
+        "by_app": {app: agg.to_dict() for app, agg in by_app.items()},
+    })
+
+
+@pytest.mark.parametrize("apps", [("alpha",) * 5,
+                                  ("alpha", "alpha", "beta", "alpha", "beta")])
+def test_one_app_store_folds_each_save_once(tmp_path, monkeypatch, apps):
+    """While one app owns the store, ``all`` and that app's aggregate
+    are one object, so a save folds its summary once; the first run of a
+    second app splits them.  The sidecar's bytes stay the scan's."""
+    store = ExperimentStore(tmp_path / "runs", auto_compact=0)
+    folds = []
+    real_fold = HarvestAggregate.fold_summary
+
+    def counting(self, summary):
+        folds.append(summary)
+        return real_fold(self, summary)
+
+    for i, app in enumerate(apps):
+        monkeypatch.setattr(HarvestAggregate, "fold_summary", counting)
+        folds.clear()
+        store.save(make_run(i, app=app))
+        monkeypatch.undo()
+        assert len(folds) == (1 if len(set(apps[: i + 1])) == 1 else 2)
+        assert (tmp_path / "runs" / "index.aggregate").read_text() \
+            == _scan_sidecar_text(store)
+        if i == 2:
+            store.compact()  # the full-scan build shares the same way
+            assert (tmp_path / "runs" / "index.aggregate").read_text() \
+                == _scan_sidecar_text(store)
+    side = store.backend._read_sidecar()
+    assert (side["all"] is side["by_app"]["alpha"]) == (len(set(apps)) == 1)
+    store.backend.rebuild()
+    assert (tmp_path / "runs" / "index.aggregate").read_text() \
+        == _scan_sidecar_text(store)

@@ -219,15 +219,15 @@ def test_compaction_of_64_poisson_runs_peaks_low(tmp_path):
 
 
 #: Neither operation writes a file before its base, so the first call of
-#: each op is the base write's (``index.tmp`` is also the sidecar's temp
-#: name, written after it).
+#: each op is the base write's (its temp file is ``index.json.tmp``; the
+#: sidecar's, written after it, is ``index.aggregate.tmp``).
 _BASE_WRITE_FAULTS = {
-    "short-0.1": IOFault("write", 0, "short", arg=0.1, path_part="index.tmp"),
-    "short-0.5": IOFault("write", 0, "short", arg=0.5, path_part="index.tmp"),
-    "short-0.9": IOFault("write", 0, "short", arg=0.9, path_part="index.tmp"),
-    "lost-fsync": IOFault("fsync", 0, "lost", path_part="index.tmp"),
+    "short-0.1": IOFault("write", 0, "short", arg=0.1, path_part="index.json.tmp"),
+    "short-0.5": IOFault("write", 0, "short", arg=0.5, path_part="index.json.tmp"),
+    "short-0.9": IOFault("write", 0, "short", arg=0.9, path_part="index.json.tmp"),
+    "lost-fsync": IOFault("fsync", 0, "lost", path_part="index.json.tmp"),
     "failed-replace": IOFault("replace", 0, "eio", path_part="index.json"),
-    "crash": IOFault("write", 0, "crash", path_part="index.tmp"),
+    "crash": IOFault("write", 0, "crash", path_part="index.json.tmp"),
 }
 
 
@@ -251,7 +251,7 @@ def test_fault_in_the_base_write_keeps_the_store(tmp_path, operation, fault):
             pass
     assert [strike[2] for strike in injector.injected] == [
         _BASE_WRITE_FAULTS[fault].kind]
-    torn = root / "index.tmp"
+    torn = root / "index.json.tmp"
     landed = torn.read_text() if fault.startswith("short") else None
 
     reopened = ExperimentStore(root)
@@ -264,4 +264,23 @@ def test_fault_in_the_base_write_keeps_the_store(tmp_path, operation, fault):
         reopened = ExperimentStore(root)
     reopened.compact()
     assert reopened.summaries() == before
+    assert ExperimentStore(root).summaries() == before
+
+
+def test_each_file_has_a_temp_name_of_its_own(tmp_path):
+    """A fault aimed at the base's temp file strikes the base alone: the
+    sidecar a compaction writes after it has a temp name of its own."""
+    root = tmp_path / "runs"
+    store = ExperimentStore(root, auto_compact=0)
+    for i in range(3):
+        store.save(_distinct_pair_record(f"r{i}"))
+    before = store.summaries()
+    lost = IOFault("fsync", 0, "lost", times=99, path_part="index.json.tmp")
+    with io_faults.injected(IOFaultPlan(faults=(lost,))) as injector:
+        store.compact()
+    assert injector.counters["fsync"] >= 2  # the base's and the sidecar's
+    assert [(strike[2], os.path.basename(strike[3]))
+            for strike in injector.injected] == [("lost", "index.json.tmp")]
+    assert (root / "index.aggregate").exists()
+    assert not list(root.glob("*.tmp"))
     assert ExperimentStore(root).summaries() == before
