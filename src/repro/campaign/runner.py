@@ -96,14 +96,14 @@ def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _payload_for(spec: RunSpec, run_id: str) -> Dict[str, Any]:
+def _payload_for(spec: RunSpec) -> Dict[str, Any]:
     return {
         "builder": spec.builder,
         "builder_args": tuple(spec.builder_args),
         "builder_kwargs": dict(spec.builder_kwargs),
         "config": spec.config,
         "directives_text": spec.directives.to_text() if spec.directives else None,
-        "run_id": run_id,
+        "run_id": spec.run_id,
         "pre_delay": spec.pre_delay,
         "session_kwargs": dict(spec.session_kwargs),
         "faults": spec.faults.to_dict() if spec.faults else None,
@@ -396,7 +396,7 @@ class Campaign:
             "harvested_directives": len(harvested) if harvested else 0,
         })
 
-        payloads = [_payload_for(spec, spec.run_id) for spec in specs]
+        payloads = [_payload_for(spec) for spec in specs]
         records: List[Optional[RunRecord]] = [None] * len(specs)
         failures: Dict[str, str] = {}
         retried: List[str] = []

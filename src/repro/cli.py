@@ -83,6 +83,15 @@ def _parse_threshold(text: str):
         raise SystemExit(f"bad --threshold {text!r}; expected HYPOTHESIS=VALUE")
 
 
+def _config_and_faults(args: argparse.Namespace):
+    """The :class:`SearchConfig` and :class:`FaultPlan` (or ``None``)
+    that ``diagnose`` and ``campaign`` build from the flags they share
+    (``--stop-when-done``, ``--threshold``, ``--faults``)."""
+    config = SearchConfig(stop_engine_when_done=args.stop_when_done,
+                          threshold_overrides=dict(args.threshold or ()))
+    return config, FaultPlan.load(args.faults) if args.faults else None
+
+
 def _resilience_setting(args: argparse.Namespace):
     """Turn the ``--retry-*``/``--no-resilience`` flags into the
     ``resilience=`` argument of :func:`resolve_store`: ``False`` to open
@@ -110,11 +119,7 @@ def _resilience_setting(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 def cmd_diagnose(args: argparse.Namespace) -> int:
     app = _build_app(args.application, args.app_version, args.iterations)
-    config = SearchConfig(
-        stop_engine_when_done=args.stop_when_done,
-        threshold_overrides=dict(args.threshold or ()),
-    )
-    faults = FaultPlan.load(args.faults) if args.faults else None
+    config, faults = _config_and_faults(args)
     trace = args.trace
     if trace is True and not args.store:
         raise SystemExit("--trace without a PATH writes under the store; "
@@ -410,11 +415,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     # Validate the application arguments eagerly (the workers would only
     # fail later, once per run).
     _build_app(args.application, args.app_version, args.iterations)
-    config = SearchConfig(
-        stop_engine_when_done=args.stop_when_done,
-        threshold_overrides=dict(args.threshold or ()),
-    )
-    faults = FaultPlan.load(args.faults) if args.faults else None
+    config, faults = _config_and_faults(args)
 
     def specs() -> list:
         return [
@@ -778,8 +779,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool-size", type=int, default=8,
                    help="distinct stores kept open in the pool")
     p.add_argument("--workers", type=int, default=None,
-                   help="run whole sessions on N worker processes "
-                        "instead of slicing them on the serving loop")
+                   help="N > 1: run each session whole in a child process "
+                        "of its own instead of slicing it on the serving "
+                        "loop; any N > 1 does the same, --max-concurrent "
+                        "bounds how many run at once")
     p.add_argument("--tenant", action="append", type=_parse_tenant,
                    metavar="NAME=COST[:CONC]",
                    help="per-tenant policy: instrumentation cost cap and "

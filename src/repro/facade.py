@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Iterable,
     Iterator,
     List,
@@ -73,16 +74,10 @@ class HarvestWarning(UserWarning):
         self.reason = reason
 
 _SEARCH_FIELDS = {f.name for f in dataclasses.fields(SearchConfig)}
-_SESSION_FIELDS = {
-    "cost_model",
-    "hypotheses",
-    "apply_resource_mapping",
-    "discover_resources",
-    "faults",
-    "on_failure",
-    "max_events",
-    "max_virtual_time",
-}
+#: The session keywords ``diagnose()`` passes through: every
+#: :class:`DiagnosisSession` field it does not set itself.
+_SESSION_FIELDS = {f.name for f in dataclasses.fields(DiagnosisSession)} - {
+    "app", "directives", "config", "run_id", "tracer"}
 
 HistoryLike = Union[
     None, DirectiveSet, RunRecord, ExperimentStore, str, Path,
@@ -197,27 +192,11 @@ def resolve_history(
         return None
     if isinstance(history, DirectiveSet):
         return history
-    if isinstance(history, (list, tuple)) and not history:
-        return None
-    if isinstance(history, (list, tuple)) \
-            and not all(isinstance(h, RunRecord) for h in history):
-        strict = bool(options.get("strict", False))
-        parts = []
-        for h in history:
-            try:
-                resolved = resolve_history(h, app=app, pool=pool, **options)
-            except (StoreError, OSError) as exc:
-                # Fail-soft federation: one unavailable member must not
-                # cost the directives of every healthy one.
-                if strict:
-                    raise
-                warnings.warn(HarvestWarning(h, exc), stacklevel=2)
-                continue
-            if resolved is not None:
-                parts.append(resolved)
-        if not parts:
-            return None
-        return union_directives(*parts) if len(parts) > 1 else parts[0]
+    if isinstance(history, (list, tuple)) and not (
+            history and all(isinstance(h, RunRecord) for h in history)):
+        return _federate(
+            history, bool(options.get("strict", False)),
+            lambda h: resolve_history(h, app=app, pool=pool, **options))
     if isinstance(history, (str, Path)):
         path = Path(history)
         if path.is_dir():
@@ -226,6 +205,28 @@ def resolve_history(
             return load_directives(path)
         raise StoreError(f"history path {str(path)!r} does not exist")
     return harvest(history, app=app, pool=pool, **options)
+
+
+def _federate(members: Sequence[Any], strict: bool,
+              resolve: Callable[[Any], Any]) -> Optional[DirectiveSet]:
+    """The union of what *resolve* makes of each federated history
+    member, ``None`` if nothing.  Fail-soft: a member raising
+    ``StoreError`` or ``OSError`` is skipped with a :class:`HarvestWarning`
+    (raised under *strict*), so it cannot cost the healthy ones."""
+    parts = []
+    for member in members:
+        try:
+            resolved = resolve(member)
+        except (StoreError, OSError) as exc:
+            if strict:
+                raise
+            warnings.warn(HarvestWarning(member, exc), stacklevel=3)
+            continue
+        if resolved is not None:
+            parts.append(resolved)
+    if not parts:
+        return None
+    return union_directives(*parts) if len(parts) > 1 else parts[0]
 
 
 def _history_records(
@@ -389,21 +390,14 @@ def harvest(
         if isinstance(source, (list, tuple)) and source and all(
             isinstance(s, (ExperimentStore, str, Path)) for s in source
         ):
-            parts = []
-            for member in source:
-                try:
-                    parts.append(harvest(member, app=app, strict=strict,
-                                         pool=pool_obj, **options))
-                except (StoreError, OSError) as exc:
-                    if strict:
-                        raise
-                    warnings.warn(HarvestWarning(member, exc), stacklevel=2)
-            if not parts:
+            merged = _federate(source, strict, lambda member: harvest(
+                member, app=app, strict=strict, pool=pool_obj, **options))
+            if merged is None:
                 raise StoreError(
                     "federated harvest: every member store failed "
                     f"({len(source)} skipped)"
                 )
-            return union_directives(*parts) if len(parts) > 1 else parts[0]
+            return merged
         if isinstance(source, (str, Path)) and not holds_store(Path(source)):
             # A path must already be a store on disk: opening any other
             # path would silently create an empty store there and mask a

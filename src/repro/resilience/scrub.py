@@ -29,12 +29,11 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..storage.api import StoreCorruption, StoreError, StoreUnavailable
+from ..storage.file_backend import record_files
 from ..storage.records import RunRecord
 from ..storage.summary import summarize_record
 
 __all__ = ["ScrubReport", "verify_store"]
-
-_INDEX_NAME = "index.json"
 
 
 @dataclass
@@ -142,8 +141,8 @@ def verify_store(store) -> ScrubReport:
                 continue
         report.ok += 1
 
-    for path in sorted(store.root.glob("*.json")):
-        if path.name != _INDEX_NAME and path.stem not in entries:
+    for path in sorted(record_files(store.root)):
+        if path.stem not in entries:
             report.orphans.append(path.name)
     return report
 

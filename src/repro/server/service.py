@@ -23,9 +23,10 @@ Admission control is two-layered, per the paper's own cost discipline:
   is round-robin across tenants with pending work; a saturated tenant is
   skipped, not waited on.
 
-An optional ``executor`` (reusing :mod:`repro.campaign.executors`) moves
-whole sessions onto worker processes for CPU-bound fan-out on multi-core
-hosts; the asyncio slicing path remains the default and the
+An optional ``executor`` (one of :mod:`repro.campaign.executors`) runs
+each catalog-app session whole, as one campaign job: the request becomes
+a :class:`~repro.campaign.spec.RunSpec` and the campaign's worker
+function runs it.  The asyncio slicing path remains the default and the
 byte-identity reference.
 """
 
@@ -114,24 +115,6 @@ class _Job:
     request: SessionRequest
     future: "asyncio.Future[RunRecord]"
     submitted: float
-
-
-def _worker_run(payload: dict) -> RunRecord:
-    """Run one whole session in a pool worker (module-level: picklable)."""
-    directives = None
-    if payload["directives"] is not None:
-        directives = DirectiveSet.from_text(payload["directives"])
-    return DiagnosisSession(
-        app=build_catalog_app(
-            payload["app"], payload["version"], payload["iterations"]
-        ),
-        directives=directives,
-        config=SearchConfig(**payload["config"]),
-        run_id=payload["run_id"],
-        on_failure=payload["on_failure"],
-        max_events=payload["max_events"],
-        max_virtual_time=payload["max_virtual_time"],
-    ).run()
 
 
 class DiagnosisService:
@@ -312,14 +295,10 @@ class DiagnosisService:
                 and config.cost_limit > policy.cost_limit:
             config = dataclasses.replace(config, cost_limit=policy.cost_limit)
         return DiagnosisSession(
-            app=app,
-            directives=directives,
-            config=config,
-            run_id=request.run_id,
-            on_failure=request.on_failure,
+            app=app, directives=directives, config=config,
+            run_id=request.run_id, on_failure=request.on_failure,
             max_events=request.max_events,
-            max_virtual_time=request.max_virtual_time,
-        )
+            max_virtual_time=request.max_virtual_time)
 
     async def _execute(self, job: _Job) -> RunRecord:
         request = job.request
@@ -331,8 +310,7 @@ class DiagnosisService:
         if self.executor is not None and not isinstance(request.app, Application):
             record = await self._execute_on_worker(request)
         else:
-            session = self._build_session(request)
-            active = session.begin()
+            active = self._build_session(request).begin()
             while active.step(self.slice_events):
                 self.counters["slices_total"] += 1
                 self._emit(request, {
@@ -346,9 +324,7 @@ class DiagnosisService:
             record = active.result()
         self.counters["events_total"] += record.metrics.get("engine_events") or 0
         if request.store is not None:
-            self.pool.get(request.store).save(
-                record, overwrite=request.overwrite
-            )
+            self.pool.get(request.store).save(record, overwrite=request.overwrite)
         self._emit(request, {
             "event": "session-finished", "tenant": request.tenant,
             "run_id": record.run_id, "status": record.status,
@@ -358,36 +334,30 @@ class DiagnosisService:
         return record
 
     async def _execute_on_worker(self, request: SessionRequest) -> RunRecord:
-        """One whole session on the campaign executor (CPU-bound fan-out).
+        """One whole session as a campaign job on the executor.
 
         Coarse-grained: no virtual-clock slicing and no per-slice
         progress, but sessions occupy worker processes instead of the
-        serving loop.  Requires a catalog app (the payload must pickle).
+        serving loop.  History, config and the tenant's clamp resolve
+        here; the job is a catalog-app :class:`RunSpec` (the payload
+        must pickle) run by the campaign's own worker function.
         """
+        from ..campaign.runner import _execute_payload, _payload_for
+        from ..campaign.spec import RunSpec
+
         session = self._build_session(request)
-        config = session.config or SearchConfig()
-        payload = {
-            "app": request.app,
-            "version": request.version,
-            "iterations": request.iterations,
-            "directives": (
-                session.directives.to_text()
-                if session.directives is not None else None
-            ),
-            "config": dataclasses.asdict(config),
-            "run_id": request.run_id,
-            "on_failure": request.on_failure,
-            "max_events": request.max_events,
-            "max_virtual_time": request.max_virtual_time,
-        }
-
-        def call() -> RunRecord:
-            outcome = list(self.executor.run(_worker_run, [payload]))[0][1]
-            if isinstance(outcome, BaseException):
-                raise outcome
-            return outcome
-
-        return await asyncio.get_running_loop().run_in_executor(None, call)
+        payload = _payload_for(RunSpec(
+            build_catalog_app, (request.app, request.version, request.iterations),
+            config=session.config, directives=session.directives,
+            run_id=session.run_id,
+            session_kwargs={k: getattr(session, k) for k in (
+                "on_failure", "max_events", "max_virtual_time")},
+        ))
+        ((_, outcome),) = await asyncio.to_thread(
+            lambda: list(self.executor.run(_execute_payload, [payload])))
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return RunRecord.from_dict(outcome["record"])
 
     # ------------------------------------------------------------------
     # observability

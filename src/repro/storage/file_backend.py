@@ -123,7 +123,7 @@ from .api import (
 from .records import RunRecord
 from .summary import meta_for_record
 
-__all__ = ["FileBackend", "holds_store", "read_record_payload"]
+__all__ = ["FileBackend", "holds_store", "read_record_payload", "record_files"]
 
 _INDEX_NAME = "index.json"
 #: Harvest-aggregate sidecar for the base generation.  Deliberately not a
@@ -184,6 +184,12 @@ def holds_store(root: Path) -> bool:
     """Whether *root* holds a store: a base index, or a sqlite database
     its first open converts."""
     return (root / _INDEX_NAME).exists() or (root / _SQLITE_NAME).exists()
+
+
+def record_files(root: Path) -> List[Path]:
+    """The record files in a store's directory: run ``<run_id>`` lives
+    at ``<root>/<run_id>.json``, so every ``*.json`` there but the index."""
+    return [p for p in root.glob("*.json") if p.name != _INDEX_NAME]
 
 
 def read_record_payload(path: Path) -> dict:
@@ -1137,10 +1143,7 @@ class FileBackend:
             old, generation = {}, 0
         if (self.root / _SQLITE_NAME).exists():
             old.update(self._convert_sqlite())
-        paths = sorted(
-            (p for p in self.root.glob("*.json") if p.name != _INDEX_NAME),
-            key=lambda p: p.stat().st_mtime,
-        )
+        paths = sorted(record_files(self.root), key=lambda p: p.stat().st_mtime)
         index: Dict[str, dict] = {}
         recovered = []
         quarantined: List[Path] = []

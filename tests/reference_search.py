@@ -38,7 +38,7 @@ from unittest import mock
 
 from repro.core.directives import ANY_HYPOTHESIS
 from repro.core.hypotheses import TOP_LEVEL
-from repro.core.search import PerformanceConsultantSearch
+from repro.core.search import PerformanceConsultantSearch, _weak_hook
 from repro.core.shg import NodeState, Priority, SHGNode
 from repro.metrics.instrumentation import (
     ActiveInstrumentation,
@@ -330,8 +330,8 @@ class ReferenceSearch(PerformanceConsultantSearch):
         wp = whole_program(self.space)
         for child in self.hypotheses.children(TOP_LEVEL):
             self._consider(child.name, wp, parent=root)
-        self.engine.schedule_periodic(self.config.check_period, lambda _: self.tick())
-        self.engine.on_finish(lambda _: self.final_pass())
+        self.engine.schedule_periodic(self.config.check_period, _weak_hook(self, "tick"))
+        self.engine.on_finish(_weak_hook(self, "final_pass"))
 
     def _consider(self, hypothesis: str, focus, parent: SHGNode) -> None:
         if is_pruned(self.directives, hypothesis, focus):

@@ -101,6 +101,35 @@ class TestProtocol:
             assert client.ping()
         assert list(empty.iterdir()) == []
 
+    def test_harvest_options_cross_the_wire(self, server, tmp_path):
+        """``harvest_options`` reach the harvest: with
+        ``include_thresholds`` the session tests against the thresholds
+        the history yields, without it against the defaults."""
+        import repro
+        from repro.apps.catalog import build_catalog_app
+        from repro.core.hypotheses import standard_tree
+        from repro.server import StorePool
+
+        runs = str(tmp_path / "runs")
+        repro.diagnose(build_catalog_app("poisson", "A", 100), store=runs,
+                       pool=None)
+        with StorePool() as pool:
+            harvested = pool.harvest(runs, app="poisson",
+                                     include_thresholds=True)
+        expected = {t.hypothesis: t.value for t in harvested.thresholds}
+        defaults = {h.name: h.default_threshold
+                    for h in standard_tree().testable()}
+        assert expected.keys() == defaults.keys() and expected != defaults
+
+        with ServerClient(server.host, server.port) as client:
+            def thresholds(**fields):
+                return client.diagnose("poisson", version="A", iterations=100,
+                                       history=runs, **fields)["thresholds"]
+
+            assert thresholds(
+                harvest_options={"include_thresholds": True}) == expected
+            assert thresholds() == defaults
+
     def test_unknown_op_is_error(self, server):
         with ServerClient(server.host, server.port) as client:
             event = next(client.request({"op": "frobnicate"}))

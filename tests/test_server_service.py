@@ -1,11 +1,14 @@
 """Tests for the concurrent session scheduler (DiagnosisService)."""
 
 import asyncio
+import os
 
 import pytest
 
 from repro.apps.synthetic import make_pingpong
 from repro.apps.tester import TesterConfig, build_tester
+from repro.campaign import PoolExecutor
+from repro.campaign.runner import _execute_payload
 from repro.core import SearchConfig
 from repro.core.consultant import DiagnosisSession
 from repro.obs import deterministic_metrics
@@ -340,3 +343,80 @@ class TestDiagnosisService:
             run_id="worker-run",
         ).run()
         assert comparable(record) == comparable(oneshot)
+
+
+def _die_if_doomed(payload):
+    """A campaign job whose worker process dies on the run id "doomed"."""
+    if payload["run_id"] == "doomed":
+        os._exit(3)
+    return _execute_payload(payload)
+
+
+class DyingPool(PoolExecutor):
+    """A real process pool whose child dies on the session "doomed"."""
+
+    def run(self, fn, payloads, timeout=None):
+        return super().run(_die_if_doomed, payloads, timeout)
+
+
+class TestWorkerPool:
+    """``executor=`` on a real process pool: each session is one campaign
+    job in a child process of its own."""
+
+    @staticmethod
+    def serve(executor, *run_ids, events=None, policy=None, **fields):
+        """Run tester sessions one after another; a session that fails
+        yields its exception in place of its record."""
+        async def main():
+            service = DiagnosisService(executor=executor, progress=events,
+                                       default_policy=policy)
+            out = []
+            for run_id in run_ids:
+                try:
+                    out.append(await service.run(SessionRequest(
+                        app="tester", iterations=20, run_id=run_id,
+                        **fields)))
+                except Exception as exc:  # noqa: BLE001 - the case checks it
+                    out.append(exc)
+            return out, service.server_metrics()
+
+        return run_service(main())
+
+    def test_record_equals_in_loop(self):
+        """Directives and the tenant-clamped config resolve on the loop
+        and reach the child; its record is the in-loop session's."""
+        from repro.core import extract_directives
+
+        history = extract_directives([DiagnosisSession(
+            app=build_tester(TesterConfig(iterations=20))).run()])
+        fields = dict(history=history, search={"cost_limit": 50.0},
+                      policy=TenantPolicy(cost_limit=2.0))
+        (pooled,), _ = self.serve(PoolExecutor(2), "directed", **fields)
+        (in_loop,), _ = self.serve(None, "directed", **fields)
+        (undirected,), _ = self.serve(None, "directed")
+        assert pooled.run_id == "directed"
+        assert pooled.config["cost_limit"] == 2.0
+        assert comparable(pooled) == comparable(in_loop)
+        assert comparable(pooled) != comparable(undirected)
+
+    def test_default_run_id_is_tagged_by_the_worker(self):
+        from repro.core.consultant import _current_process_tag
+
+        (pooled,), _ = self.serve(PoolExecutor(2), None)
+        (in_loop,), _ = self.serve(None, None)
+        assert _current_process_tag() in in_loop.run_id
+        assert pooled.run_id.startswith("tester-")
+        assert _current_process_tag() not in pooled.run_id
+
+    def test_dying_child_fails_only_its_own_session(self):
+        events = []
+        (doomed, after), metrics = self.serve(
+            DyingPool(2), "doomed", "after", events=events.append)
+        assert type(doomed).__name__ == "BrokenProcessPool"
+        assert after.run_id == "after" and after.status == "complete"
+        failed = [e for e in events if e["event"] == "session-failed"]
+        assert [e["error"].split(":")[0] for e in failed] == ["BrokenProcessPool"]
+        assert metrics["sessions_failed"] == 1
+        assert metrics["sessions_completed"] == 1
+        assert metrics["sessions_submitted"] == (
+            metrics["sessions_completed"] + metrics["sessions_failed"])
