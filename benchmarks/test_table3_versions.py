@@ -22,7 +22,7 @@ import math
 
 from repro.analysis import Table, format_reduction, format_seconds, reduction, time_to_fraction
 from repro.apps.poisson import build_poisson, version_maps
-from repro.core import DirectiveSet, ResourceMapper, run_diagnosis
+from repro.core import DirectiveSet, run_diagnosis
 
 from ._cache import (
     POISSON_CFG,
@@ -46,11 +46,8 @@ def run_table3():
         b_times = dict(base_times(target))
         cells[(target, "None")] = b_times[1.0]
         for source in VERSIONS:
-            if source == target:
-                directives = base_directives(target).without_pair_prunes()
-                maps = []
-            else:
-                directives = base_directives(source).without_pair_prunes()
+            directives = base_directives(source).without_pair_prunes()
+            if source != target:
                 maps = version_maps(source, target, poisson_app(source), poisson_app(target))
                 directives = directives.merged_with(DirectiveSet(maps=maps))
             rec = run_diagnosis(
@@ -58,8 +55,7 @@ def run_table3():
                 directives=directives,
                 config=search_config(stop=True),
             )
-            mapper = ResourceMapper(maps)
-            t = time_to_fraction(rec, solid, mapper=mapper)
+            t = time_to_fraction(rec, solid)
             cells[(target, source)] = t[1.0]
             reductions[(target, source)] = reduction(b_times[1.0], t[1.0])
 

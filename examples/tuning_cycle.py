@@ -23,7 +23,6 @@ from repro import (
     version_maps,
 )
 from repro.analysis import base_bottleneck_set, reduction, time_to_fraction
-from repro.core import ResourceMapper
 
 CFG = PoissonConfig(iterations=300)
 VERSIONS = ("A", "B", "C", "D")
@@ -58,7 +57,7 @@ def main() -> None:
                 run_id=f"cycle-{version}-directed",
             )
             store.save(directed)
-            t = time_to_fraction(directed, solid, mapper=ResourceMapper(maps))[1.0]
+            t = time_to_fraction(directed, solid)[1.0]
             print(f"   directed (history from {prev_version}): {t:7.0f} s "
                   f"({reduction(base_t, t):+.1f}%, {directed.pairs_tested} pairs)")
         previous = (version, app)

@@ -39,7 +39,6 @@ from .apps import (
     PoissonConfig,
     VERSIONS,
     build_poisson,
-    machine_maps,
     version_maps,
 )
 from .apps.anneal import AnnealConfig, build_anneal
@@ -101,7 +100,6 @@ __all__ = [
     "PoissonConfig",
     "VERSIONS",
     "build_poisson",
-    "machine_maps",
     "version_maps",
     "AnnealConfig",
     "build_anneal",

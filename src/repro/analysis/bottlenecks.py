@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.mapping import ResourceMapper
 from ..metrics.profile import FlatProfile
 from ..resources.focus import parse_focus
 from ..storage.records import RunRecord
@@ -151,22 +150,15 @@ def time_to_fraction(
     record: RunRecord,
     base_set: Iterable[Pair],
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
-    mapper: Optional[ResourceMapper] = None,
 ) -> Dict[float, float]:
     """Time (by the run's own clock) to rediscover fractions of *base_set*.
 
-    When comparing across code versions, *mapper* translates the base
-    pairs into the directed run's resource names first (Section 3.2).
-    Both sides are compared in canonical (machine-collapsed) form.
-    Returns ``inf`` for fractions never reached — pruning can miss
+    *base_set* names resources as the run does (the run's own version's
+    base set).  Both sides are compared in canonical (machine-collapsed)
+    form.  Returns ``inf`` for fractions never reached — pruning can miss
     bottlenecks, the robustness risk Section 3.1 calls out.
     """
-    base = list(dict.fromkeys(base_set))
-    if mapper is not None:
-        base = [
-            (hyp, str(mapper.map_focus(parse_focus(ftext)))) for hyp, ftext in base
-        ]
-    base = canonical_pairs(base, record.placement)
+    base = canonical_pairs(base_set, record.placement)
     found: Dict[Pair, float] = {}
     for (hyp, ftext), t in record.found_times().items():
         key = (hyp, canonicalize_focus(ftext, record.placement))

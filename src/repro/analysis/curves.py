@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.mapping import ResourceMapper
-from ..resources.focus import parse_focus
 from ..storage.records import RunRecord
 from ..visualize.charts import sparkline
 from .bottlenecks import Pair, canonical_pairs, canonicalize_focus
@@ -59,13 +57,9 @@ def discovery_curve(
     record: RunRecord,
     base_set: Iterable[Pair],
     label: Optional[str] = None,
-    mapper: Optional[ResourceMapper] = None,
 ) -> DiscoveryCurve:
     """Compute the step curve of base-set discovery for one run."""
-    base = list(dict.fromkeys(base_set))
-    if mapper is not None:
-        base = [(h, str(mapper.map_focus(parse_focus(f)))) for h, f in base]
-    base = canonical_pairs(base, record.placement)
+    base = canonical_pairs(base_set, record.placement)
     base_keys = set(base)
     found: Dict[Pair, float] = {}
     for (hyp, ftext), t in record.found_times().items():

@@ -4,7 +4,7 @@ from .anneal import AnnealConfig, build_anneal
 from .base import Application
 from .catalog import CATALOG_APPS, build_catalog_app
 from .ocean import OceanConfig, build_ocean
-from .poisson import PoissonConfig, VERSIONS, build_poisson, machine_maps, version_maps
+from .poisson import PoissonConfig, VERSIONS, build_poisson, version_maps
 from .synthetic import make_compute_app, make_io_app, make_pingpong
 from .tester import TesterConfig, build_tester
 
@@ -19,7 +19,6 @@ __all__ = [
     "PoissonConfig",
     "VERSIONS",
     "build_poisson",
-    "machine_maps",
     "version_maps",
     "make_compute_app",
     "make_io_app",

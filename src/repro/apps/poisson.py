@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+from ..core.automap import suggest_mappings
 from ..core.directives import MapDirective
 from ..simulator.process import (
     Barrier,
@@ -41,7 +42,7 @@ from ..simulator.process import (
 from .base import Application
 from .rng import UniformRows
 
-__all__ = ["PoissonConfig", "build_poisson", "VERSIONS", "version_maps", "machine_maps"]
+__all__ = ["PoissonConfig", "build_poisson", "VERSIONS", "version_maps"]
 
 
 @dataclass(frozen=True)
@@ -341,84 +342,24 @@ def build_poisson(version: str, config: PoissonConfig | None = None) -> Applicat
 # --------------------------------------------------------------------------
 # cross-version mappings (paper, Figure 3 and Section 4.3)
 # --------------------------------------------------------------------------
-_CODE_MAPS: Dict[Tuple[str, str], List[Tuple[str, str]]] = {
-    ("A", "B"): [
-        ("/Code/oned.f", "/Code/onednb.f"),
-        ("/Code/sweep.f", "/Code/nbsweep.f"),
-        ("/Code/sweep.f/sweep1d", "/Code/nbsweep.f/nbsweep"),
-        ("/Code/exchng1.f", "/Code/nbexchng.f"),
-        ("/Code/exchng1.f/exchng1", "/Code/nbexchng.f/nbexchng1"),
-    ],
-    ("A", "C"): [
-        ("/Code/oned.f", "/Code/twod.f"),
-        ("/Code/oned.f/setup1d", "/Code/twod.f/setupgrid"),
-        ("/Code/sweep.f", "/Code/sweep2d.f"),
-        ("/Code/sweep.f/sweep1d", "/Code/sweep2d.f/sweep2d"),
-        ("/Code/exchng1.f", "/Code/exchng2.f"),
-        ("/Code/exchng1.f/exchng1", "/Code/exchng2.f/exchng2"),
-        ("/Code/diff.f", "/Code/diff2d.f"),
-        ("/Code/diff.f/diff1d", "/Code/diff2d.f/diff2d"),
-        ("/SyncObject/Message/1", "/SyncObject/Message/3"),
-    ],
-    ("B", "C"): [
-        ("/Code/onednb.f", "/Code/twod.f"),
-        ("/Code/onednb.f/setup1d", "/Code/twod.f/setupgrid"),
-        ("/Code/nbsweep.f", "/Code/sweep2d.f"),
-        ("/Code/nbsweep.f/nbsweep", "/Code/sweep2d.f/sweep2d"),
-        ("/Code/nbexchng.f", "/Code/exchng2.f"),
-        ("/Code/nbexchng.f/nbexchng1", "/Code/exchng2.f/exchng2"),
-        ("/Code/diff.f", "/Code/diff2d.f"),
-        ("/Code/diff.f/diff1d", "/Code/diff2d.f/diff2d"),
-        ("/SyncObject/Message/1", "/SyncObject/Message/3"),
-    ],
-    ("C", "D"): [],
-}
-
-# Tag families: A/B use message type 1, C/D type 3.
-_TAG_FAMILY = {"A": "1", "B": "1", "C": "3", "D": "3"}
-
-
-def _invert(maps: List[Tuple[str, str]]) -> List[Tuple[str, str]]:
-    return [(b, a) for a, b in maps]
-
-
-def _code_maps(src: str, dst: str) -> List[Tuple[str, str]]:
-    # D runs the same code as C, so canonicalise D to C for code renames.
-    s = "C" if src == "D" else src
-    d = "C" if dst == "D" else dst
-    if s == d:
-        return []
-    if (s, d) in _CODE_MAPS:
-        return list(_CODE_MAPS[(s, d)])
-    if (d, s) in _CODE_MAPS:
-        return _invert(_CODE_MAPS[(d, s)])
-    raise ValueError(f"no code mapping between versions {src!r} and {dst!r}")
-
-
-def machine_maps(src_app: Application, dst_app: Application) -> List[MapDirective]:
-    """Pair the two runs' machine nodes positionally ("we mapped each pair
-    of machine resources", Section 4.3); extra destination nodes (the 4->8
-    node case) are left unmapped and get discovered fresh."""
-    out = []
-    for a, b in zip(src_app.node_names, dst_app.node_names):
-        if a != b:
-            out.append(MapDirective(f"/Machine/{a}", f"/Machine/{b}"))
-    return out
-
-
 def version_maps(src: str, dst: str, src_app: Application | None = None,
                  dst_app: Application | None = None) -> List[MapDirective]:
-    """Full mapping directive list for using *src*-version directives to
-    diagnose a *dst*-version run: code renames, tag-family renames, and
-    (when both apps are given) machine-node pairings."""
-    maps = [MapDirective(a, b) for a, b in _code_maps(src, dst)]
-    fam_src, fam_dst = _TAG_FAMILY[src], _TAG_FAMILY[dst]
-    if fam_src != fam_dst and not any(
-        m.old == f"/SyncObject/Message/{fam_src}" for m in maps
-    ):
-        maps.append(
-            MapDirective(f"/SyncObject/Message/{fam_src}", f"/SyncObject/Message/{fam_dst}")
-        )
+    """Mapping directive list for using *src*-version directives to
+    diagnose a *dst*-version run, derived by :func:`suggest_mappings` from
+    the two versions' static resource spaces: code renames (Figure 3) and
+    the message-tag family, plus positional machine-node pairings when
+    both apps are given ("we mapped each pair of machine resources",
+    Section 4.3; extra destination nodes stay unmapped and are discovered
+    fresh).  An omitted app is the version's default build.  Directives
+    come in the source space's pre-order, hierarchy by hierarchy, the
+    order Figure 3 prints them in."""
+    hierarchies = ("Code", "SyncObject")
     if src_app is not None and dst_app is not None:
-        maps.extend(machine_maps(src_app, dst_app))
-    return maps
+        hierarchies += ("Machine",)
+    old_space = (src_app or build_poisson(src)).make_space()
+    new_space = (dst_app or build_poisson(dst)).make_space()
+    old = {h: old_space.hierarchy(h).names() for h in hierarchies}
+    new = {h: new_space.hierarchy(h).names() for h in hierarchies}
+    order = {name: i for i, name in enumerate(n for h in hierarchies for n in old[h])}
+    return sorted((s.directive for s in suggest_mappings(old, new)),
+                  key=lambda m: order[m.old])

@@ -5,11 +5,12 @@ import pytest
 from repro.apps import Application, PoissonConfig, VERSIONS, build_poisson, version_maps
 from repro.apps.anneal import AnnealConfig, build_anneal
 from repro.apps.ocean import OceanConfig, build_ocean
-from repro.apps.poisson import machine_maps
 from repro.apps.tester import TesterConfig, build_tester
 from repro.core.mapping import ResourceMapper
 from repro.metrics.profile import ProfileCollector
 from repro.simulator import Activity, Compute
+
+from tests.reference_maps import reference_version_maps
 
 
 SMALL = PoissonConfig(iterations=40)
@@ -167,18 +168,29 @@ class TestVersionMaps:
             # everything mapped from A must resolve to a B resource
             assert mapped in dst_space, f"{name} -> {mapped} missing in B"
 
+    @staticmethod
+    def machine_subset(src, dst):
+        maps = version_maps(src, dst, build_poisson(src, SMALL), build_poisson(dst, SMALL))
+        return [m for m in maps if m.old.startswith("/Machine/")]
+
     def test_machine_maps_positional(self):
-        a = build_poisson("A", SMALL)
-        b = build_poisson("B", SMALL)
-        maps = machine_maps(a, b)
+        maps = self.machine_subset("A", "B")
         assert len(maps) == 4
         assert maps[0].old == "/Machine/node00" and maps[0].new == "/Machine/node04"
 
     def test_machine_maps_partial_for_more_nodes(self):
-        c = build_poisson("C", SMALL)
-        d = build_poisson("D", SMALL)
-        maps = machine_maps(c, d)
+        maps = self.machine_subset("C", "D")
         assert len(maps) == 4  # only the first 4 of D's 8 nodes pair up
+
+    @pytest.mark.parametrize("apps_given", [0, 1, 2], ids=["bare", "src-app", "apps"])
+    @pytest.mark.parametrize("src", VERSIONS)
+    @pytest.mark.parametrize("dst", VERSIONS)
+    def test_equals_hand_tables(self, src, dst, apps_given):
+        """Derived maps equal the paper's hand tables as a list: Figure 3
+        prints them in this order.  Machines pair only when both apps
+        are given."""
+        apps = (build_poisson(src, SMALL), build_poisson(dst, SMALL))[:apps_given]
+        assert version_maps(src, dst, *apps) == reference_version_maps(src, dst, *apps)
 
 
 class TestOtherApps:

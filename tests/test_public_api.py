@@ -31,7 +31,7 @@ SURFACE = {
         "apply_mappings", "build_anneal", "build_ocean", "build_poisson",
         "build_tester", "diagnose", "extract_directives",
         "extract_priorities", "extract_thresholds", "harvest",
-        "intersect_directives", "machine_maps", "make_compute_app",
+        "intersect_directives", "make_compute_app",
         "make_io_app", "make_pingpong", "parse_focus", "resolve_store",
         "run_diagnosis", "standard_tree", "suggest_threshold",
         "union_directives", "version_maps", "whole_program"
