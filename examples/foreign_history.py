@@ -37,7 +37,12 @@ CFG = PoissonConfig(iterations=300)
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-foreign-"))
+    # The trace lives for this run only: the directory goes when main ends.
+    with tempfile.TemporaryDirectory(prefix="repro-foreign-") as workdir:
+        scenario(Path(workdir))
+
+
+def scenario(workdir: Path) -> None:
     trace_path = workdir / "versionA.trace"
 
     print("== 1. run version A under a plain tracer (no Consultant) ==")

@@ -29,7 +29,16 @@ VERSIONS = ("A", "B", "C", "D")
 
 
 def main() -> None:
-    store = ExperimentStore(tempfile.mkdtemp(prefix="repro-tuning-"))
+    # The store lives for this run only: the directory goes when main ends.
+    with tempfile.TemporaryDirectory(prefix="repro-tuning-") as root:
+        store = ExperimentStore(root)
+        try:
+            cycle(store)
+        finally:
+            store.close()
+
+
+def cycle(store: ExperimentStore) -> None:
     previous = None  # (version label, Application)
 
     for version in VERSIONS:

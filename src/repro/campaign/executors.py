@@ -26,9 +26,7 @@ the backstop for non-simulator stalls.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
 __all__ = ["SerialExecutor", "PoolExecutor", "RunTimeout", "default_executor"]
@@ -101,6 +99,8 @@ class PoolExecutor:
     """
 
     def __init__(self, workers: int = 4, start_method: str | None = None):
+        import multiprocessing  # here, so `import repro` loads no pool
+
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
@@ -115,6 +115,8 @@ class PoolExecutor:
         payloads: Sequence[Any],
         timeout: Optional[float] = None,
     ) -> Iterator[Outcome]:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         payloads = list(payloads)
         if not payloads:
             return

@@ -10,7 +10,10 @@ dependencies.  Ops:
 * ``{"op": "diagnose", "app": "poisson", ...}`` → streamed
   ``session-*`` progress events (when ``"progress": true``) ending with
   ``{"event": "result", "record": {...}}`` or ``{"event": "error"}``.
-  Fields mirror :class:`~repro.server.service.SessionRequest`.
+  Fields mirror :class:`~repro.server.service.SessionRequest`.  The
+  record is the store's :mod:`~repro.storage.codec` form, spliced in as
+  the record's memoised text (a record a store saved is not encoded
+  again); :meth:`ServerClient.diagnose` decodes it to ``to_dict()``.
 
 A request line longer than 64 KiB (asyncio's stream limit) is answered
 with one ``error`` event naming the limit, and the connection closed.
@@ -36,6 +39,7 @@ import threading
 from typing import Any, Dict, Iterator, Optional, Set
 
 from ..obs.metrics import metrics_to_prometheus
+from ..storage.codec import decode
 from .service import DiagnosisService, ServerBusy, SessionRequest
 
 __all__ = ["start_server", "serve_forever", "ServerClient", "ServerThread"]
@@ -154,7 +158,9 @@ async def _handle_diagnose(service, message, send, writer) -> None:
             "event": "error", "error": f"{type(exc).__name__}: {exc}",
         })
     else:
-        await send({"event": "result", "record": record.to_dict()})
+        writer.write(b'{"event": "result", "record": %s}\n'
+                     % record.encoded().encode())
+        await writer.drain()
 
 
 async def start_server(
@@ -243,7 +249,8 @@ class ServerClient:
         return next(self.request({"op": "metrics"}))
 
     def diagnose(self, app: str, *, progress=None, **fields) -> Dict[str, Any]:
-        """Run one diagnosis; returns the record as a dict.
+        """Run one diagnosis; returns the record as a dict (its
+        ``RunRecord.to_dict()``, decoded from the result event).
 
         Raises :class:`ServerBusy` on backpressure rejection and
         :class:`RuntimeError` on a server-side failure.  ``progress``
@@ -255,7 +262,7 @@ class ServerClient:
         for event in self.request(message):
             kind = event.get("event")
             if kind == "result":
-                return event["record"]
+                return decode(event["record"])
             if kind == "rejected":
                 raise ServerBusy(event.get("error", "rejected"))
             if kind == "error":

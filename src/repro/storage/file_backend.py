@@ -1,10 +1,13 @@
 """Directory-backed storage: file-per-record bodies + a sharded index.
 
-Record bodies are per-run JSON files written via atomic rename and
-wrapped in a SHA-256 envelope (``{"format": 2, "sha256": ..., "record":
-{...}}``); a file that fails its check is *quarantined* — moved to
-``<store>/quarantine/`` and dropped from the index — never silently
-skipped or half-read.
+Record bodies are per-run files written via atomic rename: a format-3
+envelope ``{"format": 3, "sha256": "<hex>", "record": <codec text>}``
+around the record's :mod:`~repro.storage.codec` text (``shg_nodes`` as
+columns over one string table), the SHA-256 taken over that text
+exactly as stored.  A read hashes the stored bytes and parses them once;
+nothing is re-encoded to verify it.  A file that fails its check is
+*quarantined* — moved to ``<store>/quarantine/`` and dropped from the
+index — never silently skipped or half-read.
 
 The index is **sharded into append-only segments** so a save is O(1)
 instead of O(store):
@@ -70,19 +73,21 @@ stamp) rebuilds it from the merged view it holds under the lock, so
 coverage is short until the next put, never until the next compaction.
 Absent or short, never wrong or double-counted.
 
-The reader knows this one layout, and it is the only store there is.
-A store written before the layout stamp — checksum-less records, a bare
+The reader knows this one layout, layout 3, and it is the only store
+there is.  A store written before it — checksum-less records, a bare
 format-2 index without summaries, a sidecar without ``through``, no
 claim file, layout 1's index files with every pair spelled out as two
-strings, or the single-file ``store.sqlite3`` database older releases
-offered beside the files — is converted once, by the open that
-first finds no current stamp next to ``index.json`` or the database:
+strings, layout 2's format-2 record envelopes (the payload spelled out,
+its sha256 over the payload's sorted JSON), or the single-file
+``store.sqlite3`` database older releases offered beside the files — is
+converted once, by the open that first finds no current stamp next to
+``index.json`` or the database:
 under the store lock (re-checked there, so racing opens convert once) it
 runs ``rebuild()``, the one converter, which is also ``repro store
 rebuild``.  A database is converted in this order, and a crash at any
 point converts again on the next open:
 
-1. every ``runs`` row becomes a record envelope and keeps its ``seq``;
+1. every ``runs`` row becomes a format-3 envelope and keeps its ``seq``;
    a row that fails its sha256, and every row of the ``quarantine``
    table, becomes a file in ``quarantine/`` (one name per row, so a
    second pass rewrites the same files);
@@ -99,6 +104,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from collections import OrderedDict
@@ -113,6 +119,7 @@ except ImportError:  # pragma: no cover - exercised only off-POSIX
 
 from ..core.extraction import HarvestAggregate
 from ..faults import io as io_faults
+from . import codec
 from .api import (
     CompactionStats,
     RecoveryReport,
@@ -136,7 +143,13 @@ _SEGMENTS_DIR = "segments"
 _STATE_NAME = "_state.json"
 #: The database of the sqlite store older releases wrote; converted once.
 _SQLITE_NAME = "store.sqlite3"
-_RECORD_FORMAT = 2
+_RECORD_FORMAT = 3
+#: A record file: this head, carrying the sha256 of the record's codec
+#: text, then the text itself and a closing ``}``.  The checksum covers
+#: the stored bytes, so a read hashes them as they lie.
+_RECORD_HEAD = '{"format": %d, "sha256": "%%s", "record": ' % _RECORD_FORMAT
+_RECORD_HEAD_RE = re.compile(
+    re.escape(_RECORD_HEAD).replace("%s", "([0-9a-f]{64})").encode())
 #: On-disk base-index format: a ``{"format": 4, "pairs": [...], "runs":
 #: {...}}`` envelope whose per-run metadata carries a denormalized query
 #: summary, its ``true_pairs``/``false_pairs`` as indices into ``pairs``.
@@ -148,25 +161,27 @@ _SEGMENT_FORMAT = 2
 _AGGREGATE_FORMAT = 2
 #: The layout stamp in the claim file.  An open that finds ``index.json``
 #: stamped lower (or not at all) converts the store with ``rebuild()``;
-#: layout 1 spelled every pair out as two strings in every summary.
-_LAYOUT_FORMAT = 2
+#: layout 1 spelled every pair out as two strings in every summary, and
+#: layout 2 wrapped format-2 record envelopes.
+_LAYOUT_FORMAT = 3
 _SEGMENT_CACHE_SIZE = 4096
 #: The summary fields an index file stores as pair-table indices.
 _PAIR_FIELDS = ("true_pairs", "false_pairs")
-
-
-def _canonical(payload: dict) -> str:
-    """The canonical JSON encoding of a record dict (what is hashed)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _checksum(payload: dict) -> str:
-    """SHA-256 over the canonical JSON encoding of a record dict."""
-    return _sha256(_canonical(payload))
+def _legacy_checksum(payload: dict) -> str:
+    """What a format-2 envelope and a sqlite row hashed: the sorted,
+    compact JSON of the record dict.  Only conversion reads it."""
+    return _sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+
+
+def _envelope(text: str) -> Tuple[str, str, str]:
+    """A record file in pieces: the envelope around codec *text*."""
+    return (_RECORD_HEAD % _sha256(text), text, "}")
 
 
 def _stat_sig(path: Path) -> Tuple[int, int, int]:
@@ -193,25 +208,44 @@ def record_files(root: Path) -> List[Path]:
 
 
 def read_record_payload(path: Path) -> dict:
-    """Parse one record file and verify its checksum.
+    """One record file's payload: its record text hashed exactly as
+    stored, then parsed and decoded once.
 
     Raises ``StoreCorruption`` (without quarantining — callers decide)
-    on unparseable JSON, a malformed envelope, or a checksum mismatch.
+    on a file that is no current envelope, a checksum mismatch, or a
+    text that decodes to no record payload.
     """
     io_faults.check("read", path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    head = _RECORD_HEAD_RE.match(raw)
+    if head is None or not raw.endswith(b"}"):
+        raise StoreCorruption(f"{path.name}: {_misshapen(raw)}")
+    body = raw[head.end():-1]
+    if hashlib.sha256(body).hexdigest().encode() != head.group(1):
+        raise StoreCorruption(f"{path.name}: payload checksum mismatch")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise StoreCorruption(f"{path.name}: unparseable record file ({exc})")
-    if not isinstance(data, dict):
-        raise StoreCorruption(f"{path.name}: record file is not an object")
-    payload = data.get("record")
+        payload = codec.decode(json.loads(body))
+    except (ValueError, AttributeError, IndexError, KeyError,
+            TypeError, StopIteration) as exc:
+        raise StoreCorruption(
+            f"{path.name}: undecodable record text ({exc!r})") from None
     if not isinstance(payload, dict) or "run_id" not in payload:
         raise StoreCorruption(f"{path.name}: envelope has no record payload")
-    if _checksum(payload) != data.get("sha256"):
-        raise StoreCorruption(f"{path.name}: payload checksum mismatch")
     return payload
+
+
+def _misshapen(raw: bytes) -> str:
+    """Why *raw* is no current record envelope, as a reader can act on."""
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:
+        return f"unparseable record file ({exc})"
+    if not isinstance(data, dict) or not isinstance(data.get("record"), dict):
+        return "envelope has no record payload"
+    return (f"format {data.get('format')!r} envelope is not the format-"
+            f"{_RECORD_FORMAT} one this layout writes (run `repro store "
+            "rebuild`)")
 
 
 @contextmanager
@@ -318,10 +352,11 @@ class FileBackend:
     docstring for the on-disk layout and the crash-safety argument.
 
     The backend persists two things: **record payloads** (the full
-    ``RunRecord.to_dict()`` JSON, integrity-checked) and **index metas**
-    (small dicts carrying ``app_name``/``version``/``seq``/... and a
-    ``"summary"`` for the query fast path).  Every index read presents
-    one merged, seq-ordered view however the index is sharded.
+    ``RunRecord.to_dict()``, as its integrity-checked codec text) and
+    **index metas** (small dicts carrying ``app_name``/``version``/
+    ``seq``/... and a ``"summary"`` for the query fast path).  Every
+    index read presents one merged, seq-ordered view however the index
+    is sharded.
 
     Concurrency contract: :meth:`put`, :meth:`delete`, :meth:`rebuild`
     and :meth:`compact` are safe against concurrent writer *processes*
@@ -896,13 +931,8 @@ class FileBackend:
     def _record_file(self, run_id: str) -> Path:
         return self.root / f"{run_id}.json"
 
-    def _write_record(self, path: Path, payload: dict) -> None:
-        # One serialisation: the canonical text that is hashed is the
-        # text that is stored (readers re-derive it from the parsed payload).
-        canonical = _canonical(payload)
-        _atomic_write(path, (
-            '{"format": %d, "sha256": "%s", "record": '
-            % (_RECORD_FORMAT, _sha256(canonical)), canonical, "}"))
+    def _write_record(self, path: Path, text: str) -> None:
+        _atomic_write(path, _envelope(text))
 
     def _quarantine(self, path: Path) -> Path:
         """Move a corrupt file out of the store (index entry included).
@@ -935,9 +965,10 @@ class FileBackend:
     # ------------------------------------------------------------------
     # records
     # ------------------------------------------------------------------
-    def put(self, run_id: str, payload: dict, meta: dict,
+    def put(self, run_id: str, text: str, meta: dict,
             *, overwrite: bool = False) -> Tuple[int, Hashable]:
-        """Persist one record payload and its index meta atomically.
+        """Persist one record, as its codec text
+        (:meth:`RunRecord.encoded`), and its index meta atomically.
 
         Assigns the record's ``seq`` — monotonic for new runs, preserved
         on overwrite — and returns ``(seq, record_token)`` where the
@@ -973,7 +1004,7 @@ class FileBackend:
             counter = state["counter"]
             state["counter"] = counter + 1
             self._write_state(state)
-            self._write_record(path, payload)
+            self._write_record(path, text)
             self._seal_segment(counter, [
                 {"op": "put", "run_id": run_id, "meta": dict(meta, seq=seq)}],
                 view_key)
@@ -1063,17 +1094,26 @@ class FileBackend:
             return self._rebuild()
 
     def _adopt_record(self, path: Path) -> RunRecord:
-        """One record file as ``rebuild`` re-indexes it.  A bare record
-        dict — format 1, from before checksums — is read here and only
-        here, and rewritten on the spot as a checksummed envelope."""
+        """One record file as ``rebuild`` re-indexes it.  The files of
+        older layouts are read here and only here, and rewritten on the
+        spot as current envelopes: a bare record dict (format 1, from
+        before checksums) and a format-2 envelope (its payload spelled
+        out, its sha256 over the payload's sorted JSON)."""
         try:
             return RunRecord.from_dict(read_record_payload(path))
         except StoreCorruption:
             data = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(data, dict) or "format" in data:
+            if not isinstance(data, dict):
                 raise
-            record = RunRecord.from_dict(data)
-            self._write_record(path, data)
+            if "format" not in data:
+                payload = codec.decode(data)
+            elif data["format"] == 2 and isinstance(data.get("record"), dict) \
+                    and _legacy_checksum(data["record"]) == data.get("sha256"):
+                payload = data["record"]
+            else:
+                raise
+            record = RunRecord.from_dict(payload)
+            self._write_record(path, codec.encode(payload))
             return record
 
     def _convert_sqlite(self) -> Dict[str, dict]:
@@ -1099,10 +1139,12 @@ class FileBackend:
         for run_id, seq, text, sha in rows:
             try:
                 payload = json.loads(text)
-            except (TypeError, ValueError):
-                payload = None
-            if isinstance(payload, dict) and _checksum(payload) == sha:
-                self._write_record(self._record_file(run_id), payload)
+                encoded = codec.encode(payload) \
+                    if _legacy_checksum(payload) == sha else None
+            except (AttributeError, TypeError, ValueError):
+                encoded = None
+            if encoded is not None:
+                self._write_record(self._record_file(run_id), encoded)
                 seqs[run_id] = {"seq": seq}
             else:
                 rejected.append((f"{run_id}.sqlite.json", {

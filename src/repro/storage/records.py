@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.shg import NodeState, SearchHistoryGraph
 from ..metrics.profile import FlatProfile
 from ..resources.resource import ResourceSpace
+from .codec import encode
 
 __all__ = ["RunRecord"]
 
@@ -37,10 +38,11 @@ class RunRecord:
     """A complete, serialisable description of one diagnosed execution.
 
     The reconstruction helpers (:meth:`shg`, :meth:`space`,
-    :meth:`flat_profile`) are memoised: history consumers call them per
-    query, and rebuilding a :class:`FlatProfile` from its dict on every
-    access dominated cross-run extraction.  The cache is invalidated when
-    the backing field is *reassigned*; mutating a backing container in
+    :meth:`flat_profile`) and the codec text (:meth:`encoded`) are
+    memoised: history consumers call them per query, and rebuilding a
+    :class:`FlatProfile` from its dict on every access dominated
+    cross-run extraction.  The cache is invalidated when the backing
+    field is *reassigned*; mutating a backing container in
     place (``record.shg_nodes.append(...)``) is not detectable — call
     :meth:`invalidate_caches` after doing so.
     """
@@ -83,6 +85,7 @@ class RunRecord:
     def __setattr__(self, name, value) -> None:
         memo = self.__dict__.get("_memo")
         if memo:
+            memo.pop("encoded", None)  # every field feeds the codec text
             for key in _MEMO_DEPS.get(name, ()):
                 memo.pop(key, None)
         object.__setattr__(self, name, value)
@@ -174,6 +177,12 @@ class RunRecord:
     # ------------------------------------------------------------------
     # serialisation
     # ------------------------------------------------------------------
+    def encoded(self) -> str:
+        """The codec text of :meth:`to_dict` (:mod:`repro.storage.codec`):
+        what a store writes and a server sends, encoded once per record.
+        Reassigning any field drops it."""
+        return self._memoised("encoded", lambda: encode(self.to_dict()))
+
     def to_dict(self) -> dict:
         return {
             "run_id": self.run_id,

@@ -401,7 +401,7 @@ class ExperimentStore:
         meta = meta_for_record(record)  # outside the lock: pure CPU
         _seq, token = self._call(
             self._backend.put,
-            record.run_id, record.to_dict(), meta, overwrite=overwrite,
+            record.run_id, record.encoded(), meta, overwrite=overwrite,
         )
         self._cache.put(record.run_id, token, record, weak=True)
         self._maybe_auto_compact()

@@ -75,7 +75,7 @@ from repro.facade import harvest  # noqa: E402
 from repro.faults import io as io_faults  # noqa: E402
 from repro.faults.io import IOFaultPlan, SimulatedCrash  # noqa: E402
 from repro.resilience import ResiliencePolicy  # noqa: E402
-from repro.storage.file_backend import _checksum  # noqa: E402
+from repro.storage.file_backend import _envelope  # noqa: E402
 from repro.storage.records import RunRecord  # noqa: E402
 from repro.storage.store import ExperimentStore  # noqa: E402
 from repro.storage.summary import meta_for_record  # noqa: E402
@@ -357,15 +357,15 @@ def _schedule_harvest(seed: int, rng: random.Random,
 def _lay_down_oldest(root: Path, records: Sequence[RunRecord]) -> None:
     """A file store in the oldest layout the converter reads: a bare
     format-2 index without summaries, the first record a checksum-less
-    format-1 dict, a format-1 sidecar (claiming, wrongly, to cover the
-    base) and no claim file."""
+    format-1 dict (the others as the current writer writes them), a
+    format-1 sidecar (claiming, wrongly, to cover the base) and no claim
+    file."""
     root.mkdir(parents=True)
     runs = {}
     for seq, record in enumerate(records):
-        payload = record.to_dict()
-        body = payload if seq == 0 else {
-            "format": 2, "sha256": _checksum(payload), "record": payload}
-        (root / f"{record.run_id}.json").write_text(json.dumps(body))
+        (root / f"{record.run_id}.json").write_text(
+            json.dumps(record.to_dict()) if seq == 0
+            else "".join(_envelope(record.encoded())))
         runs[record.run_id] = {k: v for k, v in meta_for_record(record).items()
                                if k != "summary"} | {"seq": seq}
     (root / "index.json").write_text(json.dumps(runs))
@@ -376,17 +376,16 @@ def _lay_down_oldest(root: Path, records: Sequence[RunRecord]) -> None:
 
 
 def _lay_down_layout1(root: Path, records: Sequence[RunRecord]) -> None:
-    """A file store in the segmented layout 1 the previous release
-    wrote: a format-3 base holding the first record, one format-1
-    segment per further record with every pair spelled out as two
-    strings, a format-2 sidecar covering them all and a claim file
-    stamped 1."""
+    """A file store in the segmented layout 1 an older release wrote
+    (its records as the current writer writes them): a format-3 base
+    holding the first record, one format-1 segment per further record
+    with every pair spelled out as two strings, a format-2 sidecar
+    covering them all and a claim file stamped 1."""
     (root / "segments").mkdir(parents=True)
     metas = [dict(meta_for_record(r), seq=seq) for seq, r in enumerate(records)]
     for record in records:
-        payload = record.to_dict()
-        (root / f"{record.run_id}.json").write_text(json.dumps({
-            "format": 2, "sha256": _checksum(payload), "record": payload}))
+        (root / f"{record.run_id}.json").write_text(
+            "".join(_envelope(record.encoded())))
     (root / "index.json").write_text(json.dumps({
         "format": 3, "generation": 1,
         "runs": {records[0].run_id: metas[0]}}))

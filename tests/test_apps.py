@@ -234,6 +234,29 @@ def test_negative_iterations_rejected_at_build(name, version):
         build_catalog_app(name, version, iterations=-1)
 
 
+def test_pool_machinery_stays_out_of_the_cli():
+    """``multiprocessing`` and ``concurrent.futures`` are imported where
+    a process pool is made: a fresh interpreter importing the package
+    and its CLI loads neither, and making a pool loads both."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys, repro, repro.cli\n"
+        "pool = {'multiprocessing', 'concurrent.futures'}\n"
+        "assert not pool & set(sys.modules), pool & set(sys.modules)\n"
+        "from repro.campaign.executors import PoolExecutor\n"
+        "assert list(PoolExecutor(workers=1).run(abs, [-1])) == [(0, 1)]\n"
+        "assert pool <= set(sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_numpy_stays_out_of_the_process():
     """The applications draw their jitter in pure Python: importing the
     package, its CLI and its server and running a diagnosis loads no

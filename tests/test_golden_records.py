@@ -170,6 +170,15 @@ class TestGoldenRecord:
     def test_whole_record_digest(self, got, want, kind):
         assert got[kind]["sha256"] == want[kind]["sha256"]
 
+    def test_codec_round_trips(self, golden_runs, kind):
+        """The store's and the wire's text of the record decodes to its
+        ``to_dict()``, key order, float signs and all."""
+        from repro.storage.codec import decode
+
+        record = golden_runs[0][kind]
+        got = decode(json.loads(record.encoded()))
+        assert json.dumps(got) == json.dumps(record.to_dict())
+
     def test_summary_is_golden(self, golden_runs, kind):
         want = json.loads(SUMMARY_GOLDEN.read_text())[kind]
         got = json.loads(json.dumps(summary_view(golden_runs[0][kind])))

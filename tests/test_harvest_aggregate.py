@@ -310,7 +310,7 @@ def test_put_without_a_summary_is_refused(tmp_path):
         meta = dict(bare, summary=summary) if summary else \
             {k: v for k, v in bare.items() if k != "summary"}
         with pytest.raises(StoreError, match="no summary"):
-            store.backend.put("run-009", make_run(9).to_dict(), meta)
+            store.backend.put("run-009", make_run(9).encoded(), meta)
     assert store.index_token() == token
     assert "run-009" not in store
 

@@ -1,6 +1,6 @@
 """Stores from before the layout stamp: converted once on open.
 
-Seven layouts older releases left on disk are laid down here by hand,
+Eight layouts older releases left on disk are laid down here by hand,
 byte by byte, so the fixtures stay what those releases wrote whatever
 the current writer does:
 
@@ -17,6 +17,10 @@ the current writer does:
 * ``segments-layout1`` — the same store stamped layout 1: a format-3
   base and format-1 segments that spell every ``[hypothesis, focus]``
   pair out as two strings, beside a format-2 sidecar;
+* ``segments-layout2`` — the same store stamped layout 2: a format-4
+  base and format-2 segments, each with its own pair table, and
+  format-2 record envelopes whose sha256 covers the sorted JSON of the
+  payload they spell out;
 * ``sqlite-schema1`` — the single ``store.sqlite3`` database of the
   sqlite backend older releases offered, written through its schema
   (:data:`SQLITE_SCHEMA`, copied here), with one row that fails its
@@ -32,7 +36,8 @@ the only store, where the sqlite backend still read the database (after
 the first load of each run had quarantined the corrupt row);
 ``segments-layout1`` at the parent of the change that gave every index
 file its own pair table, where layout 1 was current and opened without
-a conversion.  Opening
+a conversion; ``segments-layout2`` at the parent of the change that
+gave records their columnar codec, where layout 2 was current.  Opening
 the same bytes now must give the same three answers.  Regenerate (only
 when the answers are meant to move) with ``PYTHONPATH=src python
 tests/test_legacy_stores.py``.
@@ -61,7 +66,7 @@ from tests.test_harvest_aggregate import make_run
 GOLDEN = Path(__file__).parent / "golden" / "legacy_stores.json"
 LAYOUTS = ("monolithic-format3", "bare-format2", "format1-records",
            "format1-sidecar", "segments-unstamped", "segments-layout1",
-           "sqlite-schema1")
+           "sqlite-schema1", "segments-layout2")
 
 #: Five runs, the last of a second app, so every scope is exercised.
 RECORDS = [make_run(i, app="aggtest" if i < 4 else "other") for i in range(5)]
@@ -80,6 +85,20 @@ def _sha(value) -> str:
 def _write(path: Path, data) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=1, sort_keys=True))
+
+
+def _with_pair_table(metas) -> tuple:
+    """*metas* as a layout-2 index file holds them, each summary's pairs
+    as indices into the file's pair table, and that table."""
+    ids = {}
+    out = []
+    for meta in metas:
+        summary = dict(meta["summary"])
+        for field in ("true_pairs", "false_pairs"):
+            summary[field] = [ids.setdefault(tuple(pair), len(ids))
+                              for pair in summary[field]]
+        out.append(dict(meta, summary=summary))
+    return out, [list(pair) for pair in ids]
 
 
 def _stat_sig(path: Path) -> list:
@@ -175,15 +194,18 @@ def lay_down(root: Path, layout: str) -> None:
         lay_down_sqlite(root, RECORDS, MONOLITHIC_SEQS, corrupt=True)
         return
     root.mkdir(parents=True)
+    layout2 = layout == "segments-layout2"
     for record in RECORDS:
         payload = record.to_dict()
+        sha = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
         if layout == "format1-records":
-            body = payload
+            text = json.dumps(payload)
+        elif layout2:  # the layout-2 writer's bytes
+            text = '{"format": 2, "sha256": "%s", "record": %s}' % (
+                sha, _canonical(payload))
         else:
-            body = {"format": 2, "record": payload,
-                    "sha256": hashlib.sha256(
-                        _canonical(payload).encode("utf-8")).hexdigest()}
-        (root / f"{record.run_id}.json").write_text(json.dumps(body))
+            text = json.dumps({"format": 2, "record": payload, "sha256": sha})
+        (root / f"{record.run_id}.json").write_text(text)
     if layout in ("monolithic-format3", "bare-format2", "format1-records"):
         runs = {}
         for record, seq in zip(RECORDS, MONOLITHIC_SEQS):
@@ -195,12 +217,23 @@ def lay_down(root: Path, layout: str) -> None:
         return
     # segmented: two runs in generation 1's base, one sealed put each after
     metas = [dict(meta_for_record(r), seq=seq) for seq, r in enumerate(RECORDS)]
-    _write(root / "index.json", {"format": 3, "generation": 1, "runs": {
-        r.run_id: meta for r, meta in zip(RECORDS[:2], metas[:2])}})
+    if layout2:
+        base, pairs = _with_pair_table(metas[:2])
+        _write(root / "index.json", {"format": 4, "generation": 1,
+                                     "pairs": pairs, "runs": {
+            r.run_id: meta for r, meta in zip(RECORDS[:2], base)}})
+    else:
+        _write(root / "index.json", {"format": 3, "generation": 1, "runs": {
+            r.run_id: meta for r, meta in zip(RECORDS[:2], metas[:2])}})
     names = []
     for counter, (record, meta) in enumerate(zip(RECORDS[2:], metas[2:])):
-        segment = {"format": 1, "ops": [
-            {"op": "put", "run_id": record.run_id, "meta": meta}]}
+        if layout2:
+            (put,), pairs = _with_pair_table([meta])
+            segment = {"format": 2, "pairs": pairs, "ops": [
+                {"op": "put", "run_id": record.run_id, "meta": put}]}
+        else:
+            segment = {"format": 1, "ops": [
+                {"op": "put", "run_id": record.run_id, "meta": meta}]}
         if layout == "format1-sidecar":  # ignored by readers: poisoned
             segment["aggregate"] = dict(
                 _aggregates(metas[:1]), min_seq=meta["seq"],
@@ -208,8 +241,8 @@ def lay_down(root: Path, layout: str) -> None:
         names.append(f"{counter:012d}.json")
         _write(root / "segments" / names[-1], segment)
     state = {"next_seq": len(metas), "counter": len(names), "generation": 1}
-    if layout == "segments-layout1":
-        state["format"] = 1
+    if layout in ("segments-layout1", "segments-layout2"):
+        state["format"] = 1 + layout2
     _write(root / "segments" / "_state.json", state)
     if layout == "format1-sidecar":
         sidecar = dict(_aggregates(metas[:2]), format=1, max_seq=1)
@@ -252,13 +285,16 @@ def test_open_converts_to_the_pinned_answers(tmp_path, layout):
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_converted_store_is_one_current_layout(tmp_path, layout):
-    """After the open: a claim file stamped layout 2, a format-4 base,
-    envelopes only, no segments and a sidecar of the current format."""
+    """After the open: a claim file stamped layout 3, a format-4 base,
+    current envelopes only, no segments and a sidecar of the current
+    format."""
+    from repro.storage.codec import decode  # the script runs on old sources
+
     root = tmp_path / layout
     lay_down(root, layout)
     _open(root)
     state = json.loads((root / "segments" / "_state.json").read_text())
-    assert state["format"] == 2 and state["next_seq"] > max(
+    assert state["format"] == 3 and state["next_seq"] > max(
         meta["seq"] for meta in json.loads(
             (root / "index.json").read_text())["runs"].values())
     assert json.loads((root / "index.json").read_text())["format"] == 4
@@ -266,7 +302,8 @@ def test_converted_store_is_one_current_layout(tmp_path, layout):
     assert json.loads((root / "index.aggregate").read_text())["format"] == 2
     for record in RECORDS:
         body = json.loads((root / f"{record.run_id}.json").read_text())
-        assert body["format"] == 2 and body["record"] == record.to_dict()
+        assert body["format"] == 3 \
+            and decode(body["record"]) == record.to_dict()
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -331,14 +368,20 @@ def _converted(root: Path):
     store = _open(root)
     names = sorted(str(p.relative_to(root)) for p in root.rglob("*")
                    if p.is_file() and p.suffix != ".tmp")
-    held = {p.name: p.read_text() for p in (root / "quarantine").iterdir()}
+    held = {p.name: p.read_text() for p in (root / "quarantine").glob("*")}
     return digests(store), store.info().aggregated_runs, names, held
 
 
 def test_a_crash_anywhere_in_a_conversion_converts_again(tmp_path):
     """A kill at each I/O call of the conversion, then a reopen: the
-    same store as the conversion that was never interrupted."""
-    lay_down(tmp_path / "clean", "sqlite-schema1")
+    same store as the conversion that was never interrupted — for the
+    database and for the last file layout, whose records are rewritten."""
+    for layout in ("sqlite-schema1", "segments-layout2"):
+        _crash_anywhere(tmp_path / layout, layout)
+
+
+def _crash_anywhere(tmp_path: Path, layout: str) -> None:
+    lay_down(tmp_path / "clean", layout)
     with io_faults.injected(IOFaultPlan()) as counted:
         _open(tmp_path / "clean")
     want = _converted(tmp_path / "clean")
@@ -347,7 +390,7 @@ def test_a_crash_anywhere_in_a_conversion_converts_again(tmp_path):
     for op, n in sorted(calls.items()):
         for at in range(n):
             root = tmp_path / f"{op}-{at}"
-            lay_down(root, "sqlite-schema1")
+            lay_down(root, layout)
             plan = IOFaultPlan(faults=(IOFault(op=op, at=at, kind="crash"),))
             with io_faults.injected(plan), pytest.raises(SimulatedCrash):
                 _open(root)

@@ -38,7 +38,7 @@ class TestChecksums:
         store = ExperimentStore(tmp_path / "runs")
         store.save(_tiny_record("r0"))
         data = json.loads((tmp_path / "runs" / "r0.json").read_text())
-        assert data["format"] == 2
+        assert data["format"] == 3
         assert len(data["sha256"]) == 64
         assert store.load("r0").run_id == "r0"
 
@@ -72,7 +72,7 @@ class TestChecksums:
         path.write_text(json.dumps(json.loads(path.read_text())["record"]))
         store = ExperimentStore(root)
         data = json.loads(path.read_text())
-        assert data["format"] == 2 and len(data["sha256"]) == 64
+        assert data["format"] == 3 and len(data["sha256"]) == 64
         assert store.load("r0").to_dict() == _tiny_record("r0").to_dict()
 
     def test_bare_record_in_a_current_store_is_corruption(self, tmp_path):
@@ -86,7 +86,7 @@ class TestChecksums:
         # rebuild still re-adopts it, as an envelope
         (tmp_path / "runs" / "quarantine" / "r0.json").rename(path)
         assert store.rebuild_index().kept == ["r0"]
-        assert json.loads(path.read_text())["format"] == 2
+        assert json.loads(path.read_text())["format"] == 3
 
     def test_quarantine_names_never_collide(self, tmp_path):
         store = ExperimentStore(tmp_path / "runs")

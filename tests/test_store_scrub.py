@@ -92,13 +92,13 @@ def test_orphan_reported_but_benign(tmp_path):
 
 def test_invalid_record_reported(tmp_path):
     """A checksum-valid envelope around a malformed record body."""
-    from repro.storage.file_backend import _checksum
+    from repro.storage.codec import encode
+    from repro.storage.file_backend import _envelope
 
     store = ExperimentStore(tmp_path / "runs", cache_size=0)
     store.save(_record("r0"))
-    truncated = {"run_id": "r0"}
-    (tmp_path / "runs" / "r0.json").write_text(json.dumps(
-        {"format": 2, "sha256": _checksum(truncated), "record": truncated}))
+    (tmp_path / "runs" / "r0.json").write_text(
+        "".join(_envelope(encode({"run_id": "r0"}))))
     report = ExperimentStore(tmp_path / "runs", cache_size=0).verify()
     assert [run_id for run_id, _ in report.invalid] == ["r0"]
     assert not report.clean
