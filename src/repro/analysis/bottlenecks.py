@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..core.hypotheses import standard_tree
+from ..metrics.metric import METRICS
 from ..metrics.profile import FlatProfile
 from ..resources.focus import parse_focus
 from ..storage.records import RunRecord
@@ -70,13 +72,6 @@ def canonical_pairs(
     return list(out)
 
 
-_HYP_ACTIVITIES = {
-    "CPUbound": ("compute",),
-    "ExcessiveSyncWaitingTime": ("sync",),
-    "ExcessiveIOBlockingTime": ("io",),
-}
-
-
 def base_bottleneck_set(record: RunRecord, margin: float = 0.0) -> Set[Pair]:
     """The set of true bottlenecks from a base run, in canonical form.
 
@@ -96,9 +91,11 @@ def base_bottleneck_set(record: RunRecord, margin: float = 0.0) -> Set[Pair]:
         )
     profile = record.flat_profile()
     placement = record.placement
+    tree = standard_tree()
 
     def truth(hyp: str, focus) -> float:
-        return profile.focus_fraction(focus, _HYP_ACTIVITIES[hyp], placement)
+        keys = METRICS[tree.get(hyp).metric].activity_keys
+        return profile.focus_fraction(focus, keys, placement)
 
     solid_cache: Dict[Tuple[str, str], bool] = {}
 

@@ -91,23 +91,20 @@ class SerialExecutor:
 class PoolExecutor:
     """Fan payloads out over a pool of worker processes.
 
-    ``start_method`` defaults to ``fork`` where available: workers
-    inherit the parent's imported modules, so builder callables defined
-    in scripts and test modules resolve without being re-importable by
-    path, and startup stays cheap.  Pass ``"spawn"`` for stricter
-    isolation.
+    Workers start by ``fork`` where the platform has it (else by its
+    default method): they inherit the parent's imported modules, so
+    builder callables defined in scripts and test modules resolve
+    without being re-importable by path, and startup stays cheap.
     """
 
-    def __init__(self, workers: int = 4, start_method: str | None = None):
+    def __init__(self, workers: int = 4):
         import multiprocessing  # here, so `import repro` loads no pool
 
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._context = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context("fork" if "fork" in methods else None)
 
     def run(
         self,

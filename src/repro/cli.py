@@ -41,13 +41,14 @@ from .core import (
     union_directives,
 )
 from .core.automap import suggest_mappings_for_records
-from .core.postmortem import extract_directives_postmortem
+from .core.extraction import HarvestAggregate
+from .core.postmortem import postmortem_summary
 from .core.shg import NodeState
-from .facade import diagnose, harvest, load_directives, resolve_store
+from .facade import diagnose, load_directives, resolve_store
 from .faults import FaultPlan, FaultPlanError
 from .obs import TraceError, metrics_to_json, metrics_to_prometheus, read_trace
 from .simulator.errors import SimulationError
-from .storage import StoreCorruption, StoreError
+from .storage import RunRecord, StoreCorruption, StoreError, summarize_record
 from .visualize import (
     bar_chart,
     render_shg,
@@ -159,28 +160,23 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
+def _postmortem_summary_of(record: RunRecord) -> dict:
+    """:func:`postmortem_summary` of a stored run's profile, as if its
+    Search History Graph were not there."""
+    return postmortem_summary(record.flat_profile(), record.space(), record.placement)
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     store = resolve_store(args.store)
-    records = store.load_many(args.runs)
-    if args.postmortem:
-        rec = records[0]
-        directives = extract_directives_postmortem(
-            rec.flat_profile(), rec.space(), rec.placement,
-            include_thresholds=args.thresholds,
-        )
-        for extra in records[1:]:
-            more = extract_directives_postmortem(
-                extra.flat_profile(), extra.space(), extra.placement,
-                include_thresholds=args.thresholds,
-            )
-            directives = union_directives(directives, more)
-    else:
-        directives = harvest(
-            records,
-            include_pair_prunes=not args.no_pair_prunes,
-            include_priorities=not args.no_priorities,
-            include_thresholds=args.thresholds,
-        )
+    summarize = _postmortem_summary_of if args.postmortem else summarize_record
+    aggregate = HarvestAggregate.of_summaries(
+        summarize(record) for record in store.load_many(args.runs)
+    )
+    directives = aggregate.finalize(
+        include_pair_prunes=not args.no_pair_prunes,
+        include_priorities=not args.no_priorities,
+        include_thresholds=args.thresholds,
+    )
     text = directives.to_text()
     if args.out:
         Path(args.out).write_text(text)

@@ -17,18 +17,21 @@ Implements Section 3's three extraction mechanisms:
 
 There is one route from history to a directive.  A run is reduced to
 its index summary (:func:`repro.storage.summary.summarize_record` — at
-save time for a store, on the spot for a record handed over in memory),
-summaries fold into a :class:`HarvestAggregate`, and the aggregate's
-mechanism methods — composed by :meth:`HarvestAggregate.finalize` —
-state each rule once.  Every ``extract_*`` function below is that
-pipeline over the records it is given.
+save time for a store, on the spot for a record handed over in memory;
+:func:`repro.core.postmortem.postmortem_summary` for a run known only
+by its raw profile), summaries fold into a :class:`HarvestAggregate`,
+and the aggregate's mechanism methods — composed by
+:meth:`HarvestAggregate.finalize` — state each rule once.  Every
+``extract_*`` function below, and
+:func:`~repro.core.postmortem.extract_directives_postmortem`, is that
+pipeline over the runs it is given.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..resources.focus import parse_focus
 from ..storage.records import RunRecord
@@ -56,28 +59,6 @@ __all__ = [
 ]
 
 _Pair = Tuple[str, str]
-
-
-def general_prune_directives(
-    machine_nodes: Optional[int],
-    n_processes: Optional[int],
-    hypotheses: Optional[HypothesisTree] = None,
-) -> List[PruneDirective]:
-    """Environment-rule prunes, not specific to any application's history.
-
-    Always prunes ``/SyncObject`` from non-sync hypotheses; additionally
-    prunes ``/Machine`` entirely when the environment shows a one-to-one
-    process/node correspondence (paper, Section 3.1).
-    """
-    tree = hypotheses or standard_tree()
-    out = [
-        PruneDirective(h.name, "/SyncObject")
-        for h in tree.testable()
-        if not h.sync_related
-    ]
-    if machine_nodes is not None and machine_nodes == n_processes and machine_nodes > 0:
-        out.append(PruneDirective(ANY_HYPOTHESIS, "/Machine"))
-    return out
 
 
 def suggest_threshold(
@@ -110,22 +91,6 @@ def suggest_threshold(
             best_gap = gap
             best_mid = mid
     return default if best_mid is None else round(best_mid, 3)
-
-
-def threshold_directives(
-    values_by_hyp: Dict[str, Collection[float]],
-    hypotheses: Optional[HypothesisTree] = None,
-) -> List[ThresholdDirective]:
-    """One :func:`suggest_threshold` per testable hypothesis with values."""
-    tree = hypotheses or standard_tree()
-    out: List[ThresholdDirective] = []
-    for h in tree.testable():
-        vals = values_by_hyp.get(h.name)
-        if not vals:
-            continue
-        value = suggest_threshold(vals, default=h.default_threshold)
-        out.append(ThresholdDirective(h.name, value))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -281,9 +246,22 @@ class HarvestAggregate:
     def general_prunes(
         self, hypotheses: Optional[HypothesisTree] = None
     ) -> List[PruneDirective]:
-        """:func:`general_prune_directives` for the first run's environment."""
+        """Environment-rule prunes, not specific to any application's history.
+
+        Always prunes ``/SyncObject`` from non-sync hypotheses; additionally
+        prunes ``/Machine`` entirely when the first run's environment shows
+        a one-to-one process/node correspondence (paper, Section 3.1).
+        """
+        tree = hypotheses or standard_tree()
+        out = [
+            PruneDirective(h.name, "/SyncObject")
+            for h in tree.testable()
+            if not h.sync_related
+        ]
         machine_nodes, n_processes = self.first_env or (None, None)
-        return general_prune_directives(machine_nodes, n_processes, hypotheses)
+        if machine_nodes is not None and machine_nodes == n_processes and machine_nodes > 0:
+            out.append(PruneDirective(ANY_HYPOTHESIS, "/Machine"))
+        return out
 
     def historic_prunes(
         self, min_exec_fraction: float = 0.005
@@ -325,16 +303,21 @@ class HarvestAggregate:
     def thresholds(
         self, hypotheses: Optional[HypothesisTree] = None
     ) -> List[ThresholdDirective]:
-        """Per-hypothesis thresholds from the historical value distribution.
+        """Per-hypothesis thresholds from the historical value distribution:
+        one :func:`suggest_threshold` per testable hypothesis with values.
 
         Per-bucket raw maxima stand in for the observed values:
         ``round(max, 4)`` recovers each bucket, and a bucket passes the
         noise floor iff its max does — exact for any floor.
         """
-        return threshold_directives(
-            {h: buckets.values() for h, buckets in self.hyp_values.items()},
-            hypotheses,
-        )
+        tree = hypotheses or standard_tree()
+        out: List[ThresholdDirective] = []
+        for h in tree.testable():
+            buckets = self.hyp_values.get(h.name)
+            if buckets:
+                value = suggest_threshold(buckets.values(), default=h.default_threshold)
+                out.append(ThresholdDirective(h.name, value))
+        return out
 
     def finalize(
         self,

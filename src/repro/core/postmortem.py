@@ -13,8 +13,13 @@ This module implements that extension.  Given a flat postmortem profile
 Performance Consultant's top-down refinement *offline*: hypothesis values
 come from the profile's conjunction table instead of live
 instrumentation, so the whole search space can be evaluated exactly and
-instantly, and the conclusions are converted into the same prune /
-priority / threshold directives the online extractor produces.
+instantly.  The conclusions become a run summary
+(:func:`postmortem_summary`) in the shape
+:func:`~repro.storage.summary.summarize_record` gives a stored run, and
+from there history takes the one extraction route
+(:meth:`~repro.core.extraction.HarvestAggregate.finalize`): the same
+priorities, prunes and thresholds, stated once, whatever tool gathered
+the data.
 """
 
 from __future__ import annotations
@@ -22,32 +27,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..metrics.metric import METRICS
 from ..metrics.profile import FlatProfile
 from ..resources.focus import Focus, whole_program
 from ..resources.resource import ResourceSpace
-from .directives import (
-    ANY_HYPOTHESIS,
-    DirectiveSet,
-    PairPruneDirective,
-    PriorityDirective,
-    PruneDirective,
-)
-from .extraction import general_prune_directives, threshold_directives
+from .directives import DirectiveSet
+from .extraction import HarvestAggregate
 from .hypotheses import TOP_LEVEL, HypothesisTree, standard_tree
-from .shg import Priority
 
 __all__ = [
     "PostmortemConclusion",
     "evaluate_postmortem",
+    "postmortem_summary",
     "extract_directives_postmortem",
 ]
-
-_HYP_ACTIVITIES = {
-    "cpu_time": ("compute",),
-    "sync_wait_time": ("sync",),
-    "io_wait_time": ("io",),
-    "exec_time": ("compute", "sync", "io"),
-}
 
 
 @dataclass(frozen=True)
@@ -75,26 +68,29 @@ def evaluate_postmortem(
     hierarchy edge at a time, never refine false nodes — but values come
     from the postmortem profile, so there is no cost gate, no timing, and
     no noise.  ``max_tests`` is a safety valve against degenerate spaces.
+
+    A flat profile holds seconds, not operation counts, so a hypothesis
+    whose metric is a ``"count"`` metric (``FrequentSyncOperations`` of
+    :func:`~repro.core.hypotheses.extended_tree`) cannot be judged here:
+    it is neither tested nor refined, and the search concludes what it
+    would without it.
     """
     tree = hypotheses or standard_tree()
-    levels = dict(thresholds or {})
     out: List[PostmortemConclusion] = []
     seen: set = set()
     wp = whole_program(space)
     frontier: List[Tuple[str, Focus]] = [(h.name, wp) for h in tree.children(TOP_LEVEL)]
     while frontier:
         hyp, focus = frontier.pop(0)
+        metric = METRICS[tree.get(hyp).metric]
         key = (hyp, str(focus))
-        if key in seen:
+        if metric.kind == "count" or key in seen:
             continue
         seen.add(key)
         if len(seen) > max_tests:
             raise RuntimeError(f"postmortem evaluation exceeded {max_tests} tests")
-        h = tree.get(hyp)
-        activities = _HYP_ACTIVITIES[h.metric]
-        value = profile.focus_fraction(focus, activities, placement)
-        threshold = levels.get(hyp, h.default_threshold)
-        is_true = value > threshold
+        value = profile.focus_fraction(focus, metric.activity_keys, placement)
+        is_true = value > tree.threshold(hyp, thresholds)
         out.append(PostmortemConclusion(hyp, focus, value, is_true))
         if is_true:
             for child_h in tree.children(hyp):
@@ -104,56 +100,52 @@ def evaluate_postmortem(
     return out
 
 
+def postmortem_summary(
+    profile: FlatProfile,
+    space: ResourceSpace,
+    placement: Dict[str, str],
+    hypotheses: Optional[HypothesisTree] = None,
+    thresholds: Optional[Dict[str, float]] = None,
+) -> dict:
+    """One run's history from raw data alone, as the summary keys
+    :meth:`~repro.core.extraction.HarvestAggregate.fold_summary` reads.
+
+    The placement stands in for the run's environment (as many distinct
+    nodes as processes makes the Machine hierarchy redundant); the pairs
+    and values are :func:`evaluate_postmortem`'s conclusions; the code
+    leaves are the space's functions and their shares the profile's.
+    """
+    conclusions = evaluate_postmortem(
+        profile, space, placement, hypotheses=hypotheses, thresholds=thresholds
+    )
+    hyp_values: Dict[str, List[float]] = {}
+    for c in conclusions:
+        hyp_values.setdefault(c.hypothesis, []).append(c.value)
+    return {
+        "machine_nodes": len(set(placement.values())),
+        "n_processes": len(placement),
+        "true_pairs": [[c.hypothesis, str(c.focus)] for c in conclusions if c.is_true],
+        "false_pairs": [[c.hypothesis, str(c.focus)] for c in conclusions if not c.is_true],
+        "hyp_values": hyp_values,
+        "code_leaves": [
+            leaf.name for leaf in space.hierarchy("Code").leaves() if leaf.depth == 3
+        ],
+        "code_exec_fractions": profile.exec_shares(profile.by_code),
+    }
+
+
 def extract_directives_postmortem(
     profile: FlatProfile,
     space: ResourceSpace,
     placement: Dict[str, str],
     hypotheses: Optional[HypothesisTree] = None,
     thresholds: Optional[Dict[str, float]] = None,
-    include_priorities: bool = True,
-    include_pair_prunes: bool = True,
-    include_historic_prunes: bool = True,
-    include_general_prunes: bool = True,
-    include_thresholds: bool = False,
-    min_exec_fraction: float = 0.005,
+    **options,
 ) -> DirectiveSet:
-    """Directives from raw performance data alone (no SHG required)."""
-    general: List[PruneDirective] = []
-    if include_general_prunes:
-        # the placement stands in for the first run's environment: as many
-        # distinct nodes as processes makes the Machine hierarchy redundant
-        general = general_prune_directives(
-            len(set(placement.values())), len(placement), hypotheses
-        )
-    conclusions = evaluate_postmortem(
-        profile, space, placement, hypotheses=hypotheses, thresholds=thresholds
-    )
-    priorities: List[PriorityDirective] = []
-    pair_prunes: List[PairPruneDirective] = []
-    if include_priorities or include_pair_prunes:
-        for c in conclusions:
-            if c.is_true and include_priorities:
-                priorities.append(PriorityDirective(c.hypothesis, c.focus, Priority.HIGH))
-            elif not c.is_true:
-                if include_priorities:
-                    priorities.append(
-                        PriorityDirective(c.hypothesis, c.focus, Priority.LOW)
-                    )
-                if include_pair_prunes:
-                    pair_prunes.append(PairPruneDirective(c.hypothesis, c.focus))
-    prunes: List[PruneDirective] = []
-    if include_historic_prunes:
-        code = space.hierarchy("Code")
-        for leaf in code.leaves():
-            if leaf.depth == 3 and profile.code_exec_fraction(leaf.name) < min_exec_fraction:
-                prunes.append(PruneDirective(ANY_HYPOTHESIS, leaf.name))
-    by_hyp: Dict[str, List[float]] = {}
-    if include_thresholds:
-        for c in conclusions:
-            by_hyp.setdefault(c.hypothesis, []).append(c.value)
-    return DirectiveSet(
-        prunes=[*general, *prunes],
-        pair_prunes=pair_prunes,
-        priorities=priorities,
-        thresholds=threshold_directives(by_hyp, hypotheses),
+    """Directives from raw performance data alone (no SHG required):
+    :meth:`~repro.core.extraction.HarvestAggregate.finalize` (which
+    documents *options*) over the :func:`postmortem_summary`."""
+    summary = postmortem_summary(profile, space, placement, hypotheses, thresholds)
+    return HarvestAggregate().fold_summary(summary).finalize(
+        hypotheses=hypotheses, **options
     )

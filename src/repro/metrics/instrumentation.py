@@ -257,11 +257,9 @@ class InstrumentationManager:
         self._cell_epoch = 0
         # each focus priced or requested: id(focus) -> (focus, Code key,
         # Process key, matched processes), dropped when the engine's
-        # process table grows; and each metric's activity values in
-        # routing-key order, by metric name
+        # process table grows
         self._plans: Dict[int, _Plan] = {}
         self._proc_version = engine.proc_table_version
-        self._activity_keys: Dict[str, Tuple[Metric, Tuple[str, ...]]] = {}
         # inside batched_reads(): the in-progress snapshot every read of
         # the pass shares, taken by the first read that needs it
         self._batching = False
@@ -329,12 +327,8 @@ class InstrumentationManager:
             self._sync_proc_table()
         _, code, proc, procs = self._plans.get(id(focus)) or self._plan(focus)
         cost = self.cost_model.pair_cost(len(procs), persistent=persistent)
-        acts = self._activity_keys.get(metric_name)
-        if acts is None or acts[0] is not metric:
-            acts = self._activity_keys[metric_name] = (
-                metric, tuple(sorted(a.value for a in metric.activities)))
         keys = []
-        for act in acts[1]:
+        for act in metric.activity_keys:
             keys.append((act, code, proc))
         handle = next(self._handles)
         now = self.engine.now

@@ -13,8 +13,8 @@ both expressible with the same machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Tuple
 
 from ..simulator.records import Activity
 
@@ -29,12 +29,23 @@ class Metric:
     seconds of matching activity; ``"count"`` metrics count matching
     operations (one per completed segment), yielding rates when
     normalised by elapsed time — Paradyn's operation-frequency metrics.
+
+    ``activity_keys`` is ``activities`` as sorted activity values
+    (``("compute", "io", "sync")``), computed once: the keys probes are
+    routed under and the columns a flat profile is read by, so every
+    consumer agrees on which classes a metric counts.
     """
 
     name: str
     activities: FrozenSet[Activity]
     description: str
     kind: str = "time"
+    activity_keys: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "activity_keys", tuple(sorted(a.value for a in self.activities))
+        )
 
     def counts(self, activity: Activity) -> bool:
         return activity in self.activities

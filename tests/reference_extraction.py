@@ -18,11 +18,13 @@ written to be read against the paper, not to be fast:
 * 3.2 thresholds: the middle of the widest gap in the values observed.
 
 A *run* here is a plain dict of per-run facts under the keys an index
-summary uses, so it is fed two ways.  :func:`facts_of_record` reads them
-straight off a ``RunRecord`` (``shg_nodes``, ``flat_profile()``,
+summary uses, so it is fed three ways.  :func:`facts_of_record` reads
+them straight off a ``RunRecord`` (``shg_nodes``, ``flat_profile()``,
 ``hierarchies``) without going through ``summarize_record`` — that is
-what keeps the summary step itself checked — and a stored or synthetic
-summary is already in shape.  The module shares the directive classes,
+what keeps the summary step itself checked — :func:`facts_of_postmortem`
+reads them off an offline search's conclusions and the profile without
+going through ``postmortem_summary``, and a stored or synthetic summary
+is already in shape.  The module shares the directive classes,
 the hypothesis tree and ``parse_focus`` with the production package and
 none of the rule code.
 """
@@ -60,6 +62,28 @@ def facts_of_record(record):
         "code_leaves": [name for name in record.hierarchies.get("Code", [])
                         if name.count("/") == 3],  # /Code/module/function
         # the share formula written out, not FlatProfile's
+        "code_exec_fractions": {name: sum(entry.values()) / total if total > 0 else 0.0
+                                for name, entry in profile.by_code.items()},
+        "hyp_values": values,
+    }
+
+
+def facts_of_postmortem(conclusions, profile, space, placement):
+    """The same facts for a run known only by its profile: the
+    conclusions of ``evaluate_postmortem`` over it, the space's
+    functions, and the placement as the environment."""
+    total = profile.total_time()
+    values = {}
+    for c in conclusions:
+        values.setdefault(c.hypothesis, []).append(c.value)
+    return {
+        "machine_nodes": len(set(placement.values())),
+        "n_processes": len(placement),
+        "true_pairs": [(c.hypothesis, str(c.focus)) for c in conclusions if c.is_true],
+        "false_pairs": [(c.hypothesis, str(c.focus)) for c in conclusions
+                        if not c.is_true],
+        "code_leaves": [name for name in space.hierarchy("Code").names()
+                        if name.count("/") == 3],
         "code_exec_fractions": {name: sum(entry.values()) / total if total > 0 else 0.0
                                 for name, entry in profile.by_code.items()},
         "hyp_values": values,

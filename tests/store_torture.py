@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import shutil
 import sys
@@ -239,13 +240,25 @@ def run_schedule(seed: int, workdir: Optional[Path] = None) -> dict:
             or result["payload_error"] is not None
             or result["aggregate_error"] is not None
         )
-        return result
+        return _relative(result, f"{workdir}{os.sep}")
     finally:
         if owns_workdir:
             shutil.rmtree(workdir, ignore_errors=True)
         else:
             for child in workdir.glob(f"{tag}-*"):
                 shutil.rmtree(child, ignore_errors=True)
+
+
+def _relative(value, root: str):
+    """*value* with the temp root *root* cut out of every string in it,
+    so a path in a fault or an outcome reads the same on every run."""
+    if isinstance(value, str):
+        return value.replace(root, "")
+    if isinstance(value, (list, tuple)):
+        return [_relative(item, root) for item in value]
+    if isinstance(value, dict):
+        return {key: _relative(item, root) for key, item in value.items()}
+    return value
 
 
 def _stress(roots: Dict[str, Path], seed: int, body) -> Tuple[str, list]:
@@ -560,12 +573,13 @@ def main(argv=None) -> int:
     print(f"{len(report.schedules)} schedule(s) in {wall:.1f} s "
           f"({len(report.schedules) / wall:.1f}/s)")
 
+    # the wall time is printed above and kept out of the file, so the
+    # file is the same on every run of the same seeds
     results = {
         "workload": {
             "seed_base": args.seed_base,
             "seeds": args.seeds,
         },
-        "wall_s": wall,
         "report": report.to_dict(),
     }
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)

@@ -29,7 +29,7 @@ from repro.core import (
 )
 from repro.core.shg import Priority
 from repro.metrics import CostModel
-from repro.resources import whole_program
+from repro.resources import parse_focus, whole_program
 
 SYNC = "ExcessiveSyncWaitingTime"
 FAST = SearchConfig(
@@ -82,6 +82,19 @@ class TestBaseSetAndTimes:
         loose = base_bottleneck_set(record, margin=0.0)
         tight = base_bottleneck_set(record, margin=0.2)
         assert tight <= loose
+
+    def test_solid_pairs_clear_the_margin_on_their_own_activity(self, record):
+        """A solid pair's ground truth is the share of the activity class
+        its hypothesis counts, and it clears the threshold by the margin."""
+        classes = {"CPUbound": ("compute",), SYNC: ("sync",),
+                   "ExcessiveIOBlockingTime": ("io",)}
+        profile = record.flat_profile()
+        assert base_bottleneck_set(record, margin=0.1)
+        for margin in (0.1, 0.3):
+            for hyp, text in base_bottleneck_set(record, margin=margin):
+                value = profile.focus_fraction(parse_focus(text), classes[hyp],
+                                               record.placement)
+                assert value >= record.thresholds[hyp] + margin, (margin, hyp, text)
 
     def test_time_to_fraction_monotone(self, record):
         base = base_bottleneck_set(record, margin=0.05)

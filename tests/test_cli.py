@@ -101,6 +101,32 @@ class TestExtractCombineReport:
         ) == 0
         assert "priority high" in out.read_text()
 
+    @pytest.mark.parametrize("flag, kind", [("--no-priorities", "priority"),
+                                            ("--no-pair-prunes", "prunepair")])
+    def test_extract_postmortem_honours_flags(self, store_with_runs, capsys,
+                                              flag, kind):
+        assert run_cli("extract", "pa-base", "--store", store_with_runs,
+                       "--postmortem", flag) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and not any(line.startswith(kind + " ") for line in lines)
+
+    def test_extract_postmortem_pools_runs(self, store_with_runs, capsys):
+        """Several runs fold into one aggregate: a function is pruned only
+        when it is negligible in every run, thresholds come from the
+        pooled values."""
+        from repro.core.extraction import HarvestAggregate
+        from repro.core.postmortem import postmortem_summary
+        from repro.storage import ExperimentStore
+
+        assert run_cli("extract", "t-base", "pa-base", "--store", store_with_runs,
+                       "--postmortem", "--thresholds") == 0
+        records = ExperimentStore(store_with_runs).load_many(["t-base", "pa-base"])
+        expected = HarvestAggregate.of_summaries(
+            postmortem_summary(r.flat_profile(), r.space(), r.placement)
+            for r in records
+        ).finalize(include_thresholds=True)
+        assert capsys.readouterr().out == expected.to_text()
+
     def test_extract_stdout(self, store_with_runs, capsys):
         assert run_cli("extract", "pa-base", "--store", store_with_runs,
                        "--no-pair-prunes") == 0

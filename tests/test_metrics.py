@@ -32,6 +32,13 @@ class TestMetrics:
         m = METRICS["exec_time"]
         assert all(m.counts(a) for a in Activity)
 
+    def test_activity_keys_are_the_sorted_activity_values(self):
+        assert METRICS["cpu_time"].activity_keys == ("compute",)
+        assert METRICS["exec_time"].activity_keys == ("compute", "io", "sync")
+        assert METRICS["sync_op_count"].activity_keys == ("sync",)
+        for m in METRICS.values():
+            assert m.activity_keys == tuple(sorted(a.value for a in m.activities))
+
 
 class TestCostModel:
     def test_pair_cost_scales_with_processes(self):

@@ -1,11 +1,15 @@
 """Tests for postmortem hypothesis evaluation and directive extraction."""
 
+import itertools
+
 import pytest
 
+from repro.apps.catalog import build_catalog_app
 from repro.apps.synthetic import make_io_app, make_pingpong
 from repro.core import (
     SearchConfig,
     evaluate_postmortem,
+    extended_tree,
     extract_directives,
     extract_directives_postmortem,
     run_diagnosis,
@@ -13,6 +17,7 @@ from repro.core import (
 from repro.core.shg import Priority
 from repro.metrics import CostModel
 from repro.resources import whole_program
+from tests import reference_extraction as ref
 
 SYNC = "ExcessiveSyncWaitingTime"
 CPU = "CPUbound"
@@ -24,10 +29,30 @@ FAST = SearchConfig(
 )
 
 
+INCLUDES = ("include_priorities", "include_general_prunes",
+            "include_historic_prunes", "include_pair_prunes",
+            "include_thresholds")
+
+#: Which activity classes each standard hypothesis's metric counts, and
+#: its default threshold, written out here rather than read off the tree.
+ACTIVITIES = {CPU: ("compute",), SYNC: ("sync",), IO: ("io",)}
+THRESHOLDS = {CPU: 0.90, SYNC: 0.20, IO: 0.15}
+
+
 @pytest.fixture(scope="module")
 def pingpong_record():
     app = make_pingpong(iterations=120, slow=1.0, fast=0.2)
     return run_diagnosis(app, config=FAST, cost_model=CostModel(perturb_per_unit=0.0))
+
+
+@pytest.fixture(scope="module")
+def poisson_record():
+    return run_diagnosis(build_catalog_app("poisson", "A", 150),
+                         config=SearchConfig(stop_engine_when_done=True))
+
+
+def _conclusions(conclusions):
+    return [(c.hypothesis, str(c.focus), c.value, c.is_true) for c in conclusions]
 
 
 class TestEvaluatePostmortem:
@@ -57,6 +82,33 @@ class TestEvaluatePostmortem:
             whole_program(rec.space()), ("sync",), rec.placement
         )
         assert sync_wp.value == pytest.approx(expected)
+
+    @pytest.mark.parametrize("app", ["pingpong", "poisson"])
+    def test_every_value_is_its_metrics_share(self, request, app):
+        """Each conclusion's value is the profile's share of the activity
+        classes its hypothesis's metric counts, judged against the
+        hypothesis's threshold."""
+        rec = request.getfixturevalue(f"{app}_record")
+        profile = rec.flat_profile()
+        conclusions = evaluate_postmortem(profile, rec.space(), rec.placement)
+        assert {c.hypothesis for c in conclusions} == set(ACTIVITIES)
+        for c in conclusions:
+            expected = profile.focus_fraction(c.focus, ACTIVITIES[c.hypothesis],
+                                              rec.placement)
+            assert c.value == expected, (c.hypothesis, str(c.focus))
+            assert c.is_true == (c.value > THRESHOLDS[c.hypothesis])
+
+    @pytest.mark.parametrize("app", ["pingpong", "poisson"])
+    def test_count_hypotheses_are_not_judged(self, request, app):
+        """A flat profile holds no operation counts: with the extended
+        tree the offline search concludes exactly what it does with the
+        standard one."""
+        rec = request.getfixturevalue(f"{app}_record")
+        args = (rec.flat_profile(), rec.space(), rec.placement)
+        standard = evaluate_postmortem(*args)
+        assert any(c.is_true for c in standard if c.hypothesis == SYNC)
+        assert _conclusions(evaluate_postmortem(*args, hypotheses=extended_tree())) \
+            == _conclusions(standard)
 
     def test_threshold_override(self, pingpong_record):
         rec = pingpong_record
@@ -131,3 +183,33 @@ class TestExtractPostmortem:
         # the known bottleneck is found immediately via the high priorities
         wp = str(whole_program(rec.space()))
         assert directed.found_times()[(SYNC, wp)] <= rec.found_times()[(SYNC, wp)]
+
+
+class TestPostmortemOracle:
+    """Postmortem extraction against ``tests/reference_extraction.py``,
+    fed facts read off ``evaluate_postmortem`` and the profile directly
+    (not through ``postmortem_summary``, which stays checked)."""
+
+    @pytest.mark.parametrize("app", ["pingpong", "poisson"])
+    def test_every_option_combination_matches_the_reference(self, request, app):
+        rec = request.getfixturevalue(f"{app}_record")
+        args = (rec.flat_profile(), rec.space(), rec.placement)
+        for hypotheses in (None, extended_tree()):
+            facts = [ref.facts_of_postmortem(
+                evaluate_postmortem(*args, hypotheses=hypotheses), *args)]
+            for flags in itertools.product((True, False), repeat=len(INCLUDES)):
+                for fraction in (0.005, 0.05):
+                    options = dict(zip(INCLUDES, flags), min_exec_fraction=fraction,
+                                   hypotheses=hypotheses)
+                    assert extract_directives_postmortem(*args, **options).to_text() \
+                        == ref.reference_directives(facts, **options).to_text(), options
+
+    def test_negligible_module_folds_to_one_prune(self, poisson_record):
+        """Section 3's historic prune: a module whose every function is
+        negligible is pruned as a unit, as on the SHG route."""
+        rec = poisson_record
+        ds = extract_directives_postmortem(rec.flat_profile(), rec.space(), rec.placement)
+        resources = {p.resource for p in ds.prunes}
+        assert {"/Code/io.f", "/Code/timing.f"} <= resources
+        assert not any(r.startswith(("/Code/io.f/", "/Code/timing.f/"))
+                       for r in resources)
