@@ -48,7 +48,7 @@ from .facade import diagnose, load_directives, resolve_store
 from .faults import FaultPlan, FaultPlanError
 from .obs import TraceError, metrics_to_json, metrics_to_prometheus, read_trace
 from .simulator.errors import SimulationError
-from .storage import RunRecord, StoreCorruption, StoreError, summarize_record
+from .storage import RunRecord, StoreCorruption, StoreError
 from .visualize import (
     bar_chart,
     render_shg,
@@ -168,10 +168,12 @@ def _postmortem_summary_of(record: RunRecord) -> dict:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     store = resolve_store(args.store)
-    summarize = _postmortem_summary_of if args.postmortem else summarize_record
-    aggregate = HarvestAggregate.of_summaries(
-        summarize(record) for record in store.load_many(args.runs)
-    )
+    if args.postmortem:
+        summaries = map(_postmortem_summary_of, store.load_many(args.runs))
+    else:
+        metas = store.summaries(run_ids=args.runs).values()
+        summaries = (meta["summary"] for meta in metas)
+    aggregate = HarvestAggregate.of_summaries(summaries)
     directives = aggregate.finalize(
         include_pair_prunes=not args.no_pair_prunes,
         include_priorities=not args.no_priorities,

@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..resources.focus import parse_focus
 from ..storage.records import RunRecord
-from ..storage.summary import summarize_record
+from ..storage.summary import fold_bucket_maxima, summarize_record
 from .directives import (
     ANY_HYPOTHESIS,
     DirectiveSet,
@@ -118,7 +118,9 @@ class HarvestAggregate:
     ``hyp_values`` — and never ``n_runs``; :meth:`same_evidence`
     compares exactly those six.
 
-    Hypothesis values are kept as ``{round(v, 4): max raw v}`` buckets —
+    Hypothesis values are kept as ``{round(v, 4): max raw v}`` buckets
+    (:func:`~repro.storage.summary.fold_bucket_maxima`, the rule a
+    summary's ``hyp_values`` is already reduced by) —
     ``suggest_threshold`` filters raw values against the noise floor and
     then dedups at 4 decimals, so a 4-decimal bucket survives any floor
     iff its raw maximum does.  Passing the per-bucket maxima back through
@@ -179,12 +181,7 @@ class HarvestAggregate:
             if prev is None or frac > prev:
                 code_max[name] = frac
         for hyp, vals in summary["hyp_values"].items():
-            buckets = self.hyp_values.setdefault(hyp, {})
-            for v in vals:
-                bucket = round(v, 4)
-                prev = buckets.get(bucket)
-                if prev is None or v > prev:
-                    buckets[bucket] = v
+            fold_bucket_maxima(self.hyp_values.setdefault(hyp, {}), vals)
         return self
 
     def copy(self) -> "HarvestAggregate":
@@ -213,11 +210,7 @@ class HarvestAggregate:
             if prev is None or frac > prev:
                 self.code_max_fraction[name] = frac
         for hyp, buckets in other.hyp_values.items():
-            mine = self.hyp_values.setdefault(hyp, {})
-            for bucket, raw in buckets.items():
-                prev = mine.get(bucket)
-                if prev is None or raw > prev:
-                    mine[bucket] = raw
+            fold_bucket_maxima(self.hyp_values.setdefault(hyp, {}), buckets.values())
         return self
 
     def merge(self, other: "HarvestAggregate") -> "HarvestAggregate":

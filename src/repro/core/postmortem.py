@@ -31,6 +31,7 @@ from ..metrics.metric import METRICS
 from ..metrics.profile import FlatProfile
 from ..resources.focus import Focus, whole_program
 from ..resources.resource import ResourceSpace
+from ..storage.summary import bucket_maxima
 from .directives import DirectiveSet
 from .extraction import HarvestAggregate
 from .hypotheses import TOP_LEVEL, HypothesisTree, standard_tree
@@ -126,7 +127,7 @@ def postmortem_summary(
         "n_processes": len(placement),
         "true_pairs": [[c.hypothesis, str(c.focus)] for c in conclusions if c.is_true],
         "false_pairs": [[c.hypothesis, str(c.focus)] for c in conclusions if not c.is_true],
-        "hyp_values": hyp_values,
+        "hyp_values": bucket_maxima(hyp_values),
         "code_leaves": [
             leaf.name for leaf in space.hierarchy("Code").leaves() if leaf.depth == 3
         ],

@@ -14,7 +14,9 @@ every run:
 * the index summary **matches a recompute** from the payload
   (``summary_divergent``) — the known overwrite-crash window where the
   payload rename landed but the index segment did not; ``rebuild``
-  regenerates the summary from the surviving payload.
+  regenerates the summary from the surviving payload.  Both sides'
+  ``hyp_values`` are compared as bucket maxima, so an older entry that
+  holds every observed value matches the recompute it folds alike to.
 
 It also reports **orphans**: record files on disk that no index entry
 references (the post-state of a crashed ``delete``, or a ``put`` that
@@ -31,7 +33,7 @@ from typing import List, Tuple
 from ..storage.api import StoreCorruption, StoreError, StoreUnavailable
 from ..storage.file_backend import record_files
 from ..storage.records import RunRecord
-from ..storage.summary import summarize_record
+from ..storage.summary import bucket_maxima, summarize_record
 
 __all__ = ["ScrubReport", "verify_store"]
 
@@ -136,7 +138,7 @@ def verify_store(store) -> ScrubReport:
         indexed = meta.get("summary")
         if isinstance(indexed, dict):
             recomputed = summarize_record(record)
-            if _canonical(indexed) != _canonical(recomputed):
+            if _canonical(_bucketed(indexed)) != _canonical(recomputed):
                 report.summary_divergent.append(run_id)
                 continue
         report.ok += 1
@@ -145,6 +147,15 @@ def verify_store(store) -> ScrubReport:
         if path.stem not in entries:
             report.orphans.append(path.name)
     return report
+
+
+def _bucketed(summary: dict) -> dict:
+    """*summary* with ``hyp_values`` reduced as a save reduces it now
+    (a no-op on such an entry; a malformed one is left to diverge)."""
+    try:
+        return dict(summary, hyp_values=bucket_maxima(summary["hyp_values"]))
+    except (KeyError, AttributeError, TypeError):
+        return summary
 
 
 def _canonical(data: dict) -> str:

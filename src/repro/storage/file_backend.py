@@ -25,9 +25,11 @@ instead of O(store):
   zero-padded name carries a monotonic counter, so lexicographic order
   is write order.
 * ``segments/_state.json`` — a tiny atomically-replaced claim file
-  (``next_seq``/``counter``/``generation``) so writers assign ``seq``
-  and segment names without reading the merged index.  Its ``"format"``
-  key stamps the layout: the one thing an open reads.
+  (``next_seq``/``counter``/``generation``) from which writers assign
+  ``seq`` and segment names: the counters live here, not in the index,
+  though ``put`` still reads the merged view under the lock to judge
+  whether the run exists (and an overwrite keeps its ``seq``).  Its
+  ``"format"`` key stamps the layout: the one thing an open reads.
 * ``index.aggregate`` — the *rolling* harvest aggregate: the
   :class:`~repro.core.extraction.HarvestAggregate` (``by_app``, plus
   ``all`` unless one app owns every run and it would be the same thing

@@ -10,20 +10,49 @@ summaries and nothing else, so a record handed over in memory is
 summarized here before it is harvested
 (``tests/reference_extraction.py`` checks the step against facts read
 straight off the record).
+
+``hyp_values`` holds what the harvest reads of the observed values: per
+hypothesis, the run's largest value in each ``round(v, 4)`` bucket, in
+first-seen bucket order (:func:`fold_bucket_maxima`, the one bucket
+rule, which ``fold_summary`` applies too).  Folding those maxima gives
+the aggregate that folding every value gives, so an older entry holding
+every concluded node's value folds alike and is left as it is.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from ..core.shg import NodeState
 from .records import RunRecord
 
-__all__ = ["summarize_record", "meta_for_record", "SUMMARY_VERSION"]
+__all__ = ["summarize_record", "meta_for_record", "fold_bucket_maxima",
+           "bucket_maxima", "SUMMARY_VERSION"]
 
 SUMMARY_VERSION = 1
 
 _CONCLUDED = (NodeState.TRUE.value, NodeState.FALSE.value)
+
+
+def fold_bucket_maxima(
+    buckets: Dict[float, float], values: Iterable[float]
+) -> Dict[float, float]:
+    """Fold *values* into ``{round(v, 4): largest v}``, new buckets in
+    first-seen order.  Mutates and returns *buckets*."""
+    for v in values:
+        bucket = round(v, 4)
+        prev = buckets.get(bucket)
+        if prev is None or v > prev:
+            buckets[bucket] = v
+    return buckets
+
+
+def bucket_maxima(values: Dict[str, List[float]]) -> Dict[str, List[float]]:
+    """Per hypothesis, the largest value in each bucket, in first-seen
+    bucket order: what a summary stores as ``hyp_values``."""
+    return {
+        h: list(fold_bucket_maxima({}, vals).values()) for h, vals in values.items()
+    }
 
 
 def summarize_record(record: RunRecord) -> dict:
@@ -31,9 +60,9 @@ def summarize_record(record: RunRecord) -> dict:
 
     Everything the cross-run consumers need without the full record:
     duration/status/coverage, the true/false conclusion pairs, SHG state
-    counts, the per-hypothesis observed value distribution (threshold
-    extraction), per-hierarchy fraction-of-total tables (resource
-    histories), and per-function execution fractions plus the candidate
+    counts, the per-hypothesis observed value distribution as per-bucket
+    maxima (threshold extraction), per-hierarchy fraction-of-total tables
+    (resource histories), and per-function execution fractions plus the candidate
     function list (historic prunes).
     """
     profile = record.flat_profile()
@@ -65,7 +94,7 @@ def summarize_record(record: RunRecord) -> dict:
         "true_pairs": [list(pair) for pair in record.true_pairs()],
         "false_pairs": [list(pair) for pair in record.false_pairs()],
         "state_counts": state_counts,
-        "hyp_values": hyp_values,
+        "hyp_values": bucket_maxima(hyp_values),
         "total_time": profile.total_time(),
         "fractions": {
             "Code": profile.share_table(profile.by_code),
@@ -80,11 +109,12 @@ def summarize_record(record: RunRecord) -> dict:
 
 def meta_for_record(record: RunRecord) -> dict:
     """The index meta (without ``seq``) registered for one saved record."""
+    summary = summarize_record(record)
     return {
         "app_name": record.app_name,
         "version": record.version,
         "n_processes": record.n_processes,
-        "bottlenecks": record.bottleneck_count(),
+        "bottlenecks": len(summary["true_pairs"]),
         "pairs_tested": record.pairs_tested,
-        "summary": summarize_record(record),
+        "summary": summary,
     }

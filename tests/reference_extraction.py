@@ -90,6 +90,16 @@ def facts_of_postmortem(conclusions, profile, space, placement):
     }
 
 
+def reference_bucket_maxima(values):
+    """The values a summary keeps of one hypothesis's observations: the
+    largest in each 4-decimal bucket, buckets in the order first seen."""
+    largest = {}
+    for v in values:
+        bucket = round(v, 4)
+        largest[bucket] = max(largest.get(bucket, v), v)
+    return list(largest.values())
+
+
 def _pairs(runs, key):
     return {tuple(pair) for run in runs for pair in run[key]}
 

@@ -134,6 +134,32 @@ class TestExtractCombineReport:
         assert "priority" in out
         assert "prunepair" not in out
 
+    def test_extract_reads_the_index_not_records(self, store_with_runs, capsys,
+                                                  monkeypatch):
+        """The SHG route folds the stored summaries: no record is
+        parsed, and the text is the harvest of the records themselves."""
+        from repro.core.extraction import HarvestAggregate
+        from repro.storage import ExperimentStore, summarize_record
+
+        runs = ["pb-base", "t-base", "pa-base"]
+        records = ExperimentStore(store_with_runs).load_many(runs)
+        expected = HarvestAggregate.of_summaries(
+            summarize_record(r) for r in records
+        ).finalize(include_thresholds=True).to_text()
+
+        def no_parse(self, run_id):
+            raise AssertionError(f"record {run_id} parsed")
+
+        monkeypatch.setattr(ExperimentStore, "load", no_parse)
+        assert run_cli("extract", *runs, "--store", store_with_runs,
+                       "--thresholds") == 0
+        assert capsys.readouterr().out == expected
+
+    def test_extract_unknown_run_fails(self, store_with_runs, capsys):
+        assert run_cli("extract", "pa-base", "nope", "--store",
+                       store_with_runs) == 2
+        assert "no stored run 'nope'" in capsys.readouterr().err
+
     def test_directed_diagnosis_via_cli(self, store_with_runs, tmp_path, capsys):
         directives = tmp_path / "a.directives"
         run_cli("extract", "pa-base", "--store", store_with_runs, "--out", directives)

@@ -27,7 +27,7 @@ from repro.core import (
     extract_thresholds,
     run_diagnosis,
 )
-from repro.storage.summary import summarize_record
+from repro.storage.summary import meta_for_record, summarize_record
 from tests import reference_extraction as ref
 
 INCLUDES = ("include_priorities", "include_general_prunes",
@@ -95,14 +95,19 @@ def test_each_mechanism_matches_the_reference(groups, group):
 def test_summary_step_keeps_the_facts(groups, group):
     """What ``summarize_record`` stores is what the record says: the
     facts the reference reads itself, key by key (fractions only for the
-    functions that ran; a missing one reads as zero on both sides)."""
+    functions that ran; a missing one reads as zero on both sides), and
+    of the observed values the per-bucket maxima the reference computes
+    from every raw value itself; the index meta counts the true pairs."""
     for record in groups[group]:
         summary, facts = summarize_record(record), ref.facts_of_record(record)
+        facts["hyp_values"] = {h: ref.reference_bucket_maxima(values)
+                               for h, values in facts["hyp_values"].items()}
         for key, value in facts.items():
             got = summary[key]
             if key.endswith("_pairs"):
                 got = [tuple(pair) for pair in got]
             assert got == value, (record.run_id, key)
+        assert meta_for_record(record)["bottlenecks"] == len(facts["true_pairs"])
 
 
 def test_record_order_only_moves_the_environment(groups):

@@ -28,7 +28,9 @@ records — every field, by a digest of its JSON with key order kept, plus
 a readable subset.  It was written at the parent of the change that gave
 "share of total process time" its one formula in
 :class:`~repro.metrics.profile.FlatProfile`, so the summary's fraction
-tables stay the floats the per-consumer formulas produced.
+tables stay the floats the per-consumer formulas produced.  It was
+regenerated once since, by the change that stores observed values as
+per-bucket maxima: only ``hyp_values`` (and so the digest) moved.
 
 A change that moves the output on purpose regenerates both fixtures:
 ``PYTHONPATH=src python tests/test_golden_records.py``.
@@ -106,6 +108,7 @@ def summary_view(record):
         "code_exec_fractions": len(summary["code_exec_fractions"]),
         "true_pairs": len(summary["true_pairs"]),
         "false_pairs": len(summary["false_pairs"]),
+        "hyp_values": {h: len(v) for h, v in summary["hyp_values"].items()},
     }
 
 

@@ -14,6 +14,7 @@ from repro.core import (
     extract_directives_postmortem,
     run_diagnosis,
 )
+from repro.core.postmortem import postmortem_summary
 from repro.core.shg import Priority
 from repro.metrics import CostModel
 from repro.resources import whole_program
@@ -203,6 +204,17 @@ class TestPostmortemOracle:
                                    hypotheses=hypotheses)
                     assert extract_directives_postmortem(*args, **options).to_text() \
                         == ref.reference_directives(facts, **options).to_text(), options
+
+    @pytest.mark.parametrize("app", ["pingpong", "poisson"])
+    def test_summary_keeps_the_bucket_maxima(self, request, app):
+        """``postmortem_summary`` stores of each hypothesis's values the
+        per-bucket maxima the reference computes from every value."""
+        rec = request.getfixturevalue(f"{app}_record")
+        args = (rec.flat_profile(), rec.space(), rec.placement)
+        facts = ref.facts_of_postmortem(evaluate_postmortem(*args), *args)
+        assert postmortem_summary(*args)["hyp_values"] == {
+            h: ref.reference_bucket_maxima(values)
+            for h, values in facts["hyp_values"].items()}
 
     def test_negligible_module_folds_to_one_prune(self, poisson_record):
         """Section 3's historic prune: a module whose every function is
