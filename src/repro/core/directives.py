@@ -19,10 +19,14 @@ Directive files are plain text, one directive per line::
     threshold ExcessiveSyncWaitingTime 0.12
     map /Code/oned.f /Code/onednb.f
 
-A :class:`DirectiveSet` is immutable once built: its lookup indexes and
-the distinct resource names it mentions (:attr:`DirectiveSet.resource_names`,
-what directive mapping decides over) are derived from its lists once,
-and every composition builds a new set that derives its own.
+A :class:`DirectiveSet` is immutable once built and *is* its tables: the
+priority index and pair prunes keyed ``(hypothesis, focus text)``, the
+pruned paths, the thresholds.  The search, ``len``, ``is_empty`` and the
+names mapping decides over (:attr:`DirectiveSet.resource_names`) read
+only those.  The ``priorities`` and ``pair_prunes`` lists are read-only
+views built on first read: a set built from directive objects keeps
+them, a harvested one (:meth:`DirectiveSet.from_tables`) builds them
+when ``to_text``, a composition or a renaming map reads them.
 """
 
 from __future__ import annotations
@@ -141,13 +145,14 @@ class MapDirective:
 
 
 class DirectiveSet:
-    """A parsed collection of directives, the unit the PC consumes.
+    """A collection of directives, the unit the PC consumes.
 
-    Nothing changes a set after construction (the search, mapping and
-    every composition only read its lists), so what is derived from the
-    lists is derived once: the lookup indexes when the set is built, the
-    distinct resource names on first use, each pair's screen verdict on
-    first ask.
+    The set is its lookup tables, and its lists are views of them (see
+    the module docstring).  Nothing changes a set after construction, so
+    what is derived is derived once and kept on the set: each view and
+    the High pairs on first read, the resource names on first use, each
+    pair's screen verdict on first ask.  Threads share sets without a
+    lock: first reads that race build equal values and one is kept.
     """
 
     def __init__(
@@ -159,21 +164,16 @@ class DirectiveSet:
         maps: Iterable[MapDirective] = (),
     ) -> None:
         self.prunes: List[PruneDirective] = list(prunes)
-        self.pair_prunes: List[PairPruneDirective] = list(pair_prunes)
-        self.priorities: List[PriorityDirective] = list(priorities)
         self.thresholds: List[ThresholdDirective] = list(thresholds)
         self.maps: List[MapDirective] = list(maps)
-        self._names: Optional[Tuple[str, ...]] = None
-        self._verdicts: Dict[Tuple[str, str], Optional[Priority]] = {}
-        self._reindex()
-
-    def _reindex(self) -> None:
+        self._pair_prunes: Optional[List[PairPruneDirective]] = list(pair_prunes)
+        self._priorities: Optional[List[PriorityDirective]] = list(priorities)
         self._priority_index: Dict[Tuple[str, str], Priority] = {
-            (p.hypothesis, str(p.focus)): p.level for p in self.priorities
-        }
-        self._pair_prune_index = {
-            (p.hypothesis, str(p.focus)) for p in self.pair_prunes
-        }
+            (p.hypothesis, str(p.focus)): p.level for p in self._priorities}
+        self._pair_prune_index: Dict[Tuple[str, str], None] = dict.fromkeys(
+            (p.hypothesis, str(p.focus)) for p in self._pair_prunes)
+        self._len = sum(map(len, (self.prunes, self._pair_prunes, self._priorities,
+                                  self.thresholds, self.maps)))
         self._threshold_index = {t.hypothesis: t.value for t in self.thresholds}
         # Pruned resource paths as tuples keyed by hypothesis (including
         # "*"): screen() probes selection prefixes against these sets
@@ -186,24 +186,67 @@ class DirectiveSet:
             path = split_path(p.resource)
             self._prune_paths.setdefault(p.hypothesis, set()).add(path)
             self._prune_max_depth = max(self._prune_max_depth, len(path))
+        self._high: Optional[List[PriorityDirective]] = None
+        self._names: Optional[Tuple[str, ...]] = None
+        self._verdicts: Dict[Tuple[str, str], Optional[Priority]] = {}
+
+    @classmethod
+    def from_tables(
+        cls,
+        prunes: Iterable[PruneDirective],
+        priority_index: Dict[Tuple[str, str], Priority],
+        pair_prune_keys: Iterable[Tuple[str, str]],
+        thresholds: Iterable[ThresholdDirective] = (),
+    ) -> "DirectiveSet":
+        """The set whose priorities are *priority_index* and whose pair
+        prunes are *pair_prune_keys*, both keyed ``(hypothesis, focus
+        text)`` in list order; the texts must be printed foci
+        (``str(Focus)``).  No directive object is built for a pair
+        until a list is read."""
+        out = cls(prunes=prunes, thresholds=thresholds)
+        out._priority_index = priority_index
+        out._pair_prune_index = dict.fromkeys(pair_prune_keys)
+        out._priorities = out._pair_prunes = None
+        out._len += len(priority_index) + len(out._pair_prune_index)
+        return out
+
+    @property
+    def priorities(self) -> List[PriorityDirective]:
+        """Every priority directive, in order (a read-only view)."""
+        view = self._priorities
+        if view is None:
+            view = self._priorities = [
+                PriorityDirective(hyp, parse_focus(text), level)
+                for (hyp, text), level in self._priority_index.items()
+            ]
+        return view
+
+    @property
+    def pair_prunes(self) -> List[PairPruneDirective]:
+        """Every pair prune, in order (a read-only view)."""
+        view = self._pair_prunes
+        if view is None:
+            view = self._pair_prunes = [
+                PairPruneDirective(hyp, parse_focus(text))
+                for hyp, text in self._pair_prune_index
+            ]
+        return view
 
     @property
     def resource_names(self) -> Tuple[str, ...]:
         """The distinct resource paths the set names, in first-seen
         order: every prune's resource, then every selection of every
-        pair focus.  History names a few resources many times over, and
-        harvested directives share their focus objects, so each distinct
-        focus object is read once; computed on first use."""
+        pair focus.  History names a few resources many times over, so
+        each distinct focus text is read once, and split as it prints
+        (``< sel, sel, ... >``, in hierarchy order) without building a
+        focus; computed on first use."""
         names = self._names
         if names is None:
             seen: Dict[str, None] = dict.fromkeys(p.resource for p in self.prunes)
-            foci = set()
-            for group in (self.pair_prunes, self.priorities):
-                for d in group:
-                    focus = d.focus
-                    if id(focus) not in foci:
-                        foci.add(id(focus))
-                        seen.update(dict.fromkeys(focus.selections().values()))
+            texts = dict.fromkeys([text for _, text in self._pair_prune_index]
+                                  + [text for _, text in self._priority_index])
+            seen.update(dict.fromkeys(", ".join([t[2:-2] for t in texts]).split(", ")))
+            seen.pop("", None)  # no selection at all (an empty focus, no focus)
             names = self._names = tuple(seen)
         return names
 
@@ -247,24 +290,30 @@ class DirectiveSet:
         return self._priority_index.get((hypothesis, str(focus)), Priority.MEDIUM)
 
     def high_priority_pairs(self) -> List[PriorityDirective]:
-        return [p for p in self.priorities if p.level is Priority.HIGH]
+        """The High priorities, in order: what the search starts from.
+        Kept on the set; taken from the list a set was given, else built
+        for the High pairs alone."""
+        high = self._high
+        if high is None:
+            if self._priorities is not None:
+                high = [p for p in self._priorities if p.level is Priority.HIGH]
+            else:
+                high = [
+                    PriorityDirective(hyp, parse_focus(text), level)
+                    for (hyp, text), level in self._priority_index.items()
+                    if level is Priority.HIGH
+                ]
+            self._high = high
+        return high
 
     def threshold_of(self, hypothesis: str) -> Optional[float]:
         return self._threshold_index.get(hypothesis)
 
     def is_empty(self) -> bool:
-        return not (
-            self.prunes or self.pair_prunes or self.priorities or self.thresholds or self.maps
-        )
+        return not self._len
 
     def __len__(self) -> int:
-        return (
-            len(self.prunes)
-            + len(self.pair_prunes)
-            + len(self.priorities)
-            + len(self.thresholds)
-            + len(self.maps)
-        )
+        return self._len
 
     # -- composition -------------------------------------------------------------
     def merged_with(self, other: "DirectiveSet") -> "DirectiveSet":

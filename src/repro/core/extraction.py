@@ -33,7 +33,6 @@ import json
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..resources.focus import parse_focus
 from ..storage.records import RunRecord
 from ..storage.summary import fold_bucket_maxima, summarize_record
 from .directives import (
@@ -224,18 +223,6 @@ class HarvestAggregate:
         return self.copy().update(other)
 
     # -- the Section 3 rules, each stated once ------------------------------
-    def priorities(self) -> List[PriorityDirective]:
-        """High for ever-true pairs, Low for always-false pairs (Section 3.1)."""
-        out = [
-            PriorityDirective(hyp, parse_focus(focus_text), Priority.HIGH)
-            for hyp, focus_text in sorted(self.true_pairs)
-        ]
-        out.extend(
-            PriorityDirective(hyp, parse_focus(focus_text), Priority.LOW)
-            for hyp, focus_text in sorted(self.false_pairs - self.true_pairs)
-        )
-        return out
-
     def general_prunes(
         self, hypotheses: Optional[HypothesisTree] = None
     ) -> List[PruneDirective]:
@@ -285,14 +272,6 @@ class HarvestAggregate:
             out.append(PruneDirective(ANY_HYPOTHESIS, name))
         return out
 
-    def pair_prunes(self) -> List[PairPruneDirective]:
-        """Previously-false pairs, prunable outright (with the robustness
-        caveat the paper raises: pruning can miss new behaviour)."""
-        return [
-            PairPruneDirective(hyp, parse_focus(focus_text))
-            for hyp, focus_text in sorted(self.false_pairs - self.true_pairs)
-        ]
-
     def thresholds(
         self, hypotheses: Optional[HypothesisTree] = None
     ) -> List[ThresholdDirective]:
@@ -326,6 +305,8 @@ class HarvestAggregate:
 
         The only place a harvested :class:`DirectiveSet` is assembled:
         stores, the pool and :func:`extract_directives` all end here.
+        The pairs go in as text-keyed tables; no directive object is
+        built for one until something reads the set's lists.
         ``tests/reference_extraction.py`` restates the rules naively over
         per-run facts, and ``DirectiveSet.to_text()`` must match it byte
         for byte for every option combination.
@@ -340,11 +321,19 @@ class HarvestAggregate:
             prunes.extend(self.general_prunes(hypotheses))
         if include_historic_prunes:
             prunes.extend(self.historic_prunes(min_exec_fraction))
-        return DirectiveSet(
-            prunes=prunes,
-            pair_prunes=self.pair_prunes() if include_pair_prunes else (),
-            priorities=self.priorities() if include_priorities else (),
-            thresholds=self.thresholds(hypotheses) if include_thresholds else (),
+        # The always-false pairs, sorted once: the Low priorities and the
+        # pair prunes (with the robustness caveat the paper raises:
+        # pruning can miss new behaviour) are both this list.
+        false_only = sorted(self.false_pairs - self.true_pairs)
+        priorities: Dict[_Pair, Priority] = {}
+        if include_priorities:  # High if ever true, Low if always false (3.1)
+            priorities = dict.fromkeys(sorted(self.true_pairs), Priority.HIGH)
+            priorities.update(dict.fromkeys(false_only, Priority.LOW))
+        return DirectiveSet.from_tables(
+            prunes,
+            priorities,
+            false_only if include_pair_prunes else (),
+            self.thresholds(hypotheses) if include_thresholds else (),
         )
 
     # -- serialization -----------------------------------------------------
@@ -465,8 +454,8 @@ def _aggregate(records: Iterable[RunRecord] | RunRecord) -> HarvestAggregate:
 
 
 def extract_priorities(records: Sequence[RunRecord]) -> List[PriorityDirective]:
-    """:meth:`HarvestAggregate.priorities` over *records*."""
-    return _aggregate(records).priorities()
+    """The priorities of :func:`extract_directives` over *records*."""
+    return _aggregate(records).finalize().priorities
 
 
 def extract_general_prunes(
@@ -487,8 +476,8 @@ def extract_historic_prunes(
 
 
 def extract_pair_prunes(records: Sequence[RunRecord]) -> List[PairPruneDirective]:
-    """:meth:`HarvestAggregate.pair_prunes` over *records*."""
-    return _aggregate(records).pair_prunes()
+    """The pair prunes of :func:`extract_directives` over *records*."""
+    return _aggregate(records).finalize().pair_prunes
 
 
 def extract_thresholds(

@@ -118,10 +118,8 @@ def apply_mappings(
         verdicts[name] = (mapped, known)
         unchanged = unchanged and known and mapped == name
     if unchanged:
-        report.mapped = (
-            len(directives.prunes) + len(directives.pair_prunes)
-            + len(directives.priorities)
-        )
+        # every directive but the thresholds (a set with a map is changed)
+        report.mapped = len(directives) - len(directives.thresholds)
         return directives, report
 
     def keep_focus(focus: Focus) -> Optional[Focus]:

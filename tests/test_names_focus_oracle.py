@@ -21,6 +21,7 @@ the resource space about each distinct name at most once.
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from repro.apps.catalog import build_catalog_app
 from repro.apps.poisson import version_maps
 from repro.core import DiagnosisSession, SearchConfig
 from repro.core.combination import union_directives
+from repro.core.extraction import HarvestAggregate
 from repro.core.directives import (
     DirectiveSet,
     MapDirective,
@@ -45,6 +47,7 @@ from repro.resources import names as names_mod
 from repro.resources.focus import Focus, parse_focus, whole_program
 from repro.resources.names import ResourceNameError, split_path
 from repro.resources.resource import ResourceSpace
+from repro.storage.summary import summarize_record
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +568,19 @@ class TestTables:
 # the count guard
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def poisson_history():
-    """The benchmark's directive set: the harvest of one undirected
-    Poisson-A run at the paper-default 1000 iterations."""
-    base = DiagnosisSession(
+def poisson_base():
+    """One undirected Poisson-A run at the paper-default 1000 iterations:
+    the run the benchmark's history fixture archives."""
+    return DiagnosisSession(
         app=build_catalog_app("poisson", "A", 1000),
         config=SearchConfig(stop_engine_when_done=True),
     ).run()
-    directives = repro.harvest(base)
+
+
+@pytest.fixture(scope="module")
+def poisson_history(poisson_base):
+    """The benchmark's directive set: the harvest of that run."""
+    directives = repro.harvest(poisson_base)
     assert len(directives) > 1000 and not directives.maps
     return directives
 
@@ -592,6 +600,8 @@ class Counted:
         self.foci = []
         self.sets = 0
         self.directives = 0
+        #: directive objects built, by class
+        self.built = Counter()
         self.questions = 0
         parse_path, init = names_mod._parse_path, Focus.__init__
         set_init, contains = DirectiveSet.__init__, ResourceSpace.__contains__
@@ -617,6 +627,7 @@ class Counted:
 
             def counting(directive, *args, **kwargs):
                 self.directives += 1
+                self.built[cls] += 1
                 directive_init(directive, *args, **kwargs)
             return counting
 
@@ -649,6 +660,37 @@ class TestCountGuard:
         assert active.search.directives is poisson_history
         assert counted.sets == 0 and counted.directives == 0
         assert 0 < counted.questions <= len(poisson_history.resource_names)
+
+    def test_cold_harvest_builds_only_the_high_pairs(self, poisson_base,
+                                                     monkeypatch):
+        """One cold finalize -> begin -> run over the benchmark fixture's
+        evidence (the base run archived 96 times), in a process that has
+        parsed no focus yet: a directive object for each High pair and
+        for no other pair, and only the High foci parsed, each once."""
+        evidence = HarvestAggregate.of_summaries(
+            [summarize_record(poisson_base)] * 96)
+        parsed = Counter()
+        parse = focus_mod._parse_focus
+
+        def counting_parse(text):
+            parsed[text] += 1
+            return parse(text)
+
+        monkeypatch.setattr(focus_mod, "_FOCUS_TABLE", {})
+        monkeypatch.setattr(focus_mod, "_parse_focus", counting_parse)
+        counted = Counted(monkeypatch)
+        directives = evidence.finalize()
+        record = DiagnosisSession(
+            app=build_catalog_app("poisson", "A", 1001),
+            directives=directives,
+            config=SearchConfig(stop_engine_when_done=True),
+        ).run()
+        assert record.status == "complete"
+        high = {text for _, text in evidence.true_pairs}
+        assert 100 < len(evidence.true_pairs) < len(directives) / 4
+        assert counted.built[PriorityDirective] == len(evidence.true_pairs)
+        assert counted.built[PairPruneDirective] == 0
+        assert set(parsed) <= high and set(parsed.values()) == {1}
 
     def test_a_map_costs_only_the_directives_it_rewrites(
             self, poisson_history, monkeypatch):

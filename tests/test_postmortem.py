@@ -17,7 +17,8 @@ from repro.core import (
 from repro.core.postmortem import postmortem_summary
 from repro.core.shg import Priority
 from repro.metrics import CostModel
-from repro.resources import whole_program
+from repro.metrics.profile import FlatProfile
+from repro.resources import ResourceSpace, whole_program
 from tests import reference_extraction as ref
 
 SYNC = "ExcessiveSyncWaitingTime"
@@ -213,6 +214,34 @@ class TestPostmortemOracle:
         args = (rec.flat_profile(), rec.space(), rec.placement)
         facts = ref.facts_of_postmortem(evaluate_postmortem(*args), *args)
         assert postmortem_summary(*args)["hyp_values"] == {
+            h: ref.reference_bucket_maxima(values)
+            for h, values in facts["hyp_values"].items()}
+
+    def test_two_floats_in_one_bucket_keep_the_larger(self):
+        """A hand-made profile whose offline search puts three distinct
+        CPU values in the 0.1234 bucket: the whole program (0.123425),
+        then one process at 0.12344 and the other at 0.12341.  Neither
+        the first nor the last value of the bucket is its maximum, so
+        only the per-bucket maximum survives the comparison."""
+        space = ResourceSpace(("Code", "Machine", "Process", "SyncObject"))
+        for name in ("/Code/m.c/f", "/Machine/n0", "/Machine/n1",
+                     "/Process/p0", "/Process/p1"):
+            space.add(name)
+        placement = {"p0": "n0", "p1": "n1"}
+        profile = FlatProfile()
+        for proc, node, seconds in (("p0", "n0", 0.12344), ("p1", "n1", 0.12341)):
+            combo = ("/Code/m.c/f", f"/Process/{proc}", f"/Machine/{node}", "")
+            profile.by_combo[combo]["compute"] = seconds
+            profile.by_code["/Code/m.c/f"]["compute"] += seconds
+            profile.totals["compute"] += seconds
+        profile.elapsed = 1.0
+        args = (profile, space, placement)
+        thresholds = {CPU: 0.1}
+        facts = ref.facts_of_postmortem(
+            evaluate_postmortem(*args, thresholds=thresholds), *args)
+        bucket = [v for v in facts["hyp_values"][CPU] if round(v, 4) == 0.1234]
+        assert max(bucket) not in (bucket[0], bucket[-1])
+        assert postmortem_summary(*args, thresholds=thresholds)["hyp_values"] == {
             h: ref.reference_bucket_maxima(values)
             for h, values in facts["hyp_values"].items()}
 

@@ -1,6 +1,7 @@
 """Tests for the concurrent session scheduler (DiagnosisService)."""
 
 import asyncio
+import contextlib
 import os
 
 import pytest
@@ -11,7 +12,10 @@ from repro.campaign import PoolExecutor
 from repro.campaign.runner import _execute_payload
 from repro.core import SearchConfig
 from repro.core.consultant import DiagnosisSession
+from repro.faults import IOFault, IOFaultPlan
+from repro.faults import io as io_faults
 from repro.obs import deterministic_metrics
+from repro.resilience import ResiliencePolicy
 from repro.server import (
     DiagnosisService,
     ServerBusy,
@@ -20,7 +24,7 @@ from repro.server import (
     TenantPolicy,
 )
 from repro.simulator.errors import SimTimeout
-from repro.storage import ExperimentStore, StoreError
+from repro.storage import ExperimentStore, StoreError, StoreUnavailable
 
 FAST = SearchConfig(min_interval=5.0, check_period=0.5,
                     insertion_latency=0.2, cost_limit=50.0)
@@ -206,6 +210,62 @@ class TestDiagnosisService:
         record = run_service(main())
         loaded = ExperimentStore(tmp_path / "runs").load("saved")
         assert loaded.to_dict() == record.to_dict()
+
+    def test_store_goes_sick_between_harvest_and_save(self, tmp_path):
+        """History and store on one path (the paper's loop).  After the
+        session has harvested, every write to the archive fails, for
+        longer than the store's retries last: that session alone fails,
+        the archive is left as it was, and the next request saves."""
+        from repro import diagnose
+
+        runs = str(tmp_path / "runs")
+        diagnose(make_pingpong(iterations=60), store=runs, run_id="seed",
+                 pool=None, min_interval=5.0, check_period=0.5,
+                 insertion_latency=0.2, cost_limit=50.0)
+        sick = IOFaultPlan(faults=(
+            IOFault(op="write", at=0, kind="eio", times=10**6),))
+        events = []
+        armed = contextlib.ExitStack()
+        injectors = []
+
+        def sicken_after_harvest(event):
+            # a slice has run, so begin() has harvested the history
+            if event["event"] == "session-progress" and not injectors:
+                injectors.append(armed.enter_context(io_faults.injected(sick)))
+
+        async def main():
+            service = DiagnosisService(slice_events=50, progress=events.append)
+            with armed:
+                with pytest.raises(StoreUnavailable):
+                    await service.run(_request(
+                        run_id="sick", history=runs, store=runs,
+                        progress=sicken_after_harvest))
+            sick_metrics = service.server_metrics()
+            archive = service.pool.get(runs)
+            assert archive.verify().clean and len(archive) == 1
+            healthy = await service.run(_request(
+                run_id="healthy", history=runs, store=runs))
+            service.pool.close()
+            return sick_metrics, healthy, service.server_metrics()
+
+        sick_metrics, healthy, metrics = run_service(main())
+        (injector,) = injectors
+        assert len(injector.injected) == ResiliencePolicy().attempts
+        assert sick_metrics["sessions_failed"] == 1
+        assert sick_metrics["sessions_completed"] == 0
+        assert sick_metrics["active_sessions"] == 0
+        failed = [e for e in events if e["event"] == "session-failed"]
+        assert len(failed) == 1 and "StoreUnavailable" in failed[0]["error"]
+        assert metrics["sessions_submitted"] == 2
+        assert metrics["sessions_submitted"] \
+            == metrics["sessions_completed"] + metrics["sessions_failed"]
+        assert metrics["active_sessions"] == 0
+        assert metrics["pool_harvest_misses"] >= 1
+        store = ExperimentStore(runs)
+        assert store.verify().clean
+        assert sorted(store.list()) == ["healthy", "seed"]
+        assert healthy.status == "complete"
+        assert comparable(store.load("healthy")) == comparable(healthy)
 
     def test_catalog_app_by_name(self):
         async def main():
