@@ -592,7 +592,9 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 def _add_retry_flags(p: argparse.ArgumentParser) -> None:
-    """Store resilience knobs, shared by every command that opens a store."""
+    """Store resilience knobs, taken by ``report`` and the four ``store``
+    subcommands; every other command opens its stores with the default
+    policy."""
     g = p.add_argument_group("store resilience")
     g.add_argument("--retry-attempts", type=int, default=None, metavar="N",
                    help="attempts per transient store failure (default 4)")

@@ -127,13 +127,10 @@ class HarvestAggregate:
     while bounding the aggregate at one entry per distinct rounded value
     instead of one per observed float.
 
-    The structure is a monoid over *ordered* run sequences:
-    ``HarvestAggregate()`` is the identity, :meth:`merge` is associative,
-    and for any split of a run sequence ``merge`` of the parts equals
-    :meth:`of_summaries` over the concatenation.  None of the extraction
-    knobs (``min_exec_fraction``, thresholds' noise floor, the hypothesis
-    tree) are baked in — they apply at :meth:`finalize` time, so one
-    stored aggregate serves every option combination.
+    None of the extraction knobs (``min_exec_fraction``, thresholds'
+    noise floor, the hypothesis tree) are baked in — they apply at
+    :meth:`finalize` time, so one stored aggregate serves every option
+    combination.
     """
 
     __slots__ = (
@@ -193,34 +190,6 @@ class HarvestAggregate:
         out.code_max_fraction = dict(self.code_max_fraction)
         out.hyp_values = {h: dict(v) for h, v in self.hyp_values.items()}
         return out
-
-    # -- the monoid --------------------------------------------------------
-    def update(self, other: "HarvestAggregate") -> "HarvestAggregate":
-        """In-place :meth:`merge`: fold ``other``'s runs after ``self``'s.
-        Mutates and returns ``self``; ``other`` is untouched."""
-        if self.n_runs == 0:
-            self.first_env = other.first_env
-        self.n_runs += other.n_runs
-        self.true_pairs |= other.true_pairs
-        self.false_pairs |= other.false_pairs
-        self.code_candidates |= other.code_candidates
-        for name, frac in other.code_max_fraction.items():
-            prev = self.code_max_fraction.get(name)
-            if prev is None or frac > prev:
-                self.code_max_fraction[name] = frac
-        for hyp, buckets in other.hyp_values.items():
-            fold_bucket_maxima(self.hyp_values.setdefault(hyp, {}), buckets.values())
-        return self
-
-    def merge(self, other: "HarvestAggregate") -> "HarvestAggregate":
-        """Aggregate over ``self``'s runs followed by ``other``'s.
-
-        Associative, with the empty aggregate as identity:
-        ``a.merge(b).merge(c) == a.merge(b.merge(c))`` and both equal
-        :meth:`of_summaries` over the concatenated run sequence.
-        Returns a new aggregate; neither operand is mutated.
-        """
-        return self.copy().update(other)
 
     # -- the Section 3 rules, each stated once ------------------------------
     def general_prunes(

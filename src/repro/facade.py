@@ -98,8 +98,10 @@ def default_pool() -> "StorePool":
 
     Created lazily on first use; repeated facade calls in one process
     then reuse open store handles and cached harvests instead of
-    re-opening and re-extracting per call.  Invalidation is token-based
-    (index state, record bytes), so cross-process writers stay visible.
+    re-opening and re-extracting per call.  A cached harvest is keyed by
+    the aggregate it was finalized from (the store answers one object
+    per index state) and a cached record by its file's bytes, so
+    cross-process writers stay visible.
     """
     global _default_pool
     if _default_pool is None:
@@ -368,10 +370,10 @@ def harvest(
     summarized on the spot.
 
     ``pool`` (default: the process-wide :func:`default_pool`) keeps the
-    opened store *and* the extracted directives hot across calls,
-    invalidated by the store's index state token whenever any process
-    writes to it; ``pool=None`` is a pool of one for the call, closed
-    before it returns, so every call re-opens and re-extracts.
+    opened store *and* the extracted directives hot across calls, keyed
+    by the aggregate they came from, so a write by any process makes
+    the next call a miss; ``pool=None`` is a pool of one for the call,
+    closed before it returns, so every call re-opens and re-extracts.
 
     **Federated harvest** (a list/tuple of stores) harvests every store
     independently and merges the directive sets with

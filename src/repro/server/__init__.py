@@ -5,9 +5,10 @@ call: open the store, parse its index, harvest history, run, tear down.
 This package amortizes all of it across requests —
 
 * :class:`StorePool` keeps opened :class:`~repro.storage.store.ExperimentStore`
-  handles (and their parsed-index/record caches) hot, plus a
-  state-token-invalidated harvest cache, so repeated diagnoses over the
-  same history archive reuse everything but the diagnosis itself;
+  handles (and their parsed-index/record caches) hot, plus a harvest
+  cache keyed by the evidence each set came from, so repeated diagnoses
+  over the same history archive reuse everything but the diagnosis
+  itself;
 * :class:`DiagnosisService` multiplexes N concurrent sessions over one
   asyncio loop by slicing each engine's virtual clock
   (:meth:`~repro.core.consultant.DiagnosisSession.begin` /

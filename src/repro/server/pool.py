@@ -11,30 +11,32 @@ one-shot: it recomputes both per call):
   one store, opened with resilience armed at the defaults) — eviction
   and :meth:`close` call the store's ``close()``, which drops its
   record cache;
-* a bounded harvest cache: one entry per owning store, application and
-  extraction options, valid for the backend's **index state token**
-  (:meth:`~repro.storage.store.ExperimentStore.index_token`) it was
-  computed at.  Any writer — this process or another — changes the
-  token, so invalidation needs no coordination, exactly like the record
-  cache's per-record tokens; and a token never recurs once the store
-  has been written, so the entry for a newer token replaces the older
-  one instead of sitting beside it.
+* a bounded harvest cache: one entry per store directory, application
+  and extraction options, holding the directive set and the
+  :class:`~repro.core.extraction.HarvestAggregate` it was finalized
+  from.
 
-A miss asks :meth:`~repro.storage.store.ExperimentStore.harvest_evidence`
-for the evidence (one read of the backend's rolling aggregate, which
-every save extends) and finalizes it — unless the entry it replaces
-was finalized from evidence that
-:meth:`~repro.core.extraction.HarvestAggregate.same_evidence` the fresh
-one.  The rules are unions and maxima, so they saturate: after a few
-runs of one program a save usually teaches the history nothing new,
-and the miss then hands back the cached
-:class:`~repro.core.directives.DirectiveSet` object itself, re-keyed to
-the new token (``harvest_reuses`` counts these), so ``begin()`` reuses
-the set's names and indexes too.  The pool re-reads the index token
-after extraction and only caches when it still matches the token the
-computation started from — a concurrent writer mid-extraction would
-otherwise poison the cache with directives for an index state the
-token no longer names.
+One rule says a cached set is current.  A harvest reads the evidence
+once (:meth:`~repro.storage.store.ExperimentStore.harvest_evidence`,
+which answers one object per index state, memoised against that
+state) and compares it with the entry's:
+
+* the identical aggregate object is a **hit** — the index has not
+  moved since the set was finalized;
+* an aggregate that
+  :meth:`~repro.core.extraction.HarvestAggregate.same_evidence` the
+  entry's is a **reuse** (``harvest_reuses``, counted among the
+  misses): the rules are unions and maxima, so they saturate, and
+  after a few runs of one program a save usually teaches the history
+  nothing new — the miss hands back the cached
+  :class:`~repro.core.directives.DirectiveSet` object itself, so
+  ``begin()`` reuses the set's names and indexes too;
+* anything else is finalized afresh.
+
+The entry is keyed by content, so no write — by this process or
+another, before, during or after the extraction — can make it answer
+for evidence it was not finalized from: a set cached from evidence a
+racing write has since replaced only misses on the next read.
 
 Thread-safe: the server's worker threads and any direct callers share
 one pool under a single lock; the cached values themselves (stores,
@@ -82,9 +84,9 @@ class StorePool:
         self.max_stores = max_stores
         self._lock = threading.RLock()
         self._stores: "OrderedDict[str, ExperimentStore]" = OrderedDict()
-        # (id(store), app, options) -> (store, index token, directives,
-        # the evidence they were finalized from)
-        self._harvests: "OrderedDict[tuple, Tuple[ExperimentStore, object, DirectiveSet, HarvestAggregate]]" = \
+        # (store root, app, options) -> (the evidence, the directives
+        # finalized from it)
+        self._harvests: "OrderedDict[tuple, Tuple[HarvestAggregate, DirectiveSet]]" = \
             OrderedDict()
         self._closed = False
         self.store_hits = 0
@@ -121,7 +123,6 @@ class StorePool:
             while len(self._stores) > self.max_stores:
                 _k, evicted = self._stores.popitem(last=False)
                 self.evictions += 1
-                self._drop_harvests_for(evicted)
                 evicted.close()
             return opened
 
@@ -140,54 +141,37 @@ class StorePool:
         Semantically identical to
         ``store.harvest_evidence(app).finalize(**options)`` (directives
         extracted from every summary in the store's index), but the
-        result is cached against the store's index state token:
-        the first diagnosis after a write reads the backend's rolling
-        aggregate and finalizes it only when its evidence differs from
-        what the cached set came from; every one until the next write
-        is a hit.  Raises ``RuntimeError`` once the pool is closed.
+        result is cached against the evidence it came from: the same
+        aggregate object is a hit, equal evidence a reuse, anything
+        else a finalize (see the module docstring).  Raises
+        ``RuntimeError`` once the pool is closed.
         """
         opened = self.get(store)
-        token = opened.index_token()
-        key = (id(opened), app, tuple(sorted(options.items())))
+        key = (str(opened.root), app, tuple(sorted(options.items())))
+        evidence = opened.harvest_evidence(app)
         with self._lock:
             if self._closed:
                 raise RuntimeError("StorePool is closed")
             entry = self._harvests.get(key)
-            # Identity-check the owning store: id() alone could collide
-            # after an evicted store is garbage collected.
-            if entry is not None and entry[0] is not opened:
-                entry = None
-            if entry is not None and entry[1] == token:
+            if entry is not None and entry[0] is evidence:
                 self._harvests.move_to_end(key)
                 self.harvest_hits += 1
-                return entry[2]
+                return entry[1]
             self.harvest_misses += 1
 
-        evidence = opened.harvest_evidence(app)
-        if entry is not None and evidence.same_evidence(entry[3]):
-            directives = entry[2]
+        if entry is not None and evidence.same_evidence(entry[0]):
+            directives = entry[1]
             with self._lock:
                 self.harvest_reuses += 1
         else:
             directives = evidence.finalize(**options)
-
-        # Cache only when the index still looks exactly as it did when
-        # extraction started; a write that landed mid-extraction would
-        # otherwise pin these directives to a token they don't describe.
-        if opened.index_token() == token:
-            with self._lock:
-                if self._closed:
-                    return directives
-                self._harvests[key] = (opened, token, directives, evidence)
+        with self._lock:
+            if not self._closed:
+                self._harvests[key] = (evidence, directives)
                 self._harvests.move_to_end(key)
                 while len(self._harvests) > _HARVEST_CACHE_SIZE:
                     self._harvests.popitem(last=False)
         return directives
-
-    def _drop_harvests_for(self, store: ExperimentStore) -> None:
-        stale = [k for k, entry in self._harvests.items() if entry[0] is store]
-        for k in stale:
-            del self._harvests[k]
 
     # ------------------------------------------------------------------
     # lifecycle / introspection

@@ -64,16 +64,18 @@ and ``rebuild()`` recovers from anything worse.
 
 The sidecar is never the commit point and never trusted alone: a
 reader rejects it unless its stamp names the live base (any base rewrite
-orphans it: rescan), skips the segments it covers, and folds the rest op
-by op under the ``seq`` watermark.  A seal renames the segment first and
-the sidecar second, so a writer killed in between — or a reader racing
-it — sees one uncovered segment and folds it; a reader holding a
+orphans it), skips the segments it covers, and folds the rest op by op
+under the ``seq`` watermark.  A seal renames the segment first and the
+sidecar second, so a writer killed in between — or a reader racing it —
+sees one uncovered segment and folds it; a reader holding a
 pre-compaction listing against the new sidecar meets ``seq <= max_seq``
-and rescans.  A delete's seal cannot extend it and writes none; a put
-seal that cannot roll it (after a delete, on an overwrite, over a stale
-stamp) rebuilds it from the merged view it holds under the lock, so
-coverage is short until the next put, never until the next compaction.
-Absent or short, never wrong or double-counted.
+and refuses it.  A refused sidecar costs one fold of the merged view,
+memoised for that index state (:meth:`FileBackend.harvest_aggregate`
+always answers).  A delete's seal cannot extend the sidecar and writes
+none; a put seal that cannot roll it (after a delete, on an overwrite,
+over a stale stamp) rebuilds it from the merged view it holds under the
+lock, so coverage is short until the next put, never until the next
+compaction.  Absent or short, never wrong or double-counted.
 
 The reader knows this one layout, layout 3, and it is the only store
 there is.  A store written before it — checksum-less records, a bare
@@ -401,6 +403,9 @@ class FileBackend:
         #: aggregate written for it and its encoded body (see
         #: :meth:`_encode_aggregate`); guarded by the store lock.
         self._bodies: Dict[Optional[str], Tuple[HarvestAggregate, str]] = {}
+        #: ``(index token, aggregates, the empty aggregate)``: what
+        #: :meth:`harvest_aggregate` answers for that index state.
+        self._harvest_memo: Optional[Tuple[Hashable, dict, HarvestAggregate]] = None
         #: Guards the caches and the pair table above against concurrent
         #: same-process readers.  The flock serialises *processes*;
         #: threads sharing one backend (a pooled store under a server)
@@ -662,29 +667,27 @@ class FileBackend:
         under the lock; once the segment is renamed, that view is
         advanced by *ops* (:meth:`_advance_view`).  The sidecar is rolled
         when the pre-seal aggregate proves out and *ops* are pure new
-        puts.  Otherwise a put's seal rebuilds it from the post-seal
-        view: one fold, once, and the seals after it roll again.  A
-        delete passes no key, so coverage stops at the old ``through``
-        until the next put.
+        puts.  Otherwise a put's seal takes the post-seal state's
+        aggregates (:meth:`_aggregates`: one fold, once), and the seals
+        after it roll again.  A delete passes no key and touches no
+        aggregate, so coverage stops at the old ``through`` until the
+        next put.
         """
         self._segments_dir.mkdir(exist_ok=True)
         name = f"{counter:012d}.json"
-        current = self._current_aggregates()  # pre-seal: we hold the lock
+        # pre-seal (we hold the lock); a delete never rolls the sidecar
+        current = self._aggregates()[1] if view_key is not None else None
         ids: Dict[Tuple[str, str], int] = {}
         encoded = [dict(op, meta=_with_pair_ids(op["meta"], ids))
                    if op["op"] == "put" else op for op in ops]
         _atomic_write(self._segments_dir / name, [json.dumps({
             "format": _SEGMENT_FORMAT, "pairs": list(ids), "ops": encoded})])
-        if view_key is not None:
-            self._advance_view(view_key, name, ids, encoded)
+        if current is None:
+            return
+        self._advance_view(view_key, name, ids, encoded)
         try:
-            rolled = self._fold_ops(current, [ops]) \
-                if current is not None else None
-            if rolled is None and view_key is not None:
-                with self._cache_lock:
-                    rolled = self._build_aggregates(self._merged_view()[1])
-            if rolled is not None:
-                self._write_aggregate_sidecar(rolled, through=name)
+            rolled = self._fold_ops(current, [ops]) or self._aggregates()[1]
+            self._write_aggregate_sidecar(rolled, through=name)
         except OSError:
             # The segment rename was the commit point: a sidecar that
             # cannot be written leaves coverage one segment short (the
@@ -740,40 +743,28 @@ class FileBackend:
                 FileBackend._fold_run(out, meta.get("app_name"), summary)
         return out
 
-    def _build_aggregates(self, merged: Dict[str, dict]) -> Optional[dict]:
-        """Full-scan aggregates over a merged view, in ``seq`` order.
-        ``None`` when any run lacks a dict summary (a misshapen meta)."""
+    def _build_aggregates(self, merged: Dict[str, dict]) -> dict:
+        """Full-scan aggregates over a merged view, in ``seq`` order
+        (every meta a read decodes carries a dict summary)."""
         out = {"all": HarvestAggregate(), "by_app": {}, "max_seq": -1}
         for _run_id, meta in sorted(merged.items(),
                                     key=lambda kv: kv[1].get("seq", 0)):
-            summary = meta.get("summary")
-            if not isinstance(summary, dict):
-                return None
-            self._fold_run(out, meta.get("app_name"), summary)
+            self._fold_run(out, meta.get("app_name"), meta["summary"])
             out["max_seq"] = max(out["max_seq"], meta.get("seq", -1))
         return out
 
-    def _write_aggregate_sidecar(self, aggs: Optional[dict],
-                                 through: str = "") -> None:
-        """Persist (or retire) the aggregate sidecar: *aggs* covers the
-        live base plus every segment named ``<= through``.
+    def _write_aggregate_sidecar(self, aggs: dict, through: str = "") -> None:
+        """Persist the aggregate sidecar: *aggs* covers the live base
+        plus every segment named ``<= through``.
 
         Must run under the store lock, after the base (and the segment
         named *through*) it describes landed: the sidecar records the
         live base's stat signature, and a reader only trusts it while
         that signature still matches — so a crash landing before this
         write merely leaves the *old* sidecar stale (after a base write:
-        a rescan) or short (after a seal: the tail is folded per op).
+        refused) or short (after a seal: the tail is folded per op).
         """
         path = self.root / _AGGREGATE_NAME
-        if aggs is None:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            with self._cache_lock:
-                self._sidecar_cache = None
-            return
         all_agg, by_app = aggs["all"], aggs["by_app"]
         parsed = {"base_sig": _stat_sig(self._index_path), "through": through,
                   "max_seq": aggs["max_seq"], "all": all_agg, "by_app": by_app}
@@ -862,7 +853,8 @@ class FileBackend:
             return parsed
 
     def _current_aggregates(self) -> Optional[dict]:
-        """Aggregates covering exactly the current merged view, or ``None``.
+        """The persisted aggregates, proved to cover exactly the current
+        merged view, or ``None``.
 
         Starts from the sidecar (or the empty aggregate when the base
         has no runs — a store that lost its sidecar before its first
@@ -870,8 +862,7 @@ class FileBackend:
         it covers (named ``<= through``) without opening it, and folds
         the uncovered tail per op.  Anything it cannot prove — see
         :meth:`_fold_ops`; a segment vanishing mid-read — yields
-        ``None``: the caller rescans, so a stale or torn aggregate can
-        never produce wrong directives.
+        ``None``, so a stale or torn sidecar is never served.
         """
         with self._cache_lock:
             names = self._segment_names()
@@ -886,35 +877,51 @@ class FileBackend:
                     for name in names if name > side["through"]]
             return self._fold_ops(side, tail) if tail else side
 
-    def harvest_aggregate(self, app_name: Optional[str] = None):
-        """The persisted :class:`~repro.core.extraction.HarvestAggregate`
-        over the store's current runs (restricted to *app_name* when
-        given), or ``None`` when the sidecar cannot be proved to cover
-        exactly the current index — the frontend then falls back to the
-        full summary scan, so a missing or stale aggregate can never
-        produce wrong directives.
+    def _aggregates(self) -> Tuple[Hashable, dict, HarvestAggregate]:
+        """The memo entry for the current index state: its token, the
+        aggregates covering it, and the one empty aggregate answered for
+        an app with no runs.
 
-        Callers must treat the returned aggregate as immutable (copy
-        before folding into it).
+        The aggregates are the persisted ones when they prove out
+        (:meth:`_current_aggregates`) and otherwise one fold of the
+        merged view — the same runs either way.  The token is read
+        *before* the aggregates, so an entry is never older than its
+        key: a write racing the read only leaves an entry no later read
+        asks for."""
+        with self._cache_lock:
+            token = self.index_token()
+            memo = self._harvest_memo
+            if memo is None or memo[0] != token:
+                aggs = self._current_aggregates()
+                if aggs is None:
+                    aggs = self._build_aggregates(self._merged_view()[1])
+                memo = self._harvest_memo = (token, aggs, HarvestAggregate())
+            return memo
+
+    def harvest_aggregate(self, app_name: Optional[str] = None
+                          ) -> HarvestAggregate:
+        """The :class:`~repro.core.extraction.HarvestAggregate` over the
+        store's current runs (restricted to *app_name* when given).
+
+        One index state answers one object per *app_name*, so a caller
+        may key what it derives by the aggregate itself: the same object
+        back means the same runs.  Callers must treat it as immutable
+        (copy before folding into it).
         """
-        current = self._current_aggregates()
-        if current is None:
-            return None
+        _token, aggs, empty = self._aggregates()
         if app_name is None:
-            return current["all"]
-        agg = current["by_app"].get(app_name)
-        return agg if agg is not None else HarvestAggregate()
+            return aggs["all"]
+        return aggs["by_app"].get(app_name, empty)
 
     def index_token(self) -> Hashable:
         """An identity for the index's *current* contents.
 
         Any write — put, delete, quarantine, rebuild, compaction, by this
-        process or another — changes the token: callers cache what they
-        derive from the index (the serving pool's directive sets) for
-        exactly as long as it holds.  It is ``(base stat signature,
-        segment names)``: every write seals a segment under a never-reused
-        name or rewrites the base, and it costs one ``listdir`` plus one
-        ``stat``.
+        process or another — changes the token: :meth:`harvest_aggregate`
+        memoises its answer for exactly as long as it holds.  It is
+        ``(base stat signature, segment names)``: every write seals a
+        segment under a never-reused name or rewrites the base, and it
+        costs one ``listdir`` plus one ``stat``.
         """
         with self._cache_lock:
             # Same read discipline as _merged_view: segments before base,
@@ -1261,11 +1268,9 @@ class FileBackend:
             names = self._segment_names()
             with self._cache_lock:
                 merged = self._merged_view()[1]
-            # Aggregates for the new base: the rolled sidecar (plus any
-            # uncovered tail) when the old state still proves out, by
-            # full fold otherwise.  Computed before the base rename
+            # Aggregates for the new base, taken before the base rename
             # invalidates the old sidecar.
-            aggregates = self._current_aggregates()
+            aggregates = self._aggregates()[1]
             _base, generation = self._read_base()
             generation += 1
             # Crash-safety: each step leaves a readable store.  After the
@@ -1274,12 +1279,9 @@ class FileBackend:
             # merge to the same view.  The sidecar rides the same
             # protocol: it is only trusted while it names the live base's
             # signature, so dying between any two steps leaves it merely
-            # stale — a rescan, never wrong directives.
+            # stale — refused, never wrong directives.
             self._write_base(merged, generation)
-            self._write_aggregate_sidecar(
-                aggregates if aggregates is not None
-                else self._build_aggregates(merged)
-            )
+            self._write_aggregate_sidecar(aggregates)
             for name in names:
                 try:
                     os.unlink(self._segments_dir / name)
@@ -1316,9 +1318,9 @@ class FileBackend:
                 pass
         _base, generation = self._read_base()
         side = self._read_sidecar()
-        # aggregated_runs counts runs the aggregate fast path covers *right
-        # now*: 0 means the next harvest rescans — after a trailing delete,
-        # until the next save's seal rebuilds the sidecar.
+        # aggregated_runs counts runs the persisted sidecar covers *right
+        # now*: 0 means the next harvest folds the merged view — after a
+        # trailing delete, until the next save's seal rebuilds the sidecar.
         current = self._current_aggregates()
         return StoreInfo(
             root=self.root,

@@ -547,25 +547,19 @@ class ExperimentStore:
         """The :class:`~repro.core.extraction.HarvestAggregate` over the
         store's current runs (restricted to *app_name* when given).
 
-        Served from the backend's persisted aggregate when it can prove
-        one covers exactly the current index — one sidecar read plus a
-        per-op fold of any segments sealed since it was last extended,
-        instead of O(runs) — and otherwise computed by the full summary
-        scan, so the result is the same either way.  Treat the returned
-        aggregate as immutable: :meth:`HarvestAggregate.copy` before folding more
-        runs into it.
+        The backend's persisted aggregate when it proves out — one
+        sidecar read plus a per-op fold of any segments sealed since it
+        was last extended — and otherwise one fold of its merged view;
+        either way one object per index state and *app_name*
+        (:meth:`~repro.storage.file_backend.FileBackend.harvest_aggregate`).
+        Treat it as immutable: :meth:`HarvestAggregate.copy` before
+        folding more runs into it.
         """
-        agg = self._call(self._backend.harvest_aggregate, app_name)
-        if agg is None:
-            metas = self.summaries(app_name=app_name)
-            agg = HarvestAggregate.of_summaries(
-                meta["summary"] for meta in metas.values())
-        return agg
+        return self._call(self._backend.harvest_aggregate, app_name)
 
     def index_token(self) -> Hashable:
         """An identity for the index's current contents — changes on any
-        write by any process, so a harvest cached against it is valid
-        exactly as long as the token is."""
+        write by any process (the key of the backend's harvest memo)."""
         return self._call(self._backend.index_token)
 
     def _maybe_auto_compact(self) -> None:

@@ -22,8 +22,9 @@ module turns that claim into an executable check:
    object exactly as a killed process would);
 5. re-open the stressed clone with a fresh store — the restarted
    process — and assert its view is *in the chain*, all its payloads
-   verify, and the persisted harvest aggregate is absent or equal to a
-   fold over the summary scan (never wrong).  A campaign schedule then
+   verify, and the backend's harvest aggregate (the sidecar when it
+   proves out, a fold of the merged view otherwise) equals a fold over
+   the summary scan.  A campaign schedule then
    resumes the campaign fault-free on the reopened store, which must
    land exactly on the chain's final state.
 
@@ -284,12 +285,11 @@ def _stress(roots: Dict[str, Path], seed: int, body) -> Tuple[str, list]:
 
 
 def _verify_aggregate(store: ExperimentStore) -> Optional[str]:
-    """The persisted harvest aggregate is ``None`` (rescan) or exact."""
+    """The backend's harvest aggregate equals the summary scan."""
     try:
-        persisted = store.backend.harvest_aggregate()
-        if persisted is not None and persisted != HarvestAggregate.of_summaries(
+        if store.backend.harvest_aggregate() != HarvestAggregate.of_summaries(
                 meta["summary"] for meta in store.summaries().values()):
-            return "persisted harvest aggregate differs from the summary scan"
+            return "harvest aggregate differs from the summary scan"
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
     return None

@@ -1,17 +1,20 @@
-"""The harvest aggregate: monoid laws, byte-identity with the naive
-reference extraction, cross-backend equivalence, the pool's re-harvest
-off the rolling aggregate, the index token it is cached against, the
-seal that heals the sidecar, and the degrade-to-rescan guarantees under
-crashes and missing aggregates.
+"""The harvest aggregate: byte-identity with the naive reference
+extraction, cross-backend equivalence, the pool's re-harvest off the
+rolling aggregate and the one rule it caches by, the backend's memo per
+index state, the seal that heals the sidecar, and the degrade-to-fold
+guarantees under crashes and missing sidecars.
 
 The contract under test everywhere: a persisted aggregate may be
-*absent* (forcing a fold over the full summary scan) but never *wrong* —
-every answer is compared against the text the reference
-(``tests/reference_extraction.py``: each rule a plain scan over the
-store's summaries) gives for the same runs."""
+*absent* (the backend then folds its merged view) but never *wrong*,
+and the backend always answers — every answer is compared against the
+summary scan or the text the reference (``tests/reference_extraction.py``:
+each rule a plain scan over the store's summaries) gives for the same
+runs."""
 
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -142,6 +145,20 @@ def _scan_aggregate(store: ExperimentStore, app=None) -> HarvestAggregate:
         meta["summary"] for meta in store.summaries(app_name=app).values())
 
 
+def _variant(base: RunRecord, run_id: str, edit=None) -> RunRecord:
+    """A copy of *base* under *run_id*, changed in place by *edit*."""
+    record = RunRecord.from_dict(base.to_dict())
+    record.run_id = run_id
+    if edit is not None:
+        edit(record)
+    return record
+
+
+def _new_true(record: RunRecord) -> None:
+    """Conclude one of :func:`make_run`'s false pairs true instead."""
+    record.shg_nodes[2]["state"] = "true"
+
+
 def _count_reads(monkeypatch) -> list:
     """Every path the backends open for reading from now on, in order."""
     reads = []
@@ -157,41 +174,8 @@ def _count_reads(monkeypatch) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the monoid
+# finalize and the dict form
 # ---------------------------------------------------------------------------
-def test_merge_equals_concat_property():
-    """merge(of(A), of(B)) must equal of(A + B) — and finalize to the
-    same directives — for seeded random summary sequences split at
-    every boundary."""
-    rng = random.Random(0xA66)
-    for trial in range(60):
-        summaries = [random_summary(rng) for _ in range(rng.randint(0, 7))]
-        whole = HarvestAggregate.of_summaries(summaries)
-        for cut in range(len(summaries) + 1):
-            left = HarvestAggregate.of_summaries(summaries[:cut])
-            right = HarvestAggregate.of_summaries(summaries[cut:])
-            merged = left.merge(right)
-            assert merged == whole, f"trial={trial} cut={cut}"
-            for options in OPTION_COMBOS:
-                assert merged.finalize(**options).to_text() == \
-                    whole.finalize(**options).to_text(), \
-                    f"trial={trial} cut={cut} options={options}"
-
-
-def test_merge_associative_and_identity():
-    rng = random.Random(0xB17)
-    empty = HarvestAggregate()
-    for trial in range(40):
-        a, b, c = (
-            HarvestAggregate.of_summaries(
-                random_summary(rng) for _ in range(rng.randint(0, 4)))
-            for _ in range(3)
-        )
-        assert a.merge(b).merge(c) == a.merge(b.merge(c)), f"trial={trial}"
-        assert empty.merge(a) == a and a.merge(empty) == a, f"trial={trial}"
-    assert empty.merge(empty) == HarvestAggregate()
-
-
 def test_finalize_matches_scan_route_property():
     rng = random.Random(0xC4E)
     for trial in range(40):
@@ -237,7 +221,7 @@ def test_federated_mixed_members(tmp_path):
     a = _store(tmp_path / "a", n=3)
     a.compact()
     assert a.info().aggregated_runs == 3
-    # a trailing delete stops the sidecar: b rescans until its next save
+    # a trailing delete stops the sidecar: b folds its view until its next save
     b = _store(tmp_path / "b", n=3, app="other")
     b.delete("run-002")
     assert b.info().aggregated_runs == 0
@@ -250,7 +234,7 @@ def test_federated_mixed_members(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the pool: re-harvest off the rolling aggregate, the token and its race
+# the pool: re-harvest off the rolling aggregate, keyed by the evidence
 # ---------------------------------------------------------------------------
 def test_pool_incremental_fold_after_write(tmp_path, monkeypatch):
     """The one incremental path is the backend's: each save already
@@ -259,7 +243,7 @@ def test_pool_incremental_fold_after_write(tmp_path, monkeypatch):
     store = _store(tmp_path / "incr", n=3)
     pool = StorePool()
     first = pool.harvest(store)
-    assert pool.harvest(store) is first  # token unchanged: cache hit
+    assert pool.harvest(store) is first  # same evidence object: cache hit
     reads = _count_reads(monkeypatch)
     for i in (7, 8):
         store.save(make_run(i))
@@ -268,7 +252,7 @@ def test_pool_incremental_fold_after_write(tmp_path, monkeypatch):
         assert not any("segments" in r for r in reads), reads
         assert refolded.to_text() == _scan_text(store)
     monkeypatch.undo()
-    # a delete stops the sidecar: the next harvest rescans but still
+    # a delete stops the sidecar: the next harvest folds the view but still
     # answers correctly
     store.delete("run-001")
     assert pool.harvest(store).to_text() == _scan_text(store)
@@ -315,38 +299,183 @@ def test_put_without_a_summary_is_refused(tmp_path):
     assert "run-009" not in store
 
 
-def test_pool_does_not_cache_when_token_races(tmp_path):
-    """A write landing mid-extraction must not pin the extracted
-    directives to a token they no longer describe."""
+def test_write_racing_a_harvest_cannot_pin_stale_directives(tmp_path):
+    """A write landing between the pool's evidence read and its cache
+    write leaves an entry for the older evidence: the next harvest
+    reads the newer evidence, misses and finalizes it, never serving
+    the older set."""
     store = _store(tmp_path / "race", n=3)
     pool = StorePool()
-    real_token = store.index_token
-    calls = {"n": 0}
+    real_evidence = store.harvest_evidence
 
-    def racing_token():
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return ("raced-away", 0)  # the state extraction started from
-        return real_token()
+    def racing_evidence(app=None):
+        evidence = real_evidence(app)
+        store.save(_variant(make_run(3), "run-003", _new_true))
+        return evidence
 
-    store.index_token = racing_token
+    store.harvest_evidence = racing_evidence
     try:
         raced = pool.harvest(store)
     finally:
-        store.index_token = real_token
-    assert calls["n"] >= 2, "pool must re-read the token after extraction"
-    assert raced.to_text() == _scan_text(store)
-    assert pool.stats()["harvest_entries"] == 0, \
-        "a raced harvest must not be cached"
-    again = pool.harvest(store)
-    assert again.to_text() == raced.to_text()
-    assert pool.stats()["harvest_misses"] == 2
-    assert pool.harvest(store) is again
+        store.harvest_evidence = real_evidence
+    assert raced.to_text() != _scan_text(store), "the write added no pair"
+    fresh = pool.harvest(store)
+    assert fresh.to_text() == _scan_text(store)
+    stats = pool.stats()
+    assert (stats["harvest_hits"], stats["harvest_misses"],
+            stats["harvest_reuses"]) == (0, 2, 0)
+    assert pool.harvest(store) is fresh
     assert pool.stats()["harvest_hits"] == 1
 
 
+def test_warm_pooled_harvest_reads_evidence_once_and_no_token(
+        tmp_path, monkeypatch):
+    """The pool decides by the evidence alone: a hit, and the miss after
+    a write, each make one evidence read and no index-token read."""
+    store = _store(tmp_path / "warm", n=3)
+    pool = StorePool()
+    first = pool.harvest(store)
+    calls = {"index_token": 0, "harvest_evidence": 0}
+    for name in calls:
+        real = getattr(ExperimentStore, name)
+
+        def counting(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(ExperimentStore, name, counting)
+    assert pool.harvest(store) is first
+    assert calls == {"index_token": 0, "harvest_evidence": 1}
+    store.save(_variant(make_run(3), "run-003", _new_true))
+    assert pool.harvest(store).to_text() == _scan_text(store)
+    assert calls == {"index_token": 0, "harvest_evidence": 2}
+    assert pool.stats()["harvest_hits"] == 1
+
+
+def test_refused_sidecar_folds_once_per_index_state(tmp_path, monkeypatch):
+    """After a trailing delete no sidecar proves out: the backend folds
+    its merged view once and answers every harvest of the unchanged
+    store — every scope, an app with no runs included — with the same
+    object, equal to the scan; the next write's state folds afresh."""
+    store = _store(tmp_path / "deleted", n=5)
+    store.delete("run-004")
+    assert store.info().aggregated_runs == 0
+    folds = []
+    real_fold = HarvestAggregate.fold_summary
+
+    def counting(self, summary):
+        folds.append(summary)
+        return real_fold(self, summary)
+
+    monkeypatch.setattr(HarvestAggregate, "fold_summary", counting)
+    answers = [store.harvest_evidence() for _ in range(10)]
+    assert len(folds) == 4
+    assert all(agg is answers[0] for agg in answers)
+    assert store.harvest_evidence("aggtest") is answers[0]
+    empty = store.harvest_evidence("nosuch")
+    assert store.harvest_evidence("nosuch") is empty
+    assert len(folds) == 4
+    store.delete("run-003")
+    assert store.harvest_evidence() is not answers[0]
+    assert len(folds) == 7
+    monkeypatch.undo()
+    assert store.harvest_evidence() == _scan_aggregate(store)
+    assert empty == HarvestAggregate() == _scan_aggregate(store, "nosuch")
+
+
+def test_write_during_a_fold_cannot_pin_it_to_the_newer_state(tmp_path):
+    """A write landing while the backend derives its aggregate (here:
+    right after the sidecar proved out) leaves the memo keyed by the
+    state the derivation started from, so the next read derives the
+    newer state instead of answering the older aggregate for it."""
+    store = _store(tmp_path / "mid-fold", n=3)
+    backend = store.backend
+    real_current = backend._current_aggregates
+    writes = []
+
+    def current_then_write():
+        aggs = real_current()
+        if not writes:  # once: the save's own seal derives again
+            writes.append("run-003")
+            store.save(_variant(make_run(3), "run-003", _new_true))
+        return aggs
+
+    backend._current_aggregates = current_then_write
+    try:
+        raced = store.harvest_evidence()
+    finally:
+        del backend._current_aggregates
+    assert raced.n_runs == 3
+    assert store.harvest_evidence() == _scan_aggregate(store)
+    assert store.harvest_evidence().n_runs == 4
+
+
+def test_pool_and_memo_under_racing_writers(tmp_path):
+    """Harvest threads share one pool and one store while writer threads
+    save runs, some of them with new true pairs: no thread fails, and
+    once the writers stop the pooled set and the backend's aggregate
+    equal the scan, however the memo and the entries interleaved."""
+    store = _store(tmp_path / "threads", n=2)
+    pool = StorePool()
+    errors = []
+    done = threading.Event()
+
+    def conclude(j):
+        def edit(record):
+            record.shg_nodes[j]["state"] = "true"
+        return edit
+
+    def writer(k):
+        try:
+            for i in range(6):
+                store.save(_variant(make_run(10 + 6 * k + i), f"w{k}-{i}",
+                                    conclude(2 + (i + k) % 2)))
+        except Exception as exc:  # noqa: BLE001 - collected for the assert
+            errors.append(exc)
+
+    def harvester():
+        try:
+            while not done.is_set():
+                pool.harvest(store)
+                pool.harvest(store, app="nosuch")
+        except Exception as exc:  # noqa: BLE001 - collected for the assert
+            errors.append(exc)
+
+    writers = [threading.Thread(target=writer, args=(k,)) for k in range(3)]
+    harvesters = [threading.Thread(target=harvester) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in writers + harvesters:
+            t.start()
+        for t in writers:
+            t.join(timeout=120)
+    finally:
+        done.set()
+        for t in harvesters:
+            t.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in writers + harvesters)
+    assert errors == []
+    assert len(store.list()) == 20
+    assert store.harvest_evidence() == _scan_aggregate(store)
+    assert pool.harvest(store).to_text() == _scan_text(store)
+    assert pool.harvest(store) is pool.harvest(store)
+
+
+def test_pool_hits_an_app_with_no_runs(tmp_path):
+    """An app the store holds no run of answers one empty aggregate per
+    index state, so asking twice is one finalize and one hit."""
+    store = _store(tmp_path / "nosuch", n=2)
+    pool = StorePool()
+    first = pool.harvest(store, app="nosuch")
+    assert pool.harvest(store, app="nosuch") is first
+    stats = pool.stats()
+    assert (stats["harvest_hits"], stats["harvest_misses"]) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
-# degrade-to-rescan: crashes and missing aggregates are never wrong
+# degrade-to-fold: crashes and missing aggregates are never wrong
 # ---------------------------------------------------------------------------
 def _reopen(root) -> ExperimentStore:
     return ExperimentStore(root, auto_compact=0, resilience=False,
@@ -402,7 +531,7 @@ def test_crash_during_seal_degrades_never_wrong(tmp_path, at):
 def test_crash_before_sidecar_write_goes_stale_then_rescans(tmp_path):
     """Kill compaction after the base rename but before the aggregate
     sidecar lands: the stale sidecar must be rejected (coverage drops to
-    zero), the harvest must rescan to the right answer, and a rebuild
+    zero), the harvest must fold the view to the right answer, and a rebuild
     must restore coverage."""
     seed = 8201
     root = tmp_path / "stale"
@@ -424,7 +553,7 @@ def test_crash_before_sidecar_write_goes_stale_then_rescans(tmp_path):
     assert info.runs == 4, f"seed={seed}: compaction lost runs"
     assert info.aggregated_runs == 0, \
         f"seed={seed}: stale sidecar accepted after crash"
-    assert reopened.backend.harvest_aggregate() is None
+    assert reopened.backend.harvest_aggregate() == _scan_aggregate(reopened)
     assert reopened.harvest_evidence().finalize().to_text() == \
         _scan_text(reopened)
     reopened.rebuild_index()
@@ -545,9 +674,9 @@ def test_pre_aggregate_segment_folds_per_op(tmp_path):
 
 
 def test_unparseable_segment_forces_rescan_not_wrong(tmp_path):
-    """Garbage where an uncovered segment's ops should be degrades the
-    aggregate to ``None`` — the harvest rescans (and the scan itself sees
-    the merged view the backend serves), never inventing directives."""
+    """Garbage where an uncovered segment's ops should be refuses the
+    sidecar — the backend folds the merged view it serves instead, never
+    inventing directives."""
     root = tmp_path / "garbage"
     store = _store(root, n=3)
     _save_without_sidecar(store, make_run(3))
@@ -556,7 +685,7 @@ def test_unparseable_segment_forces_rescan_not_wrong(tmp_path):
     data["ops"].append({"op": "garbage"})  # no reader knows it: unprovable
     seg.write_text(json.dumps(data))
     reopened = _reopen(root)
-    assert reopened.backend.harvest_aggregate() is None
+    assert reopened.backend.harvest_aggregate() == _scan_aggregate(reopened)
     assert reopened.info().aggregated_runs == 0
     assert reopened.harvest_evidence().finalize().to_text() == \
         _scan_text(reopened)
@@ -574,12 +703,13 @@ def test_unparseable_segment_forces_rescan_not_wrong(tmp_path):
         "all-null-without-one-app", "through-int"])
 def test_misshapen_sidecar_degrades_never_raises(tmp_path, text):
     """A sidecar that is valid JSON but not the expected shape is
-    *absent*: harvest and ``info()`` rescan instead of raising."""
+    *absent*: harvest and ``info()`` fold the merged view instead of
+    raising."""
     root = tmp_path / "shape"
     _store(root, n=3).compact()
     (root / "index.aggregate").write_text(text)
     reopened = _reopen(root)
-    assert reopened.backend.harvest_aggregate() is None
+    assert reopened.backend.harvest_aggregate() == _scan_aggregate(reopened)
     assert reopened.info().aggregated_runs == 0
     assert reopened.harvest_evidence().finalize().to_text() == \
         _scan_text(reopened)
@@ -700,15 +830,6 @@ def test_mixed_apps_keep_every_scope_exact(tmp_path):
 # ---------------------------------------------------------------------------
 # reuse on equal evidence: the pool's directive set, the sidecar's body
 # ---------------------------------------------------------------------------
-def _variant(base: RunRecord, run_id: str, edit=None) -> RunRecord:
-    """A copy of *base* under *run_id*, changed in place by *edit*."""
-    record = RunRecord.from_dict(base.to_dict())
-    record.run_id = run_id
-    if edit is not None:
-        edit(record)
-    return record
-
-
 def _check_sidecar(store: ExperimentStore) -> None:
     """The sidecar either covers every listed segment — then it parses
     to the full-scan aggregates and its bytes are ``json.dumps`` of the
@@ -756,9 +877,6 @@ def test_reuse_on_equal_evidence_matches_the_cold_scan(tmp_path):
             record.shg_nodes[0], id=len(record.shg_nodes), state=state,
             hypothesis=HYPS[j % 2], value=value, focus=_focus(focus)))
 
-    def new_true(record):
-        record.shg_nodes[2]["state"] = "true"
-
     def new_false(record):  # same hypothesis and value as node 0
         add_node(record, 0, "false", 0.2, "/Code/m0.c/fn04")
 
@@ -779,7 +897,7 @@ def test_reuse_on_equal_evidence_matches_the_cold_scan(tmp_path):
     steps = [
         ("no news", lambda: store.save(_variant(plain, "again-000"))),
         ("new true pair", lambda: store.save(
-            _variant(plain, "true-000", new_true))),
+            _variant(plain, "true-000", _new_true))),
         ("new false pair", lambda: store.save(
             _variant(plain, "false-000", new_false))),
         ("new code leaf", lambda: store.save(
@@ -800,9 +918,9 @@ def test_reuse_on_equal_evidence_matches_the_cold_scan(tmp_path):
             _variant(plain, "again-003"))),
         ("rebuild", store.rebuild_index),
         ("other scope", lambda: store.save(
-            _variant(make_run(4, app="beta"), "beta-004", new_true))),
+            _variant(make_run(4, app="beta"), "beta-004", _new_true))),
         ("no news in both scopes", lambda: store.save(
-            _variant(make_run(4, app="beta"), "beta-005", new_true))),
+            _variant(make_run(4, app="beta"), "beta-005", _new_true))),
     ]
     for name, write in [("seeded", lambda: None)] + steps:
         write()
